@@ -10,9 +10,8 @@ from __future__ import annotations
 from .bench import (BenchConfig, BenchReport, SchemeStats, analytic_direct_error,
                     build_samples, emit_report, run_ideal, run_montecarlo)
 from .codec import (SCHEME_ORDER, CodecConfig, DecimalOverflow, DecodeResult,
-                    EncodedSample, OobPolicy, SampleEval, Scheme, decimal_center,
-                    decode, encode, encode_points, evaluate_sample,
-                    ideal_roundtrip, relative_offset, roundtrip_error)
+                    EncodedSample, OobPolicy, Scheme, decimal_center, decode,
+                    encode, encode_points, ideal_roundtrip, relative_offset)
 from .datasets import (ATTRIBUTE_NAMES, AnnotationRecord, Attributes, DatasetSpec,
                        load_canonical, load_dataset, load_pts_dir, load_pts_file,
                        load_wflw, parse_pts, parse_wflw_line, subset_counts,
@@ -54,7 +53,6 @@ __all__ = [
     "ParseError",
     "PerImageError",
     "SCHEME_ORDER",
-    "SampleEval",
     "SchemaError",
     "Scheme",
     "SchemeStats",
@@ -76,7 +74,6 @@ __all__ = [
     "emit_report",
     "encode",
     "encode_points",
-    "evaluate_sample",
     "failure_rate",
     "format_ced_csv",
     "heatmap_transform",
@@ -93,7 +90,6 @@ __all__ = [
     "relative_offset",
     "render_gaussian",
     "resolve_norm_indices",
-    "roundtrip_error",
     "run_ideal",
     "run_montecarlo",
     "subset_counts",

@@ -11,27 +11,27 @@ distributed sub-pixel fractions are pushed through the same quantization
 arithmetic and the empirical mean pixel error is reported next to the
 closed-form expectation for the nearest-cell scheme.
 
+Both modes score through the grid-free :func:`subpix.codec.ideal_roundtrip`,
+which is bit-identical to rendering the maps and decoding them.
+
 Randomness comes from numpy's PCG64 generator seeded from the config, so
-every run with the same config is byte-identical. Worker threads only
-ever process disjoint samples and results are reduced in input order,
-which keeps multi-threaded runs identical to single-threaded ones.
+every run with the same config is byte-identical.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import (SCHEME_ORDER, CodecConfig, Scheme, evaluate_sample,
-                    ideal_roundtrip)
+from .codec import SCHEME_ORDER, CodecConfig, Scheme, ideal_roundtrip
 from .datasets import AnnotationRecord
 from .errors import ConfigError
-from .geometry import FaceSample, crop_from_bbox, crop_from_landmarks
+from .geometry import (FaceSample, apply_transform, crop_from_bbox,
+                       crop_from_landmarks, heatmap_transform)
 from .metrics import (MetricsConfig, PerImageError, ced_auc, ced_points,
-                      failure_rate, resolve_norm_indices)
+                      failure_rate, norm_distance, resolve_norm_indices)
 
 __all__ = [
     "BenchConfig",
@@ -60,7 +60,6 @@ class BenchConfig:
     mc_samples: int = 100_000
     mc_landmarks: int = 1
     mc_n: float = 4.0
-    threads: int = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "schemes", tuple(Scheme(s) for s in self.schemes))
@@ -77,8 +76,6 @@ class BenchConfig:
             raise ConfigError("Monte-Carlo sample and landmark counts must be positive")
         if not (np.isfinite(self.mc_n) and self.mc_n > 0):
             raise ConfigError(f"Monte-Carlo scale factor must be positive, got {self.mc_n}")
-        if self.threads < 1:
-            raise ConfigError(f"thread count must be positive, got {self.threads}")
 
 
 @dataclass(eq=False)
@@ -134,13 +131,12 @@ def build_samples(records: list[AnnotationRecord], cfg: BenchConfig,
     if not records:
         raise ConfigError("no records to benchmark")
     n_landmarks = len(records[0].landmarks)
-    i, j = resolve_norm_indices(n_landmarks, cfg.metrics)
+    pair = resolve_norm_indices(n_landmarks, cfg.metrics)
     samples = []
     skipped = 0
     for rec in records:
-        pts = rec.landmarks.points
-        d = float(np.linalg.norm(pts[i] - pts[j]))
-        if not (np.isfinite(d) and d > 0):
+        d = norm_distance(rec.landmarks, pair)
+        if d is None:
             skipped += 1
             continue
         try:
@@ -159,41 +155,48 @@ def build_samples(records: list[AnnotationRecord], cfg: BenchConfig,
     return samples, skipped
 
 
-def _eval_one(sample: FaceSample, codec_cfgs: list[CodecConfig]) -> list[tuple]:
-    out = []
-    for ccfg in codec_cfgs:
-        ev = evaluate_sample(sample, ccfg)
-        keep = np.isfinite(ev.errors_raw)
-        if not np.any(keep):
-            out.append(None)
-            continue
-        per_point = ev.errors_raw / sample.norm_distance_raw
-        img_nme = float(np.mean(ev.errors_raw[keep]) / sample.norm_distance_raw)
-        out.append((PerImageError(id=sample.id, nme=img_nme, per_point=per_point),
-                    ev.clamped_count, ev.conflict_count))
-    return out
-
-
 def run_ideal(records: list[AnnotationRecord], cfg: BenchConfig,
               dataset_name: str = "dataset") -> BenchReport:
-    """Encode-decode every record under every scheme and aggregate."""
+    """Encode-decode every record under every scheme and aggregate.
+
+    All samples go through one :func:`ideal_roundtrip` call per scheme,
+    grouped by image so that ``wom`` collisions stay inside one image.
+    """
     samples, skipped = build_samples(records, cfg)
     if not samples:
         raise ConfigError("every record was skipped; nothing to benchmark")
-    codec_cfgs = [cfg.codec.for_scheme(s) for s in cfg.schemes]
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(lambda s: _eval_one(s, codec_cfgs), samples))
-    else:
-        results = [_eval_one(s, codec_cfgs) for s in samples]
+    shape = cfg.codec.heatmap_shape
+    dims = np.array(shape, dtype=np.float64)
+    transforms = [heatmap_transform(s, shape) for s in samples]
+    hms = [apply_transform(t, s.landmarks_raw) for t, s in zip(transforms, samples)]
+    inverses = [t.inverse() for t in transforms]
+    counts = [len(hm) for hm in hms]
+    points = np.concatenate([hm.points for hm in hms])
+    valid = np.concatenate([hm.valid for hm in hms])
+    image = np.repeat(np.arange(len(samples)), counts)
+    bounds = np.cumsum(counts)[:-1]
 
     rows = []
     threshold = cfg.metrics.threshold
-    for k, scheme in enumerate(cfg.schemes):
-        per_image = [r[k][0] for r in results if r[k] is not None]
-        clamped = sum(r[k][1] for r in results if r[k] is not None)
-        conflicts = sum(r[k][2] for r in results if r[k] is not None)
+    for scheme in cfg.schemes:
+        coords, clamped, conflicts = ideal_roundtrip(
+            points, cfg.codec.for_scheme(scheme), valid=valid, groups=image)
+        # decode returns coords / dims; mapping back from that normalized
+        # form keeps every error bit-equal to the grid path on any grid size
+        normalized = np.split(coords / dims, bounds)
+        per_image = []
+        clamped_points = 0
+        for sample, inv, norm_pts, clamped_k in zip(samples, inverses, normalized,
+                                                    np.split(clamped, bounds)):
+            back_raw = inv.apply(norm_pts * dims)
+            err = np.linalg.norm(back_raw - sample.landmarks_raw.points, axis=1)
+            keep = np.isfinite(err)
+            if not np.any(keep):
+                continue
+            d = sample.norm_distance_raw
+            per_image.append(PerImageError(id=sample.id, nme=float(np.mean(err[keep]) / d),
+                                           per_point=err / d))
+            clamped_points += int(np.count_nonzero(clamped_k))
         if not per_image:
             raise ConfigError(f"scheme '{scheme.value}' produced no scorable images")
         # canonical sample order: record order must not affect any aggregate,
@@ -206,8 +209,9 @@ def run_ideal(records: list[AnnotationRecord], cfg: BenchConfig,
             nme=float(np.mean(nmes)),
             auc=ced_auc(nmes, threshold),
             fr=failure_rate(nmes, threshold),
+            # an unscored image has no valid point, hence no conflict
             conflicts=int(conflicts),
-            clamped_points=int(clamped),
+            clamped_points=clamped_points,
             ced=ced_points(nmes, threshold),
             per_image=per_image,
         ))

@@ -37,7 +37,7 @@ from .errors import ConfigError, ParseError
 from .geometry import (LandmarkSet, Space, apply_transform, compose,
                        crop_from_landmarks, AffineTransform)
 from .metrics import (MetricsConfig, ced_auc, failure_rate, format_ced_csv,
-                      ced_points, nme, resolve_norm_indices)
+                      ced_points, nme, norm_distance, resolve_norm_indices)
 
 __all__ = ["main", "entry"]
 
@@ -171,6 +171,8 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _cmd_bench_ideal(args) -> int:
+    if args.threads < 1:
+        raise ConfigError(f"thread count must be positive, got {args.threads}")
     spec, records = load_dataset(args.dataset)
     schemes = _parse_schemes(args.schemes)
     norm = _parse_index_pair(args.norm_indices) if args.norm_indices else None
@@ -182,7 +184,6 @@ def _cmd_bench_ideal(args) -> int:
         crop_source=args.crop_source,
         bbox_inclusive=args.bbox_edge == "inclusive",
         input_size=(args.input_res, args.input_res),
-        threads=args.threads,
     )
     report = run_ideal(records, bcfg, dataset_name=spec.name)
     _write_out(emit_report(report, args.format), args.out)
@@ -303,12 +304,12 @@ def _cmd_metrics(args) -> int:
     mcfg = MetricsConfig(
         norm_indices=_parse_index_pair(args.norm_indices) if args.norm_indices else None,
         threshold=args.threshold)
-    i, j = resolve_norm_indices(gt_spec.n_landmarks, mcfg)
+    pair = resolve_norm_indices(gt_spec.n_landmarks, mcfg)
     errors = []
     skipped = 0
     for rec in gt_records:
-        d = float(np.linalg.norm(rec.landmarks.points[i] - rec.landmarks.points[j]))
-        if not (np.isfinite(d) and d > 0):
+        d = norm_distance(rec.landmarks, pair)
+        if d is None:
             skipped += 1
             continue
         errors.append(nme(rec.landmarks, preds[rec.id].landmarks, d))
@@ -379,7 +380,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=0.10,
                    help="failure/AUC threshold on normalized error (default 0.10)")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for sample processing (default 1)")
+                   help="accepted for compatibility and has no effect: scoring is "
+                        "batched in one thread (must be positive; default 1)")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
     p.add_argument("--ced-out", metavar="PREFIX",

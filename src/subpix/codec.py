@@ -54,15 +54,12 @@ __all__ = [
     "CodecConfig",
     "EncodedSample",
     "DecodeResult",
-    "SampleEval",
     "relative_offset",
     "decimal_center",
     "encode_points",
     "encode",
     "decode",
     "ideal_roundtrip",
-    "roundtrip_error",
-    "evaluate_sample",
 ]
 
 # largest double strictly below 1.0; keeps clamped offsets inside [0, 1)
@@ -233,21 +230,25 @@ class EncodedSample:
             scheme = Scheme(d["scheme"])
         except (KeyError, ValueError) as exc:
             raise SchemaError(f"unknown or missing scheme: {exc}", field="scheme") from exc
+        n = _json_int(d.get("n_landmarks"), field="n_landmarks")
         try:
-            n = int(d["n_landmarks"])
             w, h = (int(v) for v in d["heatmap_shape"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(str(exc), field="heatmap_shape") from exc
-        if n <= 0 or w <= 0 or h <= 0:
+        if n <= 0:
+            raise SchemaError("must be positive", field="n_landmarks")
+        if w <= 0 or h <= 0:
             raise SchemaError("dimensions must be positive", field="heatmap_shape")
+        # the flag lists bound n by the payload's own length before any
+        # (n, h, w) stack is allocated
+        flags = {}
+        for key in ("valid", "clamped"):
+            entries = d.get(key)
+            if not isinstance(entries, list) or len(entries) != n:
+                raise SchemaError(f"expected a list of {n} flags, one per landmark",
+                                  field=key)
+            flags[key] = [bool(v) for v in entries]
         maps = _unsparse_stack(d.get("integer_cells"), n, (w, h), field="integer_cells")
-        try:
-            valid = [bool(v) for v in d["valid"]]
-            clamped = [bool(v) for v in d["clamped"]]
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(str(exc), field="valid") from exc
-        if len(valid) != n or len(clamped) != n:
-            raise SchemaError("flag arrays must have one entry per landmark", field="valid")
         kwargs: dict = {}
         if scheme is Scheme.WOV:
             offs = d.get("offsets")
@@ -262,18 +263,21 @@ class EncodedSample:
                                                     field="offset_x_cells")
             kwargs["offset_map_y"] = _unsparse_grid(d.get("offset_y_cells"), (w, h),
                                                     field="offset_y_cells")
-            kwargs["conflict_count"] = int(d.get("conflict_count", 0))
+            kwargs["conflict_count"] = _json_int(d.get("conflict_count", 0),
+                                                 field="conflict_count")
         if scheme is Scheme.HIH:
             try:
                 wo, ho = (int(v) for v in d["decimal_shape"])
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise SchemaError(str(exc), field="decimal_shape") from exc
+            if wo <= 0 or ho <= 0:
+                raise SchemaError("dimensions must be positive", field="decimal_shape")
             kwargs["decimal_shape"] = (wo, ho)
             kwargs["decimal_maps"] = _unsparse_stack(d.get("decimal_cells"), n, (wo, ho),
                                                      field="decimal_cells")
         try:
             return cls(scheme=scheme, heatmap_shape=(w, h), integer_maps=maps,
-                       valid=valid, clamped=clamped, **kwargs)
+                       **flags, **kwargs)
         except ConfigError as exc:
             raise SchemaError(str(exc), field="scheme") from exc
 
@@ -288,6 +292,13 @@ class EncodedSample:
         return cls.from_json_dict(d)
 
 
+def _json_int(value, *, field: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(str(exc), field=field) from exc
+
+
 def _sparse_stack(maps: np.ndarray) -> list[str]:
     k, rows, cols = np.nonzero(maps)
     return [f"{int(a)},{int(r)},{int(c)},{float(maps[a, r, c])!r}"
@@ -300,10 +311,10 @@ def _sparse_grid(grid: np.ndarray) -> list[str]:
 
 
 def _unsparse_stack(entries, n: int, shape: tuple[int, int], *, field: str) -> np.ndarray:
+    if not isinstance(entries, list):
+        raise SchemaError("expected a list of sparse cells", field=field)
     w, h = shape
     out = np.zeros((n, h, w), dtype=np.float64)
-    if entries is None:
-        raise SchemaError("missing sparse cell list", field=field)
     for i, entry in enumerate(entries):
         parts = str(entry).split(",")
         if len(parts) != 4:
@@ -320,10 +331,10 @@ def _unsparse_stack(entries, n: int, shape: tuple[int, int], *, field: str) -> n
 
 
 def _unsparse_grid(entries, shape: tuple[int, int], *, field: str) -> np.ndarray:
+    if not isinstance(entries, list):
+        raise SchemaError("expected a list of sparse cells", field=field)
     w, h = shape
     out = np.zeros((h, w), dtype=np.float64)
-    if entries is None:
-        raise SchemaError("missing sparse cell list", field=field)
     for i, entry in enumerate(entries):
         parts = str(entry).split(",")
         if len(parts) != 3:
@@ -352,17 +363,6 @@ class DecodeResult:
     landmarks: LandmarkSet
     tie_encountered: np.ndarray
     clamped: np.ndarray
-
-
-@dataclass(eq=False)
-class SampleEval:
-    """Round-trip outcome for one sample under one scheme."""
-
-    errors_raw: np.ndarray   # (N,) raw-space pixel error, NaN where invalid
-    valid: np.ndarray        # (N,)
-    clamped_count: int
-    conflict_count: int
-    tie_count: int
 
 
 # -- quantization kernels -----------------------------------------------------
@@ -714,34 +714,3 @@ def ideal_roundtrip(points: np.ndarray, cfg: CodecConfig,
         conflicts = 0
     coords = np.where(mask[:, None], coords, np.nan)
     return coords, clamped, conflicts
-
-
-def evaluate_sample(sample: FaceSample, cfg: CodecConfig) -> SampleEval:
-    """Full round trip for one sample: encode, decode, map back, measure.
-
-    Error is the euclidean distance in raw-space pixels between each
-    ground-truth landmark and its decoded position.
-    """
-    t = heatmap_transform(sample, cfg.heatmap_shape)
-    hm = apply_transform(t, sample.landmarks_raw)
-    enc = encode_points(hm.points, cfg, valid=hm.valid)
-    dec = decode(enc, cfg)
-    dims = np.array(cfg.heatmap_shape, dtype=np.float64)
-    back_raw = t.inverse().apply(dec.landmarks.points * dims)
-    err = np.linalg.norm(back_raw - sample.landmarks_raw.points, axis=1)
-    err = np.where(dec.landmarks.valid, err, np.nan)
-    return SampleEval(
-        errors_raw=err,
-        valid=dec.landmarks.valid.copy(),
-        clamped_count=int(np.count_nonzero(dec.clamped)),
-        conflict_count=int(enc.conflict_count),
-        tie_count=int(np.count_nonzero(dec.tie_encountered)),
-    )
-
-
-def roundtrip_error(sample: FaceSample, cfg: CodecConfig) -> np.ndarray:
-    """Per-landmark raw-space pixel error of ``decode(encode(sample))``.
-
-    Dropped landmarks yield NaN entries.
-    """
-    return evaluate_sample(sample, cfg).errors_raw

@@ -26,7 +26,6 @@ __all__ = [
     "clamp_cell",
     "argmax",
     "top2",
-    "to_csv",
 ]
 
 DEFAULT_TIE_EPS = 1e-9
@@ -138,8 +137,3 @@ def top2(grid: Heatmap, tie_eps: float = DEFAULT_TIE_EPS) -> tuple[tuple[int, in
     idx = np.nonzero(mask)[0]
     return best, [(int(i % grid.width), int(i // grid.width)) for i in idx]
 
-
-def to_csv(grid: Heatmap) -> str:
-    """Full-precision CSV dump of a grid, one row of cells per line."""
-    lines = [",".join("%.17g" % v for v in row) for row in grid.values]
-    return "\n".join(lines) + "\n"

@@ -23,6 +23,7 @@ from .geometry import LandmarkSet
 __all__ = [
     "MetricsConfig",
     "PerImageError",
+    "norm_distance",
     "point_errors",
     "nme",
     "ced_auc",
@@ -77,6 +78,18 @@ def resolve_norm_indices(n_landmarks: int, cfg: MetricsConfig) -> tuple[int, int
     if max(pair) >= n_landmarks:
         raise ConfigError(f"norm indices {pair} out of range for {n_landmarks} landmarks")
     return pair
+
+
+def norm_distance(landmarks: LandmarkSet, pair: tuple[int, int]) -> float | None:
+    """Distance between a layout's normalization pair, or None if unusable.
+
+    An image whose distance is not finite and positive cannot be scored;
+    callers skip it and count the skip.
+    """
+    i, j = pair
+    pts = landmarks.points
+    d = float(np.linalg.norm(pts[i] - pts[j]))
+    return d if np.isfinite(d) and d > 0 else None
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,10 +19,10 @@ from conftest import make_records
 from subpix.bench import (BenchConfig, BenchReport, SchemeStats,
                           analytic_direct_error, build_samples, emit_report,
                           run_ideal, run_montecarlo)
-from subpix.codec import CodecConfig, Scheme
+from subpix.codec import CodecConfig, OobPolicy, Scheme, decode, encode_points
 from subpix.datasets import AnnotationRecord
 from subpix.errors import ConfigError
-from subpix.geometry import LandmarkSet, Space
+from subpix.geometry import LandmarkSet, Space, apply_transform, heatmap_transform
 from subpix.metrics import MetricsConfig
 
 # expected 2-D distance to the nearest grid point under uniform offsets
@@ -189,11 +189,6 @@ class TestRunIdeal:
         random.Random(99).shuffle(shuffled)
         assert emit_report(run_ideal(shuffled, cfg, dataset_name="d"), "json") == base
 
-    def test_threads_do_not_change_output(self, corpus98):
-        a = emit_report(run_ideal(corpus98, BenchConfig(seed=1), "d"), "json")
-        b = emit_report(run_ideal(corpus98, BenchConfig(seed=1, threads=4), "d"), "json")
-        assert a == b
-
     def test_grid_aligned_landmarks_score_zero(self):
         report = run_ideal(grid_aligned_records(), BenchConfig(**ALIGNED_CFG),
                            "aligned")
@@ -260,6 +255,93 @@ class TestRunIdeal:
         assert self._row(report, Scheme.DIRECT).nme > 0
 
 
+def grid_oracle(records: list[AnnotationRecord], cfg: BenchConfig) -> dict:
+    """The per-sample grid path: render, decode and map back one image at a time.
+
+    Returns, per scheme, ``(per_image, clamped_points, conflicts)`` with
+    ``per_image`` mapping each scored image id to ``(nme, per_point)``.
+    """
+    samples, _ = build_samples(records, cfg)
+    dims = np.array(cfg.codec.heatmap_shape, dtype=np.float64)
+    out = {}
+    for scheme in cfg.schemes:
+        ccfg = cfg.codec.for_scheme(scheme)
+        per_image, clamped, conflicts = {}, 0, 0
+        for s in samples:
+            t = heatmap_transform(s, ccfg.heatmap_shape)
+            hm = apply_transform(t, s.landmarks_raw)
+            enc = encode_points(hm.points, ccfg, valid=hm.valid)
+            dec = decode(enc, ccfg)
+            back = t.inverse().apply(dec.landmarks.points * dims)
+            err = np.linalg.norm(back - s.landmarks_raw.points, axis=1)
+            err = np.where(dec.landmarks.valid, err, np.nan)
+            keep = np.isfinite(err)
+            if not np.any(keep):
+                continue
+            d = s.norm_distance_raw
+            per_image[s.id] = (float(np.mean(err[keep]) / d), err / d)
+            clamped += int(np.count_nonzero(dec.clamped))
+            conflicts += enc.conflict_count
+        out[scheme] = (per_image, clamped, conflicts)
+    return out
+
+
+def shrunk_box_records(n_landmarks: int, seed: int) -> list[AnnotationRecord]:
+    """Records whose boxes cut off their outer landmarks, plus one box that
+    misses its face entirely, so that a drop policy really drops points and
+    leaves one image with nothing to score."""
+    out = []
+    for rec in make_records(12, n_landmarks=n_landmarks, seed=seed):
+        x0, y0, x1, y1 = rec.bbox
+        inset = 0.08 * (x1 - x0)
+        out.append(AnnotationRecord(id=rec.id, image_path=rec.image_path,
+                                    landmarks=rec.landmarks,
+                                    bbox=(x0 + inset, y0 + inset, x1 - inset, y1 - inset)))
+    x0, y0, x1, y1 = out[0].bbox
+    out.append(AnnotationRecord(id="zz_off_face", image_path="off.png",
+                                landmarks=out[0].landmarks,
+                                bbox=(x1 + 50, y1 + 50, 2 * x1 - x0 + 50, 2 * y1 - y0 + 50)))
+    return out
+
+
+class TestRunIdealMatchesGridOracle:
+    """Batched grid-free ``run_ideal`` against the per-sample grid path, exactly."""
+
+    @pytest.mark.parametrize("n_landmarks", [98, 68])
+    @pytest.mark.parametrize("grid,input_res", [(64, 256), (60, 240)])
+    @pytest.mark.parametrize("crop", ["landmarks", "bbox-clamp", "bbox-drop"])
+    def test_bit_equal(self, n_landmarks, grid, input_res, crop):
+        policy = OobPolicy.DROP if crop == "bbox-drop" else OobPolicy.CLAMP
+        codec = CodecConfig(scheme=Scheme.DIRECT, heatmap_shape=(grid, grid),
+                            oob_policy=policy)
+        if crop == "landmarks":
+            records = make_records(12, n_landmarks=n_landmarks, seed=31)
+            cfg = BenchConfig(codec=codec, input_size=(input_res, input_res))
+        else:
+            records = shrunk_box_records(n_landmarks, seed=31)
+            cfg = BenchConfig(codec=codec, crop_source="bbox", crop_margin=0.0,
+                              input_size=(input_res, input_res))
+        report = run_ideal(records, cfg, "d")
+        oracle = grid_oracle(records, cfg)
+        dropped = 0
+        for row in report.rows:
+            want, clamped, conflicts = oracle[row.scheme]
+            assert [p.id for p in row.per_image] == sorted(want)
+            for p in row.per_image:
+                nme, per_point = want[p.id]
+                assert p.nme == nme, (row.scheme, p.id)
+                np.testing.assert_array_equal(p.per_point, per_point)
+                dropped += int(np.count_nonzero(np.isnan(p.per_point)))
+            assert row.clamped_points == clamped
+            assert row.conflicts == conflicts
+        assert sum(r.conflicts for r in report.rows) > 0
+        if crop == "bbox-drop":
+            assert dropped > 0
+            assert all(r.n_images == report.n_images - 1 for r in report.rows)
+        elif crop == "bbox-clamp":
+            assert all(r.clamped_points > 0 for r in report.rows)
+
+
 class TestBuildSamples:
     def test_bbox_source_skips_boxless_records(self, corpus98):
         trimmed = [AnnotationRecord(id=r.id, image_path=r.image_path,
@@ -294,8 +376,6 @@ class TestBenchConfig:
             BenchConfig(crop_source="detector")
         with pytest.raises(ConfigError):
             BenchConfig(mc_samples=0)
-        with pytest.raises(ConfigError):
-            BenchConfig(threads=0)
 
     def test_scheme_strings_coerced(self):
         cfg = BenchConfig(schemes=("direct", "hih"))

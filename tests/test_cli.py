@@ -131,6 +131,21 @@ class TestBenchIdeal:
         assert rc == 2
         assert err.startswith("error: ")
 
+    def test_threads_do_not_change_output(self, capsys, data_dir):
+        args = ("bench-ideal", "--dataset", f"wflw:{data_dir / 'list.txt'}",
+                "--format", "json")
+        rc1, one, _ = run_cli(capsys, *args, "--threads", "1")
+        rc4, four, _ = run_cli(capsys, *args, "--threads", "4")
+        assert rc1 == rc4 == 0
+        assert one == four
+
+    def test_threads_must_be_positive(self, capsys, data_dir):
+        rc, out, err = run_cli(capsys, "bench-ideal",
+                               "--dataset", f"wflw:{data_dir / 'list.txt'}",
+                               "--threads", "0")
+        assert rc == 2 and out == ""
+        assert err.startswith("error: thread count must be positive")
+
     def test_bbox_crop_source(self, capsys, data_dir):
         rc, out, _ = run_cli(capsys, "bench-ideal",
                              "--dataset", f"wflw:{data_dir / 'list.txt'}",
@@ -215,6 +230,34 @@ class TestEncodeDecode:
         monkeypatch.setattr("sys.stdin", io.StringIO("{broken"))
         rc, _, err = run_cli(capsys, "decode", "--scheme", "wov")
         assert rc == 2
+
+    @pytest.mark.parametrize("scheme,field,value,located", [
+        ("wom", "conflict_count", "x", "conflict_count"),
+        ("wom", "conflict_count", None, "conflict_count"),
+        ("wom", "conflict_count", [1], "conflict_count"),
+        ("direct", "integer_cells", 5, "integer_cells"),
+        ("direct", "integer_cells", "0,0,0,1.0", "integer_cells"),
+        ("wom", "offset_x_cells", {"0": 1}, "offset_x_cells"),
+        ("wom", "offset_y_cells", 7, "offset_y_cells"),
+        ("hih", "decimal_cells", None, "decimal_cells"),
+        ("hih", "decimal_shape", [0, 8], "decimal_shape"),
+        ("direct", "n_landmarks", "x", "n_landmarks"),
+        ("direct", "heatmap_shape", [1e400, 64], "heatmap_shape"),
+        ("direct", "clamped", "ff", "clamped"),
+        # the flag lists bound the landmark count before any grid is allocated
+        ("direct", "n_landmarks", 10 ** 12, "valid"),
+        ("direct", "valid", [True], "valid"),
+    ])
+    def test_malformed_payload_field_located(self, capsys, monkeypatch,
+                                             scheme, field, value, located):
+        _, payload, _ = run_cli(capsys, "encode", "--scheme", scheme,
+                                "--point", "1.5,2.5", "--point", "1.7,2.2")
+        doc = json.loads(payload)
+        doc[field] = value
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        rc, out, err = run_cli(capsys, "decode", "--scheme", scheme)
+        assert rc == 2 and out == ""
+        assert err.startswith(f"error: field '{located}'"), err
 
 
 class TestMetrics:

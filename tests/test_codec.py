@@ -11,13 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subpix.bench import BenchConfig, build_samples, run_ideal
 from subpix.codec import (SCHEME_ORDER, CodecConfig, DecimalOverflow,
                           EncodedSample, OobPolicy, Scheme, decimal_center,
-                          decode, encode, encode_points, evaluate_sample,
-                          ideal_roundtrip, relative_offset, roundtrip_error)
+                          decode, encode, encode_points, ideal_roundtrip,
+                          relative_offset)
+from subpix.datasets import AnnotationRecord
 from subpix.errors import ConfigError, SchemaError
-from subpix.geometry import (FaceSample, LandmarkSet, Space,
-                             crop_from_landmarks)
+from subpix.geometry import (FaceSample, LandmarkSet, Space, apply_transform,
+                             crop_from_landmarks, downsample_factor,
+                             heatmap_transform)
+from subpix.metrics import MetricsConfig
 from subpix.heatmap import argmax
 
 GRID = (64, 64)
@@ -512,46 +516,50 @@ class TestJsonRoundTrip:
 
 
 class TestSampleRoundtrip:
-    def _sample(self, seed=41, n=30):
+    """Raw-space round-trip errors of whole samples, as ``run_ideal`` scores them."""
+
+    def _record(self, seed=41, n=30) -> AnnotationRecord:
         rng = np.random.Generator(np.random.PCG64(seed))
         pts = rng.uniform(100.0, 400.0, size=(n, 2))
-        lms = LandmarkSet(points=pts, space=Space.RAW)
-        crop = crop_from_landmarks(lms, 0.25, (256, 256))
-        d = float(np.linalg.norm(pts[0] - pts[1]))
-        return FaceSample(id="s", landmarks_raw=lms, crop=crop, norm_distance_raw=d)
+        return AnnotationRecord(id="s", image_path="s.png",
+                                landmarks=LandmarkSet(points=pts, space=Space.RAW))
+
+    def _errors(self, record, scheme, **bench) -> tuple[np.ndarray, FaceSample]:
+        """Per-landmark raw-space pixel errors, NaN where dropped."""
+        cfg = BenchConfig(schemes=(scheme,),
+                          metrics=MetricsConfig(norm_indices=(0, 1)), **bench)
+        (sample,), _ = build_samples([record], cfg)
+        (row,) = run_ideal([record], cfg).rows
+        return row.per_image[0].per_point * sample.norm_distance_raw, sample
 
     def test_wov_error_negligible(self):
-        errs = roundtrip_error(self._sample(), cfg_for(Scheme.WOV))
+        errs, _ = self._errors(self._record(), Scheme.WOV)
         assert np.nanmax(errs) < 1e-9
 
     def test_direct_error_scale(self):
-        sample = self._sample()
-        errs = roundtrip_error(sample, cfg_for(Scheme.DIRECT))
-        from subpix.geometry import downsample_factor
+        errs, sample = self._errors(self._record(), Scheme.DIRECT)
         n = downsample_factor(sample.crop)
         # per-point error is at most half a cell diagonal in raw pixels
         assert np.nanmax(errs) <= n * np.sqrt(0.5) + 1e-9
 
     def test_landmark_on_grid_point_exact(self):
-        from subpix.geometry import AffineTransform
-        # raw points at multiples of 4 land on integer heatmap cells
-        lms = LandmarkSet(points=np.array([[40.0, 80.0], [128.0, 52.0]]),
-                          space=Space.RAW)
-        crop = AffineTransform.scale_offset(1.0, src=Space.RAW, dst=Space.INPUT)
-        sample = FaceSample(id="g", landmarks_raw=lms, crop=crop,
-                            norm_distance_raw=100.0)
+        # a unit crop of the exclusive box (0, 0, 256, 256) leaves raw points
+        # at multiples of 4 on integer heatmap cells
+        rec = AnnotationRecord(
+            id="g", image_path="g.png",
+            landmarks=LandmarkSet(points=np.array([[40.0, 80.0], [128.0, 52.0]]),
+                                  space=Space.RAW),
+            bbox=(0.0, 0.0, 256.0, 256.0))
         for scheme in SCHEME_ORDER:
-            errs = roundtrip_error(sample, cfg_for(scheme))
+            errs, _ = self._errors(rec, scheme, crop_source="bbox", crop_margin=0.0,
+                                   bbox_inclusive=False)
             assert np.nanmax(errs) < 1e-9, scheme
 
-    def test_evaluate_sample_counts(self):
-        ev = evaluate_sample(self._sample(), cfg_for(Scheme.WSM))
-        assert ev.tie_count == len(ev.errors_raw)
-        assert ev.conflict_count == 0
-
     def test_encode_matches_encode_points(self):
-        sample = self._sample(seed=43)
-        from subpix.geometry import apply_transform, heatmap_transform
+        rec = self._record(seed=43)
+        sample = FaceSample(id="s", landmarks_raw=rec.landmarks,
+                            crop=crop_from_landmarks(rec.landmarks, 0.25, (256, 256)),
+                            norm_distance_raw=1.0)
         cfg = cfg_for(Scheme.HIH)
         t = heatmap_transform(sample, cfg.heatmap_shape)
         hm = apply_transform(t, sample.landmarks_raw)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from subpix.errors import ConfigError
 from subpix.heatmap import (GaussianSpec, Heatmap, argmax, clamp_cell,
-                            render_gaussian, to_csv, top2)
+                            render_gaussian, top2)
 
 # Frozen expected values, computed by hand before implementation:
 # exp(-1/2) for the 4-neighbor of a sigma=1 gaussian.
@@ -61,12 +61,6 @@ class TestHeatmapContainer:
     def test_wrong_ndim_rejected(self):
         with pytest.raises(ConfigError):
             Heatmap(values=np.zeros(5))
-
-    def test_csv_dump_full_precision(self):
-        g = Heatmap(values=np.array([[0.5, 1.0], [0.1234567890123456789, 0.0]]))
-        rows = to_csv(g).strip().split("\n")
-        assert rows[0] == "0.5,1"
-        assert float(rows[1].split(",")[0]) == 0.1234567890123456789
 
 
 class TestRenderGaussian:

@@ -20,7 +20,7 @@ from subpix.errors import ConfigError
 from subpix.geometry import LandmarkSet, Space
 from subpix.metrics import (DEFAULT_NORM_INDICES, MetricsConfig, PerImageError,
                             ced_auc, ced_csv, ced_points, failure_rate,
-                            format_ced_csv, nme, point_errors,
+                            format_ced_csv, nme, norm_distance, point_errors,
                             resolve_norm_indices)
 
 
@@ -126,6 +126,13 @@ class TestNormIndices:
     def test_out_of_range_pair_rejected(self):
         with pytest.raises(ConfigError):
             resolve_norm_indices(68, MetricsConfig(norm_indices=(36, 70)))
+
+    def test_norm_distance_and_unusable_pairs(self):
+        pts = [[0.0, 0.0], [3.0, 4.0], [3.0, 4.0], [np.nan, np.nan]]
+        lms = lset(pts, valid=[True, True, True, False])
+        assert norm_distance(lms, (0, 1)) == 5.0
+        assert norm_distance(lms, (1, 2)) is None   # coincident points
+        assert norm_distance(lms, (0, 3)) is None   # invalid, non-finite point
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
