@@ -10,8 +10,8 @@ from __future__ import annotations
 from .bench import (BenchConfig, BenchReport, SchemeStats, analytic_direct_error,
                     build_samples, emit_report, run_ideal, run_montecarlo)
 from .codec import (SCHEME_ORDER, CodecConfig, DecimalOverflow, DecodeResult,
-                    EncodedSample, OobPolicy, Scheme, decimal_center, decode,
-                    encode, encode_points, ideal_roundtrip, relative_offset)
+                    EncodedSample, OobPolicy, Scheme, decode, encode,
+                    encode_points, ideal_roundtrip)
 from .datasets import (ATTRIBUTE_NAMES, AnnotationRecord, Attributes, DatasetSpec,
                        load_canonical, load_dataset, load_pts_dir, load_pts_file,
                        load_wflw, parse_pts, parse_wflw_line, subset_counts,
@@ -20,8 +20,6 @@ from .errors import ConfigError, ParseError, SchemaError
 from .geometry import (AffineTransform, FaceSample, LandmarkSet, Space,
                        apply_transform, compose, crop_from_bbox,
                        crop_from_landmarks, downsample_factor, heatmap_transform)
-from .heatmap import (DEFAULT_TIE_EPS, GaussianSpec, Heatmap, argmax, clamp_cell,
-                      render_gaussian, top2)
 from .metrics import (DEFAULT_NORM_INDICES, DEFAULT_THRESHOLD, MetricsConfig,
                       PerImageError, ced_auc, ced_csv, ced_points, failure_rate,
                       format_ced_csv, nme, point_errors, resolve_norm_indices)
@@ -39,14 +37,11 @@ __all__ = [
     "ConfigError",
     "DEFAULT_NORM_INDICES",
     "DEFAULT_THRESHOLD",
-    "DEFAULT_TIE_EPS",
     "DatasetSpec",
     "DecimalOverflow",
     "DecodeResult",
     "EncodedSample",
     "FaceSample",
-    "GaussianSpec",
-    "Heatmap",
     "LandmarkSet",
     "MetricsConfig",
     "OobPolicy",
@@ -59,16 +54,13 @@ __all__ = [
     "Space",
     "analytic_direct_error",
     "apply_transform",
-    "argmax",
     "build_samples",
     "ced_auc",
     "ced_csv",
     "ced_points",
-    "clamp_cell",
     "compose",
     "crop_from_bbox",
     "crop_from_landmarks",
-    "decimal_center",
     "decode",
     "downsample_factor",
     "emit_report",
@@ -87,13 +79,10 @@ __all__ = [
     "parse_pts",
     "parse_wflw_line",
     "point_errors",
-    "relative_offset",
-    "render_gaussian",
     "resolve_norm_indices",
     "run_ideal",
     "run_montecarlo",
     "subset_counts",
-    "top2",
     "write_canonical",
     "__version__",
 ]

@@ -31,11 +31,10 @@ import numpy as np
 
 from .bench import BenchConfig, emit_report, run_ideal, run_montecarlo
 from .codec import (SCHEME_ORDER, CodecConfig, DecimalOverflow, EncodedSample,
-                    OobPolicy, Scheme, decode as codec_decode, encode_points)
+                    OobPolicy, Scheme, decode as codec_decode, encode, encode_points)
 from .datasets import load_canonical, load_dataset, write_canonical
 from .errors import ConfigError, ParseError
-from .geometry import (LandmarkSet, Space, apply_transform, compose,
-                       crop_from_landmarks, AffineTransform)
+from .geometry import FaceSample, crop_from_landmarks
 from .metrics import (MetricsConfig, ced_auc, failure_rate, format_ced_csv,
                       ced_points, nme, norm_distance, resolve_norm_indices)
 
@@ -208,27 +207,25 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _heatmap_points_from_record(args) -> np.ndarray:
-    spec, records = load_canonical(args.record)
-    if not (0 <= args.index < len(records)):
-        raise ConfigError(f"record index {args.index} out of range "
-                          f"(file has {len(records)} records)")
-    rec = records[args.index]
-    crop = crop_from_landmarks(rec.landmarks, args.margin, (args.input_res, args.input_res))
-    factor = args.input_res / args.heatmap_res
-    down = AffineTransform.scale_offset(1.0 / factor, src=Space.INPUT, dst=Space.HEATMAP)
-    return apply_transform(compose(down, crop), rec.landmarks).points
-
-
 def _cmd_encode(args) -> int:
     if bool(args.point) == bool(args.record):
         raise ConfigError("exactly one of --point or --record is required")
     cfg = _codec_config(args, Scheme(args.scheme))
     if args.point:
         pts = np.array([_parse_point(p) for p in args.point], dtype=np.float64)
+        enc = encode_points(pts, cfg)
     else:
-        pts = _heatmap_points_from_record(args)
-    enc = encode_points(pts, cfg)
+        _, records = load_canonical(args.record)
+        if not (0 <= args.index < len(records)):
+            raise ConfigError(f"record index {args.index} out of range "
+                              f"(file has {len(records)} records)")
+        rec = records[args.index]
+        size = (args.input_res, args.input_res)
+        # encode never reads the normalization distance
+        sample = FaceSample(id=rec.id, landmarks_raw=rec.landmarks,
+                            crop=crop_from_landmarks(rec.landmarks, args.margin, size),
+                            norm_distance_raw=1.0, image_size_input=size)
+        enc = encode(sample, cfg)
     _write_out(enc.to_json() + "\n", args.out)
     return 0
 

@@ -44,7 +44,6 @@ import numpy as np
 
 from .errors import ConfigError, SchemaError
 from .geometry import FaceSample, LandmarkSet, Space, apply_transform, heatmap_transform
-from .heatmap import DEFAULT_TIE_EPS, GaussianSpec, Heatmap
 
 __all__ = [
     "Scheme",
@@ -54,8 +53,6 @@ __all__ = [
     "CodecConfig",
     "EncodedSample",
     "DecodeResult",
-    "relative_offset",
-    "decimal_center",
     "encode_points",
     "encode",
     "decode",
@@ -64,6 +61,9 @@ __all__ = [
 
 # largest double strictly below 1.0; keeps clamped offsets inside [0, 1)
 _ONE_BELOW = float(np.nextafter(1.0, 0.0))
+
+# wsm: responses within this of the second-largest one tie for second place
+_TIE_EPS = 1e-9
 
 
 class Scheme(str, Enum):
@@ -190,14 +190,6 @@ class EncodedSample:
     def n_landmarks(self) -> int:
         return self.integer_maps.shape[0]
 
-    def integer_map(self, k: int) -> Heatmap:
-        return Heatmap(self.integer_maps[k])
-
-    def decimal_map(self, k: int) -> Heatmap:
-        if self.decimal_maps is None:
-            raise ConfigError(f"scheme '{self.scheme.value}' has no decimal maps")
-        return Heatmap(self.decimal_maps[k])
-
     # -- JSON debug round-trip ------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -231,14 +223,9 @@ class EncodedSample:
         except (KeyError, ValueError) as exc:
             raise SchemaError(f"unknown or missing scheme: {exc}", field="scheme") from exc
         n = _json_int(d.get("n_landmarks"), field="n_landmarks")
-        try:
-            w, h = (int(v) for v in d["heatmap_shape"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(str(exc), field="heatmap_shape") from exc
+        w, h = _json_shape(d, "heatmap_shape")
         if n <= 0:
             raise SchemaError("must be positive", field="n_landmarks")
-        if w <= 0 or h <= 0:
-            raise SchemaError("dimensions must be positive", field="heatmap_shape")
         # the flag lists bound n by the payload's own length before any
         # (n, h, w) stack is allocated
         flags = {}
@@ -258,6 +245,8 @@ class EncodedSample:
                 kwargs["offsets"] = np.array(offs, dtype=np.float64).reshape(n, 2)
             except (TypeError, ValueError) as exc:
                 raise SchemaError(str(exc), field="offsets") from exc
+            if not np.all(np.isfinite(kwargs["offsets"])):
+                raise SchemaError("offsets must be finite", field="offsets")
         if scheme is Scheme.WOM:
             kwargs["offset_map_x"] = _unsparse_grid(d.get("offset_x_cells"), (w, h),
                                                     field="offset_x_cells")
@@ -266,12 +255,7 @@ class EncodedSample:
             kwargs["conflict_count"] = _json_int(d.get("conflict_count", 0),
                                                  field="conflict_count")
         if scheme is Scheme.HIH:
-            try:
-                wo, ho = (int(v) for v in d["decimal_shape"])
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise SchemaError(str(exc), field="decimal_shape") from exc
-            if wo <= 0 or ho <= 0:
-                raise SchemaError("dimensions must be positive", field="decimal_shape")
+            wo, ho = _json_shape(d, "decimal_shape")
             kwargs["decimal_shape"] = (wo, ho)
             kwargs["decimal_maps"] = _unsparse_stack(d.get("decimal_cells"), n, (wo, ho),
                                                      field="decimal_cells")
@@ -294,9 +278,24 @@ class EncodedSample:
 
 def _json_int(value, *, field: str) -> int:
     try:
-        return int(value)
+        out = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(str(exc), field=field) from exc
+    if out != value:
+        raise SchemaError(f"expected an integer, got {value!r}", field=field)
+    return out
+
+
+def _json_shape(d: dict, key: str) -> tuple[int, int]:
+    """A payload's positive (width, height) pair."""
+    try:
+        w, h = d[key]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"expected [width, height]: {exc}", field=key) from exc
+    w, h = _json_int(w, field=key), _json_int(h, field=key)
+    if w <= 0 or h <= 0:
+        raise SchemaError("dimensions must be positive", field=key)
+    return w, h
 
 
 def _sparse_stack(maps: np.ndarray) -> list[str]:
@@ -326,6 +325,8 @@ def _unsparse_stack(entries, n: int, shape: tuple[int, int], *, field: str) -> n
             raise SchemaError(f"entry {i}: {exc}", field=field) from exc
         if not (0 <= k < n and 0 <= r < h and 0 <= c < w):
             raise SchemaError(f"entry {i} indices out of range", field=field)
+        if not np.isfinite(v):
+            raise SchemaError(f"entry {i} value must be finite", field=field)
         out[k, r, c] = v
     return out
 
@@ -345,6 +346,8 @@ def _unsparse_grid(entries, shape: tuple[int, int], *, field: str) -> np.ndarray
             raise SchemaError(f"entry {i}: {exc}", field=field) from exc
         if not (0 <= r < h and 0 <= c < w):
             raise SchemaError(f"entry {i} indices out of range", field=field)
+        if not np.isfinite(v):
+            raise SchemaError(f"entry {i} value must be finite", field=field)
         out[r, c] = v
     return out
 
@@ -463,52 +466,6 @@ def _last_writer_offsets(cells: np.ndarray, offsets: np.ndarray, valid: np.ndarr
     return decoded, conflicts
 
 
-# -- public single-point helpers ----------------------------------------------
-
-
-def relative_offset(point: tuple[float, float], grid_shape: tuple[int, int] | None = None,
-                    oob_policy: OobPolicy = OobPolicy.CLAMP,
-                    ) -> tuple[tuple[int, int], tuple[float, float], bool]:
-    """Split a heatmap-space position into integer cell and fraction in [0, 1).
-
-    With a ``grid_shape``, out-of-grid positions are handled per the
-    policy: clamped onto the border cell (flag returned True) or rejected.
-    Without a shape the pure floor/fraction decomposition is returned.
-    """
-    pts = np.asarray([point], dtype=np.float64)
-    if not np.all(np.isfinite(pts)):
-        raise ConfigError(f"point must be finite, got {point}")
-    if grid_shape is None:
-        cell = np.floor(pts[0])
-        off = pts[0] - cell
-        return (int(cell[0]), int(cell[1])), (float(off[0]), float(off[1])), False
-    if OobPolicy(oob_policy) is OobPolicy.DROP and not _domain_mask(pts, grid_shape)[0]:
-        raise ConfigError(f"point {point} lies outside grid {grid_shape}")
-    cells, offs, clamped = _floor_cells(pts, grid_shape)
-    return ((int(cells[0, 0]), int(cells[0, 1])),
-            (float(offs[0, 0]), float(offs[0, 1])),
-            bool(clamped[0]))
-
-
-def decimal_center(offset: tuple[float, float], decimal_shape: tuple[int, int],
-                   ) -> tuple[tuple[int, int], bool]:
-    """Nearest decimal-grid index for a fraction, pinned into the grid.
-
-    Rounds half up; fractions close enough to 1 round one past the last
-    index and are clamped back onto it, with the flag reporting that.
-    """
-    wo, ho = int(decimal_shape[0]), int(decimal_shape[1])
-    if wo < 1 or ho < 1:
-        raise ConfigError(f"decimal shape must be at least 1x1, got {decimal_shape}")
-    off = np.asarray(offset, dtype=np.float64)
-    if not np.all(np.isfinite(off)) or np.any(off < 0) or np.any(off >= 1):
-        raise ConfigError(f"offset must lie in [0, 1) per axis, got {offset}")
-    q = np.floor(off * np.array([wo, ho]) + 0.5).astype(np.int64)
-    over = q >= np.array([wo, ho])
-    q = np.where(over, np.array([wo, ho]) - 1, q)
-    return (int(q[0]), int(q[1])), bool(np.any(over))
-
-
 # -- encode / decode ----------------------------------------------------------
 
 
@@ -542,9 +499,11 @@ def _render_batch(cells: np.ndarray, valid: np.ndarray, sigma: float,
                   shape: tuple[int, int]) -> np.ndarray:
     """One truncated-Gaussian grid per landmark, stacked (N, h, w).
 
-    Matches :func:`subpix.heatmap.render_gaussian` cell for cell; the
-    stencil is hoisted out of the loop because the exponential is the same
-    for every landmark.
+    Each valid landmark's grid holds ``exp(-d^2 / (2 sigma^2))`` around its
+    cell, with ``d`` the distance in cells, and exactly 0 beyond Chebyshev
+    distance ``floor(3 sigma)``; the peak is exactly 1.0 at the cell. Grids
+    of invalid landmarks are all zero. The stencil is computed once because
+    the exponential is the same for every landmark.
     """
     w, h = shape
     n = len(cells)
@@ -578,18 +537,12 @@ def encode_points(points: np.ndarray, cfg: CodecConfig,
         kwargs["offsets"] = offs
     elif cfg.scheme is Scheme.WOM:
         w, h = cfg.heatmap_shape
-        map_x = np.zeros((h, w), dtype=np.float64)
-        map_y = np.zeros((h, w), dtype=np.float64)
-        conflicts = 0
-        occupied = np.zeros((h, w), dtype=bool)
-        for k in np.nonzero(mask)[0]:
-            x, y = int(cells[k, 0]), int(cells[k, 1])
-            if occupied[y, x]:
-                conflicts += 1
-            occupied[y, x] = True
-            map_x[y, x] = payload[k, 0]
-            map_y[y, x] = payload[k, 1]
-        kwargs.update(offset_map_x=map_x, offset_map_y=map_y, conflict_count=conflicts)
+        decoded, conflicts = _last_writer_offsets(cells, payload, mask, cfg.heatmap_shape)
+        # every writer of a cell carries the winner's offset, so order is moot
+        idx = np.nonzero(mask)[0]
+        maps = np.zeros((2, h, w), dtype=np.float64)
+        maps[:, cells[idx, 1], cells[idx, 0]] = decoded[idx].T
+        kwargs.update(offset_map_x=maps[0], offset_map_y=maps[1], conflict_count=conflicts)
     elif cfg.scheme is Scheme.HIH:
         kwargs["decimal_shape"] = cfg.decimal_shape
         kwargs["decimal_maps"] = _render_batch(payload, mask, cfg.sigma_decimal,
@@ -613,8 +566,7 @@ def _argmax_flat(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return flat, best, maxval
 
 
-def decode(enc: EncodedSample, cfg: CodecConfig,
-           tie_eps: float = DEFAULT_TIE_EPS) -> DecodeResult:
+def decode(enc: EncodedSample, cfg: CodecConfig) -> DecodeResult:
     """Decode an encoded sample back to normalized coordinates.
 
     The scheme and grid shapes of ``enc`` and ``cfg`` must agree. Invalid
@@ -640,7 +592,7 @@ def decode(enc: EncodedSample, cfg: CodecConfig,
         flat2 = flat.copy()
         flat2[rows, best] = -np.inf
         second = flat2.max(axis=1)
-        mask = np.abs(flat - second[:, None]) <= tie_eps
+        mask = np.abs(flat - second[:, None]) <= _TIE_EPS
         mask[rows, best] = False
         counts = mask.sum(axis=1)
         ties = counts != 1

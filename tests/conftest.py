@@ -10,11 +10,13 @@ map collisions occur on some images.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from subpix.codec import CodecConfig, EncodedSample, Scheme, decode
 from subpix.datasets import ATTRIBUTE_NAMES, AnnotationRecord, Attributes
 from subpix.geometry import LandmarkSet, Space
 
@@ -211,6 +213,49 @@ def malformed_canonical_docs() -> list[tuple[str, str]]:
         mutate("attributes_not_object", lambda d: set_attr(d, 5)),
     ]
     return cases
+
+
+# -- heatmap oracles ----------------------------------------------------------------
+
+
+def brute_force_gaussian(center, sigma, shape):
+    """Independent windowless double-loop reference of the rendering rule.
+
+    Square truncation: cells farther than floor(3*sigma) on either axis
+    are exactly zero. The denominator is 2*(sigma*sigma), squaring first,
+    which is the association the library contract fixes.
+    """
+    w, h = shape
+    cx, cy = center
+    r = math.floor(3.0 * sigma)
+    out = np.zeros((h, w))
+    for y in range(h):
+        for x in range(w):
+            if abs(x - cx) <= r and abs(y - cy) <= r:
+                d2 = (x - cx) ** 2 + (y - cy) ** 2
+                out[y, x] = math.exp(-d2 / (2.0 * (sigma * sigma)))
+    return out
+
+
+def peak_cell(grid: np.ndarray) -> tuple[int, int]:
+    """(x, y) of a grid's maximum, first in row-major order."""
+    y, x = np.unravel_index(int(np.argmax(grid)), grid.shape)
+    return int(x), int(y)
+
+
+def hand_built(values, scheme=Scheme.WSM) -> EncodedSample:
+    """A one-landmark payload whose integer map is ``values[y, x]``."""
+    values = np.asarray(values, dtype=np.float64)
+    h, w = values.shape
+    return EncodedSample(scheme=scheme, heatmap_shape=(w, h), integer_maps=values[None],
+                         valid=np.array([True]), clamped=np.array([False]))
+
+
+def decode_hand_built(values, scheme=Scheme.WSM) -> tuple[np.ndarray, bool]:
+    """Decode :func:`hand_built`; returns heatmap-space (x, y) and the tie flag."""
+    enc = hand_built(values, scheme)
+    dec = decode(enc, CodecConfig(scheme=scheme, heatmap_shape=enc.heatmap_shape))
+    return dec.landmarks.points[0] * np.array(enc.heatmap_shape), bool(dec.tie_encountered[0])
 
 
 # -- acceptance verdict plumbing --------------------------------------------------

@@ -247,6 +247,17 @@ class TestEncodeDecode:
         # the flag lists bound the landmark count before any grid is allocated
         ("direct", "n_landmarks", 10 ** 12, "valid"),
         ("direct", "valid", [True], "valid"),
+        # non-finite payload values
+        ("direct", "integer_cells", ["0,0,0,nan"], "integer_cells"),
+        ("direct", "integer_cells", ["1,3,4,inf"], "integer_cells"),
+        ("hih", "decimal_cells", ["0,2,5,-inf"], "decimal_cells"),
+        ("wom", "offset_x_cells", ["2,1,nan"], "offset_x_cells"),
+        ("wom", "offset_y_cells", ["2,1,inf"], "offset_y_cells"),
+        ("wov", "offsets", [[float("nan"), 0.5], [0.7, 0.2]], "offsets"),
+        # non-integral dimensions
+        ("direct", "heatmap_shape", [64.5, 64], "heatmap_shape"),
+        ("hih", "decimal_shape", [8.9, 8], "decimal_shape"),
+        ("direct", "n_landmarks", 2.7, "n_landmarks"),
     ])
     def test_malformed_payload_field_located(self, capsys, monkeypatch,
                                              scheme, field, value, located):

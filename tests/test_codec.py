@@ -11,18 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import brute_force_gaussian, decode_hand_built, hand_built, peak_cell
 from subpix.bench import BenchConfig, build_samples, run_ideal
 from subpix.codec import (SCHEME_ORDER, CodecConfig, DecimalOverflow,
-                          EncodedSample, OobPolicy, Scheme, decimal_center,
-                          decode, encode, encode_points, ideal_roundtrip,
-                          relative_offset)
+                          EncodedSample, OobPolicy, Scheme, decode, encode,
+                          encode_points, ideal_roundtrip)
 from subpix.datasets import AnnotationRecord
 from subpix.errors import ConfigError, SchemaError
 from subpix.geometry import (FaceSample, LandmarkSet, Space, apply_transform,
                              crop_from_landmarks, downsample_factor,
                              heatmap_transform)
 from subpix.metrics import MetricsConfig
-from subpix.heatmap import argmax
 
 GRID = (64, 64)
 
@@ -36,73 +35,90 @@ def _heatmap_points(seed: int, n: int, lo: float = 0.0, hi: float = 64.0) -> np.
     return rng.uniform(lo, hi, size=(n, 2))
 
 
+def _wov(point, **kw) -> tuple[tuple[int, int], np.ndarray, bool, bool]:
+    """Cell, stored fraction, clamp and valid flags of one ``wov`` encode."""
+    enc = encode_points(np.array([point]), cfg_for(Scheme.WOV, **kw))
+    return peak_cell(enc.integer_maps[0]), enc.offsets[0], enc.clamped[0], enc.valid[0]
+
+
+def _hih(point, **kw) -> tuple[tuple[int, int], bool]:
+    """Decimal-map peak and clamp flag of one ``hih`` encode."""
+    enc = encode_points(np.array([point]), cfg_for(Scheme.HIH, **kw))
+    return peak_cell(enc.decimal_maps[0]), enc.clamped[0]
+
+
 class TestRelativeOffset:
+    """The floor/fraction split the offset schemes store, read from ``wov``."""
+
     def test_fractional_point(self):
-        cell, off, clamped = relative_offset((32.65, 20.30))
+        cell, off, clamped, _ = _wov((32.65, 20.30))
         assert cell == (32, 20)
-        assert off == pytest.approx((0.65, 0.30), abs=1e-12)
+        assert tuple(off) == pytest.approx((0.65, 0.30), abs=1e-12)
         assert not clamped
 
     def test_integer_point(self):
-        cell, off, clamped = relative_offset((7.0, 3.0))
+        cell, off, clamped, _ = _wov((7.0, 3.0))
         assert cell == (7, 3)
-        assert off == (0.0, 0.0)
+        assert tuple(off) == (0.0, 0.0)
         assert not clamped
 
     def test_negative_point_clamped(self):
-        cell, off, clamped = relative_offset((-0.2, 5.5), GRID)
+        cell, off, clamped, _ = _wov((-0.2, 5.5))
         assert cell == (0, 5)
-        assert off == pytest.approx((0.0, 0.5), abs=1e-12)
+        assert tuple(off) == pytest.approx((0.0, 0.5), abs=1e-12)
         assert clamped
 
     def test_drop_policy_rejects_outside(self):
-        with pytest.raises(ConfigError):
-            relative_offset((-0.2, 5.5), GRID, oob_policy=OobPolicy.DROP)
-        cell, _, clamped = relative_offset((0.2, 5.5), GRID, oob_policy=OobPolicy.DROP)
-        assert cell == (0, 5) and not clamped
+        *_, valid = _wov((-0.2, 5.5), oob_policy=OobPolicy.DROP)
+        assert not valid
+        cell, _, clamped, valid = _wov((0.2, 5.5), oob_policy=OobPolicy.DROP)
+        assert cell == (0, 5) and not clamped and valid
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ConfigError):
-            relative_offset((np.nan, 1.0))
+            _wov((np.nan, 1.0))
 
     @given(st.floats(0.0, 63.999999), st.floats(0.0, 63.999999))
     @settings(max_examples=200, deadline=None)
     def test_decomposition_is_exact(self, x, y):
         # cell + offset reproduces the input bit for bit (Sterbenz)
-        cell, off, _ = relative_offset((x, y), GRID)
+        cell, off, _, _ = _wov((x, y))
         assert cell[0] + off[0] == x
         assert cell[1] + off[1] == y
         assert 0.0 <= off[0] < 1.0 and 0.0 <= off[1] < 1.0
+        coords, _, _ = ideal_roundtrip(np.array([[x, y]]), cfg_for(Scheme.WOV))
+        assert list(coords[0]) == [x, y]
 
 
 class TestDecimalCenter:
+    """Nearest decimal-grid step of the fraction, read from ``hih``."""
+
     def test_interior_rounding(self):
-        q, clamped = decimal_center((0.65, 0.30), (8, 8))
-        assert q == (5, 2) and not clamped
+        assert _hih((32.65, 20.30)) == ((5, 2), False)
 
     def test_zero_offset(self):
-        q, clamped = decimal_center((0.0, 0.0), (8, 8))
-        assert q == (0, 0) and not clamped
+        assert _hih((10.0, 20.0)) == ((0, 0), False)
 
     def test_overflow_clamps_and_flags(self):
-        q, clamped = decimal_center((0.97, 0.99), (8, 8))
-        assert q == (7, 7) and clamped
+        assert _hih((10.97, 20.99), decimal_overflow=DecimalOverflow.CLAMP) == ((7, 7), True)
 
     def test_half_rounds_up(self):
-        q, _ = decimal_center((0.5, 0.5), (8, 8))
+        q, _ = _hih((10.5, 20.5))
         assert q == (4, 4)
 
     def test_clamp_frequency_matches_enumeration(self):
         # exactly the fractions >= 15/16 round past the last index
         fr = np.arange(0, 1024) / 1024.0
-        flags = [decimal_center((f, 0.0), (8, 8))[1] for f in fr]
-        assert sum(flags) == int(np.count_nonzero(fr >= 15.0 / 16.0))
+        pts = np.stack([10.0 + fr, np.full(1024, 20.0)], axis=1)
+        cfg = cfg_for(Scheme.HIH, decimal_overflow=DecimalOverflow.CLAMP)
+        _, clamped, _ = ideal_roundtrip(pts, cfg)
+        assert int(clamped.sum()) == int(np.count_nonzero(fr >= 15.0 / 16.0))
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ConfigError):
-            decimal_center((1.0, 0.0), (8, 8))
-        with pytest.raises(ConfigError):
-            decimal_center((-0.1, 0.0), (8, 8))
+        # positions off the grid never reach the quantizer with a fraction
+        # outside [0, 1): they are pinned to the border step and flagged
+        assert _hih((-0.1, 5.0)) == ((0, 0), True)
+        assert _hih((70.0, 5.0)) == ((7, 0), True)
 
 
 class TestCodecConfig:
@@ -137,21 +153,21 @@ class TestCodecConfig:
 class TestCellConventions:
     def test_direct_rounds_to_nearest(self):
         enc = encode_points(np.array([[32.65, 20.30]]), cfg_for(Scheme.DIRECT))
-        assert argmax(enc.integer_map(0)) == (33, 20)
+        assert peak_cell(enc.integer_maps[0]) == (33, 20)
 
     def test_direct_round_half_up(self):
         enc = encode_points(np.array([[10.5, 11.5]]), cfg_for(Scheme.DIRECT))
-        assert argmax(enc.integer_map(0)) == (11, 12)
+        assert peak_cell(enc.integer_maps[0]) == (11, 12)
 
     def test_offset_schemes_floor(self):
         for scheme in (Scheme.WOV, Scheme.WOM, Scheme.HIH):
             enc = encode_points(np.array([[32.65, 20.30]]), cfg_for(scheme))
-            assert argmax(enc.integer_map(0)) == (32, 20), scheme
+            assert peak_cell(enc.integer_maps[0]) == (32, 20), scheme
 
     def test_hih_payload_peaks(self):
         enc = encode_points(np.array([[32.65, 20.30]]), cfg_for(Scheme.HIH))
-        assert argmax(enc.integer_map(0)) == (32, 20)
-        assert argmax(enc.decimal_map(0)) == (5, 2)
+        assert peak_cell(enc.integer_maps[0]) == (32, 20)
+        assert peak_cell(enc.decimal_maps[0]) == (5, 2)
 
     def test_direct_residual_bound_non_clamped(self):
         pts = _heatmap_points(3, 500, 0.0, 63.49)
@@ -175,12 +191,11 @@ class TestWovExactness:
 
 
 class TestWsm:
-    def _manual(self, values, scheme=Scheme.WSM, shape=(8, 8)):
-        maps = np.zeros((1, shape[1], shape[0]))
+    def _manual(self, values, shape=(8, 8)):
+        grid = np.zeros((shape[1], shape[0]))
         for (x, y), v in values.items():
-            maps[0, y, x] = v
-        return EncodedSample(scheme=scheme, heatmap_shape=shape, integer_maps=maps,
-                             valid=np.array([True]), clamped=np.array([False]))
+            grid[y, x] = v
+        return hand_built(grid)
 
     def test_unique_second_quarter_shift(self):
         enc = self._manual({(4, 4): 1.0, (5, 4): 0.8, (3, 4): 0.5})
@@ -201,6 +216,16 @@ class TestWsm:
         dec = decode(enc, cfg_for(Scheme.WSM, heatmap_shape=(8, 8)))
         np.testing.assert_allclose(dec.landmarks.points[0], [0.5, 0.5], atol=1e-15)
         assert dec.tie_encountered[0]
+
+    @pytest.mark.parametrize("f", [0.1, 0.3, 0.45])
+    def test_off_centre_peak_shifts_toward_second(self, f):
+        # a continuous gaussian at (7 + f, 9): cell 8 is strictly closer than
+        # cell 6 or the vertical neighbours, so it is the one second place
+        xs = np.arange(16, dtype=np.float64)
+        d2 = (xs[None, :] - (7.0 + f)) ** 2 + (xs[:, None] - 9.0) ** 2
+        xy, tie = decode_hand_built(np.exp(-d2 / (2.0 * 1.5 ** 2)))
+        assert list(xy) == [7.25, 9.0]
+        assert not tie
 
     def test_ideal_maps_always_tie(self):
         pts = _heatmap_points(9, 200)
@@ -335,22 +360,22 @@ class TestHih:
 class TestRenderedMaps:
     @pytest.mark.parametrize("sigma", [1.0, 1.5, 2.3])
     def test_integer_maps_match_single_render(self, sigma):
-        from subpix.heatmap import GaussianSpec, render_gaussian
         pts = np.array([[10.0, 20.0], [0.0, 0.0], [63.0, 5.0], [33.4, 21.9]])
         cfg = cfg_for(Scheme.WOV, sigma_integer=sigma)
         enc = encode_points(pts, cfg)
-        spec = GaussianSpec(sigma=sigma)
+        # vectorized exp may differ from scalar libm in the last bit
+        maxulp = 0 if sigma in (1.0, 1.5) else 1
         for k in range(len(pts)):
-            cell = np.floor(pts[k]).astype(int)
-            single = render_gaussian(tuple(cell), spec, GRID)
-            np.testing.assert_array_equal(enc.integer_maps[k], single.values)
+            cell = tuple(np.floor(pts[k]).astype(int))
+            np.testing.assert_array_max_ulp(enc.integer_maps[k],
+                                            brute_force_gaussian(cell, sigma, GRID),
+                                            maxulp=maxulp)
 
     def test_decimal_maps_match_single_render(self):
-        from subpix.heatmap import GaussianSpec, render_gaussian
         cfg = cfg_for(Scheme.HIH)
         enc = encode_points(np.array([[32.65, 20.30]]), cfg)
-        single = render_gaussian((5, 2), GaussianSpec(sigma=1.0), (8, 8))
-        np.testing.assert_array_equal(enc.decimal_maps[0], single.values)
+        np.testing.assert_array_equal(enc.decimal_maps[0],
+                                      brute_force_gaussian((5, 2), 1.0, (8, 8)))
 
     def test_invalid_landmark_map_is_zero(self):
         pts = np.array([[np.nan, np.nan], [10.0, 10.0]])
@@ -387,7 +412,7 @@ class TestOobPolicies:
         # so the half-cell residual bound stays conditional on not-clamped
         enc = encode_points(np.array([[63.9, 10.0]]), cfg_for(Scheme.DIRECT))
         assert enc.clamped[0]
-        assert argmax(enc.integer_map(0)) == (63, 10)
+        assert peak_cell(enc.integer_maps[0]) == (63, 10)
         enc = encode_points(np.array([[63.4, 10.0]]), cfg_for(Scheme.DIRECT))
         assert not enc.clamped[0]
 
