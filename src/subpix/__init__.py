@@ -21,7 +21,7 @@ from .geometry import (AffineTransform, FaceSample, LandmarkSet, Space,
                        apply_transform, compose, crop_from_bbox,
                        crop_from_landmarks, downsample_factor, heatmap_transform)
 from .metrics import (DEFAULT_NORM_INDICES, DEFAULT_THRESHOLD, MetricsConfig,
-                      PerImageError, ced_auc, ced_csv, ced_points, failure_rate,
+                      PerImageError, ced_auc, ced_points, failure_rate,
                       format_ced_csv, nme, point_errors, resolve_norm_indices)
 
 __version__ = "0.1.0"
@@ -56,7 +56,6 @@ __all__ = [
     "apply_transform",
     "build_samples",
     "ced_auc",
-    "ced_csv",
     "ced_points",
     "compose",
     "crop_from_bbox",

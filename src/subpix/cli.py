@@ -267,9 +267,7 @@ def _cmd_decode(args) -> int:
     if Scheme(args.scheme) is not enc.scheme:
         raise ConfigError(f"--scheme {args.scheme} does not match payload "
                           f"scheme '{enc.scheme.value}'")
-    cfg = CodecConfig(scheme=enc.scheme, heatmap_shape=enc.heatmap_shape,
-                      decimal_shape=enc.decimal_shape or (8, 8))
-    result = codec_decode(enc, cfg)
+    result = codec_decode(enc)
     pts = result.landmarks.points
     doc = {
         "scheme": enc.scheme.value,
@@ -409,7 +407,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_codec_flags(p)
     p.add_argument("--scheme", required=True, choices=[s.value for s in SCHEME_ORDER])
     p.add_argument("--point", action="append", metavar="X,Y",
-                   help="heatmap-space landmark; repeat for several")
+                   help="heatmap-space landmark; repeat for several; write a "
+                        "negative x as --point=-3,70")
     p.add_argument("--record", metavar="FILE",
                    help="canonical JSON file to take landmarks from instead of --point")
     p.add_argument("--index", type=int, default=0,

@@ -37,6 +37,7 @@ pessimistic fractional-map statistics seen in typical published runs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -64,6 +65,30 @@ _ONE_BELOW = float(np.nextafter(1.0, 0.0))
 
 # wsm: responses within this of the second-largest one tie for second place
 _TIE_EPS = 1e-9
+
+# smallest grid sides; a heatmap needs a neighbour cell for the wsm shift
+_MIN_SIDE = {"heatmap_shape": 2, "decimal_shape": 1}
+
+# most cells one grid stack may hold, whether a payload or an encode asks for
+# it: about 160x the 98 x 64 x 64 of a WFLW record
+_MAX_CELLS = 1 << 26
+
+
+def _grid_shape(shape, key: str) -> tuple[int, int]:
+    """``shape`` as an int (width, height) pair, each side at least its floor."""
+    w, h = map(int, shape)
+    least = _MIN_SIDE[key]
+    if w < least or h < least:
+        raise ConfigError(f"{key.replace('_', ' ')} must be at least {least}x{least}, "
+                          f"got {shape}")
+    return w, h
+
+
+def _check_cells(shape: tuple[int, ...]) -> None:
+    """Refuse a grid stack of ``shape`` before it is allocated if it is too big."""
+    if math.prod(shape) > _MAX_CELLS:
+        raise ConfigError(f"a grid stack of shape {shape} exceeds the limit of "
+                          f"{_MAX_CELLS} cells")
 
 
 class Scheme(str, Enum):
@@ -108,14 +133,10 @@ class CodecConfig:
         object.__setattr__(self, "scheme", Scheme(self.scheme))
         object.__setattr__(self, "oob_policy", OobPolicy(self.oob_policy))
         object.__setattr__(self, "decimal_overflow", DecimalOverflow(self.decimal_overflow))
-        hm = (int(self.heatmap_shape[0]), int(self.heatmap_shape[1]))
-        dm = (int(self.decimal_shape[0]), int(self.decimal_shape[1]))
-        if hm[0] < 2 or hm[1] < 2:
-            raise ConfigError(f"heatmap shape must be at least 2x2, got {self.heatmap_shape}")
-        if dm[0] < 1 or dm[1] < 1:
-            raise ConfigError(f"decimal shape must be at least 1x1, got {self.decimal_shape}")
-        object.__setattr__(self, "heatmap_shape", hm)
-        object.__setattr__(self, "decimal_shape", dm)
+        object.__setattr__(self, "heatmap_shape",
+                           _grid_shape(self.heatmap_shape, "heatmap_shape"))
+        object.__setattr__(self, "decimal_shape",
+                           _grid_shape(self.decimal_shape, "decimal_shape"))
         if not (np.isfinite(self.sigma_integer) and self.sigma_integer > 0):
             raise ConfigError(f"sigma_integer must be positive, got {self.sigma_integer}")
         if not (np.isfinite(self.sigma_decimal) and self.sigma_decimal > 0):
@@ -149,8 +170,7 @@ class EncodedSample:
 
     def __post_init__(self) -> None:
         self.scheme = Scheme(self.scheme)
-        w, h = self.heatmap_shape
-        self.heatmap_shape = (int(w), int(h))
+        self.heatmap_shape = _grid_shape(self.heatmap_shape, "heatmap_shape")
         maps = np.asarray(self.integer_maps, dtype=np.float64)
         if maps.ndim != 3 or maps.shape[1:] != (self.heatmap_shape[1], self.heatmap_shape[0]):
             raise ConfigError(
@@ -177,7 +197,7 @@ class EncodedSample:
         if self.scheme is Scheme.HIH:
             if self.decimal_maps is None or self.decimal_shape is None:
                 raise ConfigError("hih payload requires decimal maps and their shape")
-            self.decimal_shape = (int(self.decimal_shape[0]), int(self.decimal_shape[1]))
+            self.decimal_shape = _grid_shape(self.decimal_shape, "decimal_shape")
             dm = np.asarray(self.decimal_maps, dtype=np.float64)
             want = (n, self.decimal_shape[1], self.decimal_shape[0])
             if dm.shape != want:
@@ -198,19 +218,19 @@ class EncodedSample:
             "scheme": self.scheme.value,
             "n_landmarks": self.n_landmarks,
             "heatmap_shape": list(self.heatmap_shape),
-            "integer_cells": _sparse_stack(self.integer_maps),
+            "integer_cells": _sparse(self.integer_maps),
             "valid": [bool(v) for v in self.valid],
             "clamped": [bool(c) for c in self.clamped],
         }
         if self.scheme is Scheme.WOV:
             d["offsets"] = [[float(x), float(y)] for x, y in self.offsets]
         if self.scheme is Scheme.WOM:
-            d["offset_x_cells"] = _sparse_grid(self.offset_map_x)
-            d["offset_y_cells"] = _sparse_grid(self.offset_map_y)
+            d["offset_x_cells"] = _sparse(self.offset_map_x)
+            d["offset_y_cells"] = _sparse(self.offset_map_y)
             d["conflict_count"] = int(self.conflict_count)
         if self.scheme is Scheme.HIH:
             d["decimal_shape"] = list(self.decimal_shape)
-            d["decimal_cells"] = _sparse_stack(self.decimal_maps)
+            d["decimal_cells"] = _sparse(self.decimal_maps)
         return d
 
     def to_json(self) -> str:
@@ -235,7 +255,7 @@ class EncodedSample:
                 raise SchemaError(f"expected a list of {n} flags, one per landmark",
                                   field=key)
             flags[key] = [bool(v) for v in entries]
-        maps = _unsparse_stack(d.get("integer_cells"), n, (w, h), field="integer_cells")
+        maps = _unsparse(d.get("integer_cells"), (n, h, w), field="integer_cells")
         kwargs: dict = {}
         if scheme is Scheme.WOV:
             offs = d.get("offsets")
@@ -248,17 +268,17 @@ class EncodedSample:
             if not np.all(np.isfinite(kwargs["offsets"])):
                 raise SchemaError("offsets must be finite", field="offsets")
         if scheme is Scheme.WOM:
-            kwargs["offset_map_x"] = _unsparse_grid(d.get("offset_x_cells"), (w, h),
-                                                    field="offset_x_cells")
-            kwargs["offset_map_y"] = _unsparse_grid(d.get("offset_y_cells"), (w, h),
-                                                    field="offset_y_cells")
+            kwargs["offset_map_x"] = _unsparse(d.get("offset_x_cells"), (h, w),
+                                               field="offset_x_cells")
+            kwargs["offset_map_y"] = _unsparse(d.get("offset_y_cells"), (h, w),
+                                               field="offset_y_cells")
             kwargs["conflict_count"] = _json_int(d.get("conflict_count", 0),
                                                  field="conflict_count")
         if scheme is Scheme.HIH:
             wo, ho = _json_shape(d, "decimal_shape")
             kwargs["decimal_shape"] = (wo, ho)
-            kwargs["decimal_maps"] = _unsparse_stack(d.get("decimal_cells"), n, (wo, ho),
-                                                     field="decimal_cells")
+            kwargs["decimal_maps"] = _unsparse(d.get("decimal_cells"), (n, ho, wo),
+                                               field="decimal_cells")
         try:
             return cls(scheme=scheme, heatmap_shape=(w, h), integer_maps=maps,
                        **flags, **kwargs)
@@ -287,7 +307,7 @@ def _json_int(value, *, field: str) -> int:
 
 
 def _json_shape(d: dict, key: str) -> tuple[int, int]:
-    """A payload's positive (width, height) pair."""
+    """A payload's (width, height) pair, positive and no smaller than its floor."""
     try:
         w, h = d[key]
     except (KeyError, TypeError, ValueError) as exc:
@@ -295,60 +315,43 @@ def _json_shape(d: dict, key: str) -> tuple[int, int]:
     w, h = _json_int(w, field=key), _json_int(h, field=key)
     if w <= 0 or h <= 0:
         raise SchemaError("dimensions must be positive", field=key)
-    return w, h
+    try:
+        return _grid_shape((w, h), key)
+    except ConfigError as exc:
+        raise SchemaError(str(exc), field=key) from exc
 
 
-def _sparse_stack(maps: np.ndarray) -> list[str]:
-    k, rows, cols = np.nonzero(maps)
-    return [f"{int(a)},{int(r)},{int(c)},{float(maps[a, r, c])!r}"
-            for a, r, c in zip(k, rows, cols)]
+def _sparse(arr: np.ndarray) -> list[str]:
+    """The nonzero cells of a grid or grid stack as 'k,row,col,value' / 'row,col,value'."""
+    idx = np.nonzero(arr)
+    columns = [i.tolist() for i in idx] + [arr[idx].tolist()]
+    return [",".join(map(repr, cell)) for cell in zip(*columns)]
 
 
-def _sparse_grid(grid: np.ndarray) -> list[str]:
-    rows, cols = np.nonzero(grid)
-    return [f"{int(r)},{int(c)},{float(grid[r, c])!r}" for r, c in zip(rows, cols)]
-
-
-def _unsparse_stack(entries, n: int, shape: tuple[int, int], *, field: str) -> np.ndarray:
+def _unsparse(entries, shape: tuple[int, ...], *, field: str) -> np.ndarray:
+    """The inverse of :func:`_sparse` for an array of ``shape`` (rank 2 or 3)."""
     if not isinstance(entries, list):
         raise SchemaError("expected a list of sparse cells", field=field)
-    w, h = shape
-    out = np.zeros((n, h, w), dtype=np.float64)
+    try:
+        _check_cells(shape)
+    except ConfigError as exc:
+        raise SchemaError(str(exc), field=field) from exc
+    form = ",".join(["k", "row", "col"][-len(shape):] + ["value"])
+    out = np.zeros(shape, dtype=np.float64)
     for i, entry in enumerate(entries):
         parts = str(entry).split(",")
-        if len(parts) != 4:
-            raise SchemaError(f"entry {i} must be 'k,row,col,value'", field=field)
+        if len(parts) != len(shape) + 1:
+            raise SchemaError(f"entry {i} must be '{form}'", field=field)
         try:
-            k, r, c = int(parts[0]), int(parts[1]), int(parts[2])
-            v = float(parts[3])
+            index = tuple(int(p) for p in parts[:-1])
+            v = float(parts[-1])
         except ValueError as exc:
             raise SchemaError(f"entry {i}: {exc}", field=field) from exc
-        if not (0 <= k < n and 0 <= r < h and 0 <= c < w):
+        if not all(0 <= j < size for j, size in zip(index, shape)):
             raise SchemaError(f"entry {i} indices out of range", field=field)
         if not np.isfinite(v):
             raise SchemaError(f"entry {i} value must be finite", field=field)
-        out[k, r, c] = v
-    return out
-
-
-def _unsparse_grid(entries, shape: tuple[int, int], *, field: str) -> np.ndarray:
-    if not isinstance(entries, list):
-        raise SchemaError("expected a list of sparse cells", field=field)
-    w, h = shape
-    out = np.zeros((h, w), dtype=np.float64)
-    for i, entry in enumerate(entries):
-        parts = str(entry).split(",")
-        if len(parts) != 3:
-            raise SchemaError(f"entry {i} must be 'row,col,value'", field=field)
-        try:
-            r, c, v = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise SchemaError(f"entry {i}: {exc}", field=field) from exc
-        if not (0 <= r < h and 0 <= c < w):
-            raise SchemaError(f"entry {i} indices out of range", field=field)
-        if not np.isfinite(v):
-            raise SchemaError(f"entry {i} value must be finite", field=field)
-        out[r, c] = v
+        out[index] = v
     return out
 
 
@@ -529,6 +532,10 @@ def encode_points(points: np.ndarray, cfg: CodecConfig,
     get all-zero grids and ``valid=False``.
     """
     pts, mask = _check_points(points, valid)
+    w, h = cfg.heatmap_shape
+    _check_cells((len(pts), h, w))
+    if cfg.scheme is Scheme.HIH:
+        _check_cells((len(pts), cfg.decimal_shape[1], cfg.decimal_shape[0]))
     cells, payload, clamped, mask = _quantize(pts, mask, cfg)
     integer_maps = _render_batch(cells, mask, cfg.sigma_integer, cfg.heatmap_shape)
     kwargs: dict = {}
@@ -536,7 +543,6 @@ def encode_points(points: np.ndarray, cfg: CodecConfig,
         offs = np.where(mask[:, None], payload, 0.0)
         kwargs["offsets"] = offs
     elif cfg.scheme is Scheme.WOM:
-        w, h = cfg.heatmap_shape
         decoded, conflicts = _last_writer_offsets(cells, payload, mask, cfg.heatmap_shape)
         # every writer of a cell carries the winner's offset, so order is moot
         idx = np.nonzero(mask)[0]
@@ -566,21 +572,12 @@ def _argmax_flat(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return flat, best, maxval
 
 
-def decode(enc: EncodedSample, cfg: CodecConfig) -> DecodeResult:
+def decode(enc: EncodedSample) -> DecodeResult:
     """Decode an encoded sample back to normalized coordinates.
 
-    The scheme and grid shapes of ``enc`` and ``cfg`` must agree. Invalid
-    (dropped) landmarks come back as NaN with ``valid=False``.
+    The payload carries its own scheme and grid shapes. Invalid (dropped)
+    landmarks come back as NaN with ``valid=False``.
     """
-    if Scheme(cfg.scheme) is not enc.scheme:
-        raise ConfigError(
-            f"config scheme '{cfg.scheme.value}' does not match payload '{enc.scheme.value}'")
-    if tuple(cfg.heatmap_shape) != tuple(enc.heatmap_shape):
-        raise ConfigError(
-            f"config grid {cfg.heatmap_shape} does not match payload {enc.heatmap_shape}")
-    if enc.scheme is Scheme.HIH and tuple(cfg.decimal_shape) != tuple(enc.decimal_shape):
-        raise ConfigError(
-            f"config decimal grid {cfg.decimal_shape} does not match payload {enc.decimal_shape}")
     w, h = enc.heatmap_shape
     n = enc.n_landmarks
     rows = np.arange(n)

@@ -29,6 +29,7 @@ from .errors import ConfigError, ParseError, SchemaError
 from .geometry import LandmarkSet, Space
 
 __all__ = [
+    "ATTRIBUTE_NAMES",
     "Attributes",
     "AnnotationRecord",
     "DatasetSpec",
@@ -89,7 +90,6 @@ class DatasetSpec:
 
     name: str
     n_landmarks: int
-    norm_indices: tuple[int, int] | None = None
 
 
 # -- pts files ----------------------------------------------------------------

@@ -21,15 +21,18 @@ from .errors import ConfigError
 from .geometry import LandmarkSet
 
 __all__ = [
+    "DEFAULT_THRESHOLD",
+    "DEFAULT_NORM_INDICES",
     "MetricsConfig",
     "PerImageError",
+    "resolve_norm_indices",
     "norm_distance",
     "point_errors",
     "nme",
     "ced_auc",
     "failure_rate",
     "ced_points",
-    "ced_csv",
+    "format_ced_csv",
 ]
 
 DEFAULT_THRESHOLD = 0.10
@@ -48,24 +51,24 @@ class MetricsConfig:
     ``norm_indices`` picks the two landmarks whose distance normalizes the
     per-image error; when None, the defaults for 98- and 68-point layouts
     apply and any other layout must specify the pair explicitly.
-    ``include_invalid`` forces invalid points into the per-image mean
-    instead of reducing the point count (only meaningful when predictions
-    exist for those points).
     """
 
     norm_indices: tuple[int, int] | None = None
     threshold: float = DEFAULT_THRESHOLD
-    include_invalid: bool = False
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.threshold) and self.threshold > 0):
-            raise ConfigError(f"threshold must be positive, got {self.threshold}")
+        _check_threshold(self.threshold)
         if self.norm_indices is not None:
             i, j = (int(v) for v in self.norm_indices)
             if i == j or i < 0 or j < 0:
                 raise ConfigError(f"norm indices must be two distinct non-negative "
                                   f"indices, got {self.norm_indices}")
             object.__setattr__(self, "norm_indices", (i, j))
+
+
+def _check_threshold(threshold: float) -> None:
+    if not (np.isfinite(threshold) and threshold > 0):
+        raise ConfigError(f"threshold must be positive, got {threshold}")
 
 
 def resolve_norm_indices(n_landmarks: int, cfg: MetricsConfig) -> tuple[int, int]:
@@ -113,30 +116,24 @@ def point_errors(gt: LandmarkSet, pred: LandmarkSet) -> np.ndarray:
     return np.where(both, err, np.nan)
 
 
-def nme(gt: LandmarkSet, pred: LandmarkSet, norm_distance: float,
-        include_invalid: bool = False) -> float:
+def nme(gt: LandmarkSet, pred: LandmarkSet, norm_distance: float) -> float:
     """Mean per-point error divided by the normalization distance.
 
-    Returned as a fraction. Invalid points reduce the point count unless
-    ``include_invalid`` is set, in which case they must carry finite
-    predictions.
+    Returned as a fraction. Invalid points reduce the point count.
     """
     if not (np.isfinite(norm_distance) and norm_distance > 0):
         raise ConfigError(f"normalization distance must be positive, got {norm_distance}")
     err = point_errors(gt, pred)
-    if include_invalid:
-        err = np.linalg.norm(gt.points - pred.points, axis=1)
     keep = np.isfinite(err)
     if not np.any(keep):
         raise ConfigError("no valid points to average")
-    if include_invalid and not np.all(keep):
-        raise ConfigError("include_invalid requires finite coordinates everywhere")
     return float(np.mean(err[keep]) / norm_distance)
 
 
-def _check_errors(errors) -> np.ndarray:
-    arr = np.asarray([e.nme if isinstance(e, PerImageError) else e for e in errors],
-                     dtype=np.float64)
+def _check_errors(errors, threshold: float) -> np.ndarray:
+    """Per-image errors as an array, after checking them and the threshold."""
+    _check_threshold(threshold)
+    arr = np.asarray(errors, dtype=np.float64)
     if arr.size == 0:
         raise ConfigError("need at least one per-image error")
     if not np.all(np.isfinite(arr)) or np.any(arr < 0):
@@ -144,34 +141,32 @@ def _check_errors(errors) -> np.ndarray:
     return arr
 
 
+def _ced_steps(errors, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """The step curve ``F(e) = fraction(error <= e)`` on [0, threshold].
+
+    Returns its breakpoints (0, every distinct error within the range, and
+    the threshold) and the value of ``F`` at each.
+    """
+    vals = np.sort(_check_errors(errors, threshold))
+    xs = np.unique(np.concatenate([[0.0, threshold], vals[vals <= threshold]]))
+    return xs, np.searchsorted(vals, xs, side="right") / vals.size
+
+
 def ced_auc(errors, threshold: float = DEFAULT_THRESHOLD) -> float:
     """Area under the cumulative error curve on [0, threshold], over threshold.
 
-    The curve is the exact step function ``F(e) = fraction(error <= e)``;
-    the integral walks its breakpoints, so the result is exact up to
-    floating point.
+    The integral sums the exact step function over its breakpoints, so the
+    result is exact up to floating point. ``np.add.accumulate`` adds the
+    steps left to right, as a running sum does; ``np.sum`` adds pairwise and
+    would change the last bits.
     """
-    if threshold <= 0:
-        raise ConfigError(f"threshold must be positive, got {threshold}")
-    vals = np.sort(_check_errors(errors))
-    m = vals.size
-    bps = np.unique(vals[vals <= threshold])
-    fracs = np.searchsorted(vals, bps, side="right") / m
-    integral = 0.0
-    prev = 0.0
-    frac = 0.0
-    for b, f in zip(bps, fracs):
-        integral += frac * (b - prev)
-        prev, frac = b, f
-    integral += frac * (threshold - prev)
-    return float(integral / threshold)
+    xs, fracs = _ced_steps(errors, threshold)
+    return float(np.add.accumulate(fracs[:-1] * np.diff(xs))[-1] / threshold)
 
 
 def failure_rate(errors, threshold: float = DEFAULT_THRESHOLD) -> float:
     """Fraction of images with error strictly above the threshold."""
-    if threshold <= 0:
-        raise ConfigError(f"threshold must be positive, got {threshold}")
-    vals = _check_errors(errors)
+    vals = _check_errors(errors, threshold)
     return float(np.count_nonzero(vals > threshold) / vals.size)
 
 
@@ -181,14 +176,7 @@ def ced_points(errors, threshold: float = DEFAULT_THRESHOLD) -> list[tuple[float
     One row per distinct error value within the range, plus rows at 0 and
     at the threshold so the curve is plottable without extrapolation.
     """
-    if threshold <= 0:
-        raise ConfigError(f"threshold must be positive, got {threshold}")
-    vals = np.sort(_check_errors(errors))
-    m = vals.size
-    xs = np.unique(np.concatenate([[0.0, threshold], vals[vals <= threshold]]))
-    xs = xs[xs <= threshold]
-    fracs = np.searchsorted(vals, xs, side="right") / m
-    return [(float(x), float(f)) for x, f in zip(xs, fracs)]
+    return [(float(x), float(f)) for x, f in zip(*_ced_steps(errors, threshold))]
 
 
 def format_ced_csv(points: list[tuple[float, float]]) -> str:
@@ -196,8 +184,3 @@ def format_ced_csv(points: list[tuple[float, float]]) -> str:
     lines = ["nme_threshold,fraction"]
     lines += [f"{x!r},{f!r}" for x, f in points]
     return "\n".join(lines) + "\n"
-
-
-def ced_csv(errors, threshold: float = DEFAULT_THRESHOLD) -> str:
-    """CED curve as CSV with full-precision values."""
-    return format_ced_csv(ced_points(errors, threshold))

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subpix.codec import CodecConfig, EncodedSample, Scheme, decode
+from subpix.codec import EncodedSample, Scheme, decode
 from subpix.datasets import ATTRIBUTE_NAMES, AnnotationRecord, Attributes
 from subpix.geometry import LandmarkSet, Space
 
@@ -254,7 +254,7 @@ def hand_built(values, scheme=Scheme.WSM) -> EncodedSample:
 def decode_hand_built(values, scheme=Scheme.WSM) -> tuple[np.ndarray, bool]:
     """Decode :func:`hand_built`; returns heatmap-space (x, y) and the tie flag."""
     enc = hand_built(values, scheme)
-    dec = decode(enc, CodecConfig(scheme=scheme, heatmap_shape=enc.heatmap_shape))
+    dec = decode(enc)
     return dec.landmarks.points[0] * np.array(enc.heatmap_shape), bool(dec.tie_encountered[0])
 
 

@@ -271,7 +271,7 @@ def grid_oracle(records: list[AnnotationRecord], cfg: BenchConfig) -> dict:
             t = heatmap_transform(s, ccfg.heatmap_shape)
             hm = apply_transform(t, s.landmarks_raw)
             enc = encode_points(hm.points, ccfg, valid=hm.valid)
-            dec = decode(enc, ccfg)
+            dec = decode(enc)
             back = t.inverse().apply(dec.landmarks.points * dims)
             err = np.linalg.norm(back - s.landmarks_raw.points, axis=1)
             err = np.where(dec.landmarks.valid, err, np.nan)

@@ -6,14 +6,20 @@ stdout; true subprocess round-trips live in the acceptance suite.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import write_pts_tree, write_wflw_file
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from subpix.cli import main
+from subpix.codec import SCHEME_ORDER, CodecConfig, encode_points
 from subpix.datasets import (AnnotationRecord, load_canonical, write_canonical)
 from subpix.geometry import LandmarkSet, Space
 
@@ -258,6 +264,10 @@ class TestEncodeDecode:
         ("direct", "heatmap_shape", [64.5, 64], "heatmap_shape"),
         ("hih", "decimal_shape", [8.9, 8], "decimal_shape"),
         ("direct", "n_landmarks", 2.7, "n_landmarks"),
+        # grids no allocator could hold are refused before allocating
+        ("direct", "heatmap_shape", [1e30, 8], "integer_cells"),
+        ("wsm", "heatmap_shape", [2 ** 62, 2 ** 62], "integer_cells"),
+        ("hih", "decimal_shape", [8, 1e30], "decimal_cells"),
     ])
     def test_malformed_payload_field_located(self, capsys, monkeypatch,
                                              scheme, field, value, located):
@@ -269,6 +279,99 @@ class TestEncodeDecode:
         rc, out, err = run_cli(capsys, "decode", "--scheme", scheme)
         assert rc == 2 and out == ""
         assert err.startswith(f"error: field '{located}'"), err
+
+    @pytest.mark.parametrize("shape", [[1, 8], [8, 1], [1, 1]])
+    def test_narrow_grid_payload_located(self, capsys, monkeypatch, shape):
+        _, payload, _ = run_cli(capsys, "encode", "--scheme", "direct",
+                                "--point", "1.5,2.5", "--point", "1.7,2.2")
+        doc = json.loads(payload)
+        doc["heatmap_shape"] = shape
+        doc["integer_cells"] = ["0,0,0,1.0", "1,0,0,0.5"]  # inside every shape
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        rc, out, err = run_cli(capsys, "decode", "--scheme", "direct")
+        assert rc == 2 and out == ""
+        assert err.startswith("error: field 'heatmap_shape': heatmap shape must be "
+                              "at least 2x2"), err
+
+    def test_oversized_encode_grid_refused(self, capsys):
+        rc, out, err = run_cli(capsys, "encode", "--scheme", "direct",
+                               "--heatmap-res", str(2 ** 62), "--point", "1.5,2.5")
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and "exceeds the limit" in err, err
+
+    @pytest.mark.parametrize("scheme", [s.value for s in SCHEME_ORDER])
+    def test_encode_payload_bytes_frozen(self, capsys, scheme):
+        rc, out, err = run_cli(capsys, "encode", "--scheme", scheme,
+                               "--heatmap-res", "8", "--decimal-res", "4",
+                               "--sigma-integer", "0.4", "--sigma-decimal", "0.4",
+                               "--point", "3.3,2.6", "--point", "7.8,0.2")
+        assert rc == 0 and err == ""
+        assert out == json.dumps(GOLDEN_ENCODE[scheme], sort_keys=True,
+                                 separators=(",", ":")) + "\n"
+
+    def test_negative_point_coordinate(self, capsys):
+        rc, out, _ = run_cli(capsys, "encode", "--scheme", "wov", "--point=-3,70")
+        assert rc == 0
+        assert json.loads(out)["clamped"] == [True]
+        # the space-separated form reads as an unknown flag
+        rc, _, err = run_cli(capsys, "encode", "--scheme", "wov", "--point", "-3,70")
+        assert rc == 2 and "expected one argument" in err
+
+
+# frozen `encode` stdout for two points on an 8x8 grid, one per scheme
+GOLDEN_ENCODE = json.loads((Path(__file__).parent / "golden_encode.json").read_text())
+
+_DROP = object()
+_FUZZ_PAYLOADS = {
+    s.value: json.loads(encode_points(np.array([[1.5, 2.5], [1.7, 2.2], [6.3, 4.6]]),
+                                      CodecConfig(scheme=s, heatmap_shape=(8, 8),
+                                                  decimal_shape=(4, 4))).to_json())
+    for s in SCHEME_ORDER
+}
+_FUZZ_FIELDS = sorted({k for d in _FUZZ_PAYLOADS.values() for k in d} | {"extra"})
+# sizes stay small or are far past anything an allocator accepts
+_json_leaves = (st.none() | st.booleans() | st.integers(-3, 100)
+                | st.sampled_from([10 ** 12, 2 ** 62, 10 ** 30, 1e30, 1e400, -1e400])
+                | st.floats(-100.0, 100.0) | st.just(float("nan")) | st.text(max_size=8)
+                | st.sampled_from(["0,0,0,1.0", "1,3,2,0.5", "0,1,0.25", "2,1,nan",
+                                   "0,0,0,0,1", "a,b,c"]))
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=10)
+
+
+def _decode_text(text: str, scheme: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        rc = main(["decode", "--scheme", scheme])
+    return rc, out.getvalue(), err.getvalue()
+
+
+class TestPayloadFuzz:
+    """Any payload field replaced by any JSON, or dropped: exit 0, or exit 2
+    with one located ``error:`` line; never exit 1 or a traceback."""
+
+    @pytest.mark.parametrize("scheme", [s.value for s in SCHEME_ORDER])
+    @given(field=st.sampled_from(_FUZZ_FIELDS), value=_json_values | st.just(_DROP))
+    @example(field="heatmap_shape", value=[1e30, 8])
+    @example(field="heatmap_shape", value=[1, 8])
+    @example(field="decimal_shape", value=[2 ** 62, 2 ** 62])
+    @settings(max_examples=150, deadline=None)
+    def test_decode_fails_cleanly(self, scheme, field, value):
+        doc = dict(_FUZZ_PAYLOADS[scheme])
+        if value is _DROP:
+            doc.pop(field, None)
+        else:
+            doc[field] = value
+        rc, out, err = _decode_text(json.dumps(doc), scheme)
+        assert rc in (0, 2), err
+        if rc == 0:
+            assert err == "" and out.endswith("\n")
+        else:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestMetrics:

@@ -199,21 +199,21 @@ class TestWsm:
 
     def test_unique_second_quarter_shift(self):
         enc = self._manual({(4, 4): 1.0, (5, 4): 0.8, (3, 4): 0.5})
-        dec = decode(enc, cfg_for(Scheme.WSM, heatmap_shape=(8, 8)))
+        dec = decode(enc)
         np.testing.assert_allclose(dec.landmarks.points[0],
                                    [(4 + 0.25) / 8, 4 / 8], atol=1e-15)
         assert not dec.tie_encountered[0]
 
     def test_diagonal_second_normalized_shift(self):
         enc = self._manual({(4, 4): 1.0, (5, 5): 0.8, (3, 4): 0.5})
-        dec = decode(enc, cfg_for(Scheme.WSM, heatmap_shape=(8, 8)))
+        dec = decode(enc)
         s = 0.25 / np.sqrt(2.0)
         np.testing.assert_allclose(dec.landmarks.points[0],
                                    [(4 + s) / 8, (4 + s) / 8], atol=1e-15)
 
     def test_tied_seconds_suppress_shift(self):
         enc = self._manual({(4, 4): 1.0, (5, 4): 0.8, (3, 4): 0.8})
-        dec = decode(enc, cfg_for(Scheme.WSM, heatmap_shape=(8, 8)))
+        dec = decode(enc)
         np.testing.assert_allclose(dec.landmarks.points[0], [0.5, 0.5], atol=1e-15)
         assert dec.tie_encountered[0]
 
@@ -230,13 +230,13 @@ class TestWsm:
     def test_ideal_maps_always_tie(self):
         pts = _heatmap_points(9, 200)
         cfg = cfg_for(Scheme.WSM)
-        dec = decode(encode_points(pts, cfg), cfg)
+        dec = decode(encode_points(pts, cfg))
         assert dec.tie_encountered.all()
 
     def test_equals_direct_on_ideal_maps(self):
         pts = _heatmap_points(10, 200)
-        a = decode(encode_points(pts, cfg_for(Scheme.WSM)), cfg_for(Scheme.WSM))
-        b = decode(encode_points(pts, cfg_for(Scheme.DIRECT)), cfg_for(Scheme.DIRECT))
+        a = decode(encode_points(pts, cfg_for(Scheme.WSM)))
+        b = decode(encode_points(pts, cfg_for(Scheme.DIRECT)))
         np.testing.assert_array_equal(a.landmarks.points, b.landmarks.points)
 
 
@@ -254,7 +254,7 @@ class TestWom:
         assert enc.conflict_count == 1
         assert enc.offset_map_x[11, 10] == pytest.approx(0.75)
         assert enc.offset_map_y[11, 10] == pytest.approx(0.25)
-        dec = decode(enc, cfg)
+        dec = decode(enc)
         hm = dec.landmarks.points * 64.0
         # both landmarks decode to the second landmark's position
         np.testing.assert_allclose(hm[0], [10.75, 11.25], atol=1e-12)
@@ -397,7 +397,7 @@ class TestOobPolicies:
         cfg = cfg_for(Scheme.WOV, oob_policy=OobPolicy.DROP)
         enc = encode_points(pts, cfg)
         assert list(enc.valid) == [False, True]
-        dec = decode(enc, cfg)
+        dec = decode(enc)
         assert np.isnan(dec.landmarks.points[0]).all()
         assert np.isfinite(dec.landmarks.points[1]).all()
 
@@ -436,7 +436,7 @@ class TestGridMatchesIdealRoundtrip:
         ])
         cfg = cfg_for(scheme)
         enc = encode_points(pts, cfg)
-        dec = decode(enc, cfg)
+        dec = decode(enc)
         grid_coords = dec.landmarks.points * np.array(GRID, dtype=np.float64)
         ideal_coords, clamped, conflicts = ideal_roundtrip(pts, cfg)
         np.testing.assert_array_equal(grid_coords, ideal_coords)
@@ -450,7 +450,7 @@ class TestGridMatchesIdealRoundtrip:
         ])
         cfg = cfg_for(scheme, oob_policy=OobPolicy.DROP)
         enc = encode_points(pts, cfg)
-        dec = decode(enc, cfg)
+        dec = decode(enc)
         grid_coords = dec.landmarks.points * np.array(GRID, dtype=np.float64)
         ideal_coords, _, _ = ideal_roundtrip(pts, cfg)
         np.testing.assert_array_equal(grid_coords, ideal_coords)
@@ -474,20 +474,32 @@ class TestEncodedSampleValidation:
                           integer_maps=enc.integer_maps, valid=enc.valid,
                           clamped=enc.clamped)
 
-    def test_decode_scheme_mismatch_rejected(self):
-        enc = self._direct()
-        with pytest.raises(ConfigError):
-            decode(enc, cfg_for(Scheme.WOV))
+    @pytest.mark.parametrize("shape", [(1, 8), (8, 1), (1, 1)])
+    def test_grid_below_two_cells_rejected(self, shape):
+        # the payload holds the same 2x2 floor as CodecConfig
+        w, h = shape
+        maps = np.zeros((1, h, w))
+        maps[0, 0, 0] = 1.0
+        with pytest.raises(ConfigError, match="at least 2x2"):
+            EncodedSample(scheme=Scheme.DIRECT, heatmap_shape=shape, integer_maps=maps,
+                          valid=[True], clamped=[False])
 
-    def test_decode_shape_mismatch_rejected(self):
-        enc = self._direct()
-        with pytest.raises(ConfigError):
-            decode(enc, cfg_for(Scheme.DIRECT, heatmap_shape=(32, 32)))
+    def test_decimal_grid_below_one_cell_rejected(self):
+        enc = encode_points(_heatmap_points(19, 1), cfg_for(Scheme.HIH))
+        with pytest.raises(ConfigError, match="at least 1x1"):
+            EncodedSample(scheme=Scheme.HIH, heatmap_shape=GRID,
+                          integer_maps=enc.integer_maps, valid=enc.valid,
+                          clamped=enc.clamped, decimal_shape=(0, 8),
+                          decimal_maps=np.zeros((1, 8, 0)))
 
-    def test_decimal_shape_mismatch_rejected(self):
-        enc = encode_points(_heatmap_points(20, 2), cfg_for(Scheme.HIH))
-        with pytest.raises(ConfigError):
-            decode(enc, cfg_for(Scheme.HIH, decimal_shape=(16, 16)))
+    def test_oversized_encode_refused_before_allocating(self):
+        huge = 1 << 62
+        with pytest.raises(ConfigError, match="exceeds the limit"):
+            encode_points(np.array([[1.5, 2.5]]),
+                          cfg_for(Scheme.DIRECT, heatmap_shape=(huge, huge)))
+        with pytest.raises(ConfigError, match="exceeds the limit"):
+            encode_points(np.array([[1.5, 2.5]]),
+                          cfg_for(Scheme.HIH, decimal_shape=(huge, huge)))
 
 
 class TestJsonRoundTrip:
@@ -598,7 +610,7 @@ class TestDecodeResultContract:
     def test_normalized_space_and_range(self, scheme):
         pts = _heatmap_points(47, 200)
         cfg = cfg_for(scheme)
-        dec = decode(encode_points(pts, cfg), cfg)
+        dec = decode(encode_points(pts, cfg))
         assert dec.landmarks.space is Space.NORMALIZED
         coords = dec.landmarks.points
         assert np.nanmin(coords) >= 0.0

@@ -150,7 +150,7 @@ class TestArgmax:
     def test_rendered_center_recovered(self):
         cfg = CodecConfig(scheme=Scheme.DIRECT)
         pts = np.array([[0.0, 0.0], [63.0, 63.0], [17.0, 44.0]])
-        dec = decode(encode_points(pts, cfg), cfg)
+        dec = decode(encode_points(pts, cfg))
         np.testing.assert_array_equal(dec.landmarks.points * 64.0, pts)
         assert not dec.tie_encountered.any()
 
@@ -160,8 +160,7 @@ class TestArgmax:
         rng = np.random.Generator(np.random.PCG64(seed))
         v = rng.random((h, w))
         y, x = np.unravel_index(int(np.argmax(v)), v.shape)
-        dec = decode(hand_built(v, Scheme.DIRECT),
-                     CodecConfig(scheme=Scheme.DIRECT, heatmap_shape=(w, h)))
+        dec = decode(hand_built(v, Scheme.DIRECT))
         assert list(dec.landmarks.points[0]) == [x / w, y / h]
 
 

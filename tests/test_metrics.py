@@ -18,10 +18,23 @@ from hypothesis import strategies as st
 
 from subpix.errors import ConfigError
 from subpix.geometry import LandmarkSet, Space
-from subpix.metrics import (DEFAULT_NORM_INDICES, MetricsConfig, PerImageError,
-                            ced_auc, ced_csv, ced_points, failure_rate,
+from subpix.metrics import (DEFAULT_NORM_INDICES, MetricsConfig,
+                            ced_auc, ced_points, failure_rate,
                             format_ced_csv, nme, norm_distance, point_errors,
                             resolve_norm_indices)
+
+
+def walked_auc(errors, t: float) -> float:
+    """The step-curve integral as a running sum over the breakpoints."""
+    vals = np.sort(np.asarray(errors, dtype=np.float64))
+    bps = np.unique(vals[vals <= t])
+    fracs = np.searchsorted(vals, bps, side="right") / vals.size
+    integral, prev, frac = 0.0, 0.0, 0.0
+    for b, f in zip(bps, fracs):
+        integral += frac * (b - prev)
+        prev, frac = b, f
+    integral += frac * (t - prev)
+    return float(integral / t)
 
 
 def closed_form_auc(errors, t: float) -> float:
@@ -81,18 +94,6 @@ class TestNme:
         gt = lset([[0.0, 0.0], [10.0, 0.0]], valid=np.array([True, False]))
         pred = lset([[3.0, 4.0], [99.0, 99.0]])
         assert nme(gt, pred, 10.0) == pytest.approx(0.5, abs=1e-15)
-
-    def test_include_invalid_forces_full_mean(self):
-        gt = lset([[0.0, 0.0], [10.0, 0.0]], valid=np.array([True, False]))
-        pred = lset([[3.0, 4.0], [10.0, 0.0]])
-        got = nme(gt, pred, 10.0, include_invalid=True)
-        assert got == pytest.approx(0.25, abs=1e-15)
-
-    def test_include_invalid_requires_finite_coords(self):
-        gt = lset([[0.0, 0.0], [np.nan, np.nan]], valid=np.array([True, False]))
-        pred = lset([[3.0, 4.0], [10.0, 0.0]])
-        with pytest.raises(ConfigError):
-            nme(gt, pred, 10.0, include_invalid=True)
 
     def test_no_valid_points_rejected(self):
         gt = lset([[0.0, 0.0]], valid=np.array([False]))
@@ -156,11 +157,6 @@ class TestCedAuc:
     def test_error_at_threshold_contributes_nothing(self):
         assert ced_auc([0.1], 0.1) == 0.0
 
-    def test_accepts_per_image_error_objects(self):
-        rows = [PerImageError(id="a", nme=0.05, per_point=np.array([0.05])),
-                PerImageError(id="b", nme=0.20, per_point=np.array([0.20]))]
-        assert ced_auc(rows, 0.1) == pytest.approx(0.25, abs=1e-15)
-
     def test_matches_closed_form_random_sets(self):
         rng = np.random.Generator(np.random.PCG64(101))
         for _ in range(300):
@@ -189,6 +185,20 @@ class TestCedAuc:
             ced_auc([-0.1], 0.1)
         with pytest.raises(ConfigError):
             ced_auc([np.nan], 0.1)
+        for t in (np.nan, np.inf):
+            for fn in (ced_auc, ced_points, failure_rate):
+                with pytest.raises(ConfigError):
+                    fn([0.05], t)
+
+    @given(st.lists(st.sampled_from([0.0, 0.01, 0.025, 0.05, 0.1, 0.2])
+                    | st.floats(0.0, 0.3), min_size=1, max_size=40),
+           st.integers(0, 39), st.floats(0.001, 0.3), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_running_sum(self, errs, k, t, at_error):
+        # ties, zeros, and a threshold equal to one of the errors
+        if at_error and errs[k % len(errs)] > 0:
+            t = errs[k % len(errs)]
+        assert ced_auc(errs, t) == walked_auc(errs, t)
 
     @given(st.lists(st.floats(0.0, 0.5), min_size=1, max_size=30),
            st.floats(0.01, 0.3))
@@ -276,7 +286,7 @@ class TestCedPoints:
 
 class TestCedCsv:
     def test_golden_output(self):
-        got = ced_csv([0.02, 0.05, 0.05, 0.2], 0.1)
+        got = format_ced_csv(ced_points([0.02, 0.05, 0.05, 0.2], 0.1))
         assert got == ("nme_threshold,fraction\n"
                        "0.0,0.0\n"
                        "0.02,0.25\n"
