@@ -17,9 +17,9 @@ from .datasets import (ATTRIBUTE_NAMES, AnnotationRecord, Attributes, DatasetSpe
                        load_wflw, parse_pts, parse_wflw_line, subset_counts,
                        write_canonical)
 from .errors import ConfigError, ParseError, SchemaError
-from .geometry import (AffineTransform, FaceSample, LandmarkSet, Space,
-                       apply_transform, compose, crop_from_bbox,
-                       crop_from_landmarks, downsample_factor, heatmap_transform)
+from .geometry import (AffineTransform, FaceBatch, LandmarkSet, Space,
+                       apply_transform, crop_from_bbox, crop_from_landmarks,
+                       downsample_factor, heatmap_transform)
 from .metrics import (DEFAULT_NORM_INDICES, DEFAULT_THRESHOLD, MetricsConfig,
                       PerImageError, ced_auc, ced_points, failure_rate,
                       format_ced_csv, nme, point_errors, resolve_norm_indices)
@@ -41,7 +41,7 @@ __all__ = [
     "DecimalOverflow",
     "DecodeResult",
     "EncodedSample",
-    "FaceSample",
+    "FaceBatch",
     "LandmarkSet",
     "MetricsConfig",
     "OobPolicy",
@@ -57,7 +57,6 @@ __all__ = [
     "build_samples",
     "ced_auc",
     "ced_points",
-    "compose",
     "crop_from_bbox",
     "crop_from_landmarks",
     "decode",

@@ -14,6 +14,14 @@ closed-form expectation for the nearest-cell scheme.
 Both modes score through the grid-free :func:`subpix.codec.ideal_roundtrip`,
 which is bit-identical to rendering the maps and decoding them.
 
+The ideal mode runs as whole-array passes. :func:`build_samples` stacks the
+records' landmarks as (N, L, 2) and crops them all with one batched kernel
+from :mod:`subpix.geometry`: a per-image scale (N,) and offset (N, 2).
+:func:`run_ideal` maps every point to heatmap space by that scale times
+``1 / model_factor`` plus the offset, maps decoded points back with the
+reciprocal scale, and computes per-point errors and per-image NME with array
+reductions. Its results are bit-identical to a per-image transform chain.
+
 Randomness comes from numpy's PCG64 generator seeded from the config, so
 every run with the same config is byte-identical.
 """
@@ -28,10 +36,10 @@ import numpy as np
 from .codec import SCHEME_ORDER, CodecConfig, Scheme, ideal_roundtrip
 from .datasets import AnnotationRecord
 from .errors import ConfigError
-from .geometry import (FaceSample, apply_transform, crop_from_bbox,
-                       crop_from_landmarks, heatmap_transform)
+from .geometry import FaceBatch, bbox_crops, heatmap_transform, landmark_crops
+from .geometry import crop_from_landmarks  # noqa: F401  timed as geometry.crop by perfbench
 from .metrics import (MetricsConfig, PerImageError, ced_auc, ced_points,
-                      failure_rate, norm_distance, resolve_norm_indices)
+                      failure_rate, norm_distances, resolve_norm_indices)
 
 __all__ = [
     "BenchConfig",
@@ -122,59 +130,60 @@ def analytic_direct_error(n: float) -> float:
 
 
 def build_samples(records: list[AnnotationRecord], cfg: BenchConfig,
-                  ) -> tuple[list[FaceSample], int]:
-    """Turn annotation records into croppable samples; count the rejects.
+                  ) -> tuple[FaceBatch, int]:
+    """Stack annotation records into one cropped batch; count the rejects.
 
     A record is skipped (not failed) when its normalization distance is
-    not positive or its crop is degenerate.
+    not positive, when it has no bbox under ``crop_source="bbox"``, or when
+    its crop is degenerate. Every record must have the same landmark count.
     """
     if not records:
         raise ConfigError("no records to benchmark")
     n_landmarks = len(records[0].landmarks)
-    pair = resolve_norm_indices(n_landmarks, cfg.metrics)
-    samples = []
-    skipped = 0
     for rec in records:
-        d = norm_distance(rec.landmarks, pair)
-        if d is None:
-            skipped += 1
-            continue
-        try:
-            if cfg.crop_source == "bbox":
-                if rec.bbox is None:
-                    skipped += 1
-                    continue
-                crop = crop_from_bbox(rec.bbox, cfg.crop_margin, cfg.input_size,
-                                      inclusive=cfg.bbox_inclusive)
-            else:
-                crop = crop_from_landmarks(rec.landmarks, cfg.crop_margin, cfg.input_size)
-            samples.append(FaceSample(id=rec.id, landmarks_raw=rec.landmarks, crop=crop,
-                                      norm_distance_raw=d, image_size_input=cfg.input_size))
-        except ConfigError:
-            skipped += 1
-    return samples, skipped
+        if len(rec.landmarks) != n_landmarks:
+            raise ConfigError(f"record '{rec.id}' has {len(rec.landmarks)} landmarks, "
+                              f"expected {n_landmarks}")
+    pair = resolve_norm_indices(n_landmarks, cfg.metrics)
+    points = np.stack([rec.landmarks.points for rec in records])
+    valid = np.stack([rec.landmarks.valid for rec in records])
+    d = norm_distances(points, pair)
+    if cfg.crop_source == "bbox":
+        boxes = [rec.bbox if rec.bbox is not None else (np.nan,) * 4 for rec in records]
+        crop, ok = bbox_crops(boxes, cfg.crop_margin, cfg.input_size,
+                              inclusive=cfg.bbox_inclusive)
+    else:
+        crop, ok = landmark_crops(points, valid, cfg.crop_margin, cfg.input_size)
+    keep = np.flatnonzero(ok & ~np.isnan(d))
+    batch = FaceBatch(ids=tuple(records[k].id for k in keep), points=points[keep],
+                      valid=valid[keep], crop=crop[keep], norm_distance=d[keep],
+                      input_size=cfg.input_size)
+    return batch, len(records) - len(keep)
 
 
 def run_ideal(records: list[AnnotationRecord], cfg: BenchConfig,
               dataset_name: str = "dataset") -> BenchReport:
     """Encode-decode every record under every scheme and aggregate.
 
-    All samples go through one :func:`ideal_roundtrip` call per scheme,
-    grouped by image so that ``wom`` collisions stay inside one image.
+    The batch goes through one :func:`ideal_roundtrip` call per scheme,
+    grouped by image so that ``wom`` collisions stay inside one image, and
+    is mapped to heatmap space and back and scored as whole arrays.
     """
-    samples, skipped = build_samples(records, cfg)
-    if not samples:
+    batch, skipped = build_samples(records, cfg)
+    if not len(batch):
         raise ConfigError("every record was skipped; nothing to benchmark")
     shape = cfg.codec.heatmap_shape
     dims = np.array(shape, dtype=np.float64)
-    transforms = [heatmap_transform(s, shape) for s in samples]
-    hms = [apply_transform(t, s.landmarks_raw) for t, s in zip(transforms, samples)]
-    inverses = [t.inverse() for t in transforms]
-    counts = [len(hm) for hm in hms]
-    points = np.concatenate([hm.points for hm in hms])
-    valid = np.concatenate([hm.valid for hm in hms])
-    image = np.repeat(np.arange(len(samples)), counts)
-    bounds = np.cumsum(counts)[:-1]
+    to_heatmap = heatmap_transform(batch.crop, batch.input_size, shape)
+    to_raw = to_heatmap.inverse()
+    n, n_landmarks = batch.valid.shape
+    points = to_heatmap.apply(batch.points).reshape(-1, 2)
+    valid = batch.valid.reshape(-1)
+    image = np.repeat(np.arange(n), n_landmarks)
+    d = batch.norm_distance
+    # canonical sample order: record order must not affect any aggregate,
+    # including the last ulp of the mean
+    order = np.array(sorted(range(n), key=batch.ids.__getitem__), dtype=np.intp)
 
     rows = []
     threshold = cfg.metrics.threshold
@@ -183,40 +192,37 @@ def run_ideal(records: list[AnnotationRecord], cfg: BenchConfig,
             points, cfg.codec.for_scheme(scheme), valid=valid, groups=image)
         # decode returns coords / dims; mapping back from that normalized
         # form keeps every error bit-equal to the grid path on any grid size
-        normalized = np.split(coords / dims, bounds)
-        per_image = []
-        clamped_points = 0
-        for sample, inv, norm_pts, clamped_k in zip(samples, inverses, normalized,
-                                                    np.split(clamped, bounds)):
-            back_raw = inv.apply(norm_pts * dims)
-            err = np.linalg.norm(back_raw - sample.landmarks_raw.points, axis=1)
-            keep = np.isfinite(err)
-            if not np.any(keep):
-                continue
-            d = sample.norm_distance_raw
-            per_image.append(PerImageError(id=sample.id, nme=float(np.mean(err[keep]) / d),
-                                           per_point=err / d))
-            clamped_points += int(np.count_nonzero(clamped_k))
-        if not per_image:
+        back_raw = to_raw.apply((coords / dims * dims).reshape(n, n_landmarks, 2))
+        err = np.linalg.norm(back_raw - batch.points, axis=2)
+        finite = np.isfinite(err)
+        whole = finite.all(axis=1)
+        some = finite.any(axis=1)
+        nme = np.empty(n)
+        nme[whole] = np.mean(err[whole], axis=1) / d[whole]
+        # a zero in place of each dropped point would change the sum's last
+        # bits, so partial rows average only their finite points
+        for k in np.flatnonzero(some & ~whole):
+            nme[k] = np.mean(err[k][finite[k]]) / d[k]
+        per_point = err / d[:, None]
+        scored = order[some[order]]
+        if not len(scored):
             raise ConfigError(f"scheme '{scheme.value}' produced no scorable images")
-        # canonical sample order: record order must not affect any aggregate,
-        # including the last ulp of the mean
-        per_image.sort(key=lambda p: p.id)
-        nmes = [p.nme for p in per_image]
+        nmes = nme[scored]
         rows.append(SchemeStats(
             scheme=scheme,
-            n_images=len(per_image),
+            n_images=len(scored),
             nme=float(np.mean(nmes)),
             auc=ced_auc(nmes, threshold),
             fr=failure_rate(nmes, threshold),
             # an unscored image has no valid point, hence no conflict
             conflicts=int(conflicts),
-            clamped_points=clamped_points,
+            clamped_points=int(np.count_nonzero(clamped.reshape(n, n_landmarks)[scored])),
             ced=ced_points(nmes, threshold),
-            per_image=per_image,
+            per_image=[PerImageError(id=batch.ids[k], nme=float(nme[k]),
+                                     per_point=per_point[k]) for k in scored],
         ))
     rows.sort(key=lambda r: SCHEME_ORDER.index(r.scheme))
-    return BenchReport(mode="ideal", dataset=dataset_name, n_images=len(samples),
+    return BenchReport(mode="ideal", dataset=dataset_name, n_images=n,
                        skipped=skipped, threshold=threshold,
                        config=_config_echo(cfg), rows=rows)
 

@@ -34,7 +34,7 @@ from .codec import (SCHEME_ORDER, CodecConfig, DecimalOverflow, EncodedSample,
                     OobPolicy, Scheme, decode as codec_decode, encode, encode_points)
 from .datasets import load_canonical, load_dataset, write_canonical
 from .errors import ConfigError, ParseError
-from .geometry import FaceSample, crop_from_landmarks
+from .geometry import crop_from_landmarks
 from .metrics import (MetricsConfig, ced_auc, failure_rate, format_ced_csv,
                       ced_points, nme, norm_distance, resolve_norm_indices)
 
@@ -221,11 +221,8 @@ def _cmd_encode(args) -> int:
                               f"(file has {len(records)} records)")
         rec = records[args.index]
         size = (args.input_res, args.input_res)
-        # encode never reads the normalization distance
-        sample = FaceSample(id=rec.id, landmarks_raw=rec.landmarks,
-                            crop=crop_from_landmarks(rec.landmarks, args.margin, size),
-                            norm_distance_raw=1.0, image_size_input=size)
-        enc = encode(sample, cfg)
+        enc = encode(rec.landmarks, crop_from_landmarks(rec.landmarks, args.margin, size),
+                     cfg, size)
     _write_out(enc.to_json() + "\n", args.out)
     return 0
 

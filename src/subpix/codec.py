@@ -44,7 +44,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, SchemaError
-from .geometry import FaceSample, LandmarkSet, Space, apply_transform, heatmap_transform
+from .geometry import AffineTransform, LandmarkSet, Space, apply_transform, heatmap_transform
 
 __all__ = [
     "Scheme",
@@ -267,11 +267,12 @@ class EncodedSample:
                 raise SchemaError(str(exc), field="offsets") from exc
             if not np.all(np.isfinite(kwargs["offsets"])):
                 raise SchemaError("offsets must be finite", field="offsets")
+            _check_fractions(kwargs["offsets"], field="offsets")
         if scheme is Scheme.WOM:
-            kwargs["offset_map_x"] = _unsparse(d.get("offset_x_cells"), (h, w),
-                                               field="offset_x_cells")
-            kwargs["offset_map_y"] = _unsparse(d.get("offset_y_cells"), (h, w),
-                                               field="offset_y_cells")
+            for axis in "xy":
+                key = f"offset_{axis}_cells"
+                kwargs[f"offset_map_{axis}"] = _check_fractions(
+                    _unsparse(d.get(key), (h, w), field=key), field=key)
             kwargs["conflict_count"] = _json_int(d.get("conflict_count", 0),
                                                  field="conflict_count")
         if scheme is Scheme.HIH:
@@ -319,6 +320,13 @@ def _json_shape(d: dict, key: str) -> tuple[int, int]:
         return _grid_shape((w, h), key)
     except ConfigError as exc:
         raise SchemaError(str(exc), field=key) from exc
+
+
+def _check_fractions(arr: np.ndarray, *, field: str) -> np.ndarray:
+    """``arr`` if every value is a sub-cell fraction in [0, 1), as encoders write."""
+    if np.any((arr < 0.0) | (arr >= 1.0)):
+        raise SchemaError("offsets must lie in [0, 1)", field=field)
+    return arr
 
 
 def _sparse(arr: np.ndarray) -> list[str]:
@@ -557,10 +565,14 @@ def encode_points(points: np.ndarray, cfg: CodecConfig,
                          integer_maps=integer_maps, valid=mask, clamped=clamped, **kwargs)
 
 
-def encode(sample: FaceSample, cfg: CodecConfig) -> EncodedSample:
-    """Encode a raw-space sample: crop, downscale, then :func:`encode_points`."""
-    t = heatmap_transform(sample, cfg.heatmap_shape)
-    hm = apply_transform(t, sample.landmarks_raw)
+def encode(landmarks: LandmarkSet, crop: AffineTransform, cfg: CodecConfig,
+           input_size: tuple[int, int] = (256, 256)) -> EncodedSample:
+    """Encode raw-space landmarks: crop, downscale, then :func:`encode_points`.
+
+    ``crop`` maps raw space onto an input of ``input_size`` pixels.
+    """
+    t = heatmap_transform(crop, input_size, cfg.heatmap_shape)
+    hm = apply_transform(t, landmarks)
     return encode_points(hm.points, cfg, valid=hm.valid)
 
 

@@ -1,15 +1,18 @@
-"""Coordinate spaces, landmark containers, and the crop transform chain.
+"""Coordinate spaces, landmark containers, and the batched crop kernel.
 
 Landmark pipelines juggle three pixel coordinate spaces: the raw space of
 the annotated source image, the fixed-resolution input crop, and the
-downsampled heatmap grid. This module provides the value types that pin a
-set of points to one of those spaces and the similarity transforms that
-move between them.
+downsampled heatmap grid. Every map between them is an isotropic scale
+plus an offset, ``p -> scale * p + offset``, so one :class:`AffineTransform`
+holds either a single map or one map per image of a batch: a ``(N,)``
+scale and a ``(N, 2)`` offset act on ``(N, L, 2)`` point stacks in one
+array pass. The single-image helpers (:func:`crop_from_landmarks`,
+:func:`crop_from_bbox`) are N = 1 calls of the batched kernels.
 
 Convention used everywhere: pixel centers sit on integer coordinates with
 (0, 0) at the top-left pixel center, and grid cell (i, j) covers the
 half-open square [i - 0.5, i + 0.5) x [j - 0.5, j + 0.5). Points are
-(x, y) pairs; arrays of points have shape (N, 2) with x in column 0.
+(x, y) pairs; arrays of points have shape (..., 2) with x in column 0.
 
 Instances are treated as immutable after construction and are safe to
 share across threads; all operations here are pure functions.
@@ -28,18 +31,15 @@ __all__ = [
     "Space",
     "LandmarkSet",
     "AffineTransform",
-    "FaceSample",
+    "FaceBatch",
     "apply_transform",
-    "compose",
     "downsample_factor",
+    "landmark_crops",
+    "bbox_crops",
     "crop_from_landmarks",
     "crop_from_bbox",
     "heatmap_transform",
 ]
-
-# Tolerances for transform validation, in units of the matrix entries.
-_DET_EPS = 1e-12
-_ORTHO_EPS = 1e-9
 
 
 class Space(str, Enum):
@@ -91,77 +91,48 @@ class LandmarkSet:
 
 @dataclass(frozen=True, eq=False)
 class AffineTransform:
-    """An invertible 2-D affine map ``p -> linear @ p + offset``.
+    """The map ``p -> scale * p + offset``, for one image or a batch.
 
-    ``similarity`` asserts that ``linear`` is a positive scalar times an
-    orthonormal matrix, which is what the crop pipeline produces and what
-    :func:`downsample_factor` requires. The optional ``src``/``dst`` tags
-    let :func:`apply_transform` update the space of a landmark set and
-    catch accidental misuse.
+    A single map has a scalar ``scale`` and a (2,) ``offset`` and applies
+    to points of shape (..., 2). A batch of N maps has a (N,) ``scale``
+    and a (N, 2) ``offset`` and applies to (N, L, 2) point stacks, row k
+    through map k. The optional ``src``/``dst`` tags let
+    :func:`apply_transform` update the space of a landmark set and catch
+    accidental misuse.
     """
 
-    linear: np.ndarray
+    scale: np.ndarray
     offset: np.ndarray
-    similarity: bool = False
     src: Space | None = None
     dst: Space | None = None
 
     def __post_init__(self) -> None:
-        lin = np.asarray(self.linear, dtype=np.float64).reshape(2, 2)
-        off = np.asarray(self.offset, dtype=np.float64).reshape(2)
-        if not (np.all(np.isfinite(lin)) and np.all(np.isfinite(off))):
-            raise ConfigError("transform entries must be finite")
-        det = float(np.linalg.det(lin))
-        if abs(det) <= _DET_EPS:
-            raise ConfigError(f"transform is not invertible (det={det:.3e})")
-        if self.similarity:
-            s = float(np.sqrt(abs(det)))
-            rot = lin / s
-            if not np.allclose(rot.T @ rot, np.eye(2), atol=_ORTHO_EPS):
-                raise ConfigError("similarity transform must be scale times rotation")
-        object.__setattr__(self, "linear", lin)
-        object.__setattr__(self, "offset", off)
+        scale = np.asarray(self.scale, dtype=np.float64)
+        offset = np.asarray(self.offset, dtype=np.float64)
+        if scale.ndim > 1 or offset.shape != scale.shape + (2,):
+            raise ConfigError(f"transform scale {scale.shape} and offset {offset.shape} "
+                              f"shapes do not match")
+        if not (np.all(np.isfinite(offset)) and np.all(np.isfinite(scale))
+                and np.all(scale > 0)):
+            raise ConfigError("transform scale must be finite and positive, "
+                              "and its offset finite")
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "offset", offset)
 
-    @classmethod
-    def identity(cls, *, src: Space | None = None, dst: Space | None = None) -> AffineTransform:
-        return cls(np.eye(2), np.zeros(2), similarity=True, src=src, dst=dst)
-
-    @classmethod
-    def scale_offset(cls, scale: float, offset: tuple[float, float] = (0.0, 0.0), *,
-                     src: Space | None = None, dst: Space | None = None) -> AffineTransform:
-        """Axis-aligned similarity: ``p -> scale * p + offset``."""
-        return cls(np.eye(2) * float(scale), np.asarray(offset, dtype=np.float64),
-                   similarity=True, src=src, dst=dst)
-
-    @property
-    def scale(self) -> float:
-        """Isotropic scale factor; only meaningful for similarity transforms."""
-        if not self.similarity:
-            raise ConfigError("scale is only defined for similarity transforms")
-        return float(np.sqrt(abs(np.linalg.det(self.linear))))
+    def __getitem__(self, rows) -> AffineTransform:
+        """The maps of the selected images of a batch."""
+        return AffineTransform(self.scale[rows], self.offset[rows], src=self.src, dst=self.dst)
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
-        squeeze = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        out = pts @ self.linear.T + self.offset
-        return out[0] if squeeze else out
+        if self.scale.ndim == 0:
+            return pts * self.scale + self.offset
+        return pts * self.scale[:, None, None] + self.offset[:, None, :]
 
     def inverse(self) -> AffineTransform:
-        inv = np.linalg.inv(self.linear)
-        return AffineTransform(inv, -inv @ self.offset, similarity=self.similarity,
+        inv = 1.0 / self.scale
+        return AffineTransform(inv, -(self.offset * inv[..., None]),
                                src=self.dst, dst=self.src)
-
-
-def compose(outer: AffineTransform, inner: AffineTransform) -> AffineTransform:
-    """The transform equivalent to applying ``inner`` first, then ``outer``."""
-    return AffineTransform(
-        outer.linear @ inner.linear,
-        outer.linear @ inner.offset + outer.offset,
-        similarity=outer.similarity and inner.similarity,
-        src=inner.src,
-        dst=outer.dst,
-    )
 
 
 def apply_transform(t: AffineTransform, landmarks: LandmarkSet) -> LandmarkSet:
@@ -178,116 +149,155 @@ def apply_transform(t: AffineTransform, landmarks: LandmarkSet) -> LandmarkSet:
     return LandmarkSet(pts, space=t.dst or landmarks.space, valid=landmarks.valid.copy())
 
 
-def downsample_factor(t_preproc: AffineTransform, model_factor: float = 4.0) -> float:
+def downsample_factor(t_preproc: AffineTransform,
+                      model_factor: float = 4.0) -> float | np.ndarray:
     """Raw-to-heatmap scale denominator for a preprocessing transform.
 
     A raw-space coordinate divided by the returned value lands in heatmap
     space (up to the transform's translation). ``model_factor`` is the
     input-to-heatmap downsampling of the model itself, e.g. 4 for a
-    256 -> 64 head.
+    256 -> 64 head. A batched transform gives one factor per image.
     """
     if model_factor <= 0:
         raise ConfigError(f"model_factor must be positive, got {model_factor}")
-    if not t_preproc.similarity:
-        raise ConfigError("downsample factor requires a similarity preprocessing transform")
     return model_factor / t_preproc.scale
 
 
-def _square_crop(center: np.ndarray, side: float,
-                 target: tuple[int, int]) -> AffineTransform:
+def _square_crops(lo: np.ndarray, hi: np.ndarray, extra: float, usable: np.ndarray,
+                  margin: float, target: tuple[int, int]) -> tuple[AffineTransform, np.ndarray]:
+    """Raw -> input crops of N boxes ``[lo, hi]`` (N, 2), and which are usable.
+
+    Each box, widened by ``extra`` pixels per axis, grows to a square of
+    side ``max(width, height) * (1 + margin)`` about its center, mapped onto
+    the target resolution. Rows outside ``usable``, or whose square has no
+    extent or no finite map, get a unit placeholder map and a False flag.
+    """
     tw, th = int(target[0]), int(target[1])
     if tw != th or tw <= 0:
         raise ConfigError(f"crop target must be square and positive, got {target}")
-    if not (np.isfinite(side) and side > 0):
-        raise ConfigError("degenerate crop: box has no extent")
-    scale = tw / side
-    offset = -scale * (np.asarray(center, dtype=np.float64) - side / 2.0)
-    return AffineTransform(np.eye(2) * scale, offset, similarity=True,
-                           src=Space.RAW, dst=Space.INPUT)
+    if margin < 0:
+        raise ConfigError(f"crop margin must be non-negative, got {margin}")
+    with np.errstate(all="ignore"):
+        side = np.max(hi - lo + extra, axis=1) * (1.0 + margin)
+        scale = tw / side
+        offset = -scale[:, None] * ((lo + hi) / 2.0 - side[:, None] / 2.0)
+    ok = usable & np.isfinite(scale) & (scale > 0) & np.all(np.isfinite(offset), axis=1)
+    return AffineTransform(np.where(ok, scale, 1.0), np.where(ok[:, None], offset, 0.0),
+                           src=Space.RAW, dst=Space.INPUT), ok
+
+
+def landmark_crops(points: np.ndarray, valid: np.ndarray, margin: float = 0.25,
+                   target: tuple[int, int] = (256, 256)) -> tuple[AffineTransform, np.ndarray]:
+    """Square landmark-driven crops of N images at once.
+
+    ``points`` is (N, L, 2) and ``valid`` (N, L). Each crop box is the tight
+    bounding box of the image's valid landmarks (see :func:`_square_crops`).
+    Returns the batched raw -> input transform and an (N,) flag that is
+    False where the crop is degenerate: fewer than two valid landmarks, or
+    a box with no extent.
+    """
+    inside = valid[..., None]
+    lo = np.where(inside, points, np.inf).min(axis=1)
+    hi = np.where(inside, points, -np.inf).max(axis=1)
+    return _square_crops(lo, hi, 0.0, np.count_nonzero(valid, axis=1) >= 2, margin, target)
+
+
+def bbox_crops(boxes: np.ndarray, margin: float = 0.25,
+               target: tuple[int, int] = (256, 256), *,
+               inclusive: bool = True) -> tuple[AffineTransform, np.ndarray]:
+    """Square crops of N annotation boxes ``(x0, y0, x1, y1)`` at once.
+
+    ``inclusive`` treats the box max edge as the last covered pixel, adding
+    one pixel to each span; exclusive uses the raw coordinate span. The
+    (N,) flag is False where a box is not finite and well-ordered.
+    """
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    lo, hi = boxes[:, :2], boxes[:, 2:]
+    usable = np.all(np.isfinite(boxes), axis=1) & np.all(lo < hi, axis=1)
+    return _square_crops(lo, hi, 1.0 if inclusive else 0.0, usable, margin, target)
 
 
 def crop_from_landmarks(landmarks: LandmarkSet, margin: float = 0.25,
                         target: tuple[int, int] = (256, 256)) -> AffineTransform:
-    """Build the raw -> input similarity for a square landmark-driven crop.
+    """The raw -> input map of one square landmark-driven crop.
 
-    The crop box is the tight bounding box of the valid landmarks, grown to
-    a square of side ``max(width, height) * (1 + margin)`` about the box
-    center, then mapped to the target resolution. Deterministic: the same
-    landmarks always produce the same transform.
+    An N = 1 call of :func:`landmark_crops`; raises ConfigError where that
+    flags the crop as degenerate. Deterministic: the same landmarks always
+    produce the same transform.
     """
-    if margin < 0:
-        raise ConfigError(f"crop margin must be non-negative, got {margin}")
-    pts = landmarks.points[landmarks.valid]
-    if len(pts) < 2:
-        raise ConfigError("crop needs at least two valid landmarks")
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    side = float(max(hi[0] - lo[0], hi[1] - lo[1])) * (1.0 + margin)
-    return _square_crop((lo + hi) / 2.0, side, target)
+    crop, ok = landmark_crops(landmarks.points[None], landmarks.valid[None], margin, target)
+    if not ok[0]:
+        raise ConfigError("degenerate crop: needs two or more valid landmarks "
+                          "spanning a box with extent")
+    return crop[0]
 
 
 def crop_from_bbox(bbox, margin: float = 0.25,
                    target: tuple[int, int] = (256, 256), *,
                    inclusive: bool = True) -> AffineTransform:
-    """Square crop from an annotation box instead of the landmarks.
+    """The raw -> input map of one square crop of an annotation box.
 
-    ``inclusive`` treats the box max edge as the last covered pixel, adding
-    one pixel to each span; exclusive uses the raw coordinate span.
+    An N = 1 call of :func:`bbox_crops`; raises ConfigError where that
+    flags the box as unusable.
     """
-    if margin < 0:
-        raise ConfigError(f"crop margin must be non-negative, got {margin}")
-    x0, y0, x1, y1 = (float(v) for v in bbox)
-    if not all(np.isfinite(v) for v in (x0, y0, x1, y1)) or x0 >= x1 or y0 >= y1:
+    crop, ok = bbox_crops(bbox, margin, target, inclusive=inclusive)
+    if not ok[0]:
         raise ConfigError(f"crop box must be finite and well-ordered, got {bbox}")
-    extra = 1.0 if inclusive else 0.0
-    side = max(x1 - x0 + extra, y1 - y0 + extra) * (1.0 + margin)
-    center = np.array([(x0 + x1) / 2.0, (y0 + y1) / 2.0])
-    return _square_crop(center, side, target)
+    return crop[0]
 
 
 @dataclass(frozen=True, eq=False)
-class FaceSample:
-    """One annotated image prepared for encoding.
+class FaceBatch:
+    """N annotated images of L landmarks each, prepared for encoding.
 
     Attributes:
-        id: stable identifier, unique within a dataset run.
-        landmarks_raw: ground-truth points in raw space.
-        crop: raw -> input similarity transform.
-        norm_distance_raw: normalization distance in raw pixels (commonly
-            the outer-eye-corner distance); must be positive.
-        image_size_input: crop resolution in pixels, (width, height).
+        ids: (N,) identifiers, unique within a dataset run.
+        points: (N, L, 2) ground-truth points in raw space.
+        valid: (N, L) mask of the points to encode and score.
+        crop: batched raw -> input transform, one map per image.
+        norm_distance: (N,) normalization distances in raw pixels
+            (commonly the outer-eye-corner distance); all positive.
+        input_size: crop resolution in pixels, (width, height).
     """
 
-    id: str
-    landmarks_raw: LandmarkSet
+    ids: tuple[str, ...]
+    points: np.ndarray
+    valid: np.ndarray
     crop: AffineTransform
-    norm_distance_raw: float
-    image_size_input: tuple[int, int] = (256, 256)
+    norm_distance: np.ndarray
+    input_size: tuple[int, int] = (256, 256)
 
     def __post_init__(self) -> None:
-        if self.landmarks_raw.space != Space.RAW:
-            raise ConfigError("FaceSample landmarks must be in raw space")
-        if not (np.isfinite(self.norm_distance_raw) and self.norm_distance_raw > 0):
-            raise ConfigError(
-                f"normalization distance must be positive, got {self.norm_distance_raw}"
-            )
+        n = len(self.ids)
+        if (self.points.shape[:1] != (n,) or self.valid.shape != self.points.shape[:2]
+                or self.crop.scale.shape != (n,) or self.norm_distance.shape != (n,)):
+            raise ConfigError("face batch arrays must all have one row per image")
+        if self.crop.src is not Space.RAW:
+            raise ConfigError("face batch crops must map from raw space")
+        if not np.all(np.isfinite(self.norm_distance) & (self.norm_distance > 0)):
+            raise ConfigError("normalization distances must be positive")
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
-def heatmap_transform(sample: FaceSample, heatmap_shape: tuple[int, int]) -> AffineTransform:
-    """Compose the full raw -> heatmap transform for a sample.
+def heatmap_transform(crop: AffineTransform, input_size: tuple[int, int],
+                      heatmap_shape: tuple[int, int]) -> AffineTransform:
+    """The raw -> heatmap map: a raw -> input crop, then the model's downscale.
 
-    The input-to-heatmap step is a pure isotropic rescale, so the crop
-    resolution must be the same multiple of the heatmap grid on both axes.
+    The input-to-heatmap step is a pure isotropic rescale by
+    ``1 / model_factor``, so the crop resolution must be the same multiple
+    of the heatmap grid on both axes. A batched crop gives a batched map.
     """
     w, h = int(heatmap_shape[0]), int(heatmap_shape[1])
-    wi, hi = sample.image_size_input
+    wi, hi = input_size
     if w <= 0 or h <= 0:
         raise ConfigError(f"heatmap shape must be positive, got {heatmap_shape}")
     if wi * h != hi * w:
         raise ConfigError(
-            f"input size {sample.image_size_input} is not an isotropic multiple "
+            f"input size {input_size} is not an isotropic multiple "
             f"of heatmap shape {heatmap_shape}"
         )
-    model_factor = wi / w
-    down = AffineTransform.scale_offset(1.0 / model_factor, src=Space.INPUT, dst=Space.HEATMAP)
-    return compose(down, sample.crop)
+    down = 1.0 / (wi / w)
+    return AffineTransform(down * crop.scale, down * crop.offset,
+                           src=crop.src, dst=Space.HEATMAP)

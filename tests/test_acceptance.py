@@ -32,7 +32,7 @@ from subpix.datasets import (load_canonical, load_pts_dir, load_wflw,
                              parse_pts, parse_wflw_line, subset_counts,
                              write_canonical)
 from subpix.errors import ParseError
-from subpix.geometry import apply_transform, heatmap_transform
+from subpix.geometry import heatmap_transform
 from subpix.metrics import ced_auc, failure_rate
 
 WFLW_ENV = "SUBPIX_WFLW_ANNOTATIONS"
@@ -164,12 +164,11 @@ def test_criterion_5_wom_conflict_property(corpus98):
 
     # dataset-level attribution: every nonzero-error landmark shares a cell
     bcfg = BenchConfig(seed=1)
-    samples, _ = build_samples(corpus98, bcfg)
+    batch, _ = build_samples(corpus98, bcfg)
     attributable = True
     total_conflicted = 0
-    for sample in samples:
-        t = heatmap_transform(sample, cfg.heatmap_shape)
-        hm = apply_transform(t, sample.landmarks_raw).points
+    for hm in heatmap_transform(batch.crop, batch.input_size, cfg.heatmap_shape).apply(
+            batch.points):
         cells = [tuple(c) for c in np.floor(hm).astype(int)]
         occupancy = Counter(cells)
         conflicted = {k for k, c in enumerate(cells) if occupancy[c] > 1}

@@ -19,11 +19,12 @@ from conftest import make_records
 from subpix.bench import (BenchConfig, BenchReport, SchemeStats,
                           analytic_direct_error, build_samples, emit_report,
                           run_ideal, run_montecarlo)
-from subpix.codec import CodecConfig, OobPolicy, Scheme, decode, encode_points
+from subpix.codec import (CodecConfig, OobPolicy, Scheme, decode, encode_points,
+                          ideal_roundtrip)
 from subpix.datasets import AnnotationRecord
 from subpix.errors import ConfigError
-from subpix.geometry import LandmarkSet, Space, apply_transform, heatmap_transform
-from subpix.metrics import MetricsConfig
+from subpix.geometry import LandmarkSet, Space, heatmap_transform
+from subpix.metrics import MetricsConfig, resolve_norm_indices
 
 # expected 2-D distance to the nearest grid point under uniform offsets
 ROUNDING_CONSTANT = 0.38259785823210635
@@ -216,19 +217,16 @@ class TestRunIdeal:
     def test_wom_in_heatmap_space_exact_outside_conflicts(self, corpus98):
         # the "sum of conflict-free errors is exactly zero" form of the
         # invariant holds in heatmap space where no inverse transform runs
-        from subpix.codec import ideal_roundtrip
-        from subpix.geometry import apply_transform, heatmap_transform
         cfg = BenchConfig(seed=1)
-        samples, _ = build_samples(corpus98, cfg)
+        batch, _ = build_samples(corpus98, cfg)
         wov_cfg = cfg.codec.for_scheme(Scheme.WOV)
         wom_cfg = cfg.codec.for_scheme(Scheme.WOM)
-        for sample in samples[:6]:
-            t = heatmap_transform(sample, cfg.codec.heatmap_shape)
-            hm = apply_transform(t, sample.landmarks_raw)
-            wov_coords, _, _ = ideal_roundtrip(hm.points, wov_cfg)
-            wom_coords, _, conflicts = ideal_roundtrip(hm.points, wom_cfg)
+        t = heatmap_transform(batch.crop, batch.input_size, cfg.codec.heatmap_shape)
+        for hm in t.apply(batch.points)[:6]:
+            wov_coords, _, _ = ideal_roundtrip(hm, wov_cfg)
+            wom_coords, _, conflicts = ideal_roundtrip(hm, wom_cfg)
             same = np.all(wom_coords == wov_coords, axis=1)
-            err_free = np.linalg.norm((wom_coords - hm.points)[same], axis=1)
+            err_free = np.linalg.norm((wom_coords - hm)[same], axis=1)
             assert float(err_free.sum()) == 0.0
             assert int(np.count_nonzero(~same)) == conflicts
 
@@ -261,25 +259,25 @@ def grid_oracle(records: list[AnnotationRecord], cfg: BenchConfig) -> dict:
     Returns, per scheme, ``(per_image, clamped_points, conflicts)`` with
     ``per_image`` mapping each scored image id to ``(nme, per_point)``.
     """
-    samples, _ = build_samples(records, cfg)
+    batch, _ = build_samples(records, cfg)
     dims = np.array(cfg.codec.heatmap_shape, dtype=np.float64)
+    t = heatmap_transform(batch.crop, batch.input_size, cfg.codec.heatmap_shape)
+    inv = t.inverse()
     out = {}
     for scheme in cfg.schemes:
         ccfg = cfg.codec.for_scheme(scheme)
         per_image, clamped, conflicts = {}, 0, 0
-        for s in samples:
-            t = heatmap_transform(s, ccfg.heatmap_shape)
-            hm = apply_transform(t, s.landmarks_raw)
-            enc = encode_points(hm.points, ccfg, valid=hm.valid)
+        for k, hm in enumerate(t.apply(batch.points)):
+            enc = encode_points(hm, ccfg, valid=batch.valid[k])
             dec = decode(enc)
-            back = t.inverse().apply(dec.landmarks.points * dims)
-            err = np.linalg.norm(back - s.landmarks_raw.points, axis=1)
+            back = inv[k].apply(dec.landmarks.points * dims)
+            err = np.linalg.norm(back - batch.points[k], axis=1)
             err = np.where(dec.landmarks.valid, err, np.nan)
             keep = np.isfinite(err)
             if not np.any(keep):
                 continue
-            d = s.norm_distance_raw
-            per_image[s.id] = (float(np.mean(err[keep]) / d), err / d)
+            d = batch.norm_distance[k]
+            per_image[batch.ids[k]] = (float(np.mean(err[keep]) / d), err / d)
             clamped += int(np.count_nonzero(dec.clamped))
             conflicts += enc.conflict_count
         out[scheme] = (per_image, clamped, conflicts)
@@ -342,6 +340,152 @@ class TestRunIdealMatchesGridOracle:
             assert all(r.clamped_points > 0 for r in report.rows)
 
 
+def chained_ideal(records: list[AnnotationRecord], cfg: BenchConfig) -> tuple[int, dict]:
+    """The per-image transform chain that the batched geometry replaced.
+
+    Kept as the reference for :func:`run_ideal` the way it ran before the
+    batched crop kernel: each image gets its own 2x2 matrices (a raw ->
+    input crop, the model's downscale composed onto it by matrix products,
+    the inverse by ``np.linalg.inv``), points map as ``p @ A.T + b``, the
+    normalization distance is ``np.linalg.norm`` of one vector, and a record
+    is skipped wherever one of those steps refuses it.
+
+    Returns ``(skipped, out)`` with ``out[scheme][id] = (heatmap points,
+    mapped-back raw points, nme, per_point)`` for every scored image.
+    """
+    pair = resolve_norm_indices(len(records[0].landmarks), cfg.metrics)
+    side_px = cfg.input_size[0]
+    dims = np.array(cfg.codec.heatmap_shape, dtype=np.float64)
+    down = np.eye(2) * (1.0 / (side_px / cfg.codec.heatmap_shape[0]))
+    kept, skipped = [], 0
+    for rec in records:
+        pts = rec.landmarks.points
+        d = float(np.linalg.norm(pts[pair[0]] - pts[pair[1]]))
+        if not (np.isfinite(d) and d > 0):
+            skipped += 1
+            continue
+        if cfg.crop_source == "bbox":
+            if rec.bbox is None:
+                skipped += 1
+                continue
+            x0, y0, x1, y1 = (float(v) for v in rec.bbox)
+            extra = 1.0 if cfg.bbox_inclusive else 0.0
+            side = max(x1 - x0 + extra, y1 - y0 + extra) * (1.0 + cfg.crop_margin)
+            center = np.array([(x0 + x1) / 2.0, (y0 + y1) / 2.0])
+        else:
+            inside = pts[rec.landmarks.valid]
+            if len(inside) < 2:
+                skipped += 1
+                continue
+            lo, hi = inside.min(axis=0), inside.max(axis=0)
+            side = float(max(hi[0] - lo[0], hi[1] - lo[1])) * (1.0 + cfg.crop_margin)
+            center = (lo + hi) / 2.0
+        if not (np.isfinite(side) and side > 0):
+            skipped += 1
+            continue
+        scale = side_px / side
+        lin = down @ (np.eye(2) * scale)
+        off = down @ (-scale * (center - side / 2.0)) + np.zeros(2)
+        inv = np.linalg.inv(lin)
+        kept.append((rec, d, pts @ lin.T + off, inv, -inv @ off))
+    counts = [len(k[0].landmarks) for k in kept]
+    points = np.concatenate([k[2] for k in kept])
+    valid = np.concatenate([k[0].landmarks.valid for k in kept])
+    image = np.repeat(np.arange(len(kept)), counts)
+    out = {}
+    for scheme in cfg.schemes:
+        coords, _, _ = ideal_roundtrip(points, cfg.codec.for_scheme(scheme),
+                                       valid=valid, groups=image)
+        out[scheme] = {}
+        for (rec, d, hm, inv, inv_off), q in zip(kept, np.split(coords / dims,
+                                                                np.cumsum(counts)[:-1])):
+            back = (q * dims) @ inv.T + inv_off
+            err = np.linalg.norm(back - rec.landmarks.points, axis=1)
+            keep = np.isfinite(err)
+            if np.any(keep):
+                out[scheme][rec.id] = (hm, back, float(np.mean(err[keep]) / d), err / d)
+    return skipped, out
+
+
+def assert_matches_chain(records: list[AnnotationRecord], cfg: BenchConfig) -> BenchReport:
+    """run_ideal and the batched kernel equal :func:`chained_ideal`, exactly."""
+    skipped, want = chained_ideal(records, cfg)
+    report = run_ideal(records, cfg, "d")
+    assert report.skipped == skipped
+    batch, _ = build_samples(records, cfg)
+    dims = np.array(cfg.codec.heatmap_shape, dtype=np.float64)
+    t = heatmap_transform(batch.crop, batch.input_size, cfg.codec.heatmap_shape)
+    hm = t.apply(batch.points)
+    image = np.repeat(np.arange(len(batch)), batch.valid.shape[1])
+    for row in report.rows:
+        ref = want[row.scheme]
+        assert [p.id for p in row.per_image] == sorted(ref)
+        for p in row.per_image:
+            assert p.nme == ref[p.id][2], (row.scheme, p.id)
+            assert np.array_equal(p.per_point, ref[p.id][3], equal_nan=True)
+        coords, _, _ = ideal_roundtrip(hm.reshape(-1, 2), cfg.codec.for_scheme(row.scheme),
+                                       valid=batch.valid.reshape(-1), groups=image)
+        back = t.inverse().apply((coords / dims * dims).reshape(hm.shape))
+        for k, rid in enumerate(batch.ids):
+            if rid in ref:
+                valid = batch.valid[k]
+                assert np.array_equal(hm[k][valid], ref[rid][0][valid])
+                assert np.array_equal(back[k], ref[rid][1], equal_nan=True)
+    return report
+
+
+class TestBatchedGeometryMatchesChain:
+    """The batched crop kernel against the per-image matrix chain, with no tolerance."""
+
+    @pytest.mark.parametrize("n_landmarks", [98, 68])
+    @pytest.mark.parametrize("grid,input_res", [(64, 256), (60, 240)])
+    @pytest.mark.parametrize("crop_source", ["landmarks", "bbox"])
+    @pytest.mark.parametrize("policy", [OobPolicy.CLAMP, OobPolicy.DROP])
+    @pytest.mark.parametrize("margin", [0.0, 0.25])
+    def test_bit_equal(self, n_landmarks, grid, input_res, crop_source, policy, margin):
+        codec = CodecConfig(scheme=Scheme.DIRECT, heatmap_shape=(grid, grid),
+                            oob_policy=policy)
+        cfg = BenchConfig(codec=codec, crop_source=crop_source, crop_margin=margin,
+                          input_size=(input_res, input_res))
+        records = shrunk_box_records(n_landmarks, seed=37)
+        report = assert_matches_chain(records, cfg)
+        # margin 0 puts the extreme landmarks on the far border, so both
+        # policies really act there
+        if margin == 0.0 and policy is OobPolicy.CLAMP:
+            assert all(r.clamped_points > 0 for r in report.rows)
+
+    @pytest.mark.parametrize("crop_source", ["landmarks", "bbox"])
+    def test_skip_rules(self, crop_source):
+        # faces mixed with each kind of record the batch must skip, or score
+        # from a subset of its points
+        records = make_records(6, seed=41)
+        pts = records[0].landmarks.points
+        lone = np.zeros(98, dtype=bool)
+        lone[5] = True
+        sparse = np.ones(98, dtype=bool)
+        sparse[10:40] = False
+        odd = [
+            ("zero_norm", LandmarkSet(np.where(np.arange(98)[:, None] == 72, pts[60], pts)),
+             records[0].bbox),
+            ("no_bbox", records[1].landmarks, None),
+            ("one_point", LandmarkSet(np.tile(pts[:1], (98, 1))), records[2].bbox),
+            ("lone_valid", LandmarkSet(pts, valid=lone), records[3].bbox),
+            ("sparse_valid", LandmarkSet(pts, valid=sparse), records[4].bbox),
+        ]
+        mixed = []
+        for rec, (rid, lms, bbox) in zip(records, odd):
+            mixed += [rec, AnnotationRecord(id=rid, image_path="x.png", landmarks=lms,
+                                            bbox=bbox)]
+        mixed.append(records[5])
+        cfg = BenchConfig(crop_source=crop_source)
+        report = assert_matches_chain(mixed, cfg)
+        scored = {p.id for p in report.rows[0].per_image}
+        if crop_source == "bbox":
+            assert report.skipped == 3 and {"lone_valid", "sparse_valid"} <= scored
+        else:
+            assert report.skipped == 3 and "sparse_valid" in scored
+
+
 class TestBuildSamples:
     def test_bbox_source_skips_boxless_records(self, corpus98):
         trimmed = [AnnotationRecord(id=r.id, image_path=r.image_path,
@@ -362,6 +506,17 @@ class TestBuildSamples:
     def test_empty_input_rejected(self):
         with pytest.raises(ConfigError):
             build_samples([], BenchConfig())
+
+    @pytest.mark.parametrize("first,second", [(98, 68), (68, 98)])
+    def test_mixed_landmark_counts_rejected(self, first, second):
+        head = make_records(2, n_landmarks=first, seed=5)
+        odd = [AnnotationRecord(id=f"odd{k}", image_path=r.image_path,
+                                landmarks=r.landmarks)
+               for k, r in enumerate(make_records(2, n_landmarks=second, seed=6))]
+        for call in (build_samples, run_ideal):
+            with pytest.raises(ConfigError, match=f"'odd0' has {second} landmarks, "
+                                                  f"expected {first}"):
+                call(head + odd, BenchConfig())
 
 
 class TestBenchConfig:

@@ -268,6 +268,13 @@ class TestEncodeDecode:
         ("direct", "heatmap_shape", [1e30, 8], "integer_cells"),
         ("wsm", "heatmap_shape", [2 ** 62, 2 ** 62], "integer_cells"),
         ("hih", "decimal_shape", [8, 1e30], "decimal_cells"),
+        # offsets are sub-cell fractions in [0, 1)
+        ("wov", "offsets", [[40.0, -7.0], [0.7, 0.2]], "offsets"),
+        ("wov", "offsets", [[0.5, 0.5], [1.0, 0.2]], "offsets"),
+        ("wov", "offsets", [[-1e-9, 0.5], [0.7, 0.2]], "offsets"),
+        ("wom", "offset_x_cells", ["2,3,40.0"], "offset_x_cells"),
+        ("wom", "offset_x_cells", ["2,1,1.0"], "offset_x_cells"),
+        ("wom", "offset_y_cells", ["2,1,-0.25"], "offset_y_cells"),
     ])
     def test_malformed_payload_field_located(self, capsys, monkeypatch,
                                              scheme, field, value, located):

@@ -18,7 +18,7 @@ from subpix.codec import (SCHEME_ORDER, CodecConfig, DecimalOverflow,
                           encode_points, ideal_roundtrip)
 from subpix.datasets import AnnotationRecord
 from subpix.errors import ConfigError, SchemaError
-from subpix.geometry import (FaceSample, LandmarkSet, Space, apply_transform,
+from subpix.geometry import (FaceBatch, LandmarkSet, Space, apply_transform,
                              crop_from_landmarks, downsample_factor,
                              heatmap_transform)
 from subpix.metrics import MetricsConfig
@@ -561,21 +561,21 @@ class TestSampleRoundtrip:
         return AnnotationRecord(id="s", image_path="s.png",
                                 landmarks=LandmarkSet(points=pts, space=Space.RAW))
 
-    def _errors(self, record, scheme, **bench) -> tuple[np.ndarray, FaceSample]:
+    def _errors(self, record, scheme, **bench) -> tuple[np.ndarray, FaceBatch]:
         """Per-landmark raw-space pixel errors, NaN where dropped."""
         cfg = BenchConfig(schemes=(scheme,),
                           metrics=MetricsConfig(norm_indices=(0, 1)), **bench)
-        (sample,), _ = build_samples([record], cfg)
+        batch, _ = build_samples([record], cfg)
         (row,) = run_ideal([record], cfg).rows
-        return row.per_image[0].per_point * sample.norm_distance_raw, sample
+        return row.per_image[0].per_point * batch.norm_distance[0], batch
 
     def test_wov_error_negligible(self):
         errs, _ = self._errors(self._record(), Scheme.WOV)
         assert np.nanmax(errs) < 1e-9
 
     def test_direct_error_scale(self):
-        errs, sample = self._errors(self._record(), Scheme.DIRECT)
-        n = downsample_factor(sample.crop)
+        errs, batch = self._errors(self._record(), Scheme.DIRECT)
+        n = downsample_factor(batch.crop)[0]
         # per-point error is at most half a cell diagonal in raw pixels
         assert np.nanmax(errs) <= n * np.sqrt(0.5) + 1e-9
 
@@ -594,13 +594,11 @@ class TestSampleRoundtrip:
 
     def test_encode_matches_encode_points(self):
         rec = self._record(seed=43)
-        sample = FaceSample(id="s", landmarks_raw=rec.landmarks,
-                            crop=crop_from_landmarks(rec.landmarks, 0.25, (256, 256)),
-                            norm_distance_raw=1.0)
+        crop = crop_from_landmarks(rec.landmarks, 0.25, (256, 256))
         cfg = cfg_for(Scheme.HIH)
-        t = heatmap_transform(sample, cfg.heatmap_shape)
-        hm = apply_transform(t, sample.landmarks_raw)
-        a = encode(sample, cfg).to_json()
+        t = heatmap_transform(crop, (256, 256), cfg.heatmap_shape)
+        hm = apply_transform(t, rec.landmarks)
+        a = encode(rec.landmarks, crop, cfg).to_json()
         b = encode_points(hm.points, cfg, valid=hm.valid).to_json()
         assert a == b
 

@@ -1,8 +1,6 @@
-"""Transform chain and landmark container tests."""
+"""Crop kernel, transform and landmark container tests."""
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pytest
@@ -10,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subpix.errors import ConfigError
-from subpix.geometry import (AffineTransform, FaceSample, LandmarkSet, Space,
-                             apply_transform, compose, crop_from_bbox,
+from subpix.geometry import (AffineTransform, FaceBatch, LandmarkSet, Space,
+                             apply_transform, bbox_crops, crop_from_bbox,
                              crop_from_landmarks, downsample_factor,
-                             heatmap_transform)
+                             heatmap_transform, landmark_crops)
 
 
 def _lms(points, space=Space.RAW, valid=None):
@@ -51,93 +49,88 @@ class TestLandmarkSet:
 
 class TestAffineTransform:
     def test_identity(self):
-        t = AffineTransform.identity()
+        t = AffineTransform(1.0, (0.0, 0.0))
         p = np.array([[1.5, -2.0], [0.0, 7.0]])
         np.testing.assert_array_equal(t.apply(p), p)
 
     def test_scale_offset_evaluation(self):
-        t = AffineTransform.scale_offset(0.5)
+        t = AffineTransform(0.5, (0.0, 0.0))
         np.testing.assert_allclose(t.apply(np.array([130.6, 82.0])),
                                    [65.3, 41.0], rtol=0, atol=1e-12)
 
     def test_inverse_of_identity(self):
-        t = AffineTransform.identity().inverse()
-        np.testing.assert_array_equal(t.linear, np.eye(2))
+        t = AffineTransform(1.0, (0.0, 0.0)).inverse()
+        assert t.scale == 1.0
         np.testing.assert_array_equal(t.offset, np.zeros(2))
 
     def test_inverse_of_pure_scale(self):
-        t = AffineTransform.scale_offset(4.0).inverse()
-        np.testing.assert_allclose(t.linear, np.eye(2) * 0.25, atol=1e-15)
+        t = AffineTransform(4.0, (0.0, 0.0)).inverse()
+        assert t.scale == 0.25
 
     def test_roundtrip_many_points(self):
         rng = np.random.Generator(np.random.PCG64(5))
-        ang = 0.37
-        lin = 1.7 * np.array([[math.cos(ang), -math.sin(ang)],
-                              [math.sin(ang), math.cos(ang)]])
-        t = AffineTransform(lin, np.array([3.0, -11.0]), similarity=True)
+        t = AffineTransform(1.7, (3.0, -11.0))
         pts = rng.uniform(-500, 500, size=(1000, 2))
         back = t.inverse().apply(t.apply(pts))
         assert np.abs(back - pts).max() < 1e-9
 
     def test_singular_rejected(self):
         with pytest.raises(ConfigError):
-            AffineTransform(np.zeros((2, 2)), np.zeros(2))
-
-    def test_shear_not_similarity(self):
-        lin = np.array([[1.0, 0.3], [0.0, 1.0]])
-        with pytest.raises(ConfigError):
-            AffineTransform(lin, np.zeros(2), similarity=True)
-        AffineTransform(lin, np.zeros(2), similarity=False)  # fine unrestricted
+            AffineTransform(0.0, np.zeros(2))
 
     def test_scale_property(self):
-        t = AffineTransform.scale_offset(2.56, (10.0, -3.0))
+        t = AffineTransform(2.56, (10.0, -3.0))
         assert t.scale == pytest.approx(2.56, rel=1e-15)
 
-    def test_compose_applies_inner_first(self):
-        inner = AffineTransform.scale_offset(2.0, (1.0, 0.0))
-        outer = AffineTransform.scale_offset(0.5, (0.0, 5.0))
-        c = compose(outer, inner)
-        p = np.array([3.0, 4.0])
-        np.testing.assert_allclose(c.apply(p), outer.apply(inner.apply(p)),
-                                   atol=1e-12)
-
     @given(st.floats(0.1, 10.0), st.floats(-100, 100), st.floats(-100, 100),
-           st.floats(-math.pi, math.pi),
            st.floats(-300, 300), st.floats(-300, 300))
     @settings(max_examples=60, deadline=None)
-    def test_inverse_roundtrip_property(self, s, ox, oy, ang, px, py):
-        rot = np.array([[math.cos(ang), -math.sin(ang)],
-                        [math.sin(ang), math.cos(ang)]])
-        t = AffineTransform(s * rot, np.array([ox, oy]), similarity=True)
+    def test_inverse_roundtrip_property(self, s, ox, oy, px, py):
+        t = AffineTransform(s, (ox, oy))
         p = np.array([px, py])
         np.testing.assert_allclose(t.inverse().apply(t.apply(p)), p, atol=1e-8)
+
+    def test_batch_applies_row_by_row(self):
+        rng = np.random.Generator(np.random.PCG64(6))
+        scale = rng.uniform(0.5, 3.0, size=4)
+        offset = rng.uniform(-50, 50, size=(4, 2))
+        pts = rng.uniform(0, 300, size=(4, 7, 2))
+        batch = AffineTransform(scale, offset)
+        for k in range(4):
+            assert np.array_equal(batch.apply(pts)[k], batch[k].apply(pts[k]))
+            assert np.array_equal(batch.inverse().apply(pts)[k],
+                                  batch[k].inverse().apply(pts[k]))
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ConfigError):
+            AffineTransform(np.ones(3), np.zeros((2, 2)))
 
 
 class TestApplyTransform:
     def test_identity_keeps_points(self):
         s = _lms([[1.0, 2.0], [3.0, 4.0]])
-        out = apply_transform(AffineTransform.identity(), s)
+        out = apply_transform(AffineTransform(1.0, (0.0, 0.0)), s)
         np.testing.assert_array_equal(out.points, s.points)
         assert out.space == s.space
 
     def test_scale_example(self):
         s = _lms([[130.6, 82.0]])
-        out = apply_transform(AffineTransform.scale_offset(0.5), s)
+        out = apply_transform(AffineTransform(0.5, (0.0, 0.0)), s)
         np.testing.assert_allclose(out.points, [[65.3, 41.0]], atol=1e-12)
 
     def test_space_tag_updated(self):
-        t = AffineTransform.scale_offset(1.0, src=Space.RAW, dst=Space.INPUT)
+        t = AffineTransform(1.0, (0.0, 0.0), src=Space.RAW, dst=Space.INPUT)
         out = apply_transform(t, _lms([[1.0, 1.0]], space=Space.RAW))
         assert out.space == Space.INPUT
 
     def test_space_mismatch_rejected(self):
-        t = AffineTransform.scale_offset(1.0, src=Space.INPUT, dst=Space.HEATMAP)
+        t = AffineTransform(1.0, (0.0, 0.0), src=Space.INPUT, dst=Space.HEATMAP)
         with pytest.raises(ConfigError):
             apply_transform(t, _lms([[1.0, 1.0]], space=Space.RAW))
 
     def test_validity_preserved(self):
         s = _lms([[np.nan, np.nan], [2.0, 2.0]], valid=np.array([False, True]))
-        out = apply_transform(AffineTransform.scale_offset(2.0), s)
+        out = apply_transform(AffineTransform(2.0, (0.0, 0.0)), s)
         assert list(out.valid) == [False, True]
         assert np.isnan(out.points[0]).all()
         np.testing.assert_allclose(out.points[1], [4.0, 4.0])
@@ -145,23 +138,22 @@ class TestApplyTransform:
 
 class TestDownsampleFactor:
     def test_unit_scale(self):
-        assert downsample_factor(AffineTransform.scale_offset(1.0)) == 4.0
+        assert downsample_factor(AffineTransform(1.0, (0.0, 0.0))) == 4.0
 
     def test_half_scale(self):
-        assert downsample_factor(AffineTransform.scale_offset(0.5)) == 8.0
+        assert downsample_factor(AffineTransform(0.5, (0.0, 0.0))) == 8.0
 
     def test_double_scale(self):
-        assert downsample_factor(AffineTransform.scale_offset(2.0)) == 2.0
+        assert downsample_factor(AffineTransform(2.0, (0.0, 0.0))) == 2.0
 
     def test_multiplicative_in_chained_scales(self):
-        t = compose(AffineTransform.scale_offset(0.5),
-                    AffineTransform.scale_offset(4.0))
+        # a scale-4 crop onto 256 px, then the 256 -> 128 downscale
+        t = heatmap_transform(AffineTransform(4.0, (0.0, 0.0)), (256, 256), (128, 128))
         assert downsample_factor(t) == pytest.approx(4.0 / 2.0, rel=1e-12)
 
-    def test_non_similarity_rejected(self):
-        t = AffineTransform(np.diag([2.0, 3.0]), np.zeros(2), similarity=False)
-        with pytest.raises(ConfigError):
-            downsample_factor(t)
+    def test_batch_gives_one_factor_per_image(self):
+        t = AffineTransform(np.array([1.0, 0.5, 2.0]), np.zeros((3, 2)))
+        np.testing.assert_array_equal(downsample_factor(t), [4.0, 8.0, 2.0])
 
 
 class TestCropFromLandmarks:
@@ -206,6 +198,19 @@ class TestCropFromLandmarks:
             crop_from_landmarks(s, 0.25, (256, 128))
 
 
+    def test_batch_flags_degenerate_rows(self, corpus98):
+        points = np.stack([r.landmarks.points for r in corpus98[:5]])
+        valid = np.ones(points.shape[:2], dtype=bool)
+        valid[1, 2:] = False        # two valid points still span a box
+        valid[2, 1:] = False        # one valid point does not
+        points[3] = points[3, :1]   # every point at one place: no extent
+        crop, ok = landmark_crops(points, valid, 0.25, (256, 256))
+        assert list(ok) == [True, True, False, False, True]
+        single = crop_from_landmarks(_lms(points[1], valid=valid[1]), 0.25, (256, 256))
+        assert crop.scale[1] == single.scale
+        assert np.array_equal(crop.offset[1], single.offset)
+
+
 class TestCropFromBbox:
     def test_inclusive_span(self):
         t = crop_from_bbox((10, 20, 110, 100), margin=0.0)
@@ -221,52 +226,60 @@ class TestCropFromBbox:
         with pytest.raises(ConfigError):
             crop_from_bbox((10, 20, 10, 100))
 
+    def test_batch_flags_unusable_boxes(self):
+        boxes = [(10, 20, 110, 100), (10, 20, 10, 100), (np.nan, 0, 1, 1),
+                 (0, 0, np.inf, 5), (5, 6, 7, 8)]
+        crop, ok = bbox_crops(boxes, 0.0)
+        assert list(ok) == [True, False, False, False, True]
+        assert crop.scale[0] == pytest.approx(256 / 101, rel=1e-12)
+
 
 class TestFaceSampleAndHeatmapTransform:
-    def _sample(self):
-        pts = np.array([[10.0, 10.0], [110.0, 90.0]])
-        lms = _lms(pts)
-        crop = crop_from_landmarks(lms, 0.25, (256, 256))
-        return FaceSample(id="a", landmarks_raw=lms, crop=crop,
-                          norm_distance_raw=100.0)
+    """The batch container :class:`FaceBatch` and the raw -> heatmap map."""
+
+    def _crop(self):
+        return crop_from_landmarks(_lms([[10.0, 10.0], [110.0, 90.0]]), 0.25, (256, 256))
+
+    def _batch(self, crop=None, norm_distance=100.0):
+        crop = crop or self._crop()
+        return FaceBatch(ids=("a",), points=np.array([[[10.0, 10.0], [110.0, 90.0]]]),
+                         valid=np.ones((1, 2), dtype=bool),
+                         crop=crop[None],
+                         norm_distance=np.array([norm_distance]))
 
     def test_defaults(self):
-        s = self._sample()
-        assert s.image_size_input == (256, 256)
+        b = self._batch()
+        assert b.input_size == (256, 256)
+        assert len(b) == 1
 
     def test_nonpositive_distance_rejected(self):
-        lms = _lms([[0.0, 0.0], [1.0, 1.0]])
-        crop = crop_from_landmarks(lms, 0.25, (256, 256))
         with pytest.raises(ConfigError):
-            FaceSample(id="a", landmarks_raw=lms, crop=crop, norm_distance_raw=0.0)
+            self._batch(norm_distance=0.0)
 
     def test_raw_space_required(self):
-        lms = _lms([[0.0, 0.0], [1.0, 1.0]], space=Space.INPUT)
-        crop = crop_from_landmarks(lms, 0.25, (256, 256))
+        crop = self._crop()
         with pytest.raises(ConfigError):
-            FaceSample(id="a", landmarks_raw=lms, crop=crop, norm_distance_raw=1.0)
+            self._batch(crop=AffineTransform(crop.scale, crop.offset, src=Space.INPUT))
 
     def test_heatmap_transform_scale(self):
-        s = self._sample()
-        t = heatmap_transform(s, (64, 64))
-        assert t.scale == pytest.approx(s.crop.scale / 4.0, rel=1e-12)
+        crop = self._crop()
+        t = heatmap_transform(crop, (256, 256), (64, 64))
+        assert t.scale == pytest.approx(crop.scale / 4.0, rel=1e-12)
         assert t.dst == Space.HEATMAP
 
     def test_heatmap_transform_maps_into_grid(self):
-        s = self._sample()
-        t = heatmap_transform(s, (64, 64))
-        hm = t.apply(s.landmarks_raw.points)
+        t = heatmap_transform(self._crop(), (256, 256), (64, 64))
+        hm = t.apply(np.array([[10.0, 10.0], [110.0, 90.0]]))
         assert hm.min() >= -1e-9
         assert hm.max() <= 64 + 1e-9
 
     def test_anisotropic_heatmap_rejected(self):
-        s = self._sample()
         with pytest.raises(ConfigError):
-            heatmap_transform(s, (64, 32))
+            heatmap_transform(self._crop(), (256, 256), (64, 32))
 
     def test_downsample_factor_through_chain(self):
-        s = self._sample()
-        t = heatmap_transform(s, (64, 64))
+        crop = self._crop()
+        t = heatmap_transform(crop, (256, 256), (64, 64))
         # raw -> heatmap scale equals 1/n for the per-sample factor n
-        n = downsample_factor(s.crop)
+        n = downsample_factor(crop)
         assert t.scale == pytest.approx(1.0 / n, rel=1e-12)

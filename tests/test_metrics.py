@@ -20,8 +20,8 @@ from subpix.errors import ConfigError
 from subpix.geometry import LandmarkSet, Space
 from subpix.metrics import (DEFAULT_NORM_INDICES, MetricsConfig,
                             ced_auc, ced_points, failure_rate,
-                            format_ced_csv, nme, norm_distance, point_errors,
-                            resolve_norm_indices)
+                            format_ced_csv, nme, norm_distance, norm_distances,
+                            point_errors, resolve_norm_indices)
 
 
 def walked_auc(errors, t: float) -> float:
@@ -134,6 +134,19 @@ class TestNormIndices:
         assert norm_distance(lms, (0, 1)) == 5.0
         assert norm_distance(lms, (1, 2)) is None   # coincident points
         assert norm_distance(lms, (0, 3)) is None   # invalid, non-finite point
+
+    def test_batched_distances_equal_single_vector_norm(self):
+        # every NME is divided by this distance, so the batch must keep the
+        # last bit of np.linalg.norm taken of one vector at a time
+        rng = np.random.Generator(np.random.PCG64(113))
+        pts = rng.uniform(0.0, 500.0, size=(1000, 3, 2))
+        pts[7, 1] = pts[7, 0]
+        pts[9, 0] = np.nan
+        got = norm_distances(pts, (0, 1))
+        for k in range(len(pts)):
+            d = float(np.linalg.norm(pts[k, 0] - pts[k, 1]))
+            want = d if np.isfinite(d) and d > 0 else np.nan
+            assert np.array_equal(got[k], want, equal_nan=True), k
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
