@@ -16,11 +16,11 @@ which is bit-identical to rendering the maps and decoding them.
 
 The ideal mode runs as whole-array passes. :func:`build_samples` stacks the
 records' landmarks as (N, L, 2) and crops them all with one batched kernel
-from :mod:`subpix.geometry`: a per-image scale (N,) and offset (N, 2).
-:func:`run_ideal` maps every point to heatmap space by that scale times
-``1 / model_factor`` plus the offset, maps decoded points back with the
-reciprocal scale, and computes per-point errors and per-image NME with array
-reductions. Its results are bit-identical to a per-image transform chain.
+from :mod:`subpix.geometry` onto the unit square: a per-image scale (N,) and
+offset (N, 2). :func:`run_ideal` scales both onto the heatmap grid, maps
+decoded points back with the reciprocal scale, and computes per-point errors
+and per-image NME with array reductions. Its results are bit-identical to a
+per-image transform chain.
 
 Randomness comes from numpy's PCG64 generator seeded from the config, so
 every run with the same config is byte-identical.
@@ -36,10 +36,11 @@ import numpy as np
 from .codec import SCHEME_ORDER, CodecConfig, Scheme, ideal_roundtrip
 from .datasets import AnnotationRecord
 from .errors import ConfigError
-from .geometry import FaceBatch, bbox_crops, heatmap_transform, landmark_crops
+from .geometry import FaceBatch, bbox_crops, check_margin, heatmap_transform, landmark_crops
 from .geometry import crop_from_landmarks  # noqa: F401  timed as geometry.crop by perfbench
 from .metrics import (MetricsConfig, PerImageError, ced_auc, ced_points,
-                      failure_rate, norm_distances, resolve_norm_indices)
+                      failure_rate, norm_distances, resolve_norm_indices,
+                      threshold_tag)
 
 __all__ = [
     "BenchConfig",
@@ -52,6 +53,11 @@ __all__ = [
     "emit_report",
 ]
 
+# Monte-Carlo draws are held in memory at about 215 bytes per landmark over
+# all schemes, so 2^24 landmarks peak near 3.6 GB; a larger draw is refused
+# before anything is allocated.
+_MAX_MC_POINTS = 1 << 24
+
 
 @dataclass(frozen=True)
 class BenchConfig:
@@ -63,7 +69,6 @@ class BenchConfig:
     crop_margin: float = 0.25
     crop_source: str = "landmarks"   # or "bbox": use the annotation box
     bbox_inclusive: bool = True      # box max edge counts as the last pixel
-    input_size: tuple[int, int] = (256, 256)
     seed: int = 1
     mc_samples: int = 100_000
     mc_landmarks: int = 1
@@ -75,13 +80,16 @@ class BenchConfig:
             raise ConfigError("at least one scheme is required")
         if len(set(self.schemes)) != len(self.schemes):
             raise ConfigError(f"duplicate schemes in {self.schemes}")
-        if self.crop_margin < 0:
-            raise ConfigError(f"crop margin must be non-negative, got {self.crop_margin}")
+        check_margin(self.crop_margin)
         if self.crop_source not in ("landmarks", "bbox"):
             raise ConfigError(f"crop source must be 'landmarks' or 'bbox', "
                               f"got {self.crop_source!r}")
         if self.mc_samples < 1 or self.mc_landmarks < 1:
             raise ConfigError("Monte-Carlo sample and landmark counts must be positive")
+        if self.mc_samples * self.mc_landmarks > _MAX_MC_POINTS:
+            raise ConfigError(f"Monte-Carlo draw of {self.mc_samples} samples x "
+                              f"{self.mc_landmarks} landmarks exceeds the limit of "
+                              f"{_MAX_MC_POINTS} landmarks")
         if not (np.isfinite(self.mc_n) and self.mc_n > 0):
             raise ConfigError(f"Monte-Carlo scale factor must be positive, got {self.mc_n}")
 
@@ -150,14 +158,12 @@ def build_samples(records: list[AnnotationRecord], cfg: BenchConfig,
     d = norm_distances(points, pair)
     if cfg.crop_source == "bbox":
         boxes = [rec.bbox if rec.bbox is not None else (np.nan,) * 4 for rec in records]
-        crop, ok = bbox_crops(boxes, cfg.crop_margin, cfg.input_size,
-                              inclusive=cfg.bbox_inclusive)
+        crop, ok = bbox_crops(boxes, cfg.crop_margin, inclusive=cfg.bbox_inclusive)
     else:
-        crop, ok = landmark_crops(points, valid, cfg.crop_margin, cfg.input_size)
+        crop, ok = landmark_crops(points, valid, cfg.crop_margin)
     keep = np.flatnonzero(ok & ~np.isnan(d))
     batch = FaceBatch(ids=tuple(records[k].id for k in keep), points=points[keep],
-                      valid=valid[keep], crop=crop[keep], norm_distance=d[keep],
-                      input_size=cfg.input_size)
+                      valid=valid[keep], crop=crop[keep], norm_distance=d[keep])
     return batch, len(records) - len(keep)
 
 
@@ -174,7 +180,7 @@ def run_ideal(records: list[AnnotationRecord], cfg: BenchConfig,
         raise ConfigError("every record was skipped; nothing to benchmark")
     shape = cfg.codec.heatmap_shape
     dims = np.array(shape, dtype=np.float64)
-    to_heatmap = heatmap_transform(batch.crop, batch.input_size, shape)
+    to_heatmap = heatmap_transform(batch.crop, shape)
     to_raw = to_heatmap.inverse()
     n, n_landmarks = batch.valid.shape
     points = to_heatmap.apply(batch.points).reshape(-1, 2)
@@ -280,7 +286,6 @@ def _config_echo(cfg: BenchConfig) -> dict:
         "crop_margin": cfg.crop_margin,
         "crop_source": cfg.crop_source,
         "bbox_inclusive": cfg.bbox_inclusive,
-        "input_size": list(cfg.input_size),
         "threshold": cfg.metrics.threshold,
         "seed": cfg.seed,
         "mc_samples": cfg.mc_samples,
@@ -290,10 +295,6 @@ def _config_echo(cfg: BenchConfig) -> dict:
 
 
 # -- report formatting ----------------------------------------------------------
-
-
-def _threshold_tag(threshold: float) -> str:
-    return f"{round(threshold * 100):d}"
 
 
 def emit_report(report: BenchReport, fmt: str = "table") -> str:
@@ -308,7 +309,7 @@ def emit_report(report: BenchReport, fmt: str = "table") -> str:
 
 
 def _emit_table(report: BenchReport) -> str:
-    tag = _threshold_tag(report.threshold)
+    tag = threshold_tag(report.threshold)
     lines = [
         f"mode={report.mode} dataset={report.dataset} "
         f"images={report.n_images} skipped={report.skipped}"
@@ -333,7 +334,7 @@ def _emit_table(report: BenchReport) -> str:
 
 
 def _emit_csv(report: BenchReport) -> str:
-    tag = _threshold_tag(report.threshold)
+    tag = threshold_tag(report.threshold)
     if report.mode == "ideal":
         lines = [f"scheme,nme_percent,auc{tag},fr{tag}_percent,conflicts,"
                  f"clamped_points,n_images"]

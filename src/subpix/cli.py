@@ -36,7 +36,8 @@ from .datasets import load_canonical, load_dataset, write_canonical
 from .errors import ConfigError, ParseError
 from .geometry import crop_from_landmarks
 from .metrics import (MetricsConfig, ced_auc, failure_rate, format_ced_csv,
-                      ced_points, nme, norm_distance, resolve_norm_indices)
+                      ced_points, nme, norm_distance, resolve_norm_indices,
+                      threshold_tag)
 
 __all__ = ["main", "entry"]
 
@@ -182,7 +183,6 @@ def _cmd_bench_ideal(args) -> int:
         crop_margin=args.margin,
         crop_source=args.crop_source,
         bbox_inclusive=args.bbox_edge == "inclusive",
-        input_size=(args.input_res, args.input_res),
     )
     report = run_ideal(records, bcfg, dataset_name=spec.name)
     _write_out(emit_report(report, args.format), args.out)
@@ -220,9 +220,7 @@ def _cmd_encode(args) -> int:
             raise ConfigError(f"record index {args.index} out of range "
                               f"(file has {len(records)} records)")
         rec = records[args.index]
-        size = (args.input_res, args.input_res)
-        enc = encode(rec.landmarks, crop_from_landmarks(rec.landmarks, args.margin, size),
-                     cfg, size)
+        enc = encode(rec.landmarks, crop_from_landmarks(rec.landmarks, args.margin), cfg)
     _write_out(enc.to_json() + "\n", args.out)
     return 0
 
@@ -307,7 +305,7 @@ def _cmd_metrics(args) -> int:
         errors.append(nme(rec.landmarks, preds[rec.id].landmarks, d))
     if not errors:
         raise ConfigError("every record was skipped; nothing to score")
-    tag = f"{round(args.threshold * 100):d}"
+    tag = threshold_tag(args.threshold)
     stats = {
         "n_images": len(errors),
         "skipped": skipped,
@@ -364,8 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bbox-edge", choices=("inclusive", "exclusive"), default="inclusive",
                    help="whether the bbox max edge counts as the last covered "
                         "pixel (default inclusive)")
-    p.add_argument("--input-res", type=int, default=256, metavar="N",
-                   help="crop resolution, square (default 256)")
     p.add_argument("--norm-indices", metavar="I,J",
                    help="landmark pair for error normalization "
                         "(defaults: 60,72 for 98 points; 36,45 for 68)")
@@ -412,8 +408,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="record index within --record (default 0)")
     p.add_argument("--margin", type=float, default=0.25,
                    help="crop margin when encoding from --record (default 0.25)")
-    p.add_argument("--input-res", type=int, default=256, metavar="N",
-                   help="crop resolution when encoding from --record (default 256)")
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=_cmd_encode)
 

@@ -565,13 +565,10 @@ def encode_points(points: np.ndarray, cfg: CodecConfig,
                          integer_maps=integer_maps, valid=mask, clamped=clamped, **kwargs)
 
 
-def encode(landmarks: LandmarkSet, crop: AffineTransform, cfg: CodecConfig,
-           input_size: tuple[int, int] = (256, 256)) -> EncodedSample:
-    """Encode raw-space landmarks: crop, downscale, then :func:`encode_points`.
-
-    ``crop`` maps raw space onto an input of ``input_size`` pixels.
-    """
-    t = heatmap_transform(crop, input_size, cfg.heatmap_shape)
+def encode(landmarks: LandmarkSet, crop: AffineTransform, cfg: CodecConfig) -> EncodedSample:
+    """Encode raw-space landmarks: crop onto the unit square, scale onto the
+    heatmap, then :func:`encode_points`."""
+    t = heatmap_transform(crop, cfg.heatmap_shape)
     hm = apply_transform(t, landmarks)
     return encode_points(hm.points, cfg, valid=hm.valid)
 

@@ -1,8 +1,10 @@
 """Coordinate spaces, landmark containers, and the batched crop kernel.
 
-Landmark pipelines juggle three pixel coordinate spaces: the raw space of
-the annotated source image, the fixed-resolution input crop, and the
-downsampled heatmap grid. Every map between them is an isotropic scale
+Landmark pipelines juggle two pixel coordinate spaces, the raw space of
+the annotated source image and the downsampled heatmap grid, plus the
+normalized unit square: a crop maps raw space onto it, and
+:func:`heatmap_transform` scales it onto the grid, so raw pixels per heatmap
+cell are the crop side over the grid side. Every map is an isotropic scale
 plus an offset, ``p -> scale * p + offset``, so one :class:`AffineTransform`
 holds either a single map or one map per image of a batch: a ``(N,)``
 scale and a ``(N, 2)`` offset act on ``(N, L, 2)`` point stacks in one
@@ -33,6 +35,7 @@ __all__ = [
     "AffineTransform",
     "FaceBatch",
     "apply_transform",
+    "check_margin",
     "downsample_factor",
     "landmark_crops",
     "bbox_crops",
@@ -46,9 +49,8 @@ class Space(str, Enum):
     """Which pixel coordinate frame a point set lives in."""
 
     RAW = "raw"              # source-image pixels as annotated
-    INPUT = "input"          # fixed-size crop pixels (e.g. 256 x 256)
     HEATMAP = "heatmap"      # low-resolution grid cells (e.g. 64 x 64)
-    NORMALIZED = "normalized"  # heatmap coordinates divided by grid size
+    NORMALIZED = "normalized"  # unit square: crops, and heatmap coordinates / grid size
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,61 +151,56 @@ def apply_transform(t: AffineTransform, landmarks: LandmarkSet) -> LandmarkSet:
     return LandmarkSet(pts, space=t.dst or landmarks.space, valid=landmarks.valid.copy())
 
 
-def downsample_factor(t_preproc: AffineTransform,
-                      model_factor: float = 4.0) -> float | np.ndarray:
-    """Raw-to-heatmap scale denominator for a preprocessing transform.
+def downsample_factor(t: AffineTransform) -> float | np.ndarray:
+    """Raw pixels per heatmap cell of a raw -> heatmap map ``t``: ``1 / t.scale``.
 
-    A raw-space coordinate divided by the returned value lands in heatmap
-    space (up to the transform's translation). ``model_factor`` is the
-    input-to-heatmap downsampling of the model itself, e.g. 4 for a
-    256 -> 64 head. A batched transform gives one factor per image.
+    A batched transform gives one factor per image.
     """
-    if model_factor <= 0:
-        raise ConfigError(f"model_factor must be positive, got {model_factor}")
-    return model_factor / t_preproc.scale
+    return 1.0 / t.scale
+
+
+def check_margin(margin: float) -> None:
+    """The one crop-margin rule: a finite value of at least 0."""
+    if not (np.isfinite(margin) and margin >= 0):
+        raise ConfigError(f"crop margin must be finite and non-negative, got {margin}")
 
 
 def _square_crops(lo: np.ndarray, hi: np.ndarray, extra: float, usable: np.ndarray,
-                  margin: float, target: tuple[int, int]) -> tuple[AffineTransform, np.ndarray]:
-    """Raw -> input crops of N boxes ``[lo, hi]`` (N, 2), and which are usable.
+                  margin: float) -> tuple[AffineTransform, np.ndarray]:
+    """Raw -> unit-square crops of N boxes ``[lo, hi]`` (N, 2), and which are usable.
 
     Each box, widened by ``extra`` pixels per axis, grows to a square of
     side ``max(width, height) * (1 + margin)`` about its center, mapped onto
-    the target resolution. Rows outside ``usable``, or whose square has no
-    extent or no finite map, get a unit placeholder map and a False flag.
+    the unit square. Rows outside ``usable``, or whose square has no extent
+    or no finite map, get a unit placeholder map and a False flag.
     """
-    tw, th = int(target[0]), int(target[1])
-    if tw != th or tw <= 0:
-        raise ConfigError(f"crop target must be square and positive, got {target}")
-    if margin < 0:
-        raise ConfigError(f"crop margin must be non-negative, got {margin}")
+    check_margin(margin)
     with np.errstate(all="ignore"):
         side = np.max(hi - lo + extra, axis=1) * (1.0 + margin)
-        scale = tw / side
+        scale = 1.0 / side
         offset = -scale[:, None] * ((lo + hi) / 2.0 - side[:, None] / 2.0)
     ok = usable & np.isfinite(scale) & (scale > 0) & np.all(np.isfinite(offset), axis=1)
     return AffineTransform(np.where(ok, scale, 1.0), np.where(ok[:, None], offset, 0.0),
-                           src=Space.RAW, dst=Space.INPUT), ok
+                           src=Space.RAW, dst=Space.NORMALIZED), ok
 
 
-def landmark_crops(points: np.ndarray, valid: np.ndarray, margin: float = 0.25,
-                   target: tuple[int, int] = (256, 256)) -> tuple[AffineTransform, np.ndarray]:
+def landmark_crops(points: np.ndarray, valid: np.ndarray,
+                   margin: float = 0.25) -> tuple[AffineTransform, np.ndarray]:
     """Square landmark-driven crops of N images at once.
 
     ``points`` is (N, L, 2) and ``valid`` (N, L). Each crop box is the tight
     bounding box of the image's valid landmarks (see :func:`_square_crops`).
-    Returns the batched raw -> input transform and an (N,) flag that is
+    Returns the batched raw -> unit-square transform and an (N,) flag that is
     False where the crop is degenerate: fewer than two valid landmarks, or
     a box with no extent.
     """
     inside = valid[..., None]
     lo = np.where(inside, points, np.inf).min(axis=1)
     hi = np.where(inside, points, -np.inf).max(axis=1)
-    return _square_crops(lo, hi, 0.0, np.count_nonzero(valid, axis=1) >= 2, margin, target)
+    return _square_crops(lo, hi, 0.0, np.count_nonzero(valid, axis=1) >= 2, margin)
 
 
-def bbox_crops(boxes: np.ndarray, margin: float = 0.25,
-               target: tuple[int, int] = (256, 256), *,
+def bbox_crops(boxes: np.ndarray, margin: float = 0.25, *,
                inclusive: bool = True) -> tuple[AffineTransform, np.ndarray]:
     """Square crops of N annotation boxes ``(x0, y0, x1, y1)`` at once.
 
@@ -214,33 +211,31 @@ def bbox_crops(boxes: np.ndarray, margin: float = 0.25,
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     lo, hi = boxes[:, :2], boxes[:, 2:]
     usable = np.all(np.isfinite(boxes), axis=1) & np.all(lo < hi, axis=1)
-    return _square_crops(lo, hi, 1.0 if inclusive else 0.0, usable, margin, target)
+    return _square_crops(lo, hi, 1.0 if inclusive else 0.0, usable, margin)
 
 
-def crop_from_landmarks(landmarks: LandmarkSet, margin: float = 0.25,
-                        target: tuple[int, int] = (256, 256)) -> AffineTransform:
-    """The raw -> input map of one square landmark-driven crop.
+def crop_from_landmarks(landmarks: LandmarkSet, margin: float = 0.25) -> AffineTransform:
+    """The raw -> unit-square map of one square landmark-driven crop.
 
     An N = 1 call of :func:`landmark_crops`; raises ConfigError where that
     flags the crop as degenerate. Deterministic: the same landmarks always
     produce the same transform.
     """
-    crop, ok = landmark_crops(landmarks.points[None], landmarks.valid[None], margin, target)
+    crop, ok = landmark_crops(landmarks.points[None], landmarks.valid[None], margin)
     if not ok[0]:
         raise ConfigError("degenerate crop: needs two or more valid landmarks "
                           "spanning a box with extent")
     return crop[0]
 
 
-def crop_from_bbox(bbox, margin: float = 0.25,
-                   target: tuple[int, int] = (256, 256), *,
+def crop_from_bbox(bbox, margin: float = 0.25, *,
                    inclusive: bool = True) -> AffineTransform:
-    """The raw -> input map of one square crop of an annotation box.
+    """The raw -> unit-square map of one square crop of an annotation box.
 
     An N = 1 call of :func:`bbox_crops`; raises ConfigError where that
     flags the box as unusable.
     """
-    crop, ok = bbox_crops(bbox, margin, target, inclusive=inclusive)
+    crop, ok = bbox_crops(bbox, margin, inclusive=inclusive)
     if not ok[0]:
         raise ConfigError(f"crop box must be finite and well-ordered, got {bbox}")
     return crop[0]
@@ -254,10 +249,9 @@ class FaceBatch:
         ids: (N,) identifiers, unique within a dataset run.
         points: (N, L, 2) ground-truth points in raw space.
         valid: (N, L) mask of the points to encode and score.
-        crop: batched raw -> input transform, one map per image.
+        crop: batched raw -> unit-square transform, one map per image.
         norm_distance: (N,) normalization distances in raw pixels
             (commonly the outer-eye-corner distance); all positive.
-        input_size: crop resolution in pixels, (width, height).
     """
 
     ids: tuple[str, ...]
@@ -265,7 +259,6 @@ class FaceBatch:
     valid: np.ndarray
     crop: AffineTransform
     norm_distance: np.ndarray
-    input_size: tuple[int, int] = (256, 256)
 
     def __post_init__(self) -> None:
         n = len(self.ids)
@@ -281,23 +274,14 @@ class FaceBatch:
         return len(self.ids)
 
 
-def heatmap_transform(crop: AffineTransform, input_size: tuple[int, int],
+def heatmap_transform(crop: AffineTransform,
                       heatmap_shape: tuple[int, int]) -> AffineTransform:
-    """The raw -> heatmap map: a raw -> input crop, then the model's downscale.
+    """The raw -> heatmap map: a raw -> unit-square crop scaled onto the grid.
 
-    The input-to-heatmap step is a pure isotropic rescale by
-    ``1 / model_factor``, so the crop resolution must be the same multiple
-    of the heatmap grid on both axes. A batched crop gives a batched map.
+    The crop is square, so the grid must be square too for the map to stay
+    isotropic. A batched crop gives a batched map.
     """
     w, h = int(heatmap_shape[0]), int(heatmap_shape[1])
-    wi, hi = input_size
-    if w <= 0 or h <= 0:
-        raise ConfigError(f"heatmap shape must be positive, got {heatmap_shape}")
-    if wi * h != hi * w:
-        raise ConfigError(
-            f"input size {input_size} is not an isotropic multiple "
-            f"of heatmap shape {heatmap_shape}"
-        )
-    down = 1.0 / (wi / w)
-    return AffineTransform(down * crop.scale, down * crop.offset,
-                           src=crop.src, dst=Space.HEATMAP)
+    if w <= 0 or w != h:
+        raise ConfigError(f"heatmap shape must be square and positive, got {heatmap_shape}")
+    return AffineTransform(w * crop.scale, w * crop.offset, src=crop.src, dst=Space.HEATMAP)

@@ -34,6 +34,7 @@ __all__ = [
     "failure_rate",
     "ced_points",
     "format_ced_csv",
+    "threshold_tag",
 ]
 
 DEFAULT_THRESHOLD = 0.10
@@ -70,6 +71,11 @@ class MetricsConfig:
 def _check_threshold(threshold: float) -> None:
     if not (np.isfinite(threshold) and threshold > 0):
         raise ConfigError(f"threshold must be positive, got {threshold}")
+
+
+def threshold_tag(threshold: float) -> str:
+    """The threshold in percent as report column names carry it: 0.1 -> '10'."""
+    return f"{round(threshold * 100):d}"
 
 
 def resolve_norm_indices(n_landmarks: int, cfg: MetricsConfig) -> tuple[int, int]:

@@ -167,7 +167,7 @@ def test_criterion_5_wom_conflict_property(corpus98):
     batch, _ = build_samples(corpus98, bcfg)
     attributable = True
     total_conflicted = 0
-    for hm in heatmap_transform(batch.crop, batch.input_size, cfg.heatmap_shape).apply(
+    for hm in heatmap_transform(batch.crop, cfg.heatmap_shape).apply(
             batch.points):
         cells = [tuple(c) for c in np.floor(hm).astype(int)]
         occupancy = Counter(cells)

@@ -33,9 +33,9 @@ ROUNDING_CONSTANT = 0.38259785823210635
 def grid_aligned_records(n_images: int = 3) -> list[AnnotationRecord]:
     """Records whose landmarks sit exactly on heatmap cells after a unit crop.
 
-    The exclusive bounding box (0, 0, 256, 256) maps onto a 256-wide input
-    at scale 1 with no shift, so raw coordinates at multiples of 4 land on
-    integer heatmap cells. All 98 cells are distinct, keeping shared-
+    The exclusive bounding box (0, 0, 256, 256) maps onto the unit square
+    with no shift, so on the 64-cell grid raw coordinates at multiples of 4
+    land on integer heatmap cells. All 98 cells are distinct, keeping shared-
     offset-map encoding conflict-free.
     """
     cells = [(k % 64, 5 + 8 * (k // 64)) for k in range(98)]
@@ -221,7 +221,7 @@ class TestRunIdeal:
         batch, _ = build_samples(corpus98, cfg)
         wov_cfg = cfg.codec.for_scheme(Scheme.WOV)
         wom_cfg = cfg.codec.for_scheme(Scheme.WOM)
-        t = heatmap_transform(batch.crop, batch.input_size, cfg.codec.heatmap_shape)
+        t = heatmap_transform(batch.crop, cfg.codec.heatmap_shape)
         for hm in t.apply(batch.points)[:6]:
             wov_coords, _, _ = ideal_roundtrip(hm, wov_cfg)
             wom_coords, _, conflicts = ideal_roundtrip(hm, wom_cfg)
@@ -253,31 +253,30 @@ class TestRunIdeal:
         assert self._row(report, Scheme.DIRECT).nme > 0
 
 
-def grid_oracle(records: list[AnnotationRecord], cfg: BenchConfig) -> dict:
+def grid_oracle(records: list[AnnotationRecord], cfg: BenchConfig,
+                crop_px: int = 256) -> dict:
     """The per-sample grid path: render, decode and map back one image at a time.
 
+    Each image goes through the two-step maps of :func:`chained_maps`.
     Returns, per scheme, ``(per_image, clamped_points, conflicts)`` with
     ``per_image`` mapping each scored image id to ``(nme, per_point)``.
     """
-    batch, _ = build_samples(records, cfg)
+    _, kept = chained_maps(records, cfg, crop_px)
     dims = np.array(cfg.codec.heatmap_shape, dtype=np.float64)
-    t = heatmap_transform(batch.crop, batch.input_size, cfg.codec.heatmap_shape)
-    inv = t.inverse()
     out = {}
     for scheme in cfg.schemes:
         ccfg = cfg.codec.for_scheme(scheme)
         per_image, clamped, conflicts = {}, 0, 0
-        for k, hm in enumerate(t.apply(batch.points)):
-            enc = encode_points(hm, ccfg, valid=batch.valid[k])
+        for rec, d, hm, inv, inv_off in kept:
+            enc = encode_points(hm, ccfg, valid=rec.landmarks.valid)
             dec = decode(enc)
-            back = inv[k].apply(dec.landmarks.points * dims)
-            err = np.linalg.norm(back - batch.points[k], axis=1)
+            back = (dec.landmarks.points * dims) @ inv.T + inv_off
+            err = np.linalg.norm(back - rec.landmarks.points, axis=1)
             err = np.where(dec.landmarks.valid, err, np.nan)
             keep = np.isfinite(err)
             if not np.any(keep):
                 continue
-            d = batch.norm_distance[k]
-            per_image[batch.ids[k]] = (float(np.mean(err[keep]) / d), err / d)
+            per_image[rec.id] = (float(np.mean(err[keep]) / d), err / d)
             clamped += int(np.count_nonzero(dec.clamped))
             conflicts += enc.conflict_count
         out[scheme] = (per_image, clamped, conflicts)
@@ -302,25 +301,28 @@ def shrunk_box_records(n_landmarks: int, seed: int) -> list[AnnotationRecord]:
     return out
 
 
+# heatmap grid sides, each with the 256-pixel crop of the two-step oracle
+GRIDS = [(32, 256), (48, 256), (60, 256), (64, 256), (128, 256)]
+
+
 class TestRunIdealMatchesGridOracle:
     """Batched grid-free ``run_ideal`` against the per-sample grid path, exactly."""
 
     @pytest.mark.parametrize("n_landmarks", [98, 68])
-    @pytest.mark.parametrize("grid,input_res", [(64, 256), (60, 240)])
+    @pytest.mark.parametrize("grid,crop_px", GRIDS)
     @pytest.mark.parametrize("crop", ["landmarks", "bbox-clamp", "bbox-drop"])
-    def test_bit_equal(self, n_landmarks, grid, input_res, crop):
+    def test_bit_equal(self, n_landmarks, grid, crop_px, crop):
         policy = OobPolicy.DROP if crop == "bbox-drop" else OobPolicy.CLAMP
         codec = CodecConfig(scheme=Scheme.DIRECT, heatmap_shape=(grid, grid),
                             oob_policy=policy)
         if crop == "landmarks":
             records = make_records(12, n_landmarks=n_landmarks, seed=31)
-            cfg = BenchConfig(codec=codec, input_size=(input_res, input_res))
+            cfg = BenchConfig(codec=codec)
         else:
             records = shrunk_box_records(n_landmarks, seed=31)
-            cfg = BenchConfig(codec=codec, crop_source="bbox", crop_margin=0.0,
-                              input_size=(input_res, input_res))
+            cfg = BenchConfig(codec=codec, crop_source="bbox", crop_margin=0.0)
         report = run_ideal(records, cfg, "d")
-        oracle = grid_oracle(records, cfg)
+        oracle = grid_oracle(records, cfg, crop_px)
         dropped = 0
         for row in report.rows:
             want, clamped, conflicts = oracle[row.scheme]
@@ -340,23 +342,23 @@ class TestRunIdealMatchesGridOracle:
             assert all(r.clamped_points > 0 for r in report.rows)
 
 
-def chained_ideal(records: list[AnnotationRecord], cfg: BenchConfig) -> tuple[int, dict]:
-    """The per-image transform chain that the batched geometry replaced.
+def chained_maps(records: list[AnnotationRecord], cfg: BenchConfig,
+                 crop_px: int = 256) -> tuple[int, list]:
+    """Per-image raw -> heatmap maps by the two-step arithmetic the unit-square
+    crop replaced.
 
-    Kept as the reference for :func:`run_ideal` the way it ran before the
-    batched crop kernel: each image gets its own 2x2 matrices (a raw ->
-    input crop, the model's downscale composed onto it by matrix products,
-    the inverse by ``np.linalg.inv``), points map as ``p @ A.T + b``, the
-    normalization distance is ``np.linalg.norm`` of one vector, and a record
-    is skipped wherever one of those steps refuses it.
+    Each image gets its own 2x2 matrices: a crop onto ``crop_px`` pixels
+    (scale ``crop_px / side``), the model's downscale by ``w / crop_px``
+    composed onto it by matrix products, and the inverse by
+    ``np.linalg.inv``; points map as ``p @ A.T + b``. The normalization
+    distance is ``np.linalg.norm`` of one vector, and a record is skipped
+    wherever one of those steps refuses it.
 
-    Returns ``(skipped, out)`` with ``out[scheme][id] = (heatmap points,
-    mapped-back raw points, nme, per_point)`` for every scored image.
+    Returns ``(skipped, kept)`` with ``kept`` holding ``(record, norm
+    distance, heatmap points, inverse matrix, inverse offset)`` per image.
     """
     pair = resolve_norm_indices(len(records[0].landmarks), cfg.metrics)
-    side_px = cfg.input_size[0]
-    dims = np.array(cfg.codec.heatmap_shape, dtype=np.float64)
-    down = np.eye(2) * (1.0 / (side_px / cfg.codec.heatmap_shape[0]))
+    down = np.eye(2) * (1.0 / (crop_px / cfg.codec.heatmap_shape[0]))
     kept, skipped = [], 0
     for rec in records:
         pts = rec.landmarks.points
@@ -383,11 +385,23 @@ def chained_ideal(records: list[AnnotationRecord], cfg: BenchConfig) -> tuple[in
         if not (np.isfinite(side) and side > 0):
             skipped += 1
             continue
-        scale = side_px / side
+        scale = crop_px / side
         lin = down @ (np.eye(2) * scale)
         off = down @ (-scale * (center - side / 2.0)) + np.zeros(2)
         inv = np.linalg.inv(lin)
         kept.append((rec, d, pts @ lin.T + off, inv, -inv @ off))
+    return skipped, kept
+
+
+def chained_ideal(records: list[AnnotationRecord], cfg: BenchConfig,
+                  crop_px: int = 256) -> tuple[int, dict]:
+    """:func:`run_ideal` as it ran on the per-image maps of :func:`chained_maps`.
+
+    Returns ``(skipped, out)`` with ``out[scheme][id] = (heatmap points,
+    mapped-back raw points, nme, per_point)`` for every scored image.
+    """
+    skipped, kept = chained_maps(records, cfg, crop_px)
+    dims = np.array(cfg.codec.heatmap_shape, dtype=np.float64)
     counts = [len(k[0].landmarks) for k in kept]
     points = np.concatenate([k[2] for k in kept])
     valid = np.concatenate([k[0].landmarks.valid for k in kept])
@@ -407,14 +421,15 @@ def chained_ideal(records: list[AnnotationRecord], cfg: BenchConfig) -> tuple[in
     return skipped, out
 
 
-def assert_matches_chain(records: list[AnnotationRecord], cfg: BenchConfig) -> BenchReport:
+def assert_matches_chain(records: list[AnnotationRecord], cfg: BenchConfig,
+                         crop_px: int = 256) -> BenchReport:
     """run_ideal and the batched kernel equal :func:`chained_ideal`, exactly."""
-    skipped, want = chained_ideal(records, cfg)
+    skipped, want = chained_ideal(records, cfg, crop_px)
     report = run_ideal(records, cfg, "d")
     assert report.skipped == skipped
     batch, _ = build_samples(records, cfg)
     dims = np.array(cfg.codec.heatmap_shape, dtype=np.float64)
-    t = heatmap_transform(batch.crop, batch.input_size, cfg.codec.heatmap_shape)
+    t = heatmap_transform(batch.crop, cfg.codec.heatmap_shape)
     hm = t.apply(batch.points)
     image = np.repeat(np.arange(len(batch)), batch.valid.shape[1])
     for row in report.rows:
@@ -438,17 +453,16 @@ class TestBatchedGeometryMatchesChain:
     """The batched crop kernel against the per-image matrix chain, with no tolerance."""
 
     @pytest.mark.parametrize("n_landmarks", [98, 68])
-    @pytest.mark.parametrize("grid,input_res", [(64, 256), (60, 240)])
+    @pytest.mark.parametrize("grid,crop_px", GRIDS)
     @pytest.mark.parametrize("crop_source", ["landmarks", "bbox"])
     @pytest.mark.parametrize("policy", [OobPolicy.CLAMP, OobPolicy.DROP])
     @pytest.mark.parametrize("margin", [0.0, 0.25])
-    def test_bit_equal(self, n_landmarks, grid, input_res, crop_source, policy, margin):
+    def test_bit_equal(self, n_landmarks, grid, crop_px, crop_source, policy, margin):
         codec = CodecConfig(scheme=Scheme.DIRECT, heatmap_shape=(grid, grid),
                             oob_policy=policy)
-        cfg = BenchConfig(codec=codec, crop_source=crop_source, crop_margin=margin,
-                          input_size=(input_res, input_res))
+        cfg = BenchConfig(codec=codec, crop_source=crop_source, crop_margin=margin)
         records = shrunk_box_records(n_landmarks, seed=37)
-        report = assert_matches_chain(records, cfg)
+        report = assert_matches_chain(records, cfg, crop_px)
         # margin 0 puts the extreme landmarks on the far border, so both
         # policies really act there
         if margin == 0.0 and policy is OobPolicy.CLAMP:
@@ -527,10 +541,17 @@ class TestBenchConfig:
             BenchConfig(schemes=(Scheme.DIRECT, Scheme.DIRECT))
         with pytest.raises(ConfigError):
             BenchConfig(crop_margin=-0.1)
+        for margin in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match="crop margin must be finite"):
+                BenchConfig(crop_margin=margin)
         with pytest.raises(ConfigError):
             BenchConfig(crop_source="detector")
         with pytest.raises(ConfigError):
             BenchConfig(mc_samples=0)
+        with pytest.raises(ConfigError, match="exceeds the limit"):
+            BenchConfig(mc_samples=10 ** 20)
+        with pytest.raises(ConfigError, match="exceeds the limit"):
+            BenchConfig(mc_samples=10 ** 10, mc_landmarks=10 ** 10)
 
     def test_scheme_strings_coerced(self):
         cfg = BenchConfig(schemes=("direct", "hih"))

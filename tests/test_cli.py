@@ -52,6 +52,25 @@ def shifted_copy(records, fractions) -> list[AnnotationRecord]:
     return out
 
 
+# every key of the ``config`` object in bench-ideal and synth JSON reports
+CONFIG_KEYS = ["bbox_inclusive", "crop_margin", "crop_source", "decimal_overflow",
+               "decimal_shape", "heatmap_shape", "mc_landmarks", "mc_n", "mc_samples",
+               "oob_policy", "schemes", "seed", "sigma_decimal", "sigma_integer",
+               "threshold"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("bench-ideal", "--dataset", "json:unused.json"),
+    ("synth",),
+    ("encode", "--scheme", "direct", "--point", "1,2"),
+])
+def test_input_res_flag_removed(capsys, argv):
+    # crops map straight onto the unit square; there is no input resolution
+    rc, out, err = run_cli(capsys, *argv, "--input-res", "256")
+    assert rc == 2 and out == ""
+    assert "error: unrecognized arguments: --input-res 256" in err
+
+
 class TestSynth:
     def test_table_output_and_determinism(self, capsys):
         args = ("synth", "--samples", "2000", "--seed", "7")
@@ -93,6 +112,20 @@ class TestSynth:
         rc, _, err = run_cli(capsys, "synth", "--schemes", "bicubic")
         assert rc == 2
         assert "bicubic" in err and "direct" in err and "hih" in err
+
+    @pytest.mark.parametrize("flag,value", [("--samples", "1e20"), ("--samples", "1e300"),
+                                            ("--landmarks", "1e20")])
+    def test_oversized_draw_refused(self, capsys, flag, value):
+        # values far beyond any allocator, refused before anything is drawn
+        rc, out, err = run_cli(capsys, "synth", flag, value)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: Monte-Carlo draw of ")
+        assert "exceeds the limit of 16777216 landmarks" in err
+
+    def test_json_config_keys(self, capsys):
+        rc, out, _ = run_cli(capsys, "synth", "--samples", "50", "--format", "json")
+        assert rc == 0
+        assert sorted(json.loads(out)["config"]) == CONFIG_KEYS
 
 
 class TestBenchIdeal:
@@ -151,6 +184,22 @@ class TestBenchIdeal:
                                "--threads", "0")
         assert rc == 2 and out == ""
         assert err.startswith("error: thread count must be positive")
+
+    def test_json_config_keys(self, capsys, data_dir):
+        rc, out, _ = run_cli(capsys, "bench-ideal",
+                             "--dataset", f"json:{data_dir / 'gt68.json'}",
+                             "--format", "json")
+        assert rc == 0
+        assert sorted(json.loads(out)["config"]) == CONFIG_KEYS
+
+    @pytest.mark.parametrize("margin", ["nan", "inf", "-inf", "-0.5"])
+    def test_bad_margin_located(self, capsys, data_dir, margin):
+        rc, out, err = run_cli(capsys, "bench-ideal",
+                               "--dataset", f"json:{data_dir / 'gt68.json'}",
+                               f"--margin={margin}")
+        assert rc == 2 and out == ""
+        assert err == f"error: crop margin must be finite and non-negative, " \
+                      f"got {float(margin)}\n"
 
     def test_bbox_crop_source(self, capsys, data_dir):
         rc, out, _ = run_cli(capsys, "bench-ideal",
@@ -220,6 +269,14 @@ class TestEncodeDecode:
         doc = json.loads(out)
         assert len(doc["points"]) == 98
         assert all(v for v in doc["valid"])
+
+    @pytest.mark.parametrize("margin", ["nan", "inf", "-0.5"])
+    def test_record_bad_margin_located(self, capsys, data_dir, margin):
+        rc, out, err = run_cli(capsys, "encode", "--scheme", "wov",
+                               "--record", str(data_dir / "gt98.json"), f"--margin={margin}")
+        assert rc == 2 and out == ""
+        assert err == f"error: crop margin must be finite and non-negative, " \
+                      f"got {float(margin)}\n"
 
     def test_record_index_out_of_range(self, capsys, data_dir):
         rc, _, err = run_cli(capsys, "encode", "--scheme", "wov",
@@ -552,6 +609,14 @@ class TestConfigFile:
     def test_missing_config_file(self, capsys):
         rc, _, err = run_cli(capsys, "synth", "--config", "/does/not/exist.cfg")
         assert rc == 2
+
+    def test_input_res_key_rejected(self, capsys, tmp_path, data_dir):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("input-res = 256\n")
+        rc, out, err = run_cli(capsys, "bench-ideal", "--config", str(cfg),
+                               "--dataset", f"json:{data_dir / 'gt68.json'}")
+        assert rc == 2 and out == ""
+        assert "error: unrecognized arguments: --input-res 256" in err
 
 
 class TestErrorReporting:

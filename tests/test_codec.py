@@ -594,9 +594,9 @@ class TestSampleRoundtrip:
 
     def test_encode_matches_encode_points(self):
         rec = self._record(seed=43)
-        crop = crop_from_landmarks(rec.landmarks, 0.25, (256, 256))
+        crop = crop_from_landmarks(rec.landmarks, 0.25)
         cfg = cfg_for(Scheme.HIH)
-        t = heatmap_transform(crop, (256, 256), cfg.heatmap_shape)
+        t = heatmap_transform(crop, cfg.heatmap_shape)
         hm = apply_transform(t, rec.landmarks)
         a = encode(rec.landmarks, crop, cfg).to_json()
         b = encode_points(hm.points, cfg, valid=hm.valid).to_json()

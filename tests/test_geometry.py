@@ -119,12 +119,12 @@ class TestApplyTransform:
         np.testing.assert_allclose(out.points, [[65.3, 41.0]], atol=1e-12)
 
     def test_space_tag_updated(self):
-        t = AffineTransform(1.0, (0.0, 0.0), src=Space.RAW, dst=Space.INPUT)
+        t = AffineTransform(1.0, (0.0, 0.0), src=Space.RAW, dst=Space.NORMALIZED)
         out = apply_transform(t, _lms([[1.0, 1.0]], space=Space.RAW))
-        assert out.space == Space.INPUT
+        assert out.space == Space.NORMALIZED
 
     def test_space_mismatch_rejected(self):
-        t = AffineTransform(1.0, (0.0, 0.0), src=Space.INPUT, dst=Space.HEATMAP)
+        t = AffineTransform(1.0, (0.0, 0.0), src=Space.NORMALIZED, dst=Space.HEATMAP)
         with pytest.raises(ConfigError):
             apply_transform(t, _lms([[1.0, 1.0]], space=Space.RAW))
 
@@ -137,65 +137,76 @@ class TestApplyTransform:
 
 
 class TestDownsampleFactor:
+    """Raw pixels per heatmap cell: ``1 / scale`` of a raw -> heatmap map."""
+
     def test_unit_scale(self):
-        assert downsample_factor(AffineTransform(1.0, (0.0, 0.0))) == 4.0
+        assert downsample_factor(AffineTransform(1.0, (0.0, 0.0))) == 1.0
 
     def test_half_scale(self):
-        assert downsample_factor(AffineTransform(0.5, (0.0, 0.0))) == 8.0
+        assert downsample_factor(AffineTransform(0.5, (0.0, 0.0))) == 2.0
 
     def test_double_scale(self):
-        assert downsample_factor(AffineTransform(2.0, (0.0, 0.0))) == 2.0
+        assert downsample_factor(AffineTransform(2.0, (0.0, 0.0))) == 0.5
 
     def test_multiplicative_in_chained_scales(self):
-        # a scale-4 crop onto 256 px, then the 256 -> 128 downscale
-        t = heatmap_transform(AffineTransform(4.0, (0.0, 0.0)), (256, 256), (128, 128))
-        assert downsample_factor(t) == pytest.approx(4.0 / 2.0, rel=1e-12)
+        # a 512 px crop side onto the unit square, then onto a 128-cell grid
+        t = heatmap_transform(AffineTransform(1.0 / 512, (0.0, 0.0)), (128, 128))
+        assert downsample_factor(t) == 512 / 128
 
     def test_batch_gives_one_factor_per_image(self):
-        t = AffineTransform(np.array([1.0, 0.5, 2.0]), np.zeros((3, 2)))
+        t = AffineTransform(np.array([0.25, 0.125, 0.5]), np.zeros((3, 2)))
         np.testing.assert_array_equal(downsample_factor(t), [4.0, 8.0, 2.0])
 
 
 class TestCropFromLandmarks:
     def test_tight_box_no_margin(self):
         s = _lms([[0.0, 0.0], [100.0, 100.0]])
-        t = crop_from_landmarks(s, margin=0.0, target=(256, 256))
-        assert t.scale == pytest.approx(2.56, rel=1e-12)
+        t = crop_from_landmarks(s, margin=0.0)
+        assert t.scale == 1 / 100
+        assert t.dst == Space.NORMALIZED
         np.testing.assert_allclose(t.apply(np.array([[0.0, 0.0], [100.0, 100.0]])),
-                                   [[0.0, 0.0], [256.0, 256.0]], atol=1e-9)
+                                   [[0.0, 0.0], [1.0, 1.0]], atol=1e-12)
 
     def test_margin_quarter(self):
         s = _lms([[0.0, 0.0], [100.0, 100.0]])
-        t = crop_from_landmarks(s, margin=0.25, target=(256, 256))
-        # side 125 -> scale 256/125
-        assert t.scale == pytest.approx(2.048, rel=1e-12)
+        t = crop_from_landmarks(s, margin=0.25)
+        # side 125 -> scale 1/125
+        assert t.scale == 1 / 125
 
     def test_wide_box_uses_max_extent(self):
         s = _lms([[0.0, 0.0], [100.0, 80.0]])
-        t = crop_from_landmarks(s, margin=0.0, target=(256, 256))
-        assert t.scale == pytest.approx(2.56, rel=1e-12)
+        t = crop_from_landmarks(s, margin=0.0)
+        assert t.scale == 1 / 100
 
     def test_landmarks_land_inside_target(self, corpus98):
         for rec in corpus98[:6]:
-            t = crop_from_landmarks(rec.landmarks, 0.25, (256, 256))
+            t = crop_from_landmarks(rec.landmarks, 0.25)
             mapped = t.apply(rec.landmarks.points)
-            assert mapped.min() >= -1e-9
-            assert mapped.max() <= 256 + 1e-9
+            assert mapped.min() >= -1e-12
+            assert mapped.max() <= 1 + 1e-12
 
     def test_degenerate_rejected(self):
         s = _lms([[5.0, 5.0], [5.0, 5.0]])
         with pytest.raises(ConfigError):
-            crop_from_landmarks(s, 0.25, (256, 256))
+            crop_from_landmarks(s, 0.25)
 
     def test_single_valid_point_rejected(self):
         s = _lms([[1.0, 1.0], [9.0, 9.0]], valid=np.array([True, False]))
         with pytest.raises(ConfigError):
-            crop_from_landmarks(s, 0.25, (256, 256))
+            crop_from_landmarks(s, 0.25)
 
     def test_non_square_target_rejected(self):
-        s = _lms([[0.0, 0.0], [10.0, 10.0]])
-        with pytest.raises(ConfigError):
-            crop_from_landmarks(s, 0.25, (256, 128))
+        # the crop is square, so the grid it is scaled onto must be too
+        crop = crop_from_landmarks(_lms([[0.0, 0.0], [10.0, 10.0]]), 0.25)
+        with pytest.raises(ConfigError, match="square"):
+            heatmap_transform(crop, (256, 128))
+
+    @pytest.mark.parametrize("margin", [-0.1, np.nan, np.inf, -np.inf])
+    def test_bad_margin_rejected(self, margin):
+        with pytest.raises(ConfigError, match="crop margin must be finite and non-negative"):
+            crop_from_landmarks(_lms([[0.0, 0.0], [10.0, 10.0]]), margin)
+        with pytest.raises(ConfigError, match="crop margin"):
+            bbox_crops([(0, 0, 10, 10)], margin)
 
 
     def test_batch_flags_degenerate_rows(self, corpus98):
@@ -204,9 +215,9 @@ class TestCropFromLandmarks:
         valid[1, 2:] = False        # two valid points still span a box
         valid[2, 1:] = False        # one valid point does not
         points[3] = points[3, :1]   # every point at one place: no extent
-        crop, ok = landmark_crops(points, valid, 0.25, (256, 256))
+        crop, ok = landmark_crops(points, valid, 0.25)
         assert list(ok) == [True, True, False, False, True]
-        single = crop_from_landmarks(_lms(points[1], valid=valid[1]), 0.25, (256, 256))
+        single = crop_from_landmarks(_lms(points[1], valid=valid[1]), 0.25)
         assert crop.scale[1] == single.scale
         assert np.array_equal(crop.offset[1], single.offset)
 
@@ -214,13 +225,13 @@ class TestCropFromLandmarks:
 class TestCropFromBbox:
     def test_inclusive_span(self):
         t = crop_from_bbox((10, 20, 110, 100), margin=0.0)
-        assert t.scale == pytest.approx(256 / 101, rel=1e-12)
+        assert t.scale == 1 / 101
         np.testing.assert_allclose(t.apply(np.array([60.0, 60.0])),
-                                   [128.0, 128.0], atol=1e-9)
+                                   [0.5, 0.5], atol=1e-12)
 
     def test_exclusive_span(self):
         t = crop_from_bbox((10, 20, 110, 100), margin=0.0, inclusive=False)
-        assert t.scale == pytest.approx(2.56, rel=1e-12)
+        assert t.scale == 1 / 100
 
     def test_bad_box_rejected(self):
         with pytest.raises(ConfigError):
@@ -231,14 +242,14 @@ class TestCropFromBbox:
                  (0, 0, np.inf, 5), (5, 6, 7, 8)]
         crop, ok = bbox_crops(boxes, 0.0)
         assert list(ok) == [True, False, False, False, True]
-        assert crop.scale[0] == pytest.approx(256 / 101, rel=1e-12)
+        assert crop.scale[0] == 1 / 101
 
 
 class TestFaceSampleAndHeatmapTransform:
     """The batch container :class:`FaceBatch` and the raw -> heatmap map."""
 
     def _crop(self):
-        return crop_from_landmarks(_lms([[10.0, 10.0], [110.0, 90.0]]), 0.25, (256, 256))
+        return crop_from_landmarks(_lms([[10.0, 10.0], [110.0, 90.0]]), 0.25)
 
     def _batch(self, crop=None, norm_distance=100.0):
         crop = crop or self._crop()
@@ -249,7 +260,7 @@ class TestFaceSampleAndHeatmapTransform:
 
     def test_defaults(self):
         b = self._batch()
-        assert b.input_size == (256, 256)
+        assert b.crop.dst == Space.NORMALIZED
         assert len(b) == 1
 
     def test_nonpositive_distance_rejected(self):
@@ -259,27 +270,27 @@ class TestFaceSampleAndHeatmapTransform:
     def test_raw_space_required(self):
         crop = self._crop()
         with pytest.raises(ConfigError):
-            self._batch(crop=AffineTransform(crop.scale, crop.offset, src=Space.INPUT))
+            self._batch(crop=AffineTransform(crop.scale, crop.offset,
+                                             src=Space.NORMALIZED))
 
     def test_heatmap_transform_scale(self):
         crop = self._crop()
-        t = heatmap_transform(crop, (256, 256), (64, 64))
-        assert t.scale == pytest.approx(crop.scale / 4.0, rel=1e-12)
-        assert t.dst == Space.HEATMAP
+        t = heatmap_transform(crop, (64, 64))
+        assert t.scale == 64 * crop.scale
+        assert np.array_equal(t.offset, 64 * crop.offset)
+        assert t.src == Space.RAW and t.dst == Space.HEATMAP
 
     def test_heatmap_transform_maps_into_grid(self):
-        t = heatmap_transform(self._crop(), (256, 256), (64, 64))
+        t = heatmap_transform(self._crop(), (64, 64))
         hm = t.apply(np.array([[10.0, 10.0], [110.0, 90.0]]))
         assert hm.min() >= -1e-9
         assert hm.max() <= 64 + 1e-9
 
     def test_anisotropic_heatmap_rejected(self):
         with pytest.raises(ConfigError):
-            heatmap_transform(self._crop(), (256, 256), (64, 32))
+            heatmap_transform(self._crop(), (64, 32))
 
     def test_downsample_factor_through_chain(self):
-        crop = self._crop()
-        t = heatmap_transform(crop, (256, 256), (64, 64))
-        # raw -> heatmap scale equals 1/n for the per-sample factor n
-        n = downsample_factor(crop)
-        assert t.scale == pytest.approx(1.0 / n, rel=1e-12)
+        # raw px per cell is the crop side over the grid side: 125 / 64
+        t = heatmap_transform(self._crop(), (64, 64))
+        assert downsample_factor(t) == pytest.approx(125 / 64, rel=1e-15)

@@ -76,7 +76,7 @@ class TestPointErrors:
     def test_space_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             point_errors(lset([[0, 0]], space=Space.RAW),
-                         lset([[0, 0]], space=Space.INPUT))
+                         lset([[0, 0]], space=Space.HEATMAP))
 
 
 class TestNme:
