@@ -22,7 +22,7 @@ from .geometry import (AffineTransform, FaceBatch, LandmarkSet, Space,
                        downsample_factor, heatmap_transform)
 from .metrics import (DEFAULT_NORM_INDICES, DEFAULT_THRESHOLD, MetricsConfig,
                       PerImageError, ced_auc, ced_points, failure_rate,
-                      format_ced_csv, nme, point_errors, resolve_norm_indices)
+                      format_ced_csv, resolve_norm_indices)
 
 __version__ = "0.1.0"
 
@@ -73,10 +73,8 @@ __all__ = [
     "load_pts_dir",
     "load_pts_file",
     "load_wflw",
-    "nme",
     "parse_pts",
     "parse_wflw_line",
-    "point_errors",
     "resolve_norm_indices",
     "run_ideal",
     "run_montecarlo",

@@ -18,9 +18,9 @@ The ideal mode runs as whole-array passes. :func:`build_samples` stacks the
 records' landmarks as (N, L, 2) and crops them all with one batched kernel
 from :mod:`subpix.geometry` onto the unit square: a per-image scale (N,) and
 offset (N, 2). :func:`run_ideal` scales both onto the heatmap grid, maps
-decoded points back with the reciprocal scale, and computes per-point errors
-and per-image NME with array reductions. Its results are bit-identical to a
-per-image transform chain.
+decoded points back with the reciprocal scale, and scores each scheme with
+one :func:`subpix.metrics.image_errors` call. Its results are bit-identical
+to a per-image transform chain.
 
 Randomness comes from numpy's PCG64 generator seeded from the config, so
 every run with the same config is byte-identical.
@@ -39,8 +39,8 @@ from .errors import ConfigError
 from .geometry import FaceBatch, bbox_crops, check_margin, heatmap_transform, landmark_crops
 from .geometry import crop_from_landmarks  # noqa: F401  timed as geometry.crop by perfbench
 from .metrics import (MetricsConfig, PerImageError, ced_auc, ced_points,
-                      failure_rate, norm_distances, resolve_norm_indices,
-                      threshold_tag)
+                      failure_rate, image_errors, norm_distances,
+                      resolve_norm_indices, threshold_tag)
 
 __all__ = [
     "BenchConfig",
@@ -186,7 +186,6 @@ def run_ideal(records: list[AnnotationRecord], cfg: BenchConfig,
     points = to_heatmap.apply(batch.points).reshape(-1, 2)
     valid = batch.valid.reshape(-1)
     image = np.repeat(np.arange(n), n_landmarks)
-    d = batch.norm_distance
     # canonical sample order: record order must not affect any aggregate,
     # including the last ulp of the mean
     order = np.array(sorted(range(n), key=batch.ids.__getitem__), dtype=np.intp)
@@ -199,18 +198,8 @@ def run_ideal(records: list[AnnotationRecord], cfg: BenchConfig,
         # decode returns coords / dims; mapping back from that normalized
         # form keeps every error bit-equal to the grid path on any grid size
         back_raw = to_raw.apply((coords / dims * dims).reshape(n, n_landmarks, 2))
-        err = np.linalg.norm(back_raw - batch.points, axis=2)
-        finite = np.isfinite(err)
-        whole = finite.all(axis=1)
-        some = finite.any(axis=1)
-        nme = np.empty(n)
-        nme[whole] = np.mean(err[whole], axis=1) / d[whole]
-        # a zero in place of each dropped point would change the sum's last
-        # bits, so partial rows average only their finite points
-        for k in np.flatnonzero(some & ~whole):
-            nme[k] = np.mean(err[k][finite[k]]) / d[k]
-        per_point = err / d[:, None]
-        scored = order[some[order]]
+        per_point, nme = image_errors(batch.points, back_raw, batch.norm_distance)
+        scored = order[~np.isnan(nme[order])]
         if not len(scored):
             raise ConfigError(f"scheme '{scheme.value}' produced no scorable images")
         nmes = nme[scored]
@@ -279,8 +268,6 @@ def _config_echo(cfg: BenchConfig) -> dict:
         "schemes": [s.value for s in cfg.schemes],
         "heatmap_shape": list(c.heatmap_shape),
         "decimal_shape": list(c.decimal_shape),
-        "sigma_integer": c.sigma_integer,
-        "sigma_decimal": c.sigma_decimal,
         "oob_policy": c.oob_policy.value,
         "decimal_overflow": c.decimal_overflow.value,
         "crop_margin": cfg.crop_margin,

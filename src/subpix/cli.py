@@ -34,10 +34,10 @@ from .codec import (SCHEME_ORDER, CodecConfig, DecimalOverflow, EncodedSample,
                     OobPolicy, Scheme, decode as codec_decode, encode, encode_points)
 from .datasets import load_canonical, load_dataset, write_canonical
 from .errors import ConfigError, ParseError
-from .geometry import crop_from_landmarks
+from .geometry import check_margin, crop_from_landmarks
 from .metrics import (MetricsConfig, ced_auc, failure_rate, format_ced_csv,
-                      ced_points, nme, norm_distance, resolve_norm_indices,
-                      threshold_tag)
+                      ced_points, image_errors, norm_distances,
+                      resolve_norm_indices, threshold_tag)
 
 __all__ = ["main", "entry"]
 
@@ -110,11 +110,6 @@ def _add_codec_flags(p: argparse.ArgumentParser) -> None:
                    help="integer grid resolution, square (default 64)")
     p.add_argument("--decimal-res", type=int, default=8, metavar="N",
                    help="hih fractional grid resolution, square (default 8)")
-    p.add_argument("--sigma-integer", type=float, default=1.5, metavar="S",
-                   help="gaussian sigma on the integer grid (default 1.5; "
-                        "1.0 is the usual choice for 68-point annotations)")
-    p.add_argument("--sigma-decimal", type=float, default=1.0, metavar="S",
-                   help="gaussian sigma on the hih fractional grid (default 1.0)")
     p.add_argument("--oob-policy", choices=[p.value for p in OobPolicy],
                    default=OobPolicy.CLAMP.value,
                    help="out-of-grid landmarks: clamp onto the border (and flag) "
@@ -130,8 +125,9 @@ def _codec_config(args, scheme: Scheme = Scheme.DIRECT) -> CodecConfig:
         scheme=scheme,
         heatmap_shape=(args.heatmap_res, args.heatmap_res),
         decimal_shape=(args.decimal_res, args.decimal_res),
-        sigma_integer=args.sigma_integer,
-        sigma_decimal=args.sigma_decimal,
+        # only encode renders a map, so only encode takes the sigmas
+        sigma_integer=getattr(args, "sigma_integer", CodecConfig.sigma_integer),
+        sigma_decimal=getattr(args, "sigma_decimal", CodecConfig.sigma_decimal),
         oob_policy=OobPolicy(args.oob_policy),
         decimal_overflow=DecimalOverflow(args.decimal_overflow),
     )
@@ -211,6 +207,7 @@ def _cmd_encode(args) -> int:
     if bool(args.point) == bool(args.record):
         raise ConfigError("exactly one of --point or --record is required")
     cfg = _codec_config(args, Scheme(args.scheme))
+    check_margin(args.margin)
     if args.point:
         pts = np.array([_parse_point(p) for p in args.point], dtype=np.float64)
         enc = encode_points(pts, cfg)
@@ -295,16 +292,19 @@ def _cmd_metrics(args) -> int:
         norm_indices=_parse_index_pair(args.norm_indices) if args.norm_indices else None,
         threshold=args.threshold)
     pair = resolve_norm_indices(gt_spec.n_landmarks, mcfg)
-    errors = []
-    skipped = 0
-    for rec in gt_records:
-        d = norm_distance(rec.landmarks, pair)
-        if d is None:
-            skipped += 1
-            continue
-        errors.append(nme(rec.landmarks, preds[rec.id].landmarks, d))
-    if not errors:
+    # canonical records hold only finite, valid points; scoring in ground-truth
+    # order keeps the mean's last bits independent of the prediction file's order
+    gt = np.stack([r.landmarks.points for r in gt_records])
+    pred = np.stack([preds[r.id].landmarks.points for r in gt_records])
+    d = norm_distances(gt, pair)
+    scored = ~np.isnan(d)
+    _, errors = image_errors(gt[scored], pred[scored], d[scored])
+    # a prediction far enough out overflows every one of an image's errors
+    if np.isnan(errors).any():
+        raise ConfigError("no valid points to average")
+    if not len(errors):
         raise ConfigError("every record was skipped; nothing to score")
+    skipped = len(gt_records) - len(errors)
     tag = threshold_tag(args.threshold)
     stats = {
         "n_images": len(errors),
@@ -399,6 +399,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_codec_flags(p)
     p.add_argument("--scheme", required=True, choices=[s.value for s in SCHEME_ORDER])
+    p.add_argument("--sigma-integer", type=float, default=1.5, metavar="S",
+                   help="gaussian sigma on the integer grid (default 1.5; "
+                        "1.0 is the usual choice for 68-point annotations)")
+    p.add_argument("--sigma-decimal", type=float, default=1.0, metavar="S",
+                   help="gaussian sigma on the hih fractional grid (default 1.0)")
     p.add_argument("--point", action="append", metavar="X,Y",
                    help="heatmap-space landmark; repeat for several; write a "
                         "negative x as --point=-3,70")

@@ -337,7 +337,7 @@ def load_canonical(source: str | Path) -> tuple[DatasetSpec, list[AnnotationReco
                               field=f"{where}.points", path=str(p))
         try:
             pts = np.array(points, dtype=np.float64)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise SchemaError("coordinates must be numbers",
                               field=f"{where}.points", path=str(p)) from None
         if pts.shape != (n, 2):
@@ -348,11 +348,15 @@ def load_canonical(source: str | Path) -> tuple[DatasetSpec, list[AnnotationReco
                               field=f"{where}.points", path=str(p))
         bbox = entry.get("bbox")
         if bbox is not None:
+            bad_bbox = SchemaError("must be null or [x_min, y_min, x_max, y_max]",
+                                   field=f"{where}.bbox", path=str(p))
             if (not isinstance(bbox, list) or len(bbox) != 4
                     or not all(isinstance(v, (int, float)) for v in bbox)):
-                raise SchemaError("must be null or [x_min, y_min, x_max, y_max]",
-                                  field=f"{where}.bbox", path=str(p))
-            bbox = tuple(float(v) for v in bbox)
+                raise bad_bbox
+            try:
+                bbox = tuple(float(v) for v in bbox)
+            except OverflowError:  # an integer past the float range
+                raise bad_bbox from None
         attrs = entry.get("attributes")
         attributes = None
         if attrs is not None:

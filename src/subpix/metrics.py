@@ -3,7 +3,11 @@
 The per-image error is the mean euclidean landmark error divided by a
 per-image normalization distance (commonly the outer-eye-corner
 distance), kept as a plain fraction internally. Multiplying by 100 is a
-presentation concern and happens only at the reporting boundary.
+presentation concern and happens only at the reporting boundary. One
+batched kernel computes it: :func:`norm_distances` gives the (N,)
+distances of an (N, L, 2) point stack, and :func:`image_errors` the (N, L)
+normalized per-point errors and the (N,) per-image NME of a prediction
+stack against it. ``bench-ideal`` and ``metrics`` both score through them.
 
 The cumulative error distribution (CED) over a set of images is an exact
 right-continuous step function of the per-image errors, and its area
@@ -18,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import LandmarkSet
 
 __all__ = [
     "DEFAULT_THRESHOLD",
@@ -27,9 +30,7 @@ __all__ = [
     "PerImageError",
     "resolve_norm_indices",
     "norm_distances",
-    "norm_distance",
-    "point_errors",
-    "nme",
+    "image_errors",
     "ced_auc",
     "failure_rate",
     "ced_points",
@@ -105,45 +106,35 @@ def norm_distances(points: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
     return np.where(np.isfinite(d) & (d > 0), d, np.nan)
 
 
-def norm_distance(landmarks: LandmarkSet, pair: tuple[int, int]) -> float | None:
-    """One image's :func:`norm_distances` value, or None if unusable."""
-    d = float(norm_distances(landmarks.points[None], pair)[0])
-    return None if np.isnan(d) else d
-
-
 @dataclass(frozen=True, eq=False)
 class PerImageError:
     """One image's normalized error and its per-point breakdown."""
 
     id: str
     nme: float
-    per_point: np.ndarray  # (N,) normalized per-point errors, NaN where invalid
+    per_point: np.ndarray  # (L,) normalized per-point errors, non-finite where unscored
 
 
-def point_errors(gt: LandmarkSet, pred: LandmarkSet) -> np.ndarray:
-    """Euclidean per-point distances; NaN where either side is invalid."""
-    if len(gt) != len(pred):
-        raise ConfigError(f"landmark counts differ: {len(gt)} vs {len(pred)}")
-    if gt.space != pred.space:
-        raise ConfigError(
-            f"landmark spaces differ: '{gt.space.value}' vs '{pred.space.value}'")
-    both = gt.valid & pred.valid
-    err = np.linalg.norm(gt.points - pred.points, axis=1)
-    return np.where(both, err, np.nan)
+def image_errors(gt: np.ndarray, pred: np.ndarray,
+                 norm_distance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized per-point errors and per-image NME of a batch.
 
-
-def nme(gt: LandmarkSet, pred: LandmarkSet, norm_distance: float) -> float:
-    """Mean per-point error divided by the normalization distance.
-
-    Returned as a fraction. Invalid points reduce the point count.
+    ``gt`` and ``pred`` are (N, L, 2) stacks and ``norm_distance`` is (N,).
+    Returns the (N, L) euclidean per-point errors divided by each image's
+    distance, and the (N,) per-image NME, both as fractions. A point whose
+    error is not finite (a non-finite coordinate on either side) is not
+    scored; an image with no scored point gets NaN.
     """
-    if not (np.isfinite(norm_distance) and norm_distance > 0):
-        raise ConfigError(f"normalization distance must be positive, got {norm_distance}")
-    err = point_errors(gt, pred)
-    keep = np.isfinite(err)
-    if not np.any(keep):
-        raise ConfigError("no valid points to average")
-    return float(np.mean(err[keep]) / norm_distance)
+    err = np.linalg.norm(pred - gt, axis=2)
+    finite = np.isfinite(err)
+    whole = finite.all(axis=1)
+    nme = np.full(len(err), np.nan)
+    nme[whole] = np.mean(err[whole], axis=1) / norm_distance[whole]
+    # a zero in place of each dropped point would change the sum's last
+    # bits, so partial rows average only their finite points
+    for k in np.flatnonzero(finite.any(axis=1) & ~whole):
+        nme[k] = np.mean(err[k][finite[k]]) / norm_distance[k]
+    return err / norm_distance[:, None], nme
 
 
 def _check_errors(errors, threshold: float) -> np.ndarray:

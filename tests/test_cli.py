@@ -40,6 +40,28 @@ def data_dir(tmp_path_factory, corpus98, corpus68):
     return d
 
 
+def noisy_metrics_files(directory: Path, records, seed: int) -> tuple[Path, Path]:
+    """Ground truth with one unscorable record inserted, and noisy predictions.
+
+    The inserted record's normalization pair coincides, so it is skipped.
+    Each prediction is its record plus gaussian noise of a per-record width,
+    and the prediction file lists the records in shuffled order.
+    """
+    n_landmarks = len(records[0].landmarks)
+    flat = AnnotationRecord(id="flat", image_path="flat.png",
+                            landmarks=LandmarkSet(np.ones((n_landmarks, 2)), space=Space.RAW))
+    gt = records[:len(records) // 2] + [flat] + records[len(records) // 2:]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    pred = [AnnotationRecord(id=rec.id, image_path=rec.image_path,
+                             landmarks=LandmarkSet(rec.landmarks.points + rng.normal(
+                                 0.0, rng.uniform(1.0, 12.0), size=(n_landmarks, 2))))
+            for rec in gt]
+    pred = [pred[k] for k in rng.permutation(len(pred))]
+    write_canonical(directory / "gt.json", gt, dataset="noisy")
+    write_canonical(directory / "pred.json", pred, dataset="noisy")
+    return directory / "gt.json", directory / "pred.json"
+
+
 def shifted_copy(records, fractions) -> list[AnnotationRecord]:
     """Predictions displaced along x by ``fraction * norm_distance``."""
     out = []
@@ -55,8 +77,7 @@ def shifted_copy(records, fractions) -> list[AnnotationRecord]:
 # every key of the ``config`` object in bench-ideal and synth JSON reports
 CONFIG_KEYS = ["bbox_inclusive", "crop_margin", "crop_source", "decimal_overflow",
                "decimal_shape", "heatmap_shape", "mc_landmarks", "mc_n", "mc_samples",
-               "oob_policy", "schemes", "seed", "sigma_decimal", "sigma_integer",
-               "threshold"]
+               "oob_policy", "schemes", "seed", "threshold"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -69,6 +90,17 @@ def test_input_res_flag_removed(capsys, argv):
     rc, out, err = run_cli(capsys, *argv, "--input-res", "256")
     assert rc == 2 and out == ""
     assert "error: unrecognized arguments: --input-res 256" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bench-ideal", "--dataset", "json:unused.json", "--sigma-integer", "1"),
+    ("synth", "--sigma-decimal", "1"),
+])
+def test_sigma_flags_only_on_encode(capsys, argv):
+    # neither command renders a map, so no sigma can change its result
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert f"error: unrecognized arguments: {argv[-2]} 1" in err
 
 
 class TestSynth:
@@ -278,6 +310,13 @@ class TestEncodeDecode:
         assert err == f"error: crop margin must be finite and non-negative, " \
                       f"got {float(margin)}\n"
 
+    def test_point_bad_margin_located(self, capsys):
+        # the margin is checked even where only --record would read it
+        rc, out, err = run_cli(capsys, "encode", "--scheme", "direct", "--point", "1,2",
+                               "--margin", "nan")
+        assert rc == 2 and out == ""
+        assert err == "error: crop margin must be finite and non-negative, got nan\n"
+
     def test_record_index_out_of_range(self, capsys, data_dir):
         rc, _, err = run_cli(capsys, "encode", "--scheme", "wov",
                              "--record", str(data_dir / "gt98.json"),
@@ -438,7 +477,21 @@ class TestPayloadFuzz:
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
 
 
+# frozen `metrics` stdout per format, and the --ced-out file, on
+# noisy_metrics_files(corpus68, seed=5) at threshold 0.08
+GOLDEN_METRICS = json.loads((Path(__file__).parent / "golden_metrics.json").read_text())
+
+
 class TestMetrics:
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_output_bytes_frozen(self, capsys, tmp_path, corpus68, fmt):
+        gt, pred = noisy_metrics_files(tmp_path, corpus68, seed=5)
+        ced = tmp_path / "ced.csv"
+        got = run_cli(capsys, "metrics", "--gt", str(gt), "--pred", str(pred),
+                      "--threshold", "0.08", "--format", fmt, "--ced-out", str(ced))
+        assert got == (0, GOLDEN_METRICS[fmt], "")
+        assert ced.read_text() == GOLDEN_METRICS["ced"]
+
     def test_perfect_predictions(self, capsys, data_dir, tmp_path):
         rc, out, _ = run_cli(capsys, "metrics", "--gt", str(data_dir / "gt68.json"),
                              "--pred", str(data_dir / "gt68.json"))
@@ -517,6 +570,74 @@ class TestMetrics:
                            "--ced-out", str(target))
         assert rc == 0
         assert target.read_text().startswith("nme_threshold,fraction\n")
+
+
+_CANONICAL_GT = {"dataset": "d", "n_landmarks": 3, "records": [
+    {"id": "a", "image_path": "a.png", "points": [[0.0, 0.0], [10.0, 0.0], [4.0, 6.0]],
+     "bbox": [0.0, 0.0, 10.0, 6.0], "attributes": {"pose": True}},
+    {"id": "b", "image_path": "b.png", "points": [[1.0, 2.0], [9.0, 3.0], [5.0, 7.5]],
+     "bbox": None, "attributes": None},
+]}
+_CANONICAL_PRED = {**_CANONICAL_GT, "records": [
+    {**rec, "points": [[x + 0.5, y - 0.25] for x, y in rec["points"]]}
+    for rec in _CANONICAL_GT["records"]]}
+_RECORD_FIELDS = sorted({k for r in _CANONICAL_GT["records"] for k in r} | {"extra"})
+_TOP_FIELDS = sorted(set(_CANONICAL_GT) | {"extra"})
+# coordinates include ones past the float range and ones that overflow once squared
+_coord = (st.floats(-100.0, 100.0) | st.integers(-3, 100)
+          | st.sampled_from([float("nan"), float("inf"), 1e200, -1e300, 10 ** 400]))
+_record_values = (_json_values | st.sampled_from([10 ** 400, -10 ** 400])
+                  | st.lists(st.lists(_coord, min_size=2, max_size=2), min_size=3, max_size=3))
+
+
+def _metrics_text(gt: dict, pred: dict, directory: Path) -> tuple[int, str, str]:
+    (directory / "gt.json").write_text(json.dumps(gt))
+    (directory / "pred.json").write_text(json.dumps(pred))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["metrics", "--gt", str(directory / "gt.json"),
+                   "--pred", str(directory / "pred.json"), "--norm-indices", "0,1"])
+    return rc, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("metrics_fuzz")
+
+
+class TestMetricsFuzz:
+    """Any field of one canonical record, or any top-level key, replaced by
+    any JSON (NaN and Infinity literals included) or dropped: exit 0, or
+    exit 2 with one located ``error:`` line; never exit 1 or a traceback."""
+
+    # coordinates that overflow once squared make numpy warn, and score as unusable
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @given(in_pred=st.booleans(), top=st.booleans(),
+           record_field=st.sampled_from(_RECORD_FIELDS), top_field=st.sampled_from(_TOP_FIELDS),
+           value=_record_values | st.just(_DROP))
+    @example(in_pred=False, top=False, record_field="points", top_field="dataset",
+             value=[[10 ** 400, 0], [1, 2], [3, 4]])
+    @example(in_pred=False, top=False, record_field="bbox", top_field="dataset",
+             value=[0, 0, 10 ** 400, 1])
+    @example(in_pred=True, top=False, record_field="points", top_field="dataset",
+             value=[[1e200, 1e200], [1e200, 1e200], [1e200, 1e200]])
+    @settings(max_examples=300, deadline=None)
+    def test_metrics_fails_cleanly(self, fuzz_dir, in_pred, top, record_field, top_field,
+                                   value):
+        docs = {False: json.loads(json.dumps(_CANONICAL_GT)),
+                True: json.loads(json.dumps(_CANONICAL_PRED))}
+        target = docs[in_pred] if top else docs[in_pred]["records"][0]
+        field = top_field if top else record_field
+        if value is _DROP:
+            target.pop(field, None)
+        else:
+            target[field] = value
+        rc, out, err = _metrics_text(docs[False], docs[True], fuzz_dir)
+        assert rc in (0, 2), err
+        if rc == 0:
+            assert err == "" and out.endswith("\n")
+        else:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestConvert:

@@ -1,5 +1,8 @@
 """Metrics tests: per-point errors, NME, exact step-function CED statistics.
 
+The batched NME kernel is checked against the per-image rule it replaced,
+``np.mean(err[keep]) / d`` on one 1-D row at a time, with exact equality.
+
 Primary oracle for the AUC is the closed form
 
     auc(errors, t) = 1 - mean(min(e, t)) / t
@@ -17,11 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subpix.errors import ConfigError
-from subpix.geometry import LandmarkSet, Space
 from subpix.metrics import (DEFAULT_NORM_INDICES, MetricsConfig,
                             ced_auc, ced_points, failure_rate,
-                            format_ced_csv, nme, norm_distance, norm_distances,
-                            point_errors, resolve_norm_indices)
+                            format_ced_csv, image_errors, norm_distances,
+                            resolve_norm_indices)
 
 
 def walked_auc(errors, t: float) -> float:
@@ -49,62 +51,76 @@ def rectangle_auc(errors, t: float, steps: int = 200_000) -> float:
     return float(cdf.mean())
 
 
-def lset(points, valid=None, space=Space.RAW) -> LandmarkSet:
-    return LandmarkSet(points=np.asarray(points, dtype=np.float64),
-                       space=space, valid=valid)
+def one_image(gt, pred, d: float) -> tuple[np.ndarray, float]:
+    """:func:`image_errors` of a single image: its per-point errors and NME."""
+    per_point, nme = image_errors(np.asarray(gt, dtype=np.float64)[None],
+                                  np.asarray(pred, dtype=np.float64)[None],
+                                  np.array([d]))
+    return per_point[0], float(nme[0])
+
+
+def per_image_nme(gt: np.ndarray, pred: np.ndarray, d: float) -> float:
+    """The per-image rule, one 1-D row at a time: the differential oracle."""
+    err = np.linalg.norm(gt - pred, axis=1)
+    keep = np.isfinite(err)
+    return float(np.mean(err[keep]) / d) if np.any(keep) else np.nan
 
 
 class TestPointErrors:
     def test_euclidean_distances(self):
-        gt = lset([[0.0, 0.0], [10.0, 10.0]])
-        pred = lset([[3.0, 4.0], [10.0, 10.0]])
-        np.testing.assert_allclose(point_errors(gt, pred), [5.0, 0.0])
+        per_point, _ = one_image([[0.0, 0.0], [10.0, 10.0]], [[3.0, 4.0], [10.0, 10.0]], 1.0)
+        np.testing.assert_allclose(per_point, [5.0, 0.0])
 
     def test_invalid_on_either_side_is_nan(self):
-        gt = lset([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]],
-                  valid=np.array([True, False, True]))
-        pred = lset([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]],
-                    valid=np.array([True, True, False]))
-        err = point_errors(gt, pred)
-        assert err[0] == 0.0
-        assert np.isnan(err[1]) and np.isnan(err[2])
-
-    def test_count_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            point_errors(lset([[0, 0], [1, 1]]), lset([[0, 0]]))
-
-    def test_space_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            point_errors(lset([[0, 0]], space=Space.RAW),
-                         lset([[0, 0]], space=Space.HEATMAP))
+        gt = [[0.0, 0.0], [np.nan, np.nan], [2.0, 2.0]]
+        pred = [[0.0, 0.0], [1.0, 1.0], [np.nan, np.nan]]
+        per_point, _ = one_image(gt, pred, 10.0)
+        assert per_point[0] == 0.0
+        assert np.isnan(per_point[1]) and np.isnan(per_point[2])
 
 
 class TestNme:
     def test_two_pixel_error_over_fifty(self):
-        gt = lset([[100.0, 100.0]])
-        pred = lset([[102.0, 100.0]])
-        assert nme(gt, pred, 50.0) == pytest.approx(0.04, abs=1e-15)
+        _, nme = one_image([[100.0, 100.0]], [[102.0, 100.0]], 50.0)
+        assert nme == pytest.approx(0.04, abs=1e-15)
 
     def test_mean_over_points(self):
-        gt = lset([[0.0, 0.0], [10.0, 0.0]])
-        pred = lset([[3.0, 4.0], [10.0, 0.0]])
-        assert nme(gt, pred, 10.0) == pytest.approx(0.25, abs=1e-15)
+        _, nme = one_image([[0.0, 0.0], [10.0, 0.0]], [[3.0, 4.0], [10.0, 0.0]], 10.0)
+        assert nme == pytest.approx(0.25, abs=1e-15)
 
     def test_invalid_points_reduce_count(self):
-        gt = lset([[0.0, 0.0], [10.0, 0.0]], valid=np.array([True, False]))
-        pred = lset([[3.0, 4.0], [99.0, 99.0]])
-        assert nme(gt, pred, 10.0) == pytest.approx(0.5, abs=1e-15)
+        _, nme = one_image([[0.0, 0.0], [np.nan, np.nan]], [[3.0, 4.0], [99.0, 99.0]], 10.0)
+        assert nme == pytest.approx(0.5, abs=1e-15)
 
     def test_no_valid_points_rejected(self):
-        gt = lset([[0.0, 0.0]], valid=np.array([False]))
-        with pytest.raises(ConfigError):
-            nme(gt, lset([[0.0, 0.0]]), 10.0)
+        # an image with no scored point is left out of scoring as NaN
+        _, nme = one_image([[np.nan, np.nan]], [[0.0, 0.0]], 10.0)
+        assert np.isnan(nme)
 
-    def test_bad_norm_distance_rejected(self):
-        gt = lset([[0.0, 0.0]])
-        for d in (0.0, -1.0, np.nan, np.inf):
-            with pytest.raises(ConfigError):
-                nme(gt, gt, d)
+    @given(st.sampled_from([1, 2, 68, 98, 129, 200]),
+           st.lists(st.sampled_from(["whole", "partial", "empty"]), min_size=1, max_size=6),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_per_image_rule(self, n_landmarks, rows, seed):
+        # rows longer than 128 points cross numpy's pairwise-summation block
+        rng = np.random.Generator(np.random.PCG64(seed))
+        gt = rng.uniform(0.0, 500.0, size=(len(rows), n_landmarks, 2))
+        pred = gt + rng.normal(0.0, 3.0, size=gt.shape)
+        d = rng.uniform(1.0, 300.0, size=len(rows))
+        for k, kind in enumerate(rows):
+            if kind == "whole":
+                continue
+            drop = (rng.random(n_landmarks) < 0.3 if kind == "partial"
+                    else np.ones(n_landmarks, dtype=bool))
+            side = rng.random(n_landmarks) < 0.5
+            gt[k, drop & side, rng.integers(0, 2)] = np.nan
+            pred[k, drop & ~side] = rng.choice([np.nan, np.inf, -np.inf])
+        per_point, nme = image_errors(gt, pred, d)
+        want = [per_image_nme(gt[k], pred[k], d[k]) for k in range(len(rows))]
+        assert np.array_equal(nme, want, equal_nan=True)
+        for k in range(len(rows)):
+            assert np.array_equal(per_point[k], np.linalg.norm(gt[k] - pred[k], axis=1) / d[k],
+                                  equal_nan=True)
 
 
 class TestNormIndices:
@@ -129,11 +145,10 @@ class TestNormIndices:
             resolve_norm_indices(68, MetricsConfig(norm_indices=(36, 70)))
 
     def test_norm_distance_and_unusable_pairs(self):
-        pts = [[0.0, 0.0], [3.0, 4.0], [3.0, 4.0], [np.nan, np.nan]]
-        lms = lset(pts, valid=[True, True, True, False])
-        assert norm_distance(lms, (0, 1)) == 5.0
-        assert norm_distance(lms, (1, 2)) is None   # coincident points
-        assert norm_distance(lms, (0, 3)) is None   # invalid, non-finite point
+        pts = np.array([[[0.0, 0.0], [3.0, 4.0], [3.0, 4.0], [np.nan, np.nan]]])
+        assert norm_distances(pts, (0, 1)).tolist() == [5.0]
+        assert np.isnan(norm_distances(pts, (1, 2))).all()   # coincident points
+        assert np.isnan(norm_distances(pts, (0, 3))).all()   # non-finite point
 
     def test_batched_distances_equal_single_vector_norm(self):
         # every NME is divided by this distance, so the batch must keep the
