@@ -28,6 +28,7 @@ every run with the same config is byte-identical.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -51,6 +52,10 @@ __all__ = [
     "run_ideal",
     "run_montecarlo",
     "emit_report",
+    "Column",
+    "SCORE_COLUMNS",
+    "score_values",
+    "format_report",
 ]
 
 # Monte-Carlo draws are held in memory at about 215 bytes per landmark over
@@ -217,9 +222,11 @@ def run_ideal(records: list[AnnotationRecord], cfg: BenchConfig,
                                      per_point=per_point[k]) for k in scored],
         ))
     rows.sort(key=lambda r: SCHEME_ORDER.index(r.scheme))
+    config = _config_echo(cfg, oob_policy=cfg.codec.oob_policy.value, threshold=threshold,
+                          crop_margin=cfg.crop_margin, crop_source=cfg.crop_source,
+                          bbox_inclusive=cfg.bbox_inclusive)
     return BenchReport(mode="ideal", dataset=dataset_name, n_images=n,
-                       skipped=skipped, threshold=threshold,
-                       config=_config_echo(cfg), rows=rows)
+                       skipped=skipped, threshold=threshold, config=config, rows=rows)
 
 
 def run_montecarlo(cfg: BenchConfig) -> BenchReport:
@@ -259,115 +266,104 @@ def run_montecarlo(cfg: BenchConfig) -> BenchReport:
     return BenchReport(mode="montecarlo", dataset="synthetic-uniform",
                        n_images=cfg.mc_samples, skipped=0,
                        threshold=cfg.metrics.threshold,
-                       config=_config_echo(cfg), rows=rows)
+                       config=_config_echo(cfg, seed=cfg.seed, mc_samples=cfg.mc_samples,
+                                           mc_landmarks=cfg.mc_landmarks, mc_n=cfg.mc_n),
+                       rows=rows)
 
 
-def _config_echo(cfg: BenchConfig) -> dict:
+def _config_echo(cfg: BenchConfig, **settings) -> dict:
+    """The codec settings both modes read, then the mode's own ``settings``."""
     c = cfg.codec
-    return {
-        "schemes": [s.value for s in cfg.schemes],
-        "heatmap_shape": list(c.heatmap_shape),
-        "decimal_shape": list(c.decimal_shape),
-        "oob_policy": c.oob_policy.value,
-        "decimal_overflow": c.decimal_overflow.value,
-        "crop_margin": cfg.crop_margin,
-        "crop_source": cfg.crop_source,
-        "bbox_inclusive": cfg.bbox_inclusive,
-        "threshold": cfg.metrics.threshold,
-        "seed": cfg.seed,
-        "mc_samples": cfg.mc_samples,
-        "mc_landmarks": cfg.mc_landmarks,
-        "mc_n": cfg.mc_n,
-    }
+    return {"schemes": [s.value for s in cfg.schemes], "heatmap_shape": list(c.heatmap_shape),
+            "decimal_shape": list(c.decimal_shape),
+            "decimal_overflow": c.decimal_overflow.value, **settings}
 
 
 # -- report formatting ----------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Column:
+    """One report column: JSON key, CSV header, table header and width, decimals.
+
+    Headers may hold ``{tag}``, the threshold in percent; a column with no
+    table header is CSV and JSON only. ``decimals`` None prints the value as
+    is (a count or a name). A None value prints ``-`` in a table, nothing in CSV.
+    """
+
+    key: str
+    csv: str
+    head: str | None = None
+    width: int = 0
+    decimals: int | None = None
+    align: str = ">"
+
+    def cell(self, value, table: bool) -> str:
+        if value is None:
+            text = "-" if table else ""
+        else:
+            text = f"{value}" if self.decimals is None else f"{value:.{self.decimals}f}"
+        return f"{text:{self.align}{self.width}}" if table else text
+
+
+#: NME, AUC and failure rate of a set of per-image errors, in every score report
+SCORE_COLUMNS = (Column("nme_percent", "nme_percent", "nme%", 10, 3),
+                 Column("auc", "auc{tag}", "auc{tag}", 10, 3),
+                 Column("failure_rate_percent", "fr{tag}_percent", "fr%@{tag}", 10, 3))
+_SCHEME = Column("scheme", "scheme", "scheme", 8, align="<")
+_CONFLICTS = Column("conflicts", "conflicts", "conflicts", 11)
+_IDEAL_COLUMNS = (_SCHEME, *SCORE_COLUMNS, _CONFLICTS,
+                  Column("clamped_points", "clamped_points", "clamped", 9),
+                  Column("n_images", "n_images", "images", 8))
+_MONTECARLO_COLUMNS = (_SCHEME, Column("mean_px_error", "mean_px_error", "mean_px_err", 13, 6),
+                       Column("px_error_se", "px_error_se", "std_err", 11, 6),
+                       Column("analytic_px_error", "analytic_px_error", "analytic", 11, 6),
+                       _CONFLICTS, Column("n_images", "n_samples", "samples", 10))
+
+
+def score_values(nme: float, auc: float, fr: float) -> dict:
+    """The :data:`SCORE_COLUMNS` values of an NME, AUC and failure rate (fractions)."""
+    return {"nme_percent": 100 * nme, "auc": auc, "failure_rate_percent": 100 * fr}
+
+
+def format_report(fmt: str, columns: tuple[Column, ...], rows: list[dict], threshold: float,
+                  title: str, doc: dict) -> str:
+    """Rows (dicts by column key) as a table under ``title`` or as CSV, or ``doc`` as JSON."""
+    tag = threshold_tag(threshold)
+    if fmt == "json":
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    if fmt == "csv":
+        lines = [",".join(c.csv.format(tag=tag) for c in columns)]
+        lines += [",".join(c.cell(row[c.key], table=False) for c in columns) for row in rows]
+    elif fmt == "table":
+        shown = [c for c in columns if c.head]
+        lines = [title, "".join(f"{c.head.format(tag=tag):{c.align}{c.width}}" for c in shown)]
+        lines += ["".join(c.cell(row[c.key], table=True) for c in shown) for row in rows]
+    else:
+        raise ConfigError(f"unknown report format {fmt!r} (expected table, csv, or json)")
+    return "\n".join(lines) + "\n"
+
+
+def _report_rows(report: BenchReport) -> tuple[tuple[Column, ...], list[dict]]:
+    """The report's columns and each scheme's row: the one place the modes differ."""
+    rows = [{"scheme": r.scheme.value, "n_images": r.n_images, "conflicts": r.conflicts,
+             "clamped_points": r.clamped_points} for r in report.rows]
+    if report.mode == "ideal":
+        for row, r in zip(rows, report.rows):
+            row |= score_values(r.nme, r.auc, r.fr) | {"ced": [[x, f] for x, f in r.ced]}
+        return _IDEAL_COLUMNS, rows
+    for row, r in zip(rows, report.rows):
+        row |= {"mean_px_error": r.mean_px_error, "px_error_se": r.px_error_se,
+                "analytic_px_error": r.analytic_px_error}
+    return _MONTECARLO_COLUMNS, rows
+
+
 def emit_report(report: BenchReport, fmt: str = "table") -> str:
     """Render a report as an aligned table, CSV, or JSON; all deterministic."""
-    if fmt == "table":
-        return _emit_table(report)
-    if fmt == "csv":
-        return _emit_csv(report)
-    if fmt == "json":
-        return _emit_json(report)
-    raise ConfigError(f"unknown report format {fmt!r} (expected table, csv, or json)")
-
-
-def _emit_table(report: BenchReport) -> str:
-    tag = threshold_tag(report.threshold)
-    lines = [
-        f"mode={report.mode} dataset={report.dataset} "
-        f"images={report.n_images} skipped={report.skipped}"
-    ]
-    if report.mode == "ideal":
-        lines.append(f"{'scheme':<8}{'nme%':>10}{'auc' + tag:>10}"
-                     f"{'fr%@' + tag:>10}{'conflicts':>11}{'clamped':>9}{'images':>8}")
-        for r in report.rows:
-            lines.append(f"{r.scheme.value:<8}{100 * r.nme:>10.3f}{r.auc:>10.3f}"
-                         f"{100 * r.fr:>10.3f}{r.conflicts:>11d}"
-                         f"{r.clamped_points:>9d}{r.n_images:>8d}")
-    else:
-        lines.append(f"{'scheme':<8}{'mean_px_err':>13}{'std_err':>11}"
-                     f"{'analytic':>11}{'conflicts':>11}{'samples':>10}")
-        for r in report.rows:
-            analytic = f"{r.analytic_px_error:>11.6f}" if r.analytic_px_error is not None \
-                else f"{'-':>11}"
-            lines.append(f"{r.scheme.value:<8}{r.mean_px_error:>13.6f}"
-                         f"{r.px_error_se:>11.6f}{analytic}"
-                         f"{r.conflicts:>11d}{r.n_images:>10d}")
-    return "\n".join(lines) + "\n"
-
-
-def _emit_csv(report: BenchReport) -> str:
-    tag = threshold_tag(report.threshold)
-    if report.mode == "ideal":
-        lines = [f"scheme,nme_percent,auc{tag},fr{tag}_percent,conflicts,"
-                 f"clamped_points,n_images"]
-        for r in report.rows:
-            lines.append(f"{r.scheme.value},{100 * r.nme:.3f},{r.auc:.3f},"
-                         f"{100 * r.fr:.3f},{r.conflicts},{r.clamped_points},{r.n_images}")
-    else:
-        lines = ["scheme,mean_px_error,px_error_se,analytic_px_error,conflicts,n_samples"]
-        for r in report.rows:
-            analytic = f"{r.analytic_px_error:.6f}" if r.analytic_px_error is not None else ""
-            lines.append(f"{r.scheme.value},{r.mean_px_error:.6f},{r.px_error_se:.6f},"
-                         f"{analytic},{r.conflicts},{r.n_images}")
-    return "\n".join(lines) + "\n"
-
-
-def _emit_json(report: BenchReport) -> str:
-    import json
-
-    doc = {
-        "mode": report.mode,
-        "dataset": report.dataset,
-        "n_images": report.n_images,
-        "skipped": report.skipped,
-        "threshold": report.threshold,
-        "config": report.config,
-        "rows": [],
-    }
-    for r in report.rows:
-        row = {
-            "scheme": r.scheme.value,
-            "n_images": r.n_images,
-            "conflicts": r.conflicts,
-            "clamped_points": r.clamped_points,
-        }
-        if report.mode == "ideal":
-            row.update({
-                "nme_percent": 100 * r.nme,
-                "auc": r.auc,
-                "failure_rate_percent": 100 * r.fr,
-                "ced": [[x, f] for x, f in r.ced],
-            })
-        else:
-            row.update({
-                "mean_px_error": r.mean_px_error,
-                "px_error_se": r.px_error_se,
-                "analytic_px_error": r.analytic_px_error,
-            })
-        doc["rows"].append(row)
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    columns, rows = _report_rows(report)
+    doc = {"mode": report.mode, "dataset": report.dataset, "n_images": report.n_images,
+           "skipped": report.skipped, "threshold": report.threshold,
+           "config": report.config, "rows": rows}
+    title = (f"mode={report.mode} dataset={report.dataset} "
+             f"images={report.n_images} skipped={report.skipped}")
+    return format_report(fmt, columns, rows, report.threshold, title, doc)

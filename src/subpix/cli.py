@@ -29,15 +29,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import BenchConfig, emit_report, run_ideal, run_montecarlo
+from .bench import (SCORE_COLUMNS, BenchConfig, Column, emit_report, format_report,
+                    run_ideal, run_montecarlo, score_values)
 from .codec import (SCHEME_ORDER, CodecConfig, DecimalOverflow, EncodedSample,
                     OobPolicy, Scheme, decode as codec_decode, encode, encode_points)
 from .datasets import load_canonical, load_dataset, write_canonical
 from .errors import ConfigError, ParseError
 from .geometry import check_margin, crop_from_landmarks
-from .metrics import (MetricsConfig, ced_auc, failure_rate, format_ced_csv,
-                      ced_points, image_errors, norm_distances,
-                      resolve_norm_indices, threshold_tag)
+from .metrics import (MetricsConfig, ced_auc, ced_points, failure_rate, format_ced_csv,
+                      image_errors, norm_distances, resolve_norm_indices)
 
 __all__ = ["main", "entry"]
 
@@ -110,14 +110,18 @@ def _add_codec_flags(p: argparse.ArgumentParser) -> None:
                    help="integer grid resolution, square (default 64)")
     p.add_argument("--decimal-res", type=int, default=8, metavar="N",
                    help="hih fractional grid resolution, square (default 8)")
-    p.add_argument("--oob-policy", choices=[p.value for p in OobPolicy],
-                   default=OobPolicy.CLAMP.value,
-                   help="out-of-grid landmarks: clamp onto the border (and flag) "
-                        "or drop from scoring (default clamp)")
     p.add_argument("--decimal-overflow", choices=[d.value for d in DecimalOverflow],
                    default=DecimalOverflow.CARRY.value,
                    help="hih fractions that round to 1: carry into the next cell "
                         "(exact rounding, default) or clamp to the last step")
+
+
+def _add_oob_policy(p: argparse.ArgumentParser) -> None:
+    # synth draws every point inside the grid, so only bench-ideal and encode take it
+    p.add_argument("--oob-policy", choices=[p.value for p in OobPolicy],
+                   default=OobPolicy.CLAMP.value,
+                   help="out-of-grid landmarks: clamp onto the border (and flag) "
+                        "or drop from scoring (default clamp)")
 
 
 def _codec_config(args, scheme: Scheme = Scheme.DIRECT) -> CodecConfig:
@@ -128,7 +132,7 @@ def _codec_config(args, scheme: Scheme = Scheme.DIRECT) -> CodecConfig:
         # only encode renders a map, so only encode takes the sigmas
         sigma_integer=getattr(args, "sigma_integer", CodecConfig.sigma_integer),
         sigma_decimal=getattr(args, "sigma_decimal", CodecConfig.sigma_decimal),
-        oob_policy=OobPolicy(args.oob_policy),
+        oob_policy=getattr(args, "oob_policy", CodecConfig.oob_policy),
         decimal_overflow=DecimalOverflow(args.decimal_overflow),
     )
 
@@ -184,8 +188,7 @@ def _cmd_bench_ideal(args) -> int:
     _write_out(emit_report(report, args.format), args.out)
     if args.ced_out:
         for row in report.rows:
-            path = Path(f"{args.ced_out}{row.scheme.value}.csv")
-            path.write_text(format_ced_csv(row.ced))
+            Path(f"{args.ced_out}{row.scheme.value}.csv").write_text(format_ced_csv(row.ced))
     return 0
 
 
@@ -297,34 +300,26 @@ def _cmd_metrics(args) -> int:
     gt = np.stack([r.landmarks.points for r in gt_records])
     pred = np.stack([preds[r.id].landmarks.points for r in gt_records])
     d = norm_distances(gt, pair)
-    scored = ~np.isnan(d)
-    _, errors = image_errors(gt[scored], pred[scored], d[scored])
-    # a prediction far enough out overflows every one of an image's errors
-    if np.isnan(errors).any():
-        raise ConfigError("no valid points to average")
-    if not len(errors):
+    scored = np.flatnonzero(~np.isnan(d))
+    if not len(scored):
         raise ConfigError("every record was skipped; nothing to score")
-    skipped = len(gt_records) - len(errors)
-    tag = threshold_tag(args.threshold)
-    stats = {
-        "n_images": len(errors),
-        "skipped": skipped,
-        "nme_percent": 100.0 * float(np.mean(errors)),
-        "auc": ced_auc(errors, args.threshold),
-        "failure_rate_percent": 100.0 * failure_rate(errors, args.threshold),
-    }
-    if args.format == "json":
-        out = json.dumps(stats, sort_keys=True, separators=(",", ":")) + "\n"
-    elif args.format == "csv":
-        out = (f"nme_percent,auc{tag},fr{tag}_percent,n_images,skipped\n"
-               f"{stats['nme_percent']:.3f},{stats['auc']:.3f},"
-               f"{stats['failure_rate_percent']:.3f},{stats['n_images']},{skipped}\n")
-    else:
-        out = (f"images={stats['n_images']} skipped={skipped}\n"
-               f"{'nme%':>10}{'auc' + tag:>10}{'fr%@' + tag:>10}\n"
-               f"{stats['nme_percent']:>10.3f}{stats['auc']:>10.3f}"
-               f"{stats['failure_rate_percent']:>10.3f}\n")
-    _write_out(out, args.out)
+    per_point, errors = image_errors(gt[scored], pred[scored], d[scored])
+    # canonical points are finite, so only overflow makes an error or the NME
+    # in percent non-finite: name the first overflowing record, else the worst
+    bad = np.flatnonzero(~np.isfinite(per_point).all(axis=1))
+    with np.errstate(over="ignore"):
+        nme = np.mean(errors)
+        if len(bad) or not np.isfinite(100 * nme):
+            rec = gt_records[scored[bad[0] if len(bad) else np.argmax(errors)]]
+            raise ConfigError(f"record '{rec.id}': landmark error too large for a float")
+    row = {**score_values(float(nme), ced_auc(errors, args.threshold),
+                          failure_rate(errors, args.threshold)),
+           "n_images": len(errors), "skipped": len(gt_records) - len(errors)}
+    # the table shows the scores; CSV and JSON also carry the counts
+    columns = (*SCORE_COLUMNS, Column("n_images", "n_images"), Column("skipped", "skipped"))
+    _write_out(format_report(args.format, columns, [row], args.threshold,
+                             f"images={row['n_images']} skipped={row['skipped']}", row),
+               args.out)
     if args.ced_out:
         Path(args.ced_out).write_text(format_ced_csv(ced_points(errors, args.threshold)))
     return 0
@@ -350,6 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="measure each scheme's own representation error on a dataset")
     _add_common(p)
     _add_codec_flags(p)
+    _add_oob_policy(p)
     p.add_argument("--dataset", required=True, metavar="FMT:PATH",
                    help="dataset as format:path; formats: wflw, pts, json")
     p.add_argument("--schemes", default="all",
@@ -398,6 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="encode landmarks and print the sparse JSON payload")
     _add_common(p)
     _add_codec_flags(p)
+    _add_oob_policy(p)
     p.add_argument("--scheme", required=True, choices=[s.value for s in SCHEME_ORDER])
     p.add_argument("--sigma-integer", type=float, default=1.5, metavar="S",
                    help="gaussian sigma on the integer grid (default 1.5; "

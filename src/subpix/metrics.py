@@ -91,6 +91,9 @@ def resolve_norm_indices(n_landmarks: int, cfg: MetricsConfig) -> tuple[int, int
     return pair
 
 
+# a value too large for a float overflows to inf, which both kernels treat as
+# unusable, so numpy's warning about it tells the caller nothing
+@np.errstate(over="ignore", invalid="ignore")
 def norm_distances(points: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
     """Per-image distance between a layout's normalization pair, NaN if unusable.
 
@@ -115,6 +118,7 @@ class PerImageError:
     per_point: np.ndarray  # (L,) normalized per-point errors, non-finite where unscored
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def image_errors(gt: np.ndarray, pred: np.ndarray,
                  norm_distance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalized per-point errors and per-image NME of a batch.
@@ -122,7 +126,7 @@ def image_errors(gt: np.ndarray, pred: np.ndarray,
     ``gt`` and ``pred`` are (N, L, 2) stacks and ``norm_distance`` is (N,).
     Returns the (N, L) euclidean per-point errors divided by each image's
     distance, and the (N,) per-image NME, both as fractions. A point whose
-    error is not finite (a non-finite coordinate on either side) is not
+    error is not finite (a non-finite coordinate, or overflow) is not
     scored; an image with no scored point gets NaN.
     """
     err = np.linalg.norm(pred - gt, axis=2)

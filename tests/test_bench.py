@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 from conftest import make_records
 
-from subpix.bench import (BenchConfig, BenchReport, SchemeStats,
+from subpix.bench import (BenchConfig, BenchReport, Column, SchemeStats,
                           analytic_direct_error, build_samples, emit_report,
-                          run_ideal, run_montecarlo)
+                          format_report, run_ideal, run_montecarlo)
 from subpix.codec import (CodecConfig, OobPolicy, Scheme, decode, encode_points,
                           ideal_roundtrip)
 from subpix.datasets import AnnotationRecord
@@ -614,6 +614,20 @@ class TestEmitReport:
     def test_unknown_format_rejected(self, ideal):
         with pytest.raises(ConfigError):
             emit_report(ideal, "yaml")
+
+    def test_column_entry_reaches_every_format(self):
+        # one declaration gives the CSV and table headers, widths and decimals
+        cols = (Column("name", "name", "name", 6, align="<"),
+                Column("x", "x{tag}", "x@{tag}", 8, 2),
+                Column("gap", "gap", "gap", 5, 1),
+                Column("n", "n"))
+        rows = [{"name": "a", "x": 0.5, "gap": None, "n": 3}]
+        assert format_report("table", cols, rows, 0.08, "title", {}) == \
+            "title\nname       x@8  gap\na         0.50    -\n"
+        assert format_report("csv", cols, rows, 0.08, "title", {}) == \
+            "name,x8,gap,n\na,0.50,,3\n"
+        assert format_report("json", cols, rows, 0.08, "title", {"rows": rows}) == \
+            '{"rows":[{"gap":null,"n":3,"name":"a","x":0.5}]}\n'
 
     def test_deterministic_bytes(self, ideal, corpus98):
         again = run_ideal(corpus98, BenchConfig(seed=1), "synthetic98")

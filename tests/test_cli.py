@@ -74,10 +74,11 @@ def shifted_copy(records, fractions) -> list[AnnotationRecord]:
     return out
 
 
-# every key of the ``config`` object in bench-ideal and synth JSON reports
-CONFIG_KEYS = ["bbox_inclusive", "crop_margin", "crop_source", "decimal_overflow",
-               "decimal_shape", "heatmap_shape", "mc_landmarks", "mc_n", "mc_samples",
-               "oob_policy", "schemes", "seed", "threshold"]
+# every key of the ``config`` object in JSON reports: the settings each mode reads
+IDEAL_CONFIG_KEYS = ["bbox_inclusive", "crop_margin", "crop_source", "decimal_overflow",
+                     "decimal_shape", "heatmap_shape", "oob_policy", "schemes", "threshold"]
+SYNTH_CONFIG_KEYS = ["decimal_overflow", "decimal_shape", "heatmap_shape", "mc_landmarks",
+                     "mc_n", "mc_samples", "schemes", "seed"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -157,7 +158,13 @@ class TestSynth:
     def test_json_config_keys(self, capsys):
         rc, out, _ = run_cli(capsys, "synth", "--samples", "50", "--format", "json")
         assert rc == 0
-        assert sorted(json.loads(out)["config"]) == CONFIG_KEYS
+        assert sorted(json.loads(out)["config"]) == SYNTH_CONFIG_KEYS
+
+    def test_oob_policy_flag_removed(self, capsys):
+        # every draw lies inside the grid, so no policy can change a result
+        rc, out, err = run_cli(capsys, "synth", "--oob-policy", "drop")
+        assert rc == 2 and out == ""
+        assert "error: unrecognized arguments: --oob-policy drop" in err
 
 
 class TestBenchIdeal:
@@ -222,7 +229,7 @@ class TestBenchIdeal:
                              "--dataset", f"json:{data_dir / 'gt68.json'}",
                              "--format", "json")
         assert rc == 0
-        assert sorted(json.loads(out)["config"]) == CONFIG_KEYS
+        assert sorted(json.loads(out)["config"]) == IDEAL_CONFIG_KEYS
 
     @pytest.mark.parametrize("margin", ["nan", "inf", "-inf", "-0.5"])
     def test_bad_margin_located(self, capsys, data_dir, margin):
@@ -239,6 +246,23 @@ class TestBenchIdeal:
                              "--crop-source", "bbox", "--format", "json")
         assert rc == 0
         assert json.loads(out)["config"]["crop_source"] == "bbox"
+
+
+# frozen `bench-ideal` and `synth` stdout per format, and the --ced-out files,
+# per case; bench-ideal reads corpus98 written as a WFLW list ("{wflw}")
+GOLDEN_BENCH = json.loads((Path(__file__).parent / "golden_bench.json").read_text())
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("case", sorted(GOLDEN_BENCH))
+def test_report_bytes_frozen(capsys, data_dir, tmp_path, case, fmt):
+    golden = GOLDEN_BENCH[case]
+    argv = [a.format(wflw=data_dir / "list.txt") for a in golden["argv"]]
+    if "ced" in golden:
+        argv += ["--ced-out", str(tmp_path / "ced_")]
+    assert run_cli(capsys, *argv, "--format", fmt) == (0, golden[fmt], "")
+    ced = {p.name[4:-4]: p.read_text() for p in sorted(tmp_path.glob("ced_*.csv"))}
+    assert ced == golden.get("ced", {})
 
 
 class TestEncodeDecode:
@@ -610,8 +634,6 @@ class TestMetricsFuzz:
     any JSON (NaN and Infinity literals included) or dropped: exit 0, or
     exit 2 with one located ``error:`` line; never exit 1 or a traceback."""
 
-    # coordinates that overflow once squared make numpy warn, and score as unusable
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @given(in_pred=st.booleans(), top=st.booleans(),
            record_field=st.sampled_from(_RECORD_FIELDS), top_field=st.sampled_from(_TOP_FIELDS),
            value=_record_values | st.just(_DROP))
@@ -638,6 +660,60 @@ class TestMetricsFuzz:
             assert err == "" and out.endswith("\n")
         else:
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+class TestOverflow:
+    """Coordinates too large to square: no numpy warning reaches the user."""
+
+    def _moved(self, doc: dict, record: int, point: int, xy: list) -> dict:
+        doc = json.loads(json.dumps(doc))
+        doc["records"][record]["points"][point] = xy
+        return doc
+
+    def test_prediction_overflow_names_record(self, tmp_path):
+        pred = self._moved(_CANONICAL_PRED, 1, 2, [1e300, 5.0])
+        rc, out, err = _metrics_text(_CANONICAL_GT, pred, tmp_path)
+        assert rc == 2 and out == ""
+        assert err == "error: record 'b': landmark error too large for a float\n"
+
+    def test_ground_truth_overflow_names_record(self, tmp_path):
+        gt = self._moved(_CANONICAL_GT, 0, 2, [1e200, 6.0])
+        rc, out, err = _metrics_text(gt, _CANONICAL_PRED, tmp_path)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: record 'a': ") and err.count("\n") == 1, err
+
+    def test_percent_overflow_names_record(self, tmp_path):
+        # a tiny normalization distance makes a finite error overflow once
+        # averaged into a percent, with no point error itself overflowing
+        gt = self._moved(_CANONICAL_GT, 0, 1, [1e-160, 0.0])
+        pred = self._moved(self._moved(_CANONICAL_PRED, 0, 1, [1e-160, 0.0]), 0, 2, [1e148, 6.0])
+        rc, out, err = _metrics_text(gt, pred, tmp_path)
+        assert rc == 2 and out == ""
+        assert err == "error: record 'a': landmark error too large for a float\n"
+
+    def test_mean_overflow_names_record(self, tmp_path):
+        # every point and image error is finite, but the two images' sum is not
+        gt, pred = _CANONICAL_GT, _CANONICAL_PRED
+        for k in (0, 1):
+            gt = self._moved(gt, k, 0, [0.0, 0.0])
+            gt = self._moved(gt, k, 1, [1e-160, 0.0])
+            for point, (x, y) in enumerate(gt["records"][k]["points"]):
+                pred = self._moved(pred, k, point, [x + 1.7e148, y])
+        rc, out, err = _metrics_text(gt, pred, tmp_path)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: record '") and err.count("\n") == 1, err
+
+    def test_bench_ideal_drops_overflowing_point(self, capsys, tmp_path, corpus98):
+        path = tmp_path / "list.txt"
+        write_wflw_file(corpus98[:4], path)
+        lines = path.read_text().splitlines()
+        tokens = lines[1].split()
+        tokens[10] = "1e200"  # x of landmark 5
+        lines[1] = " ".join(tokens)
+        path.write_text("\n".join(lines) + "\n")
+        rc, out, err = run_cli(capsys, "bench-ideal", "--dataset", f"wflw:{path}")
+        assert rc == 0 and err == ""
+        assert out.startswith("mode=ideal dataset=list images=4 skipped=0\n")
 
 
 class TestConvert:
