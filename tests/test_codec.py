@@ -47,6 +47,36 @@ def _hih(point, **kw) -> tuple[tuple[int, int], bool]:
     return peak_cell(enc.decimal_maps[0]), enc.clamped[0]
 
 
+@st.composite
+def _roundtrip_cases(draw):
+    """A codec config on a small rectangular grid, points around it, and
+    optionally a caller valid mask and group labels.
+
+    Coordinates are a cell from just outside the grid plus a fraction that
+    is often exact: 0, a half, or just below 1, where rounding carries.
+    Rows the caller marks invalid may hold NaN.
+    """
+    w, h = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    cfg = CodecConfig(scheme=draw(st.sampled_from(SCHEME_ORDER)), heatmap_shape=(w, h),
+                      decimal_shape=(draw(st.integers(1, 9)), draw(st.integers(1, 9))),
+                      oob_policy=draw(st.sampled_from(list(OobPolicy))),
+                      decimal_overflow=draw(st.sampled_from(list(DecimalOverflow))))
+    n = draw(st.integers(1, 24))
+    fraction = (st.floats(0.0, 1.0, exclude_max=True)
+                | st.sampled_from([0.0, 0.5, 1.0 - 2.0 ** -53, 1.0 - 1e-9]))
+    pts = np.array([[draw(st.integers(-2, side + 1)) + draw(fraction) for side in (w, h)]
+                    for _ in range(n)])
+    valid = None
+    if draw(st.booleans()):
+        valid = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        if draw(st.booleans()):
+            pts[~valid] = np.nan
+    groups = None
+    if draw(st.booleans()):
+        groups = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    return cfg, pts, valid, groups
+
+
 class TestRelativeOffset:
     """The floor/fraction split the offset schemes store, read from ``wov``."""
 
@@ -454,6 +484,30 @@ class TestGridMatchesIdealRoundtrip:
         grid_coords = dec.landmarks.points * np.array(GRID, dtype=np.float64)
         ideal_coords, _, _ = ideal_roundtrip(pts, cfg)
         np.testing.assert_array_equal(grid_coords, ideal_coords)
+
+    @given(case=_roundtrip_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_grid_path_everywhere(self, case):
+        # the grid-free round trip against rendering and decoding, one
+        # encode_points per group, on any grid and policy pair
+        cfg, pts, valid, groups = case
+        coords, clamped, conflicts = ideal_roundtrip(pts, cfg, valid=valid, groups=groups)
+        labels = np.zeros(len(pts), dtype=np.int64) if groups is None else groups
+        grid = np.full_like(pts, np.nan)
+        grid_clamped = np.zeros(len(pts), dtype=bool)
+        grid_conflicts = 0
+        for g in np.unique(labels):
+            rows = labels == g
+            enc = encode_points(pts[rows], cfg, valid=None if valid is None else valid[rows])
+            dec = decode(enc)
+            grid[rows] = dec.landmarks.points
+            grid_clamped[rows] = dec.clamped
+            grid_conflicts += enc.conflict_count
+        # decode divides by the grid size; so does bench-ideal before mapping back
+        np.testing.assert_array_equal(coords / np.array(cfg.heatmap_shape, dtype=np.float64),
+                                      grid)
+        np.testing.assert_array_equal(clamped, grid_clamped)
+        assert conflicts == grid_conflicts
 
 
 class TestEncodedSampleValidation:
