@@ -435,20 +435,14 @@ def _decimal_quantize(cells: np.ndarray, offsets: np.ndarray, cfg: CodecConfig,
     dims = np.array(cfg.heatmap_shape, dtype=np.int64)
     dims_o = np.array(cfg.decimal_shape, dtype=np.int64)
     q = np.floor(offsets * dims_o + 0.5).astype(np.int64)
+    over = q >= dims_o
     if cfg.decimal_overflow is DecimalOverflow.CARRY:
-        carry = q >= dims_o
-        q = np.where(carry, 0, q)
-        cells = cells + carry.astype(np.int64)
+        q = np.where(over, 0, q)
+        cells = cells + over
         over = cells >= dims
         cells = np.where(over, dims - 1, cells)
-        q = np.where(over, dims_o - 1, q)
-        flagged = np.any(over, axis=1)
-    else:
-        over = q >= dims_o
-        q = np.where(over, dims_o - 1, q)
-        cells = cells.copy()
-        flagged = np.any(over, axis=1)
-    return cells, q, flagged
+    q = np.where(over, dims_o - 1, q)
+    return cells, q, np.any(over, axis=1)
 
 
 def _last_writer_offsets(cells: np.ndarray, offsets: np.ndarray, valid: np.ndarray,
@@ -480,30 +474,34 @@ def _last_writer_offsets(cells: np.ndarray, offsets: np.ndarray, valid: np.ndarr
 # -- encode / decode ----------------------------------------------------------
 
 
-def _quantize(pts: np.ndarray, valid: np.ndarray, cfg: CodecConfig):
-    """Shared quantization arithmetic for every scheme.
+def _quantize(pts: np.ndarray, valid: np.ndarray, cfg: CodecConfig,
+              groups: np.ndarray | None = None):
+    """Each landmark's cell and the fraction its scheme's decoder adds back.
 
-    Returns ``(cells, payload, clamped, valid)`` where payload is scheme
-    specific: None (direct/wsm), fractions (wov/wom), or decimal indices
-    (hih).
+    Returns ``(cells, kept, steps, clamped, valid, conflicts)``: the (N, 2)
+    integer cells and kept fractions (see the module docstring), the hih
+    decimal step indices (None for the other schemes), the clamp flags, the
+    valid mask after ``OobPolicy.DROP``, and the wom conflict count, with
+    collisions resolved within each of ``groups``. Invalid landmarks sit at
+    cell 0 and keep nothing.
     """
     if cfg.oob_policy is OobPolicy.DROP:
         valid = valid & _domain_mask(
             np.where(valid[:, None], pts, 0.0), cfg.heatmap_shape)
     safe = np.where(valid[:, None], pts, 0.0)
+    steps, conflicts = None, 0
     if cfg.scheme in (Scheme.DIRECT, Scheme.WSM):
         cells, clamped = _round_cells(safe, cfg.heatmap_shape)
-        payload = None
-    elif cfg.scheme in (Scheme.WOV, Scheme.WOM):
-        cells, payload, clamped = _floor_cells(safe, cfg.heatmap_shape)
+        kept = np.zeros_like(safe)
+    else:
+        cells, kept, clamped = _floor_cells(safe, cfg.heatmap_shape)
+    if cfg.scheme is Scheme.WOM:
+        kept, conflicts = _last_writer_offsets(cells, kept, valid, cfg.heatmap_shape, groups)
     elif cfg.scheme is Scheme.HIH:
-        cells, offs, clamped = _floor_cells(safe, cfg.heatmap_shape)
-        cells, payload, over = _decimal_quantize(cells, offs, cfg)
+        cells, steps, over = _decimal_quantize(cells, kept, cfg)
+        kept = steps / np.array(cfg.decimal_shape, dtype=np.float64)
         clamped = clamped | over
-    else:  # pragma: no cover - enum is closed
-        raise ConfigError(f"unknown scheme {cfg.scheme!r}")
-    clamped = clamped & valid
-    return cells, payload, clamped, valid
+    return cells, kept, steps, clamped & valid, valid, conflicts
 
 
 def _render_batch(cells: np.ndarray, valid: np.ndarray, sigma: float,
@@ -544,22 +542,20 @@ def encode_points(points: np.ndarray, cfg: CodecConfig,
     _check_cells((len(pts), h, w))
     if cfg.scheme is Scheme.HIH:
         _check_cells((len(pts), cfg.decimal_shape[1], cfg.decimal_shape[0]))
-    cells, payload, clamped, mask = _quantize(pts, mask, cfg)
+    cells, kept, steps, clamped, mask, conflicts = _quantize(pts, mask, cfg)
     integer_maps = _render_batch(cells, mask, cfg.sigma_integer, cfg.heatmap_shape)
     kwargs: dict = {}
     if cfg.scheme is Scheme.WOV:
-        offs = np.where(mask[:, None], payload, 0.0)
-        kwargs["offsets"] = offs
+        kwargs["offsets"] = kept
     elif cfg.scheme is Scheme.WOM:
-        decoded, conflicts = _last_writer_offsets(cells, payload, mask, cfg.heatmap_shape)
         # every writer of a cell carries the winner's offset, so order is moot
         idx = np.nonzero(mask)[0]
         maps = np.zeros((2, h, w), dtype=np.float64)
-        maps[:, cells[idx, 1], cells[idx, 0]] = decoded[idx].T
+        maps[:, cells[idx, 1], cells[idx, 0]] = kept[idx].T
         kwargs.update(offset_map_x=maps[0], offset_map_y=maps[1], conflict_count=conflicts)
     elif cfg.scheme is Scheme.HIH:
         kwargs["decimal_shape"] = cfg.decimal_shape
-        kwargs["decimal_maps"] = _render_batch(payload, mask, cfg.sigma_decimal,
+        kwargs["decimal_maps"] = _render_batch(steps, mask, cfg.sigma_decimal,
                                                cfg.decimal_shape)
     return EncodedSample(scheme=cfg.scheme, heatmap_shape=cfg.heatmap_shape,
                          integer_maps=integer_maps, valid=mask, clamped=clamped, **kwargs)
@@ -654,21 +650,5 @@ def ideal_roundtrip(points: np.ndarray, cfg: CodecConfig,
     pts, mask = _check_points(points, valid)
     if groups is not None:
         groups = np.asarray(groups, dtype=np.int64).reshape(len(pts))
-    cells, payload, clamped, mask = _quantize(pts, mask, cfg)
-    fcells = cells.astype(np.float64)
-    if cfg.scheme in (Scheme.DIRECT, Scheme.WSM):
-        coords = fcells
-        conflicts = 0
-    elif cfg.scheme is Scheme.WOV:
-        coords = fcells + payload
-        conflicts = 0
-    elif cfg.scheme is Scheme.WOM:
-        decoded, conflicts = _last_writer_offsets(cells, payload, mask,
-                                                  cfg.heatmap_shape, groups)
-        coords = fcells + decoded
-    else:  # hih
-        wo, ho = cfg.decimal_shape
-        coords = fcells + payload.astype(np.float64) / np.array([wo, ho], dtype=np.float64)
-        conflicts = 0
-    coords = np.where(mask[:, None], coords, np.nan)
-    return coords, clamped, conflicts
+    cells, kept, _, clamped, mask, conflicts = _quantize(pts, mask, cfg, groups)
+    return np.where(mask[:, None], cells + kept, np.nan), clamped, conflicts
