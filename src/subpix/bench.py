@@ -40,7 +40,7 @@ from .errors import ConfigError
 from .geometry import FaceBatch, bbox_crops, check_margin, heatmap_transform, landmark_crops
 from .geometry import crop_from_landmarks  # noqa: F401  timed as geometry.crop by perfbench
 from .metrics import (MetricsConfig, PerImageError, ced_auc, ced_points,
-                      failure_rate, image_errors, norm_distances,
+                      failure_rate, image_errors, mean_nme, norm_distances,
                       resolve_norm_indices, threshold_tag)
 
 __all__ = [
@@ -89,6 +89,8 @@ class BenchConfig:
         if self.crop_source not in ("landmarks", "bbox"):
             raise ConfigError(f"crop source must be 'landmarks' or 'bbox', "
                               f"got {self.crop_source!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if self.mc_samples < 1 or self.mc_landmarks < 1:
             raise ConfigError("Monte-Carlo sample and landmark counts must be positive")
         if self.mc_samples * self.mc_landmarks > _MAX_MC_POINTS:
@@ -204,6 +206,10 @@ def run_ideal(records: list[AnnotationRecord], cfg: BenchConfig,
         # form keeps every error bit-equal to the grid path on any grid size
         back_raw = to_raw.apply((coords / dims * dims).reshape(n, n_landmarks, 2))
         per_point, nme = image_errors(batch.points, back_raw, batch.norm_distance)
+        # every point the codec did not drop must score
+        encoded = ~np.isnan(coords[:, 0]).reshape(n, n_landmarks)
+        overflowed = (encoded & ~np.isfinite(per_point)).any(axis=1)
+        mean = mean_nme([batch.ids[k] for k in order], nme[order], overflowed[order])
         scored = order[~np.isnan(nme[order])]
         if not len(scored):
             raise ConfigError(f"scheme '{scheme.value}' produced no scorable images")
@@ -211,7 +217,7 @@ def run_ideal(records: list[AnnotationRecord], cfg: BenchConfig,
         rows.append(SchemeStats(
             scheme=scheme,
             n_images=len(scored),
-            nme=float(np.mean(nmes)),
+            nme=mean,
             auc=ced_auc(nmes, threshold),
             fr=failure_rate(nmes, threshold),
             # an unscored image has no valid point, hence no conflict
@@ -251,9 +257,15 @@ def run_montecarlo(cfg: BenchConfig) -> BenchReport:
     for scheme in cfg.schemes:
         ccfg = cfg.codec.for_scheme(scheme)
         coords, _clamped, conflicts = ideal_roundtrip(points, ccfg, groups=groups)
-        err = cfg.mc_n * np.linalg.norm(coords - points, axis=1)
-        mean = float(np.mean(err))
-        se = float(np.std(err, ddof=1) / math.sqrt(err.size)) if err.size > 1 else 0.0
+        # a huge scale factor overflows the errors or their spread; that is
+        # refused below, so numpy's warning about it tells the caller nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = cfg.mc_n * np.linalg.norm(coords - points, axis=1)
+            mean = float(np.mean(err))
+            se = float(np.std(err, ddof=1) / math.sqrt(err.size)) if err.size > 1 else 0.0
+        if not (math.isfinite(mean) and math.isfinite(se)):
+            raise ConfigError(f"scheme '{scheme.value}': pixel error at scale factor "
+                              f"{cfg.mc_n} is too large for a float")
         analytic = (analytic_direct_error(cfg.mc_n)
                     if scheme in (Scheme.DIRECT, Scheme.WSM) else None)
         rows.append(SchemeStats(

@@ -37,7 +37,7 @@ from .datasets import load_canonical, load_dataset, write_canonical
 from .errors import ConfigError, ParseError
 from .geometry import check_margin, crop_from_landmarks
 from .metrics import (MetricsConfig, ced_auc, ced_points, failure_rate, format_ced_csv,
-                      image_errors, norm_distances, resolve_norm_indices)
+                      image_errors, mean_nme, norm_distances, resolve_norm_indices)
 
 __all__ = ["main", "entry"]
 
@@ -68,6 +68,9 @@ def _load_config_flags(path: str) -> list[str]:
         if value.lower() in ("true", "false"):
             if value.lower() == "true":
                 flags.append(f"--{key}")
+        elif value.startswith("-"):
+            # joined on, a negative number cannot read as a flag
+            flags.append(f"--{key}={value}")
         else:
             flags.extend([f"--{key}", value])
     return flags
@@ -304,15 +307,10 @@ def _cmd_metrics(args) -> int:
     if not len(scored):
         raise ConfigError("every record was skipped; nothing to score")
     per_point, errors = image_errors(gt[scored], pred[scored], d[scored])
-    # canonical points are finite, so only overflow makes an error or the NME
-    # in percent non-finite: name the first overflowing record, else the worst
-    bad = np.flatnonzero(~np.isfinite(per_point).all(axis=1))
-    with np.errstate(over="ignore"):
-        nme = np.mean(errors)
-        if len(bad) or not np.isfinite(100 * nme):
-            rec = gt_records[scored[bad[0] if len(bad) else np.argmax(errors)]]
-            raise ConfigError(f"record '{rec.id}': landmark error too large for a float")
-    row = {**score_values(float(nme), ced_auc(errors, args.threshold),
+    # canonical points are finite, so only overflow makes an error non-finite
+    nme = mean_nme([gt_records[k].id for k in scored], errors,
+                   ~np.isfinite(per_point).all(axis=1))
+    row = {**score_values(nme, ced_auc(errors, args.threshold),
                           failure_rate(errors, args.threshold)),
            "n_images": len(errors), "skipped": len(gt_records) - len(errors)}
     # the table shows the scores; CSV and JSON also carry the counts

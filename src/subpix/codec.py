@@ -20,10 +20,14 @@ that fraction they keep and where they stash it:
   itself quantized onto a second, tiny grid, cutting the error roughly by
   that grid's resolution.
 
-Cell conventions follow from what each decoder can recover. ``direct``
-and ``wsm`` decode nothing but a cell, so they encode at the nearest cell
-(round half up). The offset-bearing schemes must reconstruct ``cell +
-fraction``, so they encode at ``floor`` with the fraction in [0, 1).
+One rule covers every scheme: a landmark decodes to its cell plus the part
+of its fraction the scheme kept. ``direct`` and ``wsm`` keep nothing, so
+they encode at the nearest cell (round half up). The others encode at
+``floor`` and keep, of the fraction in [0, 1): all of it (``wov``); the
+fraction of the cell's last writer (``wom``); or its nearest decimal step
+over the decimal grid size (``hih``). ``_quantize`` is the one place this
+rule lives: :func:`encode_points` renders its cells and kept fractions into
+maps and payloads, and :func:`ideal_roundtrip` returns ``cell + kept``.
 
 For ``hih`` the fraction quantizer rounds to the nearest step of the
 fractional grid. A fraction close to 1 rounds past the last step; by
@@ -69,6 +73,9 @@ _TIE_EPS = 1e-9
 # smallest grid sides; a heatmap needs a neighbour cell for the wsm shift
 _MIN_SIDE = {"heatmap_shape": 2, "decimal_shape": 1}
 
+# Gaussian widths whose 2 sigma^2, the render's denominator, is a normal double
+_SIGMA_RANGE = (1e-150, 1e150)
+
 # most cells one grid stack may hold, whether a payload or an encode asks for
 # it: about 160x the 98 x 64 x 64 of a WFLW record
 _MAX_CELLS = 1 << 26
@@ -84,10 +91,10 @@ def _grid_shape(shape, key: str) -> tuple[int, int]:
     return w, h
 
 
-def _check_cells(shape: tuple[int, ...]) -> None:
-    """Refuse a grid stack of ``shape`` before it is allocated if it is too big."""
+def _check_cells(shape: tuple[int, ...], what: str = "a grid stack") -> None:
+    """Refuse a grid (stack) of ``shape`` before it is allocated if it is too big."""
     if math.prod(shape) > _MAX_CELLS:
-        raise ConfigError(f"a grid stack of shape {shape} exceeds the limit of "
+        raise ConfigError(f"{what} of shape {shape} exceeds the limit of "
                           f"{_MAX_CELLS} cells")
 
 
@@ -133,14 +140,19 @@ class CodecConfig:
         object.__setattr__(self, "scheme", Scheme(self.scheme))
         object.__setattr__(self, "oob_policy", OobPolicy(self.oob_policy))
         object.__setattr__(self, "decimal_overflow", DecimalOverflow(self.decimal_overflow))
-        object.__setattr__(self, "heatmap_shape",
-                           _grid_shape(self.heatmap_shape, "heatmap_shape"))
-        object.__setattr__(self, "decimal_shape",
-                           _grid_shape(self.decimal_shape, "decimal_shape"))
-        if not (np.isfinite(self.sigma_integer) and self.sigma_integer > 0):
-            raise ConfigError(f"sigma_integer must be positive, got {self.sigma_integer}")
-        if not (np.isfinite(self.sigma_decimal) and self.sigma_decimal > 0):
-            raise ConfigError(f"sigma_decimal must be positive, got {self.sigma_decimal}")
+        # one grid must fit the stack limit, which also leaves a double room
+        # for a cell index plus its fraction
+        for key in ("heatmap_shape", "decimal_shape"):
+            shape = _grid_shape(getattr(self, key), key)
+            _check_cells(shape, f"a {key.split('_')[0]} grid")
+            object.__setattr__(self, key, shape)
+        for key in ("sigma_integer", "sigma_decimal"):
+            sigma = getattr(self, key)
+            if not (np.isfinite(sigma) and sigma > 0):
+                raise ConfigError(f"{key} must be positive, got {sigma}")
+            if not _SIGMA_RANGE[0] <= sigma <= _SIGMA_RANGE[1]:
+                raise ConfigError(f"{key} must lie in [{_SIGMA_RANGE[0]:g}, "
+                                  f"{_SIGMA_RANGE[1]:g}], got {sigma}")
 
     def for_scheme(self, scheme: Scheme) -> CodecConfig:
         return replace(self, scheme=Scheme(scheme))
@@ -517,7 +529,8 @@ def _render_batch(cells: np.ndarray, valid: np.ndarray, sigma: float,
     w, h = shape
     n = len(cells)
     out = np.zeros((n, h, w), dtype=np.float64)
-    r = int(np.floor(3.0 * sigma))
+    # no cell lies farther than the grid's longer side from another
+    r = int(min(np.floor(3.0 * sigma), max(w, h) - 1))
     d = np.arange(-r, r + 1, dtype=np.float64)
     stencil = np.exp(-(d[:, None] ** 2 + d[None, :] ** 2) / (2.0 * sigma ** 2))
     for k in np.nonzero(valid)[0]:
@@ -638,10 +651,10 @@ def ideal_roundtrip(points: np.ndarray, cfg: CodecConfig,
     """Grid-free equivalent of ``decode(encode_points(...))`` on ideal maps.
 
     Self-encoded grids peak exactly at the encoded cell and a tied second
-    place suppresses the wsm shift, so the round trip reduces to the
-    quantization arithmetic alone. Returns heatmap-space coordinates (NaN
-    for dropped landmarks), the per-landmark clamp flags, and the wom
-    conflict count. Bit-identical to the full grid path.
+    place suppresses the wsm shift, so the round trip reduces to each
+    landmark's cell plus the fraction its scheme kept. Returns heatmap-space
+    coordinates (NaN for dropped landmarks), the per-landmark clamp flags,
+    and the wom conflict count. Bit-identical to the full grid path.
 
     ``groups`` optionally partitions the points into independent samples:
     wom collisions are then resolved within each group only, which is how

@@ -31,6 +31,7 @@ __all__ = [
     "resolve_norm_indices",
     "norm_distances",
     "image_errors",
+    "mean_nme",
     "ced_auc",
     "failure_rate",
     "ced_points",
@@ -70,8 +71,10 @@ class MetricsConfig:
 
 
 def _check_threshold(threshold: float) -> None:
-    if not (np.isfinite(threshold) and threshold > 0):
-        raise ConfigError(f"threshold must be positive, got {threshold}")
+    # reports name the threshold in percent, so that must be finite too
+    if not (np.isfinite(100 * float(threshold)) and threshold > 0):
+        raise ConfigError(f"threshold must be positive and finite in percent, "
+                          f"got {threshold}")
 
 
 def threshold_tag(threshold: float) -> str:
@@ -139,6 +142,23 @@ def image_errors(gt: np.ndarray, pred: np.ndarray,
     for k in np.flatnonzero(finite.any(axis=1) & ~whole):
         nme[k] = np.mean(err[k][finite[k]]) / norm_distance[k]
     return err / norm_distance[:, None], nme
+
+
+def mean_nme(ids: list[str], nme: np.ndarray, overflowed: np.ndarray) -> float:
+    """The mean of the per-image NMEs that are not NaN, or NaN if none is.
+
+    Refuses an overflow rather than dropping it: ``overflowed`` flags each
+    image with a point that should score but whose error is not finite, and
+    the first such image is named; else the worst image is named if the mean
+    in percent is not finite. ``ids`` names the images.
+    """
+    scored = np.flatnonzero(~np.isnan(nme))
+    with np.errstate(over="ignore"):
+        mean = np.mean(nme[scored]) if len(scored) else np.nan
+        if overflowed.any() or len(scored) and not np.isfinite(100 * mean):
+            k = np.argmax(overflowed) if overflowed.any() else scored[np.argmax(nme[scored])]
+            raise ConfigError(f"record '{ids[k]}': landmark error too large for a float")
+    return float(mean)
 
 
 def _check_errors(errors, threshold: float) -> np.ndarray:

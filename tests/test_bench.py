@@ -156,6 +156,12 @@ class TestMonteCarlo:
         rb = self._row(b, Scheme.DIRECT)
         assert rb.mean_px_error == pytest.approx(4.0 * ra.mean_px_error, rel=1e-12)
 
+    @pytest.mark.parametrize("mc_n", [1e308, 1e307])
+    def test_overflowing_errors_refused(self, mc_n):
+        # 1e308 overflows the errors themselves, 1e307 only their spread
+        with pytest.raises(ConfigError, match="too large for a float"):
+            run_montecarlo(BenchConfig(seed=5, mc_samples=100, mc_n=mc_n))
+
 
 class TestRunIdeal:
     @pytest.fixture
@@ -246,6 +252,19 @@ class TestRunIdeal:
                                       space=Space.RAW))
         with pytest.raises(ConfigError):
             run_ideal([broken], BenchConfig(seed=1), "d")
+
+    def test_overflowing_percent_refused(self, corpus98):
+        # every point error of face 'a' is finite, but its NME in percent is
+        # not: a crop 1e149 wide and a normalization distance of 1e-160
+        records = []
+        for rec, width in zip(corpus98[:2], (1e149, 1e3)):
+            points = rec.landmarks.points.copy()
+            points[60], points[72] = (0.0, 0.0), (1e-160, 0.0)
+            points[:33, 0] = width * (np.arange(33) + 0.37) / 33
+            records.append(AnnotationRecord(id="ab"[len(records)], image_path="x.png",
+                                            landmarks=LandmarkSet(points, space=Space.RAW)))
+        with pytest.raises(ConfigError, match="^record 'a': landmark error too large"):
+            run_ideal(records, BenchConfig(schemes=("direct",)), "d")
 
     def test_68_point_layout(self, corpus68):
         report = run_ideal(corpus68, BenchConfig(seed=1), "synthetic68")
@@ -552,6 +571,8 @@ class TestBenchConfig:
             BenchConfig(mc_samples=10 ** 20)
         with pytest.raises(ConfigError, match="exceeds the limit"):
             BenchConfig(mc_samples=10 ** 10, mc_landmarks=10 ** 10)
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            BenchConfig(seed=-1)
 
     def test_scheme_strings_coerced(self):
         cfg = BenchConfig(schemes=("direct", "hih"))

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 from subpix.cli import main
 from subpix.codec import SCHEME_ORDER, CodecConfig, encode_points
-from subpix.datasets import (AnnotationRecord, load_canonical, write_canonical)
+from subpix.datasets import (AnnotationRecord, load_canonical, load_dataset,
+                             write_canonical)
 from subpix.geometry import LandmarkSet, Space
 
 
@@ -703,7 +704,7 @@ class TestOverflow:
         assert rc == 2 and out == ""
         assert err.startswith("error: record '") and err.count("\n") == 1, err
 
-    def test_bench_ideal_drops_overflowing_point(self, capsys, tmp_path, corpus98):
+    def test_bench_ideal_refuses_overflowing_point(self, capsys, tmp_path, corpus98):
         path = tmp_path / "list.txt"
         write_wflw_file(corpus98[:4], path)
         lines = path.read_text().splitlines()
@@ -711,9 +712,17 @@ class TestOverflow:
         tokens[10] = "1e200"  # x of landmark 5
         lines[1] = " ".join(tokens)
         path.write_text("\n".join(lines) + "\n")
-        rc, out, err = run_cli(capsys, "bench-ideal", "--dataset", f"wflw:{path}")
+        face = load_dataset(f"wflw:{path}")[1][1].id
+        # direct, wsm and hih overflow every error of that face; wov and wom
+        # keep finite errors there, so alone they still score it
+        for schemes in ("all", "direct", "wsm", "hih"):
+            rc, out, err = run_cli(capsys, "bench-ideal", "--dataset", f"wflw:{path}",
+                                   "--schemes", schemes)
+            assert rc == 2 and out == ""
+            assert err == f"error: record '{face}': landmark error too large for a float\n"
+        rc, out, err = run_cli(capsys, "bench-ideal", "--dataset", f"wflw:{path}",
+                               "--schemes", "wov,wom")
         assert rc == 0 and err == ""
-        assert out.startswith("mode=ideal dataset=list images=4 skipped=0\n")
 
 
 class TestConvert:
@@ -814,6 +823,87 @@ class TestConfigFile:
                                "--dataset", f"json:{data_dir / 'gt68.json'}")
         assert rc == 2 and out == ""
         assert "error: unrecognized arguments: --input-res 256" in err
+
+
+# numeric --config values: small, at an edge, or far past every cap (2^24
+# Monte-Carlo landmarks, 2^26 cells a grid), so that no run allocates much
+_FAR = st.sampled_from([2 ** 31, 2 ** 62, 10 ** 30])
+_REAL = (st.floats(-10.0, 300.0)
+         | st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, 1e307, 1e308, -1e308,
+                            float("inf"), float("-inf"), float("nan")]))
+
+
+def _count(hi: int):
+    return st.integers(-2, hi) | _FAR
+
+
+_GRID_KEYS = {"heatmap-res": _count(256), "decimal-res": _count(256)}
+_CONFIG_KEYS = {
+    "bench-ideal": {**_GRID_KEYS, "margin": _REAL, "threshold": _REAL, "threads": _count(4),
+                    "norm-indices": st.tuples(_count(99), _count(99)).map(
+                        lambda pair: f"{pair[0]},{pair[1]}")},
+    "synth": {**_GRID_KEYS, "samples": _count(1000), "landmarks": _count(1000),
+              "seed": _count(2 ** 32), "n-factor": _REAL},
+    "encode": {**_GRID_KEYS, "sigma-integer": _REAL, "sigma-decimal": _REAL,
+               "margin": _REAL, "index": _count(4)},
+}
+
+
+@st.composite
+def _config_runs(draw):
+    """A subcommand and some of its numeric keys, each set to a drawn value.
+
+    synth always sets both sizes: its default of 100000 samples times a
+    small landmark count still passes the cap and allocates gigabytes.
+    """
+    command = draw(st.sampled_from(sorted(_CONFIG_KEYS)))
+    keys = draw(st.lists(st.sampled_from(sorted(_CONFIG_KEYS[command])), unique=True,
+                         max_size=len(_CONFIG_KEYS[command])))
+    if command == "synth":
+        keys = sorted({*keys, "samples", "landmarks"})
+    return command, {key: draw(_CONFIG_KEYS[command][key]) for key in keys}
+
+
+@pytest.fixture(scope="module")
+def config_fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("config_fuzz")
+
+
+class TestConfigFuzz:
+    """Numeric keys of bench-ideal, synth and encode set by a --config file:
+    exit 0 with nothing on stderr, or exit 2 with one ``error:`` line; never
+    exit 1, a traceback or a numpy warning."""
+
+    @given(run=_config_runs(), scheme=st.sampled_from([s.value for s in SCHEME_ORDER]))
+    @example(run=("synth", {"seed": -1, "samples": 100, "landmarks": 1}), scheme="direct")
+    @example(run=("synth", {"n-factor": 1e308, "samples": 100, "landmarks": 1}),
+             scheme="direct")
+    @example(run=("synth", {"n-factor": 1e307, "samples": 100, "landmarks": 1}),
+             scheme="direct")
+    @example(run=("synth", {"heatmap-res": 2 ** 62, "samples": 100, "landmarks": 1}),
+             scheme="direct")
+    @example(run=("bench-ideal", {"heatmap-res": 2 ** 62}), scheme="direct")
+    @example(run=("synth", {"n-factor": -1e300, "samples": 100, "landmarks": 1}),
+             scheme="direct")
+    @example(run=("encode", {"sigma-decimal": 5e-324}), scheme="hih")
+    @example(run=("bench-ideal", {"threshold": 1e307}), scheme="direct")
+    @settings(max_examples=200, deadline=None)
+    def test_numeric_keys_fail_cleanly(self, data_dir, config_fuzz_dir, run, scheme):
+        command, values = run
+        path = config_fuzz_dir / "run.cfg"
+        path.write_text("".join(f"{key} = {value!r}\n" for key, value in values.items()))
+        argv = {"bench-ideal": ["--dataset", f"wflw:{data_dir / 'list.txt'}"],
+                "synth": ["--schemes", "all"],
+                "encode": ["--scheme", scheme, "--point", "1.5,2.5"]}[command]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([command, "--config", str(path), *argv])
+        out, err = out.getvalue(), err.getvalue()
+        assert rc in (0, 2), err
+        if rc == 0:
+            assert err == "" and out.endswith("\n")
+        else:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestErrorReporting:

@@ -175,9 +175,22 @@ class TestCodecConfig:
         with pytest.raises(ConfigError):
             cfg_for(Scheme.HIH, decimal_shape=(0, 8))
 
+    @pytest.mark.parametrize("key", ["heatmap_shape", "decimal_shape"])
+    def test_grid_capped_at_stack_limit(self, key):
+        cfg_for(Scheme.HIH, **{key: (1 << 13, 1 << 13)})
+        with pytest.raises(ConfigError, match="exceeds the limit"):
+            cfg_for(Scheme.HIH, **{key: ((1 << 13) + 1, 1 << 13)})
+        with pytest.raises(ConfigError, match="exceeds the limit"):
+            cfg_for(Scheme.DIRECT, **{key: (2 ** 62, 2 ** 62)})
+
     def test_bad_sigma_rejected(self):
         with pytest.raises(ConfigError):
             cfg_for(Scheme.DIRECT, sigma_integer=-1.0)
+        # 2 sigma^2 would underflow to 0 or overflow to inf in the render
+        for sigma in (5e-324, 1e-151, 1e151, 1e308):
+            for key in ("sigma_integer", "sigma_decimal"):
+                with pytest.raises(ConfigError, match=f"{key} must lie in"):
+                    cfg_for(Scheme.HIH, **{key: sigma})
 
 
 class TestCellConventions:
@@ -388,7 +401,8 @@ class TestHih:
 
 
 class TestRenderedMaps:
-    @pytest.mark.parametrize("sigma", [1.0, 1.5, 2.3])
+    # a Gaussian far wider than the grid renders only the grid's cells
+    @pytest.mark.parametrize("sigma", [1.0, 1.5, 2.3, 1e6, 1e150])
     def test_integer_maps_match_single_render(self, sigma):
         pts = np.array([[10.0, 20.0], [0.0, 0.0], [63.0, 5.0], [33.4, 21.9]])
         cfg = cfg_for(Scheme.WOV, sigma_integer=sigma)

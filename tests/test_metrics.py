@@ -170,6 +170,9 @@ class TestNormIndices:
             MetricsConfig(norm_indices=(-1, 5))
         with pytest.raises(ConfigError):
             MetricsConfig(threshold=0.0)
+        # reports name the threshold in percent: 1e307 is finite, 1e309 % is not
+        with pytest.raises(ConfigError, match="finite in percent"):
+            MetricsConfig(threshold=1e307)
 
 
 class TestCedAuc:
