@@ -33,7 +33,7 @@ from .bench import (SCORE_COLUMNS, BenchConfig, Column, emit_report, format_repo
                     run_ideal, run_montecarlo, score_values)
 from .codec import (SCHEME_ORDER, CodecConfig, DecimalOverflow, EncodedSample,
                     OobPolicy, Scheme, decode as codec_decode, encode, encode_points)
-from .datasets import load_canonical, load_dataset, write_canonical
+from .datasets import load_canonical, load_dataset, read_text, write_canonical
 from .errors import ConfigError, ParseError
 from .geometry import check_margin, crop_from_landmarks
 from .metrics import (MetricsConfig, ced_auc, ced_points, failure_rate, format_ced_csv,
@@ -49,10 +49,7 @@ _COMMANDS = ("bench-ideal", "synth", "encode", "decode", "metrics", "convert")
 
 def _load_config_flags(path: str) -> list[str]:
     """Flat ``key = value`` lines to CLI flags; see the module docstring."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read config file: {exc}", path=path) from exc
+    text = read_text(path)
     flags: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -257,10 +254,7 @@ def _cmd_decode(args) -> int:
     if args.infile == "-":
         text = sys.stdin.read()
     else:
-        try:
-            text = Path(args.infile).read_text()
-        except OSError as exc:
-            raise ParseError(f"cannot read input: {exc}", path=args.infile) from exc
+        text = read_text(args.infile)
     enc = EncodedSample.from_json(text)
     if Scheme(args.scheme) is not enc.scheme:
         raise ConfigError(f"--scheme {args.scheme} does not match payload "

@@ -92,6 +92,20 @@ class DatasetSpec:
     n_landmarks: int
 
 
+def read_text(path: str | Path) -> str:
+    """A file's text as UTF-8; unreadable bytes fail at their 1-based line."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ParseError(f"cannot read file: {exc}", path=str(path)) from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # count lines as the parsers do, with str.splitlines
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"not valid UTF-8: {exc.reason}", path=str(path), line=line) from None
+
+
 # -- pts files ----------------------------------------------------------------
 
 
@@ -166,11 +180,7 @@ def parse_pts(text: str, *, path: str | None = None) -> LandmarkSet:
 
 def load_pts_file(path: str | Path) -> AnnotationRecord:
     p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read file: {exc}", path=str(p)) from exc
-    landmarks = parse_pts(text, path=str(p))
+    landmarks = parse_pts(read_text(p), path=str(p))
     return AnnotationRecord(id=p.stem, image_path=p.name, landmarks=landmarks)
 
 
@@ -247,10 +257,7 @@ def _is_float(token: str) -> bool:
 
 def load_wflw(path: str | Path) -> tuple[DatasetSpec, list[AnnotationRecord]]:
     p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read file: {exc}", path=str(p)) from exc
+    text = read_text(p)
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -296,11 +303,7 @@ def load_canonical(source: str | Path) -> tuple[DatasetSpec, list[AnnotationReco
     """Load and validate canonical JSON, naming the offending field on error."""
     p = Path(source)
     try:
-        text = p.read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read file: {exc}", path=str(p)) from exc
-    try:
-        doc = json.loads(text)
+        doc = json.loads(read_text(p))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", path=str(p)) from exc
     if not isinstance(doc, dict):

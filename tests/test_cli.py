@@ -14,7 +14,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import write_pts_tree, write_wflw_file
+from conftest import (TEMPLATE_68, make_wflw_line, write_pts_file, write_pts_tree,
+                      write_wflw_file)
+from hypothesis import assume
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +24,7 @@ from subpix.cli import main
 from subpix.codec import SCHEME_ORDER, CodecConfig, encode_points
 from subpix.datasets import (AnnotationRecord, load_canonical, load_dataset,
                              write_canonical)
+from subpix.errors import ParseError
 from subpix.geometry import LandmarkSet, Space
 
 
@@ -264,6 +267,54 @@ def test_report_bytes_frozen(capsys, data_dir, tmp_path, case, fmt):
     assert run_cli(capsys, *argv, "--format", fmt) == (0, golden[fmt], "")
     ced = {p.name[4:-4]: p.read_text() for p in sorted(tmp_path.glob("ced_*.csv"))}
     assert ced == golden.get("ced", {})
+
+
+# frozen `convert` output files and `bench-ideal --format json` stdout from each
+# loader: corpus98[:3] as a WFLW list ("{wflw}"), corpus68[:4] as a pts tree
+# ("{pts}") and mixed_canonical_text() ("{json}"); "{out}" is the convert target
+GOLDEN_LOADERS = json.loads((Path(__file__).parent / "golden_loaders.json").read_text())
+
+
+def mixed_canonical_text() -> str:
+    """Canonical JSON whose records hold every optional-field form.
+
+    One record has a bbox and all six flags, one has ``null`` for both, and
+    one has integer points and bbox and a partial flags object.
+    """
+    face = 100.0 + 150.0 * TEMPLATE_68
+    flags = ("pose", "expression", "illumination", "make_up", "occlusion", "blur")
+    records = [
+        {"id": "full", "image_path": "a.png", "points": face.tolist(),
+         "bbox": [90.0, 95.0, 260.0, 262.0],
+         "attributes": {name: k % 2 == 0 for k, name in enumerate(flags)}},
+        {"id": "bare", "image_path": "b.png", "points": (face + [3.25, -1.5]).tolist(),
+         "bbox": None, "attributes": None},
+        {"id": "partial", "image_path": "sub/c.png",
+         "points": np.rint(1.5 * face).astype(int).tolist(), "bbox": [140, 140, 390, 390],
+         "attributes": {"pose": True, "blur": False}},
+    ]
+    return json.dumps({"dataset": "mixed", "n_landmarks": 68, "records": records})
+
+
+def loader_inputs(directory: Path, corpus98, corpus68) -> dict[str, str]:
+    write_wflw_file(corpus98[:3], directory / "list.txt")
+    write_pts_tree(corpus68[:4], directory / "tree")
+    (directory / "mixed.json").write_text(mixed_canonical_text())
+    return {"wflw": str(directory / "list.txt"), "pts": str(directory / "tree"),
+            "json": str(directory / "mixed.json"), "out": str(directory / "out.json")}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_LOADERS))
+def test_loader_bytes_frozen(capsys, tmp_path, corpus98, corpus68, case):
+    golden = GOLDEN_LOADERS[case]
+    paths = loader_inputs(tmp_path, corpus98, corpus68)
+    rc, out, err = run_cli(capsys, *(a.format(**paths) for a in golden["argv"]))
+    assert rc == 0
+    if "file" in golden:
+        assert (out, err) == ("", f"wrote {golden['records']} records to {paths['out']}\n")
+        assert Path(paths["out"]).read_text() == golden["file"]
+    else:
+        assert (out, err) == (golden["stdout"], "")
 
 
 class TestEncodeDecode:
@@ -904,6 +955,122 @@ class TestConfigFuzz:
             assert err == "" and out.endswith("\n")
         else:
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# characters that end a line neither for str.splitlines nor for a universal-newline read
+_ONE_LINE = st.characters(blacklist_categories=("Cs",),
+                          blacklist_characters="\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+_TOKENS = st.one_of(
+    st.text(_ONE_LINE, max_size=8), st.floats().map(repr), st.integers().map(str),
+    st.sampled_from(["nan", "-inf", "infinity", "1e200", "-1e308", "1_0", "0x1p3", "-0", "2"]))
+
+
+@st.composite
+def _fuzzed_line(draw, lines: list[str]) -> tuple[int, bytes]:
+    """Where to put a fuzzed line, and its bytes: an edit of ``lines[k]``, any text, or any bytes.
+
+    The edit replaces, drops or inserts one whitespace-separated token.
+    The result is always one line, so an error in it is located at k + 1.
+    """
+    k = draw(st.integers(0, len(lines) - 1))
+    tokens = lines[k].split()
+    i = draw(st.integers(0, len(tokens)))
+    op = draw(st.sampled_from(["replace", "drop", "insert", "text", "bytes"]))
+    if op == "bytes":
+        return k, draw(st.binary(max_size=40)).translate(None, b"\n\r\x0b\x0c\x1c\x1d\x1e")
+    if op == "text":
+        return k, draw(st.text(_ONE_LINE, max_size=60)).encode()
+    if op == "insert":
+        tokens.insert(i, draw(_TOKENS))
+    elif i < len(tokens):
+        tokens[i:i + 1] = [] if op == "drop" else [draw(_TOKENS)]
+    return k, " ".join(tokens).encode()
+
+
+@pytest.fixture(scope="module")
+def loader_fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("loader_fuzz")
+
+
+def _run_quiet(*argv: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _assert_loader_outcome(spec: str, path: Path, line: int | None, directory: Path) -> None:
+    """``convert`` and ``bench-ideal`` on ``spec``: exit 0, or exit 2 with one ``error:`` line.
+
+    Where the loader refuses the file, both print its located error, which
+    names ``path`` and the 1-based ``line`` (any line when None).
+    """
+    try:
+        n = len(load_dataset(spec)[1])
+    except ParseError as exc:
+        assert exc.path == str(path) and exc.line is not None and exc.line >= 1, exc
+        assert line is None or exc.line == line, exc
+        refusal = f"error: {exc}\n"
+    else:
+        refusal = None
+    target = directory / "out.json"
+    for argv in (("convert", "--dataset", spec, "--out", str(target)),
+                 ("bench-ideal", "--dataset", spec, "--format", "json")):
+        rc, out, err = _run_quiet(*argv)
+        if refusal is not None:
+            assert (rc, out, err) == (2, "", refusal)
+        elif argv[0] == "convert":
+            assert (rc, out, err) == (0, "", f"wrote {n} records to {target}\n")
+        elif rc == 2:
+            # a file that loads can still be refused, but not for a line of it
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+            assert not err.startswith(f"error: {path}"), err
+        else:
+            assert rc == 0 and err == "", err
+
+
+class TestLoaderFuzz:
+    """Arbitrary annotation text through the CLI: exit 0, or exit 2 with one
+    ``error:`` line naming the file and the 1-based line; never exit 1, a
+    traceback or a numpy warning."""
+
+    WFLW_LINES = [make_wflw_line(seed) for seed in (5, 6, 7, 8)]
+    PTS_LINES = ["version: 1", "n_points: 68", "{",
+                 *(f"{x!r} {y!r}" for x, y in 50.0 + 200.0 * TEMPLATE_68), "}"]
+
+    @given(fuzz=_fuzzed_line(WFLW_LINES))
+    @example(fuzz=(1, b"abc\xff def"))
+    @example(fuzz=(2, make_wflw_line(7).replace(" 0 ", " 2 ", 1).encode()))
+    @settings(max_examples=150, deadline=None)
+    def test_wflw_list(self, loader_fuzz_dir, fuzz):
+        k, line = fuzz
+        assume(len((line.decode("utf-8", "replace") + "x").splitlines()) == 1)
+        path = loader_fuzz_dir / "list.txt"
+        lines = [s.encode() for s in self.WFLW_LINES]
+        lines[k] = line
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        _assert_loader_outcome(f"wflw:{path}", path, k + 1, loader_fuzz_dir)
+
+    @given(fuzz=_fuzzed_line(PTS_LINES),
+           whole=st.one_of(st.none(), st.binary(max_size=200), st.text(max_size=200)))
+    @example(fuzz=(3, b"nan 2.0"), whole=None)
+    @example(fuzz=(0, b""), whole=b"version: 1\nn_points: 1\n{\n\xe9 1\n}\n")
+    @settings(max_examples=150, deadline=None)
+    def test_pts_file(self, loader_fuzz_dir, fuzz, whole):
+        k, line = fuzz
+        if whole is None:
+            assume(len((line.decode("utf-8", "replace") + "x").splitlines()) == 1)
+            lines = [s.encode() for s in self.PTS_LINES]
+            lines[k] = line
+            data = b"\n".join(lines) + b"\n"
+        else:
+            data = whole if isinstance(whole, bytes) else whole.encode("utf-8", "surrogatepass")
+        tree = loader_fuzz_dir / "tree"
+        tree.mkdir(exist_ok=True)
+        path = tree / "face.pts"
+        path.write_bytes(data)
+        # a replaced header or brace line can shift where the parse fails
+        _assert_loader_outcome(f"pts:{tree}", path, None, loader_fuzz_dir)
 
 
 class TestErrorReporting:
