@@ -12,10 +12,9 @@ from .bench import (BenchConfig, BenchReport, SchemeStats, analytic_direct_error
 from .codec import (SCHEME_ORDER, CodecConfig, DecimalOverflow, DecodeResult,
                     EncodedSample, OobPolicy, Scheme, decode, encode,
                     encode_points, ideal_roundtrip)
-from .datasets import (ATTRIBUTE_NAMES, AnnotationRecord, Attributes, DatasetSpec,
-                       load_canonical, load_dataset, load_pts_dir, load_pts_file,
-                       load_wflw, parse_pts, parse_wflw_line, subset_counts,
-                       write_canonical)
+from .datasets import (ATTRIBUTE_NAMES, Corpus, load_canonical, load_dataset,
+                       load_pts_dir, load_wflw, parse_pts, parse_wflw_line,
+                       subset_counts, write_canonical)
 from .errors import ConfigError, ParseError, SchemaError
 from .geometry import (AffineTransform, FaceBatch, LandmarkSet, Space,
                        apply_transform, crop_from_bbox, crop_from_landmarks,
@@ -29,15 +28,13 @@ __version__ = "0.1.0"
 __all__ = [
     "ATTRIBUTE_NAMES",
     "AffineTransform",
-    "AnnotationRecord",
-    "Attributes",
     "BenchConfig",
     "BenchReport",
     "CodecConfig",
     "ConfigError",
+    "Corpus",
     "DEFAULT_NORM_INDICES",
     "DEFAULT_THRESHOLD",
-    "DatasetSpec",
     "DecimalOverflow",
     "DecodeResult",
     "EncodedSample",
@@ -71,7 +68,6 @@ __all__ = [
     "load_canonical",
     "load_dataset",
     "load_pts_dir",
-    "load_pts_file",
     "load_wflw",
     "parse_pts",
     "parse_wflw_line",

@@ -14,13 +14,14 @@ closed-form expectation for the nearest-cell scheme.
 Both modes score through the grid-free :func:`subpix.codec.ideal_roundtrip`,
 which is bit-identical to rendering the maps and decoding them.
 
-The ideal mode runs as whole-array passes. :func:`build_samples` stacks the
-records' landmarks as (N, L, 2) and crops them all with one batched kernel
-from :mod:`subpix.geometry` onto the unit square: a per-image scale (N,) and
-offset (N, 2). :func:`run_ideal` scales both onto the heatmap grid, maps
-decoded points back with the reciprocal scale, and scores each scheme with
-one :func:`subpix.metrics.image_errors` call. Its results are bit-identical
-to a per-image transform chain.
+The ideal mode runs as whole-array passes over a
+:class:`subpix.datasets.Corpus`. :func:`build_samples` crops its (N, L, 2)
+points with one batched kernel from :mod:`subpix.geometry` onto the unit
+square: a per-image scale (N,) and offset (N, 2). :func:`run_ideal` scales
+both onto the heatmap grid, refuses a face whose points do not survive that
+map and its inverse, maps decoded points back with the reciprocal scale,
+and scores each scheme with one :func:`subpix.metrics.image_errors` call.
+Its results are bit-identical to a per-image transform chain.
 
 Randomness comes from numpy's PCG64 generator seeded from the config, so
 every run with the same config is byte-identical.
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import SCHEME_ORDER, CodecConfig, Scheme, ideal_roundtrip
-from .datasets import AnnotationRecord
+from .datasets import Corpus
 from .errors import ConfigError
 from .geometry import FaceBatch, bbox_crops, check_margin, heatmap_transform, landmark_crops
 from .geometry import crop_from_landmarks  # noqa: F401  timed as geometry.crop by perfbench
@@ -62,6 +63,11 @@ __all__ = [
 # all schemes, so 2^24 landmarks peak near 3.6 GB; a larger draw is refused
 # before anything is allocated.
 _MAX_MC_POINTS = 1 << 24
+
+#: The most a face's point may move, in normalization distances, when mapped
+#: to the heatmap and back. ``wov`` returns each in-grid point by exactly that
+#: path, so every face accepted scores a ``wov`` NME below 1e-8 percent.
+_MAX_ROUNDTRIP_MOVE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -144,45 +150,34 @@ def analytic_direct_error(n: float) -> float:
     return n * (math.sqrt(2.0) + math.asinh(1.0)) / 6.0
 
 
-def build_samples(records: list[AnnotationRecord], cfg: BenchConfig,
-                  ) -> tuple[FaceBatch, int]:
-    """Stack annotation records into one cropped batch; count the rejects.
+def build_samples(corpus: Corpus, cfg: BenchConfig) -> tuple[FaceBatch, int]:
+    """Crop a corpus into one batch; count the faces skipped.
 
-    A record is skipped (not failed) when its normalization distance is
-    not positive, when it has no bbox under ``crop_source="bbox"``, or when
-    its crop is degenerate. Every record must have the same landmark count.
+    A face is skipped (not failed) when its normalization distance is not
+    positive, when it has no bbox under ``crop_source="bbox"``, or when its
+    crop is degenerate.
     """
-    if not records:
+    if not len(corpus):
         raise ConfigError("no records to benchmark")
-    n_landmarks = len(records[0].landmarks)
-    for rec in records:
-        if len(rec.landmarks) != n_landmarks:
-            raise ConfigError(f"record '{rec.id}' has {len(rec.landmarks)} landmarks, "
-                              f"expected {n_landmarks}")
-    pair = resolve_norm_indices(n_landmarks, cfg.metrics)
-    points = np.stack([rec.landmarks.points for rec in records])
-    valid = np.stack([rec.landmarks.valid for rec in records])
-    d = norm_distances(points, pair)
+    d = norm_distances(corpus.points, resolve_norm_indices(corpus.points.shape[1], cfg.metrics))
     if cfg.crop_source == "bbox":
-        boxes = [rec.bbox if rec.bbox is not None else (np.nan,) * 4 for rec in records]
-        crop, ok = bbox_crops(boxes, cfg.crop_margin, inclusive=cfg.bbox_inclusive)
+        crop, ok = bbox_crops(corpus.bbox, cfg.crop_margin, inclusive=cfg.bbox_inclusive)
     else:
-        crop, ok = landmark_crops(points, valid, cfg.crop_margin)
+        crop, ok = landmark_crops(corpus.points, corpus.valid, cfg.crop_margin)
     keep = np.flatnonzero(ok & ~np.isnan(d))
-    batch = FaceBatch(ids=tuple(records[k].id for k in keep), points=points[keep],
-                      valid=valid[keep], crop=crop[keep], norm_distance=d[keep])
-    return batch, len(records) - len(keep)
+    batch = FaceBatch(ids=corpus.ids[keep], points=corpus.points[keep],
+                      valid=corpus.valid[keep], crop=crop[keep], norm_distance=d[keep])
+    return batch, len(corpus) - len(keep)
 
 
-def run_ideal(records: list[AnnotationRecord], cfg: BenchConfig,
-              dataset_name: str = "dataset") -> BenchReport:
-    """Encode-decode every record under every scheme and aggregate.
+def run_ideal(corpus: Corpus, cfg: BenchConfig) -> BenchReport:
+    """Encode-decode every face under every scheme and aggregate.
 
     The batch goes through one :func:`ideal_roundtrip` call per scheme,
     grouped by image so that ``wom`` collisions stay inside one image, and
     is mapped to heatmap space and back and scored as whole arrays.
     """
-    batch, skipped = build_samples(records, cfg)
+    batch, skipped = build_samples(corpus, cfg)
     if not len(batch):
         raise ConfigError("every record was skipped; nothing to benchmark")
     shape = cfg.codec.heatmap_shape
@@ -193,9 +188,20 @@ def run_ideal(records: list[AnnotationRecord], cfg: BenchConfig,
     points = to_heatmap.apply(batch.points).reshape(-1, 2)
     valid = batch.valid.reshape(-1)
     image = np.repeat(np.arange(n), n_landmarks)
-    # canonical sample order: record order must not affect any aggregate,
+    # canonical sample order: face order must not affect any aggregate,
     # including the last ulp of the mean
     order = np.array(sorted(range(n), key=batch.ids.__getitem__), dtype=np.intp)
+    # a crop too wide for floats to resolve its points (one point far off, say)
+    # would score even a lossless scheme at many percent; refuse the face
+    with np.errstate(over="ignore", invalid="ignore"):
+        back = to_raw.apply((points / dims * dims).reshape(n, n_landmarks, 2))
+        moved = np.linalg.norm(back - batch.points, axis=2) / batch.norm_distance[:, None]
+    worst = np.where(batch.valid, moved, 0.0).max(axis=1)[order]
+    if not np.all(worst <= _MAX_ROUNDTRIP_MOVE):  # NaN fails too
+        k = np.argmin(worst <= _MAX_ROUNDTRIP_MOVE)
+        raise ConfigError(f"record '{batch.ids[order[k]]}': mapping its points to the heatmap "
+                          f"and back moves one by {worst[k]:.3g} normalization distances "
+                          f"(limit {_MAX_ROUNDTRIP_MOVE:g})")
 
     rows = []
     threshold = cfg.metrics.threshold
@@ -209,7 +215,7 @@ def run_ideal(records: list[AnnotationRecord], cfg: BenchConfig,
         # every point the codec did not drop must score
         encoded = ~np.isnan(coords[:, 0]).reshape(n, n_landmarks)
         overflowed = (encoded & ~np.isfinite(per_point)).any(axis=1)
-        mean = mean_nme([batch.ids[k] for k in order], nme[order], overflowed[order])
+        mean = mean_nme(batch.ids[order], nme[order], overflowed[order])
         scored = order[~np.isnan(nme[order])]
         if not len(scored):
             raise ConfigError(f"scheme '{scheme.value}' produced no scorable images")
@@ -231,7 +237,7 @@ def run_ideal(records: list[AnnotationRecord], cfg: BenchConfig,
     config = _config_echo(cfg, oob_policy=cfg.codec.oob_policy.value, threshold=threshold,
                           crop_margin=cfg.crop_margin, crop_source=cfg.crop_source,
                           bbox_inclusive=cfg.bbox_inclusive)
-    return BenchReport(mode="ideal", dataset=dataset_name, n_images=n,
+    return BenchReport(mode="ideal", dataset=corpus.name, n_images=n,
                        skipped=skipped, threshold=threshold, config=config, rows=rows)
 
 

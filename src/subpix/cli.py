@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from .codec import (SCHEME_ORDER, CodecConfig, DecimalOverflow, EncodedSample,
                     OobPolicy, Scheme, decode as codec_decode, encode, encode_points)
 from .datasets import load_canonical, load_dataset, read_text, write_canonical
 from .errors import ConfigError, ParseError
-from .geometry import check_margin, crop_from_landmarks
+from .geometry import LandmarkSet, check_margin, crop_from_landmarks
 from .metrics import (MetricsConfig, ced_auc, ced_points, failure_rate, format_ced_csv,
                       image_errors, mean_nme, norm_distances, resolve_norm_indices)
 
@@ -173,7 +174,7 @@ def _write_out(text: str, out: str | None) -> None:
 def _cmd_bench_ideal(args) -> int:
     if args.threads < 1:
         raise ConfigError(f"thread count must be positive, got {args.threads}")
-    spec, records = load_dataset(args.dataset)
+    _, corpus = load_dataset(args.dataset)
     schemes = _parse_schemes(args.schemes)
     norm = _parse_index_pair(args.norm_indices) if args.norm_indices else None
     bcfg = BenchConfig(
@@ -184,7 +185,7 @@ def _cmd_bench_ideal(args) -> int:
         crop_source=args.crop_source,
         bbox_inclusive=args.bbox_edge == "inclusive",
     )
-    report = run_ideal(records, bcfg, dataset_name=spec.name)
+    report = run_ideal(corpus, bcfg)
     _write_out(emit_report(report, args.format), args.out)
     if args.ced_out:
         for row in report.rows:
@@ -215,12 +216,12 @@ def _cmd_encode(args) -> int:
         pts = np.array([_parse_point(p) for p in args.point], dtype=np.float64)
         enc = encode_points(pts, cfg)
     else:
-        _, records = load_canonical(args.record)
-        if not (0 <= args.index < len(records)):
+        _, corpus = load_canonical(args.record)
+        if not (0 <= args.index < len(corpus)):
             raise ConfigError(f"record index {args.index} out of range "
-                              f"(file has {len(records)} records)")
-        rec = records[args.index]
-        enc = encode(rec.landmarks, crop_from_landmarks(rec.landmarks, args.margin), cfg)
+                              f"(file has {len(corpus)} records)")
+        landmarks = LandmarkSet(corpus.points[args.index], valid=corpus.valid[args.index])
+        enc = encode(landmarks, crop_from_landmarks(landmarks, args.margin), cfg)
     _write_out(enc.to_json() + "\n", args.out)
     return 0
 
@@ -274,39 +275,37 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    gt_spec, gt_records = load_canonical(args.gt)
-    pred_spec, pred_records = load_canonical(args.pred)
-    if gt_spec.n_landmarks != pred_spec.n_landmarks:
+    gt, pred = load_canonical(args.gt)[1], load_canonical(args.pred)[1]
+    n_landmarks = gt.points.shape[1]
+    if pred.points.shape[1] != n_landmarks:
         raise ConfigError(f"landmark counts differ: ground truth has "
-                          f"{gt_spec.n_landmarks}, predictions have {pred_spec.n_landmarks}")
-    preds = {r.id: r for r in pred_records}
-    missing = [r.id for r in gt_records if r.id not in preds]
-    if missing:
+                          f"{n_landmarks}, predictions have {pred.points.shape[1]}")
+    # each ground-truth face's row in the prediction file, -1 where it has none
+    where = dict(zip(pred.ids, range(len(pred))))
+    rows = np.array([where.get(i, -1) for i in gt.ids], dtype=np.intp)
+    missing = gt.ids[rows < 0]
+    if len(missing):
         raise ConfigError(f"prediction file is missing record id '{missing[0]}' "
                           f"({len(missing)} missing in total)")
-    extra = set(preds) - {r.id for r in gt_records}
+    extra = set(where) - set(gt.ids)
     if extra:
         raise ConfigError(f"prediction file has unknown record id '{sorted(extra)[0]}' "
                           f"({len(extra)} unknown in total)")
     mcfg = MetricsConfig(
         norm_indices=_parse_index_pair(args.norm_indices) if args.norm_indices else None,
         threshold=args.threshold)
-    pair = resolve_norm_indices(gt_spec.n_landmarks, mcfg)
-    # canonical records hold only finite, valid points; scoring in ground-truth
+    # canonical files hold only finite, valid points; scoring in ground-truth
     # order keeps the mean's last bits independent of the prediction file's order
-    gt = np.stack([r.landmarks.points for r in gt_records])
-    pred = np.stack([preds[r.id].landmarks.points for r in gt_records])
-    d = norm_distances(gt, pair)
+    d = norm_distances(gt.points, resolve_norm_indices(n_landmarks, mcfg))
     scored = np.flatnonzero(~np.isnan(d))
     if not len(scored):
         raise ConfigError("every record was skipped; nothing to score")
-    per_point, errors = image_errors(gt[scored], pred[scored], d[scored])
+    per_point, errors = image_errors(gt.points[scored], pred.points[rows[scored]], d[scored])
     # canonical points are finite, so only overflow makes an error non-finite
-    nme = mean_nme([gt_records[k].id for k in scored], errors,
-                   ~np.isfinite(per_point).all(axis=1))
+    nme = mean_nme(gt.ids[scored], errors, ~np.isfinite(per_point).all(axis=1))
     row = {**score_values(nme, ced_auc(errors, args.threshold),
                           failure_rate(errors, args.threshold)),
-           "n_images": len(errors), "skipped": len(gt_records) - len(errors)}
+           "n_images": len(errors), "skipped": len(gt) - len(errors)}
     # the table shows the scores; CSV and JSON also carry the counts
     columns = (*SCORE_COLUMNS, Column("n_images", "n_images"), Column("skipped", "skipped"))
     _write_out(format_report(args.format, columns, [row], args.threshold,
@@ -318,17 +317,24 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    spec, records = load_dataset(args.dataset)
-    write_canonical(args.out, records, dataset=args.name or spec.name)
-    print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)
+    _, corpus = load_dataset(args.dataset)
+    write_canonical(args.out, replace(corpus, name=args.name) if args.name else corpus)
+    print(f"wrote {len(corpus)} records to {args.out}", file=sys.stderr)
     return 0
 
 
 # -- parser -----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so that they print as one line like any input error."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="subpix",
         description="Sub-pixel landmark codecs and quantization-error benchmarks.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -451,14 +457,12 @@ def _report_error(exc: BaseException, json_errors: bool, *, internal: bool = Fal
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        argv = _splice_config(argv)
-    except ParseError as exc:
+        argv = _splice_config(argv)  # a config file may set --json-errors too
+        args = _build_parser().parse_args(argv)
+    except (ParseError, ConfigError) as exc:
         _report_error(exc, "--json-errors" in argv)
         return 2
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help prints its usage text and exits 0
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)

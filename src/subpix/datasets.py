@@ -1,4 +1,4 @@
-"""Annotation parsers and the canonical interchange format.
+"""Annotation parsers, the columnar corpus they load, and the canonical format.
 
 Three input shapes are supported:
 
@@ -12,6 +12,11 @@ Three input shapes are supported:
 * the canonical JSON produced by this package, which round-trips
   losslessly and is what the CLI tools exchange.
 
+Every loader returns ``(name, corpus)``: one :class:`Corpus` holds the N
+faces as arrays, and the benchmark and the metrics score its (N, L, 2)
+point stack as is. The name is ``corpus.name`` again, kept first so that
+callers which take the corpus as item 1 keep working.
+
 Parsers fail with located errors (path and 1-based line number) rather
 than exceptions from the bowels of float(); a malformed annotation file
 should never produce a traceback without coordinates.
@@ -20,21 +25,18 @@ should never produce a traceback without coordinates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, ParseError, SchemaError
-from .geometry import LandmarkSet, Space
 
 __all__ = [
     "ATTRIBUTE_NAMES",
-    "Attributes",
-    "AnnotationRecord",
-    "DatasetSpec",
+    "Corpus",
+    "read_text",
     "parse_pts",
-    "load_pts_file",
     "load_pts_dir",
     "parse_wflw_line",
     "load_wflw",
@@ -51,45 +53,55 @@ WFLW_N_LANDMARKS = 98
 _WFLW_TOKENS = WFLW_N_LANDMARKS * 2 + 4 + 6 + 1  # 207
 
 
-@dataclass(frozen=True)
-class Attributes:
-    """Binary condition flags attached to a single annotation."""
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """N annotated faces of L landmarks each, one array per field.
 
-    pose: bool = False
-    expression: bool = False
-    illumination: bool = False
-    make_up: bool = False
-    occlusion: bool = False
-    blur: bool = False
+    Attributes:
+        name: the dataset name.
+        ids: (N,) object array of identifiers, unique within the corpus.
+        image_paths: (N,) object array of image paths as annotated.
+        points: (N, L, 2) raw-space points in 0-based pixels.
+        valid: (N, L) mask of the points to encode and score; every loader
+            marks all points valid, and loaded points are all finite.
+        bbox: (N, 4) annotation boxes ``(x0, y0, x1, y1)``; a NaN row where
+            a face has none.
+        attributes: (N, 6) flags in :data:`ATTRIBUTE_NAMES` order, 0 or 1; a
+            NaN row where a face has none (``"attributes": null``).
 
-    def to_dict(self) -> dict[str, bool]:
-        return {name: bool(getattr(self, name)) for name in ATTRIBUTE_NAMES}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> Attributes:
-        unknown = set(d) - set(ATTRIBUTE_NAMES)
-        if unknown:
-            raise SchemaError(f"unknown attribute flags {sorted(unknown)}", field="attributes")
-        return cls(**{k: bool(v) for k, v in d.items()})
-
-
-@dataclass(eq=False)
-class AnnotationRecord:
-    """One annotated face: identifier, source path, points, and extras."""
-
-    id: str
-    image_path: str
-    landmarks: LandmarkSet
-    bbox: tuple[float, float, float, float] | None = None
-    attributes: Attributes | None = None
-
-
-@dataclass(frozen=True)
-class DatasetSpec:
-    """Loader-level description of a dataset."""
+    ``valid``, ``bbox`` and ``attributes`` default to all valid, no boxes
+    and no flags.
+    """
 
     name: str
-    n_landmarks: int
+    ids: np.ndarray
+    image_paths: np.ndarray
+    points: np.ndarray
+    valid: np.ndarray | None = None
+    bbox: np.ndarray | None = None
+    attributes: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        n, n_landmarks = np.shape(self.points)[:2]
+        for name, dtype, shape, fill in (("points", np.float64, (n, n_landmarks, 2), None),
+                                         ("ids", object, (n,), None),
+                                         ("image_paths", object, (n,), None),
+                                         ("valid", bool, (n, n_landmarks), True),
+                                         ("bbox", np.float64, (n, 4), np.nan),
+                                         ("attributes", np.float64, (n, 6), np.nan)):
+            value = getattr(self, name)
+            arr = np.full(shape, fill, dtype) if value is None else np.asarray(value, dtype)
+            if arr.shape != shape:
+                raise ConfigError(f"corpus {name} of shape {arr.shape} does not match "
+                                  f"{n} faces of {n_landmarks} landmarks")
+            object.__setattr__(self, name, arr)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, rows) -> Corpus:
+        """The faces a slice, index array or mask selects, as a corpus of the same name."""
+        return Corpus(self.name, *(getattr(self, f.name)[rows] for f in fields(self)[1:]))
 
 
 def read_text(path: str | Path) -> str:
@@ -109,8 +121,8 @@ def read_text(path: str | Path) -> str:
 # -- pts files ----------------------------------------------------------------
 
 
-def parse_pts(text: str, *, path: str | None = None) -> LandmarkSet:
-    """Parse one pts file body into a raw-space landmark set.
+def parse_pts(text: str, *, path: str | None = None) -> np.ndarray:
+    """Parse one pts file body into its (n, 2) raw-space points.
 
     The 1-based coordinate convention of the format is converted to
     0-based here: every coordinate is shifted by -1.0.
@@ -152,7 +164,8 @@ def parse_pts(text: str, *, path: str | None = None) -> LandmarkSet:
     if line != "{":
         raise fail(lineno, f"expected '{{' after header, got {line!r}")
 
-    pts = np.empty((n_points, 2), dtype=np.float64)
+    # grown point by point: the header alone must not size an allocation
+    pts = []
     for k in range(n_points):
         lineno, line = next_content()
         tokens = line.split()
@@ -164,7 +177,7 @@ def parse_pts(text: str, *, path: str | None = None) -> LandmarkSet:
             raise fail(lineno, f"non-numeric coordinate in {line!r}") from None
         if not (np.isfinite(x) and np.isfinite(y)):
             raise fail(lineno, f"non-finite coordinate in {line!r}")
-        pts[k] = (x, y)
+        pts.append((x, y))
 
     lineno, line = next_content()
     if line != "}":
@@ -175,16 +188,10 @@ def parse_pts(text: str, *, path: str | None = None) -> LandmarkSet:
         idx += 1
 
     # pts files are 1-based; the rest of the pipeline is 0-based
-    return LandmarkSet(pts - 1.0, space=Space.RAW)
+    return np.array(pts, dtype=np.float64) - 1.0
 
 
-def load_pts_file(path: str | Path) -> AnnotationRecord:
-    p = Path(path)
-    landmarks = parse_pts(read_text(p), path=str(p))
-    return AnnotationRecord(id=p.stem, image_path=p.name, landmarks=landmarks)
-
-
-def load_pts_dir(path: str | Path) -> tuple[DatasetSpec, list[AnnotationRecord]]:
+def load_pts_dir(path: str | Path) -> tuple[str, Corpus]:
     """All ``*.pts`` files under a directory, sorted by path for determinism."""
     root = Path(path)
     if not root.is_dir():
@@ -192,114 +199,103 @@ def load_pts_dir(path: str | Path) -> tuple[DatasetSpec, list[AnnotationRecord]]
     files = sorted(root.rglob("*.pts"))
     if not files:
         raise ParseError("no .pts files found", path=str(root))
-    records = []
-    for f in files:
-        rec = load_pts_file(f)
-        rec.id = f.relative_to(root).with_suffix("").as_posix()
-        records.append(rec)
-    counts = {len(r.landmarks) for r in records}
+    points = [parse_pts(read_text(f), path=str(f)) for f in files]
+    counts = {len(pts) for pts in points}
     if len(counts) != 1:
         raise ParseError(f"inconsistent landmark counts across files: {sorted(counts)}",
                          path=str(root))
-    n = counts.pop()
-    return DatasetSpec(name=root.name, n_landmarks=n), records
+    corpus = Corpus(root.name, [f.relative_to(root).with_suffix("").as_posix() for f in files],
+                    [f.name for f in files], np.stack(points))
+    return corpus.name, corpus
 
 
 # -- annotation list files ------------------------------------------------------
 
 
-def parse_wflw_line(line: str, *, lineno: int | None = None,
-                    path: str | None = None) -> AnnotationRecord:
-    """Parse one 207-token annotation-list line."""
+def parse_wflw_line(line: str, *, lineno: int | None = None, path: str | None = None,
+                    ) -> tuple[str, str, np.ndarray, tuple[int, ...], tuple[bool, ...]]:
+    """Parse one 207-token annotation-list line.
+
+    Returns the face's id, image path, (98, 2) points, bounding box and six
+    attribute flags. The id is ``<line:06d>_<image stem>``, or the image
+    path when no line number is given.
+    """
     tokens = line.split()
     if len(tokens) != _WFLW_TOKENS:
         raise ParseError(
             f"expected {_WFLW_TOKENS} whitespace-separated fields, got {len(tokens)}",
             path=path, line=lineno)
-    coord_tokens = tokens[:196]
-    try:
-        coords = np.array([float(t) for t in coord_tokens], dtype=np.float64)
-    except ValueError:
-        bad = next(t for t in coord_tokens if not _is_float(t))
-        raise ParseError(f"non-numeric landmark coordinate {bad!r}",
-                         path=path, line=lineno) from None
+    coords = []
+    for t in tokens[:196]:
+        try:
+            coords.append(float(t))
+        except ValueError:
+            raise ParseError(f"non-numeric landmark coordinate {t!r}",
+                             path=path, line=lineno) from None
+    coords = np.array(coords)
     if not np.all(np.isfinite(coords)):
         raise ParseError("non-finite landmark coordinate", path=path, line=lineno)
     try:
         bbox = tuple(int(t) for t in tokens[196:200])
+        float(max(bbox, key=abs))  # a corpus holds boxes as floats
     except ValueError:
         bad = tokens[196:200]
         raise ParseError(f"bounding box fields must be integers, got {bad}",
                          path=path, line=lineno) from None
+    except OverflowError:
+        raise ParseError(f"bounding box field too large for a float in {tokens[196:200]}",
+                         path=path, line=lineno) from None
     if bbox[0] >= bbox[2] or bbox[1] >= bbox[3]:
         raise ParseError(f"degenerate bounding box {bbox}", path=path, line=lineno)
-    flags = []
     for name, t in zip(ATTRIBUTE_NAMES, tokens[200:206]):
         if t not in ("0", "1"):
             raise ParseError(f"attribute flag '{name}' must be 0 or 1, got {t!r}",
                              path=path, line=lineno)
-        flags.append(t == "1")
     image_path = tokens[206]
-    landmarks = LandmarkSet(coords.reshape(WFLW_N_LANDMARKS, 2), space=Space.RAW)
     rec_id = f"{lineno:06d}_{Path(image_path).stem}" if lineno is not None else image_path
-    return AnnotationRecord(id=rec_id, image_path=image_path, landmarks=landmarks,
-                            bbox=tuple(float(v) for v in bbox),
-                            attributes=Attributes(*flags))
+    return (rec_id, image_path, coords.reshape(WFLW_N_LANDMARKS, 2), bbox,
+            tuple(t == "1" for t in tokens[200:206]))
 
 
-def _is_float(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
-
-
-def load_wflw(path: str | Path) -> tuple[DatasetSpec, list[AnnotationRecord]]:
+def load_wflw(path: str | Path) -> tuple[str, Corpus]:
     p = Path(path)
-    text = read_text(p)
-    records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        records.append(parse_wflw_line(line, lineno=lineno, path=str(p)))
-    if not records:
+    rows = [parse_wflw_line(line, lineno=lineno, path=str(p))
+            for lineno, line in enumerate(read_text(p).splitlines(), start=1) if line.strip()]
+    if not rows:
         raise ParseError("no annotation lines found", path=str(p))
-    return DatasetSpec(name=p.stem, n_landmarks=WFLW_N_LANDMARKS), records
+    ids, image_paths, points, bbox, flags = zip(*rows)
+    corpus = Corpus(p.stem, ids, image_paths, np.array(points), bbox=bbox, attributes=flags)
+    return corpus.name, corpus
 
 
 # -- canonical JSON -------------------------------------------------------------
 
 
-def canonical_dict(records: list[AnnotationRecord], *, dataset: str) -> dict:
-    """Round-trip-exact JSON form of a record list."""
-    if not records:
-        raise ConfigError("cannot serialize an empty record list")
-    n = len(records[0].landmarks)
-    out_records = []
-    for rec in records:
-        if len(rec.landmarks) != n:
-            raise ConfigError(
-                f"record '{rec.id}' has {len(rec.landmarks)} landmarks, expected {n}")
-        entry: dict = {
-            "id": rec.id,
-            "image_path": rec.image_path,
-            "points": [[float(x), float(y)] for x, y in rec.landmarks.points],
-            "bbox": list(rec.bbox) if rec.bbox is not None else None,
-            "attributes": rec.attributes.to_dict() if rec.attributes is not None else None,
-        }
-        out_records.append(entry)
-    return {"dataset": dataset, "n_landmarks": n, "records": out_records}
+def _rows_or_none(arr: np.ndarray) -> list:
+    """Each row of a 2-D array as a list, or None where the row holds a NaN."""
+    return [None if missing else row
+            for row, missing in zip(arr.tolist(), np.isnan(arr).any(axis=1).tolist())]
 
 
-def write_canonical(path: str | Path, records: list[AnnotationRecord], *,
-                    dataset: str) -> None:
+def canonical_dict(corpus: Corpus) -> dict:
+    """Round-trip-exact JSON form of a corpus."""
+    if not len(corpus):
+        raise ConfigError("cannot serialize an empty corpus")
+    flags = [None if row is None else dict(zip(ATTRIBUTE_NAMES, map(bool, row)))
+             for row in _rows_or_none(corpus.attributes)]
+    columns = (corpus.ids.tolist(), corpus.image_paths.tolist(), corpus.points.tolist(),
+               _rows_or_none(corpus.bbox), flags)
+    keys = ("id", "image_path", "points", "bbox", "attributes")
+    return {"dataset": corpus.name, "n_landmarks": corpus.points.shape[1],
+            "records": [dict(zip(keys, row)) for row in zip(*columns)]}
+
+
+def write_canonical(path: str | Path, corpus: Corpus) -> None:
     Path(path).write_text(
-        json.dumps(canonical_dict(records, dataset=dataset), sort_keys=True,
-                   separators=(",", ":")) + "\n")
+        json.dumps(canonical_dict(corpus), sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def load_canonical(source: str | Path) -> tuple[DatasetSpec, list[AnnotationRecord]]:
+def load_canonical(source: str | Path) -> tuple[str, Corpus]:
     """Load and validate canonical JSON, naming the offending field on error."""
     p = Path(source)
     try:
@@ -319,7 +315,7 @@ def load_canonical(source: str | Path) -> tuple[DatasetSpec, list[AnnotationReco
     raw_records = doc["records"]
     if not isinstance(raw_records, list) or not raw_records:
         raise SchemaError("must be a non-empty array", field="records", path=str(p))
-    records = []
+    rows = []
     seen_ids: set[str] = set()
     for i, entry in enumerate(raw_records):
         where = f"records[{i}]"
@@ -334,12 +330,12 @@ def load_canonical(source: str | Path) -> tuple[DatasetSpec, list[AnnotationReco
         image_path = entry.get("image_path")
         if not isinstance(image_path, str):
             raise SchemaError("must be a string", field=f"{where}.image_path", path=str(p))
-        points = entry.get("points")
-        if not isinstance(points, list) or len(points) != n:
+        raw_points = entry.get("points")
+        if not isinstance(raw_points, list) or len(raw_points) != n:
             raise SchemaError(f"must be an array of {n} [x, y] pairs",
                               field=f"{where}.points", path=str(p))
         try:
-            pts = np.array(points, dtype=np.float64)
+            pts = np.array(raw_points, dtype=np.float64)
         except (TypeError, ValueError, OverflowError):
             raise SchemaError("coordinates must be numbers",
                               field=f"{where}.points", path=str(p)) from None
@@ -357,29 +353,33 @@ def load_canonical(source: str | Path) -> tuple[DatasetSpec, list[AnnotationReco
                     or not all(isinstance(v, (int, float)) for v in bbox)):
                 raise bad_bbox
             try:
-                bbox = tuple(float(v) for v in bbox)
+                bbox = [float(v) for v in bbox]
             except OverflowError:  # an integer past the float range
                 raise bad_bbox from None
+            if not np.all(np.isfinite(bbox)):  # a corpus holds "no bbox" as NaN
+                raise bad_bbox
         attrs = entry.get("attributes")
-        attributes = None
         if attrs is not None:
             if not isinstance(attrs, dict):
                 raise SchemaError("must be null or an object of boolean flags",
                                   field=f"{where}.attributes", path=str(p))
-            try:
-                attributes = Attributes.from_dict(attrs)
-            except SchemaError as exc:
-                raise SchemaError(str(exc), field=f"{where}.attributes", path=str(p)) from exc
-        records.append(AnnotationRecord(id=rec_id, image_path=image_path,
-                                        landmarks=LandmarkSet(pts, space=Space.RAW),
-                                        bbox=bbox, attributes=attributes))
-    return DatasetSpec(name=doc["dataset"], n_landmarks=n), records
+            unknown = set(attrs) - set(ATTRIBUTE_NAMES)
+            if unknown:
+                raise SchemaError(f"unknown attribute flags {sorted(unknown)}",
+                                  field=f"{where}.attributes", path=str(p))
+            attrs = [bool(attrs.get(name, False)) for name in ATTRIBUTE_NAMES]
+        rows.append((rec_id, image_path, pts, (np.nan,) * 4 if bbox is None else bbox,
+                     (np.nan,) * 6 if attrs is None else attrs))
+    ids, image_paths, points, bbox, flags = zip(*rows)
+    corpus = Corpus(doc["dataset"], ids, image_paths, np.stack(points), bbox=bbox,
+                    attributes=flags)
+    return corpus.name, corpus
 
 
 # -- entry point used by the CLI -------------------------------------------------
 
 
-def load_dataset(spec: str) -> tuple[DatasetSpec, list[AnnotationRecord]]:
+def load_dataset(spec: str) -> tuple[str, Corpus]:
     """Load ``format:path`` where format is ``wflw``, ``pts``, or ``json``."""
     fmt, sep, path = spec.partition(":")
     if not sep or not path:
@@ -394,13 +394,6 @@ def load_dataset(spec: str) -> tuple[DatasetSpec, list[AnnotationRecord]]:
     raise ConfigError(f"unknown dataset format {fmt!r} (expected wflw, pts, or json)")
 
 
-def subset_counts(records: list[AnnotationRecord]) -> dict[str, int]:
-    """How many records carry each attribute flag."""
-    counts = dict.fromkeys(ATTRIBUTE_NAMES, 0)
-    for rec in records:
-        if rec.attributes is None:
-            continue
-        for name in ATTRIBUTE_NAMES:
-            if getattr(rec.attributes, name):
-                counts[name] += 1
-    return counts
+def subset_counts(corpus: Corpus) -> dict[str, int]:
+    """How many faces carry each attribute flag."""
+    return dict(zip(ATTRIBUTE_NAMES, np.count_nonzero(corpus.attributes == 1, axis=0).tolist()))

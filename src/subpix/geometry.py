@@ -246,7 +246,7 @@ class FaceBatch:
     """N annotated images of L landmarks each, prepared for encoding.
 
     Attributes:
-        ids: (N,) identifiers, unique within a dataset run.
+        ids: (N,) object array of identifiers, unique within a dataset run.
         points: (N, L, 2) ground-truth points in raw space.
         valid: (N, L) mask of the points to encode and score.
         crop: batched raw -> unit-square transform, one map per image.
@@ -254,7 +254,7 @@ class FaceBatch:
             (commonly the outer-eye-corner distance); all positive.
     """
 
-    ids: tuple[str, ...]
+    ids: np.ndarray
     points: np.ndarray
     valid: np.ndarray
     crop: AffineTransform

@@ -144,7 +144,7 @@ def image_errors(gt: np.ndarray, pred: np.ndarray,
     return err / norm_distance[:, None], nme
 
 
-def mean_nme(ids: list[str], nme: np.ndarray, overflowed: np.ndarray) -> float:
+def mean_nme(ids: np.ndarray, nme: np.ndarray, overflowed: np.ndarray) -> float:
     """The mean of the per-image NMEs that are not NaN, or NaN if none is.
 
     Refuses an overflow rather than dropping it: ``overflowed`` flags each

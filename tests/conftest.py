@@ -11,14 +11,14 @@ map collisions occur on some images.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from subpix.codec import EncodedSample, Scheme, decode
-from subpix.datasets import ATTRIBUTE_NAMES, AnnotationRecord, Attributes
-from subpix.geometry import LandmarkSet, Space
+from subpix.datasets import ATTRIBUTE_NAMES, Corpus
 
 # Landmark indices whose distance normalizes the per-image error.
 NORM_PAIR_98 = (60, 72)
@@ -55,10 +55,10 @@ TEMPLATE_68 = _template(68, NORM_PAIR_68, 0.673, TIGHT_PAIRS_68, seed=2025)
 
 def make_records(n_images: int, n_landmarks: int = 98, seed: int = 11,
                  jitter: float = 0.004, with_attributes: bool | None = None,
-                 ) -> list[AnnotationRecord]:
-    """Synthetic annotation records in raw space.
+                 ) -> Corpus:
+    """A synthetic corpus named "synthetic", in raw space.
 
-    Each record is the layout template placed at a random scale and offset
+    Each face is the layout template placed at a random scale and offset
     with small per-point jitter. Deterministic per seed.
     """
     if n_landmarks not in (98, 68):
@@ -67,36 +67,47 @@ def make_records(n_images: int, n_landmarks: int = 98, seed: int = 11,
     if with_attributes is None:
         with_attributes = n_landmarks == 98
     rng = np.random.Generator(np.random.PCG64(seed))
-    records = []
-    for k in range(n_images):
+    points, boxes, flags = [], [], []
+    for _ in range(n_images):
         side = rng.uniform(120.0, 420.0)
         origin = rng.uniform(20.0, 90.0, size=2)
         pts = origin + side * template + rng.normal(0.0, jitter * side,
                                                     size=template.shape)
-        lms = LandmarkSet(points=pts, space=Space.RAW)
-        lo = np.floor(pts.min(axis=0)) - 2
-        hi = np.ceil(pts.max(axis=0)) + 2
-        bbox = (int(lo[0]), int(lo[1]), int(hi[0]), int(hi[1]))
-        attrs = None
+        points.append(pts)
+        boxes.append(np.concatenate([np.floor(pts.min(axis=0)) - 2,
+                                     np.ceil(pts.max(axis=0)) + 2]))
         if with_attributes:
-            flags = {name: bool(rng.integers(0, 2)) for name in ATTRIBUTE_NAMES}
-            attrs = Attributes(**flags)
-        records.append(AnnotationRecord(
-            id=f"synth_{k:04d}", image_path=f"images/synth_{k:04d}.png",
-            landmarks=lms, bbox=bbox, attributes=attrs))
-    return records
+            flags.append([bool(rng.integers(0, 2)) for _ in ATTRIBUTE_NAMES])
+    ids = [f"synth_{k:04d}" for k in range(n_images)]
+    return Corpus("synthetic", ids, [f"images/{i}.png" for i in ids], np.array(points),
+                  bbox=boxes, attributes=flags if with_attributes else None)
 
 
-def write_wflw_file(records: list[AnnotationRecord], path: Path) -> None:
-    """Serialize records in the 207-token-per-line list format."""
-    lines = []
-    for rec in records:
-        coords = [repr(float(v)) for v in rec.landmarks.points.reshape(-1)]
-        bbox = [str(int(v)) for v in rec.bbox]
-        attrs = rec.attributes or Attributes()
-        flags = [str(int(getattr(attrs, name))) for name in ATTRIBUTE_NAMES]
-        lines.append(" ".join(coords + bbox + flags + [rec.image_path]))
-    path.write_text("\n".join(lines) + "\n")
+def one_face(face_id: str, points, *, valid=None, bbox=None,
+             image_path: str = "x.png") -> Corpus:
+    """A corpus of one face."""
+    return Corpus("synthetic", [face_id], [image_path], np.asarray(points)[None],
+                  valid=None if valid is None else np.asarray(valid)[None],
+                  bbox=None if bbox is None else [bbox])
+
+
+def join(*parts: Corpus) -> Corpus:
+    """The faces of several corpora, in order, as one corpus named like the first."""
+    return Corpus(parts[0].name, *(np.concatenate([getattr(p, f.name) for p in parts])
+                                   for f in fields(Corpus)[1:]))
+
+
+def wflw_line(corpus: Corpus, k: int) -> str:
+    """Face ``k`` in the 207-token list format; no flags write as zeros."""
+    coords = [repr(float(v)) for v in corpus.points[k].reshape(-1)]
+    bbox = [str(int(v)) for v in corpus.bbox[k]]
+    flags = [str(int(v == 1)) for v in corpus.attributes[k]]
+    return " ".join(coords + bbox + flags + [corpus.image_paths[k]])
+
+
+def write_wflw_file(corpus: Corpus, path: Path) -> None:
+    """Serialize a corpus in the 207-token-per-line list format."""
+    path.write_text("\n".join(wflw_line(corpus, k) for k in range(len(corpus))) + "\n")
 
 
 def write_pts_file(points: np.ndarray, path: Path) -> None:
@@ -107,20 +118,20 @@ def write_pts_file(points: np.ndarray, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_pts_tree(records: list[AnnotationRecord], root: Path) -> None:
-    for rec in records:
-        target = root / f"{rec.id}.pts"
+def write_pts_tree(corpus: Corpus, root: Path) -> None:
+    for face_id, points in zip(corpus.ids, corpus.points):
+        target = root / f"{face_id}.pts"
         target.parent.mkdir(parents=True, exist_ok=True)
-        write_pts_file(rec.landmarks.points, target)
+        write_pts_file(points, target)
 
 
 @pytest.fixture(scope="session")
-def corpus98() -> list[AnnotationRecord]:
+def corpus98() -> Corpus:
     return make_records(24, n_landmarks=98, seed=11)
 
 
 @pytest.fixture(scope="session")
-def corpus68() -> list[AnnotationRecord]:
+def corpus68() -> Corpus:
     return make_records(20, n_landmarks=68, seed=12)
 
 
@@ -144,12 +155,7 @@ MALFORMED_PTS: list[tuple[str, str]] = [
 
 
 def make_wflw_line(seed: int = 5) -> str:
-    rec = make_records(1, seed=seed)[0]
-    coords = [repr(float(v)) for v in rec.landmarks.points.reshape(-1)]
-    bbox = [str(int(v)) for v in rec.bbox]
-    attrs = rec.attributes or Attributes()
-    flags = [str(int(getattr(attrs, name))) for name in ATTRIBUTE_NAMES]
-    return " ".join(coords + bbox + flags + [rec.image_path])
+    return wflw_line(make_records(1, seed=seed), 0)
 
 
 def malformed_wflw_lines() -> list[tuple[str, str]]:
@@ -180,7 +186,7 @@ def malformed_canonical_docs() -> list[tuple[str, str]]:
 
     from subpix.datasets import canonical_dict
 
-    doc = canonical_dict(make_records(2, seed=6), dataset="synthetic")
+    doc = canonical_dict(make_records(2, seed=6))
 
     def mutate(name, fn):
         d = copy.deepcopy(doc)

@@ -64,8 +64,8 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
 def reports(corpus98, corpus68):
     cfg = BenchConfig(seed=1)
     return {
-        98: run_ideal(corpus98, cfg, "synthetic98"),
-        68: run_ideal(corpus68, cfg, "synthetic68"),
+        98: run_ideal(corpus98, cfg),
+        68: run_ideal(corpus68, cfg),
     }
 
 
@@ -201,8 +201,7 @@ def test_criterion_6_real_dataset_levels():
 
     if wflw_path:
         t0 = time.monotonic()
-        _, records = load_wflw(wflw_path)
-        rep = run_ideal(records, cfg, "wflw")
+        rep = run_ideal(load_wflw(wflw_path)[1], cfg)
         elapsed = time.monotonic() - t0
         direct = 100 * scheme_row(rep, Scheme.DIRECT).nme
         hih = 100 * scheme_row(rep, Scheme.HIH).nme
@@ -215,8 +214,7 @@ def test_criterion_6_real_dataset_levels():
                       f"(0.182±25%), wom {wom:.3f} (order 0.041), {elapsed:.0f}s")
     if w300_path:
         t0 = time.monotonic()
-        _, records = load_pts_dir(w300_path)
-        rep = run_ideal(records, cfg, "300w")
+        rep = run_ideal(load_pts_dir(w300_path)[1], cfg)
         elapsed = time.monotonic() - t0
         direct = 100 * scheme_row(rep, Scheme.DIRECT).nme
         hih = 100 * scheme_row(rep, Scheme.HIH).nme
@@ -255,17 +253,14 @@ def test_criterion_7_metrics_oracle():
 def test_criterion_8_parser_suite(tmp_path, corpus98):
     # golden round-trips
     pts_golden = parse_pts("version: 1\nn_points: 2\n{\n10.5 20.5\n1.0 1.0\n}\n")
-    golden_ok = np.array_equal(pts_golden.points, [[9.5, 19.5], [0.0, 0.0]])
+    golden_ok = np.array_equal(pts_golden, [[9.5, 19.5], [0.0, 0.0]])
     line = make_wflw_line()
-    rec = parse_wflw_line(line, lineno=1)
-    golden_ok &= len(rec.landmarks) == 98 and rec.bbox is not None
+    _, _, points, bbox, flags = parse_wflw_line(line, lineno=1)
+    golden_ok &= points.shape == (98, 2) and len(bbox) == 4 and len(flags) == 6
 
     f = tmp_path / "list.txt"
     write_wflw_file(corpus98, f)
-    _, loaded = load_wflw(f)
-    golden_ok &= all(
-        np.array_equal(a.landmarks.points, b.landmarks.points)
-        for a, b in zip(corpus98, loaded))
+    golden_ok &= np.array_equal(load_wflw(f)[1].points, corpus98.points)
 
     # malformed corpus: located errors, zero crashes, zero silent accepts
     def probe(fn, needle):
@@ -296,8 +291,7 @@ def test_criterion_8_parser_suite(tmp_path, corpus98):
 
     wflw_path = os.environ.get(WFLW_ENV)
     if wflw_path:
-        _, records = load_wflw(wflw_path)
-        counts = subset_counts(records)
+        counts = subset_counts(load_wflw(wflw_path)[1])
         subset_ok = counts == {"pose": 326, "expression": 314,
                                "illumination": 698, "make_up": 206,
                                "occlusion": 736, "blur": 773}
@@ -314,7 +308,7 @@ def test_criterion_9_byte_identical_runs(tmp_path, corpus98, corpus68):
     wflw = tmp_path / "list.txt"
     write_wflw_file(corpus98[:8], wflw)
     gt = tmp_path / "gt.json"
-    write_canonical(gt, corpus68, dataset="synth68")
+    write_canonical(gt, corpus68)
     payload = tmp_path / "payload.json"
     proc = run_cli("encode", "--scheme", "hih", "--point", "32.65,20.3")
     assert proc.returncode == 0, proc.stderr.decode()

@@ -14,24 +14,24 @@ import random
 
 import numpy as np
 import pytest
-from conftest import make_records
+from conftest import join, make_records, one_face
 
 from subpix.bench import (BenchConfig, BenchReport, Column, SchemeStats,
                           analytic_direct_error, build_samples, emit_report,
                           format_report, run_ideal, run_montecarlo)
 from subpix.codec import (CodecConfig, OobPolicy, Scheme, decode, encode_points,
                           ideal_roundtrip)
-from subpix.datasets import AnnotationRecord
+from subpix.datasets import Corpus
 from subpix.errors import ConfigError
-from subpix.geometry import LandmarkSet, Space, heatmap_transform
+from subpix.geometry import heatmap_transform
 from subpix.metrics import MetricsConfig, resolve_norm_indices
 
 # expected 2-D distance to the nearest grid point under uniform offsets
 ROUNDING_CONSTANT = 0.38259785823210635
 
 
-def grid_aligned_records(n_images: int = 3) -> list[AnnotationRecord]:
-    """Records whose landmarks sit exactly on heatmap cells after a unit crop.
+def grid_aligned_records(n_images: int = 3) -> Corpus:
+    """Faces whose landmarks sit exactly on heatmap cells after a unit crop.
 
     The exclusive bounding box (0, 0, 256, 256) maps onto the unit square
     with no shift, so on the 64-cell grid raw coordinates at multiples of 4
@@ -40,10 +40,9 @@ def grid_aligned_records(n_images: int = 3) -> list[AnnotationRecord]:
     """
     cells = [(k % 64, 5 + 8 * (k // 64)) for k in range(98)]
     pts = np.array(cells, dtype=np.float64) * 4.0
-    lms = LandmarkSet(pts, space=Space.RAW)
-    return [AnnotationRecord(id=f"aligned_{k}", image_path=f"{k}.png",
-                             landmarks=lms, bbox=(0.0, 0.0, 256.0, 256.0))
-            for k in range(n_images)]
+    return Corpus("aligned", [f"aligned_{k}" for k in range(n_images)],
+                  [f"{k}.png" for k in range(n_images)], np.tile(pts, (n_images, 1, 1)),
+                  bbox=np.tile([0.0, 0.0, 256.0, 256.0], (n_images, 1)))
 
 
 ALIGNED_CFG = dict(crop_source="bbox", crop_margin=0.0, bbox_inclusive=False)
@@ -86,7 +85,7 @@ def mc_report() -> BenchReport:
 
 @pytest.fixture(scope="module")
 def ideal_report(corpus98) -> BenchReport:
-    return run_ideal(corpus98, BenchConfig(seed=1), dataset_name="synthetic98")
+    return run_ideal(corpus98, BenchConfig(seed=1))
 
 
 def _row(report: BenchReport, scheme: Scheme) -> SchemeStats:
@@ -191,14 +190,13 @@ class TestRunIdeal:
 
     def test_ordering_invariance(self, corpus98):
         cfg = BenchConfig(seed=1)
-        base = emit_report(run_ideal(corpus98, cfg, dataset_name="d"), "json")
-        shuffled = list(corpus98)
+        base = emit_report(run_ideal(corpus98, cfg), "json")
+        shuffled = list(range(len(corpus98)))
         random.Random(99).shuffle(shuffled)
-        assert emit_report(run_ideal(shuffled, cfg, dataset_name="d"), "json") == base
+        assert emit_report(run_ideal(corpus98[shuffled], cfg), "json") == base
 
     def test_grid_aligned_landmarks_score_zero(self):
-        report = run_ideal(grid_aligned_records(), BenchConfig(**ALIGNED_CFG),
-                           "aligned")
+        report = run_ideal(grid_aligned_records(), BenchConfig(**ALIGNED_CFG))
         for r in report.rows:
             assert r.nme == 0.0, r.scheme
             assert r.auc == 1.0
@@ -237,42 +235,48 @@ class TestRunIdeal:
             assert int(np.count_nonzero(~same)) == conflicts
 
     def test_skipped_degenerate_records(self, corpus98):
-        broken = [AnnotationRecord(id="dup", image_path="x.png",
-                                   landmarks=LandmarkSet(
-                                       np.tile(corpus98[0].landmarks.points[:1], (98, 1)),
-                                       space=Space.RAW))]
-        report = run_ideal(corpus98 + broken, BenchConfig(seed=1), "d")
+        broken = one_face("dup", np.tile(corpus98.points[0, :1], (98, 1)))
+        report = run_ideal(join(corpus98, broken), BenchConfig(seed=1))
         assert report.skipped == 1
         assert report.n_images == len(corpus98)
 
     def test_all_degenerate_rejected(self, corpus98):
-        broken = AnnotationRecord(id="dup", image_path="x.png",
-                                  landmarks=LandmarkSet(
-                                      np.tile(corpus98[0].landmarks.points[:1], (98, 1)),
-                                      space=Space.RAW))
+        broken = one_face("dup", np.tile(corpus98.points[0, :1], (98, 1)))
         with pytest.raises(ConfigError):
-            run_ideal([broken], BenchConfig(seed=1), "d")
+            run_ideal(broken, BenchConfig(seed=1))
 
     def test_overflowing_percent_refused(self, corpus98):
         # every point error of face 'a' is finite, but its NME in percent is
-        # not: a crop 1e149 wide and a normalization distance of 1e-160
-        records = []
-        for rec, width in zip(corpus98[:2], (1e149, 1e3)):
-            points = rec.landmarks.points.copy()
-            points[60], points[72] = (0.0, 0.0), (1e-160, 0.0)
-            points[:33, 0] = width * (np.arange(33) + 0.37) / 33
-            records.append(AnnotationRecord(id="ab"[len(records)], image_path="x.png",
-                                            landmarks=LandmarkSet(points, space=Space.RAW)))
+        # not: a crop 2^495 (about 1.6e149) wide and a normalization distance
+        # of 1e-160. With no margin the crop's scale and offset are powers of
+        # two and zero, so the map to the heatmap and back is exact and the
+        # face passes the round-trip check.
+        side = 2.0 ** 495
+        points = side * np.random.Generator(np.random.PCG64(3)).random((98, 2))
+        points[0], points[1] = (0.0, 0.0), (side, side)
+        points[60], points[72] = (0.0, 0.0), (1e-160, 0.0)
+        corpus = join(one_face("a", points), corpus98[1:2])
         with pytest.raises(ConfigError, match="^record 'a': landmark error too large"):
-            run_ideal(records, BenchConfig(schemes=("direct",)), "d")
+            run_ideal(corpus, BenchConfig(schemes=("direct",), crop_margin=0.0))
+
+    def test_unresolvable_faces_refused_in_id_order(self, corpus98):
+        # a point at 1e200 leaves a crop too wide to place the face's other
+        # points; the first such face by id is named, whatever the file order
+        points = corpus98.points[:4].copy()
+        points[[1, 3], 5, 0] = 1e200
+        faces = Corpus("d", corpus98.ids[:4], corpus98.image_paths[:4], points)
+        for order in ([0, 1, 2, 3], [3, 2, 1, 0]):
+            with pytest.raises(ConfigError, match=f"^record '{corpus98.ids[1]}': mapping "
+                                                  f"its points to the heatmap and back"):
+                run_ideal(faces[order], BenchConfig(schemes=("wov",)))
 
     def test_68_point_layout(self, corpus68):
-        report = run_ideal(corpus68, BenchConfig(seed=1), "synthetic68")
+        report = run_ideal(corpus68, BenchConfig(seed=1))
         assert self._row(report, Scheme.WOV).nme < 1e-9
         assert self._row(report, Scheme.DIRECT).nme > 0
 
 
-def grid_oracle(records: list[AnnotationRecord], cfg: BenchConfig,
+def grid_oracle(corpus: Corpus, cfg: BenchConfig,
                 crop_px: int = 256) -> dict:
     """The per-sample grid path: render, decode and map back one image at a time.
 
@@ -280,44 +284,40 @@ def grid_oracle(records: list[AnnotationRecord], cfg: BenchConfig,
     Returns, per scheme, ``(per_image, clamped_points, conflicts)`` with
     ``per_image`` mapping each scored image id to ``(nme, per_point)``.
     """
-    _, kept = chained_maps(records, cfg, crop_px)
+    _, kept = chained_maps(corpus, cfg, crop_px)
     dims = np.array(cfg.codec.heatmap_shape, dtype=np.float64)
     out = {}
     for scheme in cfg.schemes:
         ccfg = cfg.codec.for_scheme(scheme)
         per_image, clamped, conflicts = {}, 0, 0
-        for rec, d, hm, inv, inv_off in kept:
-            enc = encode_points(hm, ccfg, valid=rec.landmarks.valid)
+        for k, d, hm, inv, inv_off in kept:
+            enc = encode_points(hm, ccfg, valid=corpus.valid[k])
             dec = decode(enc)
             back = (dec.landmarks.points * dims) @ inv.T + inv_off
-            err = np.linalg.norm(back - rec.landmarks.points, axis=1)
+            err = np.linalg.norm(back - corpus.points[k], axis=1)
             err = np.where(dec.landmarks.valid, err, np.nan)
             keep = np.isfinite(err)
             if not np.any(keep):
                 continue
-            per_image[rec.id] = (float(np.mean(err[keep]) / d), err / d)
+            per_image[corpus.ids[k]] = (float(np.mean(err[keep]) / d), err / d)
             clamped += int(np.count_nonzero(dec.clamped))
             conflicts += enc.conflict_count
         out[scheme] = (per_image, clamped, conflicts)
     return out
 
 
-def shrunk_box_records(n_landmarks: int, seed: int) -> list[AnnotationRecord]:
-    """Records whose boxes cut off their outer landmarks, plus one box that
+def shrunk_box_records(n_landmarks: int, seed: int) -> Corpus:
+    """Faces whose boxes cut off their outer landmarks, plus one box that
     misses its face entirely, so that a drop policy really drops points and
     leaves one image with nothing to score."""
-    out = []
-    for rec in make_records(12, n_landmarks=n_landmarks, seed=seed):
-        x0, y0, x1, y1 = rec.bbox
-        inset = 0.08 * (x1 - x0)
-        out.append(AnnotationRecord(id=rec.id, image_path=rec.image_path,
-                                    landmarks=rec.landmarks,
-                                    bbox=(x0 + inset, y0 + inset, x1 - inset, y1 - inset)))
-    x0, y0, x1, y1 = out[0].bbox
-    out.append(AnnotationRecord(id="zz_off_face", image_path="off.png",
-                                landmarks=out[0].landmarks,
-                                bbox=(x1 + 50, y1 + 50, 2 * x1 - x0 + 50, 2 * y1 - y0 + 50)))
-    return out
+    faces = make_records(12, n_landmarks=n_landmarks, seed=seed)
+    x0, y0, x1, y1 = faces.bbox.T
+    inset = 0.08 * (x1 - x0)
+    boxes = np.stack([x0 + inset, y0 + inset, x1 - inset, y1 - inset], axis=1)
+    x0, y0, x1, y1 = boxes[0]
+    off = one_face("zz_off_face", faces.points[0], image_path="off.png",
+                   bbox=(x1 + 50, y1 + 50, 2 * x1 - x0 + 50, 2 * y1 - y0 + 50))
+    return join(Corpus(faces.name, faces.ids, faces.image_paths, faces.points, bbox=boxes), off)
 
 
 # heatmap grid sides, each with the 256-pixel crop of the two-step oracle
@@ -340,7 +340,7 @@ class TestRunIdealMatchesGridOracle:
         else:
             records = shrunk_box_records(n_landmarks, seed=31)
             cfg = BenchConfig(codec=codec, crop_source="bbox", crop_margin=0.0)
-        report = run_ideal(records, cfg, "d")
+        report = run_ideal(records, cfg)
         oracle = grid_oracle(records, cfg, crop_px)
         dropped = 0
         for row in report.rows:
@@ -361,7 +361,7 @@ class TestRunIdealMatchesGridOracle:
             assert all(r.clamped_points > 0 for r in report.rows)
 
 
-def chained_maps(records: list[AnnotationRecord], cfg: BenchConfig,
+def chained_maps(corpus: Corpus, cfg: BenchConfig,
                  crop_px: int = 256) -> tuple[int, list]:
     """Per-image raw -> heatmap maps by the two-step arithmetic the unit-square
     crop replaced.
@@ -370,31 +370,30 @@ def chained_maps(records: list[AnnotationRecord], cfg: BenchConfig,
     (scale ``crop_px / side``), the model's downscale by ``w / crop_px``
     composed onto it by matrix products, and the inverse by
     ``np.linalg.inv``; points map as ``p @ A.T + b``. The normalization
-    distance is ``np.linalg.norm`` of one vector, and a record is skipped
+    distance is ``np.linalg.norm`` of one vector, and a face is skipped
     wherever one of those steps refuses it.
 
-    Returns ``(skipped, kept)`` with ``kept`` holding ``(record, norm
+    Returns ``(skipped, kept)`` with ``kept`` holding ``(face index, norm
     distance, heatmap points, inverse matrix, inverse offset)`` per image.
     """
-    pair = resolve_norm_indices(len(records[0].landmarks), cfg.metrics)
+    pair = resolve_norm_indices(corpus.points.shape[1], cfg.metrics)
     down = np.eye(2) * (1.0 / (crop_px / cfg.codec.heatmap_shape[0]))
     kept, skipped = [], 0
-    for rec in records:
-        pts = rec.landmarks.points
+    for k, pts in enumerate(corpus.points):
         d = float(np.linalg.norm(pts[pair[0]] - pts[pair[1]]))
         if not (np.isfinite(d) and d > 0):
             skipped += 1
             continue
         if cfg.crop_source == "bbox":
-            if rec.bbox is None:
+            if np.isnan(corpus.bbox[k]).any():
                 skipped += 1
                 continue
-            x0, y0, x1, y1 = (float(v) for v in rec.bbox)
+            x0, y0, x1, y1 = (float(v) for v in corpus.bbox[k])
             extra = 1.0 if cfg.bbox_inclusive else 0.0
             side = max(x1 - x0 + extra, y1 - y0 + extra) * (1.0 + cfg.crop_margin)
             center = np.array([(x0 + x1) / 2.0, (y0 + y1) / 2.0])
         else:
-            inside = pts[rec.landmarks.valid]
+            inside = pts[corpus.valid[k]]
             if len(inside) < 2:
                 skipped += 1
                 continue
@@ -408,45 +407,45 @@ def chained_maps(records: list[AnnotationRecord], cfg: BenchConfig,
         lin = down @ (np.eye(2) * scale)
         off = down @ (-scale * (center - side / 2.0)) + np.zeros(2)
         inv = np.linalg.inv(lin)
-        kept.append((rec, d, pts @ lin.T + off, inv, -inv @ off))
+        kept.append((k, d, pts @ lin.T + off, inv, -inv @ off))
     return skipped, kept
 
 
-def chained_ideal(records: list[AnnotationRecord], cfg: BenchConfig,
+def chained_ideal(corpus: Corpus, cfg: BenchConfig,
                   crop_px: int = 256) -> tuple[int, dict]:
     """:func:`run_ideal` as it ran on the per-image maps of :func:`chained_maps`.
 
     Returns ``(skipped, out)`` with ``out[scheme][id] = (heatmap points,
     mapped-back raw points, nme, per_point)`` for every scored image.
     """
-    skipped, kept = chained_maps(records, cfg, crop_px)
+    skipped, kept = chained_maps(corpus, cfg, crop_px)
     dims = np.array(cfg.codec.heatmap_shape, dtype=np.float64)
-    counts = [len(k[0].landmarks) for k in kept]
+    counts = [len(k[2]) for k in kept]
     points = np.concatenate([k[2] for k in kept])
-    valid = np.concatenate([k[0].landmarks.valid for k in kept])
+    valid = np.concatenate([corpus.valid[k[0]] for k in kept])
     image = np.repeat(np.arange(len(kept)), counts)
     out = {}
     for scheme in cfg.schemes:
         coords, _, _ = ideal_roundtrip(points, cfg.codec.for_scheme(scheme),
                                        valid=valid, groups=image)
         out[scheme] = {}
-        for (rec, d, hm, inv, inv_off), q in zip(kept, np.split(coords / dims,
-                                                                np.cumsum(counts)[:-1])):
+        for (k, d, hm, inv, inv_off), q in zip(kept, np.split(coords / dims,
+                                                              np.cumsum(counts)[:-1])):
             back = (q * dims) @ inv.T + inv_off
-            err = np.linalg.norm(back - rec.landmarks.points, axis=1)
+            err = np.linalg.norm(back - corpus.points[k], axis=1)
             keep = np.isfinite(err)
             if np.any(keep):
-                out[scheme][rec.id] = (hm, back, float(np.mean(err[keep]) / d), err / d)
+                out[scheme][corpus.ids[k]] = (hm, back, float(np.mean(err[keep]) / d), err / d)
     return skipped, out
 
 
-def assert_matches_chain(records: list[AnnotationRecord], cfg: BenchConfig,
+def assert_matches_chain(corpus: Corpus, cfg: BenchConfig,
                          crop_px: int = 256) -> BenchReport:
     """run_ideal and the batched kernel equal :func:`chained_ideal`, exactly."""
-    skipped, want = chained_ideal(records, cfg, crop_px)
-    report = run_ideal(records, cfg, "d")
+    skipped, want = chained_ideal(corpus, cfg, crop_px)
+    report = run_ideal(corpus, cfg)
     assert report.skipped == skipped
-    batch, _ = build_samples(records, cfg)
+    batch, _ = build_samples(corpus, cfg)
     dims = np.array(cfg.codec.heatmap_shape, dtype=np.float64)
     t = heatmap_transform(batch.crop, cfg.codec.heatmap_shape)
     hm = t.apply(batch.points)
@@ -492,24 +491,21 @@ class TestBatchedGeometryMatchesChain:
         # faces mixed with each kind of record the batch must skip, or score
         # from a subset of its points
         records = make_records(6, seed=41)
-        pts = records[0].landmarks.points
+        pts = records.points[0]
         lone = np.zeros(98, dtype=bool)
         lone[5] = True
         sparse = np.ones(98, dtype=bool)
         sparse[10:40] = False
         odd = [
-            ("zero_norm", LandmarkSet(np.where(np.arange(98)[:, None] == 72, pts[60], pts)),
-             records[0].bbox),
-            ("no_bbox", records[1].landmarks, None),
-            ("one_point", LandmarkSet(np.tile(pts[:1], (98, 1))), records[2].bbox),
-            ("lone_valid", LandmarkSet(pts, valid=lone), records[3].bbox),
-            ("sparse_valid", LandmarkSet(pts, valid=sparse), records[4].bbox),
+            one_face("zero_norm", np.where(np.arange(98)[:, None] == 72, pts[60], pts),
+                     bbox=records.bbox[0]),
+            one_face("no_bbox", records.points[1]),
+            one_face("one_point", np.tile(pts[:1], (98, 1)), bbox=records.bbox[2]),
+            one_face("lone_valid", pts, valid=lone, bbox=records.bbox[3]),
+            one_face("sparse_valid", pts, valid=sparse, bbox=records.bbox[4]),
         ]
-        mixed = []
-        for rec, (rid, lms, bbox) in zip(records, odd):
-            mixed += [rec, AnnotationRecord(id=rid, image_path="x.png", landmarks=lms,
-                                            bbox=bbox)]
-        mixed.append(records[5])
+        mixed = join(*(part for k, face in enumerate(odd) for part in (records[k:k + 1], face)),
+                     records[5:])
         cfg = BenchConfig(crop_source=crop_source)
         report = assert_matches_chain(mixed, cfg)
         scored = {p.id for p in report.rows[0].per_image}
@@ -521,35 +517,22 @@ class TestBatchedGeometryMatchesChain:
 
 class TestBuildSamples:
     def test_bbox_source_skips_boxless_records(self, corpus98):
-        trimmed = [AnnotationRecord(id=r.id, image_path=r.image_path,
-                                    landmarks=r.landmarks,
-                                    bbox=r.bbox if k % 2 == 0 else None)
-                   for k, r in enumerate(corpus98)]
+        boxes = corpus98.bbox.copy()
+        boxes[1::2] = np.nan
+        trimmed = Corpus("d", corpus98.ids, corpus98.image_paths, corpus98.points, bbox=boxes)
         cfg = BenchConfig(crop_source="bbox")
         samples, skipped = build_samples(trimmed, cfg)
         assert skipped == len(corpus98) // 2
         assert len(samples) == len(corpus98) - skipped
 
     def test_landmark_source_ignores_bbox(self, corpus98):
-        bare = [AnnotationRecord(id=r.id, image_path=r.image_path,
-                                 landmarks=r.landmarks) for r in corpus98]
+        bare = Corpus("d", corpus98.ids, corpus98.image_paths, corpus98.points)
         samples, skipped = build_samples(bare, BenchConfig())
         assert skipped == 0 and len(samples) == len(corpus98)
 
-    def test_empty_input_rejected(self):
+    def test_empty_input_rejected(self, corpus98):
         with pytest.raises(ConfigError):
-            build_samples([], BenchConfig())
-
-    @pytest.mark.parametrize("first,second", [(98, 68), (68, 98)])
-    def test_mixed_landmark_counts_rejected(self, first, second):
-        head = make_records(2, n_landmarks=first, seed=5)
-        odd = [AnnotationRecord(id=f"odd{k}", image_path=r.image_path,
-                                landmarks=r.landmarks)
-               for k, r in enumerate(make_records(2, n_landmarks=second, seed=6))]
-        for call in (build_samples, run_ideal):
-            with pytest.raises(ConfigError, match=f"'odd0' has {second} landmarks, "
-                                                  f"expected {first}"):
-                call(head + odd, BenchConfig())
+            build_samples(corpus98[:0], BenchConfig())
 
 
 class TestBenchConfig:
@@ -604,7 +587,7 @@ class TestEmitReport:
     def test_json_round_trips_report(self, ideal):
         doc = json.loads(emit_report(ideal, "json"))
         assert doc["mode"] == "ideal"
-        assert doc["dataset"] == "synthetic98"
+        assert doc["dataset"] == "synthetic"
         assert doc["n_images"] == ideal.n_images
         assert len(doc["rows"]) == len(ideal.rows)
         for row, r in zip(doc["rows"], ideal.rows):
@@ -617,7 +600,7 @@ class TestEmitReport:
 
     def test_table_layout(self, ideal):
         lines = emit_report(ideal, "table").strip().splitlines()
-        assert lines[0].startswith("mode=ideal dataset=synthetic98")
+        assert lines[0].startswith("mode=ideal dataset=synthetic")
         header, rows = lines[1], lines[2:]
         assert header.split() == ["scheme", "nme%", "auc10", "fr%@10",
                                   "conflicts", "clamped", "images"]
@@ -625,8 +608,7 @@ class TestEmitReport:
         assert len({len(r) for r in rows}) == 1  # fixed width
 
     def test_zero_error_report_values(self):
-        report = run_ideal(grid_aligned_records(), BenchConfig(**ALIGNED_CFG),
-                           "aligned")
+        report = run_ideal(grid_aligned_records(), BenchConfig(**ALIGNED_CFG))
         text = emit_report(report, "table")
         for row in text.strip().splitlines()[2:]:
             cols = row.split()
@@ -651,6 +633,6 @@ class TestEmitReport:
             '{"rows":[{"gap":null,"n":3,"name":"a","x":0.5}]}\n'
 
     def test_deterministic_bytes(self, ideal, corpus98):
-        again = run_ideal(corpus98, BenchConfig(seed=1), "synthetic98")
+        again = run_ideal(corpus98, BenchConfig(seed=1))
         for fmt in ("table", "csv", "json"):
             assert emit_report(again, fmt) == emit_report(ideal, fmt)

@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_gaussian, decode_hand_built, hand_built, peak_cell
+from conftest import (brute_force_gaussian, decode_hand_built, hand_built, one_face,
+                      peak_cell)
 from subpix.bench import BenchConfig, build_samples, run_ideal
 from subpix.codec import (SCHEME_ORDER, CodecConfig, DecimalOverflow,
                           EncodedSample, OobPolicy, Scheme, decode, encode,
                           encode_points, ideal_roundtrip)
-from subpix.datasets import AnnotationRecord
+from subpix.datasets import Corpus
 from subpix.errors import ConfigError, SchemaError
 from subpix.geometry import (FaceBatch, LandmarkSet, Space, apply_transform,
                              crop_from_landmarks, downsample_factor,
@@ -623,18 +624,16 @@ class TestJsonRoundTrip:
 class TestSampleRoundtrip:
     """Raw-space round-trip errors of whole samples, as ``run_ideal`` scores them."""
 
-    def _record(self, seed=41, n=30) -> AnnotationRecord:
+    def _record(self, seed=41, n=30) -> Corpus:
         rng = np.random.Generator(np.random.PCG64(seed))
-        pts = rng.uniform(100.0, 400.0, size=(n, 2))
-        return AnnotationRecord(id="s", image_path="s.png",
-                                landmarks=LandmarkSet(points=pts, space=Space.RAW))
+        return one_face("s", rng.uniform(100.0, 400.0, size=(n, 2)), image_path="s.png")
 
-    def _errors(self, record, scheme, **bench) -> tuple[np.ndarray, FaceBatch]:
+    def _errors(self, face, scheme, **bench) -> tuple[np.ndarray, FaceBatch]:
         """Per-landmark raw-space pixel errors, NaN where dropped."""
         cfg = BenchConfig(schemes=(scheme,),
                           metrics=MetricsConfig(norm_indices=(0, 1)), **bench)
-        batch, _ = build_samples([record], cfg)
-        (row,) = run_ideal([record], cfg).rows
+        batch, _ = build_samples(face, cfg)
+        (row,) = run_ideal(face, cfg).rows
         return row.per_image[0].per_point * batch.norm_distance[0], batch
 
     def test_wov_error_negligible(self):
@@ -650,23 +649,20 @@ class TestSampleRoundtrip:
     def test_landmark_on_grid_point_exact(self):
         # a unit crop of the exclusive box (0, 0, 256, 256) leaves raw points
         # at multiples of 4 on integer heatmap cells
-        rec = AnnotationRecord(
-            id="g", image_path="g.png",
-            landmarks=LandmarkSet(points=np.array([[40.0, 80.0], [128.0, 52.0]]),
-                                  space=Space.RAW),
-            bbox=(0.0, 0.0, 256.0, 256.0))
+        face = one_face("g", [[40.0, 80.0], [128.0, 52.0]], image_path="g.png",
+                        bbox=(0.0, 0.0, 256.0, 256.0))
         for scheme in SCHEME_ORDER:
-            errs, _ = self._errors(rec, scheme, crop_source="bbox", crop_margin=0.0,
+            errs, _ = self._errors(face, scheme, crop_source="bbox", crop_margin=0.0,
                                    bbox_inclusive=False)
             assert np.nanmax(errs) < 1e-9, scheme
 
     def test_encode_matches_encode_points(self):
-        rec = self._record(seed=43)
-        crop = crop_from_landmarks(rec.landmarks, 0.25)
+        landmarks = LandmarkSet(self._record(seed=43).points[0], space=Space.RAW)
+        crop = crop_from_landmarks(landmarks, 0.25)
         cfg = cfg_for(Scheme.HIH)
         t = heatmap_transform(crop, cfg.heatmap_shape)
-        hm = apply_transform(t, rec.landmarks)
-        a = encode(rec.landmarks, crop, cfg).to_json()
+        hm = apply_transform(t, landmarks)
+        a = encode(landmarks, crop, cfg).to_json()
         b = encode_points(hm.points, cfg, valid=hm.valid).to_json()
         assert a == b
 

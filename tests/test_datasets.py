@@ -15,36 +15,29 @@ from conftest import (MALFORMED_PTS, make_records, make_wflw_line,
                       malformed_canonical_docs, malformed_wflw_lines,
                       write_pts_file, write_pts_tree, write_wflw_file)
 
-from subpix.datasets import (ATTRIBUTE_NAMES, AnnotationRecord, Attributes,
-                             canonical_dict, load_canonical, load_dataset,
-                             load_pts_dir, load_pts_file, load_wflw,
-                             parse_pts, parse_wflw_line, subset_counts,
-                             write_canonical)
+from subpix.datasets import (ATTRIBUTE_NAMES, Corpus, canonical_dict, load_canonical,
+                             load_dataset, load_pts_dir, load_wflw, parse_pts,
+                             parse_wflw_line, subset_counts, write_canonical)
 from subpix.errors import ConfigError, ParseError, SchemaError
-from subpix.geometry import LandmarkSet, Space
 
 GOLDEN_PTS = "version: 1\nn_points: 3\n{\n10.5 20.5\n1.0 1.0\n300.25 4.75\n}\n"
 
 
 class TestParsePts:
     def test_golden_values_shifted_to_zero_based(self):
-        lms = parse_pts(GOLDEN_PTS)
-        assert lms.space is Space.RAW
-        np.testing.assert_array_equal(
-            lms.points, [[9.5, 19.5], [0.0, 0.0], [299.25, 3.75]])
+        pts = parse_pts(GOLDEN_PTS)
+        assert pts.dtype == np.float64
+        np.testing.assert_array_equal(pts, [[9.5, 19.5], [0.0, 0.0], [299.25, 3.75]])
 
     def test_crlf_line_endings(self):
-        lms = parse_pts(GOLDEN_PTS.replace("\n", "\r\n"))
-        assert lms.points[0, 0] == 9.5
+        assert parse_pts(GOLDEN_PTS.replace("\n", "\r\n"))[0, 0] == 9.5
 
     def test_blank_lines_and_padding_tolerated(self):
         text = "\nversion: 1\n\n  n_points: 1\n{\n\n  7.0 8.0\n}\n\n"
-        lms = parse_pts(text)
-        np.testing.assert_array_equal(lms.points, [[6.0, 7.0]])
+        np.testing.assert_array_equal(parse_pts(text), [[6.0, 7.0]])
 
     def test_header_without_space(self):
-        lms = parse_pts("version:1\nn_points:1\n{\n1.0 1.0\n}\n")
-        assert len(lms) == 1
+        assert parse_pts("version:1\nn_points:1\n{\n1.0 1.0\n}\n").shape == (1, 2)
 
     @pytest.mark.parametrize("name,text", MALFORMED_PTS,
                              ids=[n for n, _ in MALFORMED_PTS])
@@ -62,34 +55,35 @@ class TestParsePts:
 
 class TestPtsFiles:
     def test_file_round_trip(self, tmp_path, corpus68):
-        rec = corpus68[0]
+        points = corpus68.points[0]
         f = tmp_path / "face_0001.pts"
-        write_pts_file(rec.landmarks.points, f)
-        loaded = load_pts_file(f)
-        assert loaded.id == "face_0001"
-        assert loaded.image_path == "face_0001.pts"
+        write_pts_file(points, f)
+        _, loaded = load_pts_dir(tmp_path)
+        assert list(loaded.ids) == ["face_0001"]
+        assert list(loaded.image_paths) == ["face_0001.pts"]
+        assert np.isnan(loaded.bbox).all() and np.isnan(loaded.attributes).all()
+        assert loaded.valid.all()
         # the loader applies exactly a -1.0 shift to the parsed values
-        np.testing.assert_array_equal(loaded.landmarks.points,
-                                      (rec.landmarks.points + 1.0) - 1.0)
-        np.testing.assert_allclose(loaded.landmarks.points,
-                                   rec.landmarks.points, atol=1e-9)
+        np.testing.assert_array_equal(loaded.points[0], (points + 1.0) - 1.0)
+        np.testing.assert_allclose(loaded.points[0], points, atol=1e-9)
 
     def test_missing_file_is_parse_error(self, tmp_path):
         with pytest.raises(ParseError) as err:
-            load_pts_file(tmp_path / "nope.pts")
-        assert "nope.pts" in str(err.value)
+            load_pts_dir(tmp_path / "nope")
+        assert "nope" in str(err.value)
 
     def test_dir_walk_sorted_relative_ids(self, tmp_path, corpus68):
-        recs = [AnnotationRecord(id=i, image_path=f"{i}.png", landmarks=r.landmarks)
-                for i, r in zip(["b/002", "a/010", "a/001"], corpus68)]
-        write_pts_tree(recs, tmp_path)
-        spec, loaded = load_pts_dir(tmp_path)
-        assert spec.n_landmarks == 68
-        assert [r.id for r in loaded] == ["a/001", "a/010", "b/002"]
+        renamed = Corpus("d", ["b/002", "a/010", "a/001"], ["x.png"] * 3,
+                         corpus68.points[:3])
+        write_pts_tree(renamed, tmp_path)
+        _, loaded = load_pts_dir(tmp_path)
+        assert loaded.name == tmp_path.name
+        assert loaded.points.shape == (3, 68, 2)
+        assert list(loaded.ids) == ["a/001", "a/010", "b/002"]
 
     def test_dir_rejects_mixed_layouts(self, tmp_path, corpus68, corpus98):
-        write_pts_file(corpus68[0].landmarks.points, tmp_path / "a.pts")
-        write_pts_file(corpus98[0].landmarks.points, tmp_path / "b.pts")
+        write_pts_file(corpus68.points[0], tmp_path / "a.pts")
+        write_pts_file(corpus98.points[0], tmp_path / "b.pts")
         with pytest.raises(ParseError) as err:
             load_pts_dir(tmp_path)
         assert "68" in str(err.value) and "98" in str(err.value)
@@ -105,17 +99,16 @@ class TestWflw:
     def test_golden_round_trip(self, tmp_path, corpus98):
         f = tmp_path / "list.txt"
         write_wflw_file(corpus98, f)
-        spec, loaded = load_wflw(f)
-        assert spec.name == "list"
-        assert spec.n_landmarks == 98
-        assert len(loaded) == len(corpus98)
-        for lineno, (orig, back) in enumerate(zip(corpus98, loaded), start=1):
-            np.testing.assert_array_equal(back.landmarks.points,
-                                          orig.landmarks.points)
-            assert back.bbox == tuple(float(int(v)) for v in orig.bbox)
-            assert back.attributes == (orig.attributes or Attributes())
-            assert back.image_path == orig.image_path
-            assert back.id.startswith(f"{lineno:06d}_")
+        _, loaded = load_wflw(f)
+        assert loaded.name == "list"
+        assert loaded.points.shape == (len(corpus98), 98, 2)
+        np.testing.assert_array_equal(loaded.points, corpus98.points)
+        np.testing.assert_array_equal(loaded.bbox, corpus98.bbox)
+        np.testing.assert_array_equal(loaded.attributes, corpus98.attributes)
+        assert loaded.valid.all()
+        assert list(loaded.image_paths) == list(corpus98.image_paths)
+        for lineno, face_id in enumerate(loaded.ids, start=1):
+            assert face_id.startswith(f"{lineno:06d}_")
 
     def test_blank_lines_skipped(self, tmp_path, corpus98):
         f = tmp_path / "gappy.txt"
@@ -124,13 +117,13 @@ class TestWflw:
         f.write_text("\n" + lines[0].read_text().replace("\n", "\n\n"))
         _, loaded = load_wflw(f)
         assert len(loaded) == 3
-        assert loaded[0].id.startswith("000002_")
+        assert loaded.ids[0].startswith("000002_")
 
     def test_ids_unique_for_duplicate_paths(self):
         line = make_wflw_line()
         a = parse_wflw_line(line, lineno=1)
         b = parse_wflw_line(line, lineno=2)
-        assert a.id != b.id
+        assert a[0] != b[0]
 
     @pytest.mark.parametrize("name,line", malformed_wflw_lines(),
                              ids=[n for n, _ in malformed_wflw_lines()])
@@ -149,38 +142,38 @@ class TestWflw:
 class TestCanonical:
     def test_round_trip_with_extras(self, tmp_path, corpus98):
         f = tmp_path / "c.json"
-        write_canonical(f, corpus98, dataset="synthetic98")
-        spec, loaded = load_canonical(f)
-        assert spec.name == "synthetic98"
-        assert spec.n_landmarks == 98
-        for orig, back in zip(corpus98, loaded):
-            assert back.id == orig.id
-            np.testing.assert_array_equal(back.landmarks.points,
-                                          orig.landmarks.points)
-            assert back.bbox == orig.bbox
-            assert back.attributes == orig.attributes
+        write_canonical(f, corpus98)
+        _, loaded = load_canonical(f)
+        assert loaded.name == "synthetic"
+        assert loaded.points.shape == corpus98.points.shape
+        assert list(loaded.ids) == list(corpus98.ids)
+        for name in ("points", "valid", "bbox", "attributes"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(corpus98, name))
 
     def test_round_trip_without_extras(self, tmp_path, corpus68):
-        recs = [AnnotationRecord(id=r.id, image_path=r.image_path,
-                                 landmarks=r.landmarks) for r in corpus68]
+        bare = Corpus("bare", corpus68.ids, corpus68.image_paths, corpus68.points)
         f = tmp_path / "bare.json"
-        write_canonical(f, recs, dataset="bare")
+        write_canonical(f, bare)
+        assert all(r["bbox"] is None and r["attributes"] is None
+                   for r in json.loads(f.read_text())["records"])
         _, loaded = load_canonical(f)
-        assert all(r.bbox is None and r.attributes is None for r in loaded)
+        assert np.isnan(loaded.bbox).all() and np.isnan(loaded.attributes).all()
 
     def test_write_is_deterministic(self, tmp_path, corpus68):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        write_canonical(a, corpus68, dataset="d")
-        write_canonical(b, corpus68, dataset="d")
+        write_canonical(a, corpus68)
+        write_canonical(b, corpus68)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_empty_records_rejected(self):
+    def test_empty_records_rejected(self, corpus68):
         with pytest.raises(ConfigError):
-            canonical_dict([], dataset="d")
+            canonical_dict(corpus68[:0])
 
     def test_mixed_layout_rejected(self, corpus68, corpus98):
+        # a corpus holds one layout: its columns must agree on the landmark count
         with pytest.raises(ConfigError):
-            canonical_dict([corpus68[0], corpus98[0]], dataset="d")
+            Corpus("d", corpus68.ids[:1], corpus68.image_paths[:1], corpus68.points[:1],
+                   valid=corpus98.valid[:1])
 
     @pytest.mark.parametrize("name,text", malformed_canonical_docs(),
                              ids=[n for n, _ in malformed_canonical_docs()])
@@ -212,11 +205,11 @@ class TestLoadDataset:
         tree.mkdir()
         write_pts_tree(corpus68[:3], tree)
         canon = tmp_path / "c.json"
-        write_canonical(canon, corpus68, dataset="d")
+        write_canonical(canon, corpus68)
 
-        assert load_dataset(f"wflw:{wflw}")[0].n_landmarks == 98
-        assert load_dataset(f"pts:{tree}")[0].n_landmarks == 68
-        assert load_dataset(f"json:{canon}")[0].n_landmarks == 68
+        assert load_dataset(f"wflw:{wflw}")[1].points.shape[1] == 98
+        assert load_dataset(f"pts:{tree}")[1].points.shape[1] == 68
+        assert load_dataset(f"json:{canon}")[1].points.shape[1] == 68
 
     def test_bad_specs_rejected(self):
         for spec in ("noformat", "bogus:x", "wflw:", ":path"):
@@ -226,22 +219,16 @@ class TestLoadDataset:
 
 class TestSubsetCounts:
     def test_hand_built_flags(self):
-        lms = LandmarkSet(np.zeros((2, 2)), space=Space.RAW)
-        recs = [
-            AnnotationRecord(id="a", image_path="a", landmarks=lms,
-                             attributes=Attributes(pose=True, blur=True)),
-            AnnotationRecord(id="b", image_path="b", landmarks=lms,
-                             attributes=Attributes(blur=True)),
-            AnnotationRecord(id="c", image_path="c", landmarks=lms),
-        ]
-        assert subset_counts(recs) == {"pose": 1, "expression": 0,
-                                       "illumination": 0, "make_up": 0,
-                                       "occlusion": 0, "blur": 2}
+        nan = np.nan
+        corpus = Corpus("d", ["a", "b", "c"], ["a", "b", "c"], np.zeros((3, 2, 2)),
+                        attributes=[[1, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 1], [nan] * 6])
+        assert subset_counts(corpus) == {"pose": 1, "expression": 0,
+                                         "illumination": 0, "make_up": 0,
+                                         "occlusion": 0, "blur": 2}
 
     def test_counts_cover_all_flags(self, corpus98):
         counts = subset_counts(corpus98)
         assert set(counts) == set(ATTRIBUTE_NAMES)
-        want = {name: sum(1 for r in corpus98
-                          if r.attributes and getattr(r.attributes, name))
-                for name in ATTRIBUTE_NAMES}
+        want = {name: sum(1 for flags in corpus98.attributes if flags[k] == 1)
+                for k, name in enumerate(ATTRIBUTE_NAMES)}
         assert counts == want

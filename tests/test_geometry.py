@@ -179,9 +179,9 @@ class TestCropFromLandmarks:
         assert t.scale == 1 / 100
 
     def test_landmarks_land_inside_target(self, corpus98):
-        for rec in corpus98[:6]:
-            t = crop_from_landmarks(rec.landmarks, 0.25)
-            mapped = t.apply(rec.landmarks.points)
+        for points in corpus98.points[:6]:
+            t = crop_from_landmarks(_lms(points), 0.25)
+            mapped = t.apply(points)
             assert mapped.min() >= -1e-12
             assert mapped.max() <= 1 + 1e-12
 
@@ -210,7 +210,7 @@ class TestCropFromLandmarks:
 
 
     def test_batch_flags_degenerate_rows(self, corpus98):
-        points = np.stack([r.landmarks.points for r in corpus98[:5]])
+        points = corpus98.points[:5].copy()
         valid = np.ones(points.shape[:2], dtype=bool)
         valid[1, 2:] = False        # two valid points still span a box
         valid[2, 1:] = False        # one valid point does not
