@@ -14,8 +14,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import (TEMPLATE_68, join, make_wflw_line, one_face, write_pts_file,
-                      write_pts_tree, write_wflw_file)
+from conftest import (TEMPLATE_68, join, make_wflw_line, one_face, write_pts_tree,
+                      write_wflw_file)
 from hypothesis import assume
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
