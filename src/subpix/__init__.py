@@ -16,9 +16,8 @@ from .datasets import (ATTRIBUTE_NAMES, Corpus, load_canonical, load_dataset,
                        load_pts_dir, load_wflw, parse_pts, parse_wflw_line,
                        subset_counts, write_canonical)
 from .errors import ConfigError, ParseError, SchemaError
-from .geometry import (AffineTransform, FaceBatch, LandmarkSet, Space,
-                       apply_transform, crop_from_bbox, crop_from_landmarks,
-                       downsample_factor, heatmap_transform)
+from .geometry import (AffineTransform, FaceBatch, LandmarkSet, apply_transform,
+                       crop_from_landmarks, heatmap_transform)
 from .metrics import (DEFAULT_NORM_INDICES, DEFAULT_THRESHOLD, MetricsConfig,
                       PerImageError, ced_auc, ced_points, failure_rate,
                       format_ced_csv, resolve_norm_indices)
@@ -48,16 +47,13 @@ __all__ = [
     "SchemaError",
     "Scheme",
     "SchemeStats",
-    "Space",
     "analytic_direct_error",
     "apply_transform",
     "build_samples",
     "ced_auc",
     "ced_points",
-    "crop_from_bbox",
     "crop_from_landmarks",
     "decode",
-    "downsample_factor",
     "emit_report",
     "encode",
     "encode_points",

@@ -151,11 +151,12 @@ def analytic_direct_error(n: float) -> float:
 
 
 def build_samples(corpus: Corpus, cfg: BenchConfig) -> tuple[FaceBatch, int]:
-    """Crop a corpus into one batch; count the faces skipped.
+    """Crop a corpus into one batch, its faces sorted by id; count the faces skipped.
 
     A face is skipped (not failed) when its normalization distance is not
     positive, when it has no bbox under ``crop_source="bbox"``, or when its
-    crop is degenerate.
+    crop is degenerate. The id order makes every aggregate, down to the
+    last ulp of a mean, independent of the order of the corpus.
     """
     if not len(corpus):
         raise ConfigError("no records to benchmark")
@@ -165,6 +166,7 @@ def build_samples(corpus: Corpus, cfg: BenchConfig) -> tuple[FaceBatch, int]:
     else:
         crop, ok = landmark_crops(corpus.points, corpus.valid, cfg.crop_margin)
     keep = np.flatnonzero(ok & ~np.isnan(d))
+    keep = keep[np.argsort(corpus.ids[keep], kind="stable")]
     batch = FaceBatch(ids=corpus.ids[keep], points=corpus.points[keep],
                       valid=corpus.valid[keep], crop=crop[keep], norm_distance=d[keep])
     return batch, len(corpus) - len(keep)
@@ -188,18 +190,15 @@ def run_ideal(corpus: Corpus, cfg: BenchConfig) -> BenchReport:
     points = to_heatmap.apply(batch.points).reshape(-1, 2)
     valid = batch.valid.reshape(-1)
     image = np.repeat(np.arange(n), n_landmarks)
-    # canonical sample order: face order must not affect any aggregate,
-    # including the last ulp of the mean
-    order = np.array(sorted(range(n), key=batch.ids.__getitem__), dtype=np.intp)
     # a crop too wide for floats to resolve its points (one point far off, say)
     # would score even a lossless scheme at many percent; refuse the face
     with np.errstate(over="ignore", invalid="ignore"):
         back = to_raw.apply((points / dims * dims).reshape(n, n_landmarks, 2))
         moved = np.linalg.norm(back - batch.points, axis=2) / batch.norm_distance[:, None]
-    worst = np.where(batch.valid, moved, 0.0).max(axis=1)[order]
+    worst = np.where(batch.valid, moved, 0.0).max(axis=1)
     if not np.all(worst <= _MAX_ROUNDTRIP_MOVE):  # NaN fails too
         k = np.argmin(worst <= _MAX_ROUNDTRIP_MOVE)
-        raise ConfigError(f"record '{batch.ids[order[k]]}': mapping its points to the heatmap "
+        raise ConfigError(f"record '{batch.ids[k]}': mapping its points to the heatmap "
                           f"and back moves one by {worst[k]:.3g} normalization distances "
                           f"(limit {_MAX_ROUNDTRIP_MOVE:g})")
 
@@ -215,8 +214,8 @@ def run_ideal(corpus: Corpus, cfg: BenchConfig) -> BenchReport:
         # every point the codec did not drop must score
         encoded = ~np.isnan(coords[:, 0]).reshape(n, n_landmarks)
         overflowed = (encoded & ~np.isfinite(per_point)).any(axis=1)
-        mean = mean_nme(batch.ids[order], nme[order], overflowed[order])
-        scored = order[~np.isnan(nme[order])]
+        mean = mean_nme(batch.ids, nme, overflowed)
+        scored = np.flatnonzero(~np.isnan(nme))
         if not len(scored):
             raise ConfigError(f"scheme '{scheme.value}' produced no scorable images")
         nmes = nme[scored]

@@ -34,7 +34,7 @@ from .bench import (SCORE_COLUMNS, BenchConfig, Column, emit_report, format_repo
                     run_ideal, run_montecarlo, score_values)
 from .codec import (SCHEME_ORDER, CodecConfig, DecimalOverflow, EncodedSample,
                     OobPolicy, Scheme, decode as codec_decode, encode, encode_points)
-from .datasets import load_canonical, load_dataset, read_text, write_canonical
+from .datasets import decode_text, load_canonical, load_dataset, read_text, write_canonical
 from .errors import ConfigError, ParseError
 from .geometry import LandmarkSet, check_margin, crop_from_landmarks
 from .metrics import (MetricsConfig, ced_auc, ced_points, failure_rate, format_ced_csv,
@@ -253,7 +253,7 @@ def _parse_point(text: str) -> tuple[float, float]:
 
 def _cmd_decode(args) -> int:
     if args.infile == "-":
-        text = sys.stdin.read()
+        text = decode_text(sys.stdin.buffer.read(), "<stdin>")
     else:
         text = read_text(args.infile)
     enc = EncodedSample.from_json(text)

@@ -48,7 +48,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, SchemaError
-from .geometry import AffineTransform, LandmarkSet, Space, apply_transform, heatmap_transform
+from .geometry import AffineTransform, LandmarkSet, apply_transform, heatmap_transform
 
 __all__ = [
     "Scheme",
@@ -640,7 +640,7 @@ def decode(enc: EncodedSample) -> DecodeResult:
     normalized = coords / np.array([w, h], dtype=np.float64)
     normalized = np.where(enc.valid[:, None], normalized, np.nan)
     ties = ties & enc.valid
-    lms = LandmarkSet(normalized, space=Space.NORMALIZED, valid=enc.valid.copy())
+    lms = LandmarkSet(normalized, valid=enc.valid.copy())
     return DecodeResult(landmarks=lms, tie_encountered=ties, clamped=enc.clamped.copy())
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "ATTRIBUTE_NAMES",
     "Corpus",
     "read_text",
+    "decode_text",
     "parse_pts",
     "load_pts_dir",
     "parse_wflw_line",
@@ -110,12 +111,17 @@ def read_text(path: str | Path) -> str:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read file: {exc}", path=str(path)) from exc
+    return decode_text(data, str(path))
+
+
+def decode_text(data: bytes, source: str) -> str:
+    """``data`` as UTF-8; an unreadable byte fails at its 1-based line of ``source``."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # count lines as the parsers do, with str.splitlines
         line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
-        raise ParseError(f"not valid UTF-8: {exc.reason}", path=str(path), line=line) from None
+        raise ParseError(f"not valid UTF-8: {exc.reason}", path=source, line=line) from None
 
 
 # -- pts files ----------------------------------------------------------------
@@ -349,8 +355,9 @@ def load_canonical(source: str | Path) -> tuple[str, Corpus]:
         if bbox is not None:
             bad_bbox = SchemaError("must be null or [x_min, y_min, x_max, y_max]",
                                    field=f"{where}.bbox", path=str(p))
+            # a JSON true or false is a Python int, but not a number
             if (not isinstance(bbox, list) or len(bbox) != 4
-                    or not all(isinstance(v, (int, float)) for v in bbox)):
+                    or not all(type(v) in (int, float) for v in bbox)):
                 raise bad_bbox
             try:
                 bbox = [float(v) for v in bbox]
@@ -367,7 +374,11 @@ def load_canonical(source: str | Path) -> tuple[str, Corpus]:
             if unknown:
                 raise SchemaError(f"unknown attribute flags {sorted(unknown)}",
                                   field=f"{where}.attributes", path=str(p))
-            attrs = [bool(attrs.get(name, False)) for name in ATTRIBUTE_NAMES]
+            for name, flag in attrs.items():
+                if not isinstance(flag, bool):
+                    raise SchemaError("must be true or false",
+                                      field=f"{where}.attributes.{name}", path=str(p))
+            attrs = [attrs.get(name, False) for name in ATTRIBUTE_NAMES]
         rows.append((rec_id, image_path, pts, (np.nan,) * 4 if bbox is None else bbox,
                      (np.nan,) * 6 if attrs is None else attrs))
     ids, image_paths, points, bbox, flags = zip(*rows)

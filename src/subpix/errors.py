@@ -6,7 +6,7 @@ __all__ = ["ConfigError", "ParseError", "SchemaError"]
 
 
 class ConfigError(ValueError):
-    """A configuration, shape, or coordinate-space mismatch."""
+    """An invalid configuration value or a mismatched array shape."""
 
 
 class ParseError(ValueError):

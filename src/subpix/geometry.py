@@ -1,15 +1,14 @@
-"""Coordinate spaces, landmark containers, and the batched crop kernel.
+"""Landmark containers, the raw -> heatmap map, and the batched crop kernel.
 
-Landmark pipelines juggle two pixel coordinate spaces, the raw space of
-the annotated source image and the downsampled heatmap grid, plus the
-normalized unit square: a crop maps raw space onto it, and
-:func:`heatmap_transform` scales it onto the grid, so raw pixels per heatmap
-cell are the crop side over the grid side. Every map is an isotropic scale
-plus an offset, ``p -> scale * p + offset``, so one :class:`AffineTransform`
-holds either a single map or one map per image of a batch: a ``(N,)``
-scale and a ``(N, 2)`` offset act on ``(N, L, 2)`` point stacks in one
-array pass. The single-image helpers (:func:`crop_from_landmarks`,
-:func:`crop_from_bbox`) are N = 1 calls of the batched kernels.
+Points start in the raw pixels of the annotated source image. A crop maps
+them onto the unit square, and :func:`heatmap_transform` scales that onto
+the heatmap grid, so raw pixels per heatmap cell are the crop side over the
+grid side (``1 / t.scale`` of the raw -> heatmap map ``t``). Every map is an
+isotropic scale plus an offset, ``p -> scale * p + offset``, so one
+:class:`AffineTransform` holds either a single map or one map per image of
+a batch: a ``(N,)`` scale and a ``(N, 2)`` offset act on ``(N, L, 2)`` point
+stacks in one array pass. :func:`crop_from_landmarks` is an N = 1 call of
+the batched landmark kernel.
 
 Convention used everywhere: pixel centers sit on integer coordinates with
 (0, 0) at the top-left pixel center, and grid cell (i, j) covers the
@@ -23,50 +22,36 @@ share across threads; all operations here are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from .errors import ConfigError
 
 __all__ = [
-    "Space",
     "LandmarkSet",
     "AffineTransform",
     "FaceBatch",
     "apply_transform",
     "check_margin",
-    "downsample_factor",
     "landmark_crops",
     "bbox_crops",
     "crop_from_landmarks",
-    "crop_from_bbox",
     "heatmap_transform",
 ]
 
 
-class Space(str, Enum):
-    """Which pixel coordinate frame a point set lives in."""
-
-    RAW = "raw"              # source-image pixels as annotated
-    HEATMAP = "heatmap"      # low-resolution grid cells (e.g. 64 x 64)
-    NORMALIZED = "normalized"  # unit square: crops, and heatmap coordinates / grid size
-
-
 @dataclass(frozen=True, eq=False)
 class LandmarkSet:
-    """An ordered set of 2-D points tagged with their coordinate space.
+    """An ordered set of 2-D points and which of them are valid.
 
     Attributes:
         points: (N, 2) float64 array of (x, y) coordinates.
-        space: coordinate frame the points are expressed in.
         valid: (N,) boolean mask; invalid points are carried along but
             excluded from encoding and error statistics. Coordinates of
             invalid points may be NaN; valid points must be finite.
     """
 
     points: np.ndarray
-    space: Space = Space.RAW
     valid: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
@@ -83,7 +68,6 @@ class LandmarkSet:
                     f"valid mask shape {mask.shape} does not match {len(pts)} points"
                 )
         object.__setattr__(self, "valid", mask)
-        object.__setattr__(self, "space", Space(self.space))
         if not np.all(np.isfinite(pts[mask])):
             raise ConfigError("valid landmarks must have finite coordinates")
 
@@ -98,15 +82,11 @@ class AffineTransform:
     A single map has a scalar ``scale`` and a (2,) ``offset`` and applies
     to points of shape (..., 2). A batch of N maps has a (N,) ``scale``
     and a (N, 2) ``offset`` and applies to (N, L, 2) point stacks, row k
-    through map k. The optional ``src``/``dst`` tags let
-    :func:`apply_transform` update the space of a landmark set and catch
-    accidental misuse.
+    through map k.
     """
 
     scale: np.ndarray
     offset: np.ndarray
-    src: Space | None = None
-    dst: Space | None = None
 
     def __post_init__(self) -> None:
         scale = np.asarray(self.scale, dtype=np.float64)
@@ -123,7 +103,7 @@ class AffineTransform:
 
     def __getitem__(self, rows) -> AffineTransform:
         """The maps of the selected images of a batch."""
-        return AffineTransform(self.scale[rows], self.offset[rows], src=self.src, dst=self.dst)
+        return AffineTransform(self.scale[rows], self.offset[rows])
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
@@ -133,30 +113,12 @@ class AffineTransform:
 
     def inverse(self) -> AffineTransform:
         inv = 1.0 / self.scale
-        return AffineTransform(inv, -(self.offset * inv[..., None]),
-                               src=self.dst, dst=self.src)
+        return AffineTransform(inv, -(self.offset * inv[..., None]))
 
 
 def apply_transform(t: AffineTransform, landmarks: LandmarkSet) -> LandmarkSet:
-    """Map a landmark set through ``t``, updating its space tag.
-
-    Raises ConfigError if both the transform and the landmarks declare a
-    source space and they disagree.
-    """
-    if t.src is not None and landmarks.space != t.src:
-        raise ConfigError(
-            f"transform expects points in '{t.src.value}' space, got '{landmarks.space.value}'"
-        )
-    pts = t.apply(landmarks.points)
-    return LandmarkSet(pts, space=t.dst or landmarks.space, valid=landmarks.valid.copy())
-
-
-def downsample_factor(t: AffineTransform) -> float | np.ndarray:
-    """Raw pixels per heatmap cell of a raw -> heatmap map ``t``: ``1 / t.scale``.
-
-    A batched transform gives one factor per image.
-    """
-    return 1.0 / t.scale
+    """Map a landmark set through ``t``, keeping its validity mask."""
+    return LandmarkSet(t.apply(landmarks.points), valid=landmarks.valid.copy())
 
 
 def check_margin(margin: float) -> None:
@@ -180,8 +142,7 @@ def _square_crops(lo: np.ndarray, hi: np.ndarray, extra: float, usable: np.ndarr
         scale = 1.0 / side
         offset = -scale[:, None] * ((lo + hi) / 2.0 - side[:, None] / 2.0)
     ok = usable & np.isfinite(scale) & (scale > 0) & np.all(np.isfinite(offset), axis=1)
-    return AffineTransform(np.where(ok, scale, 1.0), np.where(ok[:, None], offset, 0.0),
-                           src=Space.RAW, dst=Space.NORMALIZED), ok
+    return AffineTransform(np.where(ok, scale, 1.0), np.where(ok[:, None], offset, 0.0)), ok
 
 
 def landmark_crops(points: np.ndarray, valid: np.ndarray,
@@ -228,19 +189,6 @@ def crop_from_landmarks(landmarks: LandmarkSet, margin: float = 0.25) -> AffineT
     return crop[0]
 
 
-def crop_from_bbox(bbox, margin: float = 0.25, *,
-                   inclusive: bool = True) -> AffineTransform:
-    """The raw -> unit-square map of one square crop of an annotation box.
-
-    An N = 1 call of :func:`bbox_crops`; raises ConfigError where that
-    flags the box as unusable.
-    """
-    crop, ok = bbox_crops(bbox, margin, inclusive=inclusive)
-    if not ok[0]:
-        raise ConfigError(f"crop box must be finite and well-ordered, got {bbox}")
-    return crop[0]
-
-
 @dataclass(frozen=True, eq=False)
 class FaceBatch:
     """N annotated images of L landmarks each, prepared for encoding.
@@ -265,8 +213,6 @@ class FaceBatch:
         if (self.points.shape[:1] != (n,) or self.valid.shape != self.points.shape[:2]
                 or self.crop.scale.shape != (n,) or self.norm_distance.shape != (n,)):
             raise ConfigError("face batch arrays must all have one row per image")
-        if self.crop.src is not Space.RAW:
-            raise ConfigError("face batch crops must map from raw space")
         if not np.all(np.isfinite(self.norm_distance) & (self.norm_distance > 0)):
             raise ConfigError("normalization distances must be positive")
 
@@ -284,4 +230,4 @@ def heatmap_transform(crop: AffineTransform,
     w, h = int(heatmap_shape[0]), int(heatmap_shape[1])
     if w <= 0 or w != h:
         raise ConfigError(f"heatmap shape must be square and positive, got {heatmap_shape}")
-    return AffineTransform(w * crop.scale, w * crop.offset, src=crop.src, dst=Space.HEATMAP)
+    return AffineTransform(w * crop.scale, w * crop.offset)

@@ -215,8 +215,12 @@ def malformed_canonical_docs() -> list[tuple[str, str]]:
         mutate("non_finite_points",
                lambda d: d["records"][0]["points"].__setitem__(3, [float("inf"), 0.0])),
         mutate("short_bbox", lambda d: d["records"][0].update(bbox=[1, 2, 3])),
+        mutate("boolean_bbox", lambda d: d["records"][0].update(bbox=[True, 0, 500, 500])),
         mutate("unknown_attribute", lambda d: set_attr(d, {"grin": True})),
         mutate("attributes_not_object", lambda d: set_attr(d, 5)),
+        mutate("string_flag", lambda d: set_attr(d, {"pose": "no"})),
+        mutate("numeric_flag", lambda d: set_attr(d, {"blur": 1})),
+        mutate("null_flag", lambda d: set_attr(d, {"occlusion": None})),
     ]
     return cases
 

@@ -26,6 +26,12 @@ from subpix.datasets import Corpus, load_canonical, load_dataset, write_canonica
 from subpix.errors import ParseError
 
 
+def stdin_of(data: str | bytes) -> io.TextIOWrapper:
+    """A strict UTF-8 text stream over ``data``, with the byte ``buffer`` real stdin has."""
+    raw = data.encode("utf-8") if isinstance(data, str) else data
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="strict")
+
+
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
     rc = main(list(argv))
     cap = capsys.readouterr()
@@ -314,7 +320,7 @@ class TestEncodeDecode:
         rc, payload, _ = run_cli(capsys, "encode", "--scheme", "hih",
                                  "--point", "32.65,20.30", "--point", "10.2,55.9")
         assert rc == 0
-        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        monkeypatch.setattr("sys.stdin", stdin_of(payload))
         rc, out, _ = run_cli(capsys, "decode", "--scheme", "hih")
         assert rc == 0
         doc = json.loads(out)
@@ -338,14 +344,14 @@ class TestEncodeDecode:
     def test_wsm_flags_ties_on_ideal_maps(self, capsys, monkeypatch):
         _, payload, _ = run_cli(capsys, "encode", "--scheme", "wsm",
                                 "--point", "30.5,30.5")
-        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        monkeypatch.setattr("sys.stdin", stdin_of(payload))
         _, out, _ = run_cli(capsys, "decode", "--scheme", "wsm")
         assert json.loads(out)["tie_encountered"] == [True]
 
     def test_scheme_mismatch_rejected(self, capsys, monkeypatch):
         _, payload, _ = run_cli(capsys, "encode", "--scheme", "wov",
                                 "--point", "1.5,2.5")
-        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        monkeypatch.setattr("sys.stdin", stdin_of(payload))
         rc, _, err = run_cli(capsys, "decode", "--scheme", "hih")
         assert rc == 2
         assert "does not match payload" in err
@@ -363,7 +369,7 @@ class TestEncodeDecode:
                                  "--record", str(data_dir / "gt98.json"),
                                  "--index", "3")
         assert rc == 0
-        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        monkeypatch.setattr("sys.stdin", stdin_of(payload))
         rc, out, _ = run_cli(capsys, "decode", "--scheme", "wov")
         assert rc == 0
         doc = json.loads(out)
@@ -397,9 +403,16 @@ class TestEncodeDecode:
         assert rc == 2
 
     def test_decode_garbage_payload(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("{broken"))
+        monkeypatch.setattr("sys.stdin", stdin_of("{broken"))
         rc, _, err = run_cli(capsys, "decode", "--scheme", "wov")
         assert rc == 2
+
+    def test_decode_non_utf8_stdin_located(self, capsys, monkeypatch):
+        # the bytes are decoded as a file's are, whatever the stream's own decoder
+        monkeypatch.setattr("sys.stdin", stdin_of(b'{"scheme":"direct"\n\xff}'))
+        rc, out, err = run_cli(capsys, "decode", "--scheme", "direct")
+        assert (rc, out) == (2, "")
+        assert err == "error: <stdin>:2: not valid UTF-8: invalid start byte\n"
 
     @pytest.mark.parametrize("scheme,field,value,located", [
         ("wom", "conflict_count", "x", "conflict_count"),
@@ -446,7 +459,7 @@ class TestEncodeDecode:
                                 "--point", "1.5,2.5", "--point", "1.7,2.2")
         doc = json.loads(payload)
         doc[field] = value
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        monkeypatch.setattr("sys.stdin", stdin_of(json.dumps(doc)))
         rc, out, err = run_cli(capsys, "decode", "--scheme", scheme)
         assert rc == 2 and out == ""
         assert err.startswith(f"error: field '{located}'"), err
@@ -458,7 +471,7 @@ class TestEncodeDecode:
         doc = json.loads(payload)
         doc["heatmap_shape"] = shape
         doc["integer_cells"] = ["0,0,0,1.0", "1,0,0,0.5"]  # inside every shape
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        monkeypatch.setattr("sys.stdin", stdin_of(json.dumps(doc)))
         rc, out, err = run_cli(capsys, "decode", "--scheme", "direct")
         assert rc == 2 and out == ""
         assert err.startswith("error: field 'heatmap_shape': heatmap shape must be "
@@ -515,7 +528,7 @@ _json_values = st.recursive(
 
 def _decode_text(text: str, scheme: str) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(out), \
+    with mock.patch("sys.stdin", stdin_of(text)), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         rc = main(["decode", "--scheme", scheme])
     return rc, out.getvalue(), err.getvalue()

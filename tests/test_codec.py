@@ -19,8 +19,7 @@ from subpix.codec import (SCHEME_ORDER, CodecConfig, DecimalOverflow,
                           encode_points, ideal_roundtrip)
 from subpix.datasets import Corpus
 from subpix.errors import ConfigError, SchemaError
-from subpix.geometry import (FaceBatch, LandmarkSet, Space, apply_transform,
-                             crop_from_landmarks, downsample_factor,
+from subpix.geometry import (FaceBatch, LandmarkSet, apply_transform, crop_from_landmarks,
                              heatmap_transform)
 from subpix.metrics import MetricsConfig
 
@@ -642,7 +641,7 @@ class TestSampleRoundtrip:
 
     def test_direct_error_scale(self):
         errs, batch = self._errors(self._record(), Scheme.DIRECT)
-        n = downsample_factor(batch.crop)[0]
+        n = 1 / heatmap_transform(batch.crop, GRID).scale[0]  # raw px per heatmap cell
         # per-point error is at most half a cell diagonal in raw pixels
         assert np.nanmax(errs) <= n * np.sqrt(0.5) + 1e-9
 
@@ -657,7 +656,7 @@ class TestSampleRoundtrip:
             assert np.nanmax(errs) < 1e-9, scheme
 
     def test_encode_matches_encode_points(self):
-        landmarks = LandmarkSet(self._record(seed=43).points[0], space=Space.RAW)
+        landmarks = LandmarkSet(self._record(seed=43).points[0])
         crop = crop_from_landmarks(landmarks, 0.25)
         cfg = cfg_for(Scheme.HIH)
         t = heatmap_transform(crop, cfg.heatmap_shape)
@@ -673,7 +672,6 @@ class TestDecodeResultContract:
         pts = _heatmap_points(47, 200)
         cfg = cfg_for(scheme)
         dec = decode(encode_points(pts, cfg))
-        assert dec.landmarks.space is Space.NORMALIZED
         coords = dec.landmarks.points
         assert np.nanmin(coords) >= 0.0
         assert np.nanmax(coords) <= 1.0 + 1.0 / 64

@@ -195,6 +195,13 @@ class TestCanonical:
         with pytest.raises(SchemaError) as err:
             load_canonical(f)
         assert err.value.field == "records[0].points"
+        for case, field in [("boolean_bbox", "records[0].bbox"),
+                            ("string_flag", "records[0].attributes.pose"),
+                            ("numeric_flag", "records[0].attributes.blur")]:
+            f.write_text(cases[case])
+            with pytest.raises(SchemaError) as err:
+                load_canonical(f)
+            assert err.value.field == field, case
 
 
 class TestLoadDataset:

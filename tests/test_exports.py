@@ -1,11 +1,13 @@
-"""Every exported name resolves, no module exports a name twice, and each
-name the package re-exports is exported by the module it comes from."""
+"""Every exported name resolves, no module exports a name twice, each
+name the package re-exports is exported by the module it comes from, and
+no module imports a name it never uses."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -33,3 +35,34 @@ def test_package_names_exported_by_their_module():
     missing = [f"{source[n]}.{n}" for n in subpix.__all__ if n in source
                and n not in importlib.import_module(f"subpix.{source[n]}").__all__]
     assert missing == []
+
+
+# an unused import must say why it stays: "# noqa: F401" and then a reason
+_NOQA_WITH_REASON = re.compile(r"#\s*noqa:\s*F401\b\W*\w")
+
+
+@pytest.mark.parametrize("path", sorted(Path(subpix.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_imports_are_used(path):
+    """Each module-level import is used in its module, listed in its
+    ``__all__``, or marked ``# noqa: F401`` with a reason."""
+    text = path.read_text()
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {name for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                for name in ast.literal_eval(node.value)}
+    dead = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        marked = any(_NOQA_WITH_REASON.search(line)
+                     for line in lines[node.lineno - 1:node.end_lineno])
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used and name not in exported and not marked:
+                dead.append(f"{path.name}:{node.lineno}: {name}")
+    assert dead == []

@@ -8,15 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subpix.errors import ConfigError
-from subpix.geometry import (AffineTransform, FaceBatch, LandmarkSet, Space,
-                             apply_transform, bbox_crops, crop_from_bbox,
-                             crop_from_landmarks, downsample_factor,
-                             heatmap_transform, landmark_crops)
+from subpix.geometry import (AffineTransform, FaceBatch, LandmarkSet, apply_transform,
+                             bbox_crops, crop_from_landmarks, heatmap_transform,
+                             landmark_crops)
 
 
-def _lms(points, space=Space.RAW, valid=None):
-    return LandmarkSet(points=np.asarray(points, dtype=np.float64),
-                       space=space, valid=valid)
+def _lms(points, valid=None):
+    return LandmarkSet(points=np.asarray(points, dtype=np.float64), valid=valid)
 
 
 class TestLandmarkSet:
@@ -111,22 +109,11 @@ class TestApplyTransform:
         s = _lms([[1.0, 2.0], [3.0, 4.0]])
         out = apply_transform(AffineTransform(1.0, (0.0, 0.0)), s)
         np.testing.assert_array_equal(out.points, s.points)
-        assert out.space == s.space
 
     def test_scale_example(self):
         s = _lms([[130.6, 82.0]])
         out = apply_transform(AffineTransform(0.5, (0.0, 0.0)), s)
         np.testing.assert_allclose(out.points, [[65.3, 41.0]], atol=1e-12)
-
-    def test_space_tag_updated(self):
-        t = AffineTransform(1.0, (0.0, 0.0), src=Space.RAW, dst=Space.NORMALIZED)
-        out = apply_transform(t, _lms([[1.0, 1.0]], space=Space.RAW))
-        assert out.space == Space.NORMALIZED
-
-    def test_space_mismatch_rejected(self):
-        t = AffineTransform(1.0, (0.0, 0.0), src=Space.NORMALIZED, dst=Space.HEATMAP)
-        with pytest.raises(ConfigError):
-            apply_transform(t, _lms([[1.0, 1.0]], space=Space.RAW))
 
     def test_validity_preserved(self):
         s = _lms([[np.nan, np.nan], [2.0, 2.0]], valid=np.array([False, True]))
@@ -136,34 +123,11 @@ class TestApplyTransform:
         np.testing.assert_allclose(out.points[1], [4.0, 4.0])
 
 
-class TestDownsampleFactor:
-    """Raw pixels per heatmap cell: ``1 / scale`` of a raw -> heatmap map."""
-
-    def test_unit_scale(self):
-        assert downsample_factor(AffineTransform(1.0, (0.0, 0.0))) == 1.0
-
-    def test_half_scale(self):
-        assert downsample_factor(AffineTransform(0.5, (0.0, 0.0))) == 2.0
-
-    def test_double_scale(self):
-        assert downsample_factor(AffineTransform(2.0, (0.0, 0.0))) == 0.5
-
-    def test_multiplicative_in_chained_scales(self):
-        # a 512 px crop side onto the unit square, then onto a 128-cell grid
-        t = heatmap_transform(AffineTransform(1.0 / 512, (0.0, 0.0)), (128, 128))
-        assert downsample_factor(t) == 512 / 128
-
-    def test_batch_gives_one_factor_per_image(self):
-        t = AffineTransform(np.array([0.25, 0.125, 0.5]), np.zeros((3, 2)))
-        np.testing.assert_array_equal(downsample_factor(t), [4.0, 8.0, 2.0])
-
-
 class TestCropFromLandmarks:
     def test_tight_box_no_margin(self):
         s = _lms([[0.0, 0.0], [100.0, 100.0]])
         t = crop_from_landmarks(s, margin=0.0)
         assert t.scale == 1 / 100
-        assert t.dst == Space.NORMALIZED
         np.testing.assert_allclose(t.apply(np.array([[0.0, 0.0], [100.0, 100.0]])),
                                    [[0.0, 0.0], [1.0, 1.0]], atol=1e-12)
 
@@ -223,19 +187,21 @@ class TestCropFromLandmarks:
 
 
 class TestCropFromBbox:
+    """Square crops of annotation boxes, through :func:`bbox_crops`."""
+
     def test_inclusive_span(self):
-        t = crop_from_bbox((10, 20, 110, 100), margin=0.0)
-        assert t.scale == 1 / 101
-        np.testing.assert_allclose(t.apply(np.array([60.0, 60.0])),
+        crop, ok = bbox_crops([(10, 20, 110, 100)], margin=0.0)
+        assert ok[0] and crop.scale[0] == 1 / 101
+        np.testing.assert_allclose(crop[0].apply(np.array([60.0, 60.0])),
                                    [0.5, 0.5], atol=1e-12)
 
     def test_exclusive_span(self):
-        t = crop_from_bbox((10, 20, 110, 100), margin=0.0, inclusive=False)
-        assert t.scale == 1 / 100
+        crop, ok = bbox_crops([(10, 20, 110, 100)], margin=0.0, inclusive=False)
+        assert ok[0] and crop.scale[0] == 1 / 100
 
     def test_bad_box_rejected(self):
-        with pytest.raises(ConfigError):
-            crop_from_bbox((10, 20, 10, 100))
+        _, ok = bbox_crops([(10, 20, 10, 100)])
+        assert not ok[0]
 
     def test_batch_flags_unusable_boxes(self):
         boxes = [(10, 20, 110, 100), (10, 20, 10, 100), (np.nan, 0, 1, 1),
@@ -260,25 +226,17 @@ class TestFaceSampleAndHeatmapTransform:
 
     def test_defaults(self):
         b = self._batch()
-        assert b.crop.dst == Space.NORMALIZED
         assert len(b) == 1
 
     def test_nonpositive_distance_rejected(self):
         with pytest.raises(ConfigError):
             self._batch(norm_distance=0.0)
 
-    def test_raw_space_required(self):
-        crop = self._crop()
-        with pytest.raises(ConfigError):
-            self._batch(crop=AffineTransform(crop.scale, crop.offset,
-                                             src=Space.NORMALIZED))
-
     def test_heatmap_transform_scale(self):
         crop = self._crop()
         t = heatmap_transform(crop, (64, 64))
         assert t.scale == 64 * crop.scale
         assert np.array_equal(t.offset, 64 * crop.offset)
-        assert t.src == Space.RAW and t.dst == Space.HEATMAP
 
     def test_heatmap_transform_maps_into_grid(self):
         t = heatmap_transform(self._crop(), (64, 64))
@@ -289,8 +247,3 @@ class TestFaceSampleAndHeatmapTransform:
     def test_anisotropic_heatmap_rejected(self):
         with pytest.raises(ConfigError):
             heatmap_transform(self._crop(), (64, 32))
-
-    def test_downsample_factor_through_chain(self):
-        # raw px per cell is the crop side over the grid side: 125 / 64
-        t = heatmap_transform(self._crop(), (64, 64))
-        assert downsample_factor(t) == pytest.approx(125 / 64, rel=1e-15)
