@@ -9,7 +9,9 @@ imposes on any model trained against it.
 The Monte-Carlo mode is the desk-scale stand-in: landmarks with uniformly
 distributed sub-pixel fractions are pushed through the same quantization
 arithmetic and the empirical mean pixel error is reported next to the
-closed-form expectation for the nearest-cell scheme.
+closed-form expectation for the nearest-cell scheme. It draws and scores
+fixed-size blocks of whole samples one at a time, merging each scheme's
+mean and spread as it goes, so its memory does not grow with the draw.
 
 Both modes score through the grid-free :func:`subpix.codec.ideal_roundtrip`,
 which is bit-identical to rendering the maps and decoding them.
@@ -23,8 +25,11 @@ map and its inverse, maps decoded points back with the reciprocal scale,
 and scores each scheme with one :func:`subpix.metrics.image_errors` call.
 Its results are bit-identical to a per-image transform chain.
 
-Randomness comes from numpy's PCG64 generator seeded from the config, so
-every run with the same config is byte-identical.
+Randomness comes from numpy's PCG64 generator. Block k of a Monte-Carlo
+draw has its own stream, seeded by the k-th child of
+``SeedSequence(cfg.seed)``, so every run with the same config is
+byte-identical, and the first m samples of a draw depend on the seed and
+the landmarks per sample, not on how many samples are drawn.
 """
 
 from __future__ import annotations
@@ -59,10 +64,14 @@ __all__ = [
     "format_report",
 ]
 
-# Monte-Carlo draws are held in memory at about 215 bytes per landmark over
-# all schemes, so 2^24 landmarks peak near 3.6 GB; a larger draw is refused
-# before anything is allocated.
+# A Monte-Carlo draw runs in constant memory (see _MC_BLOCK) but in time linear
+# in its size: 2^24 landmarks take about 15 s over all five schemes on one core,
+# so a larger draw is refused before it starts.
 _MAX_MC_POINTS = 1 << 24
+
+#: Landmarks the Monte-Carlo mode draws, round-trips and scores at once; its
+#: peak memory is set by this, not by the number of samples.
+_MC_BLOCK = 1 << 16
 
 #: The most a face's point may move, in normalization distances, when mapped
 #: to the heatmap and back. ``wov`` returns each in-grid point by exactly that
@@ -240,34 +249,73 @@ def run_ideal(corpus: Corpus, cfg: BenchConfig) -> BenchReport:
                        skipped=skipped, threshold=threshold, config=config, rows=rows)
 
 
+def _mc_blocks(cfg: BenchConfig):
+    """The Monte-Carlo draw, one block of whole samples at a time: ``(points, groups)``.
+
+    Block k is drawn from the k-th ``SeedSequence(cfg.seed)`` child, always
+    at the full size of ``_MC_BLOCK // mc_landmarks`` samples, and the last
+    block keeps only the samples still owed. So the first m samples depend
+    on the seed and ``mc_landmarks`` alone, not on ``mc_samples``.
+    Positions are ``interior cell + uniform fraction``, so that border
+    clamping cannot bias the statistics; ``groups`` numbers each landmark's
+    sample within its block.
+    """
+    w, h = cfg.codec.heatmap_shape
+    per_block = max(1, _MC_BLOCK // cfg.mc_landmarks)
+    size = per_block * cfg.mc_landmarks
+    groups = np.repeat(np.arange(per_block), cfg.mc_landmarks)
+    seeds = np.random.SeedSequence(cfg.seed)
+    for start in range(0, cfg.mc_samples, per_block):
+        rng = np.random.Generator(np.random.PCG64(seeds.spawn(1)[0]))
+        # cells up to w-2 keep nearest-cell rounding of any fraction in-grid
+        cells = np.stack([rng.integers(0, w - 1, size=size),
+                          rng.integers(0, h - 1, size=size)], axis=1).astype(np.float64)
+        points = cells + rng.random((size, 2))
+        n = min(per_block, cfg.mc_samples - start) * cfg.mc_landmarks
+        yield points[:n], groups[:n]
+
+
+def _merge_moments(n_a: int, mean_a: float, m2_a: float, err: np.ndarray,
+                   ) -> tuple[int, float, float]:
+    """Count, mean and sum of squared deviations of a set merged with ``err``.
+
+    This is the pairwise update of Chan, Golub and LeVeque (1979), so a
+    stream of blocks is summarized without keeping any of them.
+    """
+    n_b = err.size
+    mean_b = float(np.mean(err))
+    m2_b = float(np.sum(np.square(err - mean_b)))
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return n, mean_a + delta * (n_b / n), m2_a + m2_b + delta * delta * (n_a * n_b / n)
+
+
 def run_montecarlo(cfg: BenchConfig) -> BenchReport:
     """Uniform-fraction draws through the quantization arithmetic.
 
-    Positions are drawn as ``interior cell + uniform fraction`` so border
-    clamping cannot bias the statistics being compared against the
-    analytic expectation. Pixel errors are heatmap-space distances scaled
-    by ``cfg.mc_n``.
+    Each block of :func:`_mc_blocks` goes through one :func:`ideal_roundtrip`
+    call per scheme, with ``wom`` collisions resolved within each sample.
+    Pixel errors are heatmap-space distances scaled by ``cfg.mc_n``; their
+    mean and standard error are merged block by block, so memory does not
+    grow with ``cfg.mc_samples``.
     """
-    w, h = cfg.codec.heatmap_shape
-    total = cfg.mc_samples * cfg.mc_landmarks
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    # cells up to w-2 keep nearest-cell rounding of any fraction in-grid
-    cells = np.stack([rng.integers(0, w - 1, size=total),
-                      rng.integers(0, h - 1, size=total)], axis=1).astype(np.float64)
-    fracs = rng.random((total, 2))
-    points = cells + fracs
-    groups = np.repeat(np.arange(cfg.mc_samples), cfg.mc_landmarks)
+    codecs = {scheme: cfg.codec.for_scheme(scheme) for scheme in cfg.schemes}
+    moments = {scheme: (0, 0.0, 0.0) for scheme in cfg.schemes}
+    conflicts = dict.fromkeys(cfg.schemes, 0)
+    # a huge scale factor overflows the errors or their spread; that is
+    # refused below, so numpy's warning about it tells the caller nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        for points, groups in _mc_blocks(cfg):
+            for scheme, ccfg in codecs.items():
+                coords, _clamped, count = ideal_roundtrip(points, ccfg, groups=groups)
+                d = coords - points
+                err = cfg.mc_n * np.hypot(d[:, 0], d[:, 1])
+                moments[scheme] = _merge_moments(*moments[scheme], err)
+                conflicts[scheme] += int(count)
 
     rows = []
-    for scheme in cfg.schemes:
-        ccfg = cfg.codec.for_scheme(scheme)
-        coords, _clamped, conflicts = ideal_roundtrip(points, ccfg, groups=groups)
-        # a huge scale factor overflows the errors or their spread; that is
-        # refused below, so numpy's warning about it tells the caller nothing
-        with np.errstate(over="ignore", invalid="ignore"):
-            err = cfg.mc_n * np.linalg.norm(coords - points, axis=1)
-            mean = float(np.mean(err))
-            se = float(np.std(err, ddof=1) / math.sqrt(err.size)) if err.size > 1 else 0.0
+    for scheme, (n, mean, m2) in moments.items():
+        se = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
         if not (math.isfinite(mean) and math.isfinite(se)):
             raise ConfigError(f"scheme '{scheme.value}': pixel error at scale factor "
                               f"{cfg.mc_n} is too large for a float")
@@ -275,7 +323,7 @@ def run_montecarlo(cfg: BenchConfig) -> BenchReport:
                     if scheme in (Scheme.DIRECT, Scheme.WSM) else None)
         rows.append(SchemeStats(
             scheme=scheme, n_images=cfg.mc_samples, nme=float("nan"), auc=float("nan"),
-            fr=float("nan"), conflicts=int(conflicts), clamped_points=0, ced=[],
+            fr=float("nan"), conflicts=conflicts[scheme], clamped_points=0, ced=[],
             per_image=[], mean_px_error=mean, px_error_se=se,
             analytic_px_error=analytic,
         ))

@@ -401,10 +401,11 @@ def _check_points(points, valid) -> tuple[np.ndarray, np.ndarray]:
     if valid is None:
         mask = np.ones(len(pts), dtype=bool)
     else:
-        mask = np.asarray(valid, dtype=bool).reshape(len(pts))
-    if not np.all(np.isfinite(pts[mask])):
+        mask = np.array(valid, dtype=bool).reshape(len(pts))
+    # only a non-finite point needs the mask, and the copy it makes
+    if not np.isfinite(pts).all() and not np.isfinite(pts[mask]).all():
         raise ConfigError("landmark coordinates must be finite")
-    return pts, mask.copy()
+    return pts, mask
 
 
 def _domain_mask(pts: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -422,19 +423,19 @@ def _floor_cells(pts: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, n
     """
     dims = np.array(shape, dtype=np.float64)
     raw = np.floor(pts)
-    cells = np.clip(raw, 0.0, dims - 1.0)
-    clamped = np.any(raw != cells, axis=1)
-    offsets = np.clip(pts - cells, 0.0, _ONE_BELOW)
-    return cells.astype(np.int64), offsets, clamped
+    cells = np.minimum(np.maximum(raw, 0.0), dims - 1.0)
+    moved = raw != cells
+    offsets = np.minimum(np.maximum(pts - cells, 0.0), _ONE_BELOW)
+    return cells.astype(np.int64), offsets, moved[:, 0] | moved[:, 1]
 
 
 def _round_cells(pts: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-cell quantization (round half up) with boundary clamping."""
     dims = np.array(shape, dtype=np.float64)
     raw = np.floor(pts + 0.5)
-    cells = np.clip(raw, 0.0, dims - 1.0)
-    clamped = np.any(raw != cells, axis=1)
-    return cells.astype(np.int64), clamped
+    cells = np.minimum(np.maximum(raw, 0.0), dims - 1.0)
+    moved = raw != cells
+    return cells.astype(np.int64), moved[:, 0] | moved[:, 1]
 
 
 def _decimal_quantize(cells: np.ndarray, offsets: np.ndarray, cfg: CodecConfig,
@@ -454,7 +455,7 @@ def _decimal_quantize(cells: np.ndarray, offsets: np.ndarray, cfg: CodecConfig,
         over = cells >= dims
         cells = np.where(over, dims - 1, cells)
     q = np.where(over, dims_o - 1, q)
-    return cells, q, np.any(over, axis=1)
+    return cells, q, over[:, 0] | over[:, 1]
 
 
 def _last_writer_offsets(cells: np.ndarray, offsets: np.ndarray, valid: np.ndarray,

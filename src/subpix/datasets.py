@@ -316,7 +316,7 @@ def load_canonical(source: str | Path) -> tuple[str, Corpus]:
     if not isinstance(doc["dataset"], str):
         raise SchemaError("must be a string", field="dataset", path=str(p))
     n = doc["n_landmarks"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # a JSON true or false is a Python int too
         raise SchemaError("must be a positive integer", field="n_landmarks", path=str(p))
     raw_records = doc["records"]
     if not isinstance(raw_records, list) or not raw_records:
@@ -347,6 +347,10 @@ def load_canonical(source: str | Path) -> tuple[str, Corpus]:
                               field=f"{where}.points", path=str(p)) from None
         if pts.shape != (n, 2):
             raise SchemaError(f"must be an array of {n} [x, y] pairs",
+                              field=f"{where}.points", path=str(p))
+        # numpy reads a JSON true as 1.0 and a numeric string as its number
+        if not all(type(v) in (int, float) for xy in raw_points for v in xy):
+            raise SchemaError("coordinates must be numbers",
                               field=f"{where}.points", path=str(p))
         if not np.all(np.isfinite(pts)):
             raise SchemaError("coordinates must be finite",

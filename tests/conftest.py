@@ -196,6 +196,12 @@ def malformed_canonical_docs() -> list[tuple[str, str]]:
     def set_attr(d, value):
         d["records"][0]["attributes"] = value
 
+    def boolean_landmark_count(d):
+        # one point per record, so that only the count's type is wrong
+        d["n_landmarks"] = True
+        for record in d["records"]:
+            record["points"] = record["points"][:1]
+
     cases = [
         ("invalid_json", "{not json"),
         ("top_level_array", "[1,2]"),
@@ -214,6 +220,11 @@ def malformed_canonical_docs() -> list[tuple[str, str]]:
                lambda d: d["records"][0]["points"].__setitem__(3, ["a", "b"])),
         mutate("non_finite_points",
                lambda d: d["records"][0]["points"].__setitem__(3, [float("inf"), 0.0])),
+        mutate("boolean_coordinate",
+               lambda d: d["records"][0]["points"][3].__setitem__(0, True)),
+        mutate("string_coordinate",
+               lambda d: d["records"][0]["points"][3].__setitem__(1, "2.5")),
+        mutate("boolean_n_landmarks", boolean_landmark_count),
         mutate("short_bbox", lambda d: d["records"][0].update(bbox=[1, 2, 3])),
         mutate("boolean_bbox", lambda d: d["records"][0].update(bbox=[True, 0, 500, 500])),
         mutate("unknown_attribute", lambda d: set_attr(d, {"grin": True})),

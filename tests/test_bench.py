@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 from conftest import join, make_records, one_face
 
-from subpix.bench import (BenchConfig, BenchReport, Column, SchemeStats,
-                          analytic_direct_error, build_samples, emit_report,
+import subpix.bench
+from subpix.bench import (_MC_BLOCK, BenchConfig, BenchReport, Column, SchemeStats,
+                          _mc_blocks, analytic_direct_error, build_samples, emit_report,
                           format_report, run_ideal, run_montecarlo)
-from subpix.codec import (CodecConfig, OobPolicy, Scheme, decode, encode_points,
-                          ideal_roundtrip)
+from subpix.codec import (SCHEME_ORDER, CodecConfig, OobPolicy, Scheme, decode,
+                          encode_points, ideal_roundtrip)
 from subpix.datasets import Corpus
 from subpix.errors import ConfigError
 from subpix.geometry import heatmap_transform
@@ -160,6 +161,71 @@ class TestMonteCarlo:
         # 1e308 overflows the errors themselves, 1e307 only their spread
         with pytest.raises(ConfigError, match="too large for a float"):
             run_montecarlo(BenchConfig(seed=5, mc_samples=100, mc_n=mc_n))
+
+
+#: ulps a block-merged Monte-Carlo mean or SE may sit from numpy's one-pass
+#: value over the concatenated errors (2 is the most seen, up to 62 blocks)
+MERGE_ULPS = 8
+
+
+def _streamed(cfg: BenchConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Every block's points, concatenated, with each landmark's global sample."""
+    points = np.concatenate([p for p, _ in _mc_blocks(cfg)])
+    return points, np.repeat(np.arange(cfg.mc_samples), cfg.mc_landmarks)
+
+
+class TestMonteCarloStream:
+    @staticmethod
+    def _spanning(landmarks: int) -> int:
+        """A sample count that fills three blocks and leaves a ragged fourth."""
+        return 3 * (_MC_BLOCK // landmarks) + 123
+
+    @pytest.mark.parametrize("landmarks", [1, 4])
+    def test_prefix_does_not_depend_on_sample_count(self, landmarks):
+        m = self._spanning(landmarks)
+        short = BenchConfig(seed=11, mc_samples=m, mc_landmarks=landmarks)
+        blocks = list(_mc_blocks(short))
+        assert len(blocks) == 4 and len(blocks[-1][0]) < len(blocks[0][0])
+        longer = _streamed(BenchConfig(seed=11, mc_samples=3 * m + 1,
+                                       mc_landmarks=landmarks))[0]
+        np.testing.assert_array_equal(np.concatenate([p for p, _ in blocks]),
+                                      longer[:m * landmarks])
+
+    @pytest.mark.parametrize("scheme", [Scheme.DIRECT, Scheme.HIH, Scheme.WOM])
+    def test_merge_matches_one_pass(self, scheme):
+        cfg = BenchConfig(seed=4, mc_samples=self._spanning(4), mc_landmarks=4,
+                          schemes=(scheme,))
+        row = run_montecarlo(cfg).rows[0]
+        points = _streamed(cfg)[0]
+        coords = np.concatenate([ideal_roundtrip(p, cfg.codec.for_scheme(scheme),
+                                                 groups=g)[0] for p, g in _mc_blocks(cfg)])
+        err = cfg.mc_n * np.hypot(*(coords - points).T)
+        mean = float(np.mean(err))
+        se = float(np.std(err, ddof=1) / math.sqrt(err.size))
+        assert mean > 0.0 and se > 0.0
+        assert abs(row.mean_px_error - mean) <= MERGE_ULPS * np.spacing(mean)
+        assert abs(row.px_error_se - se) <= MERGE_ULPS * np.spacing(se)
+
+    def test_wom_conflicts_match_one_call(self):
+        cfg = BenchConfig(seed=3, mc_samples=3000, mc_landmarks=64, schemes=(Scheme.WOM,))
+        points, groups = _streamed(cfg)
+        _, _, conflicts = ideal_roundtrip(points, cfg.codec.for_scheme(Scheme.WOM),
+                                          groups=groups)
+        assert conflicts > 0
+        assert run_montecarlo(cfg).rows[0].conflicts == conflicts
+
+    def test_one_roundtrip_per_scheme_per_block(self, monkeypatch):
+        calls = []
+
+        def counted(points, cfg, **kwargs):
+            calls.append((cfg.scheme, len(points)))
+            return ideal_roundtrip(points, cfg, **kwargs)
+
+        monkeypatch.setattr(subpix.bench, "ideal_roundtrip", counted)
+        cfg = BenchConfig(seed=1, mc_samples=2 * _MC_BLOCK + 5)
+        run_montecarlo(cfg)
+        assert len(calls) == 3 * len(SCHEME_ORDER)
+        assert sum(n for _, n in calls) == len(SCHEME_ORDER) * cfg.mc_samples
 
 
 class TestRunIdeal:

@@ -1,7 +1,8 @@
 """CLI tests: exit codes, golden outputs, piping, config file precedence.
 
 Most cases drive ``main(argv)`` in-process and byte-compare captured
-stdout; true subprocess round-trips live in the acceptance suite.
+stdout; true subprocess round-trips live in the acceptance suite, and only
+the memory test here starts child processes.
 """
 
 from __future__ import annotations
@@ -9,17 +10,21 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import (TEMPLATE_68, join, make_wflw_line, one_face, write_pts_tree,
-                      write_wflw_file)
+from conftest import (TEMPLATE_68, join, make_wflw_line, malformed_canonical_docs,
+                      one_face, write_pts_tree, write_wflw_file)
 from hypothesis import assume
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import subpix
 from subpix.cli import main
 from subpix.codec import SCHEME_ORDER, CodecConfig, encode_points
 from subpix.datasets import Corpus, load_canonical, load_dataset, write_canonical
@@ -167,6 +172,24 @@ class TestSynth:
         rc, out, err = run_cli(capsys, "synth", "--oob-policy", "drop")
         assert rc == 2 and out == ""
         assert "error: unrecognized arguments: --oob-policy drop" in err
+
+    def test_peak_memory_flat_in_samples(self):
+        # the draw is scored block by block, so 40x the samples may not
+        # need more than a few blocks' worth of extra memory
+        src = str(Path(subpix.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        peaks = []
+        for samples in ("5e4", "2e6"):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "subpix", "synth", "--samples", samples,
+                 "--landmarks", "1", "--schemes", "direct", "--format", "json"],
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+            _, status, usage = os.wait4(proc.pid, 0)
+            assert os.waitstatus_to_exitcode(status) == 0, proc.stderr.read()
+            proc.stderr.close()
+            peaks.append(usage.ru_maxrss / 1024.0)  # KiB on Linux
+        assert peaks[1] - peaks[0] <= 16.0, f"peak RSS {peaks[0]:.1f} -> {peaks[1]:.1f} MB"
 
 
 class TestBenchIdeal:
@@ -807,6 +830,18 @@ class TestConvert:
         assert rc == 0
         np.testing.assert_array_equal(load_canonical(out_file)[1].points[0],
                                       corpus68.points[0])
+
+    @pytest.mark.parametrize("case", ["boolean_coordinate", "string_coordinate",
+                                      "boolean_n_landmarks"])
+    def test_coerced_types_refused(self, capsys, tmp_path, case):
+        message = ("field 'n_landmarks': must be a positive integer" if case.endswith("landmarks")
+                   else "field 'records[0].points': coordinates must be numbers")
+        src = tmp_path / "typed.json"
+        src.write_text(dict(malformed_canonical_docs())[case])
+        rc, out, err = run_cli(capsys, "convert", "--dataset", f"json:{src}",
+                               "--out", str(tmp_path / "out.json"))
+        assert (rc, out, err) == (2, "", f"error: {src}: {message}\n")
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestConfigFile:
