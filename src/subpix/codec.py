@@ -29,6 +29,16 @@ over the decimal grid size (``hih``). ``_quantize`` is the one place this
 rule lives: :func:`encode_points` renders its cells and kept fractions into
 maps and payloads, and :func:`ideal_roundtrip` returns ``cell + kept``.
 
+The kernels behind ``_quantize`` are axis-major: they work on one
+contiguous (2, N) float64 copy of the points, a row of x and a row of y,
+with grid sizes as (2, 1) columns. numpy runs its inner loop over the last
+axis, so an (N, 2) array combined with a (2,) grid size or an (N, 1) mask
+loops over rows of length 2, which costs 7-10x a pass over rows of length N.
+Cells stay float64, exact far past the 2^26-cell grid cap; only
+:func:`encode_points` converts them to int64, for rendering. The kernels
+overwrite their inputs rather than allocate, since fresh pages cost as much
+as the arithmetic at these sizes.
+
 For ``hih`` the fraction quantizer rounds to the nearest step of the
 fractional grid. A fraction close to 1 rounds past the last step; by
 default that rounding carries into the next integer cell (exact nearest-
@@ -266,7 +276,9 @@ class EncodedSample:
             if not isinstance(entries, list) or len(entries) != n:
                 raise SchemaError(f"expected a list of {n} flags, one per landmark",
                                   field=key)
-            flags[key] = [bool(v) for v in entries]
+            if not all(isinstance(v, bool) for v in entries):
+                raise SchemaError("flags must be true or false", field=key)
+            flags[key] = entries
         maps = _unsparse(d.get("integer_cells"), (n, h, w), field="integer_cells")
         kwargs: dict = {}
         if scheme is Scheme.WOV:
@@ -408,54 +420,63 @@ def _check_points(points, valid) -> tuple[np.ndarray, np.ndarray]:
     return pts, mask
 
 
-def _domain_mask(pts: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+def _domain_mask(xy: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     w, h = shape
-    return ((pts[:, 0] >= 0) & (pts[:, 0] < w)
-            & (pts[:, 1] >= 0) & (pts[:, 1] < h))
+    return (xy[0] >= 0) & (xy[0] < w) & (xy[1] >= 0) & (xy[1] < h)
 
 
-def _floor_cells(pts: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """floor/fraction decomposition with boundary clamping.
+def _clamp_cells(raw: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """(2, N) cells ``raw`` pulled onto the grid in place, and which landmarks moved."""
+    top = np.array(shape, dtype=np.float64)[:, None] - 1.0
+    moved = (raw < 0.0) | (raw > top)
+    np.maximum(raw, 0.0, out=raw)
+    np.minimum(raw, top, out=raw)
+    return raw, moved[0] | moved[1]
+
+
+def _floor_cells(xy: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """floor/fraction decomposition of (2, N) points with boundary clamping.
 
     Out-of-grid cells are pulled to the border and the fraction is clipped
     so that ``cell + fraction`` stays the nearest representable position;
-    fractions always land in [0, 1).
+    fractions always land in [0, 1). The fractions overwrite ``xy``.
     """
-    dims = np.array(shape, dtype=np.float64)
-    raw = np.floor(pts)
-    cells = np.minimum(np.maximum(raw, 0.0), dims - 1.0)
-    moved = raw != cells
-    offsets = np.minimum(np.maximum(pts - cells, 0.0), _ONE_BELOW)
-    return cells.astype(np.int64), offsets, moved[:, 0] | moved[:, 1]
+    cells, moved = _clamp_cells(np.floor(xy), shape)
+    xy -= cells
+    np.maximum(xy, 0.0, out=xy)
+    np.minimum(xy, _ONE_BELOW, out=xy)
+    return cells, xy, moved
 
 
-def _round_cells(pts: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-cell quantization (round half up) with boundary clamping."""
-    dims = np.array(shape, dtype=np.float64)
-    raw = np.floor(pts + 0.5)
-    cells = np.minimum(np.maximum(raw, 0.0), dims - 1.0)
-    moved = raw != cells
-    return cells.astype(np.int64), moved[:, 0] | moved[:, 1]
+def _round_cells(xy: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-cell quantization (round half up) of (2, N) points with boundary
+    clamping. The cells overwrite ``xy``."""
+    xy += 0.5
+    return _clamp_cells(np.floor(xy, out=xy), shape)
 
 
 def _decimal_quantize(cells: np.ndarray, offsets: np.ndarray, cfg: CodecConfig,
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quantize fractions onto the decimal grid, resolving overflow.
+    """Quantize (2, N) fractions onto the decimal grid, resolving overflow.
 
     Returns possibly cell-shifted integer cells, decimal indices, and a
-    per-landmark flag for positions that had to be clamped after all.
+    per-landmark flag for positions that had to be clamped after all. Both
+    are written over their inputs.
     """
-    dims = np.array(cfg.heatmap_shape, dtype=np.int64)
-    dims_o = np.array(cfg.decimal_shape, dtype=np.int64)
-    q = np.floor(offsets * dims_o + 0.5).astype(np.int64)
+    dims_o = np.array(cfg.decimal_shape, dtype=np.float64)[:, None]
+    q = offsets
+    q *= dims_o
+    q += 0.5
+    np.floor(q, out=q)
     over = q >= dims_o
     if cfg.decimal_overflow is DecimalOverflow.CARRY:
-        q = np.where(over, 0, q)
-        cells = cells + over
-        over = cells >= dims
-        cells = np.where(over, dims - 1, cells)
-    q = np.where(over, dims_o - 1, q)
-    return cells, q, over[:, 0] | over[:, 1]
+        np.copyto(q, 0.0, where=over)
+        cells += over
+        top = np.array(cfg.heatmap_shape, dtype=np.float64)[:, None] - 1.0
+        over = cells > top
+        np.copyto(cells, top, where=over)
+    np.copyto(q, dims_o - 1.0, where=over)
+    return cells, q, over[0] | over[1]
 
 
 def _last_writer_offsets(cells: np.ndarray, offsets: np.ndarray, valid: np.ndarray,
@@ -463,25 +484,38 @@ def _last_writer_offsets(cells: np.ndarray, offsets: np.ndarray, valid: np.ndarr
                          groups: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Resolve shared-map collisions: the highest landmark index wins a cell.
 
-    Returns, for every valid landmark, the offset that a reader of its cell
-    would observe, plus the number of overwritten landmarks. ``groups``
-    partitions the landmarks into independent samples that do not share
-    maps with each other.
+    Returns, for every valid landmark, the (2, N) offset that a reader of
+    its cell would observe, plus the number of overwritten landmarks.
+    ``groups`` partitions the landmarks into independent samples that do
+    not share maps with each other. Without a collision ``offsets`` comes
+    back as is.
     """
     w, h = shape
-    decoded = offsets.copy()
-    idx = np.nonzero(valid)[0]
-    if len(idx) == 0:
-        return decoded, 0
-    keys = cells[idx, 1].astype(np.int64) * w + cells[idx, 0]
+    keys = cells[1] * w
+    keys += cells[0]
+    keys = keys.astype(np.int64)
     if groups is not None:
-        keys = keys + groups[idx].astype(np.int64) * (w * h)
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    winner = np.full(len(uniq), -1, dtype=np.int64)
-    np.maximum.at(winner, inverse, idx)
-    decoded[idx] = offsets[winner[inverse]]
-    conflicts = int(len(idx) - len(uniq))
-    return decoded, conflicts
+        keys += groups * (w * h)
+    idx = None
+    if not valid.all():
+        idx = np.flatnonzero(valid)
+        keys = keys[idx]
+    # a stable sort keeps each cell's writers in index order, so a sorted
+    # key equal to the next one lost its cell to the last writer of its run
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    lost = np.flatnonzero(ranked[1:] == ranked[:-1])
+    if len(lost) == 0:
+        return offsets, 0
+    # consecutive losing positions form one run, won by the position after it
+    last = np.append(np.flatnonzero(np.diff(lost) != 1), len(lost) - 1)
+    won = np.repeat(lost[last] + 1, np.diff(last, prepend=-1))
+    losers, winners = order[lost], order[won]
+    if idx is not None:
+        losers, winners = idx[losers], idx[winners]
+    decoded = offsets.copy()
+    decoded[:, losers] = offsets[:, winners]
+    return decoded, len(lost)
 
 
 # -- encode / decode ----------------------------------------------------------
@@ -491,30 +525,38 @@ def _quantize(pts: np.ndarray, valid: np.ndarray, cfg: CodecConfig,
               groups: np.ndarray | None = None):
     """Each landmark's cell and the fraction its scheme's decoder adds back.
 
-    Returns ``(cells, kept, steps, clamped, valid, conflicts)``: the (N, 2)
-    integer cells and kept fractions (see the module docstring), the hih
-    decimal step indices (None for the other schemes), the clamp flags, the
-    valid mask after ``OobPolicy.DROP``, and the wom conflict count, with
-    collisions resolved within each of ``groups``. Invalid landmarks sit at
-    cell 0 and keep nothing.
+    Returns ``(cells, kept, steps, clamped, valid, conflicts)``: the (2, N)
+    axis-major cells and kept fractions as float64 (see the module
+    docstring; ``direct`` and ``wsm`` keep a read-only broadcast zero), the
+    hih decimal step indices, also (2, N) float64 (None for the other
+    schemes), the clamp flags, the valid mask after
+    ``OobPolicy.DROP``, and the wom conflict count, with collisions resolved
+    within each of ``groups``. Invalid landmarks sit at cell 0 and keep
+    nothing.
     """
+    # one axis-major copy, which the kernels overwrite with their results
+    xy = pts.T.copy()
+    if not valid.all():
+        xy[:, ~valid] = 0.0
     if cfg.oob_policy is OobPolicy.DROP:
-        valid = valid & _domain_mask(
-            np.where(valid[:, None], pts, 0.0), cfg.heatmap_shape)
-    safe = np.where(valid[:, None], pts, 0.0)
+        inside = _domain_mask(xy, cfg.heatmap_shape)
+        if not inside.all():
+            valid = valid & inside
+            xy[:, ~inside] = 0.0
     steps, conflicts = None, 0
     if cfg.scheme in (Scheme.DIRECT, Scheme.WSM):
-        cells, clamped = _round_cells(safe, cfg.heatmap_shape)
-        kept = np.zeros_like(safe)
+        cells, clamped = _round_cells(xy, cfg.heatmap_shape)
+        kept = np.broadcast_to(0.0, cells.shape)
     else:
-        cells, kept, clamped = _floor_cells(safe, cfg.heatmap_shape)
+        cells, kept, clamped = _floor_cells(xy, cfg.heatmap_shape)
     if cfg.scheme is Scheme.WOM:
         kept, conflicts = _last_writer_offsets(cells, kept, valid, cfg.heatmap_shape, groups)
     elif cfg.scheme is Scheme.HIH:
         cells, steps, over = _decimal_quantize(cells, kept, cfg)
-        kept = steps / np.array(cfg.decimal_shape, dtype=np.float64)
-        clamped = clamped | over
-    return cells, kept, steps, clamped & valid, valid, conflicts
+        kept = steps / np.array(cfg.decimal_shape, dtype=np.float64)[:, None]
+        clamped |= over
+    clamped &= valid
+    return cells, kept, steps, clamped, valid, conflicts
 
 
 def _render_batch(cells: np.ndarray, valid: np.ndarray, sigma: float,
@@ -557,20 +599,21 @@ def encode_points(points: np.ndarray, cfg: CodecConfig,
     if cfg.scheme is Scheme.HIH:
         _check_cells((len(pts), cfg.decimal_shape[1], cfg.decimal_shape[0]))
     cells, kept, steps, clamped, mask, conflicts = _quantize(pts, mask, cfg)
+    cells = cells.T.astype(np.int64)
     integer_maps = _render_batch(cells, mask, cfg.sigma_integer, cfg.heatmap_shape)
     kwargs: dict = {}
     if cfg.scheme is Scheme.WOV:
-        kwargs["offsets"] = kept
+        kwargs["offsets"] = np.ascontiguousarray(kept.T)
     elif cfg.scheme is Scheme.WOM:
         # every writer of a cell carries the winner's offset, so order is moot
         idx = np.nonzero(mask)[0]
         maps = np.zeros((2, h, w), dtype=np.float64)
-        maps[:, cells[idx, 1], cells[idx, 0]] = kept[idx].T
+        maps[:, cells[idx, 1], cells[idx, 0]] = kept[:, idx]
         kwargs.update(offset_map_x=maps[0], offset_map_y=maps[1], conflict_count=conflicts)
     elif cfg.scheme is Scheme.HIH:
         kwargs["decimal_shape"] = cfg.decimal_shape
-        kwargs["decimal_maps"] = _render_batch(steps, mask, cfg.sigma_decimal,
-                                               cfg.decimal_shape)
+        kwargs["decimal_maps"] = _render_batch(steps.T.astype(np.int64), mask,
+                                               cfg.sigma_decimal, cfg.decimal_shape)
     return EncodedSample(scheme=cfg.scheme, heatmap_shape=cfg.heatmap_shape,
                          integer_maps=integer_maps, valid=mask, clamped=clamped, **kwargs)
 
@@ -665,4 +708,8 @@ def ideal_roundtrip(points: np.ndarray, cfg: CodecConfig,
     if groups is not None:
         groups = np.asarray(groups, dtype=np.int64).reshape(len(pts))
     cells, kept, _, clamped, mask, conflicts = _quantize(pts, mask, cfg, groups)
-    return np.where(mask[:, None], cells + kept, np.nan), clamped, conflicts
+    coords = np.empty((len(pts), 2))
+    np.add(cells, kept, out=coords.T)
+    if not mask.all():
+        coords[~mask] = np.nan
+    return coords, clamped, conflicts

@@ -475,6 +475,13 @@ class TestEncodeDecode:
         ("wom", "offset_x_cells", ["2,3,40.0"], "offset_x_cells"),
         ("wom", "offset_x_cells", ["2,1,1.0"], "offset_x_cells"),
         ("wom", "offset_y_cells", ["2,1,-0.25"], "offset_y_cells"),
+        # flags are JSON booleans, not whatever Python finds truthy
+        ("direct", "valid", ["false", True], "valid"),
+        ("direct", "valid", ["no", True], "valid"),
+        ("direct", "valid", [2, True], "valid"),
+        ("direct", "valid", [None, True], "valid"),
+        ("direct", "clamped", [0, False], "clamped"),
+        ("wov", "clamped", [False, "true"], "clamped"),
     ])
     def test_malformed_payload_field_located(self, capsys, monkeypatch,
                                              scheme, field, value, located):

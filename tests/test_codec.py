@@ -15,8 +15,8 @@ from conftest import (brute_force_gaussian, decode_hand_built, hand_built, one_f
                       peak_cell)
 from subpix.bench import BenchConfig, build_samples, run_ideal
 from subpix.codec import (SCHEME_ORDER, CodecConfig, DecimalOverflow,
-                          EncodedSample, OobPolicy, Scheme, decode, encode,
-                          encode_points, ideal_roundtrip)
+                          EncodedSample, OobPolicy, Scheme, _last_writer_offsets, decode,
+                          encode, encode_points, ideal_roundtrip)
 from subpix.datasets import Corpus
 from subpix.errors import ConfigError, SchemaError
 from subpix.geometry import (FaceBatch, LandmarkSet, apply_transform, crop_from_landmarks,
@@ -333,6 +333,44 @@ class TestWom:
                                           groups=np.array([0, 0]))
         assert conflicts == 1
 
+    @staticmethod
+    def _reference(cells, offsets, valid, groups):
+        """Last writer per (group, cell) by a dict written in index order."""
+        winner = {}
+        for i in np.flatnonzero(valid):
+            winner[groups[i], cells[0, i], cells[1, i]] = i
+        decoded = offsets.copy()
+        for i in np.flatnonzero(valid):
+            decoded[:, i] = offsets[:, winner[groups[i], cells[0, i], cells[1, i]]]
+        return decoded, int(np.count_nonzero(valid)) - len(winner)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("grouped", [True, False])
+    def test_last_writer_matches_reference(self, seed, grouped):
+        # a 2x2 grid and a few hundred landmarks: nearly every cell collides
+        rng = np.random.Generator(np.random.PCG64(seed))
+        n = int(rng.integers(200, 600))
+        cells = rng.integers(0, 2, size=(2, n)).astype(np.float64)
+        offsets = rng.random((2, n))
+        valid = rng.random(n) >= 0.3
+        groups = rng.choice(np.array([3, 17, 40, 1000]), size=n) if grouped else None
+        got, conflicts = _last_writer_offsets(cells, offsets, valid, (2, 2), groups)
+        want, want_conflicts = self._reference(
+            cells, offsets, valid, np.zeros(n, dtype=np.int64) if groups is None else groups)
+        assert conflicts == want_conflicts > 0
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_last_writer_without_conflict_returns_offsets(self):
+        # distinct cells, and an invalid landmark on a taken cell does not count
+        cells = np.array([[0.0, 1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0, 0.0]])
+        offsets = np.arange(10.0).reshape(2, 5) / 10.0
+        valid = np.array([True, True, True, True, False])
+        got, conflicts = _last_writer_offsets(cells, offsets, valid, (2, 2))
+        assert conflicts == 0 and got is offsets
+        got, conflicts = _last_writer_offsets(cells, offsets, np.ones(5, dtype=bool), (2, 2))
+        assert conflicts == 1
+        np.testing.assert_array_equal(got[:, 0], offsets[:, 4])
+
 
 class TestHih:
     def test_decode_example(self):
@@ -499,6 +537,34 @@ class TestGridMatchesIdealRoundtrip:
         ideal_coords, _, _ = ideal_roundtrip(pts, cfg)
         np.testing.assert_array_equal(grid_coords, ideal_coords)
 
+    @pytest.mark.parametrize("scheme", SCHEME_ORDER)
+    @pytest.mark.parametrize("oob", list(OobPolicy))
+    @pytest.mark.parametrize("overflow", list(DecimalOverflow))
+    def test_bitwise_at_signed_zero_half_cells_and_edges(self, scheme, oob, overflow):
+        # every pair of x and y below, on a 7x5 grid with a 3x4 decimal grid:
+        # signed zeros, half cells, half decimal steps (the last ones carry),
+        # and the grid edge from both sides
+        w, h = 7, 5
+        cfg = CodecConfig(scheme=scheme, heatmap_shape=(w, h), decimal_shape=(3, 4),
+                          oob_policy=oob, decimal_overflow=overflow)
+        xs = [-0.0, 0.0, -1e-300, 0.5, 1.5, 3 + 1 / 6, 3 + 5 / 6, 2 - 2.0 ** -52,
+              w - 0.5, w - 1 / 6, np.nextafter(w, 0), w]
+        ys = [-0.0, 0.0, -1e-300, 0.5, 2.5, 2 + 1 / 8, 2 + 7 / 8, 1 - 2.0 ** -53,
+              h - 0.5, h - 1 / 8, np.nextafter(h, 0), h]
+        pts = np.array([[x, y] for x in xs for y in ys])
+        valid = np.arange(len(pts)) % 7 != 3
+        pts[~valid] = np.nan
+        coords, clamped, conflicts = ideal_roundtrip(pts, cfg, valid=valid)
+        enc = encode_points(pts, cfg, valid=valid)
+        dec = decode(enc)
+        # as bit patterns: assert_array_equal takes -0.0 for 0.0
+        normalized = coords / np.array([w, h], dtype=np.float64)
+        np.testing.assert_array_equal(normalized.view(np.uint64),
+                                      dec.landmarks.points.view(np.uint64))
+        np.testing.assert_array_equal(clamped, dec.clamped)
+        assert conflicts == enc.conflict_count
+        assert coords.flags.c_contiguous and not np.signbit(coords[valid]).any()
+
     @given(case=_roundtrip_cases())
     @settings(max_examples=400, deadline=None)
     def test_matches_grid_path_everywhere(self, case):
@@ -518,8 +584,8 @@ class TestGridMatchesIdealRoundtrip:
             grid_clamped[rows] = dec.clamped
             grid_conflicts += enc.conflict_count
         # decode divides by the grid size; so does bench-ideal before mapping back
-        np.testing.assert_array_equal(coords / np.array(cfg.heatmap_shape, dtype=np.float64),
-                                      grid)
+        normalized = coords / np.array(cfg.heatmap_shape, dtype=np.float64)
+        np.testing.assert_array_equal(normalized.view(np.uint64), grid.view(np.uint64))
         np.testing.assert_array_equal(clamped, grid_clamped)
         assert conflicts == grid_conflicts
 
