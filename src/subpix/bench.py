@@ -47,7 +47,7 @@ from .geometry import FaceBatch, bbox_crops, check_margin, heatmap_transform, la
 from .geometry import crop_from_landmarks  # noqa: F401  timed as geometry.crop by perfbench
 from .metrics import (MetricsConfig, PerImageError, ced_auc, ced_points,
                       failure_rate, image_errors, mean_nme, norm_distances,
-                      resolve_norm_indices, threshold_tag)
+                      point_distances, resolve_norm_indices, threshold_tag)
 
 __all__ = [
     "BenchConfig",
@@ -65,9 +65,14 @@ __all__ = [
 ]
 
 # A Monte-Carlo draw runs in constant memory (see _MC_BLOCK) but in time linear
-# in its size: 2^24 landmarks take about 7 s over all five schemes on one core,
-# so a larger draw is refused before it starts.
+# in its size: 2^24 landmarks take about 4.5 s over all five schemes on one
+# core, so a larger draw is refused before it starts.
 _MAX_MC_POINTS = 1 << 24
+
+#: The smallest Monte-Carlo scale factor: below it the squared deviations of
+#: the scaled errors underflow past the normal floats, and their spread would
+#: read as 0. The render widths have the same floor (``codec._SIGMA_RANGE``).
+_MIN_MC_N = 1e-150
 
 #: Landmarks the Monte-Carlo mode draws, round-trips and scores at once; its
 #: peak memory is set by this, not by the number of samples.
@@ -112,8 +117,9 @@ class BenchConfig:
             raise ConfigError(f"Monte-Carlo draw of {self.mc_samples} samples x "
                               f"{self.mc_landmarks} landmarks exceeds the limit of "
                               f"{_MAX_MC_POINTS} landmarks")
-        if not (np.isfinite(self.mc_n) and self.mc_n > 0):
-            raise ConfigError(f"Monte-Carlo scale factor must be positive, got {self.mc_n}")
+        if not (np.isfinite(self.mc_n) and self.mc_n >= _MIN_MC_N):
+            raise ConfigError(f"Monte-Carlo scale factor must be finite and at least "
+                              f"{_MIN_MC_N:g}, got {self.mc_n}")
 
 
 @dataclass(eq=False)
@@ -203,7 +209,7 @@ def run_ideal(corpus: Corpus, cfg: BenchConfig) -> BenchReport:
     # would score even a lossless scheme at many percent; refuse the face
     with np.errstate(over="ignore", invalid="ignore"):
         back = to_raw.apply((points / dims * dims).reshape(n, n_landmarks, 2))
-        moved = np.linalg.norm(back - batch.points, axis=2) / batch.norm_distance[:, None]
+        moved = point_distances(back - batch.points) / batch.norm_distance[:, None]
     worst = np.where(batch.valid, moved, 0.0).max(axis=1)
     if not np.all(worst <= _MAX_ROUNDTRIP_MOVE):  # NaN fails too
         k = np.argmin(worst <= _MAX_ROUNDTRIP_MOVE)
@@ -311,7 +317,7 @@ def run_montecarlo(cfg: BenchConfig) -> BenchReport:
             for scheme, ccfg in codecs.items():
                 coords, _clamped, count = ideal_roundtrip(points, ccfg, groups=groups)
                 coords -= points
-                err = np.hypot(coords[:, 0], coords[:, 1])
+                err = point_distances(coords)
                 err *= cfg.mc_n
                 moments[scheme] = _merge_moments(*moments[scheme], err)
                 conflicts[scheme] += int(count)

@@ -59,6 +59,7 @@ import numpy as np
 
 from .errors import ConfigError, SchemaError
 from .geometry import AffineTransform, LandmarkSet, apply_transform, heatmap_transform
+from .metrics import point_distances
 
 __all__ = [
     "Scheme",
@@ -661,7 +662,7 @@ def decode(enc: EncodedSample) -> DecodeResult:
             sec_flat = mask[unique].argmax(axis=1)
             s = np.stack([sec_flat % w, sec_flat // w], axis=1).astype(np.float64)
             delta = s - m[unique]
-            norm = np.linalg.norm(delta, axis=1, keepdims=True)
+            norm = point_distances(delta)[:, None]
             coords[unique] = m[unique] + 0.25 * delta / norm
     else:
         # a duplicated maximum means the row-major tie break picked the cell

@@ -8,6 +8,9 @@ batched kernel computes it: :func:`norm_distances` gives the (N,)
 distances of an (N, L, 2) point stack, and :func:`image_errors` the (N, L)
 normalized per-point errors and the (N,) per-image NME of a prediction
 stack against it. ``bench-ideal`` and ``metrics`` both score through them.
+Every euclidean landmark error in the package (here, in the Monte-Carlo
+scoring and in the ``wsm`` decoder's shift) goes through one kernel,
+:func:`point_distances`.
 
 The cumulative error distribution (CED) over a set of images is an exact
 right-continuous step function of the per-image errors, and its area
@@ -29,6 +32,7 @@ __all__ = [
     "MetricsConfig",
     "PerImageError",
     "resolve_norm_indices",
+    "point_distances",
     "norm_distances",
     "image_errors",
     "mean_nme",
@@ -94,6 +98,24 @@ def resolve_norm_indices(n_landmarks: int, cfg: MetricsConfig) -> tuple[int, int
     return pair
 
 
+def point_distances(delta: np.ndarray) -> np.ndarray:
+    """Euclidean length of each ``(dx, dy)`` along the last axis of ``delta``.
+
+    ``delta`` is (..., 2) and is left unchanged; the result has its leading
+    shape. It indexes the two components instead of calling
+    ``np.linalg.norm(delta, axis=-1)``, whose reduction runs numpy's inner
+    loop along the axis of length 2 and takes eight to ten times as long.
+    The arithmetic is the same, though: that ``norm`` is
+    ``sqrt(dx * dx + dy * dy)``, so this is bit-for-bit equal to it, NaN and
+    overflow to inf included. ``np.hypot`` guards against the overflow and
+    rounds differently; on Monte-Carlo deltas it differs from this in the
+    last bit of about one error in ten.
+    """
+    out = np.square(delta[..., 0])
+    out += np.square(delta[..., 1])
+    return np.sqrt(out, out=out)
+
+
 # a value too large for a float overflows to inf, which both kernels treat as
 # unusable, so numpy's warning about it tells the caller nothing
 @np.errstate(over="ignore", invalid="ignore")
@@ -132,7 +154,7 @@ def image_errors(gt: np.ndarray, pred: np.ndarray,
     error is not finite (a non-finite coordinate, or overflow) is not
     scored; an image with no scored point gets NaN.
     """
-    err = np.linalg.norm(pred - gt, axis=2)
+    err = point_distances(pred - gt)
     finite = np.isfinite(err)
     whole = finite.all(axis=1)
     nme = np.full(len(err), np.nan)

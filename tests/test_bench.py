@@ -25,7 +25,7 @@ from subpix.codec import (SCHEME_ORDER, CodecConfig, OobPolicy, Scheme, decode,
 from subpix.datasets import Corpus
 from subpix.errors import ConfigError
 from subpix.geometry import heatmap_transform
-from subpix.metrics import MetricsConfig, resolve_norm_indices
+from subpix.metrics import MetricsConfig, point_distances, resolve_norm_indices
 
 # expected 2-D distance to the nearest grid point under uniform offsets
 ROUNDING_CONSTANT = 0.38259785823210635
@@ -156,6 +156,17 @@ class TestMonteCarlo:
         rb = self._row(b, Scheme.DIRECT)
         assert rb.mean_px_error == pytest.approx(4.0 * ra.mean_px_error, rel=1e-12)
 
+    def test_smallest_scale_factor_keeps_spread(self):
+        # squared deviations at 1e-150 are still normal floats, so the SE
+        # scales with the errors instead of underflowing to 0
+        unit = self._row(run_montecarlo(BenchConfig(seed=5, mc_samples=3, mc_n=1.0)),
+                         Scheme.DIRECT)
+        tiny = self._row(run_montecarlo(BenchConfig(seed=5, mc_samples=3, mc_n=1e-150)),
+                         Scheme.DIRECT)
+        assert unit.px_error_se > 0.0
+        assert tiny.mean_px_error == pytest.approx(1e-150 * unit.mean_px_error, rel=1e-12)
+        assert tiny.px_error_se == pytest.approx(1e-150 * unit.px_error_se, rel=1e-12)
+
     @pytest.mark.parametrize("mc_n", [1e308, 1e307])
     def test_overflowing_errors_refused(self, mc_n):
         # 1e308 overflows the errors themselves, 1e307 only their spread
@@ -205,6 +216,24 @@ class TestMonteCarloStream:
         assert mean > 0.0 and se > 0.0
         assert abs(row.mean_px_error - mean) <= MERGE_ULPS * np.spacing(mean)
         assert abs(row.px_error_se - se) <= MERGE_ULPS * np.spacing(se)
+
+    @pytest.mark.parametrize("landmarks", [1, 4, 98])
+    def test_distances_within_one_ulp_of_hypot(self, landmarks):
+        # the errors are scored by point_distances, not np.hypot; on deltas of
+        # at most one cell the two may differ in the last bit only
+        cfg = BenchConfig(seed=2, mc_samples=self._spanning(landmarks), mc_landmarks=landmarks)
+        differ = 0
+        for points, groups in _mc_blocks(cfg):
+            for scheme in SCHEME_ORDER:
+                coords = ideal_roundtrip(points, cfg.codec.for_scheme(scheme), groups=groups)[0]
+                delta = coords - points
+                assert np.abs(delta).max() <= 1.0
+                got = point_distances(delta)
+                want = np.hypot(delta[:, 0], delta[:, 1])
+                ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+                assert ulps.max() <= 1, scheme
+                differ += np.count_nonzero(ulps)
+        assert differ > 0
 
     def test_wom_conflicts_match_one_call(self):
         cfg = BenchConfig(seed=3, mc_samples=3000, mc_landmarks=64, schemes=(Scheme.WOM,))
@@ -622,6 +651,11 @@ class TestBenchConfig:
             BenchConfig(mc_samples=10 ** 10, mc_landmarks=10 ** 10)
         with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
             BenchConfig(seed=-1)
+        # below 1e-150 the errors' squared deviations leave the normal floats
+        for mc_n in (1e-151, 1e-310, 5e-324):
+            with pytest.raises(ConfigError, match="must be finite and at least 1e-150"):
+                BenchConfig(mc_n=mc_n)
+        assert BenchConfig(mc_n=1e-150).mc_n == 1e-150
 
     def test_scheme_strings_coerced(self):
         cfg = BenchConfig(schemes=("direct", "hih"))

@@ -162,6 +162,15 @@ class TestSynth:
         assert err.startswith("error: Monte-Carlo draw of ")
         assert "exceeds the limit of 16777216 landmarks" in err
 
+    @pytest.mark.parametrize("value", ["1e-151", "1e-310", "5e-324"])
+    def test_subnormal_scale_factor_refused(self, capsys, value):
+        # the spread of errors this small underflows and would print as 0
+        rc, out, err = run_cli(capsys, "synth", "--samples", "3", "--landmarks", "1",
+                               "--n-factor", value)
+        assert rc == 2 and out == ""
+        assert err == (f"error: Monte-Carlo scale factor must be finite and at least "
+                       f"1e-150, got {value}\n")
+
     def test_json_config_keys(self, capsys):
         rc, out, _ = run_cli(capsys, "synth", "--samples", "50", "--format", "json")
         assert rc == 0
@@ -979,6 +988,8 @@ class TestConfigFuzz:
              scheme="direct")
     @example(run=("bench-ideal", {"heatmap-res": 2 ** 62}), scheme="direct")
     @example(run=("synth", {"n-factor": -1e300, "samples": 100, "landmarks": 1}),
+             scheme="direct")
+    @example(run=("synth", {"n-factor": 1e-310, "samples": 100, "landmarks": 1}),
              scheme="direct")
     @example(run=("encode", {"sigma-decimal": 5e-324}), scheme="hih")
     @example(run=("bench-ideal", {"threshold": 1e307}), scheme="direct")

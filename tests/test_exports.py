@@ -66,3 +66,36 @@ def test_module_imports_are_used(path):
             if name not in used and name not in exported and not marked:
                 dead.append(f"{path.name}:{node.lineno}: {name}")
     assert dead == []
+
+
+# a name that is hypot, or linalg's norm, however it is reached or imported
+_DISTANCE_KERNEL = re.compile(r"(^|\.)(hypot|linalg\.norm)$")
+
+
+def _distance_kernels(tree: ast.AST) -> list[str]:
+    """Each use or import of ``hypot`` or ``linalg.norm`` in a parsed module."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            names.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.ImportFrom):
+            names += [(node.lineno, f"{node.module}.{a.name}") for a in node.names]
+    return [f"{line}: {name}" for line, name in names if _DISTANCE_KERNEL.search(name)]
+
+
+@pytest.mark.parametrize("path", sorted(Path(subpix.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_one_point_distance_kernel(path):
+    """Every landmark error goes through ``metrics.point_distances``: no
+    module calls or imports ``hypot`` or ``linalg.norm``, a second distance
+    kernel with its own last bits and its own cost."""
+    assert _distance_kernels(ast.parse(path.read_text())) == []
+
+
+def test_distance_kernel_scan_sees_each_spelling():
+    spellings = ["np.hypot(a, b)", "math.hypot(a, b)", "hypot(a, b)", "f = np.hypot",
+                 "np.linalg.norm(d, axis=1)", "numpy.linalg.norm(d)", "linalg.norm(d)",
+                 "from numpy.linalg import norm", "from math import hypot as h"]
+    assert [s for s in spellings if not _distance_kernels(ast.parse(s))] == []
+    # prose and unrelated names pass
+    assert _distance_kernels(ast.parse('"""np.hypot"""\n# linalg.norm\nnorm = hypotenuse')) == []

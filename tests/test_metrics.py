@@ -23,7 +23,7 @@ from subpix.errors import ConfigError
 from subpix.metrics import (DEFAULT_NORM_INDICES, MetricsConfig,
                             ced_auc, ced_points, failure_rate,
                             format_ced_csv, image_errors, norm_distances,
-                            resolve_norm_indices)
+                            point_distances, resolve_norm_indices)
 
 
 def walked_auc(errors, t: float) -> float:
@@ -77,6 +77,50 @@ class TestPointErrors:
         per_point, _ = one_image(gt, pred, 10.0)
         assert per_point[0] == 0.0
         assert np.isnan(per_point[1]) and np.isnan(per_point[2])
+
+
+#: components at which the kernel's squares and sum are hardest to get equal:
+#: NaN of either sign, infinities, signed zeros, subnormals, a square that
+#: overflows (1e200) and one that underflows to 0 (1e-200)
+_HOSTILE = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1e-310,
+                     2.2250738585072014e-308, 1e200, -1e200, 1e-200, 1.0, -0.5])
+
+
+def _layout(d: np.ndarray, order: str) -> np.ndarray:
+    """``d`` as a C-ordered, F-ordered or strided (every other row and component) array."""
+    if order == "C":
+        return np.ascontiguousarray(d)
+    if order == "F":
+        return np.asfortranarray(d)
+    wide = np.zeros((2 * len(d), *d.shape[1:-1], 4))
+    wide[::2, ..., ::2] = d
+    return wide[::2, ..., ::2]
+
+
+class TestPointDistances:
+    @pytest.mark.parametrize("order", ["C", "F", "strided"])
+    @pytest.mark.parametrize("shape", [(4000, 2), (200, 98, 2), (196, 1, 2)])
+    def test_bitwise_equal_to_norm(self, shape, order):
+        rng = np.random.Generator(np.random.PCG64(29))
+        d = rng.uniform(-1e3, 1e3, size=shape)
+        pick = rng.random(shape) < 0.4
+        d[pick] = rng.choice(_HOSTILE, size=np.count_nonzero(pick))
+        # and every pair of hostile components once
+        d.reshape(-1, 2)[:_HOSTILE.size ** 2] = np.stack(
+            np.meshgrid(_HOSTILE, _HOSTILE), axis=-1).reshape(-1, 2)
+        d = _layout(d, order)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = point_distances(d)
+            want = np.linalg.norm(d, axis=-1)
+        assert got.shape == shape[:-1]
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.isinf(got).any() and np.isnan(got).any() and (got == 0.0).any()
+
+    def test_input_left_unchanged(self):
+        d = np.array([[3.0, -4.0], [-0.0, 1e-200]])
+        kept = d.copy()
+        assert point_distances(d).tolist() == [5.0, 0.0]
+        np.testing.assert_array_equal(d, kept)
 
 
 class TestNme:
