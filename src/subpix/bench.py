@@ -12,6 +12,10 @@ arithmetic and the empirical mean pixel error is reported next to the
 closed-form expectation for the nearest-cell scheme. It draws and scores
 fixed-size blocks of whole samples one at a time, merging each scheme's
 mean and spread as it goes, so its memory does not grow with the draw.
+A block is small enough for its temporaries to stay in cache and on the
+heap, and axis-major from the draw to the score: the points are the
+(N, 2) transposed view of a (2, N) array, as are the round trip's
+coordinates, so every pass runs over rows of length N.
 
 Both modes score through the grid-free :func:`subpix.codec.ideal_roundtrip`,
 which is bit-identical to rendering the maps and decoding them.
@@ -65,7 +69,7 @@ __all__ = [
 ]
 
 # A Monte-Carlo draw runs in constant memory (see _MC_BLOCK) but in time linear
-# in its size: 2^24 landmarks take about 4.5 s over all five schemes on one
+# in its size: 2^24 landmarks take about 4 s over all five schemes on one
 # core, so a larger draw is refused before it starts.
 _MAX_MC_POINTS = 1 << 24
 
@@ -75,8 +79,15 @@ _MAX_MC_POINTS = 1 << 24
 _MIN_MC_N = 1e-150
 
 #: Landmarks the Monte-Carlo mode draws, round-trips and scores at once; its
-#: peak memory is set by this, not by the number of samples.
-_MC_BLOCK = 1 << 16
+#: peak memory is set by this, not by the number of samples. At 2^13 a
+#: block's arrays are 64-128 KB each: they stay in cache, and the allocator
+#: hands the same memory to the next block instead of returning it to the
+#: system and faulting it back in. A sweep over 2^11-2^16 (250000 x 4
+#: landmarks, all schemes; BENCH_16.json) found 2^13 the fastest, with no
+#: steady-state minor faults; from 2^14 up every block faults (27-30k a run)
+#: and the peak grows to 44 MB at 2^16, while 2^11 and 2^12 save under
+#: 1 MB of peak and lose more to per-call overhead.
+_MC_BLOCK = 1 << 13
 
 #: The most a face's point may move, in normalization distances, when mapped
 #: to the heatmap and back. ``wov`` returns each in-grid point by exactly that
@@ -264,7 +275,8 @@ def _mc_blocks(cfg: BenchConfig):
     on the seed and ``mc_landmarks`` alone, not on ``mc_samples``.
     Positions are ``interior cell + uniform fraction``, so that border
     clamping cannot bias the statistics; ``groups`` numbers each landmark's
-    sample within its block.
+    sample within its block. ``points`` is (N, 2), a transposed view of
+    a (2, N) array.
     """
     w, h = cfg.codec.heatmap_shape
     per_block = max(1, _MC_BLOCK // cfg.mc_landmarks)
@@ -273,13 +285,14 @@ def _mc_blocks(cfg: BenchConfig):
     seeds = np.random.SeedSequence(cfg.seed)
     for start in range(0, cfg.mc_samples, per_block):
         rng = np.random.Generator(np.random.PCG64(seeds.spawn(1)[0]))
-        # cells up to w-2 keep nearest-cell rounding of any fraction in-grid
-        points = np.empty((size, 2))
-        points[:, 0] = rng.integers(0, w - 1, size=size)
-        points[:, 1] = rng.integers(0, h - 1, size=size)
-        points += rng.random((size, 2))
+        # cells up to w-2 keep nearest-cell rounding of any fraction in-grid;
+        # axis-major, a row of x and a row of y, as the codec kernels work
+        points = np.empty((2, size))
+        points[0] = rng.integers(0, w - 1, size=size)
+        points[1] = rng.integers(0, h - 1, size=size)
+        np.add(points.T, rng.random((size, 2)), out=points.T)
         n = min(per_block, cfg.mc_samples - start) * cfg.mc_landmarks
-        yield points[:n], groups[:n]
+        yield points[:, :n].T, groups[:n]
 
 
 def _merge_moments(n_a: int, mean_a: float, m2_a: float, err: np.ndarray,

@@ -37,7 +37,8 @@ loops over rows of length 2, which costs 7-10x a pass over rows of length N.
 Cells stay float64, exact far past the 2^26-cell grid cap; only
 :func:`encode_points` converts them to int64, for rendering. The kernels
 overwrite their inputs rather than allocate, since fresh pages cost as much
-as the arithmetic at these sizes.
+as the arithmetic at these sizes, and :func:`ideal_roundtrip` adds the kept
+fractions into the cells and returns that array transposed.
 
 For ``hih`` the fraction quantizer rounds to the nearest step of the
 fractional grid. A fraction close to 1 rounds past the last step; by
@@ -50,6 +51,7 @@ pessimistic fractional-map statistics seen in typical published runs.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -421,6 +423,18 @@ def _check_points(points, valid) -> tuple[np.ndarray, np.ndarray]:
     return pts, mask
 
 
+@functools.lru_cache(maxsize=None)
+def _column(x: int, y: int) -> np.ndarray:
+    """``(x, y)`` as a read-only (2, 1) float64 column, built once per pair.
+
+    The kernels combine grid sizes with (2, N) rows; building the column
+    afresh on every call costs more than the arithmetic on a few landmarks.
+    """
+    col = np.array([[x], [y]], dtype=np.float64)
+    col.flags.writeable = False
+    return col
+
+
 def _domain_mask(xy: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     w, h = shape
     return (xy[0] >= 0) & (xy[0] < w) & (xy[1] >= 0) & (xy[1] < h)
@@ -428,7 +442,8 @@ def _domain_mask(xy: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 def _clamp_cells(raw: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """(2, N) cells ``raw`` pulled onto the grid in place, and which landmarks moved."""
-    top = np.array(shape, dtype=np.float64)[:, None] - 1.0
+    w, h = shape
+    top = _column(w - 1, h - 1)
     moved = (raw < 0.0) | (raw > top)
     np.maximum(raw, 0.0, out=raw)
     np.minimum(raw, top, out=raw)
@@ -464,7 +479,8 @@ def _decimal_quantize(cells: np.ndarray, offsets: np.ndarray, cfg: CodecConfig,
     per-landmark flag for positions that had to be clamped after all. Both
     are written over their inputs.
     """
-    dims_o = np.array(cfg.decimal_shape, dtype=np.float64)[:, None]
+    w_o, h_o = cfg.decimal_shape
+    dims_o = _column(w_o, h_o)
     q = offsets
     q *= dims_o
     q += 0.5
@@ -473,10 +489,11 @@ def _decimal_quantize(cells: np.ndarray, offsets: np.ndarray, cfg: CodecConfig,
     if cfg.decimal_overflow is DecimalOverflow.CARRY:
         np.copyto(q, 0.0, where=over)
         cells += over
-        top = np.array(cfg.heatmap_shape, dtype=np.float64)[:, None] - 1.0
+        w, h = cfg.heatmap_shape
+        top = _column(w - 1, h - 1)
         over = cells > top
         np.copyto(cells, top, where=over)
-    np.copyto(q, dims_o - 1.0, where=over)
+    np.copyto(q, _column(w_o - 1, h_o - 1), where=over)
     return cells, q, over[0] | over[1]
 
 
@@ -528,7 +545,7 @@ def _quantize(pts: np.ndarray, valid: np.ndarray, cfg: CodecConfig,
 
     Returns ``(cells, kept, steps, clamped, valid, conflicts)``: the (2, N)
     axis-major cells and kept fractions as float64 (see the module
-    docstring; ``direct`` and ``wsm`` keep a read-only broadcast zero), the
+    docstring; ``direct`` and ``wsm`` keep the scalar 0.0), the
     hih decimal step indices, also (2, N) float64 (None for the other
     schemes), the clamp flags, the valid mask after
     ``OobPolicy.DROP``, and the wom conflict count, with collisions resolved
@@ -547,14 +564,14 @@ def _quantize(pts: np.ndarray, valid: np.ndarray, cfg: CodecConfig,
     steps, conflicts = None, 0
     if cfg.scheme in (Scheme.DIRECT, Scheme.WSM):
         cells, clamped = _round_cells(xy, cfg.heatmap_shape)
-        kept = np.broadcast_to(0.0, cells.shape)
+        kept = 0.0
     else:
         cells, kept, clamped = _floor_cells(xy, cfg.heatmap_shape)
     if cfg.scheme is Scheme.WOM:
         kept, conflicts = _last_writer_offsets(cells, kept, valid, cfg.heatmap_shape, groups)
     elif cfg.scheme is Scheme.HIH:
         cells, steps, over = _decimal_quantize(cells, kept, cfg)
-        kept = steps / np.array(cfg.decimal_shape, dtype=np.float64)[:, None]
+        kept = steps / _column(*cfg.decimal_shape)
         clamped |= over
     clamped &= valid
     return cells, kept, steps, clamped, valid, conflicts
@@ -701,6 +718,10 @@ def ideal_roundtrip(points: np.ndarray, cfg: CodecConfig,
     coordinates (NaN for dropped landmarks), the per-landmark clamp flags,
     and the wom conflict count. Bit-identical to the full grid path.
 
+    The coordinates are an (N, 2) transposed view of a C-contiguous (2, N)
+    array, the axis-major cells that the kernels wrote: ``coords.T`` is
+    contiguous, ``coords`` is not.
+
     ``groups`` optionally partitions the points into independent samples:
     wom collisions are then resolved within each group only, which is how
     the Monte-Carlo benchmark batches many samples into one call.
@@ -709,8 +730,8 @@ def ideal_roundtrip(points: np.ndarray, cfg: CodecConfig,
     if groups is not None:
         groups = np.asarray(groups, dtype=np.int64).reshape(len(pts))
     cells, kept, _, clamped, mask, conflicts = _quantize(pts, mask, cfg, groups)
-    coords = np.empty((len(pts), 2))
-    np.add(cells, kept, out=coords.T)
+    # the cells are this call's own copy: the kept fractions go straight in
+    cells += kept
     if not mask.all():
-        coords[~mask] = np.nan
-    return coords, clamped, conflicts
+        cells[:, ~mask] = np.nan
+    return cells.T, clamped, conflicts

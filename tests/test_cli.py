@@ -183,22 +183,34 @@ class TestSynth:
         assert "error: unrecognized arguments: --oob-policy drop" in err
 
     def test_peak_memory_flat_in_samples(self):
-        # the draw is scored block by block, so 40x the samples may not
-        # need more than a few blocks' worth of extra memory
         src = str(Path(subpix.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        peaks = []
-        for samples in ("5e4", "2e6"):
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "subpix", "synth", "--samples", samples,
-                 "--landmarks", "1", "--schemes", "direct", "--format", "json"],
-                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-            _, status, usage = os.wait4(proc.pid, 0)
-            assert os.waitstatus_to_exitcode(status) == 0, proc.stderr.read()
-            proc.stderr.close()
-            peaks.append(usage.ru_maxrss / 1024.0)  # KiB on Linux
-        assert peaks[1] - peaks[0] <= 16.0, f"peak RSS {peaks[0]:.1f} -> {peaks[1]:.1f} MB"
+        cases = [
+            # the draw is scored block by block, so 40x the samples may not
+            # need more than a few blocks' worth of extra memory
+            (("5e4", "2e6"), ("--landmarks", "1", "--schemes", "direct"), 16.0),
+            # cache-sized blocks reuse their memory, so every scheme on 250000
+            # samples peaks within 2 MB of one sample, which draws a whole block
+            (("1", "250000"), ("--landmarks", "4", "--schemes", "all"), 2.0),
+        ]
+        # a child's ru_maxrss counts the resident size of the process that
+        # spawned it, here all of pytest, so the CLI reports the high-water
+        # mark of its own image (VmHWM, in KiB) instead
+        report = ("import sys\nfrom subpix.cli import main\nrc = main(sys.argv[1:])\n"
+                  "with open('/proc/self/status') as f:\n"
+                  "    print(next(l for l in f if l.startswith('VmHWM:')).split()[1])\n"
+                  "sys.exit(rc)\n")
+        for sizes, args, bound_mb in cases:
+            peaks = []
+            for samples in sizes:
+                proc = subprocess.run(
+                    [sys.executable, "-c", report, "synth", "--samples", samples,
+                     *args, "--format", "json"], env=env, capture_output=True, text=True)
+                assert proc.returncode == 0, proc.stderr
+                peaks.append(int(proc.stdout.splitlines()[-1]) / 1024.0)
+            assert peaks[1] - peaks[0] <= bound_mb, \
+                f"{args}: peak RSS {peaks[0]:.1f} -> {peaks[1]:.1f} MB"
 
 
 class TestBenchIdeal:

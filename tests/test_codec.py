@@ -554,16 +554,20 @@ class TestGridMatchesIdealRoundtrip:
         pts = np.array([[x, y] for x in xs for y in ys])
         valid = np.arange(len(pts)) % 7 != 3
         pts[~valid] = np.nan
-        coords, clamped, conflicts = ideal_roundtrip(pts, cfg, valid=valid)
         enc = encode_points(pts, cfg, valid=valid)
         dec = decode(enc)
-        # as bit patterns: assert_array_equal takes -0.0 for 0.0
-        normalized = coords / np.array([w, h], dtype=np.float64)
-        np.testing.assert_array_equal(normalized.view(np.uint64),
-                                      dec.landmarks.points.view(np.uint64))
-        np.testing.assert_array_equal(clamped, dec.clamped)
-        assert conflicts == enc.conflict_count
-        assert coords.flags.c_contiguous and not np.signbit(coords[valid]).any()
+        # row-major points, and the (N, 2) view of (2, N) rows that the
+        # Monte-Carlo draw passes
+        for layout in (pts, pts.T.copy().T):
+            coords, clamped, conflicts = ideal_roundtrip(layout, cfg, valid=valid)
+            # as bit patterns: assert_array_equal takes -0.0 for 0.0
+            normalized = coords / np.array([w, h], dtype=np.float64)
+            np.testing.assert_array_equal(normalized.view(np.uint64),
+                                          dec.landmarks.points.view(np.uint64))
+            np.testing.assert_array_equal(clamped, dec.clamped)
+            assert conflicts == enc.conflict_count
+            # the result is the transposed view of the kernels' (2, N) cells
+            assert coords.T.flags.c_contiguous and not np.signbit(coords[valid]).any()
 
     @given(case=_roundtrip_cases())
     @settings(max_examples=400, deadline=None)
