@@ -286,7 +286,7 @@ def _mc_blocks(cfg: BenchConfig):
     for start in range(0, cfg.mc_samples, per_block):
         rng = np.random.Generator(np.random.PCG64(seeds.spawn(1)[0]))
         # cells up to w-2 keep nearest-cell rounding of any fraction in-grid;
-        # axis-major, a row of x and a row of y, as the codec kernels work
+        # axis-major, a row of x and a row of y, as the codec's _quantize works
         points = np.empty((2, size))
         points[0] = rng.integers(0, w - 1, size=size)
         points[1] = rng.integers(0, h - 1, size=size)

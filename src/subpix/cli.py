@@ -63,6 +63,9 @@ def _load_config_flags(path: str) -> list[str]:
         value = value.strip()
         if not key or not value:
             raise ParseError("expected 'key = value'", path=path, line=lineno)
+        if key == "config":
+            raise ParseError("a config file cannot name another config file",
+                             path=path, line=lineno)
         if value.lower() in ("true", "false"):
             if value.lower() == "true":
                 flags.append(f"--{key}")
@@ -91,6 +94,8 @@ def _splice_config(argv: list[str]) -> list[str]:
             break
     if path is None:
         return out
+    if any(tok == "--config" or tok.startswith("--config=") for tok in out):
+        raise ParseError("--config may be given only once")
     if not out or out[0] not in _COMMANDS:
         raise ParseError("--config must follow a subcommand")
     return [out[0]] + _load_config_flags(path) + out[1:]
@@ -186,10 +191,11 @@ def _cmd_bench_ideal(args) -> int:
         bbox_inclusive=args.bbox_edge == "inclusive",
     )
     report = run_ideal(corpus, bcfg)
-    _write_out(emit_report(report, args.format), args.out)
+    # the side files first: a path that cannot be written leaves no report
     if args.ced_out:
         for row in report.rows:
             Path(f"{args.ced_out}{row.scheme.value}.csv").write_text(format_ced_csv(row.ced))
+    _write_out(emit_report(report, args.format), args.out)
     return 0
 
 
@@ -308,11 +314,12 @@ def _cmd_metrics(args) -> int:
            "n_images": len(errors), "skipped": len(gt) - len(errors)}
     # the table shows the scores; CSV and JSON also carry the counts
     columns = (*SCORE_COLUMNS, Column("n_images", "n_images"), Column("skipped", "skipped"))
+    # the side file first: a path that cannot be written leaves no report
+    if args.ced_out:
+        Path(args.ced_out).write_text(format_ced_csv(ced_points(errors, args.threshold)))
     _write_out(format_report(args.format, columns, [row], args.threshold,
                              f"images={row['n_images']} skipped={row['skipped']}", row),
                args.out)
-    if args.ced_out:
-        Path(args.ced_out).write_text(format_ced_csv(ced_points(errors, args.threshold)))
     return 0
 
 

@@ -29,24 +29,16 @@ over the decimal grid size (``hih``). ``_quantize`` is the one place this
 rule lives: :func:`encode_points` renders its cells and kept fractions into
 maps and payloads, and :func:`ideal_roundtrip` returns ``cell + kept``.
 
-The kernels behind ``_quantize`` are axis-major: they work on one
-contiguous (2, N) float64 copy of the points, a row of x and a row of y,
-with grid sizes as (2, 1) columns. numpy runs its inner loop over the last
-axis, so an (N, 2) array combined with a (2,) grid size or an (N, 1) mask
-loops over rows of length 2, which costs 7-10x a pass over rows of length N.
-Cells stay float64, exact far past the 2^26-cell grid cap; only
-:func:`encode_points` converts them to int64, for rendering. The kernels
-overwrite their inputs rather than allocate, since fresh pages cost as much
-as the arithmetic at these sizes, and :func:`ideal_roundtrip` adds the kept
-fractions into the cells and returns that array transposed.
-
-For ``hih`` the fraction quantizer rounds to the nearest step of the
-fractional grid. A fraction close to 1 rounds past the last step; by
-default that rounding carries into the next integer cell (exact nearest-
-step behavior, ``DecimalOverflow.CARRY``). The alternative
-``DecimalOverflow.CLAMP`` pins the step index to the grid instead, which
-inflates the error of near-1 fractions and reproduces the slightly
-pessimistic fractional-map statistics seen in typical published runs.
+``_quantize`` is axis-major: it works on one contiguous (2, N) float64
+copy of the points, a row of x and a row of y, with grid sizes as (2, 1)
+columns. numpy runs its inner loop over the last axis, so an (N, 2) array
+combined with a (2,) grid size or an (N, 1) mask loops over rows of length
+2, which costs 7-10x a pass over rows of length N. Cells stay float64,
+exact far past the 2^26-cell grid cap; only :func:`encode_points` converts
+them to int64, for rendering. Each step of the rule overwrites that copy
+rather than allocate, since fresh pages cost as much as the arithmetic at
+these sizes, and :func:`ideal_roundtrip` adds the kept fractions into the
+cells and returns that array transposed.
 """
 
 from __future__ import annotations
@@ -292,6 +284,9 @@ class EncodedSample:
                 kwargs["offsets"] = np.array(offs, dtype=np.float64).reshape(n, 2)
             except (TypeError, ValueError) as exc:
                 raise SchemaError(str(exc), field="offsets") from exc
+            # numpy reads a JSON true as 1.0 and a numeric string as its number
+            if not all(type(v) in (int, float) for xy in offs for v in xy):
+                raise SchemaError("offsets must be numbers", field="offsets")
             if not np.all(np.isfinite(kwargs["offsets"])):
                 raise SchemaError("offsets must be finite", field="offsets")
             _check_fractions(kwargs["offsets"], field="offsets")
@@ -302,6 +297,8 @@ class EncodedSample:
                     _unsparse(d.get(key), (h, w), field=key), field=key)
             kwargs["conflict_count"] = _json_int(d.get("conflict_count", 0),
                                                  field="conflict_count")
+            if kwargs["conflict_count"] < 0:
+                raise SchemaError("must not be negative", field="conflict_count")
         if scheme is Scheme.HIH:
             wo, ho = _json_shape(d, "decimal_shape")
             kwargs["decimal_shape"] = (wo, ho)
@@ -325,13 +322,10 @@ class EncodedSample:
 
 
 def _json_int(value, *, field: str) -> int:
-    try:
-        out = int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(str(exc), field=field) from exc
-    if out != value:
+    """``value`` if it is a JSON integer, which true or 64.0 is not."""
+    if type(value) is not int:
         raise SchemaError(f"expected an integer, got {value!r}", field=field)
-    return out
+    return value
 
 
 def _json_shape(d: dict, key: str) -> tuple[int, int]:
@@ -406,7 +400,7 @@ class DecodeResult:
     clamped: np.ndarray
 
 
-# -- quantization kernels -----------------------------------------------------
+# -- quantization -------------------------------------------------------------
 
 
 def _check_points(points, valid) -> tuple[np.ndarray, np.ndarray]:
@@ -427,74 +421,12 @@ def _check_points(points, valid) -> tuple[np.ndarray, np.ndarray]:
 def _column(x: int, y: int) -> np.ndarray:
     """``(x, y)`` as a read-only (2, 1) float64 column, built once per pair.
 
-    The kernels combine grid sizes with (2, N) rows; building the column
+    ``_quantize`` combines grid sizes with (2, N) rows; building the column
     afresh on every call costs more than the arithmetic on a few landmarks.
     """
     col = np.array([[x], [y]], dtype=np.float64)
     col.flags.writeable = False
     return col
-
-
-def _domain_mask(xy: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    w, h = shape
-    return (xy[0] >= 0) & (xy[0] < w) & (xy[1] >= 0) & (xy[1] < h)
-
-
-def _clamp_cells(raw: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """(2, N) cells ``raw`` pulled onto the grid in place, and which landmarks moved."""
-    w, h = shape
-    top = _column(w - 1, h - 1)
-    moved = (raw < 0.0) | (raw > top)
-    np.maximum(raw, 0.0, out=raw)
-    np.minimum(raw, top, out=raw)
-    return raw, moved[0] | moved[1]
-
-
-def _floor_cells(xy: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """floor/fraction decomposition of (2, N) points with boundary clamping.
-
-    Out-of-grid cells are pulled to the border and the fraction is clipped
-    so that ``cell + fraction`` stays the nearest representable position;
-    fractions always land in [0, 1). The fractions overwrite ``xy``.
-    """
-    cells, moved = _clamp_cells(np.floor(xy), shape)
-    xy -= cells
-    np.maximum(xy, 0.0, out=xy)
-    np.minimum(xy, _ONE_BELOW, out=xy)
-    return cells, xy, moved
-
-
-def _round_cells(xy: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-cell quantization (round half up) of (2, N) points with boundary
-    clamping. The cells overwrite ``xy``."""
-    xy += 0.5
-    return _clamp_cells(np.floor(xy, out=xy), shape)
-
-
-def _decimal_quantize(cells: np.ndarray, offsets: np.ndarray, cfg: CodecConfig,
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quantize (2, N) fractions onto the decimal grid, resolving overflow.
-
-    Returns possibly cell-shifted integer cells, decimal indices, and a
-    per-landmark flag for positions that had to be clamped after all. Both
-    are written over their inputs.
-    """
-    w_o, h_o = cfg.decimal_shape
-    dims_o = _column(w_o, h_o)
-    q = offsets
-    q *= dims_o
-    q += 0.5
-    np.floor(q, out=q)
-    over = q >= dims_o
-    if cfg.decimal_overflow is DecimalOverflow.CARRY:
-        np.copyto(q, 0.0, where=over)
-        cells += over
-        w, h = cfg.heatmap_shape
-        top = _column(w - 1, h - 1)
-        over = cells > top
-        np.copyto(cells, top, where=over)
-    np.copyto(q, _column(w_o - 1, h_o - 1), where=over)
-    return cells, q, over[0] | over[1]
 
 
 def _last_writer_offsets(cells: np.ndarray, offsets: np.ndarray, valid: np.ndarray,
@@ -551,27 +483,64 @@ def _quantize(pts: np.ndarray, valid: np.ndarray, cfg: CodecConfig,
     ``OobPolicy.DROP``, and the wom conflict count, with collisions resolved
     within each of ``groups``. Invalid landmarks sit at cell 0 and keep
     nothing.
+
+    Out-of-grid cells are pulled to the border and the fraction is clipped
+    so that ``cell + fraction`` stays the nearest representable position;
+    fractions always land in [0, 1). For ``hih`` the fraction rounds to the
+    nearest step of the decimal grid, and a fraction close to 1 rounds past
+    the last step: ``DecimalOverflow.CARRY`` carries it into the next cell
+    (exact nearest-step rounding; pinned back to the last step, and flagged,
+    on the grid's last cell), while ``DecimalOverflow.CLAMP`` pins the step
+    to the grid and flags it, which inflates the error of near-1 fractions
+    as typical published fractional-map statistics do.
     """
-    # one axis-major copy, which the kernels overwrite with their results
+    w, h = cfg.heatmap_shape
+    top = _column(w - 1, h - 1)
+    # one axis-major copy, which the rule below overwrites with its results
     xy = pts.T.copy()
     if not valid.all():
         xy[:, ~valid] = 0.0
     if cfg.oob_policy is OobPolicy.DROP:
-        inside = _domain_mask(xy, cfg.heatmap_shape)
+        inside = (xy[0] >= 0) & (xy[0] < w) & (xy[1] >= 0) & (xy[1] < h)
         if not inside.all():
             valid = valid & inside
             xy[:, ~inside] = 0.0
-    steps, conflicts = None, 0
-    if cfg.scheme in (Scheme.DIRECT, Scheme.WSM):
-        cells, clamped = _round_cells(xy, cfg.heatmap_shape)
-        kept = 0.0
+    # direct and wsm keep nothing: the nearest cell (round half up) overwrites
+    # xy; the other schemes take the floor and keep the fraction in xy
+    rounds = cfg.scheme in (Scheme.DIRECT, Scheme.WSM)
+    if rounds:
+        xy += 0.5
+        cells = np.floor(xy, out=xy)
     else:
-        cells, kept, clamped = _floor_cells(xy, cfg.heatmap_shape)
+        cells = np.floor(xy)
+    moved = (cells < 0.0) | (cells > top)
+    np.maximum(cells, 0.0, out=cells)
+    np.minimum(cells, top, out=cells)
+    clamped = moved[0] | moved[1]
+    kept, steps, conflicts = 0.0, None, 0
+    if not rounds:
+        kept = xy
+        kept -= cells
+        np.maximum(kept, 0.0, out=kept)
+        np.minimum(kept, _ONE_BELOW, out=kept)
     if cfg.scheme is Scheme.WOM:
         kept, conflicts = _last_writer_offsets(cells, kept, valid, cfg.heatmap_shape, groups)
     elif cfg.scheme is Scheme.HIH:
-        cells, steps, over = _decimal_quantize(cells, kept, cfg)
-        kept = steps / _column(*cfg.decimal_shape)
+        w_o, h_o = cfg.decimal_shape
+        dims_o = _column(w_o, h_o)
+        steps = kept
+        steps *= dims_o
+        steps += 0.5
+        np.floor(steps, out=steps)
+        over = steps >= dims_o
+        if cfg.decimal_overflow is DecimalOverflow.CARRY:
+            np.copyto(steps, 0.0, where=over)
+            cells += over
+            over = cells > top
+            np.copyto(cells, top, where=over)
+        np.copyto(steps, _column(w_o - 1, h_o - 1), where=over)
+        over = over[0] | over[1]
+        kept = steps / dims_o
         clamped |= over
     clamped &= valid
     return cells, kept, steps, clamped, valid, conflicts
@@ -719,7 +688,7 @@ def ideal_roundtrip(points: np.ndarray, cfg: CodecConfig,
     and the wom conflict count. Bit-identical to the full grid path.
 
     The coordinates are an (N, 2) transposed view of a C-contiguous (2, N)
-    array, the axis-major cells that the kernels wrote: ``coords.T`` is
+    array, the axis-major cells that ``_quantize`` wrote: ``coords.T`` is
     contiguous, ``coords`` is not.
 
     ``groups`` optionally partitions the points into independent samples:

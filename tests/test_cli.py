@@ -250,6 +250,13 @@ class TestBenchIdeal:
             assert f.exists()
             assert f.read_text().startswith("nme_threshold,fraction\n")
 
+    def test_unwritable_ced_out_leaves_no_report(self, capsys, data_dir, tmp_path):
+        rc, out, err = run_cli(capsys, "bench-ideal",
+                               "--dataset", f"json:{data_dir / 'gt98.json'}",
+                               "--ced-out", str(tmp_path / "missing" / "ced_"))
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_missing_dataset_file(self, capsys):
         rc, _, err = run_cli(capsys, "bench-ideal", "--dataset", "wflw:/nope.txt")
         assert rc == 2
@@ -486,9 +493,9 @@ class TestEncodeDecode:
         ("hih", "decimal_shape", [8.9, 8], "decimal_shape"),
         ("direct", "n_landmarks", 2.7, "n_landmarks"),
         # grids no allocator could hold are refused before allocating
-        ("direct", "heatmap_shape", [1e30, 8], "integer_cells"),
+        ("direct", "heatmap_shape", [10 ** 30, 8], "integer_cells"),
         ("wsm", "heatmap_shape", [2 ** 62, 2 ** 62], "integer_cells"),
-        ("hih", "decimal_shape", [8, 1e30], "decimal_cells"),
+        ("hih", "decimal_shape", [8, 10 ** 30], "decimal_cells"),
         # offsets are sub-cell fractions in [0, 1)
         ("wov", "offsets", [[40.0, -7.0], [0.7, 0.2]], "offsets"),
         ("wov", "offsets", [[0.5, 0.5], [1.0, 0.2]], "offsets"),
@@ -503,6 +510,15 @@ class TestEncodeDecode:
         ("direct", "valid", [None, True], "valid"),
         ("direct", "clamped", [0, False], "clamped"),
         ("wov", "clamped", [False, "true"], "clamped"),
+        # a count or a grid side is a JSON integer, not a boolean or a float,
+        # and an offset is a number, not a boolean or a numeric string
+        ("wom", "conflict_count", True, "conflict_count"),
+        ("wom", "conflict_count", -5, "conflict_count"),
+        ("direct", "heatmap_shape", [64.0, 64], "heatmap_shape"),
+        ("direct", "n_landmarks", 2.0, "n_landmarks"),
+        ("wov", "offsets", [["0.5", False], [0.7, 0.2]], "offsets"),
+        ("direct", "n_landmarks", True, "n_landmarks"),
+        ("hih", "decimal_shape", [True, True], "decimal_shape"),
     ])
     def test_malformed_payload_field_located(self, capsys, monkeypatch,
                                              scheme, field, value, located):
@@ -700,6 +716,13 @@ class TestMetrics:
                            "--ced-out", str(target))
         assert rc == 0
         assert target.read_text().startswith("nme_threshold,fraction\n")
+
+    def test_unwritable_ced_out_leaves_no_report(self, capsys, data_dir, tmp_path):
+        rc, out, err = run_cli(capsys, "metrics", "--gt", str(data_dir / "gt68.json"),
+                               "--pred", str(data_dir / "gt68.json"),
+                               "--ced-out", str(tmp_path / "missing" / "c.csv"))
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 _CANONICAL_GT = {"dataset": "d", "n_landmarks": 3, "records": [
@@ -931,6 +954,24 @@ class TestConfigFile:
     def test_missing_config_file(self, capsys):
         rc, _, err = run_cli(capsys, "synth", "--config", "/does/not/exist.cfg")
         assert rc == 2
+
+    def test_config_key_in_config_file_located(self, capsys, tmp_path):
+        (tmp_path / "b.cfg").write_text("seed = 7\n")
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(f"samples = 500\nconfig = {tmp_path / 'b.cfg'}\n")
+        rc, out, err = run_cli(capsys, "synth", "--config", str(cfg))
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {cfg}:2: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("second", ["--config", "--config="])
+    def test_repeated_config_refused(self, capsys, tmp_path, second):
+        a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        a.write_text("samples = 500\n")
+        b.write_text("seed = 7\n")
+        argv = [second + str(b)] if second.endswith("=") else [second, str(b)]
+        rc, out, err = run_cli(capsys, "synth", "--config", str(a), *argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and "--config" in err and err.count("\n") == 1, err
 
     def test_input_res_key_rejected(self, capsys, tmp_path, data_dir):
         cfg = tmp_path / "run.cfg"

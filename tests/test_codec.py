@@ -6,6 +6,8 @@ enumeration before the implementation existed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -566,7 +568,7 @@ class TestGridMatchesIdealRoundtrip:
                                           dec.landmarks.points.view(np.uint64))
             np.testing.assert_array_equal(clamped, dec.clamped)
             assert conflicts == enc.conflict_count
-            # the result is the transposed view of the kernels' (2, N) cells
+            # the result is the transposed view of _quantize's (2, N) cells
             assert coords.T.flags.c_contiguous and not np.signbit(coords[valid]).any()
 
     @given(case=_roundtrip_cases())
@@ -592,6 +594,67 @@ class TestGridMatchesIdealRoundtrip:
         np.testing.assert_array_equal(normalized.view(np.uint64), grid.view(np.uint64))
         np.testing.assert_array_equal(clamped, grid_clamped)
         assert conflicts == grid_conflicts
+
+
+def _reference_roundtrip(cfg, pts, valid, groups):
+    """``ideal_roundtrip`` landmark by landmark in plain Python: ``math.floor``,
+    explicit clamps, the carry or clamp rule, and a dict of last writers per
+    group. It shares no code with ``_quantize``, which the grid path also runs."""
+    (w, h), (wo, ho) = cfg.heatmap_shape, cfg.decimal_shape
+    n, rounds = len(pts), cfg.scheme in (Scheme.DIRECT, Scheme.WSM)
+    valid = [True] * n if valid is None else [bool(v) for v in valid]
+    groups = [0] * n if groups is None else [int(g) for g in groups]
+    cells, kept, clamped = {}, {}, [False] * n
+    for i in range(n):
+        x, y = float(pts[i, 0]), float(pts[i, 1])
+        if valid[i] and cfg.oob_policy is OobPolicy.DROP:
+            valid[i] = 0 <= x < w and 0 <= y < h
+        if not valid[i]:
+            continue
+        cell, frac = [], []
+        for v, side, d in ((x, w, wo), (y, h, ho)):
+            c = math.floor(v + 0.5 if rounds else v)
+            if c < 0 or c > side - 1:
+                clamped[i] = True
+                c = min(max(c, 0), side - 1)
+            f = min(max(v - c, 0.0), math.nextafter(1.0, 0.0))
+            if cfg.scheme is Scheme.HIH:
+                step = math.floor(f * d + 0.5)
+                if step >= d and cfg.decimal_overflow is DecimalOverflow.CARRY:
+                    step, c = 0, c + 1
+                    if c > side - 1:
+                        clamped[i] = True
+                        step, c = d - 1, side - 1
+                elif step >= d:
+                    clamped[i] = True
+                    step = d - 1
+                f = step / d
+            cell.append(c)
+            frac.append(0.0 if rounds else f)
+        cells[i], kept[i] = tuple(cell), frac
+    winner = {}
+    if cfg.scheme is Scheme.WOM:
+        for i in cells:
+            winner[groups[i], cells[i]] = i
+    coords = np.full((n, 2), np.nan)
+    for i in cells:
+        f = kept[winner.get((groups[i], cells[i]), i)]
+        coords[i] = [cells[i][0] + f[0], cells[i][1] + f[1]]
+    conflicts = len(cells) - len(winner) if cfg.scheme is Scheme.WOM else 0
+    return coords, np.array(clamped), conflicts
+
+
+class TestQuantizeReference:
+    @given(case=_roundtrip_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_per_landmark_reference(self, case):
+        # an independent oracle: the grid path shares _quantize with the round trip
+        cfg, pts, valid, groups = case
+        coords, clamped, conflicts = ideal_roundtrip(pts, cfg, valid=valid, groups=groups)
+        want, want_clamped, want_conflicts = _reference_roundtrip(cfg, pts, valid, groups)
+        np.testing.assert_array_equal(coords.view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(clamped, want_clamped)
+        assert conflicts == want_conflicts
 
 
 class TestEncodedSampleValidation:
@@ -643,8 +706,11 @@ class TestEncodedSampleValidation:
 class TestJsonRoundTrip:
     @pytest.mark.parametrize("scheme", SCHEME_ORDER)
     def test_lossless(self, scheme):
+        # a wom collision, and points clamped from past each border, whose
+        # stored fractions the clip keeps in [0, 1)
         pts = np.vstack([_heatmap_points(23, 40),
-                         np.array([[10.25, 11.75], [10.75, 11.25]])])
+                         np.array([[10.25, 11.75], [10.75, 11.25], [70.0, 10.5],
+                                   [-3.0, 64.0]])])
         enc = encode_points(pts, cfg_for(scheme))
         back = EncodedSample.from_json(enc.to_json())
         assert back.scheme is enc.scheme

@@ -1,6 +1,7 @@
 """Every exported name resolves, no module exports a name twice, each
-name the package re-exports is exported by the module it comes from, and
-no module imports a name it never uses."""
+name the package re-exports is exported by the module it comes from, no
+module imports a name it never uses, and no private definition is left
+that only tests read."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import ast
 import importlib
 import pkgutil
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -99,3 +101,51 @@ def test_distance_kernel_scan_sees_each_spelling():
     assert [s for s in spellings if not _distance_kernels(ast.parse(s))] == []
     # prose and unrelated names pass
     assert _distance_kernels(ast.parse('"""np.hypot"""\n# linalg.norm\nnorm = hypotenuse')) == []
+
+
+def _private_defs(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """The module-level functions, classes and constants named ``_x`` (not dunders)."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        out += [(name, node) for name in names
+                if name.startswith("_") and not name.startswith("__")]
+    return out
+
+
+def _reads(tree: ast.AST) -> Counter:
+    """How often each name is read, bare or as an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+
+
+def _orphans(trees: dict[str, ast.Module]) -> list[str]:
+    """Private definitions that no code reads, outside the definition itself."""
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    return [f"{module}: {name}" for module, tree in trees.items()
+            for name, node in _private_defs(tree) if reads[name] == _reads(node)[name]]
+
+
+def test_no_orphaned_private_definitions():
+    """Every private module-level function, class or constant in the package
+    is read by the package itself, not only by tests: a fold or a deletion
+    leaves no helper behind."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(subpix.__file__).parent.glob("*.py"))}
+    assert sum(len(_private_defs(t)) for t in trees.values()) > 0
+    assert _orphans(trees) == []
+
+
+def test_orphan_scan_sees_each_form():
+    tree = ast.parse("def _a():\n    pass\n\ndef _b(n):\n    return _b(n - 1)\n\n"
+                     "class _C:\n    pass\n\n_D = 1\n_E: int = 2\n__all__ = []\n"
+                     "def _used():\n    return _E\n\nx = _used() + obj._unused_attr")
+    assert _orphans({"m.py": tree}) == ["m.py: _a", "m.py: _b", "m.py: _C", "m.py: _D"]
