@@ -26,8 +26,8 @@ points with one batched kernel from :mod:`subpix.geometry` onto the unit
 square: a per-image scale (N,) and offset (N, 2). :func:`run_ideal` scales
 both onto the heatmap grid, refuses a face whose points do not survive that
 map and its inverse, maps decoded points back with the reciprocal scale,
-and scores each scheme with one :func:`subpix.metrics.image_errors` call.
-Its results are bit-identical to a per-image transform chain.
+and scores each scheme with one :func:`score_images` call, the scorer of
+``metrics`` too. Its results are bit-identical to a per-image transform chain.
 
 Randomness comes from numpy's PCG64 generator. Block k of a Monte-Carlo
 draw has its own stream, seeded by the k-th child of
@@ -50,7 +50,7 @@ from .errors import ConfigError
 from .geometry import FaceBatch, bbox_crops, check_margin, heatmap_transform, landmark_crops
 from .geometry import crop_from_landmarks  # noqa: F401  timed as geometry.crop by perfbench
 from .metrics import (MetricsConfig, PerImageError, ced_auc, ced_points,
-                      failure_rate, image_errors, mean_nme, norm_distances,
+                      failure_rate, image_errors, norm_distances,
                       point_distances, resolve_norm_indices, threshold_tag)
 
 __all__ = [
@@ -64,6 +64,7 @@ __all__ = [
     "emit_report",
     "Column",
     "SCORE_COLUMNS",
+    "score_images",
     "score_values",
     "format_report",
 ]
@@ -78,15 +79,15 @@ _MAX_MC_POINTS = 1 << 24
 #: read as 0. The render widths have the same floor (``codec._SIGMA_RANGE``).
 _MIN_MC_N = 1e-150
 
-#: Landmarks the Monte-Carlo mode draws, round-trips and scores at once; its
-#: peak memory is set by this, not by the number of samples. At 2^13 a
-#: block's arrays are 64-128 KB each: they stay in cache, and the allocator
-#: hands the same memory to the next block instead of returning it to the
-#: system and faulting it back in. A sweep over 2^11-2^16 (250000 x 4
-#: landmarks, all schemes; BENCH_16.json) found 2^13 the fastest, with no
-#: steady-state minor faults; from 2^14 up every block faults (27-30k a run)
-#: and the peak grows to 44 MB at 2^16, while 2^11 and 2^12 save under
-#: 1 MB of peak and lose more to per-call overhead.
+#: Landmarks the Monte-Carlo mode draws, round-trips and scores at once, and
+#: the most a sample may have: a block holds whole samples, so peak memory is
+#: flat in the samples and in the landmarks per sample. At 2^13 a block's
+#: 64-128 KB arrays stay in cache, and the allocator hands the same memory to
+#: the next block instead of returning it to the system and faulting it back
+#: in. A sweep over 2^11-2^16 (250000 x 4 landmarks, all schemes;
+#: BENCH_16.json) found 2^13 the fastest, with no steady-state minor faults;
+#: from 2^14 up every block faults (27-30k a run) and the peak grows to 44 MB
+#: at 2^16, while 2^11 and 2^12 save under 1 MB and lose to per-call overhead.
 _MC_BLOCK = 1 << 13
 
 #: The most a face's point may move, in normalization distances, when mapped
@@ -128,6 +129,8 @@ class BenchConfig:
             raise ConfigError(f"Monte-Carlo draw of {self.mc_samples} samples x "
                               f"{self.mc_landmarks} landmarks exceeds the limit of "
                               f"{_MAX_MC_POINTS} landmarks")
+        if self.mc_landmarks > _MC_BLOCK:
+            raise ConfigError(f"a Monte-Carlo sample may have at most {_MC_BLOCK} landmarks")
         if not (np.isfinite(self.mc_n) and self.mc_n >= _MIN_MC_N):
             raise ConfigError(f"Monte-Carlo scale factor must be finite and at least "
                               f"{_MIN_MC_N:g}, got {self.mc_n}")
@@ -233,28 +236,18 @@ def run_ideal(corpus: Corpus, cfg: BenchConfig) -> BenchReport:
     for scheme in cfg.schemes:
         coords, clamped, conflicts = ideal_roundtrip(
             points, cfg.codec.for_scheme(scheme), valid=valid, groups=image)
+        if np.isnan(coords[:, 0]).all():  # else some point scores or overflows
+            raise ConfigError(f"scheme '{scheme.value}' produced no scorable images")
         # decode returns coords / dims; mapping back from that normalized
         # form keeps every error bit-equal to the grid path on any grid size
         back_raw = to_raw.apply((coords / dims * dims).reshape(n, n_landmarks, 2))
-        per_point, nme = image_errors(batch.points, back_raw, batch.norm_distance)
-        # every point the codec did not drop must score
-        encoded = ~np.isnan(coords[:, 0]).reshape(n, n_landmarks)
-        overflowed = (encoded & ~np.isfinite(per_point)).any(axis=1)
-        mean = mean_nme(batch.ids, nme, overflowed)
-        scored = np.flatnonzero(~np.isnan(nme))
-        if not len(scored):
-            raise ConfigError(f"scheme '{scheme.value}' produced no scorable images")
-        nmes = nme[scored]
+        scored, per_point, nme, mean, auc, fr, ced = score_images(
+            batch.ids, batch.points, back_raw, batch.norm_distance, threshold)
         rows.append(SchemeStats(
-            scheme=scheme,
-            n_images=len(scored),
-            nme=mean,
-            auc=ced_auc(nmes, threshold),
-            fr=failure_rate(nmes, threshold),
-            # an unscored image has no valid point, hence no conflict
-            conflicts=int(conflicts),
+            scheme=scheme, n_images=len(scored), nme=mean, auc=auc, fr=fr,
             clamped_points=int(np.count_nonzero(clamped.reshape(n, n_landmarks)[scored])),
-            ced=ced_points(nmes, threshold),
+            # an unscored image has no valid point, hence no conflict
+            conflicts=int(conflicts), ced=ced,
             per_image=[PerImageError(id=batch.ids[k], nme=float(nme[k]),
                                      per_point=per_point[k]) for k in scored],
         ))
@@ -279,7 +272,7 @@ def _mc_blocks(cfg: BenchConfig):
     a (2, N) array.
     """
     w, h = cfg.codec.heatmap_shape
-    per_block = max(1, _MC_BLOCK // cfg.mc_landmarks)
+    per_block = _MC_BLOCK // cfg.mc_landmarks
     size = per_block * cfg.mc_landmarks
     groups = np.repeat(np.arange(per_block), cfg.mc_landmarks)
     seeds = np.random.SeedSequence(cfg.seed)
@@ -317,23 +310,24 @@ def run_montecarlo(cfg: BenchConfig) -> BenchReport:
     Each block of :func:`_mc_blocks` goes through one :func:`ideal_roundtrip`
     call per scheme, with ``wom`` collisions resolved within each sample.
     Pixel errors are heatmap-space distances scaled by ``cfg.mc_n``; their
-    mean and standard error are merged block by block, so memory does not
-    grow with ``cfg.mc_samples``.
+    mean and standard error are merged block by block, so memory grows with
+    neither ``cfg.mc_samples`` nor ``cfg.mc_landmarks``.
     """
     codecs = {scheme: cfg.codec.for_scheme(scheme) for scheme in cfg.schemes}
     moments = {scheme: (0, 0.0, 0.0) for scheme in cfg.schemes}
-    conflicts = dict.fromkeys(cfg.schemes, 0)
+    conflicts, clamped = dict.fromkeys(cfg.schemes, 0), dict.fromkeys(cfg.schemes, 0)
     # a huge scale factor overflows the errors or their spread; that is
     # refused below, so numpy's warning about it tells the caller nothing
     with np.errstate(over="ignore", invalid="ignore"):
         for points, groups in _mc_blocks(cfg):
             for scheme, ccfg in codecs.items():
-                coords, _clamped, count = ideal_roundtrip(points, ccfg, groups=groups)
+                coords, flags, count = ideal_roundtrip(points, ccfg, groups=groups)
                 coords -= points
                 err = point_distances(coords)
                 err *= cfg.mc_n
                 moments[scheme] = _merge_moments(*moments[scheme], err)
                 conflicts[scheme] += int(count)
+                clamped[scheme] += int(np.count_nonzero(flags))
 
     rows = []
     for scheme, (n, mean, m2) in moments.items():
@@ -345,8 +339,8 @@ def run_montecarlo(cfg: BenchConfig) -> BenchReport:
                     if scheme in (Scheme.DIRECT, Scheme.WSM) else None)
         rows.append(SchemeStats(
             scheme=scheme, n_images=cfg.mc_samples, nme=float("nan"), auc=float("nan"),
-            fr=float("nan"), conflicts=conflicts[scheme], clamped_points=0, ced=[],
-            per_image=[], mean_px_error=mean, px_error_se=se,
+            fr=float("nan"), conflicts=conflicts[scheme], clamped_points=clamped[scheme],
+            ced=[], per_image=[], mean_px_error=mean, px_error_se=se,
             analytic_px_error=analytic,
         ))
     rows.sort(key=lambda r: SCHEME_ORDER.index(r.scheme))
@@ -406,6 +400,29 @@ _MONTECARLO_COLUMNS = (_SCHEME, Column("mean_px_error", "mean_px_error", "mean_p
                        Column("px_error_se", "px_error_se", "std_err", 11, 6),
                        Column("analytic_px_error", "analytic_px_error", "analytic", 11, 6),
                        _CONFLICTS, Column("n_images", "n_samples", "samples", 10))
+
+
+def score_images(ids: np.ndarray, gt: np.ndarray, pred: np.ndarray,
+                 norm_distance: np.ndarray, threshold: float) -> tuple:
+    """Score (N, L, 2) predictions against finite ground truth by one rule.
+
+    Returns the scored images' indices, the (N, L) per-point and (N,)
+    per-image errors of :func:`image_errors`, and their mean NME, AUC,
+    failure rate and CED points. A NaN prediction is a dropped point. An
+    overflow (an infinite error, or a mean infinite in percent) is refused,
+    naming its image's id in ``ids`` or, for the mean, the worst image's.
+    """
+    per_point, nme = image_errors(gt, pred, norm_distance)
+    scored = np.flatnonzero(~np.isnan(nme))
+    nmes = nme[scored]
+    overflowed = np.isinf(per_point).any(axis=1)
+    with np.errstate(over="ignore"):
+        mean = np.mean(nmes) if len(nmes) else np.nan
+        if overflowed.any() or len(nmes) and not np.isfinite(100 * mean):
+            k = np.argmax(overflowed) if overflowed.any() else scored[np.argmax(nmes)]
+            raise ConfigError(f"record '{ids[k]}': landmark error too large for a float")
+    return (scored, per_point, nme, float(mean), ced_auc(nmes, threshold),
+            failure_rate(nmes, threshold), ced_points(nmes, threshold))
 
 
 def score_values(nme: float, auc: float, fr: float) -> dict:

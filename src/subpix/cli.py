@@ -31,14 +31,13 @@ from pathlib import Path
 import numpy as np
 
 from .bench import (SCORE_COLUMNS, BenchConfig, Column, emit_report, format_report,
-                    run_ideal, run_montecarlo, score_values)
+                    run_ideal, run_montecarlo, score_images, score_values)
 from .codec import (SCHEME_ORDER, CodecConfig, DecimalOverflow, EncodedSample,
                     OobPolicy, Scheme, decode as codec_decode, encode, encode_points)
 from .datasets import decode_text, load_canonical, load_dataset, read_text, write_canonical
 from .errors import ConfigError, ParseError
 from .geometry import LandmarkSet, check_margin, crop_from_landmarks
-from .metrics import (MetricsConfig, ced_auc, ced_points, failure_rate, format_ced_csv,
-                      image_errors, mean_nme, norm_distances, resolve_norm_indices)
+from .metrics import MetricsConfig, format_ced_csv, norm_distances, resolve_norm_indices
 
 __all__ = ["main", "entry"]
 
@@ -66,9 +65,11 @@ def _load_config_flags(path: str) -> list[str]:
         if key == "config":
             raise ParseError("a config file cannot name another config file",
                              path=path, line=lineno)
-        if value.lower() in ("true", "false"):
+        if key == "json-errors":  # the one flag that takes no value
+            if value.lower() not in ("true", "false"):
+                raise ParseError("json-errors must be true or false", path=path, line=lineno)
             if value.lower() == "true":
-                flags.append(f"--{key}")
+                flags.append("--json-errors")
         elif value.startswith("-"):
             # joined on, a negative number cannot read as a flag
             flags.append(f"--{key}={value}")
@@ -303,20 +304,18 @@ def _cmd_metrics(args) -> int:
     # canonical files hold only finite, valid points; scoring in ground-truth
     # order keeps the mean's last bits independent of the prediction file's order
     d = norm_distances(gt.points, resolve_norm_indices(n_landmarks, mcfg))
-    scored = np.flatnonzero(~np.isnan(d))
-    if not len(scored):
+    keep = np.flatnonzero(~np.isnan(d))
+    if not len(keep):
         raise ConfigError("every record was skipped; nothing to score")
-    per_point, errors = image_errors(gt.points[scored], pred.points[rows[scored]], d[scored])
-    # canonical points are finite, so only overflow makes an error non-finite
-    nme = mean_nme(gt.ids[scored], errors, ~np.isfinite(per_point).all(axis=1))
-    row = {**score_values(nme, ced_auc(errors, args.threshold),
-                          failure_rate(errors, args.threshold)),
-           "n_images": len(errors), "skipped": len(gt) - len(errors)}
+    scored, _, _, nme, auc, fr, ced = score_images(
+        gt.ids[keep], gt.points[keep], pred.points[rows[keep]], d[keep], args.threshold)
+    row = {**score_values(nme, auc, fr), "n_images": len(scored),
+           "skipped": len(gt) - len(scored)}
     # the table shows the scores; CSV and JSON also carry the counts
     columns = (*SCORE_COLUMNS, Column("n_images", "n_images"), Column("skipped", "skipped"))
     # the side file first: a path that cannot be written leaves no report
     if args.ced_out:
-        Path(args.ced_out).write_text(format_ced_csv(ced_points(errors, args.threshold)))
+        Path(args.ced_out).write_text(format_ced_csv(ced))
     _write_out(format_report(args.format, columns, [row], args.threshold,
                              f"images={row['n_images']} skipped={row['skipped']}", row),
                args.out)
@@ -434,7 +433,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--norm-indices", metavar="I,J",
                    help="landmark pair for error normalization "
                         "(defaults: 60,72 for 98 points; 36,45 for 68)")
-    p.add_argument("--threshold", type=float, default=0.10)
+    p.add_argument("--threshold", type=float, default=0.10,
+                   help="failure/AUC threshold on normalized error (default 0.10)")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.add_argument("--out", metavar="FILE")
     p.add_argument("--ced-out", metavar="FILE", help="write the CED curve as CSV")

@@ -1,13 +1,14 @@
 """Normalized mean error, cumulative error curves, and derived statistics.
 
 The per-image error is the mean euclidean landmark error divided by a
-per-image normalization distance (commonly the outer-eye-corner
-distance), kept as a plain fraction internally. Multiplying by 100 is a
-presentation concern and happens only at the reporting boundary. One
-batched kernel computes it: :func:`norm_distances` gives the (N,)
-distances of an (N, L, 2) point stack, and :func:`image_errors` the (N, L)
-normalized per-point errors and the (N,) per-image NME of a prediction
-stack against it. ``bench-ideal`` and ``metrics`` both score through them.
+per-image normalization distance (commonly the outer-eye-corner distance),
+kept as a plain fraction internally. Multiplying by 100 is a presentation
+concern and happens only at the reporting boundary. One batched kernel
+computes it: :func:`norm_distances` gives the (N,) distances of an
+(N, L, 2) point stack, and :func:`image_errors` the (N, L) normalized
+per-point errors and the (N,) per-image NME of a prediction stack against
+it. ``bench-ideal`` and ``metrics`` both score with it and the CED kernels
+below through one function, :func:`subpix.bench.score_images`.
 Every euclidean landmark error in the package (here, in the Monte-Carlo
 scoring and in the ``wsm`` decoder's shift) goes through one kernel,
 :func:`point_distances`.
@@ -35,7 +36,6 @@ __all__ = [
     "point_distances",
     "norm_distances",
     "image_errors",
-    "mean_nme",
     "ced_auc",
     "failure_rate",
     "ced_points",
@@ -166,23 +166,6 @@ def image_errors(gt: np.ndarray, pred: np.ndarray,
     for k in np.flatnonzero(finite.any(axis=1) & ~whole):
         nme[k] = np.mean(err[k][finite[k]]) / norm_distance[k]
     return err / norm_distance[:, None], nme
-
-
-def mean_nme(ids: np.ndarray, nme: np.ndarray, overflowed: np.ndarray) -> float:
-    """The mean of the per-image NMEs that are not NaN, or NaN if none is.
-
-    Refuses an overflow rather than dropping it: ``overflowed`` flags each
-    image with a point that should score but whose error is not finite, and
-    the first such image is named; else the worst image is named if the mean
-    in percent is not finite. ``ids`` names the images.
-    """
-    scored = np.flatnonzero(~np.isnan(nme))
-    with np.errstate(over="ignore"):
-        mean = np.mean(nme[scored]) if len(scored) else np.nan
-        if overflowed.any() or len(scored) and not np.isfinite(100 * mean):
-            k = np.argmax(overflowed) if overflowed.any() else scored[np.argmax(nme[scored])]
-            raise ConfigError(f"record '{ids[k]}': landmark error too large for a float")
-    return float(mean)
 
 
 def _check_errors(errors, threshold: float) -> np.ndarray:

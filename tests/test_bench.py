@@ -20,8 +20,8 @@ import subpix.bench
 from subpix.bench import (_MC_BLOCK, BenchConfig, BenchReport, Column, SchemeStats,
                           _mc_blocks, analytic_direct_error, build_samples, emit_report,
                           format_report, run_ideal, run_montecarlo)
-from subpix.codec import (SCHEME_ORDER, CodecConfig, OobPolicy, Scheme, decode,
-                          encode_points, ideal_roundtrip)
+from subpix.codec import (SCHEME_ORDER, CodecConfig, DecimalOverflow, OobPolicy, Scheme,
+                          decode, encode_points, ideal_roundtrip)
 from subpix.datasets import Corpus
 from subpix.errors import ConfigError
 from subpix.geometry import heatmap_transform
@@ -242,6 +242,19 @@ class TestMonteCarloStream:
                                           groups=groups)
         assert conflicts > 0
         assert run_montecarlo(cfg).rows[0].conflicts == conflicts
+
+    def test_clamped_points_summed_over_blocks(self):
+        # under clamp a hih fraction that rounds up to a whole cell is flagged;
+        # the draw spans three blocks, and every scheme's flags are counted
+        codec = CodecConfig(scheme=Scheme.HIH, decimal_overflow=DecimalOverflow.CLAMP)
+        cfg = BenchConfig(seed=8, mc_samples=20000, codec=codec)
+        flags = dict.fromkeys(SCHEME_ORDER, 0)
+        for points, groups in _mc_blocks(cfg):
+            for scheme in SCHEME_ORDER:
+                clamped = ideal_roundtrip(points, cfg.codec.for_scheme(scheme), groups=groups)[1]
+                flags[scheme] += int(np.count_nonzero(clamped))
+        assert flags[Scheme.HIH] > 0
+        assert {r.scheme: r.clamped_points for r in run_montecarlo(cfg).rows} == flags
 
     def test_one_roundtrip_per_scheme_per_block(self, monkeypatch):
         calls = []
@@ -649,6 +662,12 @@ class TestBenchConfig:
             BenchConfig(mc_samples=10 ** 20)
         with pytest.raises(ConfigError, match="exceeds the limit"):
             BenchConfig(mc_samples=10 ** 10, mc_landmarks=10 ** 10)
+        # a sample never spans two blocks, so one may not outgrow a block
+        with pytest.raises(ConfigError, match=f"at most {_MC_BLOCK} landmarks"):
+            BenchConfig(mc_samples=1, mc_landmarks=_MC_BLOCK + 1)
+        with pytest.raises(ConfigError, match="exceeds the limit"):
+            BenchConfig(mc_samples=1, mc_landmarks=10 ** 20)
+        assert BenchConfig(mc_samples=1, mc_landmarks=_MC_BLOCK).mc_landmarks == _MC_BLOCK
         with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
             BenchConfig(seed=-1)
         # below 1e-150 the errors' squared deviations leave the normal floats

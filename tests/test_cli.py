@@ -18,17 +18,20 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import (TEMPLATE_68, join, make_wflw_line, malformed_canonical_docs,
-                      one_face, write_pts_tree, write_wflw_file)
+from conftest import (TEMPLATE_68, join, make_records, make_wflw_line,
+                      malformed_canonical_docs, one_face, write_pts_tree, write_wflw_file)
 from hypothesis import assume
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import subpix
+import subpix.bench
+from subpix.bench import BenchConfig, build_samples
 from subpix.cli import main
 from subpix.codec import SCHEME_ORDER, CodecConfig, encode_points
 from subpix.datasets import Corpus, load_canonical, load_dataset, write_canonical
 from subpix.errors import ParseError
+from subpix.metrics import image_errors
 
 
 def stdin_of(data: str | bytes) -> io.TextIOWrapper:
@@ -162,6 +165,12 @@ class TestSynth:
         assert err.startswith("error: Monte-Carlo draw of ")
         assert "exceeds the limit of 16777216 landmarks" in err
 
+    def test_landmarks_past_one_block_refused(self, capsys):
+        # a sample never spans two blocks, so a larger one would grow the block
+        rc, out, err = run_cli(capsys, "synth", "--samples", "1", "--landmarks", "8193")
+        assert (rc, out) == (2, "")
+        assert err == "error: a Monte-Carlo sample may have at most 8192 landmarks\n"
+
     @pytest.mark.parametrize("value", ["1e-151", "1e-310", "5e-324"])
     def test_subnormal_scale_factor_refused(self, capsys, value):
         # the spread of errors this small underflows and would print as 0
@@ -193,6 +202,9 @@ class TestSynth:
             # cache-sized blocks reuse their memory, so every scheme on 250000
             # samples peaks within 2 MB of one sample, which draws a whole block
             (("1", "250000"), ("--landmarks", "4", "--schemes", "all"), 2.0),
+            # the most landmarks a sample may have fill one block, so the peak
+            # is as flat in the landmarks per sample as in the samples
+            (("1", "300"), ("--landmarks", "8192", "--schemes", "all"), 2.0),
         ]
         # a child's ru_maxrss counts the resident size of the process that
         # spawned it, here all of pytest, so the CLI reports the high-water
@@ -725,6 +737,48 @@ class TestMetrics:
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+class TestBenchIdealScoredByMetrics:
+    """``metrics`` scores ``bench-ideal``'s own decoded points as ``bench-ideal``
+    does, so the NME that quantization costs and a model's NME follow one rule."""
+
+    def test_same_scores_and_curve(self, capsys, tmp_path, monkeypatch):
+        faces = tmp_path / "faces.json"
+        write_canonical(faces, make_records(200, 98))
+        stacks = []
+
+        def kept(gt, pred, norm_distance):
+            stacks.append((gt, pred))
+            return image_errors(gt, pred, norm_distance)
+
+        monkeypatch.setattr(subpix.bench, "image_errors", kept)
+        # schemes in report order, so the rows follow the order they are scored in
+        rc, out, err = run_cli(capsys, "bench-ideal", "--dataset", f"json:{faces}",
+                               "--schemes", "direct,wom,hih", "--format", "json",
+                               "--ced-out", str(tmp_path / "bench_"))
+        monkeypatch.undo()
+        assert (rc, err) == (0, "")
+        # the batch's faces in the order run_ideal scores them
+        batch, skipped = build_samples(load_canonical(faces)[1], BenchConfig())
+        assert skipped == 0
+        rows = json.loads(out)["rows"]
+        assert [r["scheme"] for r in rows] == ["direct", "wom", "hih"] and len(stacks) == 3
+        for row, (gt, pred) in zip(rows, stacks):
+            np.testing.assert_array_equal(gt, batch.points)
+            paths = {}
+            for role, points in (("gt", gt), ("pred", pred)):
+                paths[role] = tmp_path / f"{role}_{row['scheme']}.json"
+                write_canonical(paths[role], Corpus("d", batch.ids, batch.ids, points))
+            ced = tmp_path / f"metrics_{row['scheme']}.csv"
+            rc, out, err = run_cli(capsys, "metrics", "--gt", str(paths["gt"]),
+                                   "--pred", str(paths["pred"]), "--format", "json",
+                                   "--ced-out", str(ced))
+            assert (rc, err) == (0, "")
+            doc = json.loads(out)
+            for key in ("nme_percent", "auc", "failure_rate_percent", "n_images"):
+                assert doc[key] == row[key], (row["scheme"], key)
+            assert ced.read_bytes() == (tmp_path / f"bench_{row['scheme']}.csv").read_bytes()
+
+
 _CANONICAL_GT = {"dataset": "d", "n_landmarks": 3, "records": [
     {"id": "a", "image_path": "a.png", "points": [[0.0, 0.0], [10.0, 0.0], [4.0, 6.0]],
      "bbox": [0.0, 0.0, 10.0, 6.0], "attributes": {"pose": True}},
@@ -929,6 +983,38 @@ class TestConfigFile:
         doc = json.loads(err)
         assert doc["kind"] == "input" and "bogus" in doc["error"]
 
+    @pytest.mark.parametrize("value", ["true", "False"])
+    def test_boolean_word_is_a_value(self, capsys, tmp_path, data_dir, value):
+        # only json-errors is a switch; "true" names a dataset like any word
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"name = {value}\n")
+        out = tmp_path / "out.json"
+        rc, _, err = run_cli(capsys, "convert", "--config", str(cfg),
+                             "--dataset", f"wflw:{data_dir / 'list.txt'}", "--out", str(out))
+        assert rc == 0, err
+        assert load_canonical(out)[1].name == value
+
+    def test_false_is_a_path(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("out = false\nsamples = 300\n")
+        rc, out, _ = run_cli(capsys, "synth", "--config", "run.cfg", "--schemes", "direct")
+        assert (rc, out) == (0, "")
+        assert (tmp_path / "false").read_text().startswith("mode=montecarlo")
+
+    @pytest.mark.parametrize("value", ["yes", "1", "on", "-"])
+    def test_json_errors_takes_true_or_false(self, capsys, tmp_path, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"samples = 300\njson-errors = {value}\n")
+        rc, out, err = run_cli(capsys, "synth", "--config", str(cfg))
+        assert (rc, out) == (2, "")
+        assert err == f"error: {cfg}:2: json-errors must be true or false\n"
+
+    def test_json_errors_false_keeps_plain_errors(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("json-errors = FALSE\n")
+        rc, _, err = run_cli(capsys, "synth", "--config", str(cfg), "--schemes", "bogus")
+        assert rc == 2 and err.startswith("error: unknown scheme")
+
     def test_underscore_keys_normalized(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n_factor = 1.0\nsamples = 400\nformat = csv\n")
@@ -1033,6 +1119,7 @@ class TestConfigFuzz:
 
     @given(run=_config_runs(), scheme=st.sampled_from([s.value for s in SCHEME_ORDER]))
     @example(run=("synth", {"seed": -1, "samples": 100, "landmarks": 1}), scheme="direct")
+    @example(run=("synth", {"samples": 1, "landmarks": 8193}), scheme="direct")
     @example(run=("synth", {"n-factor": 1e308, "samples": 100, "landmarks": 1}),
              scheme="direct")
     @example(run=("synth", {"n-factor": 1e307, "samples": 100, "landmarks": 1}),

@@ -1,7 +1,8 @@
 """Every exported name resolves, no module exports a name twice, each
 name the package re-exports is exported by the module it comes from, no
-module imports a name it never uses, and no private definition is left
-that only tests read."""
+module imports a name it never uses, every distance and every score goes
+through its one kernel, and no private definition is left that only tests
+read."""
 
 from __future__ import annotations
 
@@ -74,15 +75,15 @@ def test_module_imports_are_used(path):
 _DISTANCE_KERNEL = re.compile(r"(^|\.)(hypot|linalg\.norm)$")
 
 
-def _distance_kernels(tree: ast.AST) -> list[str]:
-    """Each use or import of ``hypot`` or ``linalg.norm`` in a parsed module."""
+def _uses(tree: ast.AST, pattern: re.Pattern) -> list[str]:
+    """Each use or import in a parsed module of a name that ``pattern`` matches."""
     names = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.Name, ast.Attribute)):
             names.append((node.lineno, ast.unparse(node)))
         elif isinstance(node, ast.ImportFrom):
             names += [(node.lineno, f"{node.module}.{a.name}") for a in node.names]
-    return [f"{line}: {name}" for line, name in names if _DISTANCE_KERNEL.search(name)]
+    return [f"{line}: {name}" for line, name in names if pattern.search(name)]
 
 
 @pytest.mark.parametrize("path", sorted(Path(subpix.__file__).parent.glob("*.py")),
@@ -91,16 +92,56 @@ def test_one_point_distance_kernel(path):
     """Every landmark error goes through ``metrics.point_distances``: no
     module calls or imports ``hypot`` or ``linalg.norm``, a second distance
     kernel with its own last bits and its own cost."""
-    assert _distance_kernels(ast.parse(path.read_text())) == []
+    assert _uses(ast.parse(path.read_text()), _DISTANCE_KERNEL) == []
 
 
 def test_distance_kernel_scan_sees_each_spelling():
     spellings = ["np.hypot(a, b)", "math.hypot(a, b)", "hypot(a, b)", "f = np.hypot",
                  "np.linalg.norm(d, axis=1)", "numpy.linalg.norm(d)", "linalg.norm(d)",
                  "from numpy.linalg import norm", "from math import hypot as h"]
-    assert [s for s in spellings if not _distance_kernels(ast.parse(s))] == []
+    assert [s for s in spellings if not _uses(ast.parse(s), _DISTANCE_KERNEL)] == []
     # prose and unrelated names pass
-    assert _distance_kernels(ast.parse('"""np.hypot"""\n# linalg.norm\nnorm = hypotenuse')) == []
+    assert _uses(ast.parse('"""np.hypot"""\n# linalg.norm\nnorm = hypotenuse'),
+                 _DISTANCE_KERNEL) == []
+
+
+# the per-image errors and the CED kernels, which only bench.score_images calls,
+# and the mean that function replaced, however each is reached or imported
+_SCORING_KERNEL = re.compile(r"(^|\.)(image_errors|ced_auc|failure_rate|ced_points|mean_nme)$")
+# the package re-exports the CED kernels as public API and does nothing else with them
+_REEXPORTED = {"metrics.ced_auc", "metrics.ced_points", "metrics.failure_rate"}
+
+
+@pytest.mark.parametrize("path", sorted(Path(subpix.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_one_scorer(path):
+    """``bench-ideal`` and ``metrics`` score through ``bench.score_images``
+    alone: no other module calls or imports ``image_errors``, ``ced_auc``,
+    ``failure_rate`` or ``ced_points``, which would be a second scoring path
+    with its own refusal rule, and no module names ``mean_nme``."""
+    found = _uses(ast.parse(path.read_text()), _SCORING_KERNEL)
+    if path.name == "bench.py":
+        found = [f for f in found if f.endswith("mean_nme")]
+    elif path.name == "__init__.py":
+        found = [f for f in found if f.split(": ")[1] not in _REEXPORTED]
+    assert found == []
+
+
+def test_mean_nme_is_gone():
+    assert [m for m in MODULES if hasattr(importlib.import_module(m), "mean_nme")] == []
+
+
+def test_scorer_scan_sees_each_spelling():
+    spellings = ["image_errors(gt, pred, d)", "metrics.ced_auc(e, t)", "f = ced_points",
+                 "subpix.metrics.failure_rate(e, t)", "from .metrics import ced_auc",
+                 "from subpix.metrics import image_errors as errors",
+                 "from .metrics import (MetricsConfig,\n    failure_rate)",
+                 "from . import metrics\nmetrics.ced_points(e)", "mean_nme(ids, nme, bad)",
+                 "from .metrics import mean_nme"]
+    assert [s for s in spellings if not _uses(ast.parse(s), _SCORING_KERNEL)] == []
+    # prose, and names that only contain a kernel's, pass
+    assert _uses(ast.parse('"""ced_auc"""\n# image_errors\nced_points_x = failure_rates'),
+                 _SCORING_KERNEL) == []
 
 
 def _private_defs(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
