@@ -36,7 +36,7 @@ from .codec import (SCHEME_ORDER, CodecConfig, DecimalOverflow, EncodedSample,
                     OobPolicy, Scheme, decode as codec_decode, encode, encode_points)
 from .datasets import decode_text, load_canonical, load_dataset, read_text, write_canonical
 from .errors import ConfigError, ParseError
-from .geometry import LandmarkSet, check_margin, crop_from_landmarks
+from .geometry import check_margin, crop_from_landmarks
 from .metrics import MetricsConfig, format_ced_csv, norm_distances, resolve_norm_indices
 
 __all__ = ["main", "entry"]
@@ -47,59 +47,76 @@ _COMMANDS = ("bench-ideal", "synth", "encode", "decode", "metrics", "convert")
 # -- config file ----------------------------------------------------------------
 
 
-def _load_config_flags(path: str) -> list[str]:
-    """Flat ``key = value`` lines to CLI flags; see the module docstring."""
-    text = read_text(path)
-    flags: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _load_config(path: str) -> tuple[dict[int, list[str]], ParseError | None]:
+    """Flat ``key = value`` lines as CLI flags by line number, and the first
+    malformed line's error; see the module docstring. Lines past that one are
+    still read, so that ``json-errors = true`` on any line applies to it too.
+    """
+    lines: dict[int, list[str]] = {}
+    error = None
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
-        if not sep:
-            raise ParseError("expected 'key = value'", path=path, line=lineno)
         key = key.strip().lstrip("-").replace("_", "-")
         value = value.strip()
-        if not key or not value:
-            raise ParseError("expected 'key = value'", path=path, line=lineno)
-        if key == "config":
-            raise ParseError("a config file cannot name another config file",
-                             path=path, line=lineno)
-        if key == "json-errors":  # the one flag that takes no value
-            if value.lower() not in ("true", "false"):
-                raise ParseError("json-errors must be true or false", path=path, line=lineno)
-            if value.lower() == "true":
-                flags.append("--json-errors")
-        elif value.startswith("-"):
-            # joined on, a negative number cannot read as a flag
-            flags.append(f"--{key}={value}")
+        problem = None
+        if not sep or not key or not value:
+            problem = "expected 'key = value'"
+        elif key == "config":
+            problem = "a config file cannot name another config file"
+        elif key == "json-errors" and value.lower() not in ("true", "false"):
+            problem = "json-errors must be true or false"
+        if problem:
+            error = error or ParseError(problem, path=path, line=lineno)
+        elif key == "json-errors":  # the one flag that takes no value
+            lines[lineno] = ["--json-errors"] if value.lower() == "true" else []
+        elif value.startswith("-"):  # joined on, a negative number cannot read as a flag
+            lines[lineno] = [f"--{key}={value}"]
         else:
-            flags.extend([f"--{key}", value])
-    return flags
+            lines[lineno] = [f"--{key}", value]
+    return lines, error
 
 
-def _splice_config(argv: list[str]) -> list[str]:
-    """Insert config-file flags right after the subcommand, before user flags."""
-    out = list(argv)
-    path = None
-    for i, tok in enumerate(out):
-        if tok == "--config":
-            if i + 1 >= len(out):
-                raise ParseError("--config requires a path")
-            path = out[i + 1]
-            del out[i:i + 2]
-            break
-        if tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-            del out[i]
-            break
-    if path is None:
-        return out
-    if any(tok == "--config" or tok.startswith("--config=") for tok in out):
-        raise ParseError("--config may be given only once")
+def _locate(exc: ValueError, parser: argparse.ArgumentParser, argv: list[str],
+            path: str | None, lines: dict[int, list[str]]) -> ValueError:
+    """``exc`` at the config line whose value raises it, if one does.
+
+    argparse converts each value before it checks for missing flags, so the
+    first line that alone reproduces a flag's own error is its cause.
+    """
+    if isinstance(exc, ConfigError) and str(exc).startswith("argument "):
+        for lineno, flags in lines.items():
+            try:
+                parser.parse_args([argv[0], *flags])
+            except ConfigError as alone:
+                if str(alone) == str(exc):
+                    return ParseError(str(exc), path=path, line=lineno)
+    return exc
+
+
+def _splice_config(argv: list[str]) -> tuple[list[str], str | None, dict[int, list[str]],
+                                             ParseError | None]:
+    """Insert config-file flags right after the subcommand, before user flags.
+
+    Also returns the file's path, its flags by line and its first error.
+    """
+    at = [i for i, tok in enumerate(argv) if tok == "--config" or tok.startswith("--config=")]
+    if not at:
+        return list(argv), None, {}, None
+    if len(at) > 1:
+        raise ConfigError("--config may be given only once")
+    i = at[0]
+    joined = argv[i] != "--config"
+    if not joined and i + 1 == len(argv):
+        raise ConfigError("--config requires a path")
+    path = argv[i].split("=", 1)[1] if joined else argv[i + 1]
+    out = argv[:i] + argv[i + (1 if joined else 2):]
     if not out or out[0] not in _COMMANDS:
-        raise ParseError("--config must follow a subcommand")
-    return [out[0]] + _load_config_flags(path) + out[1:]
+        raise ConfigError("--config must follow a subcommand")
+    lines, error = _load_config(path)
+    return [out[0], *(f for flags in lines.values() for f in flags), *out[1:]], path, lines, error
 
 
 # -- shared argument plumbing -----------------------------------------------------
@@ -227,8 +244,8 @@ def _cmd_encode(args) -> int:
         if not (0 <= args.index < len(corpus)):
             raise ConfigError(f"record index {args.index} out of range "
                               f"(file has {len(corpus)} records)")
-        landmarks = LandmarkSet(corpus.points[args.index], valid=corpus.valid[args.index])
-        enc = encode(landmarks, crop_from_landmarks(landmarks, args.margin), cfg)
+        pts, valid = corpus.points[args.index], corpus.valid[args.index]
+        enc = encode(pts, crop_from_landmarks(pts, valid, args.margin), cfg, valid=valid)
     _write_out(enc.to_json() + "\n", args.out)
     return 0
 
@@ -268,12 +285,11 @@ def _cmd_decode(args) -> int:
         raise ConfigError(f"--scheme {args.scheme} does not match payload "
                           f"scheme '{enc.scheme.value}'")
     result = codec_decode(enc)
-    pts = result.landmarks.points
     doc = {
         "scheme": enc.scheme.value,
         "points": [[float(x), float(y)] if v else None
-                   for (x, y), v in zip(pts, result.landmarks.valid)],
-        "valid": [bool(v) for v in result.landmarks.valid],
+                   for (x, y), v in zip(result.points, result.valid)],
+        "valid": [bool(v) for v in result.valid],
         "tie_encountered": [bool(t) for t in result.tie_encountered],
         "clamped": [bool(c) for c in result.clamped],
     }
@@ -463,11 +479,16 @@ def _report_error(exc: BaseException, json_errors: bool, *, internal: bool = Fal
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    parser = _build_parser()
+    path, lines = None, {}
     try:
-        argv = _splice_config(argv)  # a config file may set --json-errors too
-        args = _build_parser().parse_args(argv)
+        # a config file may set --json-errors too, for its own errors as well
+        argv, path, lines, error = _splice_config(argv)
+        if error:
+            raise error
+        args = parser.parse_args(argv)
     except (ParseError, ConfigError) as exc:
-        _report_error(exc, "--json-errors" in argv)
+        _report_error(_locate(exc, parser, argv, path, lines), "--json-errors" in argv)
         return 2
     except SystemExit as exc:  # --help prints its usage text and exits 0
         return exc.code if isinstance(exc.code, int) else 2

@@ -52,7 +52,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, SchemaError
-from .geometry import AffineTransform, LandmarkSet, apply_transform, heatmap_transform
+from .geometry import AffineTransform, apply_transform, heatmap_transform
 from .metrics import point_distances
 
 __all__ = [
@@ -388,14 +388,16 @@ def _unsparse(entries, shape: tuple[int, ...], *, field: str) -> np.ndarray:
 class DecodeResult:
     """Decoded landmarks in normalized space plus per-point flags.
 
-    ``landmarks.points`` holds heatmap coordinates divided by the grid
-    size, so every decodable coordinate lies in [0, 1]. ``tie_encountered``
-    marks points whose peak lookup hit a tie (for ``wsm``: a tied second
-    place, which suppresses the shift). ``clamped`` is propagated from the
+    ``points`` is (N, 2): heatmap coordinates divided by the grid size, so
+    every decodable coordinate lies in [0, 1], and NaN where ``valid`` is
+    False (a landmark dropped at encoding). ``tie_encountered`` marks
+    points whose peak lookup hit a tie (for ``wsm``: a tied second place,
+    which suppresses the shift). ``clamped`` is propagated from the
     encoding step.
     """
 
-    landmarks: LandmarkSet
+    points: np.ndarray
+    valid: np.ndarray
     tie_encountered: np.ndarray
     clamped: np.ndarray
 
@@ -605,12 +607,12 @@ def encode_points(points: np.ndarray, cfg: CodecConfig,
                          integer_maps=integer_maps, valid=mask, clamped=clamped, **kwargs)
 
 
-def encode(landmarks: LandmarkSet, crop: AffineTransform, cfg: CodecConfig) -> EncodedSample:
-    """Encode raw-space landmarks: crop onto the unit square, scale onto the
-    heatmap, then :func:`encode_points`."""
+def encode(points: np.ndarray, crop: AffineTransform, cfg: CodecConfig,
+           valid: np.ndarray | None = None) -> EncodedSample:
+    """Encode one face's raw-space (L, 2) points: the one-map ``crop`` onto
+    the unit square, scaled onto the heatmap, then :func:`encode_points`."""
     t = heatmap_transform(crop, cfg.heatmap_shape)
-    hm = apply_transform(t, landmarks)
-    return encode_points(hm.points, cfg, valid=hm.valid)
+    return encode_points(apply_transform(t, points), cfg, valid=valid)
 
 
 def _argmax_flat(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -671,8 +673,8 @@ def decode(enc: EncodedSample) -> DecodeResult:
     normalized = coords / np.array([w, h], dtype=np.float64)
     normalized = np.where(enc.valid[:, None], normalized, np.nan)
     ties = ties & enc.valid
-    lms = LandmarkSet(normalized, valid=enc.valid.copy())
-    return DecodeResult(landmarks=lms, tie_encountered=ties, clamped=enc.clamped.copy())
+    return DecodeResult(points=normalized, valid=enc.valid.copy(), tie_encountered=ties,
+                        clamped=enc.clamped.copy())
 
 
 def ideal_roundtrip(points: np.ndarray, cfg: CodecConfig,

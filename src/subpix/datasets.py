@@ -357,7 +357,8 @@ def load_canonical(source: str | Path) -> tuple[str, Corpus]:
                               field=f"{where}.points", path=str(p))
         bbox = entry.get("bbox")
         if bbox is not None:
-            bad_bbox = SchemaError("must be null or [x_min, y_min, x_max, y_max]",
+            bad_bbox = SchemaError("must be null or [x_min, y_min, x_max, y_max], finite, "
+                                   "with x_min < x_max and y_min < y_max",
                                    field=f"{where}.bbox", path=str(p))
             # a JSON true or false is a Python int, but not a number
             if (not isinstance(bbox, list) or len(bbox) != 4
@@ -367,7 +368,8 @@ def load_canonical(source: str | Path) -> tuple[str, Corpus]:
                 bbox = [float(v) for v in bbox]
             except OverflowError:  # an integer past the float range
                 raise bad_bbox from None
-            if not np.all(np.isfinite(bbox)):  # a corpus holds "no bbox" as NaN
+            # a corpus holds "no bbox" as NaN
+            if not (np.all(np.isfinite(bbox)) and bbox[0] < bbox[2] and bbox[1] < bbox[3]):
                 raise bad_bbox
         attrs = entry.get("attributes")
         if attrs is not None:

@@ -1,14 +1,14 @@
-"""Landmark containers, the raw -> heatmap map, and the batched crop kernel.
+"""The raw -> heatmap map and the batched crop kernels.
 
 Points start in the raw pixels of the annotated source image. A crop maps
 them onto the unit square, and :func:`heatmap_transform` scales that onto
 the heatmap grid, so raw pixels per heatmap cell are the crop side over the
 grid side (``1 / t.scale`` of the raw -> heatmap map ``t``). Every map is an
-isotropic scale plus an offset, ``p -> scale * p + offset``, so one
-:class:`AffineTransform` holds either a single map or one map per image of
-a batch: a ``(N,)`` scale and a ``(N, 2)`` offset act on ``(N, L, 2)`` point
-stacks in one array pass. :func:`crop_from_landmarks` is an N = 1 call of
-the batched landmark kernel.
+isotropic scale plus an offset, ``p -> scale * p + offset``, and one
+:class:`AffineTransform` holds one map per image of a batch: a ``(N,)``
+scale and a ``(N, 2)`` offset act on ``(N, L, 2)`` point stacks in one
+array pass. A single face is a batch of one: :func:`crop_from_landmarks`
+and :func:`apply_transform` are N = 1 calls of the batched kernels.
 
 Convention used everywhere: pixel centers sit on integer coordinates with
 (0, 0) at the top-left pixel center, and grid cell (i, j) covers the
@@ -21,14 +21,13 @@ share across threads; all operations here are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 
 __all__ = [
-    "LandmarkSet",
     "AffineTransform",
     "FaceBatch",
     "apply_transform",
@@ -41,48 +40,11 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class LandmarkSet:
-    """An ordered set of 2-D points and which of them are valid.
-
-    Attributes:
-        points: (N, 2) float64 array of (x, y) coordinates.
-        valid: (N,) boolean mask; invalid points are carried along but
-            excluded from encoding and error statistics. Coordinates of
-            invalid points may be NaN; valid points must be finite.
-    """
-
-    points: np.ndarray
-    valid: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
-            raise ConfigError(f"landmark array must have shape (N, 2), got {pts.shape}")
-        object.__setattr__(self, "points", pts)
-        if self.valid is None:
-            mask = np.ones(len(pts), dtype=bool)
-        else:
-            mask = np.asarray(self.valid, dtype=bool)
-            if mask.shape != (len(pts),):
-                raise ConfigError(
-                    f"valid mask shape {mask.shape} does not match {len(pts)} points"
-                )
-        object.__setattr__(self, "valid", mask)
-        if not np.all(np.isfinite(pts[mask])):
-            raise ConfigError("valid landmarks must have finite coordinates")
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-@dataclass(frozen=True, eq=False)
 class AffineTransform:
-    """The map ``p -> scale * p + offset``, for one image or a batch.
+    """N maps ``p -> scale * p + offset``, one per image of a batch.
 
-    A single map has a scalar ``scale`` and a (2,) ``offset`` and applies
-    to points of shape (..., 2). A batch of N maps has a (N,) ``scale``
-    and a (N, 2) ``offset`` and applies to (N, L, 2) point stacks, row k
-    through map k.
+    ``scale`` is (N,) and ``offset`` (N, 2); the maps apply to (N, L, 2)
+    point stacks, row k through map k. A single image is a batch of one.
     """
 
     scale: np.ndarray
@@ -91,9 +53,9 @@ class AffineTransform:
     def __post_init__(self) -> None:
         scale = np.asarray(self.scale, dtype=np.float64)
         offset = np.asarray(self.offset, dtype=np.float64)
-        if scale.ndim > 1 or offset.shape != scale.shape + (2,):
-            raise ConfigError(f"transform scale {scale.shape} and offset {offset.shape} "
-                              f"shapes do not match")
+        if scale.ndim != 1 or offset.shape != scale.shape + (2,):
+            raise ConfigError(f"transform needs an (N,) scale and an (N, 2) offset, "
+                              f"got {scale.shape} and {offset.shape}")
         if not (np.all(np.isfinite(offset)) and np.all(np.isfinite(scale))
                 and np.all(scale > 0)):
             raise ConfigError("transform scale must be finite and positive, "
@@ -102,13 +64,14 @@ class AffineTransform:
         object.__setattr__(self, "offset", offset)
 
     def __getitem__(self, rows) -> AffineTransform:
-        """The maps of the selected images of a batch."""
+        """The maps of the images of a batch that a slice, mask or index array selects."""
         return AffineTransform(self.scale[rows], self.offset[rows])
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
-        if self.scale.ndim == 0:
-            return pts * self.scale + self.offset
+        if pts.ndim != 3 or pts.shape[::2] != (len(self.scale), 2):
+            raise ConfigError(f"{len(self.scale)} maps apply to an ({len(self.scale)}, L, 2) "
+                              f"point stack, got {pts.shape}")
         # per axis: an offset broadcast over a length-2 last axis is several
         # times slower
         out = pts * self.scale[:, None, None]
@@ -118,12 +81,12 @@ class AffineTransform:
 
     def inverse(self) -> AffineTransform:
         inv = 1.0 / self.scale
-        return AffineTransform(inv, -(self.offset * inv[..., None]))
+        return AffineTransform(inv, -(self.offset * inv[:, None]))
 
 
-def apply_transform(t: AffineTransform, landmarks: LandmarkSet) -> LandmarkSet:
-    """Map a landmark set through ``t``, keeping its validity mask."""
-    return LandmarkSet(t.apply(landmarks.points), valid=landmarks.valid.copy())
+def apply_transform(t: AffineTransform, points: np.ndarray) -> np.ndarray:
+    """One face's (L, 2) points through the one-map batch ``t``."""
+    return t.apply(np.asarray(points, dtype=np.float64)[None])[0]
 
 
 def check_margin(margin: float) -> None:
@@ -180,18 +143,21 @@ def bbox_crops(boxes: np.ndarray, margin: float = 0.25, *,
     return _square_crops(lo, hi, 1.0 if inclusive else 0.0, usable, margin)
 
 
-def crop_from_landmarks(landmarks: LandmarkSet, margin: float = 0.25) -> AffineTransform:
-    """The raw -> unit-square map of one square landmark-driven crop.
+def crop_from_landmarks(points: np.ndarray, valid: np.ndarray | None = None,
+                        margin: float = 0.25) -> AffineTransform:
+    """The one-map batch of one face's square landmark-driven crop.
 
-    An N = 1 call of :func:`landmark_crops`; raises ConfigError where that
-    flags the crop as degenerate. Deterministic: the same landmarks always
-    produce the same transform.
+    An N = 1 call of :func:`landmark_crops` on (L, 2) ``points`` and an
+    (L,) ``valid`` mask (all valid by default); raises ConfigError where
+    that flags the crop as degenerate.
     """
-    crop, ok = landmark_crops(landmarks.points[None], landmarks.valid[None], margin)
+    pts = np.asarray(points, dtype=np.float64)
+    mask = np.ones(len(pts), dtype=bool) if valid is None else np.asarray(valid, dtype=bool)
+    crop, ok = landmark_crops(pts[None], mask[None], margin)
     if not ok[0]:
         raise ConfigError("degenerate crop: needs two or more valid landmarks "
                           "spanning a box with extent")
-    return crop[0]
+    return crop
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,6 +197,15 @@ def heatmap_transform(crop: AffineTransform,
 
     The crop is square, so the grid must be square too for the map to stay
     isotropic. A batched crop gives a batched map.
+
+    The map sends the crop onto [0, w) per axis, while cell i covers
+    [i - 1/2, i + 1/2), so the cells cover [-1/2, w - 1/2). The schemes part
+    on the half cell past each end: ``direct`` and ``wsm`` round to the
+    nearest cell, so they clamp x < -1/2 and x >= w - 1/2 onto the border
+    cells; ``wov`` and ``wom`` floor, so x in [w - 1, w) stays in cell
+    w - 1 with its fraction, and x < 0 or x >= w clamps; ``hih`` floors too
+    but also clamps where its nearest decimal step carries out of cell
+    w - 1 (x >= w - 1/(2 w_o), such as 63.97 at w = 64 and w_o = 8).
     """
     w, h = int(heatmap_shape[0]), int(heatmap_shape[1])
     if w <= 0 or w != h:

@@ -227,6 +227,12 @@ def malformed_canonical_docs() -> list[tuple[str, str]]:
         mutate("boolean_n_landmarks", boolean_landmark_count),
         mutate("short_bbox", lambda d: d["records"][0].update(bbox=[1, 2, 3])),
         mutate("boolean_bbox", lambda d: d["records"][0].update(bbox=[True, 0, 500, 500])),
+        mutate("degenerate_bbox", lambda d: d["records"][0].update(bbox=[9, 9, 1, 1])),
+        mutate("flat_bbox", lambda d: d["records"][0].update(bbox=[0, 5, 500, 5])),
+        mutate("huge_bbox_integer",
+               lambda d: d["records"][0].update(bbox=[0, 0, 10 ** 400, 500])),
+        mutate("triple_points", lambda d: d["records"][0].update(
+            points=[[x, y, 1.0] for x, y in d["records"][0]["points"]])),
         mutate("unknown_attribute", lambda d: set_attr(d, {"grin": True})),
         mutate("attributes_not_object", lambda d: set_attr(d, 5)),
         mutate("string_flag", lambda d: set_attr(d, {"pose": "no"})),
@@ -276,7 +282,7 @@ def decode_hand_built(values, scheme=Scheme.WSM) -> tuple[np.ndarray, bool]:
     """Decode :func:`hand_built`; returns heatmap-space (x, y) and the tie flag."""
     enc = hand_built(values, scheme)
     dec = decode(enc)
-    return dec.landmarks.points[0] * np.array(enc.heatmap_shape), bool(dec.tie_encountered[0])
+    return dec.points[0] * np.array(enc.heatmap_shape), bool(dec.tie_encountered[0])
 
 
 # -- acceptance verdict plumbing --------------------------------------------------

@@ -401,9 +401,9 @@ def grid_oracle(corpus: Corpus, cfg: BenchConfig,
         for k, d, hm, inv, inv_off in kept:
             enc = encode_points(hm, ccfg, valid=corpus.valid[k])
             dec = decode(enc)
-            back = (dec.landmarks.points * dims) @ inv.T + inv_off
+            back = (dec.points * dims) @ inv.T + inv_off
             err = np.linalg.norm(back - corpus.points[k], axis=1)
-            err = np.where(dec.landmarks.valid, err, np.nan)
+            err = np.where(dec.valid, err, np.nan)
             keep = np.isfinite(err)
             if not np.any(keep):
                 continue

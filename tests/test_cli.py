@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -31,6 +32,7 @@ from subpix.cli import main
 from subpix.codec import SCHEME_ORDER, CodecConfig, encode_points
 from subpix.datasets import Corpus, load_canonical, load_dataset, write_canonical
 from subpix.errors import ParseError
+from subpix.geometry import heatmap_transform, landmark_crops
 from subpix.metrics import image_errors
 
 
@@ -53,6 +55,12 @@ def data_dir(tmp_path_factory, corpus98, corpus68):
     write_pts_tree(corpus68[:4], d / "tree")
     write_canonical(d / "gt68.json", corpus68)
     write_canonical(d / "gt98.json", corpus98)
+    # faces that no command can score: every normalization distance zero, and
+    # every point outside the annotation box
+    flat = one_face("flat", np.ones((68, 2)), image_path="flat.png")
+    write_canonical(d / "flat68.json", join(flat, replace(flat, ids=np.array(["flat2"]))))
+    write_canonical(d / "outside68.json",
+                    one_face("far", corpus68.points[0], bbox=(0.0, 0.0, 10.0, 10.0)))
     return d
 
 
@@ -439,6 +447,22 @@ class TestEncodeDecode:
         assert len(doc["points"]) == 98
         assert all(v for v in doc["valid"])
 
+    @pytest.mark.parametrize("scheme", SCHEME_ORDER)
+    def test_record_payload_is_batch_row(self, capsys, data_dir, scheme):
+        # encode --record is one row of the batched crop -> heatmap -> apply path
+        path = data_dir / "gt98.json"
+        corpus = load_canonical(path)[1]
+        cfg = CodecConfig(scheme=scheme)
+        for k in range(len(corpus)):
+            margin = 0.25 if k % 2 else 0.1
+            crop, ok = landmark_crops(corpus.points, corpus.valid, margin)
+            assert ok[k]
+            hm = heatmap_transform(crop, cfg.heatmap_shape).apply(corpus.points)
+            want = encode_points(hm[k], cfg, valid=corpus.valid[k]).to_json() + "\n"
+            argv = ["--margin", str(margin)] if k % 2 == 0 else []
+            assert run_cli(capsys, "encode", "--scheme", scheme.value, "--record", str(path),
+                           "--index", str(k), *argv) == (0, want, ""), k
+
     @pytest.mark.parametrize("margin", ["nan", "inf", "-0.5"])
     def test_record_bad_margin_located(self, capsys, data_dir, margin):
         rc, out, err = run_cli(capsys, "encode", "--scheme", "wov",
@@ -531,6 +555,11 @@ class TestEncodeDecode:
         ("wov", "offsets", [["0.5", False], [0.7, 0.2]], "offsets"),
         ("direct", "n_landmarks", True, "n_landmarks"),
         ("hih", "decimal_shape", [True, True], "decimal_shape"),
+        # counts, offsets and sparse cells no encoder writes
+        ("direct", "n_landmarks", 0, "n_landmarks"),
+        ("wov", "offsets", [["a", "b"], [0.7, 0.2]], "offsets"),
+        ("direct", "integer_cells", ["x,1,1,1.0"], "integer_cells"),
+        ("hih", "decimal_cells", ["0,9,1,1.0"], "decimal_cells"),  # an 8x8 grid
     ])
     def test_malformed_payload_field_located(self, capsys, monkeypatch,
                                              scheme, field, value, located):
@@ -1009,6 +1038,27 @@ class TestConfigFile:
         assert (rc, out) == (2, "")
         assert err == f"error: {cfg}:2: json-errors must be true or false\n"
 
+    @pytest.mark.parametrize("bad,message", [
+        ("not a pair", "expected 'key = value'"),
+        (" = 3", "expected 'key = value'"),
+        ("config = other.cfg", "a config file cannot name another config file"),
+        ("samples = x", "argument --samples: expected an integer, got 'x'"),
+    ])
+    @pytest.mark.parametrize("switch", ["before", "after", "off"])
+    def test_json_errors_covers_the_file(self, capsys, tmp_path, bad, message, switch):
+        # json-errors = true anywhere in the file formats that file's own errors
+        setting = "json-errors = false" if switch == "off" else "json-errors = true"
+        lines = [setting, bad, "seed = 3"] if switch != "after" else ["seed = 3", bad, setting]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        rc, out, err = run_cli(capsys, "synth", "--config", str(cfg))
+        assert (rc, out) == (2, "")
+        located = f"{cfg}:2: {message}"
+        if switch == "off":
+            assert err == f"error: {located}\n"
+        else:
+            assert json.loads(err) == {"error": located, "kind": "input", "type": "ParseError"}
+
     def test_json_errors_false_keeps_plain_errors(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("json-errors = FALSE\n")
@@ -1133,11 +1183,14 @@ class TestConfigFuzz:
              scheme="direct")
     @example(run=("encode", {"sigma-decimal": 5e-324}), scheme="hih")
     @example(run=("bench-ideal", {"threshold": 1e307}), scheme="direct")
+    @example(run=("synth", {"samples": "x", "landmarks": 1}), scheme="direct")
+    @example(run=("bench-ideal", {"norm-indices": "0,1", "margin": "1/2"}), scheme="direct")
     @settings(max_examples=200, deadline=None)
     def test_numeric_keys_fail_cleanly(self, data_dir, config_fuzz_dir, run, scheme):
         command, values = run
         path = config_fuzz_dir / "run.cfg"
-        path.write_text("".join(f"{key} = {value!r}\n" for key, value in values.items()))
+        path.write_text("".join(f"{key} = {value if isinstance(value, str) else repr(value)}\n"
+                                for key, value in values.items()))
         argv = {"bench-ideal": ["--dataset", f"wflw:{data_dir / 'list.txt'}"],
                 "synth": ["--schemes", "all"],
                 "encode": ["--scheme", scheme, "--point", "1.5,2.5"]}[command]
@@ -1150,6 +1203,30 @@ class TestConfigFuzz:
             assert err == "" and out.endswith("\n")
         else:
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+            # every flag value that argparse refuses came from a line of the file
+            assert "argument --" not in err or err.startswith(f"error: {path}:"), err
+
+    @pytest.mark.parametrize("command,lines,message", [
+        ("synth", ["seed = 3", "samples = x"],
+         "{cfg}:2: argument --samples: expected an integer, got 'x'"),
+        ("synth", ["format = xml", "samples = 10"],
+         "{cfg}:1: argument --format: invalid choice: 'xml' (choose from 'table', 'csv', "
+         "'json')"),
+        ("bench-ideal", ["threshold = 0.1", "margin = wide"],
+         "{cfg}:2: argument --margin: invalid float value: 'wide'"),
+        ("encode", ["heatmap-res = 1.5"],
+         "{cfg}:1: argument --heatmap-res: invalid int value: '1.5'"),
+        # the first of two bad lines is the one argparse stops at
+        ("synth", ["samples = x", "seed = y"],
+         "{cfg}:1: argument --samples: expected an integer, got 'x'"),
+        # a missing flag is no line's fault, though each line alone misses it too
+        ("bench-ideal", ["threshold = 0.1"], "the following arguments are required: --dataset"),
+    ])
+    def test_bad_value_located(self, capsys, tmp_path, command, lines, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        rc, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert (rc, out, err) == (2, "", f"error: {message.format(cfg=cfg)}\n")
 
 
 # characters that end a line neither for str.splitlines nor for a universal-newline read
@@ -1317,15 +1394,28 @@ class TestErrorReporting:
         (("bench-ideal",), "the following arguments are required: --dataset"),
         (("frobnicate",), "argument command: invalid choice: 'frobnicate' (choose from "
                           "'bench-ideal', 'synth', 'encode', 'decode', 'metrics', 'convert')"),
+        (("synth", "--config"), "--config requires a path"),
+        (("synth", "--samples", "abc"), "argument --samples: expected an integer, got 'abc'"),
+        (("encode", "--scheme", "wov", "--point", "1,x"),
+         "point coordinates must be numbers, got '1,x'"),
+        (("bench-ideal", "--dataset", "json:{data}/gt68.json", "--norm-indices", "1,2,3"),
+         "expected two comma-separated indices, got '1,2,3'"),
+        (("metrics", "--gt", "{data}/flat68.json", "--pred", "{data}/flat68.json"),
+         "every record was skipped; nothing to score"),
+        (("bench-ideal", "--dataset", "json:{data}/outside68.json", "--crop-source", "bbox",
+          "--oob-policy", "drop", "--schemes", "wov,direct"),
+         "scheme 'wov' produced no scorable images"),
     ])
-    def test_usage_errors_are_one_line(self, capsys, argv, message):
+    def test_usage_errors_are_one_line(self, capsys, data_dir, argv, message):
+        argv = [a.format(data=data_dir) for a in argv]
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
-        rc, out, err = run_cli(capsys, *argv, "--json-errors")
+        rc, out, err = run_cli(capsys, *argv[:1], "--json-errors", *argv[1:])
         assert (rc, out, err.count("\n")) == (2, "", 1)
         assert json.loads(err) == {"error": message, "kind": "input", "type": "ConfigError"}
 
     def test_usage_error_as_json_from_config_file(self, capsys, tmp_path):
-        (tmp_path / "run.cfg").write_text("json-errors = true\n")
+        # a good line for the flag does not take the blame for the flag's bad value
+        (tmp_path / "run.cfg").write_text("json-errors = true\nheatmap-res = 32\n")
         rc, out, err = run_cli(capsys, "synth", "--config", str(tmp_path / "run.cfg"),
                                "--heatmap-res", "abc")
         assert (rc, out) == (2, "")

@@ -21,8 +21,7 @@ from subpix.codec import (SCHEME_ORDER, CodecConfig, DecimalOverflow,
                           encode, encode_points, ideal_roundtrip)
 from subpix.datasets import Corpus
 from subpix.errors import ConfigError, SchemaError
-from subpix.geometry import (FaceBatch, LandmarkSet, apply_transform, crop_from_landmarks,
-                             heatmap_transform)
+from subpix.geometry import FaceBatch, apply_transform, crop_from_landmarks, heatmap_transform
 from subpix.metrics import MetricsConfig
 
 GRID = (64, 64)
@@ -245,7 +244,7 @@ class TestWsm:
     def test_unique_second_quarter_shift(self):
         enc = self._manual({(4, 4): 1.0, (5, 4): 0.8, (3, 4): 0.5})
         dec = decode(enc)
-        np.testing.assert_allclose(dec.landmarks.points[0],
+        np.testing.assert_allclose(dec.points[0],
                                    [(4 + 0.25) / 8, 4 / 8], atol=1e-15)
         assert not dec.tie_encountered[0]
 
@@ -253,13 +252,13 @@ class TestWsm:
         enc = self._manual({(4, 4): 1.0, (5, 5): 0.8, (3, 4): 0.5})
         dec = decode(enc)
         s = 0.25 / np.sqrt(2.0)
-        np.testing.assert_allclose(dec.landmarks.points[0],
+        np.testing.assert_allclose(dec.points[0],
                                    [(4 + s) / 8, (4 + s) / 8], atol=1e-15)
 
     def test_tied_seconds_suppress_shift(self):
         enc = self._manual({(4, 4): 1.0, (5, 4): 0.8, (3, 4): 0.8})
         dec = decode(enc)
-        np.testing.assert_allclose(dec.landmarks.points[0], [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(dec.points[0], [0.5, 0.5], atol=1e-15)
         assert dec.tie_encountered[0]
 
     @pytest.mark.parametrize("f", [0.1, 0.3, 0.45])
@@ -282,7 +281,7 @@ class TestWsm:
         pts = _heatmap_points(10, 200)
         a = decode(encode_points(pts, cfg_for(Scheme.WSM)))
         b = decode(encode_points(pts, cfg_for(Scheme.DIRECT)))
-        np.testing.assert_array_equal(a.landmarks.points, b.landmarks.points)
+        np.testing.assert_array_equal(a.points, b.points)
 
 
 class TestWom:
@@ -300,7 +299,7 @@ class TestWom:
         assert enc.offset_map_x[11, 10] == pytest.approx(0.75)
         assert enc.offset_map_y[11, 10] == pytest.approx(0.25)
         dec = decode(enc)
-        hm = dec.landmarks.points * 64.0
+        hm = dec.points * 64.0
         # both landmarks decode to the second landmark's position
         np.testing.assert_allclose(hm[0], [10.75, 11.25], atol=1e-12)
         np.testing.assert_allclose(hm[1], [10.75, 11.25], atol=1e-12)
@@ -482,8 +481,8 @@ class TestOobPolicies:
         enc = encode_points(pts, cfg)
         assert list(enc.valid) == [False, True]
         dec = decode(enc)
-        assert np.isnan(dec.landmarks.points[0]).all()
-        assert np.isfinite(dec.landmarks.points[1]).all()
+        assert np.isnan(dec.points[0]).all()
+        assert np.isfinite(dec.points[1]).all()
 
     def test_domain_boundary(self):
         inside = np.array([[63.999, 63.999]])
@@ -521,7 +520,7 @@ class TestGridMatchesIdealRoundtrip:
         cfg = cfg_for(scheme)
         enc = encode_points(pts, cfg)
         dec = decode(enc)
-        grid_coords = dec.landmarks.points * np.array(GRID, dtype=np.float64)
+        grid_coords = dec.points * np.array(GRID, dtype=np.float64)
         ideal_coords, clamped, conflicts = ideal_roundtrip(pts, cfg)
         np.testing.assert_array_equal(grid_coords, ideal_coords)
         np.testing.assert_array_equal(dec.clamped, clamped)
@@ -535,7 +534,7 @@ class TestGridMatchesIdealRoundtrip:
         cfg = cfg_for(scheme, oob_policy=OobPolicy.DROP)
         enc = encode_points(pts, cfg)
         dec = decode(enc)
-        grid_coords = dec.landmarks.points * np.array(GRID, dtype=np.float64)
+        grid_coords = dec.points * np.array(GRID, dtype=np.float64)
         ideal_coords, _, _ = ideal_roundtrip(pts, cfg)
         np.testing.assert_array_equal(grid_coords, ideal_coords)
 
@@ -565,7 +564,7 @@ class TestGridMatchesIdealRoundtrip:
             # as bit patterns: assert_array_equal takes -0.0 for 0.0
             normalized = coords / np.array([w, h], dtype=np.float64)
             np.testing.assert_array_equal(normalized.view(np.uint64),
-                                          dec.landmarks.points.view(np.uint64))
+                                          dec.points.view(np.uint64))
             np.testing.assert_array_equal(clamped, dec.clamped)
             assert conflicts == enc.conflict_count
             # the result is the transposed view of _quantize's (2, N) cells
@@ -586,7 +585,7 @@ class TestGridMatchesIdealRoundtrip:
             rows = labels == g
             enc = encode_points(pts[rows], cfg, valid=None if valid is None else valid[rows])
             dec = decode(enc)
-            grid[rows] = dec.landmarks.points
+            grid[rows] = dec.points
             grid_clamped[rows] = dec.clamped
             grid_conflicts += enc.conflict_count
         # decode divides by the grid size; so does bench-ideal before mapping back
@@ -792,14 +791,16 @@ class TestSampleRoundtrip:
             assert np.nanmax(errs) < 1e-9, scheme
 
     def test_encode_matches_encode_points(self):
-        landmarks = LandmarkSet(self._record(seed=43).points[0])
-        crop = crop_from_landmarks(landmarks, 0.25)
+        points = self._record(seed=43).points[0]
+        valid = np.arange(len(points)) % 7 != 3
+        points[~valid] = np.nan  # invalid points may be NaN
+        crop = crop_from_landmarks(points, valid)
         cfg = cfg_for(Scheme.HIH)
-        t = heatmap_transform(crop, cfg.heatmap_shape)
-        hm = apply_transform(t, landmarks)
-        a = encode(landmarks, crop, cfg).to_json()
-        b = encode_points(hm.points, cfg, valid=hm.valid).to_json()
+        hm = apply_transform(heatmap_transform(crop, cfg.heatmap_shape), points)
+        a = encode(points, crop, cfg, valid=valid).to_json()
+        b = encode_points(hm, cfg, valid=valid).to_json()
         assert a == b
+        assert not encode(points, crop, cfg, valid=valid).valid[3]
 
 
 class TestDecodeResultContract:
@@ -808,6 +809,7 @@ class TestDecodeResultContract:
         pts = _heatmap_points(47, 200)
         cfg = cfg_for(scheme)
         dec = decode(encode_points(pts, cfg))
-        coords = dec.landmarks.points
+        coords = dec.points
+        assert coords.shape == (200, 2) and dec.valid.shape == (200,)
         assert np.nanmin(coords) >= 0.0
         assert np.nanmax(coords) <= 1.0 + 1.0 / 64

@@ -196,6 +196,10 @@ class TestCanonical:
             load_canonical(f)
         assert err.value.field == "records[0].points"
         for case, field in [("boolean_bbox", "records[0].bbox"),
+                            ("degenerate_bbox", "records[0].bbox"),
+                            ("flat_bbox", "records[0].bbox"),
+                            ("huge_bbox_integer", "records[0].bbox"),
+                            ("triple_points", "records[0].points"),
                             ("string_flag", "records[0].attributes.pose"),
                             ("numeric_flag", "records[0].attributes.blur")]:
             f.write_text(cases[case])

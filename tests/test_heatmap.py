@@ -151,7 +151,7 @@ class TestArgmax:
         cfg = CodecConfig(scheme=Scheme.DIRECT)
         pts = np.array([[0.0, 0.0], [63.0, 63.0], [17.0, 44.0]])
         dec = decode(encode_points(pts, cfg))
-        np.testing.assert_array_equal(dec.landmarks.points * 64.0, pts)
+        np.testing.assert_array_equal(dec.points * 64.0, pts)
         assert not dec.tie_encountered.any()
 
     @given(st.integers(2, 20), st.integers(2, 20), st.integers(0, 10 ** 6))
@@ -161,7 +161,7 @@ class TestArgmax:
         v = rng.random((h, w))
         y, x = np.unravel_index(int(np.argmax(v)), v.shape)
         dec = decode(hand_built(v, Scheme.DIRECT))
-        assert list(dec.landmarks.points[0]) == [x / w, y / h]
+        assert list(dec.points[0]) == [x / w, y / h]
 
 
 class TestTop2:
