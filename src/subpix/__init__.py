@@ -16,8 +16,7 @@ from .datasets import (ATTRIBUTE_NAMES, Corpus, load_canonical, load_dataset,
                        load_pts_dir, load_wflw, parse_pts, parse_wflw_line,
                        subset_counts, write_canonical)
 from .errors import ConfigError, ParseError, SchemaError
-from .geometry import (AffineTransform, FaceBatch, apply_transform, crop_from_landmarks,
-                       heatmap_transform)
+from .geometry import AffineTransform, apply_transform, crop_from_landmarks, heatmap_transform
 from .metrics import (DEFAULT_NORM_INDICES, DEFAULT_THRESHOLD, MetricsConfig,
                       PerImageError, ced_auc, ced_points, failure_rate,
                       format_ced_csv, resolve_norm_indices)
@@ -37,7 +36,6 @@ __all__ = [
     "DecimalOverflow",
     "DecodeResult",
     "EncodedSample",
-    "FaceBatch",
     "MetricsConfig",
     "OobPolicy",
     "ParseError",

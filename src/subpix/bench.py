@@ -21,11 +21,12 @@ Both modes score through the grid-free :func:`subpix.codec.ideal_roundtrip`,
 which is bit-identical to rendering the maps and decoding them.
 
 The ideal mode runs as whole-array passes over a
-:class:`subpix.datasets.Corpus`. :func:`build_samples` crops its (N, L, 2)
-points with one batched kernel from :mod:`subpix.geometry` onto the unit
-square: a per-image scale (N,) and offset (N, 2). :func:`run_ideal` scales
-both onto the heatmap grid, refuses a face whose points do not survive that
-map and its inverse, maps decoded points back with the reciprocal scale,
+:class:`subpix.datasets.Corpus`. ``_face_maps`` crops its (N, L, 2) points,
+row by row, with one batched kernel from :mod:`subpix.geometry` onto the
+unit square: a per-image scale (N,) and offset (N, 2). :func:`build_samples`
+keeps the usable faces as a corpus in id order, and :func:`run_ideal` scales
+their crops onto the heatmap grid, refuses a face whose points do not survive
+that map and its inverse, maps decoded points back with the reciprocal scale,
 and scores each scheme with one :func:`score_images` call, the scorer of
 ``metrics`` too. Its results are bit-identical to a per-image transform chain.
 
@@ -47,8 +48,9 @@ import numpy as np
 from .codec import SCHEME_ORDER, CodecConfig, Scheme, ideal_roundtrip
 from .datasets import Corpus
 from .errors import ConfigError
-from .geometry import FaceBatch, bbox_crops, check_margin, heatmap_transform, landmark_crops
-from .geometry import crop_from_landmarks  # noqa: F401  timed as geometry.crop by perfbench
+from .geometry import AffineTransform, bbox_crops, check_margin, heatmap_transform, landmark_crops
+# nothing here calls it, so perfbench's geometry.crop span reads 0
+from .geometry import crop_from_landmarks  # noqa: F401  patched by perfbench/layers.py
 from .metrics import (MetricsConfig, PerImageError, ced_auc, ced_points,
                       failure_rate, image_errors, norm_distances,
                       point_distances, resolve_norm_indices, threshold_tag)
@@ -179,55 +181,68 @@ def analytic_direct_error(n: float) -> float:
     return n * (math.sqrt(2.0) + math.asinh(1.0)) / 6.0
 
 
-def build_samples(corpus: Corpus, cfg: BenchConfig) -> tuple[FaceBatch, int]:
-    """Crop a corpus into one batch, its faces sorted by id; count the faces skipped.
+def _face_maps(faces: Corpus, cfg: BenchConfig) -> tuple[AffineTransform, np.ndarray, np.ndarray]:
+    """Each face's raw -> unit-square crop, whether it can be scored, and its distance.
 
-    A face is skipped (not failed) when its normalization distance is not
-    positive, when it has no bbox under ``crop_source="bbox"``, or when its
-    crop is degenerate. The id order makes every aggregate, down to the
-    last ulp of a mean, independent of the order of the corpus.
+    A face is unusable when its normalization distance is not positive (NaN
+    in the result), when it has no bbox under ``crop_source="bbox"``, or
+    when its crop is degenerate. Every kernel works row by row, so the maps of a
+    subset of the faces are the same rows of the maps of all of them.
+    """
+    d = norm_distances(faces.points, resolve_norm_indices(faces.points.shape[1], cfg.metrics))
+    if cfg.crop_source == "bbox":
+        crop, ok = bbox_crops(faces.bbox, cfg.crop_margin, inclusive=cfg.bbox_inclusive)
+    else:
+        crop, ok = landmark_crops(faces.points, faces.valid, cfg.crop_margin)
+    return crop, ok & ~np.isnan(d), d
+
+
+def build_samples(corpus: Corpus, cfg: BenchConfig) -> tuple[Corpus, int]:
+    """The faces of a corpus that can be benchmarked, sorted by id; the count skipped.
+
+    A face is skipped (not failed) where ``_face_maps`` finds it unusable.
+    The kept faces keep every field the loader read. The id order makes
+    every aggregate, down to the last ulp of a mean, independent of the
+    order of the corpus.
     """
     if not len(corpus):
         raise ConfigError("no records to benchmark")
-    d = norm_distances(corpus.points, resolve_norm_indices(corpus.points.shape[1], cfg.metrics))
-    if cfg.crop_source == "bbox":
-        crop, ok = bbox_crops(corpus.bbox, cfg.crop_margin, inclusive=cfg.bbox_inclusive)
-    else:
-        crop, ok = landmark_crops(corpus.points, corpus.valid, cfg.crop_margin)
-    keep = np.flatnonzero(ok & ~np.isnan(d))
+    keep = np.flatnonzero(_face_maps(corpus, cfg)[1])
     keep = keep[np.argsort(corpus.ids[keep], kind="stable")]
-    batch = FaceBatch(ids=corpus.ids[keep], points=corpus.points[keep],
-                      valid=corpus.valid[keep], crop=crop[keep], norm_distance=d[keep])
-    return batch, len(corpus) - len(keep)
+    return corpus[keep], len(corpus) - len(keep)
 
 
 def run_ideal(corpus: Corpus, cfg: BenchConfig) -> BenchReport:
     """Encode-decode every face under every scheme and aggregate.
 
-    The batch goes through one :func:`ideal_roundtrip` call per scheme,
+    The faces go through one :func:`ideal_roundtrip` call per scheme,
     grouped by image so that ``wom`` collisions stay inside one image, and
-    is mapped to heatmap space and back and scored as whole arrays.
+    are mapped to heatmap space and back and scored as whole arrays.
     """
-    batch, skipped = build_samples(corpus, cfg)
-    if not len(batch):
-        raise ConfigError("every record was skipped; nothing to benchmark")
+    faces, skipped = build_samples(corpus, cfg)
+    if not len(faces):
+        no_distance = int(np.count_nonzero(np.isnan(_face_maps(corpus, cfg)[2])))
+        raise ConfigError(f"every record was skipped ({no_distance} with no usable "
+                          f"normalization distance, {skipped - no_distance} with an "
+                          f"unusable crop); nothing to benchmark")
+    crop, _, norm_distance = _face_maps(faces, cfg)
     shape = cfg.codec.heatmap_shape
     dims = np.array(shape, dtype=np.float64)
-    to_heatmap = heatmap_transform(batch.crop, shape)
+    to_heatmap = heatmap_transform(crop, shape)
     to_raw = to_heatmap.inverse()
-    n, n_landmarks = batch.valid.shape
-    points = to_heatmap.apply(batch.points).reshape(-1, 2)
-    valid = batch.valid.reshape(-1)
+    n, n_landmarks = faces.valid.shape
+    points = to_heatmap.apply(faces.points).reshape(-1, 2)
+    valid = faces.valid.reshape(-1)
     image = np.repeat(np.arange(n), n_landmarks)
     # a crop too wide for floats to resolve its points (one point far off, say)
     # would score even a lossless scheme at many percent; refuse the face
     with np.errstate(over="ignore", invalid="ignore"):
         back = to_raw.apply((points / dims * dims).reshape(n, n_landmarks, 2))
-        moved = point_distances(back - batch.points) / batch.norm_distance[:, None]
-    worst = np.where(batch.valid, moved, 0.0).max(axis=1)
+        moved = point_distances(back - faces.points) / norm_distance[:, None]
+    worst = np.where(faces.valid, moved, 0.0).max(axis=1)
     if not np.all(worst <= _MAX_ROUNDTRIP_MOVE):  # NaN fails too
         k = np.argmin(worst <= _MAX_ROUNDTRIP_MOVE)
-        raise ConfigError(f"record '{batch.ids[k]}': mapping its points to the heatmap "
+        raise ConfigError(f"record '{faces.ids[k]}': mapping its points to the heatmap "
                           f"and back moves one by {worst[k]:.3g} normalization distances "
                           f"(limit {_MAX_ROUNDTRIP_MOVE:g})")
 
@@ -242,13 +257,13 @@ def run_ideal(corpus: Corpus, cfg: BenchConfig) -> BenchReport:
         # form keeps every error bit-equal to the grid path on any grid size
         back_raw = to_raw.apply((coords / dims * dims).reshape(n, n_landmarks, 2))
         scored, per_point, nme, mean, auc, fr, ced = score_images(
-            batch.ids, batch.points, back_raw, batch.norm_distance, threshold)
+            faces.ids, faces.points, back_raw, norm_distance, threshold)
         rows.append(SchemeStats(
             scheme=scheme, n_images=len(scored), nme=mean, auc=auc, fr=fr,
             clamped_points=int(np.count_nonzero(clamped.reshape(n, n_landmarks)[scored])),
             # an unscored image has no valid point, hence no conflict
             conflicts=int(conflicts), ced=ced,
-            per_image=[PerImageError(id=batch.ids[k], nme=float(nme[k]),
+            per_image=[PerImageError(id=faces.ids[k], nme=float(nme[k]),
                                      per_point=per_point[k]) for k in scored],
         ))
     rows.sort(key=lambda r: SCHEME_ORDER.index(r.scheme))
@@ -283,7 +298,7 @@ def _mc_blocks(cfg: BenchConfig):
         points = np.empty((2, size))
         points[0] = rng.integers(0, w - 1, size=size)
         points[1] = rng.integers(0, h - 1, size=size)
-        np.add(points.T, rng.random((size, 2)), out=points.T)
+        np.add(points, rng.random((size, 2)).T, out=points)
         n = min(per_block, cfg.mc_samples - start) * cfg.mc_landmarks
         yield points[:, :n].T, groups[:n]
 

@@ -29,7 +29,6 @@ from .errors import ConfigError
 
 __all__ = [
     "AffineTransform",
-    "FaceBatch",
     "apply_transform",
     "check_margin",
     "landmark_crops",
@@ -123,9 +122,11 @@ def landmark_crops(points: np.ndarray, valid: np.ndarray,
     False where the crop is degenerate: fewer than two valid landmarks, or
     a box with no extent.
     """
-    inside = valid[..., None]
-    lo = np.where(inside, points, np.inf).min(axis=1)
-    hi = np.where(inside, points, -np.inf).max(axis=1)
+    points = np.asarray(points)
+    # per axis, over (N, L) rows: a reduction over L with a length-2 last
+    # axis is several times slower
+    lo = np.stack([np.where(valid, points[..., k], np.inf).min(axis=1) for k in (0, 1)], 1)
+    hi = np.stack([np.where(valid, points[..., k], -np.inf).max(axis=1) for k in (0, 1)], 1)
     return _square_crops(lo, hi, 0.0, np.count_nonzero(valid, axis=1) >= 2, margin)
 
 
@@ -158,37 +159,6 @@ def crop_from_landmarks(points: np.ndarray, valid: np.ndarray | None = None,
         raise ConfigError("degenerate crop: needs two or more valid landmarks "
                           "spanning a box with extent")
     return crop
-
-
-@dataclass(frozen=True, eq=False)
-class FaceBatch:
-    """N annotated images of L landmarks each, prepared for encoding.
-
-    Attributes:
-        ids: (N,) object array of identifiers, unique within a dataset run.
-        points: (N, L, 2) ground-truth points in raw space.
-        valid: (N, L) mask of the points to encode and score.
-        crop: batched raw -> unit-square transform, one map per image.
-        norm_distance: (N,) normalization distances in raw pixels
-            (commonly the outer-eye-corner distance); all positive.
-    """
-
-    ids: np.ndarray
-    points: np.ndarray
-    valid: np.ndarray
-    crop: AffineTransform
-    norm_distance: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = len(self.ids)
-        if (self.points.shape[:1] != (n,) or self.valid.shape != self.points.shape[:2]
-                or self.crop.scale.shape != (n,) or self.norm_distance.shape != (n,)):
-            raise ConfigError("face batch arrays must all have one row per image")
-        if not np.all(np.isfinite(self.norm_distance) & (self.norm_distance > 0)):
-            raise ConfigError("normalization distances must be positive")
-
-    def __len__(self) -> int:
-        return len(self.ids)
 
 
 def heatmap_transform(crop: AffineTransform,

@@ -26,7 +26,7 @@ from conftest import (MALFORMED_PTS, make_wflw_line,
                       malformed_canonical_docs, malformed_wflw_lines,
                       write_wflw_file)
 
-from subpix.bench import BenchConfig, analytic_direct_error, build_samples, run_ideal
+from subpix.bench import BenchConfig, _face_maps, analytic_direct_error, build_samples, run_ideal
 from subpix.codec import CodecConfig, Scheme, ideal_roundtrip
 from subpix.datasets import (load_canonical, load_pts_dir, load_wflw,
                              parse_pts, parse_wflw_line, subset_counts,
@@ -164,11 +164,11 @@ def test_criterion_5_wom_conflict_property(corpus98):
 
     # dataset-level attribution: every nonzero-error landmark shares a cell
     bcfg = BenchConfig(seed=1)
-    batch, _ = build_samples(corpus98, bcfg)
+    faces, _ = build_samples(corpus98, bcfg)
     attributable = True
     total_conflicted = 0
-    for hm in heatmap_transform(batch.crop, cfg.heatmap_shape).apply(
-            batch.points):
+    for hm in heatmap_transform(_face_maps(faces, bcfg)[0], cfg.heatmap_shape).apply(
+            faces.points):
         cells = [tuple(c) for c in np.floor(hm).astype(int)]
         occupancy = Counter(cells)
         conflicted = {k for k, c in enumerate(cells) if occupancy[c] > 1}

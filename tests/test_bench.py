@@ -18,8 +18,8 @@ from conftest import join, make_records, one_face
 
 import subpix.bench
 from subpix.bench import (_MC_BLOCK, BenchConfig, BenchReport, Column, SchemeStats,
-                          _mc_blocks, analytic_direct_error, build_samples, emit_report,
-                          format_report, run_ideal, run_montecarlo)
+                          _face_maps, _mc_blocks, analytic_direct_error, build_samples,
+                          emit_report, format_report, run_ideal, run_montecarlo)
 from subpix.codec import (SCHEME_ORDER, CodecConfig, DecimalOverflow, OobPolicy, Scheme,
                           decode, encode_points, ideal_roundtrip)
 from subpix.datasets import Corpus
@@ -330,11 +330,11 @@ class TestRunIdeal:
         # the "sum of conflict-free errors is exactly zero" form of the
         # invariant holds in heatmap space where no inverse transform runs
         cfg = BenchConfig(seed=1)
-        batch, _ = build_samples(corpus98, cfg)
+        faces, _ = build_samples(corpus98, cfg)
         wov_cfg = cfg.codec.for_scheme(Scheme.WOV)
         wom_cfg = cfg.codec.for_scheme(Scheme.WOM)
-        t = heatmap_transform(batch.crop, cfg.codec.heatmap_shape)
-        for hm in t.apply(batch.points)[:6]:
+        t = heatmap_transform(_face_maps(faces, cfg)[0], cfg.codec.heatmap_shape)
+        for hm in t.apply(faces.points)[:6]:
             wov_coords, _, _ = ideal_roundtrip(hm, wov_cfg)
             wom_coords, _, conflicts = ideal_roundtrip(hm, wom_cfg)
             same = np.all(wom_coords == wov_coords, axis=1)
@@ -352,6 +352,14 @@ class TestRunIdeal:
         broken = one_face("dup", np.tile(corpus98.points[0, :1], (98, 1)))
         with pytest.raises(ConfigError):
             run_ideal(broken, BenchConfig(seed=1))
+        # the refusal counts each skip reason: every 'dup' point sits at one
+        # place, so it has no distance; faces that keep one have a crop far
+        # too wide for floats at this margin
+        odd = join(broken, corpus98[:5])
+        with pytest.raises(ConfigError, match=r"^every record was skipped \(1 with no usable "
+                           r"normalization distance, 5 with an unusable crop\); nothing to "
+                           r"benchmark$"):
+            run_ideal(odd, BenchConfig(seed=1, crop_margin=1e308))
 
     def test_overflowing_percent_refused(self, corpus98):
         # every point error of face 'a' is finite, but its NME in percent is
@@ -553,11 +561,11 @@ def assert_matches_chain(corpus: Corpus, cfg: BenchConfig,
     skipped, want = chained_ideal(corpus, cfg, crop_px)
     report = run_ideal(corpus, cfg)
     assert report.skipped == skipped
-    batch, _ = build_samples(corpus, cfg)
+    faces, _ = build_samples(corpus, cfg)
     dims = np.array(cfg.codec.heatmap_shape, dtype=np.float64)
-    t = heatmap_transform(batch.crop, cfg.codec.heatmap_shape)
-    hm = t.apply(batch.points)
-    image = np.repeat(np.arange(len(batch)), batch.valid.shape[1])
+    t = heatmap_transform(_face_maps(faces, cfg)[0], cfg.codec.heatmap_shape)
+    hm = t.apply(faces.points)
+    image = np.repeat(np.arange(len(faces)), faces.valid.shape[1])
     for row in report.rows:
         ref = want[row.scheme]
         assert [p.id for p in row.per_image] == sorted(ref)
@@ -565,11 +573,11 @@ def assert_matches_chain(corpus: Corpus, cfg: BenchConfig,
             assert p.nme == ref[p.id][2], (row.scheme, p.id)
             assert np.array_equal(p.per_point, ref[p.id][3], equal_nan=True)
         coords, _, _ = ideal_roundtrip(hm.reshape(-1, 2), cfg.codec.for_scheme(row.scheme),
-                                       valid=batch.valid.reshape(-1), groups=image)
+                                       valid=faces.valid.reshape(-1), groups=image)
         back = t.inverse().apply((coords / dims * dims).reshape(hm.shape))
-        for k, rid in enumerate(batch.ids):
+        for k, rid in enumerate(faces.ids):
             if rid in ref:
-                valid = batch.valid[k]
+                valid = faces.valid[k]
                 assert np.array_equal(hm[k][valid], ref[rid][0][valid])
                 assert np.array_equal(back[k], ref[rid][1], equal_nan=True)
     return report
@@ -641,6 +649,55 @@ class TestBuildSamples:
     def test_empty_input_rejected(self, corpus98):
         with pytest.raises(ConfigError):
             build_samples(corpus98[:0], BenchConfig())
+
+    @staticmethod
+    def _odd_corpus(crop_source):
+        """``make_records(24, 98)`` shuffled: faces 2 and 11 have no flags, face 7
+        no normalization distance and, under bbox crops, face 15 no box.
+
+        Returns it and, in id order, the faces that can be benchmarked.
+        """
+        records = make_records(24, 98)
+        points, bbox, flags = records.points.copy(), records.bbox.copy(), records.attributes.copy()
+        points[7, 72] = points[7, 60]    # the normalization pair at one place
+        flags[[2, 11]] = np.nan
+        skip = [7]
+        if crop_source == "bbox":
+            bbox[15] = np.nan
+            skip.append(15)
+        odd = Corpus(records.name, records.ids, records.image_paths, points,
+                     bbox=bbox, attributes=flags)
+        order = np.random.Generator(np.random.PCG64(3)).permutation(24)
+        return odd[order], odd[np.setdiff1d(np.arange(24), skip)]
+
+    @pytest.mark.parametrize("crop_source", ["landmarks", "bbox"])
+    def test_returns_kept_faces_in_id_order(self, crop_source):
+        shuffled, want = self._odd_corpus(crop_source)
+        faces, skipped = build_samples(shuffled, BenchConfig(crop_source=crop_source))
+        assert isinstance(faces, Corpus) and faces.name == want.name
+        assert len(faces) == len(want) == 24 - skipped
+        for name in ("ids", "image_paths"):
+            assert list(getattr(faces, name)) == list(getattr(want, name)), name
+        for name in ("points", "valid", "bbox", "attributes"):
+            assert np.array_equal(getattr(faces, name), getattr(want, name), equal_nan=True), name
+        assert np.isnan(faces.attributes).all(axis=1).sum() == 2
+
+    @pytest.mark.parametrize("crop_source", ["landmarks", "bbox"])
+    def test_face_maps_of_kept_faces_are_rows(self, crop_source):
+        # _face_maps works row by row, so run_ideal's call on the kept faces
+        # returns exactly the rows that build_samples' call chose them from
+        shuffled, _ = self._odd_corpus(crop_source)
+        cfg = BenchConfig(crop_source=crop_source)
+        faces, _ = build_samples(shuffled, cfg)
+        crop, usable, d = _face_maps(shuffled, cfg)
+        keep = np.flatnonzero(usable)
+        keep = keep[np.argsort(shuffled.ids[keep], kind="stable")]
+        kept = _face_maps(faces, cfg)
+        for rows in (_face_maps(shuffled[keep], cfg), (crop[keep], usable[keep], d[keep])):
+            assert np.array_equal(kept[0].scale, rows[0].scale)
+            assert np.array_equal(kept[0].offset, rows[0].offset)
+            assert np.array_equal(kept[1], rows[1]) and kept[1].all()
+            assert np.array_equal(kept[2], rows[2])
 
 
 class TestBenchConfig:

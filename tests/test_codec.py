@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 
 from conftest import (brute_force_gaussian, decode_hand_built, hand_built, one_face,
                       peak_cell)
-from subpix.bench import BenchConfig, build_samples, run_ideal
+from subpix.bench import BenchConfig, _face_maps, build_samples, run_ideal
 from subpix.codec import (SCHEME_ORDER, CodecConfig, DecimalOverflow,
                           EncodedSample, OobPolicy, Scheme, _last_writer_offsets, decode,
                           encode, encode_points, ideal_roundtrip)
 from subpix.datasets import Corpus
 from subpix.errors import ConfigError, SchemaError
-from subpix.geometry import FaceBatch, apply_transform, crop_from_landmarks, heatmap_transform
+from subpix.geometry import (AffineTransform, apply_transform, crop_from_landmarks,
+                             heatmap_transform)
 from subpix.metrics import MetricsConfig
 
 GRID = (64, 64)
@@ -762,21 +763,21 @@ class TestSampleRoundtrip:
         rng = np.random.Generator(np.random.PCG64(seed))
         return one_face("s", rng.uniform(100.0, 400.0, size=(n, 2)), image_path="s.png")
 
-    def _errors(self, face, scheme, **bench) -> tuple[np.ndarray, FaceBatch]:
-        """Per-landmark raw-space pixel errors, NaN where dropped."""
+    def _errors(self, face, scheme, **bench) -> tuple[np.ndarray, AffineTransform]:
+        """Per-landmark raw-space pixel errors, NaN where dropped, and the face's crop."""
         cfg = BenchConfig(schemes=(scheme,),
                           metrics=MetricsConfig(norm_indices=(0, 1)), **bench)
-        batch, _ = build_samples(face, cfg)
+        crop, _, d = _face_maps(build_samples(face, cfg)[0], cfg)
         (row,) = run_ideal(face, cfg).rows
-        return row.per_image[0].per_point * batch.norm_distance[0], batch
+        return row.per_image[0].per_point * d[0], crop
 
     def test_wov_error_negligible(self):
         errs, _ = self._errors(self._record(), Scheme.WOV)
         assert np.nanmax(errs) < 1e-9
 
     def test_direct_error_scale(self):
-        errs, batch = self._errors(self._record(), Scheme.DIRECT)
-        n = 1 / heatmap_transform(batch.crop, GRID).scale[0]  # raw px per heatmap cell
+        errs, crop = self._errors(self._record(), Scheme.DIRECT)
+        n = 1 / heatmap_transform(crop, GRID).scale[0]  # raw px per heatmap cell
         # per-point error is at most half a cell diagonal in raw pixels
         assert np.nanmax(errs) <= n * np.sqrt(0.5) + 1e-9
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subpix.errors import ConfigError
-from subpix.geometry import (AffineTransform, FaceBatch, apply_transform, bbox_crops,
+from subpix.geometry import (AffineTransform, _square_crops, apply_transform, bbox_crops,
                              crop_from_landmarks, heatmap_transform, landmark_crops)
 
 
@@ -160,6 +160,26 @@ class TestCropFromLandmarks:
         assert crop.scale[1] == single.scale[0]
         assert np.array_equal(crop.offset[1], single.offset[0])
 
+    def test_per_axis_reduction_exact(self):
+        # the per-axis (N, L) reductions equal the reduction over L of the
+        # (N, L, 2) stack, so the crops are the same bit for bit
+        rng = np.random.Generator(np.random.PCG64(5))
+        points = rng.uniform(-50.0, 500.0, size=(40, 30, 2))
+        valid = rng.random((40, 30)) < 0.7
+        valid[3] = False                     # no valid point
+        valid[4] = np.arange(30) == 0        # one valid point
+        points[~valid & (rng.random((40, 30)) < 0.5)] = np.nan  # invalid points may be NaN
+        inside = valid[..., None]
+        lo = np.where(inside, points, np.inf).min(axis=1)
+        hi = np.where(inside, points, -np.inf).max(axis=1)
+        for margin in (0.0, 0.25):
+            want, want_ok = _square_crops(lo, hi, 0.0, np.count_nonzero(valid, axis=1) >= 2,
+                                          margin)
+            crop, ok = landmark_crops(points, valid, margin)
+            assert np.array_equal(ok, want_ok) and not ok[3] and not ok[4] and ok.sum() == 38
+            assert np.array_equal(crop.scale, want.scale)
+            assert np.array_equal(crop.offset, want.offset)
+
 
 class TestCropFromBbox:
     """Square crops of annotation boxes, through :func:`bbox_crops`."""
@@ -187,25 +207,10 @@ class TestCropFromBbox:
 
 
 class TestFaceSampleAndHeatmapTransform:
-    """The batch container :class:`FaceBatch` and the raw -> heatmap map."""
+    """The raw -> heatmap map of a face's crop."""
 
     def _crop(self):
         return crop_from_landmarks([[10.0, 10.0], [110.0, 90.0]])
-
-    def _batch(self, crop=None, norm_distance=100.0):
-        crop = crop or self._crop()
-        return FaceBatch(ids=("a",), points=np.array([[[10.0, 10.0], [110.0, 90.0]]]),
-                         valid=np.ones((1, 2), dtype=bool),
-                         crop=crop,
-                         norm_distance=np.array([norm_distance]))
-
-    def test_defaults(self):
-        b = self._batch()
-        assert len(b) == 1
-
-    def test_nonpositive_distance_rejected(self):
-        with pytest.raises(ConfigError):
-            self._batch(norm_distance=0.0)
 
     def test_heatmap_transform_scale(self):
         crop = self._crop()
