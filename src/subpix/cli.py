@@ -277,10 +277,10 @@ def _parse_point(text: str) -> tuple[float, float]:
 
 def _cmd_decode(args) -> int:
     if args.infile == "-":
-        text = decode_text(sys.stdin.buffer.read(), "<stdin>")
+        source, text = "<stdin>", decode_text(sys.stdin.buffer.read(), "<stdin>")
     else:
-        text = read_text(args.infile)
-    enc = EncodedSample.from_json(text)
+        source, text = args.infile, read_text(args.infile)
+    enc = EncodedSample.from_json(text, source)
     if Scheme(args.scheme) is not enc.scheme:
         raise ConfigError(f"--scheme {args.scheme} does not match payload "
                           f"scheme '{enc.scheme.value}'")

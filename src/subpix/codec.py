@@ -51,6 +51,7 @@ from enum import Enum
 
 import numpy as np
 
+from .datasets import json_numbers, json_object
 from .errors import ConfigError, SchemaError
 from .geometry import AffineTransform, apply_transform, heatmap_transform
 from .metrics import point_distances
@@ -277,19 +278,11 @@ class EncodedSample:
         maps = _unsparse(d.get("integer_cells"), (n, h, w), field="integer_cells")
         kwargs: dict = {}
         if scheme is Scheme.WOV:
-            offs = d.get("offsets")
-            if not isinstance(offs, list) or len(offs) != n:
-                raise SchemaError("wov requires one [x, y] offset per landmark", field="offsets")
-            try:
-                kwargs["offsets"] = np.array(offs, dtype=np.float64).reshape(n, 2)
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(str(exc), field="offsets") from exc
-            # numpy reads a JSON true as 1.0 and a numeric string as its number
-            if not all(type(v) in (int, float) for xy in offs for v in xy):
-                raise SchemaError("offsets must be numbers", field="offsets")
-            if not np.all(np.isfinite(kwargs["offsets"])):
-                raise SchemaError("offsets must be finite", field="offsets")
-            _check_fractions(kwargs["offsets"], field="offsets")
+            offsets = json_numbers(d.get("offsets"), (n, 2))
+            if offsets is None:
+                raise SchemaError("wov requires one [x, y] pair of finite numbers per landmark",
+                                  field="offsets")
+            kwargs["offsets"] = _check_fractions(offsets, field="offsets")
         if scheme is Scheme.WOM:
             for axis in "xy":
                 key = f"offset_{axis}_cells"
@@ -304,21 +297,12 @@ class EncodedSample:
             kwargs["decimal_shape"] = (wo, ho)
             kwargs["decimal_maps"] = _unsparse(d.get("decimal_cells"), (n, ho, wo),
                                                field="decimal_cells")
-        try:
-            return cls(scheme=scheme, heatmap_shape=(w, h), integer_maps=maps,
-                       **flags, **kwargs)
-        except ConfigError as exc:
-            raise SchemaError(str(exc), field="scheme") from exc
+        return cls(scheme=scheme, heatmap_shape=(w, h), integer_maps=maps, **flags, **kwargs)
 
     @classmethod
-    def from_json(cls, text: str) -> EncodedSample:
-        try:
-            d = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc}", field=None) from exc
-        if not isinstance(d, dict):
-            raise SchemaError("top-level JSON value must be an object", field=None)
-        return cls.from_json_dict(d)
+    def from_json(cls, text: str, source: str | None = None) -> EncodedSample:
+        """The payload ``text``, read from ``source`` if given, which errors in the text name."""
+        return cls.from_json_dict(json_object(text, source))
 
 
 def _json_int(value, *, field: str) -> int:
@@ -329,14 +313,12 @@ def _json_int(value, *, field: str) -> int:
 
 
 def _json_shape(d: dict, key: str) -> tuple[int, int]:
-    """A payload's (width, height) pair, positive and no smaller than its floor."""
+    """A payload's (width, height) pair of integers, each no smaller than its floor."""
     try:
         w, h = d[key]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"expected [width, height]: {exc}", field=key) from exc
     w, h = _json_int(w, field=key), _json_int(h, field=key)
-    if w <= 0 or h <= 0:
-        raise SchemaError("dimensions must be positive", field=key)
     try:
         return _grid_shape((w, h), key)
     except ConfigError as exc:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,8 @@ __all__ = [
     "load_pts_dir",
     "parse_wflw_line",
     "load_wflw",
+    "json_object",
+    "json_numbers",
     "canonical_dict",
     "write_canonical",
     "load_canonical",
@@ -274,6 +277,46 @@ def load_wflw(path: str | Path) -> tuple[str, Corpus]:
     return corpus.name, corpus
 
 
+# -- JSON -----------------------------------------------------------------------
+
+
+def json_object(text: str, source: str | None) -> dict:
+    """``text`` as a JSON object; the one JSON parse of canonical files and payloads.
+
+    Text that is not JSON, nested too deeply included, fails naming ``source``.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON: {exc}", path=source) from None
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested too deeply", path=source) from None
+    if not isinstance(doc, dict):
+        raise SchemaError("top-level value must be an object", field="$", path=source)
+    return doc
+
+
+def json_numbers(value, shape: tuple[int, ...]) -> np.ndarray | None:
+    """A parsed JSON value as a float64 array of exactly ``shape``, or None.
+
+    None unless every leaf is a finite number a double holds: not ``true`` or
+    ``false``, a numeric string, ``NaN``, ``Infinity`` or an integer past it.
+    """
+    try:
+        arr = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if arr.shape != shape:
+        return None
+    # numpy reads a JSON true as 1.0 and a numeric string as its number
+    leaves = value
+    for _ in shape[1:]:
+        leaves = chain.from_iterable(leaves)
+    if not {int, float}.issuperset(map(type, leaves)) or not np.isfinite(arr).all():
+        return None
+    return arr
+
+
 # -- canonical JSON -------------------------------------------------------------
 
 
@@ -304,12 +347,7 @@ def write_canonical(path: str | Path, corpus: Corpus) -> None:
 def load_canonical(source: str | Path) -> tuple[str, Corpus]:
     """Load and validate canonical JSON, naming the offending field on error."""
     p = Path(source)
-    try:
-        doc = json.loads(read_text(p))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", path=str(p)) from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("top-level value must be an object", field="$", path=str(p))
+    doc = json_object(read_text(p), str(p))
     for key in ("dataset", "n_landmarks", "records"):
         if key not in doc:
             raise SchemaError("missing required key", field=key, path=str(p))
@@ -336,41 +374,18 @@ def load_canonical(source: str | Path) -> tuple[str, Corpus]:
         image_path = entry.get("image_path")
         if not isinstance(image_path, str):
             raise SchemaError("must be a string", field=f"{where}.image_path", path=str(p))
-        raw_points = entry.get("points")
-        if not isinstance(raw_points, list) or len(raw_points) != n:
-            raise SchemaError(f"must be an array of {n} [x, y] pairs",
-                              field=f"{where}.points", path=str(p))
-        try:
-            pts = np.array(raw_points, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            raise SchemaError("coordinates must be numbers",
-                              field=f"{where}.points", path=str(p)) from None
-        if pts.shape != (n, 2):
-            raise SchemaError(f"must be an array of {n} [x, y] pairs",
-                              field=f"{where}.points", path=str(p))
-        # numpy reads a JSON true as 1.0 and a numeric string as its number
-        if not all(type(v) in (int, float) for xy in raw_points for v in xy):
-            raise SchemaError("coordinates must be numbers",
-                              field=f"{where}.points", path=str(p))
-        if not np.all(np.isfinite(pts)):
-            raise SchemaError("coordinates must be finite",
+        pts = json_numbers(entry.get("points"), (n, 2))
+        if pts is None:
+            raise SchemaError(f"must be an array of {n} [x, y] pairs of finite numbers",
                               field=f"{where}.points", path=str(p))
         bbox = entry.get("bbox")
         if bbox is not None:
-            bad_bbox = SchemaError("must be null or [x_min, y_min, x_max, y_max], finite, "
-                                   "with x_min < x_max and y_min < y_max",
-                                   field=f"{where}.bbox", path=str(p))
-            # a JSON true or false is a Python int, but not a number
-            if (not isinstance(bbox, list) or len(bbox) != 4
-                    or not all(type(v) in (int, float) for v in bbox)):
-                raise bad_bbox
-            try:
-                bbox = [float(v) for v in bbox]
-            except OverflowError:  # an integer past the float range
-                raise bad_bbox from None
+            bbox = json_numbers(bbox, (4,))
             # a corpus holds "no bbox" as NaN
-            if not (np.all(np.isfinite(bbox)) and bbox[0] < bbox[2] and bbox[1] < bbox[3]):
-                raise bad_bbox
+            if bbox is None or not (bbox[0] < bbox[2] and bbox[1] < bbox[3]):
+                raise SchemaError("must be null or [x_min, y_min, x_max, y_max], finite, "
+                                  "with x_min < x_max and y_min < y_max",
+                                  field=f"{where}.bbox", path=str(p))
         attrs = entry.get("attributes")
         if attrs is not None:
             if not isinstance(attrs, dict):

@@ -94,7 +94,7 @@ def check_margin(margin: float) -> None:
         raise ConfigError(f"crop margin must be finite and non-negative, got {margin}")
 
 
-def _square_crops(lo: np.ndarray, hi: np.ndarray, extra: float, usable: np.ndarray,
+def _square_crops(lo: np.ndarray, hi: np.ndarray, extra: float, usable: np.ndarray | bool,
                   margin: float) -> tuple[AffineTransform, np.ndarray]:
     """Raw -> unit-square crops of N boxes ``[lo, hi]`` (N, 2), and which are usable.
 
@@ -119,15 +119,15 @@ def landmark_crops(points: np.ndarray, valid: np.ndarray,
     ``points`` is (N, L, 2) and ``valid`` (N, L). Each crop box is the tight
     bounding box of the image's valid landmarks (see :func:`_square_crops`).
     Returns the batched raw -> unit-square transform and an (N,) flag that is
-    False where the crop is degenerate: fewer than two valid landmarks, or
-    a box with no extent.
+    False where the crop is degenerate: its box has no extent, as that of a
+    single valid landmark does, or no finite map, as that of none does.
     """
     points = np.asarray(points)
     # per axis, over (N, L) rows: a reduction over L with a length-2 last
     # axis is several times slower
     lo = np.stack([np.where(valid, points[..., k], np.inf).min(axis=1) for k in (0, 1)], 1)
     hi = np.stack([np.where(valid, points[..., k], -np.inf).max(axis=1) for k in (0, 1)], 1)
-    return _square_crops(lo, hi, 0.0, np.count_nonzero(valid, axis=1) >= 2, margin)
+    return _square_crops(lo, hi, 0.0, True, margin)
 
 
 def bbox_crops(boxes: np.ndarray, margin: float = 0.25, *,

@@ -524,6 +524,7 @@ class TestEncodeDecode:
         ("wom", "offset_x_cells", ["2,1,nan"], "offset_x_cells"),
         ("wom", "offset_y_cells", ["2,1,inf"], "offset_y_cells"),
         ("wov", "offsets", [[float("nan"), 0.5], [0.7, 0.2]], "offsets"),
+        ("wov", "offsets", [[10 ** 400, 0.5], [0.7, 0.2]], "offsets"),
         # non-integral dimensions
         ("direct", "heatmap_shape", [64.5, 64], "heatmap_shape"),
         ("hih", "decimal_shape", [8.9, 8], "decimal_shape"),
@@ -571,6 +572,24 @@ class TestEncodeDecode:
         rc, out, err = run_cli(capsys, "decode", "--scheme", scheme)
         assert rc == 2 and out == ""
         assert err.startswith(f"error: field '{located}'"), err
+
+    @pytest.mark.parametrize("offsets", [
+        [[0.1, [0.2]], [0.7, 0.2]],       # ragged
+        [[0.1, 0.2, 0.3], [0.7, 0.2]],    # a triple
+        [[0.1], [0.7, 0.2]],              # a single
+        [0.1, 0.2],                       # flat
+    ])
+    def test_wov_offsets_one_refusal(self, capsys, monkeypatch, offsets):
+        # an offset array of the wrong shape fails the one rule, with no
+        # numpy message text
+        _, payload, _ = run_cli(capsys, "encode", "--scheme", "wov",
+                                "--point", "1.5,2.5", "--point", "1.7,2.2")
+        doc = json.loads(payload)
+        doc["offsets"] = offsets
+        monkeypatch.setattr("sys.stdin", stdin_of(json.dumps(doc)))
+        assert run_cli(capsys, "decode", "--scheme", "wov") == (
+            2, "", "error: field 'offsets': wov requires one [x, y] pair of finite numbers "
+                   "per landmark\n")
 
     @pytest.mark.parametrize("shape", [[1, 8], [8, 1], [1, 1]])
     def test_narrow_grid_payload_located(self, capsys, monkeypatch, shape):
@@ -623,7 +642,8 @@ _FUZZ_PAYLOADS = {
 _FUZZ_FIELDS = sorted({k for d in _FUZZ_PAYLOADS.values() for k in d} | {"extra"})
 # sizes stay small or are far past anything an allocator accepts
 _json_leaves = (st.none() | st.booleans() | st.integers(-3, 100)
-                | st.sampled_from([10 ** 12, 2 ** 62, 10 ** 30, 1e30, 1e400, -1e400])
+                | st.sampled_from([10 ** 12, 2 ** 62, 10 ** 30, 10 ** 400, -10 ** 400, 1e30,
+                                   1e400, -1e400])
                 | st.floats(-100.0, 100.0) | st.just(float("nan")) | st.text(max_size=8)
                 | st.sampled_from(["0,0,0,1.0", "1,3,2,0.5", "0,1,0.25", "2,1,nan",
                                    "0,0,0,0,1", "a,b,c"]))
@@ -874,6 +894,24 @@ class TestMetricsFuzz:
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
 
 
+# JSON nested far past the depth the parser recurses to
+_DEEP_JSON = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize("command", ["decode", "convert", "metrics"])
+def test_deep_nesting_refused(capsys, monkeypatch, tmp_path, command):
+    """A payload or canonical file too deep to parse is invalid input, named
+    by its source: exit 2 with one ``error:`` line, not an internal error."""
+    path = tmp_path / "deep.json"
+    path.write_text(_DEEP_JSON)
+    monkeypatch.setattr("sys.stdin", stdin_of(_DEEP_JSON))
+    argv = {"decode": ("decode", "--scheme", "wov"),
+            "convert": ("convert", "--dataset", f"json:{path}", "--out", str(tmp_path / "o.json")),
+            "metrics": ("metrics", "--gt", str(path), "--pred", str(path))}[command]
+    source = "<stdin>" if command == "decode" else path
+    assert run_cli(capsys, *argv) == (2, "", f"error: {source}: invalid JSON: nested too deeply\n")
+
+
 class TestOverflow:
     """Coordinates too large to square: no numpy warning reaches the user."""
 
@@ -969,7 +1007,8 @@ class TestConvert:
                                       "boolean_n_landmarks"])
     def test_coerced_types_refused(self, capsys, tmp_path, case):
         message = ("field 'n_landmarks': must be a positive integer" if case.endswith("landmarks")
-                   else "field 'records[0].points': coordinates must be numbers")
+                   else "field 'records[0].points': must be an array of 98 [x, y] pairs "
+                   "of finite numbers")
         src = tmp_path / "typed.json"
         src.write_text(dict(malformed_canonical_docs())[case])
         rc, out, err = run_cli(capsys, "convert", "--dataset", f"json:{src}",
@@ -1400,6 +1439,8 @@ class TestErrorReporting:
          "point coordinates must be numbers, got '1,x'"),
         (("bench-ideal", "--dataset", "json:{data}/gt68.json", "--norm-indices", "1,2,3"),
          "expected two comma-separated indices, got '1,2,3'"),
+        (("bench-ideal", "--dataset", "json:{data}/gt68.json", "--norm-indices", "1,x"),
+         "indices must be integers, got '1,x'"),
         (("metrics", "--gt", "{data}/flat68.json", "--pred", "{data}/flat68.json"),
          "every record was skipped; nothing to score"),
         (("bench-ideal", "--dataset", "json:{data}/outside68.json", "--crop-source", "bbox",

@@ -106,9 +106,16 @@ class TestRelativeOffset:
         cell, _, clamped, valid = _wov((0.2, 5.5), oob_policy=OobPolicy.DROP)
         assert cell == (0, 5) and not clamped and valid
 
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ConfigError):
-            _wov((np.nan, 1.0))
+    @pytest.mark.parametrize("points,match", [
+        ([[np.nan, 1.0]], "must be finite"),
+        ([[1.0, 2.0, 3.0]], r"must have shape \(N, 2\), got \(1, 3\)"),
+        ([1.0, 2.0], r"must have shape \(N, 2\), got \(2,\)"),
+        (np.zeros((0, 2)), r"must have shape \(N, 2\), got \(0, 2\)"),
+    ])
+    def test_bad_points_rejected(self, points, match):
+        for quantize in (encode_points, ideal_roundtrip):
+            with pytest.raises(ConfigError, match=match):
+                quantize(np.asarray(points), cfg_for(Scheme.WOV))
 
     @given(st.floats(0.0, 63.999999), st.floats(0.0, 63.999999))
     @settings(max_examples=200, deadline=None)
@@ -661,19 +668,34 @@ class TestEncodedSampleValidation:
     def _direct(self, n=2):
         return encode_points(_heatmap_points(19, n), cfg_for(Scheme.DIRECT))
 
-    def test_payload_scheme_mismatch_rejected(self):
+    @pytest.mark.parametrize("scheme,payload,match", [
+        (Scheme.DIRECT, {"offsets": np.zeros((2, 2))}, "offsets payload is not valid"),
+        (Scheme.WOV, {"offsets": np.zeros((2, 2)), "offset_map_x": np.zeros((64, 64)),
+                      "offset_map_y": np.zeros((64, 64))}, "offset maps are not valid"),
+        (Scheme.WOM, {"offset_map_x": np.zeros((64, 64)), "offset_map_y": np.zeros((64, 64)),
+                      "decimal_maps": np.zeros((2, 8, 8))}, "decimal maps are not valid"),
+        (Scheme.HIH, {"decimal_shape": (8, 8), "decimal_maps": np.zeros((2, 8, 4))},
+         r"decimal maps shape \(2, 8, 4\) does not match \(2, 8, 8\)"),
+    ])
+    def test_payload_scheme_mismatch_rejected(self, scheme, payload, match):
         enc = self._direct()
-        with pytest.raises(ConfigError):
-            EncodedSample(scheme=Scheme.DIRECT, heatmap_shape=GRID,
+        with pytest.raises(ConfigError, match=match):
+            EncodedSample(scheme=scheme, heatmap_shape=GRID,
                           integer_maps=enc.integer_maps, valid=enc.valid,
-                          clamped=enc.clamped, offsets=np.zeros((2, 2)))
+                          clamped=enc.clamped, **payload)
 
-    def test_missing_payload_rejected(self):
+    @pytest.mark.parametrize("scheme,payload,match", [
+        (Scheme.WOV, {}, "wov payload requires per-landmark offsets"),
+        (Scheme.WOM, {"offset_map_x": np.zeros((64, 64))},
+         "wom payload requires offset_map_x and offset_map_y"),
+        (Scheme.HIH, {"decimal_shape": (8, 8)}, "hih payload requires decimal maps"),
+    ])
+    def test_missing_payload_rejected(self, scheme, payload, match):
         enc = self._direct()
-        with pytest.raises(ConfigError):
-            EncodedSample(scheme=Scheme.WOV, heatmap_shape=GRID,
+        with pytest.raises(ConfigError, match=match):
+            EncodedSample(scheme=scheme, heatmap_shape=GRID,
                           integer_maps=enc.integer_maps, valid=enc.valid,
-                          clamped=enc.clamped)
+                          clamped=enc.clamped, **payload)
 
     @pytest.mark.parametrize("shape", [(1, 8), (8, 1), (1, 1)])
     def test_grid_below_two_cells_rejected(self, shape):

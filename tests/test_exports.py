@@ -1,8 +1,8 @@
 """Every exported name resolves, no module exports a name twice, each
 name the package re-exports is exported by the module it comes from, no
 module imports a name it never uses, every distance and every score goes
-through its one kernel, and no private definition is left that only tests
-read."""
+through its one kernel, all JSON input goes through its one reader, and no
+private definition is left that only tests read."""
 
 from __future__ import annotations
 
@@ -142,6 +142,43 @@ def test_scorer_scan_sees_each_spelling():
     # prose, and names that only contain a kernel's, pass
     assert _uses(ast.parse('"""ced_auc"""\n# image_errors\nced_points_x = failure_rates'),
                  _SCORING_KERNEL) == []
+
+
+# a JSON parse, however it is reached or imported: json.load(s) or a decoder object
+_JSON_PARSE = re.compile(r"(^|\.)(loads?|JSONDecoder)$")
+
+
+def _json_parses(path: Path) -> list[str]:
+    """Each JSON parse in a module, outside the body of ``datasets.json_object``."""
+    tree = ast.parse(path.read_text())
+    found = _uses(tree, _JSON_PARSE)
+    if path.name == "datasets.py":
+        (reader,) = [node for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "json_object"]
+        allowed = _uses(reader, _JSON_PARSE)
+        assert [f.split(": ")[1] for f in allowed] == ["json.loads"], allowed
+        found = [f for f in found if f not in allowed]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(Path(subpix.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_one_json_reader(path):
+    """Payloads and canonical files parse through ``datasets.json_object``
+    alone: no other code calls or imports ``json.loads``, ``json.load`` or a
+    ``JSONDecoder``, each a second place to decide what a bad document is."""
+    assert _json_parses(path) == []
+
+
+def test_json_reader_scan_sees_each_spelling():
+    spellings = ["json.loads(text)", "json.load(f)", "f = json.loads", "loads(text)",
+                 "from json import loads", "from json import load as read",
+                 "import json as j\nj.loads(text)", "json.JSONDecoder().decode(text)",
+                 "from json import JSONDecoder"]
+    assert [s for s in spellings if not _uses(ast.parse(s), _JSON_PARSE)] == []
+    # prose, writers and names that only contain a parser's pass
+    assert _uses(ast.parse('"""json.loads"""\n# json.load\njson.dumps(d)\n'
+                           'load_canonical(p)\nunloads = 1'), _JSON_PARSE) == []
 
 
 def _private_defs(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
