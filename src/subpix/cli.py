@@ -161,6 +161,7 @@ def _codec_config(args, scheme: Scheme = Scheme.DIRECT) -> CodecConfig:
     )
 
 
+# flag values: an ArgumentTypeError is the flag's own error, which --config locates
 def _parse_schemes(text: str) -> tuple[Scheme, ...]:
     if text.strip().lower() == "all":
         return SCHEME_ORDER
@@ -170,18 +171,30 @@ def _parse_schemes(text: str) -> tuple[Scheme, ...]:
             out.append(Scheme(name.strip().lower()))
         except ValueError:
             known = ", ".join(s.value for s in SCHEME_ORDER)
-            raise ConfigError(f"unknown scheme {name.strip()!r} (known: {known}, or 'all')")
+            raise argparse.ArgumentTypeError(
+                f"unknown scheme {name.strip()!r} (known: {known}, or 'all')") from None
     return tuple(out)
 
 
 def _parse_index_pair(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise ConfigError(f"expected two comma-separated indices, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected two comma-separated indices, got {text!r}")
     try:
         return int(parts[0]), int(parts[1])
     except ValueError:
-        raise ConfigError(f"indices must be integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"indices must be integers, got {text!r}") from None
+
+
+def _parse_point(text: str) -> tuple[float, float]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"expected 'x,y', got {text!r}")
+    try:
+        return float(parts[0]), float(parts[1])
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"point coordinates must be numbers, got {text!r}") from None
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -198,12 +211,10 @@ def _cmd_bench_ideal(args) -> int:
     if args.threads < 1:
         raise ConfigError(f"thread count must be positive, got {args.threads}")
     _, corpus = load_dataset(args.dataset)
-    schemes = _parse_schemes(args.schemes)
-    norm = _parse_index_pair(args.norm_indices) if args.norm_indices else None
     bcfg = BenchConfig(
-        schemes=schemes,
+        schemes=args.schemes,
         codec=_codec_config(args),
-        metrics=MetricsConfig(norm_indices=norm, threshold=args.threshold),
+        metrics=MetricsConfig(norm_indices=args.norm_indices, threshold=args.threshold),
         crop_margin=args.margin,
         crop_source=args.crop_source,
         bbox_inclusive=args.bbox_edge == "inclusive",
@@ -219,7 +230,7 @@ def _cmd_bench_ideal(args) -> int:
 
 def _cmd_synth(args) -> int:
     bcfg = BenchConfig(
-        schemes=_parse_schemes(args.schemes),
+        schemes=args.schemes,
         codec=_codec_config(args),
         seed=args.seed,
         mc_samples=args.samples,
@@ -237,8 +248,7 @@ def _cmd_encode(args) -> int:
     cfg = _codec_config(args, Scheme(args.scheme))
     check_margin(args.margin)
     if args.point:
-        pts = np.array([_parse_point(p) for p in args.point], dtype=np.float64)
-        enc = encode_points(pts, cfg)
+        enc = encode_points(np.array(args.point, dtype=np.float64), cfg)
     else:
         _, corpus = load_canonical(args.record)
         if not (0 <= args.index < len(corpus)):
@@ -263,16 +273,6 @@ def _count_arg(text: str) -> int:
     if not value.is_integer():
         raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}")
     return int(value)
-
-
-def _parse_point(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"expected 'x,y', got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise ConfigError(f"point coordinates must be numbers, got {text!r}") from None
 
 
 def _cmd_decode(args) -> int:
@@ -314,9 +314,7 @@ def _cmd_metrics(args) -> int:
     if extra:
         raise ConfigError(f"prediction file has unknown record id '{sorted(extra)[0]}' "
                           f"({len(extra)} unknown in total)")
-    mcfg = MetricsConfig(
-        norm_indices=_parse_index_pair(args.norm_indices) if args.norm_indices else None,
-        threshold=args.threshold)
+    mcfg = MetricsConfig(norm_indices=args.norm_indices, threshold=args.threshold)
     # canonical files hold only finite, valid points; scoring in ground-truth
     # order keeps the mean's last bits independent of the prediction file's order
     d = norm_distances(gt.points, resolve_norm_indices(n_landmarks, mcfg))
@@ -368,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_oob_policy(p)
     p.add_argument("--dataset", required=True, metavar="FMT:PATH",
                    help="dataset as format:path; formats: wflw, pts, json")
-    p.add_argument("--schemes", default="all",
+    p.add_argument("--schemes", type=_parse_schemes, default="all",
                    help="comma-separated scheme list or 'all' (default all)")
     p.add_argument("--margin", type=float, default=0.25,
                    help="square crop margin around the landmark box (default 0.25)")
@@ -378,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bbox-edge", choices=("inclusive", "exclusive"), default="inclusive",
                    help="whether the bbox max edge counts as the last covered "
                         "pixel (default inclusive)")
-    p.add_argument("--norm-indices", metavar="I,J",
+    p.add_argument("--norm-indices", type=_parse_index_pair, metavar="I,J",
                    help="landmark pair for error normalization "
                         "(defaults: 60,72 for 98 points; 36,45 for 68)")
     p.add_argument("--threshold", type=float, default=0.10,
@@ -405,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1, help="PCG64 seed (default 1)")
     p.add_argument("--n-factor", type=float, default=4.0,
                    help="raw pixels per heatmap cell for error scaling (default 4)")
-    p.add_argument("--schemes", default="all",
+    p.add_argument("--schemes", type=_parse_schemes, default="all",
                    help="comma-separated scheme list or 'all' (default all)")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.add_argument("--out", metavar="FILE")
@@ -421,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "1.0 is the usual choice for 68-point annotations)")
     p.add_argument("--sigma-decimal", type=float, default=1.0, metavar="S",
                    help="gaussian sigma on the hih fractional grid (default 1.0)")
-    p.add_argument("--point", action="append", metavar="X,Y",
+    p.add_argument("--point", type=_parse_point, action="append", metavar="X,Y",
                    help="heatmap-space landmark; repeat for several; write a "
                         "negative x as --point=-3,70")
     p.add_argument("--record", metavar="FILE",
@@ -446,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--gt", required=True, metavar="FILE", help="canonical JSON ground truth")
     p.add_argument("--pred", required=True, metavar="FILE", help="canonical JSON predictions")
-    p.add_argument("--norm-indices", metavar="I,J",
+    p.add_argument("--norm-indices", type=_parse_index_pair, metavar="I,J",
                    help="landmark pair for error normalization "
                         "(defaults: 60,72 for 98 points; 36,45 for 68)")
     p.add_argument("--threshold", type=float, default=0.10,

@@ -51,7 +51,7 @@ from enum import Enum
 
 import numpy as np
 
-from .datasets import json_numbers, json_object
+from .datasets import json_int, json_numbers, json_object
 from .errors import ConfigError, SchemaError
 from .geometry import AffineTransform, apply_transform, heatmap_transform
 from .metrics import point_distances
@@ -95,6 +95,14 @@ def _grid_shape(shape, key: str) -> tuple[int, int]:
         raise ConfigError(f"{key.replace('_', ' ')} must be at least {least}x{least}, "
                           f"got {shape}")
     return w, h
+
+
+def _reshaped(value, dtype, shape: tuple[int, ...], field: str) -> np.ndarray:
+    """``value`` as an array of ``shape``; one of another size is refused naming ``field``."""
+    arr = np.asarray(value, dtype=dtype)
+    if arr.size != math.prod(shape):
+        raise ConfigError(f"{field} has {arr.size} values, not the {math.prod(shape)} of {shape}")
+    return arr.reshape(shape)
 
 
 def _check_cells(shape: tuple[int, ...], what: str = "a grid stack") -> None:
@@ -196,20 +204,20 @@ class EncodedSample:
             )
         self.integer_maps = maps
         n = maps.shape[0]
-        self.valid = np.asarray(self.valid, dtype=bool).reshape(n)
-        self.clamped = np.asarray(self.clamped, dtype=bool).reshape(n)
+        self.valid = _reshaped(self.valid, bool, (n,), "valid")
+        self.clamped = _reshaped(self.clamped, bool, (n,), "clamped")
         if self.scheme is Scheme.WOV:
             if self.offsets is None:
                 raise ConfigError("wov payload requires per-landmark offsets")
-            self.offsets = np.asarray(self.offsets, dtype=np.float64).reshape(n, 2)
+            self.offsets = _reshaped(self.offsets, np.float64, (n, 2), "offsets")
         elif self.offsets is not None:
             raise ConfigError(f"offsets payload is not valid for scheme '{self.scheme.value}'")
         if self.scheme is Scheme.WOM:
             if self.offset_map_x is None or self.offset_map_y is None:
                 raise ConfigError("wom payload requires offset_map_x and offset_map_y")
             shape_yx = (self.heatmap_shape[1], self.heatmap_shape[0])
-            self.offset_map_x = np.asarray(self.offset_map_x, dtype=np.float64).reshape(shape_yx)
-            self.offset_map_y = np.asarray(self.offset_map_y, dtype=np.float64).reshape(shape_yx)
+            self.offset_map_x = _reshaped(self.offset_map_x, np.float64, shape_yx, "offset_map_x")
+            self.offset_map_y = _reshaped(self.offset_map_y, np.float64, shape_yx, "offset_map_y")
         elif self.offset_map_x is not None or self.offset_map_y is not None:
             raise ConfigError(f"offset maps are not valid for scheme '{self.scheme.value}'")
         if self.scheme is Scheme.HIH:
@@ -260,10 +268,8 @@ class EncodedSample:
             scheme = Scheme(d["scheme"])
         except (KeyError, ValueError) as exc:
             raise SchemaError(f"unknown or missing scheme: {exc}", field="scheme") from exc
-        n = _json_int(d.get("n_landmarks"), field="n_landmarks")
+        n = json_int(d.get("n_landmarks"), "n_landmarks", 1)
         w, h = _json_shape(d, "heatmap_shape")
-        if n <= 0:
-            raise SchemaError("must be positive", field="n_landmarks")
         # the flag lists bound n by the payload's own length before any
         # (n, h, w) stack is allocated
         flags = {}
@@ -288,10 +294,7 @@ class EncodedSample:
                 key = f"offset_{axis}_cells"
                 kwargs[f"offset_map_{axis}"] = _check_fractions(
                     _unsparse(d.get(key), (h, w), field=key), field=key)
-            kwargs["conflict_count"] = _json_int(d.get("conflict_count", 0),
-                                                 field="conflict_count")
-            if kwargs["conflict_count"] < 0:
-                raise SchemaError("must not be negative", field="conflict_count")
+            kwargs["conflict_count"] = json_int(d.get("conflict_count", 0), "conflict_count", 0)
         if scheme is Scheme.HIH:
             wo, ho = _json_shape(d, "decimal_shape")
             kwargs["decimal_shape"] = (wo, ho)
@@ -302,14 +305,7 @@ class EncodedSample:
     @classmethod
     def from_json(cls, text: str, source: str | None = None) -> EncodedSample:
         """The payload ``text``, read from ``source`` if given, which errors in the text name."""
-        return cls.from_json_dict(json_object(text, source))
-
-
-def _json_int(value, *, field: str) -> int:
-    """``value`` if it is a JSON integer, which true or 64.0 is not."""
-    if type(value) is not int:
-        raise SchemaError(f"expected an integer, got {value!r}", field=field)
-    return value
+        return json_object(text, source, cls.from_json_dict)
 
 
 def _json_shape(d: dict, key: str) -> tuple[int, int]:
@@ -318,11 +314,7 @@ def _json_shape(d: dict, key: str) -> tuple[int, int]:
         w, h = d[key]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"expected [width, height]: {exc}", field=key) from exc
-    w, h = _json_int(w, field=key), _json_int(h, field=key)
-    try:
-        return _grid_shape((w, h), key)
-    except ConfigError as exc:
-        raise SchemaError(str(exc), field=key) from exc
+    return json_int(w, key, _MIN_SIDE[key]), json_int(h, key, _MIN_SIDE[key])
 
 
 def _check_fractions(arr: np.ndarray, *, field: str) -> np.ndarray:

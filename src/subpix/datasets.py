@@ -43,6 +43,7 @@ __all__ = [
     "parse_wflw_line",
     "load_wflw",
     "json_object",
+    "json_int",
     "json_numbers",
     "canonical_dict",
     "write_canonical",
@@ -209,10 +210,10 @@ def load_pts_dir(path: str | Path) -> tuple[str, Corpus]:
     if not files:
         raise ParseError("no .pts files found", path=str(root))
     points = [parse_pts(read_text(f), path=str(f)) for f in files]
-    counts = {len(pts) for pts in points}
-    if len(counts) != 1:
-        raise ParseError(f"inconsistent landmark counts across files: {sorted(counts)}",
-                         path=str(root))
+    for f, pts in zip(files, points):
+        if len(pts) != len(points[0]):
+            raise ParseError(f"{len(pts)} landmarks, but {files[0]} has {len(points[0])}",
+                             path=str(f))
     corpus = Corpus(root.name, [f.relative_to(root).with_suffix("").as_posix() for f in files],
                     [f.name for f in files], np.stack(points))
     return corpus.name, corpus
@@ -229,37 +230,33 @@ def parse_wflw_line(line: str, *, lineno: int | None = None, path: str | None = 
     attribute flags. The id is ``<line:06d>_<image stem>``, or the image
     path when no line number is given.
     """
+    def fail(msg: str) -> ParseError:
+        return ParseError(msg, path=path, line=lineno)
+
     tokens = line.split()
     if len(tokens) != _WFLW_TOKENS:
-        raise ParseError(
-            f"expected {_WFLW_TOKENS} whitespace-separated fields, got {len(tokens)}",
-            path=path, line=lineno)
+        raise fail(f"expected {_WFLW_TOKENS} whitespace-separated fields, got {len(tokens)}")
     coords = []
     for t in tokens[:196]:
         try:
             coords.append(float(t))
         except ValueError:
-            raise ParseError(f"non-numeric landmark coordinate {t!r}",
-                             path=path, line=lineno) from None
+            raise fail(f"non-numeric landmark coordinate {t!r}") from None
     coords = np.array(coords)
     if not np.all(np.isfinite(coords)):
-        raise ParseError("non-finite landmark coordinate", path=path, line=lineno)
+        raise fail("non-finite landmark coordinate")
     try:
         bbox = tuple(int(t) for t in tokens[196:200])
         float(max(bbox, key=abs))  # a corpus holds boxes as floats
     except ValueError:
-        bad = tokens[196:200]
-        raise ParseError(f"bounding box fields must be integers, got {bad}",
-                         path=path, line=lineno) from None
+        raise fail(f"bounding box fields must be integers, got {tokens[196:200]}") from None
     except OverflowError:
-        raise ParseError(f"bounding box field too large for a float in {tokens[196:200]}",
-                         path=path, line=lineno) from None
+        raise fail(f"bounding box field too large for a float in {tokens[196:200]}") from None
     if bbox[0] >= bbox[2] or bbox[1] >= bbox[3]:
-        raise ParseError(f"degenerate bounding box {bbox}", path=path, line=lineno)
+        raise fail(f"degenerate bounding box {bbox}")
     for name, t in zip(ATTRIBUTE_NAMES, tokens[200:206]):
         if t not in ("0", "1"):
-            raise ParseError(f"attribute flag '{name}' must be 0 or 1, got {t!r}",
-                             path=path, line=lineno)
+            raise fail(f"attribute flag '{name}' must be 0 or 1, got {t!r}")
     image_path = tokens[206]
     rec_id = f"{lineno:06d}_{Path(image_path).stem}" if lineno is not None else image_path
     return (rec_id, image_path, coords.reshape(WFLW_N_LANDMARKS, 2), bbox,
@@ -280,20 +277,32 @@ def load_wflw(path: str | Path) -> tuple[str, Corpus]:
 # -- JSON -----------------------------------------------------------------------
 
 
-def json_object(text: str, source: str | None) -> dict:
-    """``text`` as a JSON object; the one JSON parse of canonical files and payloads.
+def json_object(text: str, source: str | None, read):
+    """``read`` of the JSON object ``text``: the one JSON parse of canonical files and payloads.
 
-    Text that is not JSON, nested too deeply included, fails naming ``source``.
+    Text that is not JSON, nested too deeply included, fails naming ``source``,
+    and so does any :class:`SchemaError` that ``read`` raises.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
         raise SchemaError(f"invalid JSON: {exc}", path=source) from None
     except RecursionError:
         raise SchemaError("invalid JSON: nested too deeply", path=source) from None
-    if not isinstance(doc, dict):
-        raise SchemaError("top-level value must be an object", field="$", path=source)
-    return doc
+    try:
+        if not isinstance(doc, dict):
+            raise SchemaError("top-level value must be an object", field="$")
+        return read(doc)
+    except SchemaError as exc:
+        exc.path = source
+        raise
+
+
+def json_int(value, field: str, least: int) -> int:
+    """``value`` if it is a JSON integer of at least ``least``, which true or 64.0 is not."""
+    if type(value) is not int or value < least:
+        raise SchemaError(f"must be an integer of at least {least}, got {value!r}", field=field)
+    return value
 
 
 def json_numbers(value, shape: tuple[int, ...]) -> np.ndarray | None:
@@ -347,65 +356,64 @@ def write_canonical(path: str | Path, corpus: Corpus) -> None:
 def load_canonical(source: str | Path) -> tuple[str, Corpus]:
     """Load and validate canonical JSON, naming the offending field on error."""
     p = Path(source)
-    doc = json_object(read_text(p), str(p))
+    corpus = json_object(read_text(p), str(p), _canonical_corpus)
+    return corpus.name, corpus
+
+
+def _canonical_corpus(doc: dict) -> Corpus:
     for key in ("dataset", "n_landmarks", "records"):
         if key not in doc:
-            raise SchemaError("missing required key", field=key, path=str(p))
+            raise SchemaError("missing required key", field=key)
     if not isinstance(doc["dataset"], str):
-        raise SchemaError("must be a string", field="dataset", path=str(p))
-    n = doc["n_landmarks"]
-    if type(n) is not int or n < 1:  # a JSON true or false is a Python int too
-        raise SchemaError("must be a positive integer", field="n_landmarks", path=str(p))
+        raise SchemaError("must be a string", field="dataset")
+    n = json_int(doc["n_landmarks"], "n_landmarks", 1)
     raw_records = doc["records"]
     if not isinstance(raw_records, list) or not raw_records:
-        raise SchemaError("must be a non-empty array", field="records", path=str(p))
+        raise SchemaError("must be a non-empty array", field="records")
     rows = []
     seen_ids: set[str] = set()
     for i, entry in enumerate(raw_records):
         where = f"records[{i}]"
         if not isinstance(entry, dict):
-            raise SchemaError("must be an object", field=where, path=str(p))
+            raise SchemaError("must be an object", field=where)
         rec_id = entry.get("id")
         if not isinstance(rec_id, str) or not rec_id:
-            raise SchemaError("must be a non-empty string", field=f"{where}.id", path=str(p))
+            raise SchemaError("must be a non-empty string", field=f"{where}.id")
         if rec_id in seen_ids:
-            raise SchemaError(f"duplicate id '{rec_id}'", field=f"{where}.id", path=str(p))
+            raise SchemaError(f"duplicate id '{rec_id}'", field=f"{where}.id")
         seen_ids.add(rec_id)
         image_path = entry.get("image_path")
         if not isinstance(image_path, str):
-            raise SchemaError("must be a string", field=f"{where}.image_path", path=str(p))
+            raise SchemaError("must be a string", field=f"{where}.image_path")
         pts = json_numbers(entry.get("points"), (n, 2))
         if pts is None:
             raise SchemaError(f"must be an array of {n} [x, y] pairs of finite numbers",
-                              field=f"{where}.points", path=str(p))
+                              field=f"{where}.points")
         bbox = entry.get("bbox")
         if bbox is not None:
             bbox = json_numbers(bbox, (4,))
             # a corpus holds "no bbox" as NaN
             if bbox is None or not (bbox[0] < bbox[2] and bbox[1] < bbox[3]):
                 raise SchemaError("must be null or [x_min, y_min, x_max, y_max], finite, "
-                                  "with x_min < x_max and y_min < y_max",
-                                  field=f"{where}.bbox", path=str(p))
+                                  "with x_min < x_max and y_min < y_max", field=f"{where}.bbox")
         attrs = entry.get("attributes")
         if attrs is not None:
             if not isinstance(attrs, dict):
                 raise SchemaError("must be null or an object of boolean flags",
-                                  field=f"{where}.attributes", path=str(p))
+                                  field=f"{where}.attributes")
             unknown = set(attrs) - set(ATTRIBUTE_NAMES)
             if unknown:
                 raise SchemaError(f"unknown attribute flags {sorted(unknown)}",
-                                  field=f"{where}.attributes", path=str(p))
+                                  field=f"{where}.attributes")
             for name, flag in attrs.items():
                 if not isinstance(flag, bool):
-                    raise SchemaError("must be true or false",
-                                      field=f"{where}.attributes.{name}", path=str(p))
+                    raise SchemaError("must be true or false", field=f"{where}.attributes.{name}")
             attrs = [attrs.get(name, False) for name in ATTRIBUTE_NAMES]
         rows.append((rec_id, image_path, pts, (np.nan,) * 4 if bbox is None else bbox,
                      (np.nan,) * 6 if attrs is None else attrs))
     ids, image_paths, points, bbox, flags = zip(*rows)
-    corpus = Corpus(doc["dataset"], ids, image_paths, np.stack(points), bbox=bbox,
-                    attributes=flags)
-    return corpus.name, corpus
+    return Corpus(doc["dataset"], ids, image_paths, np.stack(points), bbox=bbox,
+                  attributes=flags)
 
 
 # -- entry point used by the CLI -------------------------------------------------

@@ -12,19 +12,20 @@ class ConfigError(ValueError):
 class ParseError(ValueError):
     """A malformed annotation file.
 
-    Carries enough context (path and 1-based line number when known) to
-    point a user at the offending input instead of crashing.
+    Carries its path and 1-based line number, when known, to point a user
+    at the offending input; ``str`` reads them, so a reader may set them late.
     """
 
     def __init__(self, message: str, *, path: str | None = None, line: int | None = None):
+        super().__init__(message)
         self.path = path
         self.line = line
-        prefix = ""
-        if path is not None:
-            prefix += str(path)
-        if line is not None:
-            prefix += f":{line}" if prefix else f"line {line}"
-        super().__init__(f"{prefix}: {message}" if prefix else message)
+
+    def __str__(self) -> str:
+        prefix = "" if self.path is None else str(self.path)
+        if self.line is not None:
+            prefix += f":{self.line}" if prefix else f"line {self.line}"
+        return f"{prefix}: {self.args[0]}" if prefix else self.args[0]
 
 
 class SchemaError(ParseError):

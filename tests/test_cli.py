@@ -562,16 +562,25 @@ class TestEncodeDecode:
         ("direct", "integer_cells", ["x,1,1,1.0"], "integer_cells"),
         ("hih", "decimal_cells", ["0,9,1,1.0"], "decimal_cells"),  # an 8x8 grid
     ])
-    def test_malformed_payload_field_located(self, capsys, monkeypatch,
+    @pytest.mark.parametrize("via", ["file", "stdin"])
+    def test_malformed_payload_field_located(self, capsys, monkeypatch, tmp_path, via,
                                              scheme, field, value, located):
+        # the refusal names the payload's source as well as its field
         _, payload, _ = run_cli(capsys, "encode", "--scheme", scheme,
                                 "--point", "1.5,2.5", "--point", "1.7,2.2")
         doc = json.loads(payload)
         doc[field] = value
-        monkeypatch.setattr("sys.stdin", stdin_of(json.dumps(doc)))
-        rc, out, err = run_cli(capsys, "decode", "--scheme", scheme)
+        if via == "file":
+            source = tmp_path / "payload.json"
+            source.write_text(json.dumps(doc))
+            rc, out, err = run_cli(capsys, "decode", "--scheme", scheme, "--in", str(source))
+        else:
+            source = "<stdin>"
+            monkeypatch.setattr("sys.stdin", stdin_of(json.dumps(doc)))
+            rc, out, err = run_cli(capsys, "decode", "--scheme", scheme)
         assert rc == 2 and out == ""
-        assert err.startswith(f"error: field '{located}'"), err
+        assert err.startswith(f"error: {source}: field '{located}': "), err
+        assert err.count("\n") == 1, err
 
     @pytest.mark.parametrize("offsets", [
         [[0.1, [0.2]], [0.7, 0.2]],       # ragged
@@ -588,8 +597,8 @@ class TestEncodeDecode:
         doc["offsets"] = offsets
         monkeypatch.setattr("sys.stdin", stdin_of(json.dumps(doc)))
         assert run_cli(capsys, "decode", "--scheme", "wov") == (
-            2, "", "error: field 'offsets': wov requires one [x, y] pair of finite numbers "
-                   "per landmark\n")
+            2, "", "error: <stdin>: field 'offsets': wov requires one [x, y] pair of finite "
+                   "numbers per landmark\n")
 
     @pytest.mark.parametrize("shape", [[1, 8], [8, 1], [1, 1]])
     def test_narrow_grid_payload_located(self, capsys, monkeypatch, shape):
@@ -599,10 +608,9 @@ class TestEncodeDecode:
         doc["heatmap_shape"] = shape
         doc["integer_cells"] = ["0,0,0,1.0", "1,0,0,0.5"]  # inside every shape
         monkeypatch.setattr("sys.stdin", stdin_of(json.dumps(doc)))
-        rc, out, err = run_cli(capsys, "decode", "--scheme", "direct")
-        assert rc == 2 and out == ""
-        assert err.startswith("error: field 'heatmap_shape': heatmap shape must be "
-                              "at least 2x2"), err
+        assert run_cli(capsys, "decode", "--scheme", "direct") == (
+            2, "", "error: <stdin>: field 'heatmap_shape': must be an integer of at least 2, "
+                   "got 1\n")
 
     def test_oversized_encode_grid_refused(self, capsys):
         rc, out, err = run_cli(capsys, "encode", "--scheme", "direct",
@@ -896,20 +904,34 @@ class TestMetricsFuzz:
 
 # JSON nested far past the depth the parser recurses to
 _DEEP_JSON = "[" * 100000 + "]" * 100000
+# an integer of more digits than Python converts from text
+_LONG_INT_JSON = '{"n_landmarks": ' + "1" * 5000 + "}"
 
 
+def _json_refusal(text: str) -> str:
+    try:
+        json.loads(text)
+    except ValueError as exc:
+        return f"invalid JSON: {exc}"
+    except RecursionError:
+        return "invalid JSON: nested too deeply"
+    raise AssertionError("the document parses")
+
+
+@pytest.mark.parametrize("text", [_DEEP_JSON, _LONG_INT_JSON], ids=["deep", "long_int"])
 @pytest.mark.parametrize("command", ["decode", "convert", "metrics"])
-def test_deep_nesting_refused(capsys, monkeypatch, tmp_path, command):
-    """A payload or canonical file too deep to parse is invalid input, named
-    by its source: exit 2 with one ``error:`` line, not an internal error."""
-    path = tmp_path / "deep.json"
-    path.write_text(_DEEP_JSON)
-    monkeypatch.setattr("sys.stdin", stdin_of(_DEEP_JSON))
+def test_unparsable_json_refused(capsys, monkeypatch, tmp_path, command, text):
+    """A payload or canonical file that the parser gives up on is invalid
+    input, named by its source: exit 2 with one ``error:`` line, not an
+    internal error."""
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    monkeypatch.setattr("sys.stdin", stdin_of(text))
     argv = {"decode": ("decode", "--scheme", "wov"),
             "convert": ("convert", "--dataset", f"json:{path}", "--out", str(tmp_path / "o.json")),
             "metrics": ("metrics", "--gt", str(path), "--pred", str(path))}[command]
     source = "<stdin>" if command == "decode" else path
-    assert run_cli(capsys, *argv) == (2, "", f"error: {source}: invalid JSON: nested too deeply\n")
+    assert run_cli(capsys, *argv) == (2, "", f"error: {source}: {_json_refusal(text)}\n")
 
 
 class TestOverflow:
@@ -1006,7 +1028,8 @@ class TestConvert:
     @pytest.mark.parametrize("case", ["boolean_coordinate", "string_coordinate",
                                       "boolean_n_landmarks"])
     def test_coerced_types_refused(self, capsys, tmp_path, case):
-        message = ("field 'n_landmarks': must be a positive integer" if case.endswith("landmarks")
+        message = ("field 'n_landmarks': must be an integer of at least 1, got True"
+                   if case.endswith("landmarks")
                    else "field 'records[0].points': must be an array of 98 [x, y] pairs "
                    "of finite numbers")
         src = tmp_path / "typed.json"
@@ -1102,7 +1125,8 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("json-errors = FALSE\n")
         rc, _, err = run_cli(capsys, "synth", "--config", str(cfg), "--schemes", "bogus")
-        assert rc == 2 and err.startswith("error: unknown scheme")
+        assert (rc, err) == (2, "error: argument --schemes: unknown scheme 'bogus' (known: "
+                                "direct, wsm, wov, wom, hih, or 'all')\n")
 
     def test_underscore_keys_normalized(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -1170,12 +1194,16 @@ def _count(hi: int):
 
 
 _GRID_KEYS = {"heatmap-res": _count(256), "decimal-res": _count(256)}
+# scheme lists, valid and not: each unknown name is refused at its line
+_SCHEMES = st.sampled_from(["all", "ALL", "direct", "wov,hih", "WSM, wom", "hih,direct,wsm",
+                            "direct,direct", "bogus", "wov,nope", "direct,", "all,wov"])
 _CONFIG_KEYS = {
     "bench-ideal": {**_GRID_KEYS, "margin": _REAL, "threshold": _REAL, "threads": _count(4),
                     "norm-indices": st.tuples(_count(99), _count(99)).map(
-                        lambda pair: f"{pair[0]},{pair[1]}")},
+                        lambda pair: f"{pair[0]},{pair[1]}"),
+                    "schemes": _SCHEMES},
     "synth": {**_GRID_KEYS, "samples": _count(1000), "landmarks": _count(1000),
-              "seed": _count(2 ** 32), "n-factor": _REAL},
+              "seed": _count(2 ** 32), "n-factor": _REAL, "schemes": _SCHEMES},
     "encode": {**_GRID_KEYS, "sigma-integer": _REAL, "sigma-decimal": _REAL,
                "margin": _REAL, "index": _count(4)},
 }
@@ -1224,6 +1252,9 @@ class TestConfigFuzz:
     @example(run=("bench-ideal", {"threshold": 1e307}), scheme="direct")
     @example(run=("synth", {"samples": "x", "landmarks": 1}), scheme="direct")
     @example(run=("bench-ideal", {"norm-indices": "0,1", "margin": "1/2"}), scheme="direct")
+    @example(run=("bench-ideal", {"schemes": "bogus"}), scheme="direct")
+    @example(run=("synth", {"schemes": "wov,nope", "samples": 100, "landmarks": 1}),
+             scheme="direct")
     @settings(max_examples=200, deadline=None)
     def test_numeric_keys_fail_cleanly(self, data_dir, config_fuzz_dir, run, scheme):
         command, values = run
@@ -1260,6 +1291,19 @@ class TestConfigFuzz:
          "{cfg}:1: argument --samples: expected an integer, got 'x'"),
         # a missing flag is no line's fault, though each line alone misses it too
         ("bench-ideal", ["threshold = 0.1"], "the following arguments are required: --dataset"),
+        # text that a flag's own parser refuses
+        ("synth", ["samples = 10", "schemes = bogus"],
+         "{cfg}:2: argument --schemes: unknown scheme 'bogus' (known: direct, wsm, wov, wom, "
+         "hih, or 'all')"),
+        ("bench-ideal", ["norm-indices = 1"],
+         "{cfg}:1: argument --norm-indices: expected two comma-separated indices, got '1'"),
+        ("metrics", ["threshold = 0.2", "norm-indices = 1,x"],
+         "{cfg}:2: argument --norm-indices: indices must be integers, got '1,x'"),
+        ("encode", ["scheme = wov", "point = 1,x"],
+         "{cfg}:2: argument --point: point coordinates must be numbers, got '1,x'"),
+        # a range check of the run's settings names the setting, not the line
+        ("synth", ["samples = 10", "seed = -1"],
+         "seed must be a non-negative integer, got -1"),
     ])
     def test_bad_value_located(self, capsys, tmp_path, command, lines, message):
         cfg = tmp_path / "run.cfg"
@@ -1436,11 +1480,11 @@ class TestErrorReporting:
         (("synth", "--config"), "--config requires a path"),
         (("synth", "--samples", "abc"), "argument --samples: expected an integer, got 'abc'"),
         (("encode", "--scheme", "wov", "--point", "1,x"),
-         "point coordinates must be numbers, got '1,x'"),
+         "argument --point: point coordinates must be numbers, got '1,x'"),
         (("bench-ideal", "--dataset", "json:{data}/gt68.json", "--norm-indices", "1,2,3"),
-         "expected two comma-separated indices, got '1,2,3'"),
+         "argument --norm-indices: expected two comma-separated indices, got '1,2,3'"),
         (("bench-ideal", "--dataset", "json:{data}/gt68.json", "--norm-indices", "1,x"),
-         "indices must be integers, got '1,x'"),
+         "argument --norm-indices: indices must be integers, got '1,x'"),
         (("metrics", "--gt", "{data}/flat68.json", "--pred", "{data}/flat68.json"),
          "every record was skipped; nothing to score"),
         (("bench-ideal", "--dataset", "json:{data}/outside68.json", "--crop-source", "bbox",

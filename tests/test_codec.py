@@ -7,6 +7,7 @@ enumeration before the implementation existed.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -723,6 +724,42 @@ class TestEncodedSampleValidation:
         with pytest.raises(ConfigError, match="exceeds the limit"):
             encode_points(np.array([[1.5, 2.5]]),
                           cfg_for(Scheme.HIH, decimal_shape=(huge, huge)))
+
+
+class TestEncodedSampleSizes:
+    """Flags, offsets and offset maps of the wrong size are refused naming
+    the field; any array of the right size is reshaped as before."""
+
+    def _sample(self, scheme):
+        return encode_points(_heatmap_points(43, 2), cfg_for(scheme))
+
+    @pytest.mark.parametrize("scheme,field,value,message", [
+        (Scheme.DIRECT, "valid", [True], "valid has 1 values, not the 2 of (2,)"),
+        (Scheme.WSM, "clamped", np.zeros(3, bool), "clamped has 3 values, not the 2 of (2,)"),
+        (Scheme.WOV, "offsets", [0.5, 0.5], "offsets has 2 values, not the 4 of (2, 2)"),
+        (Scheme.WOM, "offset_map_x", np.zeros((8, 8)),
+         "offset_map_x has 64 values, not the 4096 of (64, 64)"),
+        (Scheme.WOM, "offset_map_y", np.zeros((64, 64, 2)),
+         "offset_map_y has 8192 values, not the 4096 of (64, 64)"),
+    ])
+    def test_wrong_size_refused(self, scheme, field, value, message):
+        with pytest.raises(ConfigError) as err:
+            replace(self._sample(scheme), **{field: value})
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("scheme,field,reshape", [
+        (Scheme.DIRECT, "valid", (1, 2)),
+        (Scheme.DIRECT, "clamped", (2, 1)),
+        (Scheme.WOV, "offsets", (4,)),
+        (Scheme.WOM, "offset_map_x", (4096,)),
+        (Scheme.WOM, "offset_map_y", (64, 1, 64)),
+    ])
+    def test_right_size_reshaped(self, scheme, field, reshape):
+        enc = self._sample(scheme)
+        want = getattr(enc, field)
+        back = replace(enc, **{field: want.reshape(reshape)})
+        assert getattr(back, field).shape == want.shape
+        np.testing.assert_array_equal(getattr(back, field), want)
 
 
 class TestJsonRoundTrip:

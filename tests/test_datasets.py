@@ -15,7 +15,7 @@ from conftest import (MALFORMED_PTS, make_records, make_wflw_line,
                       malformed_canonical_docs, malformed_wflw_lines,
                       write_pts_file, write_pts_tree, write_wflw_file)
 
-from subpix.datasets import (ATTRIBUTE_NAMES, Corpus, canonical_dict, load_canonical,
+from subpix.datasets import (ATTRIBUTE_NAMES, Corpus, canonical_dict, json_int, load_canonical,
                              load_dataset, load_pts_dir, load_wflw, parse_pts,
                              parse_wflw_line, subset_counts, write_canonical)
 from subpix.errors import ConfigError, ParseError, SchemaError
@@ -82,11 +82,15 @@ class TestPtsFiles:
         assert list(loaded.ids) == ["a/001", "a/010", "b/002"]
 
     def test_dir_rejects_mixed_layouts(self, tmp_path, corpus68, corpus98):
-        write_pts_file(corpus68.points[0], tmp_path / "a.pts")
-        write_pts_file(corpus98.points[0], tmp_path / "b.pts")
+        # files load in path order; the error names the first whose count
+        # differs from the first file's
+        for name, corpus in [("a", corpus68), ("b", corpus68), ("c", corpus98), ("d", corpus68)]:
+            write_pts_file(corpus.points[0], tmp_path / f"{name}.pts")
         with pytest.raises(ParseError) as err:
             load_pts_dir(tmp_path)
-        assert "68" in str(err.value) and "98" in str(err.value)
+        assert err.value.path == str(tmp_path / "c.pts")
+        assert str(err.value) == (f"{tmp_path / 'c.pts'}: 98 landmarks, but "
+                                  f"{tmp_path / 'a.pts'} has 68")
 
     def test_dir_without_pts_files(self, tmp_path):
         with pytest.raises(ParseError):
@@ -206,6 +210,34 @@ class TestCanonical:
             with pytest.raises(SchemaError) as err:
                 load_canonical(f)
             assert err.value.field == field, case
+
+
+class TestJsonInt:
+    @pytest.mark.parametrize("value,least", [(1, 1), (0, 0), (64, 2), (10 ** 30, 1)])
+    def test_integer_at_least_accepted(self, value, least):
+        assert json_int(value, "n", least) == value
+
+    @pytest.mark.parametrize("value,least", [(True, 1), (False, 0), (64.0, 1), ("64", 1),
+                                             (None, 0), ([1], 0), (0, 1), (-5, 0), (1, 2)])
+    def test_other_values_refused(self, value, least):
+        with pytest.raises(SchemaError) as err:
+            json_int(value, "n", least)
+        assert err.value.field == "n"
+        assert str(err.value) == (f"field 'n': must be an integer of at least {least}, "
+                                  f"got {value!r}")
+
+
+class TestLocationSetLate:
+    def test_path_set_after_the_raise_is_printed(self):
+        exc = SchemaError("must be a string", field="dataset")
+        assert str(exc) == "field 'dataset': must be a string"
+        exc.path = "c.json"
+        assert str(exc) == "c.json: field 'dataset': must be a string"
+        exc.line = 3
+        assert str(exc) == "c.json:3: field 'dataset': must be a string"
+
+    def test_line_without_path(self):
+        assert str(ParseError("bad", line=4)) == "line 4: bad"
 
 
 class TestLoadDataset:

@@ -1,8 +1,9 @@
 """Every exported name resolves, no module exports a name twice, each
 name the package re-exports is exported by the module it comes from, no
 module imports a name it never uses, every distance and every score goes
-through its one kernel, all JSON input goes through its one reader, and no
-private definition is left that only tests read."""
+through its one kernel, all JSON input goes through its one reader, one
+function decides what a JSON integer is, and no private definition is left
+that only tests read."""
 
 from __future__ import annotations
 
@@ -179,6 +180,52 @@ def test_json_reader_scan_sees_each_spelling():
     # prose, writers and names that only contain a parser's pass
     assert _uses(ast.parse('"""json.loads"""\n# json.load\njson.dumps(d)\n'
                            'load_canonical(p)\nunloads = 1'), _JSON_PARSE) == []
+
+
+def _int_type_checks(tree: ast.AST) -> list[str]:
+    """Each comparison in a parsed module of a ``type(...)`` call with ``int``,
+    bare or among a tuple, list or set of types."""
+    def is_type_call(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "type")
+
+    def names_int(node):
+        items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return any(isinstance(n, ast.Name) and n.id == "int" for n in items)
+
+    return [f"{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Compare)
+            and any(map(is_type_call, [node.left, *node.comparators]))
+            and any(map(names_int, [node.left, *node.comparators]))]
+
+
+@pytest.mark.parametrize("path", sorted(Path(subpix.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_one_json_integer_rule(path):
+    """What a JSON integer is (``true`` and ``64.0`` are not) is decided in
+    ``datasets.json_int`` alone: no other code compares ``type(...)`` with
+    ``int``, a second place for that rule to drift."""
+    tree = ast.parse(path.read_text())
+    found = _int_type_checks(tree)
+    if path.name == "datasets.py":
+        (rule,) = [node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "json_int"]
+        allowed = _int_type_checks(rule)
+        assert len(allowed) == 1, allowed
+        found = [f for f in found if f not in allowed]
+    assert found == []
+
+
+def test_json_integer_scan_sees_each_spelling():
+    spellings = ["type(v) is int", "type(v) is not int", "type(v) == int", "type(v) != int",
+                 "int is type(v)", "type(v) in (int, float)", "type(v) not in {bool, int}",
+                 "ok = n > 0 and type(n) is int", "if type(d['n']) is not int or d['n'] < 1:\n"
+                 "    pass"]
+    assert [s for s in spellings if not _int_type_checks(ast.parse(s))] == []
+    # prose, other types, isinstance and int conversions pass
+    assert _int_type_checks(ast.parse('"""type(v) is int"""\n# type(v) is int\n'
+                                      'type(v) is float\nisinstance(v, int)\n'
+                                      'int(v) == 3\ntype(v) is bool')) == []
 
 
 def _private_defs(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
