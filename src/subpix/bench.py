@@ -118,7 +118,7 @@ class BenchConfig:
         if not self.schemes:
             raise ConfigError("at least one scheme is required")
         if len(set(self.schemes)) != len(self.schemes):
-            raise ConfigError(f"duplicate schemes in {self.schemes}")
+            raise ConfigError(f"duplicate schemes in '{','.join(s.value for s in self.schemes)}'")
         check_margin(self.crop_margin)
         if self.crop_source not in ("landmarks", "bbox"):
             raise ConfigError(f"crop source must be 'landmarks' or 'bbox', "
@@ -193,7 +193,7 @@ def _face_maps(faces: Corpus, cfg: BenchConfig) -> tuple[AffineTransform, np.nda
     if cfg.crop_source == "bbox":
         crop, ok = bbox_crops(faces.bbox, cfg.crop_margin, inclusive=cfg.bbox_inclusive)
     else:
-        crop, ok = landmark_crops(faces.points, faces.valid, cfg.crop_margin)
+        crop, ok = landmark_crops(faces.points, cfg.crop_margin)
     return crop, ok & ~np.isnan(d), d
 
 
@@ -230,16 +230,15 @@ def run_ideal(corpus: Corpus, cfg: BenchConfig) -> BenchReport:
     dims = np.array(shape, dtype=np.float64)
     to_heatmap = heatmap_transform(crop, shape)
     to_raw = to_heatmap.inverse()
-    n, n_landmarks = faces.valid.shape
+    n, n_landmarks = faces.points.shape[:2]
     points = to_heatmap.apply(faces.points).reshape(-1, 2)
-    valid = faces.valid.reshape(-1)
     image = np.repeat(np.arange(n), n_landmarks)
     # a crop too wide for floats to resolve its points (one point far off, say)
     # would score even a lossless scheme at many percent; refuse the face
     with np.errstate(over="ignore", invalid="ignore"):
         back = to_raw.apply((points / dims * dims).reshape(n, n_landmarks, 2))
         moved = point_distances(back - faces.points) / norm_distance[:, None]
-    worst = np.where(faces.valid, moved, 0.0).max(axis=1)
+    worst = moved.max(axis=1)
     if not np.all(worst <= _MAX_ROUNDTRIP_MOVE):  # NaN fails too
         k = np.argmin(worst <= _MAX_ROUNDTRIP_MOVE)
         raise ConfigError(f"record '{faces.ids[k]}': mapping its points to the heatmap "
@@ -250,7 +249,7 @@ def run_ideal(corpus: Corpus, cfg: BenchConfig) -> BenchReport:
     threshold = cfg.metrics.threshold
     for scheme in cfg.schemes:
         coords, clamped, conflicts = ideal_roundtrip(
-            points, cfg.codec.for_scheme(scheme), valid=valid, groups=image)
+            points, cfg.codec.for_scheme(scheme), groups=image)
         if np.isnan(coords[:, 0]).all():  # else some point scores or overflows
             raise ConfigError(f"scheme '{scheme.value}' produced no scorable images")
         # decode returns coords / dims; mapping back from that normalized

@@ -254,8 +254,8 @@ def _cmd_encode(args) -> int:
         if not (0 <= args.index < len(corpus)):
             raise ConfigError(f"record index {args.index} out of range "
                               f"(file has {len(corpus)} records)")
-        pts, valid = corpus.points[args.index], corpus.valid[args.index]
-        enc = encode(pts, crop_from_landmarks(pts, valid, args.margin), cfg, valid=valid)
+        pts = corpus.points[args.index]
+        enc = encode(pts, crop_from_landmarks(pts, args.margin), cfg)
     _write_out(enc.to_json() + "\n", args.out)
     return 0
 
@@ -315,7 +315,7 @@ def _cmd_metrics(args) -> int:
         raise ConfigError(f"prediction file has unknown record id '{sorted(extra)[0]}' "
                           f"({len(extra)} unknown in total)")
     mcfg = MetricsConfig(norm_indices=args.norm_indices, threshold=args.threshold)
-    # canonical files hold only finite, valid points; scoring in ground-truth
+    # canonical files hold only finite points; scoring in ground-truth
     # order keeps the mean's last bits independent of the prediction file's order
     d = norm_distances(gt.points, resolve_norm_indices(n_landmarks, mcfg))
     keep = np.flatnonzero(~np.isnan(d))

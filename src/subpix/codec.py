@@ -379,18 +379,13 @@ class DecodeResult:
 # -- quantization -------------------------------------------------------------
 
 
-def _check_points(points, valid) -> tuple[np.ndarray, np.ndarray]:
+def _check_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
         raise ConfigError(f"points must have shape (N, 2), got {pts.shape}")
-    if valid is None:
-        mask = np.ones(len(pts), dtype=bool)
-    else:
-        mask = np.array(valid, dtype=bool).reshape(len(pts))
-    # only a non-finite point needs the mask, and the copy it makes
-    if not np.isfinite(pts).all() and not np.isfinite(pts[mask]).all():
+    if not np.isfinite(pts).all():
         raise ConfigError("landmark coordinates must be finite")
-    return pts, mask
+    return pts
 
 
 @functools.lru_cache(maxsize=None)
@@ -447,18 +442,17 @@ def _last_writer_offsets(cells: np.ndarray, offsets: np.ndarray, valid: np.ndarr
 # -- encode / decode ----------------------------------------------------------
 
 
-def _quantize(pts: np.ndarray, valid: np.ndarray, cfg: CodecConfig,
-              groups: np.ndarray | None = None):
+def _quantize(pts: np.ndarray, cfg: CodecConfig, groups: np.ndarray | None = None):
     """Each landmark's cell and the fraction its scheme's decoder adds back.
 
     Returns ``(cells, kept, steps, clamped, valid, conflicts)``: the (2, N)
     axis-major cells and kept fractions as float64 (see the module
     docstring; ``direct`` and ``wsm`` keep the scalar 0.0), the
     hih decimal step indices, also (2, N) float64 (None for the other
-    schemes), the clamp flags, the valid mask after
-    ``OobPolicy.DROP``, and the wom conflict count, with collisions resolved
-    within each of ``groups``. Invalid landmarks sit at cell 0 and keep
-    nothing.
+    schemes), the clamp flags, the valid mask, False where
+    ``OobPolicy.DROP`` dropped a landmark, and the wom conflict count, with
+    collisions resolved within each of ``groups``. Dropped landmarks sit at
+    cell 0 and keep nothing.
 
     Out-of-grid cells are pulled to the border and the fraction is clipped
     so that ``cell + fraction`` stays the nearest representable position;
@@ -474,12 +468,11 @@ def _quantize(pts: np.ndarray, valid: np.ndarray, cfg: CodecConfig,
     top = _column(w - 1, h - 1)
     # one axis-major copy, which the rule below overwrites with its results
     xy = pts.T.copy()
-    if not valid.all():
-        xy[:, ~valid] = 0.0
+    valid = np.ones(len(pts), dtype=bool)
     if cfg.oob_policy is OobPolicy.DROP:
         inside = (xy[0] >= 0) & (xy[0] < w) & (xy[1] >= 0) & (xy[1] < h)
         if not inside.all():
-            valid = valid & inside
+            valid = inside
             xy[:, ~inside] = 0.0
     # direct and wsm keep nothing: the nearest cell (round half up) overwrites
     # xy; the other schemes take the floor and keep the fraction in xy
@@ -548,20 +541,19 @@ def _render_batch(cells: np.ndarray, valid: np.ndarray, sigma: float,
     return out
 
 
-def encode_points(points: np.ndarray, cfg: CodecConfig,
-                  valid: np.ndarray | None = None) -> EncodedSample:
+def encode_points(points: np.ndarray, cfg: CodecConfig) -> EncodedSample:
     """Encode heatmap-space positions into one scheme's grid representation.
 
     ``points`` is (N, 2) in heatmap coordinates. Positions outside the
     grid are clamped or dropped per ``cfg.oob_policy``; dropped landmarks
-    get all-zero grids and ``valid=False``.
+    get all-zero grids and ``valid=False``. Every point must be finite.
     """
-    pts, mask = _check_points(points, valid)
+    pts = _check_points(points)
     w, h = cfg.heatmap_shape
     _check_cells((len(pts), h, w))
     if cfg.scheme is Scheme.HIH:
         _check_cells((len(pts), cfg.decimal_shape[1], cfg.decimal_shape[0]))
-    cells, kept, steps, clamped, mask, conflicts = _quantize(pts, mask, cfg)
+    cells, kept, steps, clamped, mask, conflicts = _quantize(pts, cfg)
     cells = cells.T.astype(np.int64)
     integer_maps = _render_batch(cells, mask, cfg.sigma_integer, cfg.heatmap_shape)
     kwargs: dict = {}
@@ -581,12 +573,11 @@ def encode_points(points: np.ndarray, cfg: CodecConfig,
                          integer_maps=integer_maps, valid=mask, clamped=clamped, **kwargs)
 
 
-def encode(points: np.ndarray, crop: AffineTransform, cfg: CodecConfig,
-           valid: np.ndarray | None = None) -> EncodedSample:
+def encode(points: np.ndarray, crop: AffineTransform, cfg: CodecConfig) -> EncodedSample:
     """Encode one face's raw-space (L, 2) points: the one-map ``crop`` onto
     the unit square, scaled onto the heatmap, then :func:`encode_points`."""
     t = heatmap_transform(crop, cfg.heatmap_shape)
-    return encode_points(apply_transform(t, points), cfg, valid=valid)
+    return encode_points(apply_transform(t, points), cfg)
 
 
 def _argmax_flat(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -652,7 +643,6 @@ def decode(enc: EncodedSample) -> DecodeResult:
 
 
 def ideal_roundtrip(points: np.ndarray, cfg: CodecConfig,
-                    valid: np.ndarray | None = None,
                     groups: np.ndarray | None = None,
                     ) -> tuple[np.ndarray, np.ndarray, int]:
     """Grid-free equivalent of ``decode(encode_points(...))`` on ideal maps.
@@ -671,10 +661,10 @@ def ideal_roundtrip(points: np.ndarray, cfg: CodecConfig,
     wom collisions are then resolved within each group only, which is how
     the Monte-Carlo benchmark batches many samples into one call.
     """
-    pts, mask = _check_points(points, valid)
+    pts = _check_points(points)
     if groups is not None:
         groups = np.asarray(groups, dtype=np.int64).reshape(len(pts))
-    cells, kept, _, clamped, mask, conflicts = _quantize(pts, mask, cfg, groups)
+    cells, kept, _, clamped, mask, conflicts = _quantize(pts, cfg, groups)
     # the cells are this call's own copy: the kept fractions go straight in
     cells += kept
     if not mask.all():

@@ -66,23 +66,20 @@ class Corpus:
         name: the dataset name.
         ids: (N,) object array of identifiers, unique within the corpus.
         image_paths: (N,) object array of image paths as annotated.
-        points: (N, L, 2) raw-space points in 0-based pixels.
-        valid: (N, L) mask of the points to encode and score; every loader
-            marks all points valid, and loaded points are all finite.
+        points: (N, L, 2) raw-space points in 0-based pixels; a face is all
+            of its points, and loaded points are all finite.
         bbox: (N, 4) annotation boxes ``(x0, y0, x1, y1)``; a NaN row where
             a face has none.
         attributes: (N, 6) flags in :data:`ATTRIBUTE_NAMES` order, 0 or 1; a
             NaN row where a face has none (``"attributes": null``).
 
-    ``valid``, ``bbox`` and ``attributes`` default to all valid, no boxes
-    and no flags.
+    ``bbox`` and ``attributes`` default to no boxes and no flags.
     """
 
     name: str
     ids: np.ndarray
     image_paths: np.ndarray
     points: np.ndarray
-    valid: np.ndarray | None = None
     bbox: np.ndarray | None = None
     attributes: np.ndarray | None = None
 
@@ -91,7 +88,6 @@ class Corpus:
         for name, dtype, shape, fill in (("points", np.float64, (n, n_landmarks, 2), None),
                                          ("ids", object, (n,), None),
                                          ("image_paths", object, (n,), None),
-                                         ("valid", bool, (n, n_landmarks), True),
                                          ("bbox", np.float64, (n, 4), np.nan),
                                          ("attributes", np.float64, (n, 6), np.nan)):
             value = getattr(self, name)

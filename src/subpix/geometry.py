@@ -112,21 +112,21 @@ def _square_crops(lo: np.ndarray, hi: np.ndarray, extra: float, usable: np.ndarr
     return AffineTransform(np.where(ok, scale, 1.0), np.where(ok[:, None], offset, 0.0)), ok
 
 
-def landmark_crops(points: np.ndarray, valid: np.ndarray,
+def landmark_crops(points: np.ndarray,
                    margin: float = 0.25) -> tuple[AffineTransform, np.ndarray]:
     """Square landmark-driven crops of N images at once.
 
-    ``points`` is (N, L, 2) and ``valid`` (N, L). Each crop box is the tight
-    bounding box of the image's valid landmarks (see :func:`_square_crops`).
-    Returns the batched raw -> unit-square transform and an (N,) flag that is
-    False where the crop is degenerate: its box has no extent, as that of a
-    single valid landmark does, or no finite map, as that of none does.
+    ``points`` is (N, L, 2). Each crop box is the tight bounding box of the
+    image's landmarks (see :func:`_square_crops`). Returns the batched raw ->
+    unit-square transform and an (N,) flag that is False where the crop is
+    degenerate: its box has no extent, as that of coincident landmarks does,
+    or no finite map, as that of a non-finite landmark does.
     """
     points = np.asarray(points)
     # per axis, over (N, L) rows: a reduction over L with a length-2 last
     # axis is several times slower
-    lo = np.stack([np.where(valid, points[..., k], np.inf).min(axis=1) for k in (0, 1)], 1)
-    hi = np.stack([np.where(valid, points[..., k], -np.inf).max(axis=1) for k in (0, 1)], 1)
+    lo = np.stack([points[..., k].min(axis=1) for k in (0, 1)], 1)
+    hi = np.stack([points[..., k].max(axis=1) for k in (0, 1)], 1)
     return _square_crops(lo, hi, 0.0, True, margin)
 
 
@@ -144,20 +144,15 @@ def bbox_crops(boxes: np.ndarray, margin: float = 0.25, *,
     return _square_crops(lo, hi, 1.0 if inclusive else 0.0, usable, margin)
 
 
-def crop_from_landmarks(points: np.ndarray, valid: np.ndarray | None = None,
-                        margin: float = 0.25) -> AffineTransform:
+def crop_from_landmarks(points: np.ndarray, margin: float = 0.25) -> AffineTransform:
     """The one-map batch of one face's square landmark-driven crop.
 
-    An N = 1 call of :func:`landmark_crops` on (L, 2) ``points`` and an
-    (L,) ``valid`` mask (all valid by default); raises ConfigError where
-    that flags the crop as degenerate.
+    An N = 1 call of :func:`landmark_crops` on (L, 2) ``points``; raises
+    ConfigError where that flags the crop as degenerate.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    mask = np.ones(len(pts), dtype=bool) if valid is None else np.asarray(valid, dtype=bool)
-    crop, ok = landmark_crops(pts[None], mask[None], margin)
+    crop, ok = landmark_crops(np.asarray(points, dtype=np.float64)[None], margin)
     if not ok[0]:
-        raise ConfigError("degenerate crop: needs two or more valid landmarks "
-                          "spanning a box with extent")
+        raise ConfigError("degenerate crop: needs landmarks spanning a box with extent")
     return crop
 
 

@@ -83,7 +83,7 @@ def _check_threshold(threshold: float) -> None:
 
 def threshold_tag(threshold: float) -> str:
     """The threshold in percent as report column names carry it: 0.1 -> '10'."""
-    return f"{round(threshold * 100):d}"
+    return f"{threshold * 100:g}"
 
 
 def resolve_norm_indices(n_landmarks: int, cfg: MetricsConfig) -> tuple[int, int]:

@@ -83,11 +83,9 @@ def make_records(n_images: int, n_landmarks: int = 98, seed: int = 11,
                   bbox=boxes, attributes=flags if with_attributes else None)
 
 
-def one_face(face_id: str, points, *, valid=None, bbox=None,
-             image_path: str = "x.png") -> Corpus:
+def one_face(face_id: str, points, *, bbox=None, image_path: str = "x.png") -> Corpus:
     """A corpus of one face."""
     return Corpus("synthetic", [face_id], [image_path], np.asarray(points)[None],
-                  valid=None if valid is None else np.asarray(valid)[None],
                   bbox=None if bbox is None else [bbox])
 
 

@@ -407,7 +407,7 @@ def grid_oracle(corpus: Corpus, cfg: BenchConfig,
         ccfg = cfg.codec.for_scheme(scheme)
         per_image, clamped, conflicts = {}, 0, 0
         for k, d, hm, inv, inv_off in kept:
-            enc = encode_points(hm, ccfg, valid=corpus.valid[k])
+            enc = encode_points(hm, ccfg)
             dec = decode(enc)
             back = (dec.points * dims) @ inv.T + inv_off
             err = np.linalg.norm(back - corpus.points[k], axis=1)
@@ -509,11 +509,7 @@ def chained_maps(corpus: Corpus, cfg: BenchConfig,
             side = max(x1 - x0 + extra, y1 - y0 + extra) * (1.0 + cfg.crop_margin)
             center = np.array([(x0 + x1) / 2.0, (y0 + y1) / 2.0])
         else:
-            inside = pts[corpus.valid[k]]
-            if len(inside) < 2:
-                skipped += 1
-                continue
-            lo, hi = inside.min(axis=0), inside.max(axis=0)
+            lo, hi = pts.min(axis=0), pts.max(axis=0)
             side = float(max(hi[0] - lo[0], hi[1] - lo[1])) * (1.0 + cfg.crop_margin)
             center = (lo + hi) / 2.0
         if not (np.isfinite(side) and side > 0):
@@ -538,12 +534,10 @@ def chained_ideal(corpus: Corpus, cfg: BenchConfig,
     dims = np.array(cfg.codec.heatmap_shape, dtype=np.float64)
     counts = [len(k[2]) for k in kept]
     points = np.concatenate([k[2] for k in kept])
-    valid = np.concatenate([corpus.valid[k[0]] for k in kept])
     image = np.repeat(np.arange(len(kept)), counts)
     out = {}
     for scheme in cfg.schemes:
-        coords, _, _ = ideal_roundtrip(points, cfg.codec.for_scheme(scheme),
-                                       valid=valid, groups=image)
+        coords, _, _ = ideal_roundtrip(points, cfg.codec.for_scheme(scheme), groups=image)
         out[scheme] = {}
         for (k, d, hm, inv, inv_off), q in zip(kept, np.split(coords / dims,
                                                               np.cumsum(counts)[:-1])):
@@ -565,7 +559,7 @@ def assert_matches_chain(corpus: Corpus, cfg: BenchConfig,
     dims = np.array(cfg.codec.heatmap_shape, dtype=np.float64)
     t = heatmap_transform(_face_maps(faces, cfg)[0], cfg.codec.heatmap_shape)
     hm = t.apply(faces.points)
-    image = np.repeat(np.arange(len(faces)), faces.valid.shape[1])
+    image = np.repeat(np.arange(len(faces)), faces.points.shape[1])
     for row in report.rows:
         ref = want[row.scheme]
         assert [p.id for p in row.per_image] == sorted(ref)
@@ -573,12 +567,11 @@ def assert_matches_chain(corpus: Corpus, cfg: BenchConfig,
             assert p.nme == ref[p.id][2], (row.scheme, p.id)
             assert np.array_equal(p.per_point, ref[p.id][3], equal_nan=True)
         coords, _, _ = ideal_roundtrip(hm.reshape(-1, 2), cfg.codec.for_scheme(row.scheme),
-                                       valid=faces.valid.reshape(-1), groups=image)
+                                       groups=image)
         back = t.inverse().apply((coords / dims * dims).reshape(hm.shape))
         for k, rid in enumerate(faces.ids):
             if rid in ref:
-                valid = faces.valid[k]
-                assert np.array_equal(hm[k][valid], ref[rid][0][valid])
+                assert np.array_equal(hm[k], ref[rid][0])
                 assert np.array_equal(back[k], ref[rid][1], equal_nan=True)
     return report
 
@@ -604,21 +597,14 @@ class TestBatchedGeometryMatchesChain:
 
     @pytest.mark.parametrize("crop_source", ["landmarks", "bbox"])
     def test_skip_rules(self, crop_source):
-        # faces mixed with each kind of record the batch must skip, or score
-        # from a subset of its points
+        # faces mixed with each kind of record the batch must skip
         records = make_records(6, seed=41)
         pts = records.points[0]
-        lone = np.zeros(98, dtype=bool)
-        lone[5] = True
-        sparse = np.ones(98, dtype=bool)
-        sparse[10:40] = False
         odd = [
             one_face("zero_norm", np.where(np.arange(98)[:, None] == 72, pts[60], pts),
                      bbox=records.bbox[0]),
             one_face("no_bbox", records.points[1]),
             one_face("one_point", np.tile(pts[:1], (98, 1)), bbox=records.bbox[2]),
-            one_face("lone_valid", pts, valid=lone, bbox=records.bbox[3]),
-            one_face("sparse_valid", pts, valid=sparse, bbox=records.bbox[4]),
         ]
         mixed = join(*(part for k, face in enumerate(odd) for part in (records[k:k + 1], face)),
                      records[5:])
@@ -626,9 +612,9 @@ class TestBatchedGeometryMatchesChain:
         report = assert_matches_chain(mixed, cfg)
         scored = {p.id for p in report.rows[0].per_image}
         if crop_source == "bbox":
-            assert report.skipped == 3 and {"lone_valid", "sparse_valid"} <= scored
+            assert report.skipped == 3 and "no_bbox" not in scored
         else:
-            assert report.skipped == 3 and "sparse_valid" in scored
+            assert report.skipped == 2 and "no_bbox" in scored
 
 
 class TestBuildSamples:
@@ -678,7 +664,7 @@ class TestBuildSamples:
         assert len(faces) == len(want) == 24 - skipped
         for name in ("ids", "image_paths"):
             assert list(getattr(faces, name)) == list(getattr(want, name)), name
-        for name in ("points", "valid", "bbox", "attributes"):
+        for name in ("points", "bbox", "attributes"):
             assert np.array_equal(getattr(faces, name), getattr(want, name), equal_nan=True), name
         assert np.isnan(faces.attributes).all(axis=1).sum() == 2
 

@@ -455,10 +455,10 @@ class TestEncodeDecode:
         cfg = CodecConfig(scheme=scheme)
         for k in range(len(corpus)):
             margin = 0.25 if k % 2 else 0.1
-            crop, ok = landmark_crops(corpus.points, corpus.valid, margin)
+            crop, ok = landmark_crops(corpus.points, margin)
             assert ok[k]
             hm = heatmap_transform(crop, cfg.heatmap_shape).apply(corpus.points)
-            want = encode_points(hm[k], cfg, valid=corpus.valid[k]).to_json() + "\n"
+            want = encode_points(hm[k], cfg).to_json() + "\n"
             argv = ["--margin", str(margin)] if k % 2 == 0 else []
             assert run_cli(capsys, "encode", "--scheme", scheme.value, "--record", str(path),
                            "--index", str(k), *argv) == (0, want, ""), k
@@ -739,11 +739,13 @@ class TestMetrics:
         assert lines[0] == "nme_percent,auc10,fr10_percent,n_images,skipped"
         assert lines[1] == "0.000,1.000,0.000,20,0"
 
-    def test_threshold_changes_tag(self, capsys, data_dir):
+    @pytest.mark.parametrize("threshold,tag", [("0.08", "8"), ("0.125", "12.5"),
+                                               ("0.004", "0.4")])
+    def test_threshold_changes_tag(self, capsys, data_dir, threshold, tag):
         rc, out, _ = run_cli(capsys, "metrics", "--gt", str(data_dir / "gt68.json"),
                              "--pred", str(data_dir / "gt68.json"),
-                             "--format", "csv", "--threshold", "0.08")
-        assert out.splitlines()[0] == "nme_percent,auc8,fr8_percent,n_images,skipped"
+                             "--format", "csv", "--threshold", threshold)
+        assert out.splitlines()[0] == f"nme_percent,auc{tag},fr{tag}_percent,n_images,skipped"
 
     def test_missing_prediction_id(self, capsys, tmp_path, corpus68):
         write_canonical(tmp_path / "gt.json", corpus68)
@@ -1127,6 +1129,17 @@ class TestConfigFile:
         rc, _, err = run_cli(capsys, "synth", "--config", str(cfg), "--schemes", "bogus")
         assert (rc, err) == (2, "error: argument --schemes: unknown scheme 'bogus' (known: "
                                 "direct, wsm, wov, wom, hih, or 'all')\n")
+
+    @pytest.mark.parametrize("config,flags", [
+        ("samples = 10\n", ["--schemes", "direct,direct"]),
+        ("samples = 10\nschemes = direct,direct\n", []),
+    ], ids=["flag", "config"])
+    def test_duplicate_schemes_named_by_value(self, capsys, tmp_path, config, flags):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        rc, out, err = run_cli(capsys, "synth", "--config", str(cfg), *flags)
+        assert (rc, out, err) == (2, "", "error: duplicate schemes in 'direct,direct'\n")
+        assert "Scheme." not in err
 
     def test_underscore_keys_normalized(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -53,11 +53,10 @@ def _hih(point, **kw) -> tuple[tuple[int, int], bool]:
 @st.composite
 def _roundtrip_cases(draw):
     """A codec config on a small rectangular grid, points around it, and
-    optionally a caller valid mask and group labels.
+    optionally group labels.
 
     Coordinates are a cell from just outside the grid plus a fraction that
     is often exact: 0, a half, or just below 1, where rounding carries.
-    Rows the caller marks invalid may hold NaN.
     """
     w, h = draw(st.integers(2, 12)), draw(st.integers(2, 12))
     cfg = CodecConfig(scheme=draw(st.sampled_from(SCHEME_ORDER)), heatmap_shape=(w, h),
@@ -69,15 +68,10 @@ def _roundtrip_cases(draw):
                 | st.sampled_from([0.0, 0.5, 1.0 - 2.0 ** -53, 1.0 - 1e-9]))
     pts = np.array([[draw(st.integers(-2, side + 1)) + draw(fraction) for side in (w, h)]
                     for _ in range(n)])
-    valid = None
-    if draw(st.booleans()):
-        valid = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-        if draw(st.booleans()):
-            pts[~valid] = np.nan
     groups = None
     if draw(st.booleans()):
         groups = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
-    return cfg, pts, valid, groups
+    return cfg, pts, groups
 
 
 class TestRelativeOffset:
@@ -470,11 +464,10 @@ class TestRenderedMaps:
                                       brute_force_gaussian((5, 2), 1.0, (8, 8)))
 
     def test_invalid_landmark_map_is_zero(self):
-        pts = np.array([[np.nan, np.nan], [10.0, 10.0]])
-        enc = encode_points(pts, cfg_for(Scheme.DIRECT),
-                            valid=np.array([False, True]))
-        assert not enc.integer_maps[0].any()
-        assert enc.integer_maps[1].max() == 1.0
+        pts = np.array([[-0.5, 10.0], [10.0, 10.0]])
+        enc = encode_points(pts, cfg_for(Scheme.HIH, oob_policy=OobPolicy.DROP))
+        assert not enc.integer_maps[0].any() and not enc.decimal_maps[0].any()
+        assert enc.integer_maps[1].max() == 1.0 and enc.decimal_maps[1].max() == 1.0
 
 
 class TestOobPolicies:
@@ -492,6 +485,19 @@ class TestOobPolicies:
         dec = decode(enc)
         assert np.isnan(dec.points[0]).all()
         assert np.isfinite(dec.points[1]).all()
+
+    def test_dropped_point_claims_no_cell(self):
+        # kept, landmark 1 would sit in cell (0, 0) and, as the higher index,
+        # overwrite the offset landmark 0 wrote there
+        pts = np.array([[0.3, 0.3], [-0.5, 0.2]])
+        cfg = cfg_for(Scheme.WOM, oob_policy=OobPolicy.DROP)
+        coords, _, conflicts = ideal_roundtrip(pts, cfg)
+        enc = encode_points(pts, cfg)
+        dec = decode(enc)
+        np.testing.assert_array_equal(coords[0], [0.3, 0.3])
+        np.testing.assert_array_equal(dec.points[0], np.divide([0.3, 0.3], 64))
+        assert np.isnan(coords[1]).all() and np.isnan(dec.points[1]).all()
+        assert conflicts == enc.conflict_count == 0
 
     def test_domain_boundary(self):
         inside = np.array([[63.999, 63.999]])
@@ -562,14 +568,12 @@ class TestGridMatchesIdealRoundtrip:
         ys = [-0.0, 0.0, -1e-300, 0.5, 2.5, 2 + 1 / 8, 2 + 7 / 8, 1 - 2.0 ** -53,
               h - 0.5, h - 1 / 8, np.nextafter(h, 0), h]
         pts = np.array([[x, y] for x in xs for y in ys])
-        valid = np.arange(len(pts)) % 7 != 3
-        pts[~valid] = np.nan
-        enc = encode_points(pts, cfg, valid=valid)
+        enc = encode_points(pts, cfg)
         dec = decode(enc)
         # row-major points, and the (N, 2) view of (2, N) rows that the
         # Monte-Carlo draw passes
         for layout in (pts, pts.T.copy().T):
-            coords, clamped, conflicts = ideal_roundtrip(layout, cfg, valid=valid)
+            coords, clamped, conflicts = ideal_roundtrip(layout, cfg)
             # as bit patterns: assert_array_equal takes -0.0 for 0.0
             normalized = coords / np.array([w, h], dtype=np.float64)
             np.testing.assert_array_equal(normalized.view(np.uint64),
@@ -577,22 +581,22 @@ class TestGridMatchesIdealRoundtrip:
             np.testing.assert_array_equal(clamped, dec.clamped)
             assert conflicts == enc.conflict_count
             # the result is the transposed view of _quantize's (2, N) cells
-            assert coords.T.flags.c_contiguous and not np.signbit(coords[valid]).any()
+            assert coords.T.flags.c_contiguous and not np.signbit(coords).any()
 
     @given(case=_roundtrip_cases())
     @settings(max_examples=400, deadline=None)
     def test_matches_grid_path_everywhere(self, case):
         # the grid-free round trip against rendering and decoding, one
         # encode_points per group, on any grid and policy pair
-        cfg, pts, valid, groups = case
-        coords, clamped, conflicts = ideal_roundtrip(pts, cfg, valid=valid, groups=groups)
+        cfg, pts, groups = case
+        coords, clamped, conflicts = ideal_roundtrip(pts, cfg, groups=groups)
         labels = np.zeros(len(pts), dtype=np.int64) if groups is None else groups
         grid = np.full_like(pts, np.nan)
         grid_clamped = np.zeros(len(pts), dtype=bool)
         grid_conflicts = 0
         for g in np.unique(labels):
             rows = labels == g
-            enc = encode_points(pts[rows], cfg, valid=None if valid is None else valid[rows])
+            enc = encode_points(pts[rows], cfg)
             dec = decode(enc)
             grid[rows] = dec.points
             grid_clamped[rows] = dec.clamped
@@ -604,20 +608,17 @@ class TestGridMatchesIdealRoundtrip:
         assert conflicts == grid_conflicts
 
 
-def _reference_roundtrip(cfg, pts, valid, groups):
+def _reference_roundtrip(cfg, pts, groups):
     """``ideal_roundtrip`` landmark by landmark in plain Python: ``math.floor``,
     explicit clamps, the carry or clamp rule, and a dict of last writers per
     group. It shares no code with ``_quantize``, which the grid path also runs."""
     (w, h), (wo, ho) = cfg.heatmap_shape, cfg.decimal_shape
     n, rounds = len(pts), cfg.scheme in (Scheme.DIRECT, Scheme.WSM)
-    valid = [True] * n if valid is None else [bool(v) for v in valid]
     groups = [0] * n if groups is None else [int(g) for g in groups]
     cells, kept, clamped = {}, {}, [False] * n
     for i in range(n):
         x, y = float(pts[i, 0]), float(pts[i, 1])
-        if valid[i] and cfg.oob_policy is OobPolicy.DROP:
-            valid[i] = 0 <= x < w and 0 <= y < h
-        if not valid[i]:
+        if cfg.oob_policy is OobPolicy.DROP and not (0 <= x < w and 0 <= y < h):
             continue
         cell, frac = [], []
         for v, side, d in ((x, w, wo), (y, h, ho)):
@@ -657,9 +658,9 @@ class TestQuantizeReference:
     @settings(max_examples=400, deadline=None)
     def test_matches_per_landmark_reference(self, case):
         # an independent oracle: the grid path shares _quantize with the round trip
-        cfg, pts, valid, groups = case
-        coords, clamped, conflicts = ideal_roundtrip(pts, cfg, valid=valid, groups=groups)
-        want, want_clamped, want_conflicts = _reference_roundtrip(cfg, pts, valid, groups)
+        cfg, pts, groups = case
+        coords, clamped, conflicts = ideal_roundtrip(pts, cfg, groups=groups)
+        want, want_clamped, want_conflicts = _reference_roundtrip(cfg, pts, groups)
         np.testing.assert_array_equal(coords.view(np.uint64), want.view(np.uint64))
         np.testing.assert_array_equal(clamped, want_clamped)
         assert conflicts == want_conflicts
@@ -851,16 +852,15 @@ class TestSampleRoundtrip:
             assert np.nanmax(errs) < 1e-9, scheme
 
     def test_encode_matches_encode_points(self):
+        # a margin of 0 puts the rightmost landmark, 12, on the far border,
+        # where the drop policy drops it
         points = self._record(seed=43).points[0]
-        valid = np.arange(len(points)) % 7 != 3
-        points[~valid] = np.nan  # invalid points may be NaN
-        crop = crop_from_landmarks(points, valid)
-        cfg = cfg_for(Scheme.HIH)
+        crop = crop_from_landmarks(points, 0.0)
+        cfg = cfg_for(Scheme.HIH, oob_policy=OobPolicy.DROP)
         hm = apply_transform(heatmap_transform(crop, cfg.heatmap_shape), points)
-        a = encode(points, crop, cfg, valid=valid).to_json()
-        b = encode_points(hm, cfg, valid=valid).to_json()
-        assert a == b
-        assert not encode(points, crop, cfg, valid=valid).valid[3]
+        a = encode(points, crop, cfg)
+        assert a.to_json() == encode_points(hm, cfg).to_json()
+        assert list(np.flatnonzero(~a.valid)) == [12]
 
 
 class TestDecodeResultContract:

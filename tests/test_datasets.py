@@ -8,6 +8,7 @@ out of float() or an index error counts as a bug.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -62,7 +63,6 @@ class TestPtsFiles:
         assert list(loaded.ids) == ["face_0001"]
         assert list(loaded.image_paths) == ["face_0001.pts"]
         assert np.isnan(loaded.bbox).all() and np.isnan(loaded.attributes).all()
-        assert loaded.valid.all()
         # the loader applies exactly a -1.0 shift to the parsed values
         np.testing.assert_array_equal(loaded.points[0], (points + 1.0) - 1.0)
         np.testing.assert_allclose(loaded.points[0], points, atol=1e-9)
@@ -109,7 +109,6 @@ class TestWflw:
         np.testing.assert_array_equal(loaded.points, corpus98.points)
         np.testing.assert_array_equal(loaded.bbox, corpus98.bbox)
         np.testing.assert_array_equal(loaded.attributes, corpus98.attributes)
-        assert loaded.valid.all()
         assert list(loaded.image_paths) == list(corpus98.image_paths)
         for lineno, face_id in enumerate(loaded.ids, start=1):
             assert face_id.startswith(f"{lineno:06d}_")
@@ -148,11 +147,9 @@ class TestCanonical:
         f = tmp_path / "c.json"
         write_canonical(f, corpus98)
         _, loaded = load_canonical(f)
-        assert loaded.name == "synthetic"
-        assert loaded.points.shape == corpus98.points.shape
-        assert list(loaded.ids) == list(corpus98.ids)
-        for name in ("points", "valid", "bbox", "attributes"):
-            np.testing.assert_array_equal(getattr(loaded, name), getattr(corpus98, name))
+        for field in fields(Corpus):
+            np.testing.assert_array_equal(getattr(loaded, field.name),
+                                          getattr(corpus98, field.name), err_msg=field.name)
 
     def test_round_trip_without_extras(self, tmp_path, corpus68):
         bare = Corpus("bare", corpus68.ids, corpus68.image_paths, corpus68.points)
@@ -173,11 +170,11 @@ class TestCanonical:
         with pytest.raises(ConfigError):
             canonical_dict(corpus68[:0])
 
-    def test_mixed_layout_rejected(self, corpus68, corpus98):
-        # a corpus holds one layout: its columns must agree on the landmark count
-        with pytest.raises(ConfigError):
+    def test_column_shape_mismatch_rejected(self, corpus68):
+        # a corpus's columns must agree on the face count
+        with pytest.raises(ConfigError, match="corpus bbox of shape"):
             Corpus("d", corpus68.ids[:1], corpus68.image_paths[:1], corpus68.points[:1],
-                   valid=corpus98.valid[:1])
+                   bbox=corpus68.bbox[:2])
 
     @pytest.mark.parametrize("name,text", malformed_canonical_docs(),
                              ids=[n for n, _ in malformed_canonical_docs()])

@@ -131,9 +131,9 @@ class TestCropFromLandmarks:
         with pytest.raises(ConfigError, match="degenerate crop"):
             crop_from_landmarks([[5.0, 5.0], [5.0, 5.0]])
 
-    def test_single_valid_point_rejected(self):
+    def test_single_point_rejected(self):
         with pytest.raises(ConfigError, match="degenerate crop"):
-            crop_from_landmarks([[1.0, 1.0], [9.0, 9.0]], [True, False])
+            crop_from_landmarks([[1.0, 1.0]])
 
     def test_non_square_target_rejected(self):
         # the crop is square, so the grid it is scaled onto must be too
@@ -150,13 +150,12 @@ class TestCropFromLandmarks:
 
     def test_batch_flags_degenerate_rows(self, corpus98):
         points = corpus98.points[:5].copy()
-        valid = np.ones(points.shape[:2], dtype=bool)
-        valid[1, 2:] = False        # two valid points still span a box
-        valid[2, 1:] = False        # one valid point does not
-        points[3] = points[3, :1]   # every point at one place: no extent
-        crop, ok = landmark_crops(points, valid, 0.25)
+        points[1, 2:] = points[1, 0]  # two places still span a box
+        points[2, 7] = np.nan         # a non-finite point leaves no finite map
+        points[3] = points[3, :1]     # every point at one place: no extent
+        crop, ok = landmark_crops(points, 0.25)
         assert list(ok) == [True, True, False, False, True]
-        single = crop_from_landmarks(points[1], valid[1])
+        single = crop_from_landmarks(points[1])
         assert crop.scale[1] == single.scale[0]
         assert np.array_equal(crop.offset[1], single.offset[0])
 
@@ -165,17 +164,12 @@ class TestCropFromLandmarks:
         # (N, L, 2) stack, so the crops are the same bit for bit
         rng = np.random.Generator(np.random.PCG64(5))
         points = rng.uniform(-50.0, 500.0, size=(40, 30, 2))
-        valid = rng.random((40, 30)) < 0.7
-        valid[3] = False                     # no valid point
-        valid[4] = np.arange(30) == 0        # one valid point
-        points[~valid & (rng.random((40, 30)) < 0.5)] = np.nan  # invalid points may be NaN
-        inside = valid[..., None]
-        lo = np.where(inside, points, np.inf).min(axis=1)
-        hi = np.where(inside, points, -np.inf).max(axis=1)
+        points[3] = points[3, :1]            # every point at one place
+        points[4, 5, 1] = np.nan             # a non-finite point
+        lo, hi = points.min(axis=1), points.max(axis=1)
         for margin in (0.0, 0.25):
-            want, want_ok = _square_crops(lo, hi, 0.0, np.count_nonzero(valid, axis=1) >= 2,
-                                          margin)
-            crop, ok = landmark_crops(points, valid, margin)
+            want, want_ok = _square_crops(lo, hi, 0.0, True, margin)
+            crop, ok = landmark_crops(points, margin)
             assert np.array_equal(ok, want_ok) and not ok[3] and not ok[4] and ok.sum() == 38
             assert np.array_equal(crop.scale, want.scale)
             assert np.array_equal(crop.offset, want.offset)
