@@ -25,10 +25,13 @@ The ideal mode runs as whole-array passes over a
 row by row, with one batched kernel from :mod:`subpix.geometry` onto the
 unit square: a per-image scale (N,) and offset (N, 2). :func:`build_samples`
 keeps the usable faces as a corpus in id order, and :func:`run_ideal` scales
-their crops onto the heatmap grid, refuses a face whose points do not survive
-that map and its inverse, maps decoded points back with the reciprocal scale,
-and scores each scheme with one :func:`score_images` call, the scorer of
-``metrics`` too. Its results are bit-identical to a per-image transform chain.
+their crops onto the heatmap grid and hands that one raw -> heatmap map to
+``_roundtrip_scores``, which does the rest for any map: it refuses a face
+whose points do not survive the map and its inverse, round-trips every scheme,
+maps decoded points back with the reciprocal scale, and scores each scheme
+with one :func:`score_images` call, the scorer of ``metrics`` too. The crop
+does not depend on the grid, so one load and crop serve a map onto any grid.
+The results are bit-identical to a per-image transform chain.
 
 Randomness comes from numpy's PCG64 generator. Block k of a Monte-Carlo
 draw has its own stream, seeded by the k-th child of
@@ -84,12 +87,15 @@ _MIN_MC_N = 1e-150
 #: Landmarks the Monte-Carlo mode draws, round-trips and scores at once, and
 #: the most a sample may have: a block holds whole samples, so peak memory is
 #: flat in the samples and in the landmarks per sample. At 2^13 a block's
-#: 64-128 KB arrays stay in cache, and the allocator hands the same memory to
-#: the next block instead of returning it to the system and faulting it back
-#: in. A sweep over 2^11-2^16 (250000 x 4 landmarks, all schemes;
-#: BENCH_16.json) found 2^13 the fastest, with no steady-state minor faults;
-#: from 2^14 up every block faults (27-30k a run) and the peak grows to 44 MB
-#: at 2^16, while 2^11 and 2^12 save under 1 MB and lose to per-call overhead.
+#: 64-128 KB arrays stay in cache. A sweep over 2^11-2^16 (250000 x 4
+#: landmarks, all schemes; BENCH_16.json) found 2^13 the fastest; the peak
+#: grows to 44 MB at 2^16, while 2^11 and 2^12 save under 1 MB and lose to
+#: per-call overhead. The blocks are not fault-free: glibc trims the heap as
+#: a block's arrays are freed, and the next block faults the pages back in.
+#: On that draw one in-process call takes about 11,000 minor faults, on every
+#: repeat, nearly all in the wom, hih and wov round trips, and a fresh CLI run
+#: 15,000-27,000, as the code before the draw shifts the heap layout (x86-64,
+#: glibc 2.36, Python 3.11, numpy 2.4; ru_minflt).
 _MC_BLOCK = 1 << 13
 
 #: The most a face's point may move, in normalization distances, when mapped
@@ -212,23 +218,20 @@ def build_samples(corpus: Corpus, cfg: BenchConfig) -> tuple[Corpus, int]:
     return corpus[keep], len(corpus) - len(keep)
 
 
-def run_ideal(corpus: Corpus, cfg: BenchConfig) -> BenchReport:
-    """Encode-decode every face under every scheme and aggregate.
+def _roundtrip_scores(faces: Corpus, norm_distance: np.ndarray, to_heatmap: AffineTransform,
+                      cfg: BenchConfig) -> dict[Scheme, tuple]:
+    """Encode-decode the faces under every scheme through one raw -> heatmap map; score them.
 
-    The faces go through one :func:`ideal_roundtrip` call per scheme,
-    grouped by image so that ``wom`` collisions stay inside one image, and
-    are mapped to heatmap space and back and scored as whole arrays.
+    ``to_heatmap`` takes each face's (L, 2) raw points onto ``cfg``'s heatmap
+    grid; a face that it and its inverse move by more than
+    ``_MAX_ROUNDTRIP_MOVE`` normalization distances is refused. Each scheme
+    runs one :func:`ideal_roundtrip` call, grouped by image so that ``wom``
+    collisions stay inside one image; its coordinates are mapped back with
+    the inverse and scored with one :func:`score_images` call. Returns, per
+    scheme in ``cfg.schemes`` order, that call's tuple followed by the
+    (N, L) clamp flags and the conflict count.
     """
-    faces, skipped = build_samples(corpus, cfg)
-    if not len(faces):
-        no_distance = int(np.count_nonzero(np.isnan(_face_maps(corpus, cfg)[2])))
-        raise ConfigError(f"every record was skipped ({no_distance} with no usable "
-                          f"normalization distance, {skipped - no_distance} with an "
-                          f"unusable crop); nothing to benchmark")
-    crop, _, norm_distance = _face_maps(faces, cfg)
-    shape = cfg.codec.heatmap_shape
-    dims = np.array(shape, dtype=np.float64)
-    to_heatmap = heatmap_transform(crop, shape)
+    dims = np.array(cfg.codec.heatmap_shape, dtype=np.float64)
     to_raw = to_heatmap.inverse()
     n, n_landmarks = faces.points.shape[:2]
     points = to_heatmap.apply(faces.points).reshape(-1, 2)
@@ -245,8 +248,7 @@ def run_ideal(corpus: Corpus, cfg: BenchConfig) -> BenchReport:
                           f"and back moves one by {worst[k]:.3g} normalization distances "
                           f"(limit {_MAX_ROUNDTRIP_MOVE:g})")
 
-    rows = []
-    threshold = cfg.metrics.threshold
+    scores = {}
     for scheme in cfg.schemes:
         coords, clamped, conflicts = ideal_roundtrip(
             points, cfg.codec.for_scheme(scheme), groups=image)
@@ -255,21 +257,44 @@ def run_ideal(corpus: Corpus, cfg: BenchConfig) -> BenchReport:
         # decode returns coords / dims; mapping back from that normalized
         # form keeps every error bit-equal to the grid path on any grid size
         back_raw = to_raw.apply((coords / dims * dims).reshape(n, n_landmarks, 2))
-        scored, per_point, nme, mean, auc, fr, ced = score_images(
-            faces.ids, faces.points, back_raw, norm_distance, threshold)
+        scores[scheme] = (*score_images(faces.ids, faces.points, back_raw, norm_distance,
+                                        cfg.metrics.threshold),
+                          clamped.reshape(n, n_landmarks), int(conflicts))
+    return scores
+
+
+def run_ideal(corpus: Corpus, cfg: BenchConfig) -> BenchReport:
+    """Encode-decode every face under every scheme and aggregate.
+
+    The kept faces of :func:`build_samples` are cropped once, their crops
+    scaled onto the heatmap grid, and :func:`_roundtrip_scores` round-trips
+    and scores them under every scheme; this function only reports.
+    """
+    faces, skipped = build_samples(corpus, cfg)
+    if not len(faces):
+        no_distance = int(np.count_nonzero(np.isnan(_face_maps(corpus, cfg)[2])))
+        raise ConfigError(f"every record was skipped ({no_distance} with no usable "
+                          f"normalization distance, {skipped - no_distance} with an "
+                          f"unusable crop); nothing to benchmark")
+    crop, _, norm_distance = _face_maps(faces, cfg)
+    scores = _roundtrip_scores(faces, norm_distance,
+                               heatmap_transform(crop, cfg.codec.heatmap_shape), cfg)
+    rows = []
+    for scheme in sorted(scores, key=SCHEME_ORDER.index):
+        scored, per_point, nme, mean, auc, fr, ced, clamped, conflicts = scores[scheme]
         rows.append(SchemeStats(
             scheme=scheme, n_images=len(scored), nme=mean, auc=auc, fr=fr,
-            clamped_points=int(np.count_nonzero(clamped.reshape(n, n_landmarks)[scored])),
+            clamped_points=int(np.count_nonzero(clamped[scored])),
             # an unscored image has no valid point, hence no conflict
-            conflicts=int(conflicts), ced=ced,
+            conflicts=conflicts, ced=ced,
             per_image=[PerImageError(id=faces.ids[k], nme=float(nme[k]),
                                      per_point=per_point[k]) for k in scored],
         ))
-    rows.sort(key=lambda r: SCHEME_ORDER.index(r.scheme))
+    threshold = cfg.metrics.threshold
     config = _config_echo(cfg, oob_policy=cfg.codec.oob_policy.value, threshold=threshold,
                           crop_margin=cfg.crop_margin, crop_source=cfg.crop_source,
                           bbox_inclusive=cfg.bbox_inclusive)
-    return BenchReport(mode="ideal", dataset=corpus.name, n_images=n,
+    return BenchReport(mode="ideal", dataset=corpus.name, n_images=len(faces),
                        skipped=skipped, threshold=threshold, config=config, rows=rows)
 
 

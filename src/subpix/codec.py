@@ -580,12 +580,13 @@ def encode(points: np.ndarray, crop: AffineTransform, cfg: CodecConfig) -> Encod
     return encode_points(apply_transform(t, points), cfg)
 
 
-def _argmax_flat(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n = maps.shape[0]
-    flat = maps.reshape(n, -1)
+def _argmax_flat(maps: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-major peak lookup over N grids ``width`` cells wide: the grids flattened
+    to (N, cells), each one's first maximum as a flat index (N,), and the (x, y)
+    of that cell as (N, 2) floats."""
+    flat = maps.reshape(len(maps), -1)
     best = flat.argmax(axis=1)
-    maxval = flat[np.arange(n), best]
-    return flat, best, maxval
+    return flat, best, np.stack([best % width, best // width], axis=1).astype(np.float64)
 
 
 def decode(enc: EncodedSample) -> DecodeResult:
@@ -597,10 +598,8 @@ def decode(enc: EncodedSample) -> DecodeResult:
     w, h = enc.heatmap_shape
     n = enc.n_landmarks
     rows = np.arange(n)
-    flat, best, maxval = _argmax_flat(enc.integer_maps)
-    m = np.stack([best % w, best // w], axis=1).astype(np.float64)
+    flat, best, m = _argmax_flat(enc.integer_maps, w)
 
-    ties = np.zeros(n, dtype=bool)
     if enc.scheme is Scheme.WSM:
         flat2 = flat.copy()
         flat2[rows, best] = -np.inf
@@ -612,27 +611,24 @@ def decode(enc: EncodedSample) -> DecodeResult:
         coords = m.copy()
         unique = counts == 1
         if np.any(unique):
-            sec_flat = mask[unique].argmax(axis=1)
-            s = np.stack([sec_flat % w, sec_flat // w], axis=1).astype(np.float64)
+            s = _argmax_flat(mask[unique], w)[2]
             delta = s - m[unique]
             norm = point_distances(delta)[:, None]
             coords[unique] = m[unique] + 0.25 * delta / norm
     else:
         # a duplicated maximum means the row-major tie break picked the cell
-        ties = (flat == maxval[:, None]).sum(axis=1) > 1
+        ties = (flat == flat[rows, best][:, None]).sum(axis=1) > 1
         if enc.scheme is Scheme.DIRECT:
             coords = m
         elif enc.scheme is Scheme.WOV:
             coords = m + enc.offsets
         elif enc.scheme is Scheme.WOM:
-            my = m[:, 1].astype(np.int64)
-            mx = m[:, 0].astype(np.int64)
-            coords = m + np.stack([enc.offset_map_x[my, mx],
-                                   enc.offset_map_y[my, mx]], axis=1)
+            # the shared maps are (h, w) grids too, read at the peak's flat index
+            coords = m + np.stack([enc.offset_map_x.reshape(-1)[best],
+                                   enc.offset_map_y.reshape(-1)[best]], axis=1)
         else:  # hih
             wo, ho = enc.decimal_shape
-            _, dbest, _ = _argmax_flat(enc.decimal_maps)
-            q = np.stack([dbest % wo, dbest // wo], axis=1).astype(np.float64)
+            q = _argmax_flat(enc.decimal_maps, wo)[2]
             coords = m + q / np.array([wo, ho], dtype=np.float64)
 
     normalized = coords / np.array([w, h], dtype=np.float64)

@@ -18,8 +18,9 @@ from conftest import join, make_records, one_face
 
 import subpix.bench
 from subpix.bench import (_MC_BLOCK, BenchConfig, BenchReport, Column, SchemeStats,
-                          _face_maps, _mc_blocks, analytic_direct_error, build_samples,
-                          emit_report, format_report, run_ideal, run_montecarlo)
+                          _face_maps, _mc_blocks, _roundtrip_scores, analytic_direct_error,
+                          build_samples, emit_report, format_report, run_ideal,
+                          run_montecarlo)
 from subpix.codec import (SCHEME_ORDER, CodecConfig, DecimalOverflow, OobPolicy, Scheme,
                           decode, encode_points, ideal_roundtrip)
 from subpix.datasets import Corpus
@@ -615,6 +616,32 @@ class TestBatchedGeometryMatchesChain:
             assert report.skipped == 3 and "no_bbox" not in scored
         else:
             assert report.skipped == 2 and "no_bbox" in scored
+
+
+class TestRoundtripScores:
+    def test_one_load_serves_every_grid(self):
+        # one load and one unit-square crop, scored on two grids, equal run_ideal
+        # at each grid bit for bit: the crop does not depend on the grid
+        records = make_records(24, 98)
+        faces, _ = build_samples(records, BenchConfig())
+        crop, _, d = _face_maps(faces, BenchConfig())
+        for g in (32, 64):
+            cfg = BenchConfig(codec=CodecConfig(scheme=Scheme.DIRECT, heatmap_shape=(g, g)))
+            scores = _roundtrip_scores(faces, d, heatmap_transform(crop, (g, g)), cfg)
+            report = run_ideal(records, cfg)
+            assert list(scores) == list(cfg.schemes)
+            for row in report.rows:
+                scored, per_point, nme, mean, auc, fr, ced, clamped, conflicts = scores[row.scheme]
+                assert per_point.shape == clamped.shape == faces.points.shape[:2]
+                assert nme.shape == (len(faces),)
+                assert (mean, auc, fr, ced) == (row.nme, row.auc, row.fr, row.ced), row.scheme
+                assert (conflicts, int(np.count_nonzero(clamped[scored]))) == (
+                    row.conflicts, row.clamped_points)
+                assert [faces.ids[k] for k in scored] == [p.id for p in row.per_image]
+                assert [float(nme[k]) for k in scored] == [p.nme for p in row.per_image]
+                for k, p in zip(scored, row.per_image):
+                    assert np.array_equal(per_point[k], p.per_point)
+            assert _row(report, Scheme.WOM).conflicts > 0
 
 
 class TestBuildSamples:

@@ -1,9 +1,9 @@
 """Every exported name resolves, no module exports a name twice, each
 name the package re-exports is exported by the module it comes from, no
 module imports a name it never uses, every distance and every score goes
-through its one kernel, all JSON input goes through its one reader, one
-function decides what a JSON integer is, and no private definition is left
-that only tests read."""
+through its one kernel, one function round-trips and scores a heatmap map,
+all JSON input goes through its one reader, one function decides what a
+JSON integer is, and no private definition is left that only tests read."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import subpix
+import subpix.bench
 
 MODULES = ["subpix"] + [f"subpix.{m.name}" for m in pkgutil.iter_modules(subpix.__path__)
                         if m.name != "__main__"]
@@ -143,6 +144,46 @@ def test_scorer_scan_sees_each_spelling():
     # prose, and names that only contain a kernel's, pass
     assert _uses(ast.parse('"""ced_auc"""\n# image_errors\nced_points_x = failure_rates'),
                  _SCORING_KERNEL) == []
+
+
+# the round trip and the scorer of a heatmap map, however each is reached
+_ROUNDTRIP = re.compile(r"(^|\.)ideal_roundtrip$")
+_SCORER = re.compile(r"(^|\.)score_images$")
+
+
+def _users(tree: ast.Module, pattern: re.Pattern) -> list[str]:
+    """The module-level statements of a parsed module, imports aside, that use
+    a name ``pattern`` matches: a function or class by its name, else its line."""
+    return [getattr(node, "name", f"line {node.lineno}") for node in tree.body
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) and _uses(node, pattern)]
+
+
+def test_one_roundtrip_and_score_per_map():
+    """``bench-ideal``'s round trip, move check, back-mapping and scoring run
+    in ``bench._roundtrip_scores`` alone, so a caller with another raw ->
+    heatmap map calls it rather than copying the loop: inside ``bench`` only
+    it and ``run_montecarlo`` use ``ideal_roundtrip``, only it uses
+    ``score_images`` or a map's ``inverse``, and ``run_ideal`` uses none."""
+    tree = ast.parse(Path(subpix.bench.__file__).read_text())
+    assert _users(tree, _ROUNDTRIP) == ["_roundtrip_scores", "run_montecarlo"]
+    assert _users(tree, _SCORER) == ["_roundtrip_scores"]
+    assert _users(tree, re.compile(r"\.inverse$")) == ["_roundtrip_scores"]
+
+
+def test_roundtrip_and_score_scan_sees_each_spelling():
+    either = re.compile(f"{_ROUNDTRIP.pattern}|{_SCORER.pattern}")
+    spellings = {"def f():\n    ideal_roundtrip(p, c)": ["f"],
+                 "def f():\n    return codec.ideal_roundtrip(p, c)": ["f"],
+                 "def f():\n    g = subpix.codec.ideal_roundtrip\n    g(p, c)": ["f"],
+                 "async def f():\n    return [score_images(*a) for a in args]": ["f"],
+                 "def f():\n    def g():\n        score_images(a)\n    g()": ["f"],
+                 "class C:\n    def m(self):\n        return ideal_roundtrip(p, c)": ["C"],
+                 "x = 1\nscore = lambda a: bench.score_images(*a)": ["line 2"]}
+    assert {text: _users(ast.parse(text), either) for text in spellings} == spellings
+    # imports, prose and names that only contain a kernel's pass
+    assert _users(ast.parse('from .codec import ideal_roundtrip\nimport score_images\n'
+                            'def f():\n    """ideal_roundtrip"""\n    # score_images\n'
+                            '    ideal_roundtrips = score_images_x = 1'), either) == []
 
 
 # a JSON parse, however it is reached or imported: json.load(s) or a decoder object
