@@ -90,12 +90,15 @@ _MIN_MC_N = 1e-150
 #: 64-128 KB arrays stay in cache. A sweep over 2^11-2^16 (250000 x 4
 #: landmarks, all schemes; BENCH_16.json) found 2^13 the fastest; the peak
 #: grows to 44 MB at 2^16, while 2^11 and 2^12 save under 1 MB and lose to
-#: per-call overhead. The blocks are not fault-free: glibc trims the heap as
-#: a block's arrays are freed, and the next block faults the pages back in.
-#: On that draw one in-process call takes about 11,000 minor faults, on every
-#: repeat, nearly all in the wom, hih and wov round trips, and a fresh CLI run
-#: 15,000-27,000, as the code before the draw shifts the heap layout (x86-64,
-#: glibc 2.36, Python 3.11, numpy 2.4; ru_minflt).
+#: per-call overhead. A block reuses the pages of the one before only if the
+#: allocator keeps them: with glibc's defaults the heap may be trimmed as a
+#: block's arrays are freed, and the next block faults the pages back in, as
+#: the code before the draw shifts the heap layout. ``cli.entry`` keeps them
+#: (see ``cli._MALLOPT``): a fresh CLI run of that draw takes about 5,350
+#: minor faults, 4,800 of them importing the package, against 16,000-18,000
+#: with the defaults, and an in-process call with the same settings about 500
+#: on its first call and under 20 on each repeat (x86-64, glibc 2.36, Python
+#: 3.11, numpy 2.4; ru_minflt).
 _MC_BLOCK = 1 << 13
 
 #: The most a face's point may move, in normalization distances, when mapped

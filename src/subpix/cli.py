@@ -18,12 +18,20 @@ success, 2 for usage or input errors, 1 for internal failures. A flat
 errors as single-line JSON on stderr for machine consumption.
 
 Identical inputs, flags, and seeds produce byte-identical stdout.
+
+:func:`entry`, the ``subpix`` console script and ``python -m subpix``,
+wraps :func:`main` for a process of its own: it keeps freed heap mapped
+between the Monte-Carlo blocks, and it ends the process without tearing
+the interpreter down once the exit handlers have run and the output is
+flushed. A report that cannot be written is an input error like any other.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -198,8 +206,13 @@ def _parse_point(text: str) -> tuple[float, float]:
 
 
 def _write_out(text: str, out: str | None) -> None:
+    """``text`` to the file ``out``, or to stdout, flushed so that a failed
+    write is this command's error rather than one at exit."""
     if out is None or out == "-":
+        if sys.stdout is None:  # the process was started with stdout closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
         sys.stdout.write(text)
+        sys.stdout.flush()
     else:
         Path(out).write_text(text)
 
@@ -500,5 +513,46 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+# the glibc mallopt settings entry() makes: M_TRIM_THRESHOLD (-1) at 64 MiB
+# keeps freed heap mapped, and M_MMAP_THRESHOLD (-3) at 1 MiB serves arrays
+# below that from the heap. With the defaults, the 128 KiB arrays of a
+# Monte-Carlo block sit at the mmap threshold and the heap is trimmed as each
+# block frees them, so the next block faults the same pages back in
+_MALLOPT = ((-1, 64 << 20), (-3, 1 << 20))
+
+
+def _tune_allocator() -> None:
+    """Make the ``_MALLOPT`` settings, where the C library has ``mallopt``."""
+    import ctypes  # here, so that no other code in the package reaches the C library
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library, or not glibc's
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in _MALLOPT:
+        mallopt(param, value)
+
+
 def entry() -> None:
-    sys.exit(main())
+    """Run :func:`main` as the whole process, and end it without teardown.
+
+    Exit handlers run and stdout and stderr are flushed; the process then
+    ends with ``os._exit``, which skips freeing every module and object. A
+    flush that fails after a successful run is reported as an error, exit 2.
+    """
+    import atexit  # here, so that no other code in the package runs the exit handlers
+
+    _tune_allocator()
+    rc = main()
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except (OSError, ValueError) as exc:
+            # a failed run has reported its one error already
+            if rc == 0 and stream is sys.stdout:
+                _report_error(exc, "--json-errors" in sys.argv)
+                rc = 2
+    os._exit(rc)

@@ -388,6 +388,15 @@ def _check_points(points) -> np.ndarray:
     return pts
 
 
+def _check_groups(groups, n: int) -> np.ndarray:
+    """``groups`` as n int64 labels, each in [0, n)."""
+    labels = np.asarray(groups)
+    if (labels.shape != (n,) or labels.dtype.kind not in "iu"
+            or labels.min() < 0 or labels.max() >= n):
+        raise ConfigError(f"groups must be {n} integer labels in [0, {n}), one per point")
+    return labels.astype(np.int64, copy=False)
+
+
 @functools.lru_cache(maxsize=None)
 def _column(x: int, y: int) -> np.ndarray:
     """``(x, y)`` as a read-only (2, 1) float64 column, built once per pair.
@@ -447,7 +456,7 @@ def _quantize(pts: np.ndarray, cfg: CodecConfig, groups: np.ndarray | None = Non
 
     Returns ``(cells, kept, steps, clamped, valid, conflicts)``: the (2, N)
     axis-major cells and kept fractions as float64 (see the module
-    docstring; ``direct`` and ``wsm`` keep the scalar 0.0), the
+    docstring; None for ``direct`` and ``wsm``, which keep nothing), the
     hih decimal step indices, also (2, N) float64 (None for the other
     schemes), the clamp flags, the valid mask, False where
     ``OobPolicy.DROP`` dropped a landmark, and the wom conflict count, with
@@ -482,16 +491,24 @@ def _quantize(pts: np.ndarray, cfg: CodecConfig, groups: np.ndarray | None = Non
         cells = np.floor(xy, out=xy)
     else:
         cells = np.floor(xy)
-    moved = (cells < 0.0) | (cells > top)
-    np.maximum(cells, 0.0, out=cells)
-    np.minimum(cells, top, out=cells)
-    clamped = moved[0] | moved[1]
-    kept, steps, conflicts = 0.0, None, 0
+    # a min over both axes and a max per axis tell whether any cell is off the
+    # grid; when none is, the clamp and the clip below would change nothing,
+    # since x - floor(x) is exact and in [0, 1) for every x >= 0
+    off_grid = cells.min() < 0.0 or (cells.max(axis=1, keepdims=True) > top).any()
+    if off_grid:
+        moved = (cells < 0.0) | (cells > top)
+        np.maximum(cells, 0.0, out=cells)
+        np.minimum(cells, top, out=cells)
+        clamped = moved[0] | moved[1]
+    else:
+        clamped = np.zeros(len(pts), dtype=bool)
+    kept, steps, conflicts = None, None, 0
     if not rounds:
         kept = xy
         kept -= cells
-        np.maximum(kept, 0.0, out=kept)
-        np.minimum(kept, _ONE_BELOW, out=kept)
+        if off_grid:
+            np.maximum(kept, 0.0, out=kept)
+            np.minimum(kept, _ONE_BELOW, out=kept)
     if cfg.scheme is Scheme.WOM:
         kept, conflicts = _last_writer_offsets(cells, kept, valid, cfg.heatmap_shape, groups)
     elif cfg.scheme is Scheme.HIH:
@@ -655,14 +672,17 @@ def ideal_roundtrip(points: np.ndarray, cfg: CodecConfig,
 
     ``groups`` optionally partitions the points into independent samples:
     wom collisions are then resolved within each group only, which is how
-    the Monte-Carlo benchmark batches many samples into one call.
+    the Monte-Carlo benchmark batches many samples into one call. It must
+    hold one integer label in [0, N) per point: no more groups than points,
+    so that a group's cells stay apart from every other group's in int64.
     """
     pts = _check_points(points)
     if groups is not None:
-        groups = np.asarray(groups, dtype=np.int64).reshape(len(pts))
+        groups = _check_groups(groups, len(pts))
     cells, kept, _, clamped, mask, conflicts = _quantize(pts, cfg, groups)
     # the cells are this call's own copy: the kept fractions go straight in
-    cells += kept
+    if kept is not None:
+        cells += kept
     if not mask.all():
         cells[:, ~mask] = np.nan
     return cells.T, clamped, conflicts

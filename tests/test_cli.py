@@ -1,14 +1,16 @@
 """CLI tests: exit codes, golden outputs, piping, config file precedence.
 
 Most cases drive ``main(argv)`` in-process and byte-compare captured
-stdout; true subprocess round-trips live in the acceptance suite, and only
-the memory test here starts child processes.
+stdout; true subprocess round-trips live in the acceptance suite. Here only
+the memory test and ``TestEntry``, which checks how ``python -m subpix``
+ends its process, start child processes.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -46,6 +48,22 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     rc = main(list(argv))
     cap = capsys.readouterr()
     return rc, cap.out, cap.err
+
+
+def child_env() -> dict[str, str]:
+    """The environment of a child interpreter that imports this package's source."""
+    src = str(Path(subpix.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
+ENTRY = [sys.executable, "-m", "subpix"]
+
+
+def run_entry(*argv: str, stdin: bytes | None = None) -> subprocess.CompletedProcess:
+    """``python -m subpix argv`` as a process of its own, its output as bytes."""
+    return subprocess.run([*ENTRY, *argv], input=stdin, capture_output=True,
+                          env=child_env(), timeout=300)
 
 
 @pytest.fixture(scope="module")
@@ -200,9 +218,6 @@ class TestSynth:
         assert "error: unrecognized arguments: --oob-policy drop" in err
 
     def test_peak_memory_flat_in_samples(self):
-        src = str(Path(subpix.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
         cases = [
             # the draw is scored block by block, so 40x the samples may not
             # need more than a few blocks' worth of extra memory
@@ -216,21 +231,25 @@ class TestSynth:
         ]
         # a child's ru_maxrss counts the resident size of the process that
         # spawned it, here all of pytest, so the CLI reports the high-water
-        # mark of its own image (VmHWM, in KiB) instead
-        report = ("import sys\nfrom subpix.cli import main\nrc = main(sys.argv[1:])\n"
+        # mark of its own image (VmHWM, in KiB) instead; each case runs with
+        # the C allocator's defaults and with the thresholds entry() sets
+        report = ("import sys\nfrom subpix.cli import _tune_allocator, main\n{tune}"
+                  "rc = main(sys.argv[1:])\n"
                   "with open('/proc/self/status') as f:\n"
                   "    print(next(l for l in f if l.startswith('VmHWM:')).split()[1])\n"
                   "sys.exit(rc)\n")
-        for sizes, args, bound_mb in cases:
+        for tune, (sizes, args, bound_mb) in itertools.product(
+                ("", "_tune_allocator()\n"), cases):
             peaks = []
             for samples in sizes:
                 proc = subprocess.run(
-                    [sys.executable, "-c", report, "synth", "--samples", samples,
-                     *args, "--format", "json"], env=env, capture_output=True, text=True)
+                    [sys.executable, "-c", report.format(tune=tune), "synth", "--samples",
+                     samples, *args, "--format", "json"],
+                    env=child_env(), capture_output=True, text=True)
                 assert proc.returncode == 0, proc.stderr
                 peaks.append(int(proc.stdout.splitlines()[-1]) / 1024.0)
             assert peaks[1] - peaks[0] <= bound_mb, \
-                f"{args}: peak RSS {peaks[0]:.1f} -> {peaks[1]:.1f} MB"
+                f"{tune!r} {args}: peak RSS {peaks[0]:.1f} -> {peaks[1]:.1f} MB"
 
 
 class TestBenchIdeal:
@@ -1526,3 +1545,94 @@ class TestErrorReporting:
 
     def test_unknown_subcommand(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
+
+
+class TestEntry:
+    """``python -m subpix``, like the console script, runs ``cli.entry``: it
+    sets the allocator, runs ``main``, then the exit handlers, flushes the
+    output and ends with ``os._exit``. Its output is ``main``'s, and a report
+    it cannot write is one ``error:`` line and exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ("synth", "--samples", "3000", "--landmarks", "4", "--format", "json"),
+        ("synth", "--samples", "2000", "--seed", "5"),
+        ("bench-ideal", "--dataset", "json:{data}/gt98.json", "--format", "csv"),
+        ("bench-ideal", "--dataset", "wflw:{data}/list.txt", "--oob-policy", "drop"),
+        ("metrics", "--gt", "{gt}", "--pred", "{pred}", "--format", "json"),
+    ])
+    def test_stdout_bytes_equal_main(self, capsys, data_dir, corpus98, tmp_path, argv):
+        gt, pred = noisy_metrics_files(tmp_path, corpus98[:20], 4)
+        argv = [a.format(data=data_dir, gt=gt, pred=pred) for a in argv]
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, err) == (0, "")
+        proc = run_entry(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.encode(), b"")
+
+    def test_encode_pipes_into_decode(self, capsys):
+        argv = ("encode", "--scheme", "hih", "--point", "32.65,20.3", "--point=-3,70")
+        rc, payload, _ = run_cli(capsys, *argv)
+        encoded = run_entry(*argv)
+        assert (rc, encoded.returncode, encoded.stdout) == (0, 0, payload.encode())
+        rc, points, _ = _decode_text(payload, "hih")
+        decoded = run_entry("decode", "--scheme", "hih", stdin=encoded.stdout)
+        assert (rc, decoded.returncode, decoded.stdout, decoded.stderr) == \
+            (0, 0, points.encode(), b"")
+
+    @pytest.mark.parametrize("argv,message", [
+        (("synth", "--samples", "abc"), "argument --samples: expected an integer, got 'abc'"),
+        (("bench-ideal", "--dataset", "wflw:{data}/missing.txt"), "{data}/missing.txt"),
+    ])
+    def test_input_error_is_one_line_and_exit_2(self, data_dir, argv, message):
+        proc = run_entry(*(a.format(data=data_dir) for a in argv))
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert message.format(data=data_dir) in lines[0]
+
+    def test_help_exits_zero(self):
+        proc = run_entry("synth", "--help")
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.startswith(b"usage: subpix synth ")
+
+    def test_out_files_are_complete(self, capsys, data_dir, tmp_path):
+        argv = ("bench-ideal", "--dataset", f"json:{data_dir / 'gt98.json'}", "--format", "json")
+        rc, report, _ = run_cli(capsys, *argv, "--ced-out", str(tmp_path / "main_"))
+        proc = run_entry(*argv, "--out", str(tmp_path / "report.json"),
+                         "--ced-out", str(tmp_path / "entry_"))
+        assert (rc, proc.returncode, proc.stdout, proc.stderr) == (0, 0, b"", b"")
+        assert (tmp_path / "report.json").read_text() == report
+        for scheme in SCHEME_ORDER:
+            name = f"{scheme.value}.csv"
+            assert (tmp_path / f"entry_{name}").read_bytes() == \
+                (tmp_path / f"main_{name}").read_bytes()
+        argv = ("convert", "--dataset", f"wflw:{data_dir / 'list.txt'}", "--out")
+        assert run_cli(capsys, *argv, str(tmp_path / "main.json"))[0] == 0
+        proc = run_entry(*argv, str(tmp_path / "entry.json"))
+        assert (proc.returncode, proc.stdout) == (0, b"")
+        assert (tmp_path / "entry.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes stdout with a POSIX shell")
+    def test_closed_stdout_is_an_error(self):
+        # `subpix synth >&-`: the interpreter starts with sys.stdout None
+        proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *ENTRY, "synth",
+                               "--samples", "10"], stderr=subprocess.PIPE, env=child_env(),
+                              timeout=300)
+        assert proc.returncode == 2
+        assert proc.stderr == b"error: [Errno 9] Bad file descriptor: '<stdout>'\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv,buffered", [
+        (("synth", "--samples", "10"), True),   # the flush after the report fails
+        (("synth", "--samples", "10"), False),  # the write itself fails
+        (("synth", "--help"), True),            # entry()'s own flush fails
+    ])
+    def test_full_device_is_an_error(self, argv, buffered):
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([*ENTRY, *argv], stdout=full, stderr=subprocess.PIPE,
+                                  env=env, timeout=300)
+        assert proc.returncode == 2
+        assert proc.stderr == b"error: [Errno 28] No space left on device\n"

@@ -70,7 +70,9 @@ def _roundtrip_cases(draw):
                     for _ in range(n)])
     groups = None
     if draw(st.booleans()):
-        groups = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        # ideal_roundtrip takes labels in [0, n) only
+        groups = np.array(draw(st.lists(st.integers(0, min(3, n - 1)), min_size=n,
+                                        max_size=n)))
     return cfg, pts, groups
 
 
@@ -336,6 +338,18 @@ class TestWom:
         _, _, conflicts = ideal_roundtrip(pts, cfg_for(Scheme.WOM),
                                           groups=np.array([0, 0]))
         assert conflicts == 1
+
+    @pytest.mark.parametrize("groups", [
+        [0, 2 ** 52],    # 2^52 x 4096 cells wraps int64 onto group 0: 1 conflict
+        [0.2, 0.7],      # truncated to 0 and 0: 1 conflict
+        [0, 2 ** 63],    # past int64: OverflowError
+        [0, -1], [0, 2], [0], [[0], [1]], [True, False],
+    ], ids=["wraps-int64", "floats", "past-int64", "negative", "past-n", "short", "2d",
+            "bools"])
+    def test_groups_refused_unless_n_labels_below_n(self, groups):
+        pts = np.array([[10.25, 11.75], [10.75, 11.25]])
+        with pytest.raises(ConfigError, match=r"groups must be 2 integer labels in \[0, 2\)"):
+            ideal_roundtrip(pts, cfg_for(Scheme.WOM), groups=groups)
 
     @staticmethod
     def _reference(cells, offsets, valid, groups):
@@ -664,6 +678,30 @@ class TestQuantizeReference:
         np.testing.assert_array_equal(coords.view(np.uint64), want.view(np.uint64))
         np.testing.assert_array_equal(clamped, want_clamped)
         assert conflicts == want_conflicts
+
+    @pytest.mark.parametrize("scheme", SCHEME_ORDER, ids=lambda s: s.value)
+    @pytest.mark.parametrize("side", ["left", "right", "top", "bottom"])
+    @pytest.mark.parametrize("oob", list(OobPolicy), ids=lambda p: p.value)
+    def test_one_point_past_the_border(self, scheme, side, oob):
+        # _quantize skips the clamp when no cell is off the grid; one cell
+        # just off it, among in-grid ones, must still take the clamp path
+        w, h = 6, 5
+        cfg = CodecConfig(scheme=scheme, heatmap_shape=(w, h), oob_policy=oob)
+        rng = np.random.Generator(np.random.PCG64(3))
+        pts = rng.uniform(0.0, [w - 1.0, h - 1.0], size=(40, 2))
+        # the first coordinate whose cell is off that side: a rounding
+        # scheme's cell leaves the grid half a cell before a flooring one's
+        lead = 0.5 if scheme in (Scheme.DIRECT, Scheme.WSM) else 0.0
+        axis, value = {"left": (0, np.nextafter(-lead, -1.0)), "right": (0, w - lead),
+                       "top": (1, np.nextafter(-lead, -1.0)), "bottom": (1, h - lead)}[side]
+        pts[17, axis] = value
+        coords, clamped, conflicts = ideal_roundtrip(pts, cfg)
+        want, want_clamped, want_conflicts = _reference_roundtrip(cfg, pts, None)
+        np.testing.assert_array_equal(coords.view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(clamped, want_clamped)
+        assert conflicts == want_conflicts
+        if oob is OobPolicy.CLAMP:
+            assert np.flatnonzero(clamped).tolist() == [17]
 
 
 class TestEncodedSampleValidation:

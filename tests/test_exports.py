@@ -3,7 +3,8 @@ name the package re-exports is exported by the module it comes from, no
 module imports a name it never uses, every distance and every score goes
 through its one kernel, one function round-trips and scores a heatmap map,
 all JSON input goes through its one reader, one function decides what a
-JSON integer is, and no private definition is left that only tests read."""
+JSON integer is, no private definition is left that only tests read, and
+only the console entry point ends the process itself or tunes the allocator."""
 
 from __future__ import annotations
 
@@ -85,6 +86,8 @@ def _uses(tree: ast.AST, pattern: re.Pattern) -> list[str]:
             names.append((node.lineno, ast.unparse(node)))
         elif isinstance(node, ast.ImportFrom):
             names += [(node.lineno, f"{node.module}.{a.name}") for a in node.names]
+        elif isinstance(node, ast.Import):
+            names += [(node.lineno, a.name) for a in node.names]
     return [f"{line}: {name}" for line, name in names if pattern.search(name)]
 
 
@@ -315,3 +318,41 @@ def test_orphan_scan_sees_each_form():
                      "class _C:\n    pass\n\n_D = 1\n_E: int = 2\n__all__ = []\n"
                      "def _used():\n    return _E\n\nx = _used() + obj._unused_attr")
     assert _orphans({"m.py": tree}) == ["m.py: _a", "m.py: _b", "m.py: _C", "m.py: _D"]
+
+
+# ending the process or reaching the C allocator, however each is reached or imported
+_PROCESS_END = re.compile(r"(^|\.)(_exit|atexit|ctypes|mallopt)(\.|$)")
+# cli.entry and the one helper it calls to set the allocator
+_PROCESS_OWNERS = ("entry", "_tune_allocator")
+
+
+@pytest.mark.parametrize("path", sorted(Path(subpix.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_process_end_only_in_entry(path):
+    """``os._exit``, ``atexit``, ``ctypes`` and ``mallopt`` appear in
+    ``cli.entry`` and ``cli._tune_allocator`` alone, which ``entry`` calls:
+    ``main`` and every in-process caller keep the interpreter's own exit and
+    the C library's default allocator."""
+    tree = ast.parse(path.read_text())
+    found = _uses(tree, _PROCESS_END)
+    if path.name == "cli.py":
+        owners = {node.name: node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name in _PROCESS_OWNERS}
+        assert sorted(owners) == sorted(_PROCESS_OWNERS)
+        assert _uses(owners["entry"], re.compile(r"^_tune_allocator$")) != []
+        found = [f for f in found if f not in {u for node in owners.values()
+                                               for u in _uses(node, _PROCESS_END)}]
+    assert found == []
+
+
+def test_process_end_scan_sees_each_spelling():
+    spellings = ["os._exit(rc)", "from os import _exit", "f = os._exit", "import atexit",
+                 "import atexit as ax", "atexit.register(f)", "atexit._run_exitfuncs()",
+                 "from atexit import register", "import ctypes", "import ctypes.util",
+                 "from ctypes import CDLL", "ctypes.CDLL(None).mallopt(-1, 0)",
+                 "libc.mallopt(-3, 1 << 20)", "m = getattr(libc, 'x').mallopt"]
+    assert [s for s in spellings if not _uses(ast.parse(s), _PROCESS_END)] == []
+    # prose, the interpreter's own exits and names that only contain one pass
+    assert _uses(ast.parse('"""os._exit"""\n# atexit\nsys.exit(0)\nexit_code = 1\n'
+                           'atexits = ctypes_like = mallopts = 1\nos.exit(0)'),
+                 _PROCESS_END) == []
