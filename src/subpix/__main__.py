@@ -2,4 +2,5 @@
 
 from .cli import entry
 
-entry()
+if __name__ == "__main__":  # importing the module must not end the importing process
+    entry()

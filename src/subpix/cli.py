@@ -11,11 +11,14 @@ Subcommands:
 * ``metrics``: score a prediction file against ground truth.
 * ``convert``: rewrite any supported annotation format as canonical JSON.
 
-Conventions: results go to stdout, diagnostics to stderr. Exit code 0 on
-success, 2 for usage or input errors, 1 for internal failures. A flat
-``key = value`` config file can pre-set any flag of a subcommand via
-``--config``; explicit flags win over the file. ``--json-errors`` formats
-errors as single-line JSON on stderr for machine consumption.
+Conventions: results and help text go to stdout through one writer,
+diagnostics to stderr through one reporter, and files are written as UTF-8.
+Exit code 0 on success, 2 for usage, input or output errors (a report or
+help text that cannot be written, or that stdout's encoding cannot hold),
+1 for internal failures. A flat ``key = value`` config file can pre-set any
+flag of a subcommand via ``--config``; explicit flags win over the file.
+``--json-errors`` formats errors as single-line JSON on stderr for machine
+consumption.
 
 Identical inputs, flags, and seeds produce byte-identical stdout.
 
@@ -23,7 +26,7 @@ Identical inputs, flags, and seeds produce byte-identical stdout.
 wraps :func:`main` for a process of its own: it keeps freed heap mapped
 between the Monte-Carlo blocks, and it ends the process without tearing
 the interpreter down once the exit handlers have run and the output is
-flushed. A report that cannot be written is an input error like any other.
+flushed.
 """
 
 from __future__ import annotations
@@ -206,15 +209,19 @@ def _parse_point(text: str) -> tuple[float, float]:
 
 
 def _write_out(text: str, out: str | None) -> None:
-    """``text`` to the file ``out``, or to stdout, flushed so that a failed
-    write is this command's error rather than one at exit."""
+    """``text`` to the file ``out`` as UTF-8, or to stdout, flushed so that a
+    failed write is this command's error rather than one at exit."""
     if out is None or out == "-":
         if sys.stdout is None:  # the process was started with stdout closed
             raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+        except UnicodeEncodeError as exc:  # nothing is written: the whole text is encoded first
+            raise OSError(f"<stdout>: cannot encode {exc.object[exc.start:exc.end]!r} "
+                          f"as {exc.encoding}; --out writes UTF-8") from None
         sys.stdout.flush()
     else:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -236,7 +243,8 @@ def _cmd_bench_ideal(args) -> int:
     # the side files first: a path that cannot be written leaves no report
     if args.ced_out:
         for row in report.rows:
-            Path(f"{args.ced_out}{row.scheme.value}.csv").write_text(format_ced_csv(row.ced))
+            Path(f"{args.ced_out}{row.scheme.value}.csv").write_text(format_ced_csv(row.ced),
+                                                                     encoding="utf-8")
     _write_out(emit_report(report, args.format), args.out)
     return 0
 
@@ -342,7 +350,7 @@ def _cmd_metrics(args) -> int:
     columns = (*SCORE_COLUMNS, Column("n_images", "n_images"), Column("skipped", "skipped"))
     # the side file first: a path that cannot be written leaves no report
     if args.ced_out:
-        Path(args.ced_out).write_text(format_ced_csv(ced))
+        Path(args.ced_out).write_text(format_ced_csv(ced), encoding="utf-8")
     _write_out(format_report(args.format, columns, [row], args.threshold,
                              f"images={row['n_images']} skipped={row['skipped']}", row),
                args.out)
@@ -360,10 +368,14 @@ def _cmd_convert(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises usage errors, so that they print as one line like any input error."""
+    """Raises usage errors, so that they print as one line like any input
+    error, and writes help text through ``_write_out`` like a report."""
 
     def error(self, message: str):
         raise ConfigError(message)
+
+    def print_help(self, file=None):
+        _write_out(self.format_help(), None)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -498,7 +510,7 @@ def main(argv: list[str] | None = None) -> int:
         if error:
             raise error
         args = parser.parse_args(argv)
-    except (ParseError, ConfigError) as exc:
+    except (ParseError, ConfigError, OSError) as exc:  # an OSError here is --help's write
         _report_error(_locate(exc, parser, argv, path, lines), "--json-errors" in argv)
         return 2
     except SystemExit as exc:  # --help prints its usage text and exits 0
@@ -509,7 +521,7 @@ def main(argv: list[str] | None = None) -> int:
         _report_error(exc, args.json_errors)
         return 2
     except Exception as exc:  # noqa: BLE001 - invariant violations exit 1
-        _report_error(exc, getattr(args, "json_errors", False), internal=True)
+        _report_error(exc, args.json_errors, internal=True)
         return 1
 
 
@@ -538,8 +550,9 @@ def entry() -> None:
     """Run :func:`main` as the whole process, and end it without teardown.
 
     Exit handlers run and stdout and stderr are flushed; the process then
-    ends with ``os._exit``, which skips freeing every module and object. A
-    flush that fails after a successful run is reported as an error, exit 2.
+    ends with ``os._exit``, which skips freeing every module and object.
+    ``main`` has written and flushed all output and reported every error, so
+    a final flush that fails only keeps the exit code from being 0.
     """
     import atexit  # here, so that no other code in the package runs the exit handlers
 
@@ -550,9 +563,6 @@ def entry() -> None:
         try:
             if stream is not None:
                 stream.flush()
-        except (OSError, ValueError) as exc:
-            # a failed run has reported its one error already
-            if rc == 0 and stream is sys.stdout:
-                _report_error(exc, "--json-errors" in sys.argv)
-                rc = 2
+        except (OSError, ValueError):
+            rc = rc or 2
     os._exit(rc)

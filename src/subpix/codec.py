@@ -105,6 +105,16 @@ def _reshaped(value, dtype, shape: tuple[int, ...], field: str) -> np.ndarray:
     return arr.reshape(shape)
 
 
+def _finite(values) -> bool:
+    """Whether every value is finite, as in every map an encoder renders."""
+    return bool(np.isfinite(values).all())
+
+
+def _fractions(values) -> bool:
+    """Whether every value is a sub-cell fraction in [0, 1), as encoders keep."""
+    return bool(((values >= 0.0) & (values < 1.0)).all())
+
+
 def _check_cells(shape: tuple[int, ...], what: str = "a grid stack") -> None:
     """Refuse a grid (stack) of ``shape`` before it is allocated if it is too big."""
     if math.prod(shape) > _MAX_CELLS:
@@ -178,8 +188,9 @@ class EncodedSample:
 
     ``integer_maps`` has shape (N, height, width): one cell-level response
     grid per landmark. The remaining payloads depend on the scheme and are
-    validated against it. ``valid``/``clamped`` are per-landmark flags from
-    the encoding step.
+    validated against it: map values are finite and offsets lie in [0, 1),
+    the rules :meth:`from_json_dict` applies to a payload's text.
+    ``valid``/``clamped`` are per-landmark flags from the encoding step.
     """
 
     scheme: Scheme
@@ -202,6 +213,8 @@ class EncodedSample:
             raise ConfigError(
                 f"integer maps shape {maps.shape} does not match grid {self.heatmap_shape}"
             )
+        if not _finite(maps):
+            raise ConfigError("integer_maps must be finite")
         self.integer_maps = maps
         n = maps.shape[0]
         self.valid = _reshaped(self.valid, bool, (n,), "valid")
@@ -210,14 +223,19 @@ class EncodedSample:
             if self.offsets is None:
                 raise ConfigError("wov payload requires per-landmark offsets")
             self.offsets = _reshaped(self.offsets, np.float64, (n, 2), "offsets")
+            if not _fractions(self.offsets):
+                raise ConfigError("offsets must lie in [0, 1)")
         elif self.offsets is not None:
             raise ConfigError(f"offsets payload is not valid for scheme '{self.scheme.value}'")
         if self.scheme is Scheme.WOM:
             if self.offset_map_x is None or self.offset_map_y is None:
                 raise ConfigError("wom payload requires offset_map_x and offset_map_y")
             shape_yx = (self.heatmap_shape[1], self.heatmap_shape[0])
-            self.offset_map_x = _reshaped(self.offset_map_x, np.float64, shape_yx, "offset_map_x")
-            self.offset_map_y = _reshaped(self.offset_map_y, np.float64, shape_yx, "offset_map_y")
+            for key in ("offset_map_x", "offset_map_y"):
+                grid = _reshaped(getattr(self, key), np.float64, shape_yx, key)
+                if not _fractions(grid):
+                    raise ConfigError(f"{key} must lie in [0, 1)")
+                setattr(self, key, grid)
         elif self.offset_map_x is not None or self.offset_map_y is not None:
             raise ConfigError(f"offset maps are not valid for scheme '{self.scheme.value}'")
         if self.scheme is Scheme.HIH:
@@ -228,6 +246,8 @@ class EncodedSample:
             want = (n, self.decimal_shape[1], self.decimal_shape[0])
             if dm.shape != want:
                 raise ConfigError(f"decimal maps shape {dm.shape} does not match {want}")
+            if not _finite(dm):
+                raise ConfigError("decimal_maps must be finite")
             self.decimal_maps = dm
         elif self.decimal_maps is not None:
             raise ConfigError(f"decimal maps are not valid for scheme '{self.scheme.value}'")
@@ -319,7 +339,7 @@ def _json_shape(d: dict, key: str) -> tuple[int, int]:
 
 def _check_fractions(arr: np.ndarray, *, field: str) -> np.ndarray:
     """``arr`` if every value is a sub-cell fraction in [0, 1), as encoders write."""
-    if np.any((arr < 0.0) | (arr >= 1.0)):
+    if not _fractions(arr):
         raise SchemaError("offsets must lie in [0, 1)", field=field)
     return arr
 
@@ -352,7 +372,7 @@ def _unsparse(entries, shape: tuple[int, ...], *, field: str) -> np.ndarray:
             raise SchemaError(f"entry {i}: {exc}", field=field) from exc
         if not all(0 <= j < size for j, size in zip(index, shape)):
             raise SchemaError(f"entry {i} indices out of range", field=field)
-        if not np.isfinite(v):
+        if not _finite(v):
             raise SchemaError(f"entry {i} value must be finite", field=field)
         out[index] = v
     return out

@@ -346,7 +346,8 @@ def canonical_dict(corpus: Corpus) -> dict:
 
 def write_canonical(path: str | Path, corpus: Corpus) -> None:
     Path(path).write_text(
-        json.dumps(canonical_dict(corpus), sort_keys=True, separators=(",", ":")) + "\n")
+        json.dumps(canonical_dict(corpus), sort_keys=True, separators=(",", ":")) + "\n",
+        encoding="utf-8")
 
 
 def load_canonical(source: str | Path) -> tuple[str, Corpus]:

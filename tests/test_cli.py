@@ -1613,18 +1613,22 @@ class TestEntry:
 
     @pytest.mark.skipif(os.name != "posix", reason="closes stdout with a POSIX shell")
     def test_closed_stdout_is_an_error(self):
-        # `subpix synth >&-`: the interpreter starts with sys.stdout None
-        proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *ENTRY, "synth",
-                               "--samples", "10"], stderr=subprocess.PIPE, env=child_env(),
-                              timeout=300)
-        assert proc.returncode == 2
-        assert proc.stderr == b"error: [Errno 9] Bad file descriptor: '<stdout>'\n"
+        # `subpix synth >&-`: the interpreter starts with sys.stdout None; with
+        # --help, argparse alone would print the usage on stderr and exit 0
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        for argv in (("synth", "--samples", "10"), ("synth", "--help")):
+            proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *ENTRY, *argv],
+                                  stderr=subprocess.PIPE, env=env, timeout=300)
+            assert (proc.returncode, proc.stderr) == \
+                (2, b"error: [Errno 9] Bad file descriptor: '<stdout>'\n"), argv
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("argv,buffered", [
         (("synth", "--samples", "10"), True),   # the flush after the report fails
         (("synth", "--samples", "10"), False),  # the write itself fails
-        (("synth", "--help"), True),            # entry()'s own flush fails
+        (("synth", "--help"), True),            # the flush after the help text fails
+        (("synth", "--help"), False),           # the help text's write itself fails
     ])
     def test_full_device_is_an_error(self, argv, buffered):
         env = child_env()
@@ -1636,3 +1640,41 @@ class TestEntry:
                                   env=env, timeout=300)
         assert proc.returncode == 2
         assert proc.stderr == b"error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_help_write_error_as_json_from_config_file(self, tmp_path):
+        # the config file's json-errors covers the help text's failed write
+        (tmp_path / "run.cfg").write_text("json-errors = true\n")
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([*ENTRY, "synth", "--config", str(tmp_path / "run.cfg"),
+                                   "--help"], stdout=full, stderr=subprocess.PIPE, env=env,
+                                  timeout=300)
+        assert (proc.returncode, proc.stderr) == (2, b'{"error": "[Errno 28] No space left '
+                                                     b'on device", "kind": "input", "type": '
+                                                     b'"OSError"}\n')
+
+    def test_report_stdout_cannot_encode_is_an_error(self, capsys, corpus68, tmp_path):
+        # an ASCII locale without UTF-8 mode: stdout cannot hold the dataset's
+        # name, a file written with --out can
+        write_canonical(tmp_path / "gt.json", replace(corpus68[:4], name="visages-é"))
+        argv = ("bench-ideal", "--dataset", f"json:{tmp_path / 'gt.json'}", "--format", "table")
+        rc, report, _ = run_cli(capsys, *argv)
+        assert rc == 0 and "visages-é" in report
+        env = dict(child_env(), PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+        env.pop("PYTHONIOENCODING", None)
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.run([*ENTRY, *argv], capture_output=True, env=env, timeout=300)
+        assert (proc.returncode, proc.stdout, proc.stderr.count(b"\n")) == (2, b"", 1)
+        assert proc.stderr.startswith(b"error: <stdout>: cannot encode ")
+        proc = subprocess.run([*ENTRY, *argv, "--out", str(tmp_path / "report.txt")],
+                              capture_output=True, env=env, timeout=300)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert (tmp_path / "report.txt").read_bytes() == report.encode("utf-8")
+
+    def test_importing_main_module_returns(self):
+        # pydoc and package walkers import __main__; only running it runs entry()
+        proc = subprocess.run([sys.executable, "-c", "import subpix.__main__; print('back')"],
+                              capture_output=True, env=child_env(), timeout=300)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"back\n", b"")

@@ -7,7 +7,7 @@ enumeration before the implementation existed.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -852,6 +852,69 @@ class TestJsonRoundTrip:
         with pytest.raises(SchemaError) as err:
             EncodedSample.from_json_dict(d)
         assert "integer_cells" in str(err.value)
+
+
+def _built(scheme: Scheme, seed: int = 5) -> EncodedSample:
+    """A payload built field by field, not by an encoder: maps of any finite
+    values, the extreme finite doubles and fractions on both ends of [0, 1)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n, w, h = 3, 5, 4
+    maps = np.where(rng.uniform(size=(n, h, w)) < 0.5, rng.normal(size=(n, h, w)), 0.0)
+    maps[0, 0, :4] = [5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+    kwargs: dict = {}
+    if scheme is Scheme.WOV:
+        kwargs["offsets"] = np.vstack([[0.0, np.nextafter(1.0, 0.0)],
+                                       rng.uniform(size=(n - 1, 2))])
+    if scheme is Scheme.WOM:
+        for axis in "xy":
+            grid = np.where(rng.uniform(size=(h, w)) < 0.5, rng.uniform(size=(h, w)), 0.0)
+            grid[0, 0] = np.nextafter(1.0, 0.0)
+            kwargs[f"offset_map_{axis}"] = grid
+        kwargs["conflict_count"] = 2
+    if scheme is Scheme.HIH:
+        kwargs.update(decimal_shape=(3, 2), decimal_maps=rng.normal(size=(n, 2, 3)))
+    return EncodedSample(scheme=scheme, heatmap_shape=(w, h), integer_maps=maps,
+                         valid=[True, False, True], clamped=[False, True, False], **kwargs)
+
+
+# values no encoder writes, one per (scheme, attribute): the constructor and
+# the reader refuse the same ones
+_BAD_VALUES = [
+    *[(s, "integer_maps", math.nan) for s in SCHEME_ORDER],
+    (Scheme.DIRECT, "integer_maps", math.inf),
+    (Scheme.WSM, "integer_maps", -math.inf),
+    *[(Scheme.WOV, "offsets", v) for v in (1.0, 1.5, -0.2, -1e-300, math.nan, math.inf)],
+    *[(Scheme.WOM, key, v) for key in ("offset_map_x", "offset_map_y")
+      for v in (1.0, -0.25, math.nan, -math.inf)],
+    *[(Scheme.HIH, "decimal_maps", v) for v in (math.nan, math.inf)],
+]
+
+
+class TestConstructorMatchesReader:
+    """What ``EncodedSample`` accepts is what ``from_json`` accepts: a payload
+    the constructor takes comes back through JSON field for field, and a
+    value either refuses, the other refuses too."""
+
+    @pytest.mark.parametrize("scheme", SCHEME_ORDER)
+    def test_accepted_payload_round_trips(self, scheme):
+        enc = _built(scheme)
+        back = EncodedSample.from_json(enc.to_json())
+        for f in fields(EncodedSample):
+            np.testing.assert_array_equal(getattr(back, f.name), getattr(enc, f.name),
+                                          err_msg=f.name)
+        assert back.to_json() == enc.to_json()
+
+    @pytest.mark.parametrize("scheme,key,value", _BAD_VALUES)
+    def test_bad_value_refused_by_both(self, scheme, key, value):
+        enc = _built(scheme)
+        bad = getattr(enc, key).copy()
+        bad.flat[0] = value
+        with pytest.raises(ConfigError, match=f"^{key} must "):
+            replace(enc, **{key: bad})
+        # the payload the constructor would have made, written as to_json does
+        setattr(enc, key, bad)
+        with pytest.raises(SchemaError):
+            EncodedSample.from_json(enc.to_json())
 
 
 class TestSampleRoundtrip:

@@ -3,8 +3,10 @@ name the package re-exports is exported by the module it comes from, no
 module imports a name it never uses, every distance and every score goes
 through its one kernel, one function round-trips and scores a heatmap map,
 all JSON input goes through its one reader, one function decides what a
-JSON integer is, no private definition is left that only tests read, and
-only the console entry point ends the process itself or tunes the allocator."""
+JSON integer is, no private definition is left that only tests read,
+only the console entry point ends the process itself or tunes the allocator,
+one function writes to stdout, one reports errors, and every file is
+written as UTF-8."""
 
 from __future__ import annotations
 
@@ -356,3 +358,96 @@ def test_process_end_scan_sees_each_spelling():
     assert _uses(ast.parse('"""os._exit"""\n# atexit\nsys.exit(0)\nexit_code = 1\n'
                            'atexits = ctypes_like = mallopts = 1\nos.exit(0)'),
                  _PROCESS_END) == []
+
+
+# stdout, however it is reached or imported, and the print and write_text calls
+_STDOUT = re.compile(r"(^|\.)(stdout|__stdout__)(\.|$)")
+_PRINT = re.compile(r"(^|\.)print$")
+_WRITE_TEXT = re.compile(r"(^|\.)write_text$")
+# the error reporter, however it is reached or imported
+_REPORTER = re.compile(r"(^|\.)_report_error$")
+
+
+def _calls_lacking(tree: ast.AST, callee: re.Pattern, keyword: str, value: str) -> list[str]:
+    """Each call in a parsed module of a name ``callee`` matches that does not
+    pass ``keyword=value``, the value as its source text."""
+    return [f"{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and callee.search(ast.unparse(node.func))
+            and not any(kw.arg == keyword and ast.unparse(kw.value) == value
+                        for kw in node.keywords)]
+
+
+def _stdout_writes(tree: ast.AST) -> list[str]:
+    """Each use of stdout in a parsed module, and each print not sent to stderr."""
+    return _uses(tree, _STDOUT) + _calls_lacking(tree, _PRINT, "file", "sys.stderr")
+
+
+def _functions(tree: ast.Module, *names: str) -> list[ast.FunctionDef]:
+    """The module-level functions of these names, in the order named."""
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    return [defs[name] for name in names]
+
+
+@pytest.mark.parametrize("path", sorted(Path(subpix.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_one_stdout_writer(path):
+    """Reports and help text reach stdout through ``cli._write_out`` alone,
+    which turns every failed write into one error: no other code names
+    ``sys.stdout`` or prints anywhere but to stderr. ``cli.entry`` names
+    ``sys.stdout`` once, as a stream it flushes."""
+    tree = ast.parse(path.read_text())
+    found = _stdout_writes(tree)
+    if path.name == "cli.py":
+        writer, entry = _functions(tree, "_write_out", "entry")
+        flushed = _uses(entry, _STDOUT)
+        assert [f.split(": ")[1] for f in flushed] == ["sys.stdout"]
+        found = [f for f in found if f not in _uses(writer, _STDOUT) + flushed]
+    assert found == []
+
+
+@pytest.mark.parametrize("path", sorted(Path(subpix.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_one_error_reporter(path):
+    """``cli.main`` alone calls ``_report_error``, so an error is reported
+    once and with the ``--json-errors`` its own flags and config file set;
+    ``cli.entry`` reads no ``sys.argv`` to decide it again."""
+    tree = ast.parse(path.read_text())
+    found = _uses(tree, _REPORTER)
+    if path.name == "cli.py":
+        main, entry = _functions(tree, "main", "entry")
+        assert _uses(main, _REPORTER) != []
+        assert _uses(entry, re.compile(r"(^|\.)argv$")) == []
+        found = [f for f in found if f not in _uses(main, _REPORTER)]
+    assert found == []
+
+
+@pytest.mark.parametrize("path", sorted(Path(subpix.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_files_written_as_utf8(path):
+    """Every ``write_text`` passes ``encoding="utf-8"``, the encoding every
+    reader requires, rather than the locale's."""
+    assert _calls_lacking(ast.parse(path.read_text()), _WRITE_TEXT, "encoding",
+                          "'utf-8'") == []
+
+
+def test_output_scans_see_each_spelling():
+    writes = ["sys.stdout.write(t)", "sys.stdout.buffer.write(b)", "from sys import stdout",
+              "f = sys.stdout", "json.dump(d, sys.stdout)", "sys.__stdout__.write(t)",
+              "print(t)", "print(t, file=sys.stdout)", "print(t, file=f)",
+              "builtins.print(t, end='')", "print(*lines, sep='\\n')"]
+    assert [s for s in writes if not _stdout_writes(ast.parse(s))] == []
+    reports = ["_report_error(exc, False)", "cli._report_error(exc, True)",
+               "from .cli import _report_error", "report = _report_error"]
+    assert [s for s in reports if not _uses(ast.parse(s), _REPORTER)] == []
+    unencoded = ["Path(p).write_text(t)", "p.write_text(t, encoding='ascii')",
+                 "p.write_text(t, 'utf-8')", "p.write_text(t, errors='strict')"]
+    assert [s for s in unencoded
+            if not _calls_lacking(ast.parse(s), _WRITE_TEXT, "encoding", "'utf-8'")] == []
+    # prose, stderr, names that only contain one, and UTF-8 writes pass
+    assert _stdout_writes(ast.parse('"""sys.stdout.write"""\n# print(t)\n'
+                                    'print(t, file=sys.stderr)\nsys.stderr.write(t)\n'
+                                    'pprint.pprint(d, stream=s)\nstdouts = printer = 1')) == []
+    assert _uses(ast.parse('"""_report_error"""\nreport_error(e)\n_report_errors = 1'),
+                 _REPORTER) == []
+    assert _calls_lacking(ast.parse('p.write_text(t, encoding="utf-8")\np.write_bytes(b)'),
+                          _WRITE_TEXT, "encoding", "'utf-8'") == []
