@@ -15,8 +15,9 @@ Conventions: results and help text go to stdout through one writer,
 diagnostics to stderr through one reporter, and files are written as UTF-8.
 Exit code 0 on success, 2 for usage, input or output errors (a report or
 help text that cannot be written, or that stdout's encoding cannot hold),
-1 for internal failures. A flat ``key = value`` config file can pre-set any
-flag of a subcommand via ``--config``; explicit flags win over the file.
+1 for internal failures; an error keeps its exit code when stderr cannot
+hold its message. Flags are the one way to set a run, and each is accepted
+only when spelled in full.
 ``--json-errors`` formats errors as single-line JSON on stderr for machine
 consumption.
 
@@ -52,83 +53,6 @@ from .metrics import MetricsConfig, format_ced_csv, norm_distances, resolve_norm
 
 __all__ = ["main", "entry"]
 
-_COMMANDS = ("bench-ideal", "synth", "encode", "decode", "metrics", "convert")
-
-
-# -- config file ----------------------------------------------------------------
-
-
-def _load_config(path: str) -> tuple[dict[int, list[str]], ParseError | None]:
-    """Flat ``key = value`` lines as CLI flags by line number, and the first
-    malformed line's error; see the module docstring. Lines past that one are
-    still read, so that ``json-errors = true`` on any line applies to it too.
-    """
-    lines: dict[int, list[str]] = {}
-    error = None
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip().lstrip("-").replace("_", "-")
-        value = value.strip()
-        problem = None
-        if not sep or not key or not value:
-            problem = "expected 'key = value'"
-        elif key == "config":
-            problem = "a config file cannot name another config file"
-        elif key == "json-errors" and value.lower() not in ("true", "false"):
-            problem = "json-errors must be true or false"
-        if problem:
-            error = error or ParseError(problem, path=path, line=lineno)
-        elif key == "json-errors":  # the one flag that takes no value
-            lines[lineno] = ["--json-errors"] if value.lower() == "true" else []
-        elif value.startswith("-"):  # joined on, a negative number cannot read as a flag
-            lines[lineno] = [f"--{key}={value}"]
-        else:
-            lines[lineno] = [f"--{key}", value]
-    return lines, error
-
-
-def _locate(exc: ValueError, parser: argparse.ArgumentParser, argv: list[str],
-            path: str | None, lines: dict[int, list[str]]) -> ValueError:
-    """``exc`` at the config line whose value raises it, if one does.
-
-    argparse converts each value before it checks for missing flags, so the
-    first line that alone reproduces a flag's own error is its cause.
-    """
-    if isinstance(exc, ConfigError) and str(exc).startswith("argument "):
-        for lineno, flags in lines.items():
-            try:
-                parser.parse_args([argv[0], *flags])
-            except ConfigError as alone:
-                if str(alone) == str(exc):
-                    return ParseError(str(exc), path=path, line=lineno)
-    return exc
-
-
-def _splice_config(argv: list[str]) -> tuple[list[str], str | None, dict[int, list[str]],
-                                             ParseError | None]:
-    """Insert config-file flags right after the subcommand, before user flags.
-
-    Also returns the file's path, its flags by line and its first error.
-    """
-    at = [i for i, tok in enumerate(argv) if tok == "--config" or tok.startswith("--config=")]
-    if not at:
-        return list(argv), None, {}, None
-    if len(at) > 1:
-        raise ConfigError("--config may be given only once")
-    i = at[0]
-    joined = argv[i] != "--config"
-    if not joined and i + 1 == len(argv):
-        raise ConfigError("--config requires a path")
-    path = argv[i].split("=", 1)[1] if joined else argv[i + 1]
-    out = argv[:i] + argv[i + (1 if joined else 2):]
-    if not out or out[0] not in _COMMANDS:
-        raise ConfigError("--config must follow a subcommand")
-    lines, error = _load_config(path)
-    return [out[0], *(f for flags in lines.values() for f in flags), *out[1:]], path, lines, error
-
 
 # -- shared argument plumbing -----------------------------------------------------
 
@@ -136,8 +60,6 @@ def _splice_config(argv: list[str]) -> tuple[list[str], str | None, dict[int, li
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json-errors", action="store_true",
                    help="report errors as single-line JSON on stderr")
-    p.add_argument("--config", metavar="FILE",
-                   help="flat 'key = value' file pre-setting any flag; flags win")
 
 
 def _add_codec_flags(p: argparse.ArgumentParser) -> None:
@@ -172,7 +94,7 @@ def _codec_config(args, scheme: Scheme = Scheme.DIRECT) -> CodecConfig:
     )
 
 
-# flag values: an ArgumentTypeError is the flag's own error, which --config locates
+# flag values: an ArgumentTypeError is the flag's own error, located at the flag
 def _parse_schemes(text: str) -> tuple[Scheme, ...]:
     if text.strip().lower() == "all":
         return SCHEME_ORDER
@@ -369,7 +291,11 @@ def _cmd_convert(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Raises usage errors, so that they print as one line like any input
-    error, and writes help text through ``_write_out`` like a report."""
+    error, writes help text through ``_write_out`` like a report, and takes
+    flags (its subcommands' too) only in full: ``main`` checks that spelling."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         raise ConfigError(message)
@@ -494,24 +420,21 @@ def _report_error(exc: BaseException, json_errors: bool, *, internal: bool = Fal
     if json_errors:
         doc = {"error": str(exc), "type": exc.__class__.__name__,
                "kind": "internal" if internal else "input"}
-        sys.stderr.write(json.dumps(doc, sort_keys=True) + "\n")
+        line = json.dumps(doc, sort_keys=True) + "\n"
     else:
-        prefix = "internal error" if internal else "error"
-        sys.stderr.write(f"{prefix}: {exc}\n")
+        line = f"{'internal error' if internal else 'error'}: {exc}\n"
+    try:
+        sys.stderr.write(line)
+    except OSError:  # stderr cannot hold it either: the exit code still tells
+        pass
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
-    path, lines = None, {}
     try:
-        # a config file may set --json-errors too, for its own errors as well
-        argv, path, lines, error = _splice_config(argv)
-        if error:
-            raise error
-        args = parser.parse_args(argv)
-    except (ParseError, ConfigError, OSError) as exc:  # an OSError here is --help's write
-        _report_error(_locate(exc, parser, argv, path, lines), "--json-errors" in argv)
+        args = _build_parser().parse_args(argv)
+    except (ConfigError, OSError) as exc:  # an OSError here is --help's write
+        _report_error(exc, "--json-errors" in argv)
         return 2
     except SystemExit as exc:  # --help prints its usage text and exits 0
         return exc.code if isinstance(exc.code, int) else 2

@@ -1,4 +1,4 @@
-"""CLI tests: exit codes, golden outputs, piping, config file precedence.
+"""CLI tests: exit codes, golden outputs, piping, flag parsing.
 
 Most cases drive ``main(argv)`` in-process and byte-compare captured
 stdout; true subprocess round-trips live in the acceptance suite. Here only
@@ -181,6 +181,11 @@ class TestSynth:
         rc, _, err = run_cli(capsys, "synth", "--schemes", "bicubic")
         assert rc == 2
         assert "bicubic" in err and "direct" in err and "hih" in err
+
+    def test_duplicate_schemes_named_by_value(self, capsys):
+        rc, out, err = run_cli(capsys, "synth", "--samples", "10", "--schemes", "direct,direct")
+        assert (rc, out, err) == (2, "", "error: duplicate schemes in 'direct,direct'\n")
+        assert "Scheme." not in err
 
     @pytest.mark.parametrize("flag,value", [("--samples", "1e20"), ("--samples", "1e300"),
                                             ("--landmarks", "1e20")])
@@ -1061,159 +1066,7 @@ class TestConvert:
         assert not (tmp_path / "out.json").exists()
 
 
-class TestConfigFile:
-    def test_config_matches_explicit_flags(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("samples = 800\nseed = 9\nformat = csv\n")
-        via_cfg = run_cli(capsys, "synth", "--config", str(cfg))
-        explicit = run_cli(capsys, "synth", "--samples", "800", "--seed", "9",
-                           "--format", "csv")
-        assert via_cfg == explicit
-        assert via_cfg[0] == 0
-
-    def test_explicit_flag_wins(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("samples = 800\nformat = csv\n")
-        rc, out, _ = run_cli(capsys, "synth", "--config", str(cfg),
-                             "--samples", "300", "--schemes", "direct")
-        assert rc == 0
-        assert out.strip().splitlines()[1].endswith(",300")
-
-    def test_equals_form_and_comments(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# comment\n\nsamples = 500\nschemes = wov\nformat = csv\n")
-        rc, out, _ = run_cli(capsys, "synth", f"--config={cfg}")
-        assert rc == 0
-        assert out.strip().splitlines()[1].startswith("wov,")
-
-    def test_boolean_true_sets_flag(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("json-errors = true\n")
-        rc, _, err = run_cli(capsys, "synth", "--config", str(cfg),
-                             "--schemes", "bogus")
-        assert rc == 2
-        doc = json.loads(err)
-        assert doc["kind"] == "input" and "bogus" in doc["error"]
-
-    @pytest.mark.parametrize("value", ["true", "False"])
-    def test_boolean_word_is_a_value(self, capsys, tmp_path, data_dir, value):
-        # only json-errors is a switch; "true" names a dataset like any word
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"name = {value}\n")
-        out = tmp_path / "out.json"
-        rc, _, err = run_cli(capsys, "convert", "--config", str(cfg),
-                             "--dataset", f"wflw:{data_dir / 'list.txt'}", "--out", str(out))
-        assert rc == 0, err
-        assert load_canonical(out)[1].name == value
-
-    def test_false_is_a_path(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "run.cfg").write_text("out = false\nsamples = 300\n")
-        rc, out, _ = run_cli(capsys, "synth", "--config", "run.cfg", "--schemes", "direct")
-        assert (rc, out) == (0, "")
-        assert (tmp_path / "false").read_text().startswith("mode=montecarlo")
-
-    @pytest.mark.parametrize("value", ["yes", "1", "on", "-"])
-    def test_json_errors_takes_true_or_false(self, capsys, tmp_path, value):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"samples = 300\njson-errors = {value}\n")
-        rc, out, err = run_cli(capsys, "synth", "--config", str(cfg))
-        assert (rc, out) == (2, "")
-        assert err == f"error: {cfg}:2: json-errors must be true or false\n"
-
-    @pytest.mark.parametrize("bad,message", [
-        ("not a pair", "expected 'key = value'"),
-        (" = 3", "expected 'key = value'"),
-        ("config = other.cfg", "a config file cannot name another config file"),
-        ("samples = x", "argument --samples: expected an integer, got 'x'"),
-    ])
-    @pytest.mark.parametrize("switch", ["before", "after", "off"])
-    def test_json_errors_covers_the_file(self, capsys, tmp_path, bad, message, switch):
-        # json-errors = true anywhere in the file formats that file's own errors
-        setting = "json-errors = false" if switch == "off" else "json-errors = true"
-        lines = [setting, bad, "seed = 3"] if switch != "after" else ["seed = 3", bad, setting]
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("\n".join(lines) + "\n")
-        rc, out, err = run_cli(capsys, "synth", "--config", str(cfg))
-        assert (rc, out) == (2, "")
-        located = f"{cfg}:2: {message}"
-        if switch == "off":
-            assert err == f"error: {located}\n"
-        else:
-            assert json.loads(err) == {"error": located, "kind": "input", "type": "ParseError"}
-
-    def test_json_errors_false_keeps_plain_errors(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("json-errors = FALSE\n")
-        rc, _, err = run_cli(capsys, "synth", "--config", str(cfg), "--schemes", "bogus")
-        assert (rc, err) == (2, "error: argument --schemes: unknown scheme 'bogus' (known: "
-                                "direct, wsm, wov, wom, hih, or 'all')\n")
-
-    @pytest.mark.parametrize("config,flags", [
-        ("samples = 10\n", ["--schemes", "direct,direct"]),
-        ("samples = 10\nschemes = direct,direct\n", []),
-    ], ids=["flag", "config"])
-    def test_duplicate_schemes_named_by_value(self, capsys, tmp_path, config, flags):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(config)
-        rc, out, err = run_cli(capsys, "synth", "--config", str(cfg), *flags)
-        assert (rc, out, err) == (2, "", "error: duplicate schemes in 'direct,direct'\n")
-        assert "Scheme." not in err
-
-    def test_underscore_keys_normalized(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("n_factor = 1.0\nsamples = 400\nformat = csv\n")
-        rc, out, _ = run_cli(capsys, "synth", "--config", str(cfg),
-                             "--schemes", "direct")
-        assert rc == 0
-        assert out.strip().splitlines()[1].split(",")[3] == "0.382598"
-
-    def test_malformed_config_located(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("samples = 500\nnot a pair\n")
-        rc, _, err = run_cli(capsys, "synth", "--config", str(cfg))
-        assert rc == 2
-        assert f"{cfg}:2" in err
-
-    def test_config_requires_subcommand(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("samples = 500\n")
-        rc, _, err = run_cli(capsys, "--config", str(cfg))
-        assert rc == 2
-        assert "must follow a subcommand" in err
-
-    def test_missing_config_file(self, capsys):
-        rc, _, err = run_cli(capsys, "synth", "--config", "/does/not/exist.cfg")
-        assert rc == 2
-
-    def test_config_key_in_config_file_located(self, capsys, tmp_path):
-        (tmp_path / "b.cfg").write_text("seed = 7\n")
-        cfg = tmp_path / "a.cfg"
-        cfg.write_text(f"samples = 500\nconfig = {tmp_path / 'b.cfg'}\n")
-        rc, out, err = run_cli(capsys, "synth", "--config", str(cfg))
-        assert (rc, out) == (2, "")
-        assert err.startswith(f"error: {cfg}:2: ") and err.count("\n") == 1, err
-
-    @pytest.mark.parametrize("second", ["--config", "--config="])
-    def test_repeated_config_refused(self, capsys, tmp_path, second):
-        a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
-        a.write_text("samples = 500\n")
-        b.write_text("seed = 7\n")
-        argv = [second + str(b)] if second.endswith("=") else [second, str(b)]
-        rc, out, err = run_cli(capsys, "synth", "--config", str(a), *argv)
-        assert (rc, out) == (2, "")
-        assert err.startswith("error: ") and "--config" in err and err.count("\n") == 1, err
-
-    def test_input_res_key_rejected(self, capsys, tmp_path, data_dir):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("input-res = 256\n")
-        rc, out, err = run_cli(capsys, "bench-ideal", "--config", str(cfg),
-                               "--dataset", f"json:{data_dir / 'gt68.json'}")
-        assert rc == 2 and out == ""
-        assert "error: unrecognized arguments: --input-res 256" in err
-
-
-# numeric --config values: small, at an edge, or far past every cap (2^24
+# numeric flag values: small, at an edge, or far past every cap (2^24
 # Monte-Carlo landmarks, 2^26 cells a grid), so that no run allocates much
 _FAR = st.sampled_from([2 ** 31, 2 ** 62, 10 ** 30])
 _REAL = (st.floats(-10.0, 300.0)
@@ -1229,7 +1082,7 @@ _GRID_KEYS = {"heatmap-res": _count(256), "decimal-res": _count(256)}
 # scheme lists, valid and not: each unknown name is refused at its line
 _SCHEMES = st.sampled_from(["all", "ALL", "direct", "wov,hih", "WSM, wom", "hih,direct,wsm",
                             "direct,direct", "bogus", "wov,nope", "direct,", "all,wov"])
-_CONFIG_KEYS = {
+_NUMERIC_FLAGS = {
     "bench-ideal": {**_GRID_KEYS, "margin": _REAL, "threshold": _REAL, "threads": _count(4),
                     "norm-indices": st.tuples(_count(99), _count(99)).map(
                         lambda pair: f"{pair[0]},{pair[1]}"),
@@ -1242,31 +1095,26 @@ _CONFIG_KEYS = {
 
 
 @st.composite
-def _config_runs(draw):
-    """A subcommand and some of its numeric keys, each set to a drawn value.
+def _flag_runs(draw):
+    """A subcommand and some of its numeric flags, each set to a drawn value.
 
     synth always sets both sizes: its default of 100000 samples times a
     small landmark count still passes the cap and allocates gigabytes.
     """
-    command = draw(st.sampled_from(sorted(_CONFIG_KEYS)))
-    keys = draw(st.lists(st.sampled_from(sorted(_CONFIG_KEYS[command])), unique=True,
-                         max_size=len(_CONFIG_KEYS[command])))
+    command = draw(st.sampled_from(sorted(_NUMERIC_FLAGS)))
+    keys = draw(st.lists(st.sampled_from(sorted(_NUMERIC_FLAGS[command])), unique=True,
+                         max_size=len(_NUMERIC_FLAGS[command])))
     if command == "synth":
         keys = sorted({*keys, "samples", "landmarks"})
-    return command, {key: draw(_CONFIG_KEYS[command][key]) for key in keys}
+    return command, {key: draw(_NUMERIC_FLAGS[command][key]) for key in keys}
 
 
-@pytest.fixture(scope="module")
-def config_fuzz_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("config_fuzz")
+class TestFlagFuzz:
+    """Numeric flags of bench-ideal, synth and encode: exit 0 with nothing on
+    stderr, or exit 2 with one ``error:`` line; never exit 1, a traceback or
+    a numpy warning."""
 
-
-class TestConfigFuzz:
-    """Numeric keys of bench-ideal, synth and encode set by a --config file:
-    exit 0 with nothing on stderr, or exit 2 with one ``error:`` line; never
-    exit 1, a traceback or a numpy warning."""
-
-    @given(run=_config_runs(), scheme=st.sampled_from([s.value for s in SCHEME_ORDER]))
+    @given(run=_flag_runs(), scheme=st.sampled_from([s.value for s in SCHEME_ORDER]))
     @example(run=("synth", {"seed": -1, "samples": 100, "landmarks": 1}), scheme="direct")
     @example(run=("synth", {"samples": 1, "landmarks": 8193}), scheme="direct")
     @example(run=("synth", {"n-factor": 1e308, "samples": 100, "landmarks": 1}),
@@ -1288,60 +1136,23 @@ class TestConfigFuzz:
     @example(run=("synth", {"schemes": "wov,nope", "samples": 100, "landmarks": 1}),
              scheme="direct")
     @settings(max_examples=200, deadline=None)
-    def test_numeric_keys_fail_cleanly(self, data_dir, config_fuzz_dir, run, scheme):
+    def test_numeric_flags_fail_cleanly(self, data_dir, run, scheme):
         command, values = run
-        path = config_fuzz_dir / "run.cfg"
-        path.write_text("".join(f"{key} = {value if isinstance(value, str) else repr(value)}\n"
-                                for key, value in values.items()))
+        # joined on, a negative number such as -2 or -1e300 reads as the value
+        flags = [f"--{key}={value if isinstance(value, str) else repr(value)}"
+                 for key, value in values.items()]
         argv = {"bench-ideal": ["--dataset", f"wflw:{data_dir / 'list.txt'}"],
                 "synth": ["--schemes", "all"],
                 "encode": ["--scheme", scheme, "--point", "1.5,2.5"]}[command]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main([command, "--config", str(path), *argv])
+            rc = main([command, *flags, *argv])
         out, err = out.getvalue(), err.getvalue()
         assert rc in (0, 2), err
         if rc == 0:
             assert err == "" and out.endswith("\n")
         else:
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
-            # every flag value that argparse refuses came from a line of the file
-            assert "argument --" not in err or err.startswith(f"error: {path}:"), err
-
-    @pytest.mark.parametrize("command,lines,message", [
-        ("synth", ["seed = 3", "samples = x"],
-         "{cfg}:2: argument --samples: expected an integer, got 'x'"),
-        ("synth", ["format = xml", "samples = 10"],
-         "{cfg}:1: argument --format: invalid choice: 'xml' (choose from 'table', 'csv', "
-         "'json')"),
-        ("bench-ideal", ["threshold = 0.1", "margin = wide"],
-         "{cfg}:2: argument --margin: invalid float value: 'wide'"),
-        ("encode", ["heatmap-res = 1.5"],
-         "{cfg}:1: argument --heatmap-res: invalid int value: '1.5'"),
-        # the first of two bad lines is the one argparse stops at
-        ("synth", ["samples = x", "seed = y"],
-         "{cfg}:1: argument --samples: expected an integer, got 'x'"),
-        # a missing flag is no line's fault, though each line alone misses it too
-        ("bench-ideal", ["threshold = 0.1"], "the following arguments are required: --dataset"),
-        # text that a flag's own parser refuses
-        ("synth", ["samples = 10", "schemes = bogus"],
-         "{cfg}:2: argument --schemes: unknown scheme 'bogus' (known: direct, wsm, wov, wom, "
-         "hih, or 'all')"),
-        ("bench-ideal", ["norm-indices = 1"],
-         "{cfg}:1: argument --norm-indices: expected two comma-separated indices, got '1'"),
-        ("metrics", ["threshold = 0.2", "norm-indices = 1,x"],
-         "{cfg}:2: argument --norm-indices: indices must be integers, got '1,x'"),
-        ("encode", ["scheme = wov", "point = 1,x"],
-         "{cfg}:2: argument --point: point coordinates must be numbers, got '1,x'"),
-        # a range check of the run's settings names the setting, not the line
-        ("synth", ["samples = 10", "seed = -1"],
-         "seed must be a non-negative integer, got -1"),
-    ])
-    def test_bad_value_located(self, capsys, tmp_path, command, lines, message):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("\n".join(lines) + "\n")
-        rc, out, err = run_cli(capsys, command, "--config", str(cfg))
-        assert (rc, out, err) == (2, "", f"error: {message.format(cfg=cfg)}\n")
 
 
 # characters that end a line neither for str.splitlines nor for a universal-newline read
@@ -1499,6 +1310,21 @@ class TestErrorReporting:
         assert rc == 1
         assert json.loads(err)["kind"] == "internal"
 
+    def test_unwritable_stderr_keeps_exit_code(self, monkeypatch):
+        # the message is lost, but an input error still exits 2 and an internal one 1
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(sys, "stderr", Full())
+        assert main(["synth", "--samples", "abc"]) == 2
+        assert main(["synth", "--samples", "10", "--seed", "-1"]) == 2
+
+        def boom(cfg):
+            raise RuntimeError("wires crossed")
+        monkeypatch.setattr("subpix.cli.run_montecarlo", boom)
+        assert main(["synth", "--samples", "10"]) == 1
+
     def test_no_arguments_is_usage_error(self, capsys):
         assert run_cli(capsys)[0] == 2
 
@@ -1509,7 +1335,22 @@ class TestErrorReporting:
         (("bench-ideal",), "the following arguments are required: --dataset"),
         (("frobnicate",), "argument command: invalid choice: 'frobnicate' (choose from "
                           "'bench-ideal', 'synth', 'encode', 'decode', 'metrics', 'convert')"),
-        (("synth", "--config"), "--config requires a path"),
+        # flags are the one input path, and each is spelled in full
+        (("synth", "--config", "x"), "unrecognized arguments: --config x"),
+        (("synth", "--conf", "x"), "unrecognized arguments: --conf x"),
+        (("synth", "--json"), "unrecognized arguments: --json"),
+        (("synth", "--format", "xml"),
+         "argument --format: invalid choice: 'xml' (choose from 'table', 'csv', 'json')"),
+        (("bench-ideal", "--margin", "wide"), "argument --margin: invalid float value: 'wide'"),
+        (("encode", "--heatmap-res", "1.5"), "argument --heatmap-res: invalid int value: '1.5'"),
+        (("synth", "--schemes", "bogus"),
+         "argument --schemes: unknown scheme 'bogus' (known: direct, wsm, wov, wom, hih, or "
+         "'all')"),
+        (("metrics", "--norm-indices", "1,x"),
+         "argument --norm-indices: indices must be integers, got '1,x'"),
+        # a range check of the run's settings, made once parsing is done
+        (("synth", "--samples", "10", "--seed", "-1"),
+         "seed must be a non-negative integer, got -1"),
         (("synth", "--samples", "abc"), "argument --samples: expected an integer, got 'abc'"),
         (("encode", "--scheme", "wov", "--point", "1,x"),
          "argument --point: point coordinates must be numbers, got '1,x'"),
@@ -1530,18 +1371,10 @@ class TestErrorReporting:
         assert (rc, out, err.count("\n")) == (2, "", 1)
         assert json.loads(err) == {"error": message, "kind": "input", "type": "ConfigError"}
 
-    def test_usage_error_as_json_from_config_file(self, capsys, tmp_path):
-        # a good line for the flag does not take the blame for the flag's bad value
-        (tmp_path / "run.cfg").write_text("json-errors = true\nheatmap-res = 32\n")
-        rc, out, err = run_cli(capsys, "synth", "--config", str(tmp_path / "run.cfg"),
-                               "--heatmap-res", "abc")
-        assert (rc, out) == (2, "")
-        assert json.loads(err)["error"] == "argument --heatmap-res: invalid int value: 'abc'"
-
     def test_help_keeps_usage_and_exit_zero(self, capsys):
         rc, out, err = run_cli(capsys, "synth", "--help")
         assert rc == 0 and err == ""
-        assert out.startswith("usage: subpix synth ")
+        assert out.startswith("usage: subpix synth ") and "--config" not in out
 
     def test_unknown_subcommand(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
@@ -1642,18 +1475,28 @@ class TestEntry:
         assert proc.stderr == b"error: [Errno 28] No space left on device\n"
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    def test_help_write_error_as_json_from_config_file(self, tmp_path):
-        # the config file's json-errors covers the help text's failed write
-        (tmp_path / "run.cfg").write_text("json-errors = true\n")
+    def test_help_write_error_as_json(self):
+        # --json-errors covers the help text's failed write
         env = child_env()
         env.pop("PYTHONUNBUFFERED", None)
         with open("/dev/full", "wb") as full:
-            proc = subprocess.run([*ENTRY, "synth", "--config", str(tmp_path / "run.cfg"),
-                                   "--help"], stdout=full, stderr=subprocess.PIPE, env=env,
-                                  timeout=300)
+            proc = subprocess.run([*ENTRY, "synth", "--json-errors", "--help"], stdout=full,
+                                  stderr=subprocess.PIPE, env=env, timeout=300)
         assert (proc.returncode, proc.stderr) == (2, b'{"error": "[Errno 28] No space left '
                                                      b'on device", "kind": "input", "type": '
                                                      b'"OSError"}\n')
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ("synth", "--samples", "abc"),  # the error line cannot be written
+        ("convert", "--dataset", "wflw:{data}/list.txt", "--out", "{out}"),  # nor its notice
+    ])
+    def test_full_stderr_is_still_exit_2(self, data_dir, tmp_path, argv):
+        argv = [a.format(data=data_dir, out=tmp_path / "out.json") for a in argv]
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([*ENTRY, *argv], stdout=subprocess.PIPE, stderr=full,
+                                  env=child_env(), timeout=300)
+        assert (proc.returncode, proc.stdout) == (2, b"")
 
     def test_report_stdout_cannot_encode_is_an_error(self, capsys, corpus68, tmp_path):
         # an ASCII locale without UTF-8 mode: stdout cannot hold the dataset's

@@ -409,8 +409,8 @@ def test_one_stdout_writer(path):
                          ids=lambda p: p.name)
 def test_one_error_reporter(path):
     """``cli.main`` alone calls ``_report_error``, so an error is reported
-    once and with the ``--json-errors`` its own flags and config file set;
-    ``cli.entry`` reads no ``sys.argv`` to decide it again."""
+    once and with the ``--json-errors`` its flags set; ``cli.entry`` reads
+    no ``sys.argv`` to decide it again."""
     tree = ast.parse(path.read_text())
     found = _uses(tree, _REPORTER)
     if path.name == "cli.py":
