@@ -13,6 +13,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -1066,6 +1067,96 @@ class TestConvert:
         assert not (tmp_path / "out.json").exists()
 
 
+# each subcommand with the flags it requires, so that a parse goes on to its unknown arguments
+_REQUIRED = {
+    "bench-ideal": ["--dataset", "json:gt.json"],
+    "synth": [],
+    "encode": ["--scheme", "wov"],
+    "decode": ["--scheme", "wov"],
+    "metrics": ["--gt", "gt.json", "--pred", "pred.json"],
+    "convert": ["--dataset", "json:gt.json", "--out", "out.json"],
+}
+
+
+class TestFlags:
+    """Flags are the one input path: each is spelled in full, takes its value
+    joined on or as the next argument, and the last of a repeated flag wins."""
+
+    @pytest.mark.parametrize("command", sorted(_REQUIRED))
+    def test_abbreviations_refused(self, capsys, command):
+        # every strict prefix of every long option, in both forms, and as plain
+        # text: only the full --json-errors asks for JSON
+        _, help_text, _ = run_cli(capsys, command, "--help")
+        flags = set(re.findall(r"--[a-z][a-z-]*[a-z]", help_text))
+        assert {"--help", "--json-errors"} <= flags
+        prefixes = {flag[:end] for flag in flags for end in range(3, len(flag))} - flags
+        for prefix in sorted(prefixes):
+            for given in ([prefix, "1"], [f"{prefix}=1"]):
+                rc, out, err = run_cli(capsys, command, *_REQUIRED[command], *given)
+                assert (rc, out, err) == (2, "", f"error: unrecognized arguments: "
+                                                 f"{' '.join(given)}\n")
+
+    @pytest.mark.parametrize("command", sorted(_REQUIRED))
+    def test_help_lists_no_config(self, capsys, command):
+        rc, out, err = run_cli(capsys, command, "--help")
+        assert (rc, err) == (0, "")
+        assert out.startswith(f"usage: subpix {command} ") and "--config" not in out
+
+    def test_joined_form_matches_separate(self, capsys):
+        joined = run_cli(capsys, "synth", "--samples=800", "--seed=9", "--format=csv")
+        separate = run_cli(capsys, "synth", "--samples", "800", "--seed", "9",
+                           "--format", "csv")
+        assert joined == separate
+        assert joined[0] == 0
+
+    def test_last_repeated_flag_wins(self, capsys):
+        rc, out, _ = run_cli(capsys, "synth", "--samples", "800", "--format", "csv",
+                             "--samples=300", "--schemes", "direct")
+        assert rc == 0
+        assert out.strip().splitlines()[1].endswith(",300")
+
+    @pytest.mark.parametrize("value", ["yes", "1", "on", "true", "false", ""])
+    def test_json_errors_takes_no_value(self, capsys, value):
+        # a switch: any value is refused, and the error is plain text
+        rc, out, err = run_cli(capsys, "synth", "--samples", "300", f"--json-errors={value}")
+        assert (rc, out) == (2, "")
+        assert err == f"error: argument --json-errors: ignored explicit argument '{value}'\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (("synth", "--samples", "x"), "argument --samples: expected an integer, got 'x'"),
+        (("synth", "--conf", "x"), "unrecognized arguments: --conf x"),
+        (("synth", "--format", "xml"),
+         "argument --format: invalid choice: 'xml' (choose from 'table', 'csv', 'json')"),
+        (("synth", "--samples", "10", "--seed", "-1"),
+         "seed must be a non-negative integer, got -1"),
+        (("bench-ideal", "--threshold", "0.1"),
+         "the following arguments are required: --dataset"),
+        (("encode", "--scheme", "wov", "--point", "1,x"),
+         "argument --point: point coordinates must be numbers, got '1,x'"),
+    ])
+    def test_json_errors_after_the_error(self, capsys, argv, message):
+        # argparse stops at the bad flag before it reaches --json-errors
+        rc, out, err = run_cli(capsys, *argv, "--json-errors")
+        assert (rc, out, err.count("\n")) == (2, "", 1)
+        assert json.loads(err) == {"error": message, "kind": "input", "type": "ConfigError"}
+
+    @pytest.mark.parametrize("value", ["true", "False"])
+    def test_boolean_word_is_a_value(self, capsys, tmp_path, data_dir, value):
+        # only json-errors is a switch; "true" names a dataset like any word
+        out = tmp_path / "out.json"
+        rc, _, err = run_cli(capsys, "convert", "--name", value,
+                             "--dataset", f"wflw:{data_dir / 'list.txt'}", "--out", str(out))
+        assert rc == 0, err
+        assert load_canonical(out)[1].name == value
+
+    def test_false_is_a_path(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc, out, _ = run_cli(capsys, "synth", "--out", "false", "--samples", "300",
+                             "--schemes", "direct")
+        assert (rc, out) == (0, "")
+        assert (tmp_path / "false").read_text().startswith("mode=montecarlo")
+
+
 # numeric flag values: small, at an edge, or far past every cap (2^24
 # Monte-Carlo landmarks, 2^26 cells a grid), so that no run allocates much
 _FAR = st.sampled_from([2 ** 31, 2 ** 62, 10 ** 30])
@@ -1337,6 +1428,11 @@ class TestErrorReporting:
                           "'bench-ideal', 'synth', 'encode', 'decode', 'metrics', 'convert')"),
         # flags are the one input path, and each is spelled in full
         (("synth", "--config", "x"), "unrecognized arguments: --config x"),
+        (("synth", "--config=x"), "unrecognized arguments: --config=x"),
+        # before a subcommand, --config is no option and its path is read as the command
+        (("--config", "x"), "argument command: invalid choice: 'x' (choose from "
+                            "'bench-ideal', 'synth', 'encode', 'decode', 'metrics', 'convert')"),
+        (("synth", "--n_factor", "1.0"), "unrecognized arguments: --n_factor 1.0"),
         (("synth", "--conf", "x"), "unrecognized arguments: --conf x"),
         (("synth", "--json"), "unrecognized arguments: --json"),
         (("synth", "--format", "xml"),
@@ -1352,10 +1448,16 @@ class TestErrorReporting:
         (("synth", "--samples", "10", "--seed", "-1"),
          "seed must be a non-negative integer, got -1"),
         (("synth", "--samples", "abc"), "argument --samples: expected an integer, got 'abc'"),
+        (("synth", "--samples=abc"), "argument --samples: expected an integer, got 'abc'"),
+        # the first of two bad flags is the one argparse stops at
+        (("synth", "--samples", "x", "--seed", "y"),
+         "argument --samples: expected an integer, got 'x'"),
         (("encode", "--scheme", "wov", "--point", "1,x"),
          "argument --point: point coordinates must be numbers, got '1,x'"),
         (("bench-ideal", "--dataset", "json:{data}/gt68.json", "--norm-indices", "1,2,3"),
          "argument --norm-indices: expected two comma-separated indices, got '1,2,3'"),
+        (("bench-ideal", "--dataset", "json:{data}/gt68.json", "--norm-indices", "1"),
+         "argument --norm-indices: expected two comma-separated indices, got '1'"),
         (("bench-ideal", "--dataset", "json:{data}/gt68.json", "--norm-indices", "1,x"),
          "argument --norm-indices: indices must be integers, got '1,x'"),
         (("metrics", "--gt", "{data}/flat68.json", "--pred", "{data}/flat68.json"),
@@ -1374,7 +1476,7 @@ class TestErrorReporting:
     def test_help_keeps_usage_and_exit_zero(self, capsys):
         rc, out, err = run_cli(capsys, "synth", "--help")
         assert rc == 0 and err == ""
-        assert out.startswith("usage: subpix synth ") and "--config" not in out
+        assert out.startswith("usage: subpix synth ")
 
     def test_unknown_subcommand(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
