@@ -87,18 +87,20 @@ _MIN_MC_N = 1e-150
 #: Landmarks the Monte-Carlo mode draws, round-trips and scores at once, and
 #: the most a sample may have: a block holds whole samples, so peak memory is
 #: flat in the samples and in the landmarks per sample. At 2^13 a block's
-#: 64-128 KB arrays stay in cache. A sweep over 2^11-2^16 (250000 x 4
-#: landmarks, all schemes; BENCH_16.json) found 2^13 the fastest; the peak
-#: grows to 44 MB at 2^16, while 2^11 and 2^12 save under 1 MB and lose to
-#: per-call overhead. A block reuses the pages of the one before only if the
-#: allocator keeps them: with glibc's defaults the heap may be trimmed as a
-#: block's arrays are freed, and the next block faults the pages back in, as
-#: the code before the draw shifts the heap layout. ``cli.entry`` keeps them
-#: (see ``cli._MALLOPT``): a fresh CLI run of that draw takes about 5,350
-#: minor faults, 4,800 of them importing the package, against 16,000-18,000
-#: with the defaults, and an in-process call with the same settings about 500
-#: on its first call and under 20 on each repeat (x86-64, glibc 2.36, Python
-#: 3.11, numpy 2.4; ru_minflt).
+#: 64-128 KB arrays stay in cache. With ``cli._tune_allocator()`` applied, an
+#: in-process ``run_montecarlo`` of 250000 x 4 landmarks under all schemes
+#: takes a median 154/123/121/121/150 ms at 2^12-2^16 (7 runs each): 2^13-2^15
+#: tie, 2^12 loses to per-call overhead, and the peak grows to 44 MB at 2^16
+#: (BENCH_16.json, which found 2^13 the fastest before those settings). 2^13
+#: stays, since another size changes the draw. A block reuses the pages of
+#: the one before only if the allocator keeps them: with glibc's defaults the
+#: heap may be trimmed as a block's arrays are freed, and the next block
+#: faults the pages back in, as the code before the draw shifts the heap
+#: layout. ``cli.entry`` keeps them (see ``cli._MALLOPT``): a fresh CLI run
+#: of that draw takes about 5,350 minor faults, 4,800 of them importing the
+#: package, against 16,000-18,000 with the defaults, and an in-process call
+#: with the same settings about 500 on its first call and under 20 on each
+#: repeat (x86-64, glibc 2.36, Python 3.11, numpy 2.4; ru_minflt).
 _MC_BLOCK = 1 << 13
 
 #: The most a face's point may move, in normalization distances, when mapped
@@ -228,17 +230,16 @@ def _roundtrip_scores(faces: Corpus, norm_distance: np.ndarray, to_heatmap: Affi
     ``to_heatmap`` takes each face's (L, 2) raw points onto ``cfg``'s heatmap
     grid; a face that it and its inverse move by more than
     ``_MAX_ROUNDTRIP_MOVE`` normalization distances is refused. Each scheme
-    runs one :func:`ideal_roundtrip` call, grouped by image so that ``wom``
-    collisions stay inside one image; its coordinates are mapped back with
-    the inverse and scored with one :func:`score_images` call. Returns, per
-    scheme in ``cfg.schemes`` order, that call's tuple followed by the
-    (N, L) clamp flags and the conflict count.
+    runs one :func:`ideal_roundtrip` call, each face's L points one sample so
+    that ``wom`` collisions stay inside one image; its coordinates are mapped
+    back with the inverse and scored with one :func:`score_images` call.
+    Returns, per scheme in ``cfg.schemes`` order, that call's tuple followed
+    by the (N, L) clamp flags and the conflict count.
     """
     dims = np.array(cfg.codec.heatmap_shape, dtype=np.float64)
     to_raw = to_heatmap.inverse()
     n, n_landmarks = faces.points.shape[:2]
     points = to_heatmap.apply(faces.points).reshape(-1, 2)
-    image = np.repeat(np.arange(n), n_landmarks)
     # a crop too wide for floats to resolve its points (one point far off, say)
     # would score even a lossless scheme at many percent; refuse the face
     with np.errstate(over="ignore", invalid="ignore"):
@@ -254,7 +255,7 @@ def _roundtrip_scores(faces: Corpus, norm_distance: np.ndarray, to_heatmap: Affi
     scores = {}
     for scheme in cfg.schemes:
         coords, clamped, conflicts = ideal_roundtrip(
-            points, cfg.codec.for_scheme(scheme), groups=image)
+            points, cfg.codec.for_scheme(scheme), group_size=n_landmarks)
         if np.isnan(coords[:, 0]).all():  # else some point scores or overflows
             raise ConfigError(f"scheme '{scheme.value}' produced no scorable images")
         # decode returns coords / dims; mapping back from that normalized
@@ -302,21 +303,19 @@ def run_ideal(corpus: Corpus, cfg: BenchConfig) -> BenchReport:
 
 
 def _mc_blocks(cfg: BenchConfig):
-    """The Monte-Carlo draw, one block of whole samples at a time: ``(points, groups)``.
+    """The Monte-Carlo draw, one (N, 2) block of whole samples at a time.
 
     Block k is drawn from the k-th ``SeedSequence(cfg.seed)`` child, always
     at the full size of ``_MC_BLOCK // mc_landmarks`` samples, and the last
     block keeps only the samples still owed. So the first m samples depend
     on the seed and ``mc_landmarks`` alone, not on ``mc_samples``.
     Positions are ``interior cell + uniform fraction``, so that border
-    clamping cannot bias the statistics; ``groups`` numbers each landmark's
-    sample within its block. ``points`` is (N, 2), a transposed view of
-    a (2, N) array.
+    clamping cannot bias the statistics. A sample is ``mc_landmarks``
+    consecutive points, and a block is a transposed view of a (2, N) array.
     """
     w, h = cfg.codec.heatmap_shape
     per_block = _MC_BLOCK // cfg.mc_landmarks
     size = per_block * cfg.mc_landmarks
-    groups = np.repeat(np.arange(per_block), cfg.mc_landmarks)
     seeds = np.random.SeedSequence(cfg.seed)
     for start in range(0, cfg.mc_samples, per_block):
         rng = np.random.Generator(np.random.PCG64(seeds.spawn(1)[0]))
@@ -327,7 +326,7 @@ def _mc_blocks(cfg: BenchConfig):
         points[1] = rng.integers(0, h - 1, size=size)
         np.add(points, rng.random((size, 2)).T, out=points)
         n = min(per_block, cfg.mc_samples - start) * cfg.mc_landmarks
-        yield points[:, :n].T, groups[:n]
+        yield points[:, :n].T
 
 
 def _merge_moments(n_a: int, mean_a: float, m2_a: float, err: np.ndarray,
@@ -361,9 +360,9 @@ def run_montecarlo(cfg: BenchConfig) -> BenchReport:
     # a huge scale factor overflows the errors or their spread; that is
     # refused below, so numpy's warning about it tells the caller nothing
     with np.errstate(over="ignore", invalid="ignore"):
-        for points, groups in _mc_blocks(cfg):
+        for points in _mc_blocks(cfg):
             for scheme, ccfg in codecs.items():
-                coords, flags, count = ideal_roundtrip(points, ccfg, groups=groups)
+                coords, flags, count = ideal_roundtrip(points, ccfg, group_size=cfg.mc_landmarks)
                 coords -= points
                 err = point_distances(coords)
                 err *= cfg.mc_n

@@ -130,6 +130,13 @@ def _parse_point(text: str) -> tuple[float, float]:
             f"point coordinates must be numbers, got {text!r}") from None
 
 
+def _nonempty(text: str) -> str:
+    """A path or name flag's value: an empty one names nothing to read or write."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a non-empty value, got ''")
+    return text
+
+
 def _write_out(text: str, out: str | None) -> None:
     """``text`` to the file ``out`` as UTF-8, or to stdout, flushed so that a
     failed write is this command's error rather than one at exit."""
@@ -336,8 +343,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="accepted for compatibility and has no effect: scoring is "
                         "batched in one thread (must be positive; default 1)")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    p.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
-    p.add_argument("--ced-out", metavar="PREFIX",
+    p.add_argument("--out", type=_nonempty, metavar="FILE",
+                   help="write the report here instead of stdout")
+    p.add_argument("--ced-out", type=_nonempty, metavar="PREFIX",
                    help="write one CED CSV per scheme to PREFIX<scheme>.csv")
     p.set_defaults(func=_cmd_bench_ideal)
 
@@ -357,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schemes", type=_parse_schemes, default="all",
                    help="comma-separated scheme list or 'all' (default all)")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    p.add_argument("--out", metavar="FILE")
+    p.add_argument("--out", type=_nonempty, metavar="FILE")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("encode", help="encode landmarks and print the sparse JSON payload")
@@ -373,44 +381,47 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", type=_parse_point, action="append", metavar="X,Y",
                    help="heatmap-space landmark; repeat for several; write a "
                         "negative x as --point=-3,70")
-    p.add_argument("--record", metavar="FILE",
+    p.add_argument("--record", type=_nonempty, metavar="FILE",
                    help="canonical JSON file to take landmarks from instead of --point")
     p.add_argument("--index", type=int, default=0,
                    help="record index within --record (default 0)")
     p.add_argument("--margin", type=float, default=0.25,
                    help="crop margin when encoding from --record (default 0.25)")
-    p.add_argument("--out", metavar="FILE")
+    p.add_argument("--out", type=_nonempty, metavar="FILE")
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("decode", help="decode a sparse JSON payload back to coordinates")
     _add_common(p)
     p.add_argument("--scheme", required=True, choices=[s.value for s in SCHEME_ORDER],
                    help="expected payload scheme; mismatch is an error")
-    p.add_argument("--in", dest="infile", default="-", metavar="FILE",
+    p.add_argument("--in", type=_nonempty, dest="infile", default="-", metavar="FILE",
                    help="payload file, or - for stdin (default)")
-    p.add_argument("--out", metavar="FILE")
+    p.add_argument("--out", type=_nonempty, metavar="FILE")
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("metrics", help="score a prediction file against ground truth")
     _add_common(p)
-    p.add_argument("--gt", required=True, metavar="FILE", help="canonical JSON ground truth")
-    p.add_argument("--pred", required=True, metavar="FILE", help="canonical JSON predictions")
+    p.add_argument("--gt", type=_nonempty, required=True, metavar="FILE",
+                   help="canonical JSON ground truth")
+    p.add_argument("--pred", type=_nonempty, required=True, metavar="FILE",
+                   help="canonical JSON predictions")
     p.add_argument("--norm-indices", type=_parse_index_pair, metavar="I,J",
                    help="landmark pair for error normalization "
                         "(defaults: 60,72 for 98 points; 36,45 for 68)")
     p.add_argument("--threshold", type=float, default=0.10,
                    help="failure/AUC threshold on normalized error (default 0.10)")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    p.add_argument("--out", metavar="FILE")
-    p.add_argument("--ced-out", metavar="FILE", help="write the CED curve as CSV")
+    p.add_argument("--out", type=_nonempty, metavar="FILE")
+    p.add_argument("--ced-out", type=_nonempty, metavar="FILE", help="write the CED curve as CSV")
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("convert", help="rewrite a dataset as canonical JSON")
     _add_common(p)
     p.add_argument("--dataset", required=True, metavar="FMT:PATH",
                    help="dataset as format:path; formats: wflw, pts, json")
-    p.add_argument("--out", required=True, metavar="FILE")
-    p.add_argument("--name", help="dataset name to embed (default: derived from the path)")
+    p.add_argument("--out", type=_nonempty, required=True, metavar="FILE")
+    p.add_argument("--name", type=_nonempty,
+                   help="dataset name to embed (default: derived from the path)")
     p.set_defaults(func=_cmd_convert)
 
     return parser

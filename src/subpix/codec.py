@@ -46,6 +46,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -408,15 +409,6 @@ def _check_points(points) -> np.ndarray:
     return pts
 
 
-def _check_groups(groups, n: int) -> np.ndarray:
-    """``groups`` as n int64 labels, each in [0, n)."""
-    labels = np.asarray(groups)
-    if (labels.shape != (n,) or labels.dtype.kind not in "iu"
-            or labels.min() < 0 or labels.max() >= n):
-        raise ConfigError(f"groups must be {n} integer labels in [0, {n}), one per point")
-    return labels.astype(np.int64, copy=False)
-
-
 @functools.lru_cache(maxsize=None)
 def _column(x: int, y: int) -> np.ndarray:
     """``(x, y)`` as a read-only (2, 1) float64 column, built once per pair.
@@ -431,21 +423,21 @@ def _column(x: int, y: int) -> np.ndarray:
 
 def _last_writer_offsets(cells: np.ndarray, offsets: np.ndarray, valid: np.ndarray,
                          shape: tuple[int, int],
-                         groups: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+                         group_size: int | None = None) -> tuple[np.ndarray, int]:
     """Resolve shared-map collisions: the highest landmark index wins a cell.
 
     Returns, for every valid landmark, the (2, N) offset that a reader of
     its cell would observe, plus the number of overwritten landmarks.
-    ``groups`` partitions the landmarks into independent samples that do
-    not share maps with each other. Without a collision ``offsets`` comes
+    Each run of ``group_size`` landmarks, which divides N, is a sample that
+    shares no maps with the others. Without a collision ``offsets`` comes
     back as is.
     """
     w, h = shape
     keys = cells[1] * w
     keys += cells[0]
     keys = keys.astype(np.int64)
-    if groups is not None:
-        keys += groups * (w * h)
+    if group_size is not None:
+        keys += np.repeat(np.arange(len(keys) // group_size) * (w * h), group_size)
     idx = None
     if not valid.all():
         idx = np.flatnonzero(valid)
@@ -471,7 +463,7 @@ def _last_writer_offsets(cells: np.ndarray, offsets: np.ndarray, valid: np.ndarr
 # -- encode / decode ----------------------------------------------------------
 
 
-def _quantize(pts: np.ndarray, cfg: CodecConfig, groups: np.ndarray | None = None):
+def _quantize(pts: np.ndarray, cfg: CodecConfig, group_size: int | None = None):
     """Each landmark's cell and the fraction its scheme's decoder adds back.
 
     Returns ``(cells, kept, steps, clamped, valid, conflicts)``: the (2, N)
@@ -480,8 +472,8 @@ def _quantize(pts: np.ndarray, cfg: CodecConfig, groups: np.ndarray | None = Non
     hih decimal step indices, also (2, N) float64 (None for the other
     schemes), the clamp flags, the valid mask, False where
     ``OobPolicy.DROP`` dropped a landmark, and the wom conflict count, with
-    collisions resolved within each of ``groups``. Dropped landmarks sit at
-    cell 0 and keep nothing.
+    collisions resolved within each run of ``group_size`` landmarks. Dropped
+    landmarks sit at cell 0 and keep nothing.
 
     Out-of-grid cells are pulled to the border and the fraction is clipped
     so that ``cell + fraction`` stays the nearest representable position;
@@ -530,7 +522,7 @@ def _quantize(pts: np.ndarray, cfg: CodecConfig, groups: np.ndarray | None = Non
             np.maximum(kept, 0.0, out=kept)
             np.minimum(kept, _ONE_BELOW, out=kept)
     if cfg.scheme is Scheme.WOM:
-        kept, conflicts = _last_writer_offsets(cells, kept, valid, cfg.heatmap_shape, groups)
+        kept, conflicts = _last_writer_offsets(cells, kept, valid, cfg.heatmap_shape, group_size)
     elif cfg.scheme is Scheme.HIH:
         w_o, h_o = cfg.decimal_shape
         dims_o = _column(w_o, h_o)
@@ -676,7 +668,7 @@ def decode(enc: EncodedSample) -> DecodeResult:
 
 
 def ideal_roundtrip(points: np.ndarray, cfg: CodecConfig,
-                    groups: np.ndarray | None = None,
+                    group_size: int | None = None,
                     ) -> tuple[np.ndarray, np.ndarray, int]:
     """Grid-free equivalent of ``decode(encode_points(...))`` on ideal maps.
 
@@ -690,16 +682,22 @@ def ideal_roundtrip(points: np.ndarray, cfg: CodecConfig,
     array, the axis-major cells that ``_quantize`` wrote: ``coords.T`` is
     contiguous, ``coords`` is not.
 
-    ``groups`` optionally partitions the points into independent samples:
-    wom collisions are then resolved within each group only, which is how
-    the Monte-Carlo benchmark batches many samples into one call. It must
-    hold one integer label in [0, N) per point: no more groups than points,
-    so that a group's cells stay apart from every other group's in int64.
+    ``group_size`` optionally splits the points into samples of that many
+    consecutive points, an integer of at least 1 that divides N: wom
+    collisions are then resolved within each sample only, which is how the
+    benchmarks batch many faces or draws into one call.
     """
     pts = _check_points(points)
-    if groups is not None:
-        groups = _check_groups(groups, len(pts))
-    cells, kept, _, clamped, mask, conflicts = _quantize(pts, cfg, groups)
+    if group_size is not None:
+        try:  # operator.index refuses floats, and a bool is no size
+            size = 0 if isinstance(group_size, bool) else operator.index(group_size)
+        except TypeError:
+            size = 0
+        if size < 1 or len(pts) % size:
+            raise ConfigError(f"group_size must be a positive integer that divides the "
+                              f"{len(pts)} points, got {group_size!r}")
+        group_size = size
+    cells, kept, _, clamped, mask, conflicts = _quantize(pts, cfg, group_size)
     # the cells are this call's own copy: the kept fractions go straight in
     if kept is not None:
         cells += kept

@@ -180,10 +180,9 @@ class TestMonteCarlo:
 MERGE_ULPS = 8
 
 
-def _streamed(cfg: BenchConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Every block's points, concatenated, with each landmark's global sample."""
-    points = np.concatenate([p for p, _ in _mc_blocks(cfg)])
-    return points, np.repeat(np.arange(cfg.mc_samples), cfg.mc_landmarks)
+def _streamed(cfg: BenchConfig) -> np.ndarray:
+    """Every block's points, concatenated."""
+    return np.concatenate(list(_mc_blocks(cfg)))
 
 
 class TestMonteCarloStream:
@@ -197,20 +196,19 @@ class TestMonteCarloStream:
         m = self._spanning(landmarks)
         short = BenchConfig(seed=11, mc_samples=m, mc_landmarks=landmarks)
         blocks = list(_mc_blocks(short))
-        assert len(blocks) == 4 and len(blocks[-1][0]) < len(blocks[0][0])
+        assert len(blocks) == 4 and len(blocks[-1]) < len(blocks[0])
         longer = _streamed(BenchConfig(seed=11, mc_samples=3 * m + 1,
-                                       mc_landmarks=landmarks))[0]
-        np.testing.assert_array_equal(np.concatenate([p for p, _ in blocks]),
-                                      longer[:m * landmarks])
+                                       mc_landmarks=landmarks))
+        np.testing.assert_array_equal(np.concatenate(blocks), longer[:m * landmarks])
 
     @pytest.mark.parametrize("scheme", [Scheme.DIRECT, Scheme.HIH, Scheme.WOM])
     def test_merge_matches_one_pass(self, scheme):
         cfg = BenchConfig(seed=4, mc_samples=self._spanning(4), mc_landmarks=4,
                           schemes=(scheme,))
         row = run_montecarlo(cfg).rows[0]
-        points = _streamed(cfg)[0]
+        points = _streamed(cfg)
         coords = np.concatenate([ideal_roundtrip(p, cfg.codec.for_scheme(scheme),
-                                                 groups=g)[0] for p, g in _mc_blocks(cfg)])
+                                                 group_size=4)[0] for p in _mc_blocks(cfg)])
         err = cfg.mc_n * np.hypot(*(coords - points).T)
         mean = float(np.mean(err))
         se = float(np.std(err, ddof=1) / math.sqrt(err.size))
@@ -224,9 +222,10 @@ class TestMonteCarloStream:
         # at most one cell the two may differ in the last bit only
         cfg = BenchConfig(seed=2, mc_samples=self._spanning(landmarks), mc_landmarks=landmarks)
         differ = 0
-        for points, groups in _mc_blocks(cfg):
+        for points in _mc_blocks(cfg):
             for scheme in SCHEME_ORDER:
-                coords = ideal_roundtrip(points, cfg.codec.for_scheme(scheme), groups=groups)[0]
+                coords = ideal_roundtrip(points, cfg.codec.for_scheme(scheme),
+                                         group_size=landmarks)[0]
                 delta = coords - points
                 assert np.abs(delta).max() <= 1.0
                 got = point_distances(delta)
@@ -238,9 +237,8 @@ class TestMonteCarloStream:
 
     def test_wom_conflicts_match_one_call(self):
         cfg = BenchConfig(seed=3, mc_samples=3000, mc_landmarks=64, schemes=(Scheme.WOM,))
-        points, groups = _streamed(cfg)
-        _, _, conflicts = ideal_roundtrip(points, cfg.codec.for_scheme(Scheme.WOM),
-                                          groups=groups)
+        _, _, conflicts = ideal_roundtrip(_streamed(cfg), cfg.codec.for_scheme(Scheme.WOM),
+                                          group_size=64)
         assert conflicts > 0
         assert run_montecarlo(cfg).rows[0].conflicts == conflicts
 
@@ -250,9 +248,10 @@ class TestMonteCarloStream:
         codec = CodecConfig(scheme=Scheme.HIH, decimal_overflow=DecimalOverflow.CLAMP)
         cfg = BenchConfig(seed=8, mc_samples=20000, codec=codec)
         flags = dict.fromkeys(SCHEME_ORDER, 0)
-        for points, groups in _mc_blocks(cfg):
+        for points in _mc_blocks(cfg):
             for scheme in SCHEME_ORDER:
-                clamped = ideal_roundtrip(points, cfg.codec.for_scheme(scheme), groups=groups)[1]
+                clamped = ideal_roundtrip(points, cfg.codec.for_scheme(scheme),
+                                          group_size=cfg.mc_landmarks)[1]
                 flags[scheme] += int(np.count_nonzero(clamped))
         assert flags[Scheme.HIH] > 0
         assert {r.scheme: r.clamped_points for r in run_montecarlo(cfg).rows} == flags
@@ -535,10 +534,10 @@ def chained_ideal(corpus: Corpus, cfg: BenchConfig,
     dims = np.array(cfg.codec.heatmap_shape, dtype=np.float64)
     counts = [len(k[2]) for k in kept]
     points = np.concatenate([k[2] for k in kept])
-    image = np.repeat(np.arange(len(kept)), counts)
     out = {}
     for scheme in cfg.schemes:
-        coords, _, _ = ideal_roundtrip(points, cfg.codec.for_scheme(scheme), groups=image)
+        coords, _, _ = ideal_roundtrip(points, cfg.codec.for_scheme(scheme),
+                                       group_size=corpus.points.shape[1])
         out[scheme] = {}
         for (k, d, hm, inv, inv_off), q in zip(kept, np.split(coords / dims,
                                                               np.cumsum(counts)[:-1])):
@@ -560,7 +559,6 @@ def assert_matches_chain(corpus: Corpus, cfg: BenchConfig,
     dims = np.array(cfg.codec.heatmap_shape, dtype=np.float64)
     t = heatmap_transform(_face_maps(faces, cfg)[0], cfg.codec.heatmap_shape)
     hm = t.apply(faces.points)
-    image = np.repeat(np.arange(len(faces)), faces.points.shape[1])
     for row in report.rows:
         ref = want[row.scheme]
         assert [p.id for p in row.per_image] == sorted(ref)
@@ -568,7 +566,7 @@ def assert_matches_chain(corpus: Corpus, cfg: BenchConfig,
             assert p.nme == ref[p.id][2], (row.scheme, p.id)
             assert np.array_equal(p.per_point, ref[p.id][3], equal_nan=True)
         coords, _, _ = ideal_roundtrip(hm.reshape(-1, 2), cfg.codec.for_scheme(row.scheme),
-                                       groups=image)
+                                       group_size=hm.shape[1])
         back = t.inverse().apply((coords / dims * dims).reshape(hm.shape))
         for k, rid in enumerate(faces.ids):
             if rid in ref:

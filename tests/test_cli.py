@@ -426,6 +426,14 @@ class TestEncodeDecode:
         assert doc["valid"] == [True, True]
         assert doc["clamped"] == [False, False]
 
+    def test_dash_is_stdin_and_stdout(self, capsys, monkeypatch):
+        argv = ("encode", "--scheme", "wom", "--point", "32.65,20.30")
+        rc, payload, _ = run_cli(capsys, *argv)
+        assert (rc, payload) == run_cli(capsys, *argv, "--out", "-")[:2]
+        monkeypatch.setattr("sys.stdin", stdin_of(payload))
+        rc, out, _ = run_cli(capsys, "decode", "--scheme", "wom", "--in", "-", "--out", "-")
+        assert rc == 0 and json.loads(out)["valid"] == [True]
+
     def test_direct_decode_values(self, capsys, tmp_path):
         rc, payload, _ = run_cli(capsys, "encode", "--scheme", "direct",
                                  "--point", "32.65,20.30", "--point", "10.2,55.9")
@@ -1465,6 +1473,31 @@ class TestErrorReporting:
         (("bench-ideal", "--dataset", "json:{data}/outside68.json", "--crop-source", "bbox",
           "--oob-policy", "drop", "--schemes", "wov,direct"),
          "scheme 'wov' produced no scorable images"),
+        # an empty path or name names nothing: it is refused, not skipped
+        (("bench-ideal", "--dataset", "json:{data}/gt68.json", "--ced-out", ""),
+         "argument --ced-out: expected a non-empty value, got ''"),
+        (("bench-ideal", "--dataset", "json:{data}/gt68.json", "--out="),
+         "argument --out: expected a non-empty value, got ''"),
+        (("synth", "--samples", "10", "--out", ""),
+         "argument --out: expected a non-empty value, got ''"),
+        (("metrics", "--gt", "{data}/gt68.json", "--pred", "{data}/gt68.json", "--ced-out", ""),
+         "argument --ced-out: expected a non-empty value, got ''"),
+        (("metrics", "--gt", "", "--pred", "{data}/gt68.json"),
+         "argument --gt: expected a non-empty value, got ''"),
+        (("metrics", "--gt", "{data}/gt68.json", "--pred", ""),
+         "argument --pred: expected a non-empty value, got ''"),
+        (("encode", "--scheme", "wov", "--record", ""),
+         "argument --record: expected a non-empty value, got ''"),
+        (("encode", "--scheme", "wov", "--point", "1,2", "--out", ""),
+         "argument --out: expected a non-empty value, got ''"),
+        (("decode", "--scheme", "wov", "--in", ""),
+         "argument --in: expected a non-empty value, got ''"),
+        (("decode", "--scheme", "wov", "--out", ""),
+         "argument --out: expected a non-empty value, got ''"),
+        (("convert", "--dataset", "json:{data}/gt68.json", "--out", "x.json", "--name", ""),
+         "argument --name: expected a non-empty value, got ''"),
+        (("convert", "--dataset", "json:{data}/gt68.json", "--out", ""),
+         "argument --out: expected a non-empty value, got ''"),
     ])
     def test_usage_errors_are_one_line(self, capsys, data_dir, argv, message):
         argv = [a.format(data=data_dir) for a in argv]

@@ -53,7 +53,7 @@ def _hih(point, **kw) -> tuple[tuple[int, int], bool]:
 @st.composite
 def _roundtrip_cases(draw):
     """A codec config on a small rectangular grid, points around it, and
-    optionally group labels.
+    optionally a group size.
 
     Coordinates are a cell from just outside the grid plus a fraction that
     is often exact: 0, a half, or just below 1, where rounding carries.
@@ -68,12 +68,11 @@ def _roundtrip_cases(draw):
                 | st.sampled_from([0.0, 0.5, 1.0 - 2.0 ** -53, 1.0 - 1e-9]))
     pts = np.array([[draw(st.integers(-2, side + 1)) + draw(fraction) for side in (w, h)]
                     for _ in range(n)])
-    groups = None
+    group_size = None
     if draw(st.booleans()):
-        # ideal_roundtrip takes labels in [0, n) only
-        groups = np.array(draw(st.lists(st.integers(0, min(3, n - 1)), min_size=n,
-                                        max_size=n)))
-    return cfg, pts, groups
+        # ideal_roundtrip takes a size that divides n only
+        group_size = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    return cfg, pts, group_size
 
 
 class TestRelativeOffset:
@@ -330,36 +329,36 @@ class TestWom:
                 assert conflicts > 0
 
     def test_groups_isolate_samples(self):
-        # same cell in two different groups: no conflict
+        # same cell in two different samples: no conflict
         pts = np.array([[10.25, 11.75], [10.75, 11.25]])
-        _, _, conflicts = ideal_roundtrip(pts, cfg_for(Scheme.WOM),
-                                          groups=np.array([0, 1]))
+        _, _, conflicts = ideal_roundtrip(pts, cfg_for(Scheme.WOM), group_size=1)
         assert conflicts == 0
-        _, _, conflicts = ideal_roundtrip(pts, cfg_for(Scheme.WOM),
-                                          groups=np.array([0, 0]))
+        _, _, conflicts = ideal_roundtrip(pts, cfg_for(Scheme.WOM), group_size=2)
         assert conflicts == 1
 
-    @pytest.mark.parametrize("groups", [
-        [0, 2 ** 52],    # 2^52 x 4096 cells wraps int64 onto group 0: 1 conflict
-        [0.2, 0.7],      # truncated to 0 and 0: 1 conflict
-        [0, 2 ** 63],    # past int64: OverflowError
-        [0, -1], [0, 2], [0], [[0], [1]], [True, False],
-    ], ids=["wraps-int64", "floats", "past-int64", "negative", "past-n", "short", "2d",
-            "bools"])
-    def test_groups_refused_unless_n_labels_below_n(self, groups):
-        pts = np.array([[10.25, 11.75], [10.75, 11.25]])
-        with pytest.raises(ConfigError, match=r"groups must be 2 integer labels in \[0, 2\)"):
-            ideal_roundtrip(pts, cfg_for(Scheme.WOM), groups=groups)
+    @pytest.mark.parametrize("group_size", [0, -1, 3, True, 2.0],
+                             ids=["zero", "negative", "not-a-divisor", "bool", "float"])
+    def test_group_size_refused_unless_a_divisor_of_n(self, group_size):
+        pts = np.array([[10.25, 11.75], [10.75, 11.25], [10.5, 11.5], [30.5, 2.5]])
+        with pytest.raises(ConfigError, match=r"group_size must be a positive integer "
+                                              r"that divides the 4 points"):
+            ideal_roundtrip(pts, cfg_for(Scheme.WOM), group_size=group_size)
+
+    def test_group_size_accepts_a_numpy_integer(self):
+        pts = np.array([[10.25, 11.75], [10.75, 11.25], [10.5, 11.5], [30.5, 2.5]])
+        _, _, conflicts = ideal_roundtrip(pts, cfg_for(Scheme.WOM), group_size=np.int64(2))
+        assert conflicts == 1
 
     @staticmethod
-    def _reference(cells, offsets, valid, groups):
-        """Last writer per (group, cell) by a dict written in index order."""
+    def _reference(cells, offsets, valid, group_size):
+        """Last writer per (sample, cell) by a dict written in index order."""
+        size = group_size or len(valid)
         winner = {}
         for i in np.flatnonzero(valid):
-            winner[groups[i], cells[0, i], cells[1, i]] = i
+            winner[i // size, cells[0, i], cells[1, i]] = i
         decoded = offsets.copy()
         for i in np.flatnonzero(valid):
-            decoded[:, i] = offsets[:, winner[groups[i], cells[0, i], cells[1, i]]]
+            decoded[:, i] = offsets[:, winner[i // size, cells[0, i], cells[1, i]]]
         return decoded, int(np.count_nonzero(valid)) - len(winner)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -367,14 +366,13 @@ class TestWom:
     def test_last_writer_matches_reference(self, seed, grouped):
         # a 2x2 grid and a few hundred landmarks: nearly every cell collides
         rng = np.random.Generator(np.random.PCG64(seed))
-        n = int(rng.integers(200, 600))
+        n = 40 * int(rng.integers(5, 15))
         cells = rng.integers(0, 2, size=(2, n)).astype(np.float64)
         offsets = rng.random((2, n))
         valid = rng.random(n) >= 0.3
-        groups = rng.choice(np.array([3, 17, 40, 1000]), size=n) if grouped else None
-        got, conflicts = _last_writer_offsets(cells, offsets, valid, (2, 2), groups)
-        want, want_conflicts = self._reference(
-            cells, offsets, valid, np.zeros(n, dtype=np.int64) if groups is None else groups)
+        group_size = int(rng.choice([5, 8, 40])) if grouped else None
+        got, conflicts = _last_writer_offsets(cells, offsets, valid, (2, 2), group_size)
+        want, want_conflicts = self._reference(cells, offsets, valid, group_size)
         assert conflicts == want_conflicts > 0
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -601,10 +599,10 @@ class TestGridMatchesIdealRoundtrip:
     @settings(max_examples=400, deadline=None)
     def test_matches_grid_path_everywhere(self, case):
         # the grid-free round trip against rendering and decoding, one
-        # encode_points per group, on any grid and policy pair
-        cfg, pts, groups = case
-        coords, clamped, conflicts = ideal_roundtrip(pts, cfg, groups=groups)
-        labels = np.zeros(len(pts), dtype=np.int64) if groups is None else groups
+        # encode_points per sample, on any grid and policy pair
+        cfg, pts, group_size = case
+        coords, clamped, conflicts = ideal_roundtrip(pts, cfg, group_size=group_size)
+        labels = np.arange(len(pts)) // (group_size or len(pts))
         grid = np.full_like(pts, np.nan)
         grid_clamped = np.zeros(len(pts), dtype=bool)
         grid_conflicts = 0
@@ -622,13 +620,13 @@ class TestGridMatchesIdealRoundtrip:
         assert conflicts == grid_conflicts
 
 
-def _reference_roundtrip(cfg, pts, groups):
+def _reference_roundtrip(cfg, pts, group_size):
     """``ideal_roundtrip`` landmark by landmark in plain Python: ``math.floor``,
     explicit clamps, the carry or clamp rule, and a dict of last writers per
-    group. It shares no code with ``_quantize``, which the grid path also runs."""
+    sample. It shares no code with ``_quantize``, which the grid path also runs."""
     (w, h), (wo, ho) = cfg.heatmap_shape, cfg.decimal_shape
     n, rounds = len(pts), cfg.scheme in (Scheme.DIRECT, Scheme.WSM)
-    groups = [0] * n if groups is None else [int(g) for g in groups]
+    size = group_size or n
     cells, kept, clamped = {}, {}, [False] * n
     for i in range(n):
         x, y = float(pts[i, 0]), float(pts[i, 1])
@@ -658,10 +656,10 @@ def _reference_roundtrip(cfg, pts, groups):
     winner = {}
     if cfg.scheme is Scheme.WOM:
         for i in cells:
-            winner[groups[i], cells[i]] = i
+            winner[i // size, cells[i]] = i
     coords = np.full((n, 2), np.nan)
     for i in cells:
-        f = kept[winner.get((groups[i], cells[i]), i)]
+        f = kept[winner.get((i // size, cells[i]), i)]
         coords[i] = [cells[i][0] + f[0], cells[i][1] + f[1]]
     conflicts = len(cells) - len(winner) if cfg.scheme is Scheme.WOM else 0
     return coords, np.array(clamped), conflicts
@@ -672,12 +670,30 @@ class TestQuantizeReference:
     @settings(max_examples=400, deadline=None)
     def test_matches_per_landmark_reference(self, case):
         # an independent oracle: the grid path shares _quantize with the round trip
-        cfg, pts, groups = case
-        coords, clamped, conflicts = ideal_roundtrip(pts, cfg, groups=groups)
-        want, want_clamped, want_conflicts = _reference_roundtrip(cfg, pts, groups)
+        cfg, pts, group_size = case
+        coords, clamped, conflicts = ideal_roundtrip(pts, cfg, group_size=group_size)
+        want, want_clamped, want_conflicts = _reference_roundtrip(cfg, pts, group_size)
         np.testing.assert_array_equal(coords.view(np.uint64), want.view(np.uint64))
         np.testing.assert_array_equal(clamped, want_clamped)
         assert conflicts == want_conflicts
+
+    @pytest.mark.parametrize("scheme", SCHEME_ORDER, ids=lambda s: s.value)
+    @pytest.mark.parametrize("oob", list(OobPolicy), ids=lambda p: p.value)
+    def test_one_grouped_call_equals_calls_per_sample(self, scheme, oob):
+        # eight samples of twelve points around a 4x3 grid: cells collide
+        # within and across samples, and some points leave the grid
+        cfg = CodecConfig(scheme=scheme, heatmap_shape=(4, 3), oob_policy=oob)
+        rng = np.random.Generator(np.random.PCG64(7))
+        pts = rng.uniform(-1.0, [5.0, 4.0], size=(96, 2))
+        coords, clamped, conflicts = ideal_roundtrip(pts, cfg, group_size=12)
+        parts = [ideal_roundtrip(sample, cfg) for sample in np.split(pts, 8)]
+        want = np.concatenate([p[0] for p in parts])
+        np.testing.assert_array_equal(coords.view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(clamped, np.concatenate([p[1] for p in parts]))
+        assert conflicts == sum(p[2] for p in parts)
+        # points off the grid were dropped or clamped, and only wom shares maps
+        assert np.isnan(coords).any() if oob is OobPolicy.DROP else clamped.any()
+        assert (conflicts > 0) == (scheme is Scheme.WOM)
 
     @pytest.mark.parametrize("scheme", SCHEME_ORDER, ids=lambda s: s.value)
     @pytest.mark.parametrize("side", ["left", "right", "top", "bottom"])
