@@ -16,10 +16,9 @@ diagnostics to stderr through one reporter, and files are written as UTF-8.
 Exit code 0 on success, 2 for usage, input or output errors (a report or
 help text that cannot be written, or that stdout's encoding cannot hold),
 1 for internal failures; an error keeps its exit code when stderr cannot
-hold its message. Flags are the one way to set a run, and each is accepted
-only when spelled in full.
-``--json-errors`` formats errors as single-line JSON on stderr for machine
-consumption.
+hold its message. An error is one line: a character that would not print,
+a line break among them, is written as its backslash escape. Flags are the
+one way to set a run, and each is accepted only when spelled in full.
 
 Identical inputs, flags, and seeds produce byte-identical stdout.
 
@@ -55,11 +54,6 @@ __all__ = ["main", "entry"]
 
 
 # -- shared argument plumbing -----------------------------------------------------
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json-errors", action="store_true",
-                   help="report errors as single-line JSON on stderr")
 
 
 def _add_codec_flags(p: argparse.ArgumentParser) -> None:
@@ -299,7 +293,7 @@ def _cmd_convert(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """Raises usage errors, so that they print as one line like any input
     error, writes help text through ``_write_out`` like a report, and takes
-    flags (its subcommands' too) only in full: ``main`` checks that spelling."""
+    flags (its subcommands' too) only in full."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
@@ -319,7 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench-ideal",
                        help="measure each scheme's own representation error on a dataset")
-    _add_common(p)
     _add_codec_flags(p)
     _add_oob_policy(p)
     p.add_argument("--dataset", required=True, metavar="FMT:PATH",
@@ -351,7 +344,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth",
                        help="Monte-Carlo quantization error vs the analytic expectation")
-    _add_common(p)
     _add_codec_flags(p)
     p.add_argument("--samples", type=_count_arg, default=100_000,
                    help="number of Monte-Carlo samples; 1e6 style accepted "
@@ -369,7 +361,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("encode", help="encode landmarks and print the sparse JSON payload")
-    _add_common(p)
     _add_codec_flags(p)
     _add_oob_policy(p)
     p.add_argument("--scheme", required=True, choices=[s.value for s in SCHEME_ORDER])
@@ -391,7 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("decode", help="decode a sparse JSON payload back to coordinates")
-    _add_common(p)
     p.add_argument("--scheme", required=True, choices=[s.value for s in SCHEME_ORDER],
                    help="expected payload scheme; mismatch is an error")
     p.add_argument("--in", type=_nonempty, dest="infile", default="-", metavar="FILE",
@@ -400,7 +390,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("metrics", help="score a prediction file against ground truth")
-    _add_common(p)
     p.add_argument("--gt", type=_nonempty, required=True, metavar="FILE",
                    help="canonical JSON ground truth")
     p.add_argument("--pred", type=_nonempty, required=True, metavar="FILE",
@@ -416,7 +405,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("convert", help="rewrite a dataset as canonical JSON")
-    _add_common(p)
     p.add_argument("--dataset", required=True, metavar="FMT:PATH",
                    help="dataset as format:path; formats: wflw, pts, json")
     p.add_argument("--out", type=_nonempty, required=True, metavar="FILE")
@@ -427,35 +415,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report_error(exc: BaseException, json_errors: bool, *, internal: bool = False) -> None:
-    if json_errors:
-        doc = {"error": str(exc), "type": exc.__class__.__name__,
-               "kind": "internal" if internal else "input"}
-        line = json.dumps(doc, sort_keys=True) + "\n"
-    else:
-        line = f"{'internal error' if internal else 'error'}: {exc}\n"
+def _report_error(exc: BaseException, *, internal: bool = False) -> None:
+    # each character that would not print is escaped, so the message is one line
+    text = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
     try:
-        sys.stderr.write(line)
+        sys.stderr.write(f"{'internal error' if internal else 'error'}: {text}\n")
     except OSError:  # stderr cannot hold it either: the exit code still tells
         pass
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = _build_parser().parse_args(argv)
-    except (ConfigError, OSError) as exc:  # an OSError here is --help's write
-        _report_error(exc, "--json-errors" in argv)
-        return 2
+        return args.func(args)
     except SystemExit as exc:  # --help prints its usage text and exits 0
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return args.func(args)
-    except (ParseError, ConfigError, OSError) as exc:
-        _report_error(exc, args.json_errors)
+    except (ParseError, ConfigError, OSError) as exc:  # an OSError may be --help's write
+        _report_error(exc)
         return 2
     except Exception as exc:  # noqa: BLE001 - invariant violations exit 1
-        _report_error(exc, args.json_errors, internal=True)
+        _report_error(exc, internal=True)
         return 1
 
 

@@ -239,6 +239,12 @@ class EncodedSample:
                 setattr(self, key, grid)
         elif self.offset_map_x is not None or self.offset_map_y is not None:
             raise ConfigError(f"offset maps are not valid for scheme '{self.scheme.value}'")
+        try:  # the count is what the reader takes: not a bool or a float
+            json_int(self.conflict_count, "conflict_count", 0)
+        except SchemaError as exc:
+            raise ConfigError(str(exc)) from exc
+        if self.conflict_count and self.scheme is not Scheme.WOM:
+            raise ConfigError(f"conflict_count is not valid for scheme '{self.scheme.value}'")
         if self.scheme is Scheme.HIH:
             if self.decimal_maps is None or self.decimal_shape is None:
                 raise ConfigError("hih payload requires decimal maps and their shape")
@@ -250,8 +256,9 @@ class EncodedSample:
             if not _finite(dm):
                 raise ConfigError("decimal_maps must be finite")
             self.decimal_maps = dm
-        elif self.decimal_maps is not None:
-            raise ConfigError(f"decimal maps are not valid for scheme '{self.scheme.value}'")
+        elif self.decimal_maps is not None or self.decimal_shape is not None:
+            raise ConfigError(f"decimal maps and their shape are not valid for scheme "
+                              f"'{self.scheme.value}'")
 
     @property
     def n_landmarks(self) -> int:

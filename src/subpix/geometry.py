@@ -148,12 +148,16 @@ def crop_from_landmarks(points: np.ndarray, margin: float = 0.25) -> AffineTrans
     """The one-map batch of one face's square landmark-driven crop.
 
     An N = 1 call of :func:`landmark_crops` on (L, 2) ``points``; raises
-    ConfigError where that flags the crop as degenerate.
+    ConfigError where that flags the crop as degenerate, naming the margin
+    when the landmarks' own box, with no margin, would be usable.
     """
-    crop, ok = landmark_crops(np.asarray(points, dtype=np.float64)[None], margin)
-    if not ok[0]:
-        raise ConfigError("degenerate crop: needs landmarks spanning a box with extent")
-    return crop
+    points = np.asarray(points, dtype=np.float64)[None]
+    crop, ok = landmark_crops(points, margin)
+    if ok[0]:
+        return crop
+    if landmark_crops(points, 0.0)[1][0]:
+        raise ConfigError(f"degenerate crop: a margin of {margin} makes the crop side overflow")
+    raise ConfigError("degenerate crop: needs landmarks spanning a box with extent")
 
 
 def heatmap_transform(crop: AffineTransform,

@@ -1092,11 +1092,10 @@ class TestFlags:
 
     @pytest.mark.parametrize("command", sorted(_REQUIRED))
     def test_abbreviations_refused(self, capsys, command):
-        # every strict prefix of every long option, in both forms, and as plain
-        # text: only the full --json-errors asks for JSON
+        # every strict prefix of every long option, in both forms
         _, help_text, _ = run_cli(capsys, command, "--help")
         flags = set(re.findall(r"--[a-z][a-z-]*[a-z]", help_text))
-        assert {"--help", "--json-errors"} <= flags
+        assert "--help" in flags
         prefixes = {flag[:end] for flag in flags for end in range(3, len(flag))} - flags
         for prefix in sorted(prefixes):
             for given in ([prefix, "1"], [f"{prefix}=1"]):
@@ -1123,34 +1122,9 @@ class TestFlags:
         assert rc == 0
         assert out.strip().splitlines()[1].endswith(",300")
 
-    @pytest.mark.parametrize("value", ["yes", "1", "on", "true", "false", ""])
-    def test_json_errors_takes_no_value(self, capsys, value):
-        # a switch: any value is refused, and the error is plain text
-        rc, out, err = run_cli(capsys, "synth", "--samples", "300", f"--json-errors={value}")
-        assert (rc, out) == (2, "")
-        assert err == f"error: argument --json-errors: ignored explicit argument '{value}'\n"
-
-    @pytest.mark.parametrize("argv,message", [
-        (("synth", "--samples", "x"), "argument --samples: expected an integer, got 'x'"),
-        (("synth", "--conf", "x"), "unrecognized arguments: --conf x"),
-        (("synth", "--format", "xml"),
-         "argument --format: invalid choice: 'xml' (choose from 'table', 'csv', 'json')"),
-        (("synth", "--samples", "10", "--seed", "-1"),
-         "seed must be a non-negative integer, got -1"),
-        (("bench-ideal", "--threshold", "0.1"),
-         "the following arguments are required: --dataset"),
-        (("encode", "--scheme", "wov", "--point", "1,x"),
-         "argument --point: point coordinates must be numbers, got '1,x'"),
-    ])
-    def test_json_errors_after_the_error(self, capsys, argv, message):
-        # argparse stops at the bad flag before it reaches --json-errors
-        rc, out, err = run_cli(capsys, *argv, "--json-errors")
-        assert (rc, out, err.count("\n")) == (2, "", 1)
-        assert json.loads(err) == {"error": message, "kind": "input", "type": "ConfigError"}
-
     @pytest.mark.parametrize("value", ["true", "False"])
     def test_boolean_word_is_a_value(self, capsys, tmp_path, data_dir, value):
-        # only json-errors is a switch; "true" names a dataset like any word
+        # "true" names a dataset like any word
         out = tmp_path / "out.json"
         rc, _, err = run_cli(capsys, "convert", "--name", value,
                              "--dataset", f"wflw:{data_dir / 'list.txt'}", "--out", str(out))
@@ -1379,15 +1353,6 @@ class TestLoaderFuzz:
 
 
 class TestErrorReporting:
-    def test_json_errors_flag(self, capsys):
-        rc, _, err = run_cli(capsys, "bench-ideal", "--dataset", "wflw:/nope.txt",
-                             "--json-errors")
-        assert rc == 2
-        doc = json.loads(err)
-        assert doc["kind"] == "input"
-        assert doc["type"] == "ParseError"
-        assert "/nope.txt" in doc["error"]
-
     def test_plain_error_prefix(self, capsys):
         rc, _, err = run_cli(capsys, "bench-ideal", "--dataset", "nocolon")
         assert rc == 2
@@ -1401,13 +1366,28 @@ class TestErrorReporting:
         assert rc == 1
         assert err.startswith("internal error: wires crossed")
 
-    def test_internal_errors_as_json(self, capsys, monkeypatch):
-        def boom(cfg):
+    def test_internal_error_while_parsing_exits_one(self, capsys, monkeypatch):
+        def boom(text):
             raise RuntimeError("wires crossed")
-        monkeypatch.setattr("subpix.cli.run_montecarlo", boom)
-        rc, _, err = run_cli(capsys, "synth", "--samples", "10", "--json-errors")
-        assert rc == 1
-        assert json.loads(err)["kind"] == "internal"
+        monkeypatch.setattr("subpix.cli._count_arg", boom)
+        assert run_cli(capsys, "synth", "--samples", "10") == \
+            (1, "", "internal error: wires crossed\n")
+
+    @pytest.mark.parametrize("char", ["\n", "\r", "\u2028"], ids=["lf", "cr", "ls"])
+    def test_line_break_in_input_is_escaped(self, capsys, tmp_path, corpus68, char):
+        # a record id or a path that holds a line break still makes one error line
+        gt = replace(corpus68[:2], ids=np.array([f"a{char}b", "c"], dtype=object))
+        write_canonical(tmp_path / "gt.json", gt)
+        write_canonical(tmp_path / "pred.json", gt[1:])
+        escaped = repr(char)[1:-1]
+        rc, out, err = run_cli(capsys, "metrics", "--gt", str(tmp_path / "gt.json"),
+                               "--pred", str(tmp_path / "pred.json"))
+        assert (rc, out, err) == (2, "", f"error: prediction file is missing record id "
+                                         f"'a{escaped}b' (1 missing in total)\n")
+        path = str(tmp_path / f"no{char}such.json")
+        rc, out, err = run_cli(capsys, "decode", "--scheme", "wov", "--in", path)
+        assert (rc, out, len(err.splitlines())) == (2, "", 1)
+        assert err.startswith(f"error: {path.replace(char, escaped)}: ")
 
     def test_unwritable_stderr_keeps_exit_code(self, monkeypatch):
         # the message is lost, but an input error still exits 2 and an internal one 1
@@ -1498,13 +1478,18 @@ class TestErrorReporting:
          "argument --name: expected a non-empty value, got ''"),
         (("convert", "--dataset", "json:{data}/gt68.json", "--out", ""),
          "argument --out: expected a non-empty value, got ''"),
+        # the margin, not the landmarks, makes this crop unusable
+        (("encode", "--scheme", "hih", "--record", "{data}/gt68.json", "--margin", "1e308"),
+         "degenerate crop: a margin of 1e+308 makes the crop side overflow"),
+        # errors have one format: --json-errors is no flag, before or after another
+        *[((command, *flags), "unrecognized arguments: --json-errors")
+          for command in sorted(_REQUIRED)
+          for flags in (("--json-errors", *_REQUIRED[command], "--out=x"),
+                        (*_REQUIRED[command], "--out=x", "--json-errors"))],
     ])
     def test_usage_errors_are_one_line(self, capsys, data_dir, argv, message):
         argv = [a.format(data=data_dir) for a in argv]
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
-        rc, out, err = run_cli(capsys, *argv[:1], "--json-errors", *argv[1:])
-        assert (rc, out, err.count("\n")) == (2, "", 1)
-        assert json.loads(err) == {"error": message, "kind": "input", "type": "ConfigError"}
 
     def test_help_keeps_usage_and_exit_zero(self, capsys):
         rc, out, err = run_cli(capsys, "synth", "--help")
@@ -1608,18 +1593,6 @@ class TestEntry:
                                   env=env, timeout=300)
         assert proc.returncode == 2
         assert proc.stderr == b"error: [Errno 28] No space left on device\n"
-
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    def test_help_write_error_as_json(self):
-        # --json-errors covers the help text's failed write
-        env = child_env()
-        env.pop("PYTHONUNBUFFERED", None)
-        with open("/dev/full", "wb") as full:
-            proc = subprocess.run([*ENTRY, "synth", "--json-errors", "--help"], stdout=full,
-                                  stderr=subprocess.PIPE, env=env, timeout=300)
-        assert (proc.returncode, proc.stderr) == (2, b'{"error": "[Errno 28] No space left '
-                                                     b'on device", "kind": "input", "type": '
-                                                     b'"OSError"}\n')
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("argv", [

@@ -6,6 +6,7 @@ enumeration before the implementation existed.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import fields, replace
 
@@ -729,7 +730,8 @@ class TestEncodedSampleValidation:
         (Scheme.WOV, {"offsets": np.zeros((2, 2)), "offset_map_x": np.zeros((64, 64)),
                       "offset_map_y": np.zeros((64, 64))}, "offset maps are not valid"),
         (Scheme.WOM, {"offset_map_x": np.zeros((64, 64)), "offset_map_y": np.zeros((64, 64)),
-                      "decimal_maps": np.zeros((2, 8, 8))}, "decimal maps are not valid"),
+                      "decimal_maps": np.zeros((2, 8, 8))},
+         "decimal maps and their shape are not valid"),
         (Scheme.HIH, {"decimal_shape": (8, 8), "decimal_maps": np.zeros((2, 8, 4))},
          r"decimal maps shape \(2, 8, 4\) does not match \(2, 8, 8\)"),
     ])
@@ -752,6 +754,20 @@ class TestEncodedSampleValidation:
             EncodedSample(scheme=scheme, heatmap_shape=GRID,
                           integer_maps=enc.integer_maps, valid=enc.valid,
                           clamped=enc.clamped, **payload)
+
+    @pytest.mark.parametrize("scheme,payload,match", [
+        (Scheme.WOM, {"conflict_count": -5}, "'conflict_count': must be .* got -5$"),
+        (Scheme.WOM, {"conflict_count": True}, "'conflict_count': must be .* got True$"),
+        (Scheme.WOM, {"conflict_count": 2.5}, "'conflict_count': must be .* got 2.5$"),
+        # fields to_json would drop, so JSON would not bring them back
+        (Scheme.DIRECT, {"conflict_count": 7}, "conflict_count is not valid for scheme 'direct'"),
+        (Scheme.DIRECT, {"decimal_shape": (8, 8)},
+         "decimal maps and their shape are not valid for scheme 'direct'"),
+    ])
+    def test_scalar_payload_rejected(self, scheme, payload, match):
+        enc = encode_points(_heatmap_points(19, 2), cfg_for(scheme))
+        with pytest.raises(ConfigError, match=match):
+            replace(enc, **payload)
 
     @pytest.mark.parametrize("shape", [(1, 8), (8, 1), (1, 1)])
     def test_grid_below_two_cells_rejected(self, shape):
@@ -931,6 +947,21 @@ class TestConstructorMatchesReader:
         setattr(enc, key, bad)
         with pytest.raises(SchemaError):
             EncodedSample.from_json(enc.to_json())
+
+
+    @pytest.mark.parametrize("value", [-5, True, 2.5], ids=["negative", "bool", "float"])
+    def test_bad_conflict_count_refused_by_both(self, value):
+        # in the same words, the constructor refusing the value and the
+        # reader refusing it as the payload's text would hold it
+        enc = _built(Scheme.WOM)
+        message = f"field 'conflict_count': must be an integer of at least 0, got {value!r}"
+        with pytest.raises(ConfigError) as refused:
+            replace(enc, conflict_count=value)
+        assert str(refused.value) == message
+        doc = {**enc.to_json_dict(), "conflict_count": value}
+        with pytest.raises(SchemaError) as refused:
+            EncodedSample.from_json(json.dumps(doc))
+        assert str(refused.value) == message
 
 
 class TestSampleRoundtrip:

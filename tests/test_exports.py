@@ -409,8 +409,7 @@ def test_one_stdout_writer(path):
                          ids=lambda p: p.name)
 def test_one_error_reporter(path):
     """``cli.main`` alone calls ``_report_error``, so an error is reported
-    once and with the ``--json-errors`` its flags set; ``cli.entry`` reads
-    no ``sys.argv`` to decide it again."""
+    once; ``cli.entry`` leaves ``sys.argv`` to ``main``."""
     tree = ast.parse(path.read_text())
     found = _uses(tree, _REPORTER)
     if path.name == "cli.py":
@@ -436,7 +435,7 @@ def test_output_scans_see_each_spelling():
               "print(t)", "print(t, file=sys.stdout)", "print(t, file=f)",
               "builtins.print(t, end='')", "print(*lines, sep='\\n')"]
     assert [s for s in writes if not _stdout_writes(ast.parse(s))] == []
-    reports = ["_report_error(exc, False)", "cli._report_error(exc, True)",
+    reports = ["_report_error(exc)", "cli._report_error(exc, internal=True)",
                "from .cli import _report_error", "report = _report_error"]
     assert [s for s in reports if not _uses(ast.parse(s), _REPORTER)] == []
     unencoded = ["Path(p).write_text(t)", "p.write_text(t, encoding='ascii')",

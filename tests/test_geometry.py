@@ -131,6 +131,11 @@ class TestCropFromLandmarks:
         with pytest.raises(ConfigError, match="degenerate crop"):
             crop_from_landmarks([[5.0, 5.0], [5.0, 5.0]])
 
+    def test_overflowing_margin_named(self):
+        # the box has extent; the margin makes its square's side infinite
+        with pytest.raises(ConfigError, match="a margin of 1e\\+308 makes the crop side overflow"):
+            crop_from_landmarks([[0.0, 0.0], [10.0, 10.0]], margin=1e308)
+
     def test_single_point_rejected(self):
         with pytest.raises(ConfigError, match="degenerate crop"):
             crop_from_landmarks([[1.0, 1.0]])
