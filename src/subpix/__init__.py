@@ -10,8 +10,8 @@ from __future__ import annotations
 from .bench import (BenchConfig, BenchReport, SchemeStats, analytic_direct_error,
                     build_samples, emit_report, run_ideal, run_montecarlo)
 from .codec import (SCHEME_ORDER, CodecConfig, DecimalOverflow, DecodeResult,
-                    EncodedSample, OobPolicy, Scheme, decode, encode,
-                    encode_points, ideal_roundtrip)
+                    EncodedSample, Scheme, decode, encode, encode_points,
+                    ideal_roundtrip)
 from .datasets import (ATTRIBUTE_NAMES, Corpus, load_canonical, load_dataset,
                        load_pts_dir, load_wflw, parse_pts, parse_wflw_line,
                        subset_counts, write_canonical)
@@ -37,7 +37,6 @@ __all__ = [
     "DecodeResult",
     "EncodedSample",
     "MetricsConfig",
-    "OobPolicy",
     "ParseError",
     "PerImageError",
     "SCHEME_ORDER",

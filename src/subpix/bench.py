@@ -256,8 +256,6 @@ def _roundtrip_scores(faces: Corpus, norm_distance: np.ndarray, to_heatmap: Affi
     for scheme in cfg.schemes:
         coords, clamped, conflicts = ideal_roundtrip(
             points, cfg.codec.for_scheme(scheme), group_size=n_landmarks)
-        if np.isnan(coords[:, 0]).all():  # else some point scores or overflows
-            raise ConfigError(f"scheme '{scheme.value}' produced no scorable images")
         # decode returns coords / dims; mapping back from that normalized
         # form keeps every error bit-equal to the grid path on any grid size
         back_raw = to_raw.apply((coords / dims * dims).reshape(n, n_landmarks, 2))
@@ -285,19 +283,16 @@ def run_ideal(corpus: Corpus, cfg: BenchConfig) -> BenchReport:
                                heatmap_transform(crop, cfg.codec.heatmap_shape), cfg)
     rows = []
     for scheme in sorted(scores, key=SCHEME_ORDER.index):
-        scored, per_point, nme, mean, auc, fr, ced, clamped, conflicts = scores[scheme]
+        per_point, nme, mean, auc, fr, ced, clamped, conflicts = scores[scheme]
         rows.append(SchemeStats(
-            scheme=scheme, n_images=len(scored), nme=mean, auc=auc, fr=fr,
-            clamped_points=int(np.count_nonzero(clamped[scored])),
-            # an unscored image has no valid point, hence no conflict
-            conflicts=conflicts, ced=ced,
-            per_image=[PerImageError(id=faces.ids[k], nme=float(nme[k]),
-                                     per_point=per_point[k]) for k in scored],
+            scheme=scheme, n_images=len(faces), nme=mean, auc=auc, fr=fr,
+            clamped_points=int(np.count_nonzero(clamped)), conflicts=conflicts, ced=ced,
+            per_image=[PerImageError(id=i, nme=float(e), per_point=p)
+                       for i, e, p in zip(faces.ids, nme, per_point)],
         ))
     threshold = cfg.metrics.threshold
-    config = _config_echo(cfg, oob_policy=cfg.codec.oob_policy.value, threshold=threshold,
-                          crop_margin=cfg.crop_margin, crop_source=cfg.crop_source,
-                          bbox_inclusive=cfg.bbox_inclusive)
+    config = _config_echo(cfg, threshold=threshold, crop_margin=cfg.crop_margin,
+                          crop_source=cfg.crop_source, bbox_inclusive=cfg.bbox_inclusive)
     return BenchReport(mode="ideal", dataset=corpus.name, n_images=len(faces),
                        skipped=skipped, threshold=threshold, config=config, rows=rows)
 
@@ -447,23 +442,21 @@ def score_images(ids: np.ndarray, gt: np.ndarray, pred: np.ndarray,
                  norm_distance: np.ndarray, threshold: float) -> tuple:
     """Score (N, L, 2) predictions against finite ground truth by one rule.
 
-    Returns the scored images' indices, the (N, L) per-point and (N,)
-    per-image errors of :func:`image_errors`, and their mean NME, AUC,
-    failure rate and CED points. A NaN prediction is a dropped point. An
-    overflow (an infinite error, or a mean infinite in percent) is refused,
-    naming its image's id in ``ids`` or, for the mean, the worst image's.
+    Every image and every point is scored. Returns the (N, L) per-point and
+    (N,) per-image errors of :func:`image_errors`, and their mean NME, AUC,
+    failure rate and CED points. An overflow (an infinite error, or a mean
+    infinite in percent) is refused, naming its image's id in ``ids`` or,
+    for the mean, the worst image's.
     """
     per_point, nme = image_errors(gt, pred, norm_distance)
-    scored = np.flatnonzero(~np.isnan(nme))
-    nmes = nme[scored]
     overflowed = np.isinf(per_point).any(axis=1)
     with np.errstate(over="ignore"):
-        mean = np.mean(nmes) if len(nmes) else np.nan
-        if overflowed.any() or len(nmes) and not np.isfinite(100 * mean):
-            k = np.argmax(overflowed) if overflowed.any() else scored[np.argmax(nmes)]
+        mean = np.mean(nme)
+        if overflowed.any() or not np.isfinite(100 * mean):
+            k = np.argmax(overflowed) if overflowed.any() else np.argmax(nme)
             raise ConfigError(f"record '{ids[k]}': landmark error too large for a float")
-    return (scored, per_point, nme, float(mean), ced_auc(nmes, threshold),
-            failure_rate(nmes, threshold), ced_points(nmes, threshold))
+    return (per_point, nme, float(mean), ced_auc(nme, threshold),
+            failure_rate(nme, threshold), ced_points(nme, threshold))
 
 
 def score_values(nme: float, auc: float, fr: float) -> dict:

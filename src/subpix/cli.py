@@ -43,8 +43,8 @@ import numpy as np
 
 from .bench import (SCORE_COLUMNS, BenchConfig, Column, emit_report, format_report,
                     run_ideal, run_montecarlo, score_images, score_values)
-from .codec import (SCHEME_ORDER, CodecConfig, DecimalOverflow, EncodedSample,
-                    OobPolicy, Scheme, decode as codec_decode, encode, encode_points)
+from .codec import (SCHEME_ORDER, CodecConfig, DecimalOverflow, EncodedSample, Scheme,
+                    decode as codec_decode, encode, encode_points)
 from .datasets import decode_text, load_canonical, load_dataset, read_text, write_canonical
 from .errors import ConfigError, ParseError
 from .geometry import check_margin, crop_from_landmarks
@@ -67,14 +67,6 @@ def _add_codec_flags(p: argparse.ArgumentParser) -> None:
                         "(exact rounding, default) or clamp to the last step")
 
 
-def _add_oob_policy(p: argparse.ArgumentParser) -> None:
-    # synth draws every point inside the grid, so only bench-ideal and encode take it
-    p.add_argument("--oob-policy", choices=[p.value for p in OobPolicy],
-                   default=OobPolicy.CLAMP.value,
-                   help="out-of-grid landmarks: clamp onto the border (and flag) "
-                        "or drop from scoring (default clamp)")
-
-
 def _codec_config(args, scheme: Scheme = Scheme.DIRECT) -> CodecConfig:
     return CodecConfig(
         scheme=scheme,
@@ -83,7 +75,6 @@ def _codec_config(args, scheme: Scheme = Scheme.DIRECT) -> CodecConfig:
         # only encode renders a map, so only encode takes the sigmas
         sigma_integer=getattr(args, "sigma_integer", CodecConfig.sigma_integer),
         sigma_decimal=getattr(args, "sigma_decimal", CodecConfig.sigma_decimal),
-        oob_policy=getattr(args, "oob_policy", CodecConfig.oob_policy),
         decimal_overflow=DecimalOverflow(args.decimal_overflow),
     )
 
@@ -231,9 +222,7 @@ def _cmd_decode(args) -> int:
     result = codec_decode(enc)
     doc = {
         "scheme": enc.scheme.value,
-        "points": [[float(x), float(y)] if v else None
-                   for (x, y), v in zip(result.points, result.valid)],
-        "valid": [bool(v) for v in result.valid],
+        "points": [[float(x), float(y)] for x, y in result.points],
         "tie_encountered": [bool(t) for t in result.tie_encountered],
         "clamped": [bool(c) for c in result.clamped],
     }
@@ -265,10 +254,9 @@ def _cmd_metrics(args) -> int:
     keep = np.flatnonzero(~np.isnan(d))
     if not len(keep):
         raise ConfigError("every record was skipped; nothing to score")
-    scored, _, _, nme, auc, fr, ced = score_images(
+    _, _, nme, auc, fr, ced = score_images(
         gt.ids[keep], gt.points[keep], pred.points[rows[keep]], d[keep], args.threshold)
-    row = {**score_values(nme, auc, fr), "n_images": len(scored),
-           "skipped": len(gt) - len(scored)}
+    row = {**score_values(nme, auc, fr), "n_images": len(keep), "skipped": len(gt) - len(keep)}
     # the table shows the scores; CSV and JSON also carry the counts
     columns = (*SCORE_COLUMNS, Column("n_images", "n_images"), Column("skipped", "skipped"))
     # the side file first: a path that cannot be written leaves no report
@@ -314,7 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench-ideal",
                        help="measure each scheme's own representation error on a dataset")
     _add_codec_flags(p)
-    _add_oob_policy(p)
     p.add_argument("--dataset", required=True, metavar="FMT:PATH",
                    help="dataset as format:path; formats: wflw, pts, json")
     p.add_argument("--schemes", type=_parse_schemes, default="all",
@@ -362,7 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode", help="encode landmarks and print the sparse JSON payload")
     _add_codec_flags(p)
-    _add_oob_policy(p)
     p.add_argument("--scheme", required=True, choices=[s.value for s in SCHEME_ORDER])
     p.add_argument("--sigma-integer", type=float, default=1.5, metavar="S",
                    help="gaussian sigma on the integer grid (default 1.5; "

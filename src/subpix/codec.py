@@ -60,7 +60,6 @@ from .metrics import point_distances
 __all__ = [
     "Scheme",
     "SCHEME_ORDER",
-    "OobPolicy",
     "DecimalOverflow",
     "CodecConfig",
     "EncodedSample",
@@ -86,6 +85,12 @@ _SIGMA_RANGE = (1e-150, 1e150)
 # most cells one grid stack may hold, whether a payload or an encode asks for
 # it: about 160x the 98 x 64 x 64 of a WFLW record
 _MAX_CELLS = 1 << 26
+
+# the keys of a payload: those every scheme writes, and each scheme's own
+_PAYLOAD_KEYS = frozenset({"scheme", "n_landmarks", "heatmap_shape", "integer_cells", "clamped"})
+_SCHEME_KEYS = {"wov": frozenset({"offsets"}),
+                "wom": frozenset({"offset_x_cells", "offset_y_cells", "conflict_count"}),
+                "hih": frozenset({"decimal_shape", "decimal_cells"})}
 
 
 def _grid_shape(shape, key: str) -> tuple[int, int]:
@@ -137,13 +142,6 @@ SCHEME_ORDER: tuple[Scheme, ...] = (
 )
 
 
-class OobPolicy(str, Enum):
-    """What to do with landmarks outside the heatmap domain."""
-
-    CLAMP = "clamp"  # pull onto the nearest representable position, flag it
-    DROP = "drop"    # mark invalid; excluded from encoding and metrics
-
-
 class DecimalOverflow(str, Enum):
     """How the fractional quantizer treats fractions that round to 1."""
 
@@ -158,12 +156,10 @@ class CodecConfig:
     decimal_shape: tuple[int, int] = (8, 8)
     sigma_integer: float = 1.5
     sigma_decimal: float = 1.0
-    oob_policy: OobPolicy = OobPolicy.CLAMP
     decimal_overflow: DecimalOverflow = DecimalOverflow.CARRY
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scheme", Scheme(self.scheme))
-        object.__setattr__(self, "oob_policy", OobPolicy(self.oob_policy))
         object.__setattr__(self, "decimal_overflow", DecimalOverflow(self.decimal_overflow))
         # one grid must fit the stack limit, which also leaves a double room
         # for a cell index plus its fraction
@@ -191,13 +187,12 @@ class EncodedSample:
     grid per landmark. The remaining payloads depend on the scheme and are
     validated against it: map values are finite and offsets lie in [0, 1),
     the rules :meth:`from_json_dict` applies to a payload's text.
-    ``valid``/``clamped`` are per-landmark flags from the encoding step.
+    ``clamped`` flags each landmark the encoding step pulled onto the grid.
     """
 
     scheme: Scheme
     heatmap_shape: tuple[int, int]
     integer_maps: np.ndarray
-    valid: np.ndarray
     clamped: np.ndarray
     offsets: np.ndarray | None = None            # wov: (N, 2) exact fractions
     offset_map_x: np.ndarray | None = None       # wom: (h, w) shared grid
@@ -218,7 +213,6 @@ class EncodedSample:
             raise ConfigError("integer_maps must be finite")
         self.integer_maps = maps
         n = maps.shape[0]
-        self.valid = _reshaped(self.valid, bool, (n,), "valid")
         self.clamped = _reshaped(self.clamped, bool, (n,), "clamped")
         if self.scheme is Scheme.WOV:
             if self.offsets is None:
@@ -273,7 +267,6 @@ class EncodedSample:
             "n_landmarks": self.n_landmarks,
             "heatmap_shape": list(self.heatmap_shape),
             "integer_cells": _sparse(self.integer_maps),
-            "valid": [bool(v) for v in self.valid],
             "clamped": [bool(c) for c in self.clamped],
         }
         if self.scheme is Scheme.WOV:
@@ -296,19 +289,23 @@ class EncodedSample:
             scheme = Scheme(d["scheme"])
         except (KeyError, ValueError) as exc:
             raise SchemaError(f"unknown or missing scheme: {exc}", field="scheme") from exc
+        own = _PAYLOAD_KEYS | _SCHEME_KEYS.get(scheme.value, frozenset())
+        for key in d:
+            if key not in own:
+                owner = next((s for s, keys in _SCHEME_KEYS.items() if key in keys), None)
+                raise SchemaError("not a key of the payload format" if owner is None else
+                                  f"belongs to scheme '{owner}', not '{scheme.value}'",
+                                  field=key)
         n = json_int(d.get("n_landmarks"), "n_landmarks", 1)
         w, h = _json_shape(d, "heatmap_shape")
-        # the flag lists bound n by the payload's own length before any
+        # the flag list bounds n by the payload's own length before any
         # (n, h, w) stack is allocated
-        flags = {}
-        for key in ("valid", "clamped"):
-            entries = d.get(key)
-            if not isinstance(entries, list) or len(entries) != n:
-                raise SchemaError(f"expected a list of {n} flags, one per landmark",
-                                  field=key)
-            if not all(isinstance(v, bool) for v in entries):
-                raise SchemaError("flags must be true or false", field=key)
-            flags[key] = entries
+        clamped = d.get("clamped")
+        if not isinstance(clamped, list) or len(clamped) != n:
+            raise SchemaError(f"expected a list of {n} flags, one per landmark",
+                              field="clamped")
+        if not all(isinstance(v, bool) for v in clamped):
+            raise SchemaError("flags must be true or false", field="clamped")
         maps = _unsparse(d.get("integer_cells"), (n, h, w), field="integer_cells")
         kwargs: dict = {}
         if scheme is Scheme.WOV:
@@ -328,7 +325,8 @@ class EncodedSample:
             kwargs["decimal_shape"] = (wo, ho)
             kwargs["decimal_maps"] = _unsparse(d.get("decimal_cells"), (n, ho, wo),
                                                field="decimal_cells")
-        return cls(scheme=scheme, heatmap_shape=(w, h), integer_maps=maps, **flags, **kwargs)
+        return cls(scheme=scheme, heatmap_shape=(w, h), integer_maps=maps, clamped=clamped,
+                   **kwargs)
 
     @classmethod
     def from_json(cls, text: str, source: str | None = None) -> EncodedSample:
@@ -390,16 +388,14 @@ def _unsparse(entries, shape: tuple[int, ...], *, field: str) -> np.ndarray:
 class DecodeResult:
     """Decoded landmarks in normalized space plus per-point flags.
 
-    ``points`` is (N, 2): heatmap coordinates divided by the grid size, so
-    every decodable coordinate lies in [0, 1], and NaN where ``valid`` is
-    False (a landmark dropped at encoding). ``tie_encountered`` marks
-    points whose peak lookup hit a tie (for ``wsm``: a tied second place,
-    which suppresses the shift). ``clamped`` is propagated from the
-    encoding step.
+    ``points`` is (N, 2), one point per landmark: heatmap coordinates
+    divided by the grid size, so every coordinate lies in [0, 1].
+    ``tie_encountered`` marks points whose peak lookup hit a tie (for
+    ``wsm``: a tied second place, which suppresses the shift). ``clamped``
+    is propagated from the encoding step.
     """
 
     points: np.ndarray
-    valid: np.ndarray
     tie_encountered: np.ndarray
     clamped: np.ndarray
 
@@ -428,13 +424,12 @@ def _column(x: int, y: int) -> np.ndarray:
     return col
 
 
-def _last_writer_offsets(cells: np.ndarray, offsets: np.ndarray, valid: np.ndarray,
-                         shape: tuple[int, int],
+def _last_writer_offsets(cells: np.ndarray, offsets: np.ndarray, shape: tuple[int, int],
                          group_size: int | None = None) -> tuple[np.ndarray, int]:
     """Resolve shared-map collisions: the highest landmark index wins a cell.
 
-    Returns, for every valid landmark, the (2, N) offset that a reader of
-    its cell would observe, plus the number of overwritten landmarks.
+    Returns, for every landmark, the (2, N) offset that a reader of its
+    cell would observe, plus the number of overwritten landmarks.
     Each run of ``group_size`` landmarks, which divides N, is a sample that
     shares no maps with the others. Without a collision ``offsets`` comes
     back as is.
@@ -445,10 +440,6 @@ def _last_writer_offsets(cells: np.ndarray, offsets: np.ndarray, valid: np.ndarr
     keys = keys.astype(np.int64)
     if group_size is not None:
         keys += np.repeat(np.arange(len(keys) // group_size) * (w * h), group_size)
-    idx = None
-    if not valid.all():
-        idx = np.flatnonzero(valid)
-        keys = keys[idx]
     # a stable sort keeps each cell's writers in index order, so a sorted
     # key equal to the next one lost its cell to the last writer of its run
     order = np.argsort(keys, kind="stable")
@@ -460,8 +451,6 @@ def _last_writer_offsets(cells: np.ndarray, offsets: np.ndarray, valid: np.ndarr
     last = np.append(np.flatnonzero(np.diff(lost) != 1), len(lost) - 1)
     won = np.repeat(lost[last] + 1, np.diff(last, prepend=-1))
     losers, winners = order[lost], order[won]
-    if idx is not None:
-        losers, winners = idx[losers], idx[winners]
     decoded = offsets.copy()
     decoded[:, losers] = offsets[:, winners]
     return decoded, len(lost)
@@ -473,35 +462,28 @@ def _last_writer_offsets(cells: np.ndarray, offsets: np.ndarray, valid: np.ndarr
 def _quantize(pts: np.ndarray, cfg: CodecConfig, group_size: int | None = None):
     """Each landmark's cell and the fraction its scheme's decoder adds back.
 
-    Returns ``(cells, kept, steps, clamped, valid, conflicts)``: the (2, N)
+    Returns ``(cells, kept, steps, clamped, conflicts)``: the (2, N)
     axis-major cells and kept fractions as float64 (see the module
     docstring; None for ``direct`` and ``wsm``, which keep nothing), the
     hih decimal step indices, also (2, N) float64 (None for the other
-    schemes), the clamp flags, the valid mask, False where
-    ``OobPolicy.DROP`` dropped a landmark, and the wom conflict count, with
-    collisions resolved within each run of ``group_size`` landmarks. Dropped
-    landmarks sit at cell 0 and keep nothing.
+    schemes), the (N,) clamp flags, and the wom conflict count, with
+    collisions resolved within each run of ``group_size`` landmarks.
 
-    Out-of-grid cells are pulled to the border and the fraction is clipped
-    so that ``cell + fraction`` stays the nearest representable position;
-    fractions always land in [0, 1). For ``hih`` the fraction rounds to the
-    nearest step of the decimal grid, and a fraction close to 1 rounds past
-    the last step: ``DecimalOverflow.CARRY`` carries it into the next cell
-    (exact nearest-step rounding; pinned back to the last step, and flagged,
-    on the grid's last cell), while ``DecimalOverflow.CLAMP`` pins the step
-    to the grid and flags it, which inflates the error of near-1 fractions
-    as typical published fractional-map statistics do.
+    Every landmark is encoded. Out-of-grid cells are pulled to the border
+    and flagged, and the fraction is clipped so that ``cell + fraction``
+    stays the nearest representable position; fractions always land in
+    [0, 1). For ``hih`` the fraction rounds to the nearest step of the
+    decimal grid, and a fraction close to 1 rounds past the last step:
+    ``DecimalOverflow.CARRY`` carries it into the next cell (exact
+    nearest-step rounding; pinned back to the last step, and flagged, on
+    the grid's last cell), while ``DecimalOverflow.CLAMP`` pins the step to
+    the grid and flags it, which inflates the error of near-1 fractions as
+    typical published fractional-map statistics do.
     """
     w, h = cfg.heatmap_shape
     top = _column(w - 1, h - 1)
     # one axis-major copy, which the rule below overwrites with its results
     xy = pts.T.copy()
-    valid = np.ones(len(pts), dtype=bool)
-    if cfg.oob_policy is OobPolicy.DROP:
-        inside = (xy[0] >= 0) & (xy[0] < w) & (xy[1] >= 0) & (xy[1] < h)
-        if not inside.all():
-            valid = inside
-            xy[:, ~inside] = 0.0
     # direct and wsm keep nothing: the nearest cell (round half up) overwrites
     # xy; the other schemes take the floor and keep the fraction in xy
     rounds = cfg.scheme in (Scheme.DIRECT, Scheme.WSM)
@@ -529,7 +511,7 @@ def _quantize(pts: np.ndarray, cfg: CodecConfig, group_size: int | None = None):
             np.maximum(kept, 0.0, out=kept)
             np.minimum(kept, _ONE_BELOW, out=kept)
     if cfg.scheme is Scheme.WOM:
-        kept, conflicts = _last_writer_offsets(cells, kept, valid, cfg.heatmap_shape, group_size)
+        kept, conflicts = _last_writer_offsets(cells, kept, cfg.heatmap_shape, group_size)
     elif cfg.scheme is Scheme.HIH:
         w_o, h_o = cfg.decimal_shape
         dims_o = _column(w_o, h_o)
@@ -547,19 +529,17 @@ def _quantize(pts: np.ndarray, cfg: CodecConfig, group_size: int | None = None):
         over = over[0] | over[1]
         kept = steps / dims_o
         clamped |= over
-    clamped &= valid
-    return cells, kept, steps, clamped, valid, conflicts
+    return cells, kept, steps, clamped, conflicts
 
 
-def _render_batch(cells: np.ndarray, valid: np.ndarray, sigma: float,
-                  shape: tuple[int, int]) -> np.ndarray:
+def _render_batch(cells: np.ndarray, sigma: float, shape: tuple[int, int]) -> np.ndarray:
     """One truncated-Gaussian grid per landmark, stacked (N, h, w).
 
-    Each valid landmark's grid holds ``exp(-d^2 / (2 sigma^2))`` around its
-    cell, with ``d`` the distance in cells, and exactly 0 beyond Chebyshev
-    distance ``floor(3 sigma)``; the peak is exactly 1.0 at the cell. Grids
-    of invalid landmarks are all zero. The stencil is computed once because
-    the exponential is the same for every landmark.
+    Each landmark's grid holds ``exp(-d^2 / (2 sigma^2))`` around its cell,
+    with ``d`` the distance in cells, and exactly 0 beyond Chebyshev
+    distance ``floor(3 sigma)``; the peak is exactly 1.0 at the cell. The
+    stencil is computed once because the exponential is the same for every
+    landmark.
     """
     w, h = shape
     n = len(cells)
@@ -568,8 +548,7 @@ def _render_batch(cells: np.ndarray, valid: np.ndarray, sigma: float,
     r = int(min(np.floor(3.0 * sigma), max(w, h) - 1))
     d = np.arange(-r, r + 1, dtype=np.float64)
     stencil = np.exp(-(d[:, None] ** 2 + d[None, :] ** 2) / (2.0 * sigma ** 2))
-    for k in np.nonzero(valid)[0]:
-        cx, cy = int(cells[k, 0]), int(cells[k, 1])
+    for k, (cx, cy) in enumerate(cells.tolist()):
         x0, x1 = max(cx - r, 0), min(cx + r, w - 1)
         y0, y1 = max(cy - r, 0), min(cy + r, h - 1)
         out[k, y0:y1 + 1, x0:x1 + 1] = stencil[y0 - cy + r:y1 - cy + r + 1,
@@ -580,33 +559,32 @@ def _render_batch(cells: np.ndarray, valid: np.ndarray, sigma: float,
 def encode_points(points: np.ndarray, cfg: CodecConfig) -> EncodedSample:
     """Encode heatmap-space positions into one scheme's grid representation.
 
-    ``points`` is (N, 2) in heatmap coordinates. Positions outside the
-    grid are clamped or dropped per ``cfg.oob_policy``; dropped landmarks
-    get all-zero grids and ``valid=False``. Every point must be finite.
+    ``points`` is (N, 2) in heatmap coordinates, every one finite. A
+    position outside the grid is clamped onto it and flagged in
+    ``clamped``, as :func:`_quantize` does.
     """
     pts = _check_points(points)
     w, h = cfg.heatmap_shape
     _check_cells((len(pts), h, w))
     if cfg.scheme is Scheme.HIH:
         _check_cells((len(pts), cfg.decimal_shape[1], cfg.decimal_shape[0]))
-    cells, kept, steps, clamped, mask, conflicts = _quantize(pts, cfg)
+    cells, kept, steps, clamped, conflicts = _quantize(pts, cfg)
     cells = cells.T.astype(np.int64)
-    integer_maps = _render_batch(cells, mask, cfg.sigma_integer, cfg.heatmap_shape)
+    integer_maps = _render_batch(cells, cfg.sigma_integer, cfg.heatmap_shape)
     kwargs: dict = {}
     if cfg.scheme is Scheme.WOV:
         kwargs["offsets"] = np.ascontiguousarray(kept.T)
     elif cfg.scheme is Scheme.WOM:
         # every writer of a cell carries the winner's offset, so order is moot
-        idx = np.nonzero(mask)[0]
         maps = np.zeros((2, h, w), dtype=np.float64)
-        maps[:, cells[idx, 1], cells[idx, 0]] = kept[:, idx]
+        maps[:, cells[:, 1], cells[:, 0]] = kept
         kwargs.update(offset_map_x=maps[0], offset_map_y=maps[1], conflict_count=conflicts)
     elif cfg.scheme is Scheme.HIH:
         kwargs["decimal_shape"] = cfg.decimal_shape
-        kwargs["decimal_maps"] = _render_batch(steps.T.astype(np.int64), mask,
-                                               cfg.sigma_decimal, cfg.decimal_shape)
+        kwargs["decimal_maps"] = _render_batch(steps.T.astype(np.int64), cfg.sigma_decimal,
+                                               cfg.decimal_shape)
     return EncodedSample(scheme=cfg.scheme, heatmap_shape=cfg.heatmap_shape,
-                         integer_maps=integer_maps, valid=mask, clamped=clamped, **kwargs)
+                         integer_maps=integer_maps, clamped=clamped, **kwargs)
 
 
 def encode(points: np.ndarray, crop: AffineTransform, cfg: CodecConfig) -> EncodedSample:
@@ -628,8 +606,8 @@ def _argmax_flat(maps: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, 
 def decode(enc: EncodedSample) -> DecodeResult:
     """Decode an encoded sample back to normalized coordinates.
 
-    The payload carries its own scheme and grid shapes. Invalid (dropped)
-    landmarks come back as NaN with ``valid=False``.
+    The payload carries its own scheme and grid shapes, and every landmark
+    decodes to a point.
     """
     w, h = enc.heatmap_shape
     n = enc.n_landmarks
@@ -667,11 +645,8 @@ def decode(enc: EncodedSample) -> DecodeResult:
             q = _argmax_flat(enc.decimal_maps, wo)[2]
             coords = m + q / np.array([wo, ho], dtype=np.float64)
 
-    normalized = coords / np.array([w, h], dtype=np.float64)
-    normalized = np.where(enc.valid[:, None], normalized, np.nan)
-    ties = ties & enc.valid
-    return DecodeResult(points=normalized, valid=enc.valid.copy(), tie_encountered=ties,
-                        clamped=enc.clamped.copy())
+    return DecodeResult(points=coords / np.array([w, h], dtype=np.float64),
+                        tie_encountered=ties, clamped=enc.clamped.copy())
 
 
 def ideal_roundtrip(points: np.ndarray, cfg: CodecConfig,
@@ -682,7 +657,7 @@ def ideal_roundtrip(points: np.ndarray, cfg: CodecConfig,
     Self-encoded grids peak exactly at the encoded cell and a tied second
     place suppresses the wsm shift, so the round trip reduces to each
     landmark's cell plus the fraction its scheme kept. Returns heatmap-space
-    coordinates (NaN for dropped landmarks), the per-landmark clamp flags,
+    coordinates, finite for every landmark, the per-landmark clamp flags,
     and the wom conflict count. Bit-identical to the full grid path.
 
     The coordinates are an (N, 2) transposed view of a C-contiguous (2, N)
@@ -704,10 +679,8 @@ def ideal_roundtrip(points: np.ndarray, cfg: CodecConfig,
             raise ConfigError(f"group_size must be a positive integer that divides the "
                               f"{len(pts)} points, got {group_size!r}")
         group_size = size
-    cells, kept, _, clamped, mask, conflicts = _quantize(pts, cfg, group_size)
+    cells, kept, _, clamped, conflicts = _quantize(pts, cfg, group_size)
     # the cells are this call's own copy: the kept fractions go straight in
     if kept is not None:
         cells += kept
-    if not mask.all():
-        cells[:, ~mask] = np.nan
     return cells.T, clamped, conflicts

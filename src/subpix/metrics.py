@@ -142,7 +142,7 @@ class PerImageError:
 
     id: str
     nme: float
-    per_point: np.ndarray  # (L,) normalized per-point errors, non-finite where unscored
+    per_point: np.ndarray  # (L,) normalized per-point errors
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -152,20 +152,11 @@ def image_errors(gt: np.ndarray, pred: np.ndarray,
 
     ``gt`` and ``pred`` are (N, L, 2) stacks and ``norm_distance`` is (N,).
     Returns the (N, L) euclidean per-point errors divided by each image's
-    distance, and the (N,) per-image NME, both as fractions. A point whose
-    error is not finite (a non-finite coordinate, or overflow) is not
-    scored; an image with no scored point gets NaN.
+    distance, and the (N,) per-image NME, both as fractions. Every point is
+    scored: an error that overflows is infinite, and so is its image's NME.
     """
     err = point_distances(pred - gt)
-    finite = np.isfinite(err)
-    whole = finite.all(axis=1)
-    nme = np.full(len(err), np.nan)
-    nme[whole] = np.mean(err[whole], axis=1) / norm_distance[whole]
-    # a zero in place of each dropped point would change the sum's last
-    # bits, so partial rows average only their finite points
-    for k in np.flatnonzero(finite.any(axis=1) & ~whole):
-        nme[k] = np.mean(err[k][finite[k]]) / norm_distance[k]
-    return err / norm_distance[:, None], nme
+    return err / norm_distance[:, None], np.mean(err, axis=1) / norm_distance
 
 
 def _check_errors(errors, threshold: float) -> np.ndarray:

@@ -11,12 +11,14 @@ map collisions occur on some images.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import subpix
 from subpix.codec import EncodedSample, Scheme, decode
 from subpix.datasets import ATTRIBUTE_NAMES, Corpus
 
@@ -131,6 +133,13 @@ def corpus98() -> Corpus:
 @pytest.fixture(scope="session")
 def corpus68() -> Corpus:
     return make_records(20, n_landmarks=68, seed=12)
+
+
+def child_env() -> dict[str, str]:
+    """The environment of a child interpreter that imports this package's source."""
+    src = str(Path(subpix.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
 
 
 # -- malformed-input corpora, shared with the acceptance suite -------------------
@@ -273,7 +282,7 @@ def hand_built(values, scheme=Scheme.WSM) -> EncodedSample:
     values = np.asarray(values, dtype=np.float64)
     h, w = values.shape
     return EncodedSample(scheme=scheme, heatmap_shape=(w, h), integer_maps=values[None],
-                         valid=np.array([True]), clamped=np.array([False]))
+                         clamped=np.array([False]))
 
 
 def decode_hand_built(values, scheme=Scheme.WSM) -> tuple[np.ndarray, bool]:

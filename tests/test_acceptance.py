@@ -22,7 +22,7 @@ from collections import Counter
 import conftest
 import numpy as np
 import pytest
-from conftest import (MALFORMED_PTS, make_wflw_line,
+from conftest import (MALFORMED_PTS, child_env, make_wflw_line,
                       malformed_canonical_docs, malformed_wflw_lines,
                       write_wflw_file)
 
@@ -57,7 +57,7 @@ def verdict(n: int, ok: bool, detail: str) -> None:
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
-    return subprocess.run(CLI + list(args), capture_output=True, timeout=300)
+    return subprocess.run(CLI + list(args), capture_output=True, env=child_env(), timeout=300)
 
 
 @pytest.fixture(scope="module")

@@ -21,8 +21,8 @@ from subpix.bench import (_MC_BLOCK, BenchConfig, BenchReport, Column, SchemeSta
                           _face_maps, _mc_blocks, _roundtrip_scores, analytic_direct_error,
                           build_samples, emit_report, format_report, run_ideal,
                           run_montecarlo)
-from subpix.codec import (SCHEME_ORDER, CodecConfig, DecimalOverflow, OobPolicy, Scheme,
-                          decode, encode_points, ideal_roundtrip)
+from subpix.codec import (SCHEME_ORDER, CodecConfig, DecimalOverflow, Scheme, decode,
+                          encode_points, ideal_roundtrip)
 from subpix.datasets import Corpus
 from subpix.errors import ConfigError
 from subpix.geometry import heatmap_transform
@@ -321,9 +321,7 @@ class TestRunIdeal:
         mismatches = 0
         for pw, pv in zip(wom.per_image, wov.per_image):
             assert pv.id == pw.id
-            differs = pw.per_point != pv.per_point
-            differs &= ~(np.isnan(pw.per_point) & np.isnan(pv.per_point))
-            mismatches += int(np.count_nonzero(differs))
+            mismatches += int(np.count_nonzero(pw.per_point != pv.per_point))
         assert mismatches == wom.conflicts
 
     def test_wom_in_heatmap_space_exact_outside_conflicts(self, corpus98):
@@ -398,7 +396,7 @@ def grid_oracle(corpus: Corpus, cfg: BenchConfig,
 
     Each image goes through the two-step maps of :func:`chained_maps`.
     Returns, per scheme, ``(per_image, clamped_points, conflicts)`` with
-    ``per_image`` mapping each scored image id to ``(nme, per_point)``.
+    ``per_image`` mapping each kept image id to ``(nme, per_point)``.
     """
     _, kept = chained_maps(corpus, cfg, crop_px)
     dims = np.array(cfg.codec.heatmap_shape, dtype=np.float64)
@@ -411,11 +409,7 @@ def grid_oracle(corpus: Corpus, cfg: BenchConfig,
             dec = decode(enc)
             back = (dec.points * dims) @ inv.T + inv_off
             err = np.linalg.norm(back - corpus.points[k], axis=1)
-            err = np.where(dec.valid, err, np.nan)
-            keep = np.isfinite(err)
-            if not np.any(keep):
-                continue
-            per_image[corpus.ids[k]] = (float(np.mean(err[keep]) / d), err / d)
+            per_image[corpus.ids[k]] = (float(np.mean(err) / d), err / d)
             clamped += int(np.count_nonzero(dec.clamped))
             conflicts += enc.conflict_count
         out[scheme] = (per_image, clamped, conflicts)
@@ -424,8 +418,8 @@ def grid_oracle(corpus: Corpus, cfg: BenchConfig,
 
 def shrunk_box_records(n_landmarks: int, seed: int) -> Corpus:
     """Faces whose boxes cut off their outer landmarks, plus one box that
-    misses its face entirely, so that a drop policy really drops points and
-    leaves one image with nothing to score."""
+    misses its face entirely, so that points really leave the grid and every
+    point of one image is clamped onto it."""
     faces = make_records(12, n_landmarks=n_landmarks, seed=seed)
     x0, y0, x1, y1 = faces.bbox.T
     inset = 0.08 * (x1 - x0)
@@ -445,11 +439,9 @@ class TestRunIdealMatchesGridOracle:
 
     @pytest.mark.parametrize("n_landmarks", [98, 68])
     @pytest.mark.parametrize("grid,crop_px", GRIDS)
-    @pytest.mark.parametrize("crop", ["landmarks", "bbox-clamp", "bbox-drop"])
+    @pytest.mark.parametrize("crop", ["landmarks", "bbox"])
     def test_bit_equal(self, n_landmarks, grid, crop_px, crop):
-        policy = OobPolicy.DROP if crop == "bbox-drop" else OobPolicy.CLAMP
-        codec = CodecConfig(scheme=Scheme.DIRECT, heatmap_shape=(grid, grid),
-                            oob_policy=policy)
+        codec = CodecConfig(scheme=Scheme.DIRECT, heatmap_shape=(grid, grid))
         if crop == "landmarks":
             records = make_records(12, n_landmarks=n_landmarks, seed=31)
             cfg = BenchConfig(codec=codec)
@@ -458,7 +450,6 @@ class TestRunIdealMatchesGridOracle:
             cfg = BenchConfig(codec=codec, crop_source="bbox", crop_margin=0.0)
         report = run_ideal(records, cfg)
         oracle = grid_oracle(records, cfg, crop_px)
-        dropped = 0
         for row in report.rows:
             want, clamped, conflicts = oracle[row.scheme]
             assert [p.id for p in row.per_image] == sorted(want)
@@ -466,14 +457,11 @@ class TestRunIdealMatchesGridOracle:
                 nme, per_point = want[p.id]
                 assert p.nme == nme, (row.scheme, p.id)
                 np.testing.assert_array_equal(p.per_point, per_point)
-                dropped += int(np.count_nonzero(np.isnan(p.per_point)))
             assert row.clamped_points == clamped
             assert row.conflicts == conflicts
         assert sum(r.conflicts for r in report.rows) > 0
-        if crop == "bbox-drop":
-            assert dropped > 0
-            assert all(r.n_images == report.n_images - 1 for r in report.rows)
-        elif crop == "bbox-clamp":
+        assert all(r.n_images == report.n_images for r in report.rows)
+        if crop == "bbox":
             assert all(r.clamped_points > 0 for r in report.rows)
 
 
@@ -528,7 +516,7 @@ def chained_ideal(corpus: Corpus, cfg: BenchConfig,
     """:func:`run_ideal` as it ran on the per-image maps of :func:`chained_maps`.
 
     Returns ``(skipped, out)`` with ``out[scheme][id] = (heatmap points,
-    mapped-back raw points, nme, per_point)`` for every scored image.
+    mapped-back raw points, nme, per_point)`` for every kept image.
     """
     skipped, kept = chained_maps(corpus, cfg, crop_px)
     dims = np.array(cfg.codec.heatmap_shape, dtype=np.float64)
@@ -543,9 +531,7 @@ def chained_ideal(corpus: Corpus, cfg: BenchConfig,
                                                               np.cumsum(counts)[:-1])):
             back = (q * dims) @ inv.T + inv_off
             err = np.linalg.norm(back - corpus.points[k], axis=1)
-            keep = np.isfinite(err)
-            if np.any(keep):
-                out[scheme][corpus.ids[k]] = (hm, back, float(np.mean(err[keep]) / d), err / d)
+            out[scheme][corpus.ids[k]] = (hm, back, float(np.mean(err) / d), err / d)
     return skipped, out
 
 
@@ -564,14 +550,13 @@ def assert_matches_chain(corpus: Corpus, cfg: BenchConfig,
         assert [p.id for p in row.per_image] == sorted(ref)
         for p in row.per_image:
             assert p.nme == ref[p.id][2], (row.scheme, p.id)
-            assert np.array_equal(p.per_point, ref[p.id][3], equal_nan=True)
+            assert np.array_equal(p.per_point, ref[p.id][3])
         coords, _, _ = ideal_roundtrip(hm.reshape(-1, 2), cfg.codec.for_scheme(row.scheme),
                                        group_size=hm.shape[1])
         back = t.inverse().apply((coords / dims * dims).reshape(hm.shape))
         for k, rid in enumerate(faces.ids):
-            if rid in ref:
-                assert np.array_equal(hm[k], ref[rid][0])
-                assert np.array_equal(back[k], ref[rid][1], equal_nan=True)
+            assert np.array_equal(hm[k], ref[rid][0])
+            assert np.array_equal(back[k], ref[rid][1])
     return report
 
 
@@ -581,17 +566,15 @@ class TestBatchedGeometryMatchesChain:
     @pytest.mark.parametrize("n_landmarks", [98, 68])
     @pytest.mark.parametrize("grid,crop_px", GRIDS)
     @pytest.mark.parametrize("crop_source", ["landmarks", "bbox"])
-    @pytest.mark.parametrize("policy", [OobPolicy.CLAMP, OobPolicy.DROP])
     @pytest.mark.parametrize("margin", [0.0, 0.25])
-    def test_bit_equal(self, n_landmarks, grid, crop_px, crop_source, policy, margin):
-        codec = CodecConfig(scheme=Scheme.DIRECT, heatmap_shape=(grid, grid),
-                            oob_policy=policy)
+    def test_bit_equal(self, n_landmarks, grid, crop_px, crop_source, margin):
+        codec = CodecConfig(scheme=Scheme.DIRECT, heatmap_shape=(grid, grid))
         cfg = BenchConfig(codec=codec, crop_source=crop_source, crop_margin=margin)
         records = shrunk_box_records(n_landmarks, seed=37)
         report = assert_matches_chain(records, cfg, crop_px)
-        # margin 0 puts the extreme landmarks on the far border, so both
-        # policies really act there
-        if margin == 0.0 and policy is OobPolicy.CLAMP:
+        # margin 0 puts the extreme landmarks on the far border, so the
+        # clamp really acts there
+        if margin == 0.0:
             assert all(r.clamped_points > 0 for r in report.rows)
 
     @pytest.mark.parametrize("crop_source", ["landmarks", "bbox"])
@@ -629,15 +612,15 @@ class TestRoundtripScores:
             report = run_ideal(records, cfg)
             assert list(scores) == list(cfg.schemes)
             for row in report.rows:
-                scored, per_point, nme, mean, auc, fr, ced, clamped, conflicts = scores[row.scheme]
+                per_point, nme, mean, auc, fr, ced, clamped, conflicts = scores[row.scheme]
                 assert per_point.shape == clamped.shape == faces.points.shape[:2]
                 assert nme.shape == (len(faces),)
                 assert (mean, auc, fr, ced) == (row.nme, row.auc, row.fr, row.ced), row.scheme
-                assert (conflicts, int(np.count_nonzero(clamped[scored]))) == (
+                assert (conflicts, int(np.count_nonzero(clamped))) == (
                     row.conflicts, row.clamped_points)
-                assert [faces.ids[k] for k in scored] == [p.id for p in row.per_image]
-                assert [float(nme[k]) for k in scored] == [p.nme for p in row.per_image]
-                for k, p in zip(scored, row.per_image):
+                assert list(faces.ids) == [p.id for p in row.per_image]
+                assert nme.tolist() == [p.nme for p in row.per_image]
+                for k, p in enumerate(row.per_image):
                     assert np.array_equal(per_point[k], p.per_point)
             assert _row(report, Scheme.WOM).conflicts > 0
 

@@ -22,13 +22,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import (TEMPLATE_68, join, make_records, make_wflw_line,
+from conftest import (TEMPLATE_68, child_env, join, make_records, make_wflw_line,
                       malformed_canonical_docs, one_face, write_pts_tree, write_wflw_file)
 from hypothesis import assume
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import subpix
 import subpix.bench
 from subpix.bench import BenchConfig, build_samples
 from subpix.cli import main
@@ -51,13 +50,6 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     return rc, cap.out, cap.err
 
 
-def child_env() -> dict[str, str]:
-    """The environment of a child interpreter that imports this package's source."""
-    src = str(Path(subpix.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-
-
 ENTRY = [sys.executable, "-m", "subpix"]
 
 
@@ -74,12 +66,9 @@ def data_dir(tmp_path_factory, corpus98, corpus68):
     write_pts_tree(corpus68[:4], d / "tree")
     write_canonical(d / "gt68.json", corpus68)
     write_canonical(d / "gt98.json", corpus98)
-    # faces that no command can score: every normalization distance zero, and
-    # every point outside the annotation box
+    # faces that no command can score: every normalization distance zero
     flat = one_face("flat", np.ones((68, 2)), image_path="flat.png")
     write_canonical(d / "flat68.json", join(flat, replace(flat, ids=np.array(["flat2"]))))
-    write_canonical(d / "outside68.json",
-                    one_face("far", corpus68.points[0], bbox=(0.0, 0.0, 10.0, 10.0)))
     return d
 
 
@@ -113,7 +102,7 @@ def shifted_copy(corpus: Corpus, fractions) -> Corpus:
 
 # every key of the ``config`` object in JSON reports: the settings each mode reads
 IDEAL_CONFIG_KEYS = ["bbox_inclusive", "crop_margin", "crop_source", "decimal_overflow",
-                     "decimal_shape", "heatmap_shape", "oob_policy", "schemes", "threshold"]
+                     "decimal_shape", "heatmap_shape", "schemes", "threshold"]
 SYNTH_CONFIG_KEYS = ["decimal_overflow", "decimal_shape", "heatmap_shape", "mc_landmarks",
                      "mc_n", "mc_samples", "schemes", "seed"]
 
@@ -218,10 +207,14 @@ class TestSynth:
         assert sorted(json.loads(out)["config"]) == SYNTH_CONFIG_KEYS
 
     def test_oob_policy_flag_removed(self, capsys):
-        # every draw lies inside the grid, so no policy can change a result
-        rc, out, err = run_cli(capsys, "synth", "--oob-policy", "drop")
-        assert rc == 2 and out == ""
-        assert "error: unrecognized arguments: --oob-policy drop" in err
+        # every landmark is encoded and scored, clamped onto the grid if it
+        # lies off it, so no command takes a policy for out-of-grid points
+        for argv in (("synth", "--oob-policy", "drop"),
+                     ("bench-ideal", "--dataset", "json:unused.json", "--oob-policy", "drop"),
+                     ("encode", "--scheme", "direct", "--point", "1,2",
+                      "--oob-policy", "clamp")):
+            assert run_cli(capsys, *argv) == (
+                2, "", f"error: unrecognized arguments: --oob-policy {argv[-1]}\n")
 
     def test_peak_memory_flat_in_samples(self):
         cases = [
@@ -423,8 +416,8 @@ class TestEncodeDecode:
         assert doc["scheme"] == "hih"
         assert doc["points"][0] == [0.509765625, 0.31640625]
         assert doc["points"][1] == [0.16015625, 0.873046875]
-        assert doc["valid"] == [True, True]
         assert doc["clamped"] == [False, False]
+        assert sorted(doc) == ["clamped", "points", "scheme", "tie_encountered"]
 
     def test_dash_is_stdin_and_stdout(self, capsys, monkeypatch):
         argv = ("encode", "--scheme", "wom", "--point", "32.65,20.30")
@@ -432,7 +425,7 @@ class TestEncodeDecode:
         assert (rc, payload) == run_cli(capsys, *argv, "--out", "-")[:2]
         monkeypatch.setattr("sys.stdin", stdin_of(payload))
         rc, out, _ = run_cli(capsys, "decode", "--scheme", "wom", "--in", "-", "--out", "-")
-        assert rc == 0 and json.loads(out)["valid"] == [True]
+        assert rc == 0 and json.loads(out)["clamped"] == [False]
 
     def test_direct_decode_values(self, capsys, tmp_path):
         rc, payload, _ = run_cli(capsys, "encode", "--scheme", "direct",
@@ -478,7 +471,7 @@ class TestEncodeDecode:
         assert rc == 0
         doc = json.loads(out)
         assert len(doc["points"]) == 98
-        assert all(v for v in doc["valid"])
+        assert not any(doc["clamped"])
 
     @pytest.mark.parametrize("scheme", SCHEME_ORDER)
     def test_record_payload_is_batch_row(self, capsys, data_dir, scheme):
@@ -547,9 +540,18 @@ class TestEncodeDecode:
         ("direct", "n_landmarks", "x", "n_landmarks"),
         ("direct", "heatmap_shape", [1e400, 64], "heatmap_shape"),
         ("direct", "clamped", "ff", "clamped"),
-        # the flag lists bound the landmark count before any grid is allocated
-        ("direct", "n_landmarks", 10 ** 12, "valid"),
-        ("direct", "valid", [True], "valid"),
+        # the flag list bounds the landmark count before any grid is allocated
+        ("direct", "n_landmarks", 10 ** 12, "clamped"),
+        # a key outside the format, or of another scheme, is refused, and so
+        # is the list of kept landmarks payloads once carried
+        ("direct", "bogus", 1, "bogus"),
+        ("direct", "valid", [True, True], "valid"),
+        ("direct", "conflict_count", -5, "conflict_count"),
+        ("direct", "offsets", "junk", "offsets"),
+        ("wsm", "decimal_shape", "x", "decimal_shape"),
+        ("wov", "offset_x_cells", [], "offset_x_cells"),
+        ("wom", "offsets", [[0.5, 0.5], [0.7, 0.2]], "offsets"),
+        ("hih", "conflict_count", 0, "conflict_count"),
         # non-finite payload values
         ("direct", "integer_cells", ["0,0,0,nan"], "integer_cells"),
         ("direct", "integer_cells", ["1,3,4,inf"], "integer_cells"),
@@ -574,10 +576,8 @@ class TestEncodeDecode:
         ("wom", "offset_x_cells", ["2,1,1.0"], "offset_x_cells"),
         ("wom", "offset_y_cells", ["2,1,-0.25"], "offset_y_cells"),
         # flags are JSON booleans, not whatever Python finds truthy
-        ("direct", "valid", ["false", True], "valid"),
-        ("direct", "valid", ["no", True], "valid"),
-        ("direct", "valid", [2, True], "valid"),
-        ("direct", "valid", [None, True], "valid"),
+        ("direct", "clamped", ["false", True], "clamped"),
+        ("direct", "clamped", [None, True], "clamped"),
         ("direct", "clamped", [0, False], "clamped"),
         ("wov", "clamped", [False, "true"], "clamped"),
         # a count or a grid side is a JSON integer, not a boolean or a float,
@@ -1450,9 +1450,6 @@ class TestErrorReporting:
          "argument --norm-indices: indices must be integers, got '1,x'"),
         (("metrics", "--gt", "{data}/flat68.json", "--pred", "{data}/flat68.json"),
          "every record was skipped; nothing to score"),
-        (("bench-ideal", "--dataset", "json:{data}/outside68.json", "--crop-source", "bbox",
-          "--oob-policy", "drop", "--schemes", "wov,direct"),
-         "scheme 'wov' produced no scorable images"),
         # an empty path or name names nothing: it is refused, not skipped
         (("bench-ideal", "--dataset", "json:{data}/gt68.json", "--ced-out", ""),
          "argument --ced-out: expected a non-empty value, got ''"),
@@ -1510,7 +1507,7 @@ class TestEntry:
         ("synth", "--samples", "3000", "--landmarks", "4", "--format", "json"),
         ("synth", "--samples", "2000", "--seed", "5"),
         ("bench-ideal", "--dataset", "json:{data}/gt98.json", "--format", "csv"),
-        ("bench-ideal", "--dataset", "wflw:{data}/list.txt", "--oob-policy", "drop"),
+        ("bench-ideal", "--dataset", "wflw:{data}/list.txt"),
         ("metrics", "--gt", "{gt}", "--pred", "{pred}", "--format", "json"),
     ])
     def test_stdout_bytes_equal_main(self, capsys, data_dir, corpus98, tmp_path, argv):

@@ -19,7 +19,7 @@ from conftest import (brute_force_gaussian, decode_hand_built, hand_built, one_f
                       peak_cell)
 from subpix.bench import BenchConfig, _face_maps, build_samples, run_ideal
 from subpix.codec import (SCHEME_ORDER, CodecConfig, DecimalOverflow,
-                          EncodedSample, OobPolicy, Scheme, _last_writer_offsets, decode,
+                          EncodedSample, Scheme, _last_writer_offsets, decode,
                           encode, encode_points, ideal_roundtrip)
 from subpix.datasets import Corpus
 from subpix.errors import ConfigError, SchemaError
@@ -39,10 +39,10 @@ def _heatmap_points(seed: int, n: int, lo: float = 0.0, hi: float = 64.0) -> np.
     return rng.uniform(lo, hi, size=(n, 2))
 
 
-def _wov(point, **kw) -> tuple[tuple[int, int], np.ndarray, bool, bool]:
-    """Cell, stored fraction, clamp and valid flags of one ``wov`` encode."""
+def _wov(point, **kw) -> tuple[tuple[int, int], np.ndarray, bool]:
+    """Cell, stored fraction and clamp flag of one ``wov`` encode."""
     enc = encode_points(np.array([point]), cfg_for(Scheme.WOV, **kw))
-    return peak_cell(enc.integer_maps[0]), enc.offsets[0], enc.clamped[0], enc.valid[0]
+    return peak_cell(enc.integer_maps[0]), enc.offsets[0], enc.clamped[0]
 
 
 def _hih(point, **kw) -> tuple[tuple[int, int], bool]:
@@ -62,7 +62,6 @@ def _roundtrip_cases(draw):
     w, h = draw(st.integers(2, 12)), draw(st.integers(2, 12))
     cfg = CodecConfig(scheme=draw(st.sampled_from(SCHEME_ORDER)), heatmap_shape=(w, h),
                       decimal_shape=(draw(st.integers(1, 9)), draw(st.integers(1, 9))),
-                      oob_policy=draw(st.sampled_from(list(OobPolicy))),
                       decimal_overflow=draw(st.sampled_from(list(DecimalOverflow))))
     n = draw(st.integers(1, 24))
     fraction = (st.floats(0.0, 1.0, exclude_max=True)
@@ -80,28 +79,22 @@ class TestRelativeOffset:
     """The floor/fraction split the offset schemes store, read from ``wov``."""
 
     def test_fractional_point(self):
-        cell, off, clamped, _ = _wov((32.65, 20.30))
+        cell, off, clamped = _wov((32.65, 20.30))
         assert cell == (32, 20)
         assert tuple(off) == pytest.approx((0.65, 0.30), abs=1e-12)
         assert not clamped
 
     def test_integer_point(self):
-        cell, off, clamped, _ = _wov((7.0, 3.0))
+        cell, off, clamped = _wov((7.0, 3.0))
         assert cell == (7, 3)
         assert tuple(off) == (0.0, 0.0)
         assert not clamped
 
     def test_negative_point_clamped(self):
-        cell, off, clamped, _ = _wov((-0.2, 5.5))
+        cell, off, clamped = _wov((-0.2, 5.5))
         assert cell == (0, 5)
         assert tuple(off) == pytest.approx((0.0, 0.5), abs=1e-12)
         assert clamped
-
-    def test_drop_policy_rejects_outside(self):
-        *_, valid = _wov((-0.2, 5.5), oob_policy=OobPolicy.DROP)
-        assert not valid
-        cell, _, clamped, valid = _wov((0.2, 5.5), oob_policy=OobPolicy.DROP)
-        assert cell == (0, 5) and not clamped and valid
 
     @pytest.mark.parametrize("points,match", [
         ([[np.nan, 1.0]], "must be finite"),
@@ -118,7 +111,7 @@ class TestRelativeOffset:
     @settings(max_examples=200, deadline=None)
     def test_decomposition_is_exact(self, x, y):
         # cell + offset reproduces the input bit for bit (Sterbenz)
-        cell, off, _, _ = _wov((x, y))
+        cell, off, _ = _wov((x, y))
         assert cell[0] + off[0] == x
         assert cell[1] + off[1] == y
         assert 0.0 <= off[0] < 1.0 and 0.0 <= off[1] < 1.0
@@ -164,8 +157,13 @@ class TestCodecConfig:
         assert c.decimal_shape == (8, 8)
         assert c.sigma_integer == 1.5
         assert c.sigma_decimal == 1.0
-        assert c.oob_policy is OobPolicy.CLAMP
         assert c.decimal_overflow is DecimalOverflow.CARRY
+
+    def test_no_out_of_grid_policy(self):
+        # every landmark is encoded, clamped onto the grid if it lies off it
+        assert "oob_policy" not in {f.name for f in fields(CodecConfig)}
+        with pytest.raises(TypeError, match="oob_policy"):
+            CodecConfig(scheme=Scheme.DIRECT, oob_policy="drop")
 
     def test_for_scheme(self):
         c = cfg_for(Scheme.DIRECT, sigma_integer=1.0)
@@ -351,16 +349,17 @@ class TestWom:
         assert conflicts == 1
 
     @staticmethod
-    def _reference(cells, offsets, valid, group_size):
+    def _reference(cells, offsets, group_size):
         """Last writer per (sample, cell) by a dict written in index order."""
-        size = group_size or len(valid)
+        n = cells.shape[1]
+        size = group_size or n
         winner = {}
-        for i in np.flatnonzero(valid):
+        for i in range(n):
             winner[i // size, cells[0, i], cells[1, i]] = i
         decoded = offsets.copy()
-        for i in np.flatnonzero(valid):
+        for i in range(n):
             decoded[:, i] = offsets[:, winner[i // size, cells[0, i], cells[1, i]]]
-        return decoded, int(np.count_nonzero(valid)) - len(winner)
+        return decoded, n - len(winner)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("grouped", [True, False])
@@ -370,21 +369,20 @@ class TestWom:
         n = 40 * int(rng.integers(5, 15))
         cells = rng.integers(0, 2, size=(2, n)).astype(np.float64)
         offsets = rng.random((2, n))
-        valid = rng.random(n) >= 0.3
         group_size = int(rng.choice([5, 8, 40])) if grouped else None
-        got, conflicts = _last_writer_offsets(cells, offsets, valid, (2, 2), group_size)
-        want, want_conflicts = self._reference(cells, offsets, valid, group_size)
+        got, conflicts = _last_writer_offsets(cells, offsets, (2, 2), group_size)
+        want, want_conflicts = self._reference(cells, offsets, group_size)
         assert conflicts == want_conflicts > 0
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_last_writer_without_conflict_returns_offsets(self):
-        # distinct cells, and an invalid landmark on a taken cell does not count
+        # four distinct cells; a fifth landmark on a taken cell overwrites it
         cells = np.array([[0.0, 1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0, 0.0]])
         offsets = np.arange(10.0).reshape(2, 5) / 10.0
-        valid = np.array([True, True, True, True, False])
-        got, conflicts = _last_writer_offsets(cells, offsets, valid, (2, 2))
-        assert conflicts == 0 and got is offsets
-        got, conflicts = _last_writer_offsets(cells, offsets, np.ones(5, dtype=bool), (2, 2))
+        first = offsets[:, :4]
+        got, conflicts = _last_writer_offsets(cells[:, :4], first, (2, 2))
+        assert conflicts == 0 and got is first
+        got, conflicts = _last_writer_offsets(cells, offsets, (2, 2))
         assert conflicts == 1
         np.testing.assert_array_equal(got[:, 0], offsets[:, 4])
 
@@ -451,7 +449,7 @@ class TestHih:
         for wo in (4, 8, 16):
             cfg = cfg_for(Scheme.HIH, decimal_shape=(wo, wo))
             coords, _, _ = ideal_roundtrip(pts, cfg)
-            errs.append(float(np.nanmean(np.linalg.norm(coords - pts, axis=1))))
+            errs.append(float(np.mean(np.linalg.norm(coords - pts, axis=1))))
         assert errs[0] > errs[1] > errs[2]
 
 
@@ -476,41 +474,14 @@ class TestRenderedMaps:
         np.testing.assert_array_equal(enc.decimal_maps[0],
                                       brute_force_gaussian((5, 2), 1.0, (8, 8)))
 
-    def test_invalid_landmark_map_is_zero(self):
-        pts = np.array([[-0.5, 10.0], [10.0, 10.0]])
-        enc = encode_points(pts, cfg_for(Scheme.HIH, oob_policy=OobPolicy.DROP))
-        assert not enc.integer_maps[0].any() and not enc.decimal_maps[0].any()
-        assert enc.integer_maps[1].max() == 1.0 and enc.decimal_maps[1].max() == 1.0
 
 
-class TestOobPolicies:
+class TestOutOfGrid:
     def test_clamp_flags_outside_points(self):
         pts = np.array([[-5.0, 10.0], [10.0, 10.0]])
         enc = encode_points(pts, cfg_for(Scheme.WOV))
         assert list(enc.clamped) == [True, False]
-        assert enc.valid.all()
-
-    def test_drop_invalidates_outside_points(self):
-        pts = np.array([[-5.0, 10.0], [10.0, 10.0]])
-        cfg = cfg_for(Scheme.WOV, oob_policy=OobPolicy.DROP)
-        enc = encode_points(pts, cfg)
-        assert list(enc.valid) == [False, True]
-        dec = decode(enc)
-        assert np.isnan(dec.points[0]).all()
-        assert np.isfinite(dec.points[1]).all()
-
-    def test_dropped_point_claims_no_cell(self):
-        # kept, landmark 1 would sit in cell (0, 0) and, as the higher index,
-        # overwrite the offset landmark 0 wrote there
-        pts = np.array([[0.3, 0.3], [-0.5, 0.2]])
-        cfg = cfg_for(Scheme.WOM, oob_policy=OobPolicy.DROP)
-        coords, _, conflicts = ideal_roundtrip(pts, cfg)
-        enc = encode_points(pts, cfg)
-        dec = decode(enc)
-        np.testing.assert_array_equal(coords[0], [0.3, 0.3])
-        np.testing.assert_array_equal(dec.points[0], np.divide([0.3, 0.3], 64))
-        assert np.isnan(coords[1]).all() and np.isnan(dec.points[1]).all()
-        assert conflicts == enc.conflict_count == 0
+        assert np.isfinite(decode(enc).points).all()
 
     def test_domain_boundary(self):
         inside = np.array([[63.999, 63.999]])
@@ -555,27 +526,14 @@ class TestGridMatchesIdealRoundtrip:
         assert conflicts == enc.conflict_count
 
     @pytest.mark.parametrize("scheme", SCHEME_ORDER)
-    def test_bit_equivalence_drop_policy(self, scheme):
-        pts = np.vstack([
-            _heatmap_points(18, 100, -5.0, 70.0),
-        ])
-        cfg = cfg_for(scheme, oob_policy=OobPolicy.DROP)
-        enc = encode_points(pts, cfg)
-        dec = decode(enc)
-        grid_coords = dec.points * np.array(GRID, dtype=np.float64)
-        ideal_coords, _, _ = ideal_roundtrip(pts, cfg)
-        np.testing.assert_array_equal(grid_coords, ideal_coords)
-
-    @pytest.mark.parametrize("scheme", SCHEME_ORDER)
-    @pytest.mark.parametrize("oob", list(OobPolicy))
     @pytest.mark.parametrize("overflow", list(DecimalOverflow))
-    def test_bitwise_at_signed_zero_half_cells_and_edges(self, scheme, oob, overflow):
+    def test_bitwise_at_signed_zero_half_cells_and_edges(self, scheme, overflow):
         # every pair of x and y below, on a 7x5 grid with a 3x4 decimal grid:
         # signed zeros, half cells, half decimal steps (the last ones carry),
         # and the grid edge from both sides
         w, h = 7, 5
         cfg = CodecConfig(scheme=scheme, heatmap_shape=(w, h), decimal_shape=(3, 4),
-                          oob_policy=oob, decimal_overflow=overflow)
+                          decimal_overflow=overflow)
         xs = [-0.0, 0.0, -1e-300, 0.5, 1.5, 3 + 1 / 6, 3 + 5 / 6, 2 - 2.0 ** -52,
               w - 0.5, w - 1 / 6, np.nextafter(w, 0), w]
         ys = [-0.0, 0.0, -1e-300, 0.5, 2.5, 2 + 1 / 8, 2 + 7 / 8, 1 - 2.0 ** -53,
@@ -600,7 +558,7 @@ class TestGridMatchesIdealRoundtrip:
     @settings(max_examples=400, deadline=None)
     def test_matches_grid_path_everywhere(self, case):
         # the grid-free round trip against rendering and decoding, one
-        # encode_points per sample, on any grid and policy pair
+        # encode_points per sample, on any grid and overflow rule
         cfg, pts, group_size = case
         coords, clamped, conflicts = ideal_roundtrip(pts, cfg, group_size=group_size)
         labels = np.arange(len(pts)) // (group_size or len(pts))
@@ -631,8 +589,6 @@ def _reference_roundtrip(cfg, pts, group_size):
     cells, kept, clamped = {}, {}, [False] * n
     for i in range(n):
         x, y = float(pts[i, 0]), float(pts[i, 1])
-        if cfg.oob_policy is OobPolicy.DROP and not (0 <= x < w and 0 <= y < h):
-            continue
         cell, frac = [], []
         for v, side, d in ((x, w, wo), (y, h, ho)):
             c = math.floor(v + 0.5 if rounds else v)
@@ -679,11 +635,10 @@ class TestQuantizeReference:
         assert conflicts == want_conflicts
 
     @pytest.mark.parametrize("scheme", SCHEME_ORDER, ids=lambda s: s.value)
-    @pytest.mark.parametrize("oob", list(OobPolicy), ids=lambda p: p.value)
-    def test_one_grouped_call_equals_calls_per_sample(self, scheme, oob):
+    def test_one_grouped_call_equals_calls_per_sample(self, scheme):
         # eight samples of twelve points around a 4x3 grid: cells collide
         # within and across samples, and some points leave the grid
-        cfg = CodecConfig(scheme=scheme, heatmap_shape=(4, 3), oob_policy=oob)
+        cfg = CodecConfig(scheme=scheme, heatmap_shape=(4, 3))
         rng = np.random.Generator(np.random.PCG64(7))
         pts = rng.uniform(-1.0, [5.0, 4.0], size=(96, 2))
         coords, clamped, conflicts = ideal_roundtrip(pts, cfg, group_size=12)
@@ -692,18 +647,17 @@ class TestQuantizeReference:
         np.testing.assert_array_equal(coords.view(np.uint64), want.view(np.uint64))
         np.testing.assert_array_equal(clamped, np.concatenate([p[1] for p in parts]))
         assert conflicts == sum(p[2] for p in parts)
-        # points off the grid were dropped or clamped, and only wom shares maps
-        assert np.isnan(coords).any() if oob is OobPolicy.DROP else clamped.any()
+        # points off the grid were clamped, and only wom shares maps
+        assert clamped.any()
         assert (conflicts > 0) == (scheme is Scheme.WOM)
 
     @pytest.mark.parametrize("scheme", SCHEME_ORDER, ids=lambda s: s.value)
     @pytest.mark.parametrize("side", ["left", "right", "top", "bottom"])
-    @pytest.mark.parametrize("oob", list(OobPolicy), ids=lambda p: p.value)
-    def test_one_point_past_the_border(self, scheme, side, oob):
+    def test_one_point_past_the_border(self, scheme, side):
         # _quantize skips the clamp when no cell is off the grid; one cell
         # just off it, among in-grid ones, must still take the clamp path
         w, h = 6, 5
-        cfg = CodecConfig(scheme=scheme, heatmap_shape=(w, h), oob_policy=oob)
+        cfg = CodecConfig(scheme=scheme, heatmap_shape=(w, h))
         rng = np.random.Generator(np.random.PCG64(3))
         pts = rng.uniform(0.0, [w - 1.0, h - 1.0], size=(40, 2))
         # the first coordinate whose cell is off that side: a rounding
@@ -717,8 +671,7 @@ class TestQuantizeReference:
         np.testing.assert_array_equal(coords.view(np.uint64), want.view(np.uint64))
         np.testing.assert_array_equal(clamped, want_clamped)
         assert conflicts == want_conflicts
-        if oob is OobPolicy.CLAMP:
-            assert np.flatnonzero(clamped).tolist() == [17]
+        assert np.flatnonzero(clamped).tolist() == [17]
 
 
 class TestEncodedSampleValidation:
@@ -739,7 +692,7 @@ class TestEncodedSampleValidation:
         enc = self._direct()
         with pytest.raises(ConfigError, match=match):
             EncodedSample(scheme=scheme, heatmap_shape=GRID,
-                          integer_maps=enc.integer_maps, valid=enc.valid,
+                          integer_maps=enc.integer_maps,
                           clamped=enc.clamped, **payload)
 
     @pytest.mark.parametrize("scheme,payload,match", [
@@ -752,7 +705,7 @@ class TestEncodedSampleValidation:
         enc = self._direct()
         with pytest.raises(ConfigError, match=match):
             EncodedSample(scheme=scheme, heatmap_shape=GRID,
-                          integer_maps=enc.integer_maps, valid=enc.valid,
+                          integer_maps=enc.integer_maps,
                           clamped=enc.clamped, **payload)
 
     @pytest.mark.parametrize("scheme,payload,match", [
@@ -777,13 +730,13 @@ class TestEncodedSampleValidation:
         maps[0, 0, 0] = 1.0
         with pytest.raises(ConfigError, match="at least 2x2"):
             EncodedSample(scheme=Scheme.DIRECT, heatmap_shape=shape, integer_maps=maps,
-                          valid=[True], clamped=[False])
+                          clamped=[False])
 
     def test_decimal_grid_below_one_cell_rejected(self):
         enc = encode_points(_heatmap_points(19, 1), cfg_for(Scheme.HIH))
         with pytest.raises(ConfigError, match="at least 1x1"):
             EncodedSample(scheme=Scheme.HIH, heatmap_shape=GRID,
-                          integer_maps=enc.integer_maps, valid=enc.valid,
+                          integer_maps=enc.integer_maps,
                           clamped=enc.clamped, decimal_shape=(0, 8),
                           decimal_maps=np.zeros((1, 8, 0)))
 
@@ -805,7 +758,6 @@ class TestEncodedSampleSizes:
         return encode_points(_heatmap_points(43, 2), cfg_for(scheme))
 
     @pytest.mark.parametrize("scheme,field,value,message", [
-        (Scheme.DIRECT, "valid", [True], "valid has 1 values, not the 2 of (2,)"),
         (Scheme.WSM, "clamped", np.zeros(3, bool), "clamped has 3 values, not the 2 of (2,)"),
         (Scheme.WOV, "offsets", [0.5, 0.5], "offsets has 2 values, not the 4 of (2, 2)"),
         (Scheme.WOM, "offset_map_x", np.zeros((8, 8)),
@@ -819,7 +771,6 @@ class TestEncodedSampleSizes:
         assert str(err.value) == message
 
     @pytest.mark.parametrize("scheme,field,reshape", [
-        (Scheme.DIRECT, "valid", (1, 2)),
         (Scheme.DIRECT, "clamped", (2, 1)),
         (Scheme.WOV, "offsets", (4,)),
         (Scheme.WOM, "offset_map_x", (4096,)),
@@ -845,7 +796,6 @@ class TestJsonRoundTrip:
         back = EncodedSample.from_json(enc.to_json())
         assert back.scheme is enc.scheme
         np.testing.assert_array_equal(back.integer_maps, enc.integer_maps)
-        np.testing.assert_array_equal(back.valid, enc.valid)
         np.testing.assert_array_equal(back.clamped, enc.clamped)
         if scheme is Scheme.WOV:
             np.testing.assert_array_equal(back.offsets, enc.offsets)
@@ -906,7 +856,7 @@ def _built(scheme: Scheme, seed: int = 5) -> EncodedSample:
     if scheme is Scheme.HIH:
         kwargs.update(decimal_shape=(3, 2), decimal_maps=rng.normal(size=(n, 2, 3)))
     return EncodedSample(scheme=scheme, heatmap_shape=(w, h), integer_maps=maps,
-                         valid=[True, False, True], clamped=[False, True, False], **kwargs)
+                         clamped=[False, True, False], **kwargs)
 
 
 # values no encoder writes, one per (scheme, attribute): the constructor and
@@ -972,7 +922,7 @@ class TestSampleRoundtrip:
         return one_face("s", rng.uniform(100.0, 400.0, size=(n, 2)), image_path="s.png")
 
     def _errors(self, face, scheme, **bench) -> tuple[np.ndarray, AffineTransform]:
-        """Per-landmark raw-space pixel errors, NaN where dropped, and the face's crop."""
+        """Per-landmark raw-space pixel errors and the face's crop."""
         cfg = BenchConfig(schemes=(scheme,),
                           metrics=MetricsConfig(norm_indices=(0, 1)), **bench)
         crop, _, d = _face_maps(build_samples(face, cfg)[0], cfg)
@@ -981,13 +931,13 @@ class TestSampleRoundtrip:
 
     def test_wov_error_negligible(self):
         errs, _ = self._errors(self._record(), Scheme.WOV)
-        assert np.nanmax(errs) < 1e-9
+        assert errs.max() < 1e-9
 
     def test_direct_error_scale(self):
         errs, crop = self._errors(self._record(), Scheme.DIRECT)
         n = 1 / heatmap_transform(crop, GRID).scale[0]  # raw px per heatmap cell
         # per-point error is at most half a cell diagonal in raw pixels
-        assert np.nanmax(errs) <= n * np.sqrt(0.5) + 1e-9
+        assert errs.max() <= n * np.sqrt(0.5) + 1e-9
 
     def test_landmark_on_grid_point_exact(self):
         # a unit crop of the exclusive box (0, 0, 256, 256) leaves raw points
@@ -997,18 +947,18 @@ class TestSampleRoundtrip:
         for scheme in SCHEME_ORDER:
             errs, _ = self._errors(face, scheme, crop_source="bbox", crop_margin=0.0,
                                    bbox_inclusive=False)
-            assert np.nanmax(errs) < 1e-9, scheme
+            assert errs.max() < 1e-9, scheme
 
     def test_encode_matches_encode_points(self):
         # a margin of 0 puts the rightmost landmark, 12, on the far border,
-        # where the drop policy drops it
+        # where it is clamped onto the last cell
         points = self._record(seed=43).points[0]
         crop = crop_from_landmarks(points, 0.0)
-        cfg = cfg_for(Scheme.HIH, oob_policy=OobPolicy.DROP)
+        cfg = cfg_for(Scheme.HIH)
         hm = apply_transform(heatmap_transform(crop, cfg.heatmap_shape), points)
         a = encode(points, crop, cfg)
         assert a.to_json() == encode_points(hm, cfg).to_json()
-        assert list(np.flatnonzero(~a.valid)) == [12]
+        assert list(np.flatnonzero(a.clamped)) == [12]
 
 
 class TestDecodeResultContract:
@@ -1018,6 +968,6 @@ class TestDecodeResultContract:
         cfg = cfg_for(scheme)
         dec = decode(encode_points(pts, cfg))
         coords = dec.points
-        assert coords.shape == (200, 2) and dec.valid.shape == (200,)
-        assert np.nanmin(coords) >= 0.0
-        assert np.nanmax(coords) <= 1.0 + 1.0 / 64
+        assert coords.shape == (200, 2) and dec.clamped.shape == (200,)
+        assert coords.min() >= 0.0
+        assert coords.max() <= 1.0 + 1.0 / 64

@@ -63,7 +63,7 @@ class TestHeatmapContainer:
     def test_wrong_ndim_rejected(self):
         with pytest.raises(ConfigError):
             EncodedSample(scheme=Scheme.DIRECT, heatmap_shape=GRID,
-                          integer_maps=np.zeros(5), valid=[True], clamped=[False])
+                          integer_maps=np.zeros(5), clamped=[False])
 
 
 class TestRenderGaussian:
