@@ -440,8 +440,10 @@ class TestRunIdealMatchesGridOracle:
     @pytest.mark.parametrize("n_landmarks", [98, 68])
     @pytest.mark.parametrize("grid,crop_px", GRIDS)
     @pytest.mark.parametrize("crop", ["landmarks", "bbox"])
-    def test_bit_equal(self, n_landmarks, grid, crop_px, crop):
-        codec = CodecConfig(scheme=Scheme.DIRECT, heatmap_shape=(grid, grid))
+    @pytest.mark.parametrize("overflow", list(DecimalOverflow))
+    def test_bit_equal(self, n_landmarks, grid, crop_px, crop, overflow):
+        codec = CodecConfig(scheme=Scheme.DIRECT, heatmap_shape=(grid, grid),
+                            decimal_overflow=overflow)
         if crop == "landmarks":
             records = make_records(12, n_landmarks=n_landmarks, seed=31)
             cfg = BenchConfig(codec=codec)
@@ -567,8 +569,10 @@ class TestBatchedGeometryMatchesChain:
     @pytest.mark.parametrize("grid,crop_px", GRIDS)
     @pytest.mark.parametrize("crop_source", ["landmarks", "bbox"])
     @pytest.mark.parametrize("margin", [0.0, 0.25])
-    def test_bit_equal(self, n_landmarks, grid, crop_px, crop_source, margin):
-        codec = CodecConfig(scheme=Scheme.DIRECT, heatmap_shape=(grid, grid))
+    @pytest.mark.parametrize("overflow", list(DecimalOverflow))
+    def test_bit_equal(self, n_landmarks, grid, crop_px, crop_source, margin, overflow):
+        codec = CodecConfig(scheme=Scheme.DIRECT, heatmap_shape=(grid, grid),
+                            decimal_overflow=overflow)
         cfg = BenchConfig(codec=codec, crop_source=crop_source, crop_margin=margin)
         records = shrunk_box_records(n_landmarks, seed=37)
         report = assert_matches_chain(records, cfg, crop_px)

@@ -474,6 +474,15 @@ class TestRenderedMaps:
         np.testing.assert_array_equal(enc.decimal_maps[0],
                                       brute_force_gaussian((5, 2), 1.0, (8, 8)))
 
+    def test_clamped_landmark_map_peaks_on_border(self):
+        # a landmark off the grid still renders both maps, at its clamped cell
+        pts = np.array([[-0.5, 10.0], [10.0, 10.0]])
+        enc = encode_points(pts, cfg_for(Scheme.HIH))
+        assert list(enc.clamped) == [True, False]
+        assert peak_cell(enc.integer_maps[0]) == (0, 10)
+        assert enc.integer_maps[0].max() == 1.0 and enc.decimal_maps[0].max() == 1.0
+        np.testing.assert_array_equal(enc.decimal_maps[0],
+                                      brute_force_gaussian((0, 0), 1.0, (8, 8)))
 
 
 class TestOutOfGrid:
@@ -482,6 +491,19 @@ class TestOutOfGrid:
         enc = encode_points(pts, cfg_for(Scheme.WOV))
         assert list(enc.clamped) == [True, False]
         assert np.isfinite(decode(enc).points).all()
+
+    def test_clamped_point_claims_its_border_cell(self):
+        # landmark 1 is clamped into cell (0, 0) with fraction (0, 0.2) and,
+        # as the higher index, overwrites the offset landmark 0 wrote there
+        pts = np.array([[0.3, 0.3], [-0.5, 0.2]])
+        cfg = cfg_for(Scheme.WOM)
+        coords, clamped, conflicts = ideal_roundtrip(pts, cfg)
+        enc = encode_points(pts, cfg)
+        dec = decode(enc)
+        np.testing.assert_array_equal(coords, [[0.0, 0.2], [0.0, 0.2]])
+        np.testing.assert_array_equal(dec.points, coords / 64)
+        assert list(clamped) == list(dec.clamped) == [False, True]
+        assert conflicts == enc.conflict_count == 1
 
     def test_domain_boundary(self):
         inside = np.array([[63.999, 63.999]])
@@ -524,6 +546,20 @@ class TestGridMatchesIdealRoundtrip:
         np.testing.assert_array_equal(grid_coords, ideal_coords)
         np.testing.assert_array_equal(dec.clamped, clamped)
         assert conflicts == enc.conflict_count
+
+    @pytest.mark.parametrize("scheme", SCHEME_ORDER)
+    def test_bit_equivalence_outside_points(self, scheme):
+        # 30 of the 100 points lie off the grid and are clamped onto it
+        pts = _heatmap_points(18, 100, -5.0, 70.0)
+        cfg = cfg_for(scheme)
+        enc = encode_points(pts, cfg)
+        dec = decode(enc)
+        grid_coords = dec.points * np.array(GRID, dtype=np.float64)
+        ideal_coords, clamped, conflicts = ideal_roundtrip(pts, cfg)
+        np.testing.assert_array_equal(grid_coords, ideal_coords)
+        np.testing.assert_array_equal(dec.clamped, clamped)
+        assert conflicts == enc.conflict_count
+        assert clamped.any() and np.isfinite(ideal_coords).all()
 
     @pytest.mark.parametrize("scheme", SCHEME_ORDER)
     @pytest.mark.parametrize("overflow", list(DecimalOverflow))
@@ -635,10 +671,11 @@ class TestQuantizeReference:
         assert conflicts == want_conflicts
 
     @pytest.mark.parametrize("scheme", SCHEME_ORDER, ids=lambda s: s.value)
-    def test_one_grouped_call_equals_calls_per_sample(self, scheme):
+    @pytest.mark.parametrize("overflow", list(DecimalOverflow), ids=lambda o: o.value)
+    def test_one_grouped_call_equals_calls_per_sample(self, scheme, overflow):
         # eight samples of twelve points around a 4x3 grid: cells collide
         # within and across samples, and some points leave the grid
-        cfg = CodecConfig(scheme=scheme, heatmap_shape=(4, 3))
+        cfg = CodecConfig(scheme=scheme, heatmap_shape=(4, 3), decimal_overflow=overflow)
         rng = np.random.Generator(np.random.PCG64(7))
         pts = rng.uniform(-1.0, [5.0, 4.0], size=(96, 2))
         coords, clamped, conflicts = ideal_roundtrip(pts, cfg, group_size=12)
@@ -653,9 +690,12 @@ class TestQuantizeReference:
 
     @pytest.mark.parametrize("scheme", SCHEME_ORDER, ids=lambda s: s.value)
     @pytest.mark.parametrize("side", ["left", "right", "top", "bottom"])
-    def test_one_point_past_the_border(self, scheme, side):
+    @pytest.mark.parametrize("layout", ["rows", "columns"])
+    def test_one_point_past_the_border(self, scheme, side, layout):
         # _quantize skips the clamp when no cell is off the grid; one cell
-        # just off it, among in-grid ones, must still take the clamp path
+        # just off it, among in-grid ones, must still take the clamp path,
+        # from row-major points and from the (N, 2) view of (2, N) rows that
+        # the Monte-Carlo draw passes
         w, h = 6, 5
         cfg = CodecConfig(scheme=scheme, heatmap_shape=(w, h))
         rng = np.random.Generator(np.random.PCG64(3))
@@ -666,6 +706,8 @@ class TestQuantizeReference:
         axis, value = {"left": (0, np.nextafter(-lead, -1.0)), "right": (0, w - lead),
                        "top": (1, np.nextafter(-lead, -1.0)), "bottom": (1, h - lead)}[side]
         pts[17, axis] = value
+        if layout == "columns":
+            pts = pts.T.copy().T
         coords, clamped, conflicts = ideal_roundtrip(pts, cfg)
         want, want_clamped, want_conflicts = _reference_roundtrip(cfg, pts, None)
         np.testing.assert_array_equal(coords.view(np.uint64), want.view(np.uint64))
@@ -758,6 +800,7 @@ class TestEncodedSampleSizes:
         return encode_points(_heatmap_points(43, 2), cfg_for(scheme))
 
     @pytest.mark.parametrize("scheme,field,value,message", [
+        (Scheme.DIRECT, "clamped", [True], "clamped has 1 values, not the 2 of (2,)"),
         (Scheme.WSM, "clamped", np.zeros(3, bool), "clamped has 3 values, not the 2 of (2,)"),
         (Scheme.WOV, "offsets", [0.5, 0.5], "offsets has 2 values, not the 4 of (2, 2)"),
         (Scheme.WOM, "offset_map_x", np.zeros((8, 8)),
@@ -772,6 +815,7 @@ class TestEncodedSampleSizes:
 
     @pytest.mark.parametrize("scheme,field,reshape", [
         (Scheme.DIRECT, "clamped", (2, 1)),
+        (Scheme.HIH, "clamped", (1, 2)),
         (Scheme.WOV, "offsets", (4,)),
         (Scheme.WOM, "offset_map_x", (4096,)),
         (Scheme.WOM, "offset_map_y", (64, 1, 64)),
