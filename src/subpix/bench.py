@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import SCHEME_ORDER, CodecConfig, Scheme, ideal_roundtrip
-from .datasets import Corpus
+from .datasets import Corpus, json_int
 from .errors import ConfigError
 from .geometry import AffineTransform, bbox_crops, check_margin, heatmap_transform, landmark_crops
 # nothing here calls it, so perfbench's geometry.crop span reads 0
@@ -134,10 +134,8 @@ class BenchConfig:
         if self.crop_source not in ("landmarks", "bbox"):
             raise ConfigError(f"crop source must be 'landmarks' or 'bbox', "
                               f"got {self.crop_source!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
-        if self.mc_samples < 1 or self.mc_landmarks < 1:
-            raise ConfigError("Monte-Carlo sample and landmark counts must be positive")
+        for key, least in (("seed", 0), ("mc_samples", 1), ("mc_landmarks", 1)):
+            object.__setattr__(self, key, json_int(getattr(self, key), key, least))
         if self.mc_samples * self.mc_landmarks > _MAX_MC_POINTS:
             raise ConfigError(f"Monte-Carlo draw of {self.mc_samples} samples x "
                               f"{self.mc_landmarks} landmarks exceeds the limit of "

@@ -67,6 +67,23 @@ def _add_codec_flags(p: argparse.ArgumentParser) -> None:
                         "(exact rounding, default) or clamp to the last step")
 
 
+def _add_schemes_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--schemes", type=_parse_schemes, default="all",
+                   help="comma-separated scheme list or 'all' (default all)")
+
+
+def _add_score_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--norm-indices", type=_parse_index_pair, metavar="I,J",
+                   help="landmark pair for error normalization "
+                        "(defaults: 60,72 for 98 points; 36,45 for 68)")
+    p.add_argument("--threshold", type=float, default=0.10,
+                   help="failure/AUC threshold on normalized error (default 0.10)")
+
+
+def _add_format_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=("table", "csv", "json"), default="table")
+
+
 def _codec_config(args, scheme: Scheme = Scheme.DIRECT) -> CodecConfig:
     return CodecConfig(
         scheme=scheme,
@@ -304,8 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_codec_flags(p)
     p.add_argument("--dataset", required=True, metavar="FMT:PATH",
                    help="dataset as format:path; formats: wflw, pts, json")
-    p.add_argument("--schemes", type=_parse_schemes, default="all",
-                   help="comma-separated scheme list or 'all' (default all)")
+    _add_schemes_flag(p)
     p.add_argument("--margin", type=float, default=0.25,
                    help="square crop margin around the landmark box (default 0.25)")
     p.add_argument("--crop-source", choices=("landmarks", "bbox"), default="landmarks",
@@ -314,15 +330,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bbox-edge", choices=("inclusive", "exclusive"), default="inclusive",
                    help="whether the bbox max edge counts as the last covered "
                         "pixel (default inclusive)")
-    p.add_argument("--norm-indices", type=_parse_index_pair, metavar="I,J",
-                   help="landmark pair for error normalization "
-                        "(defaults: 60,72 for 98 points; 36,45 for 68)")
-    p.add_argument("--threshold", type=float, default=0.10,
-                   help="failure/AUC threshold on normalized error (default 0.10)")
+    _add_score_flags(p)
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility and has no effect: scoring is "
                         "batched in one thread (must be positive; default 1)")
-    p.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    _add_format_flag(p)
     p.add_argument("--out", type=_nonempty, metavar="FILE",
                    help="write the report here instead of stdout")
     p.add_argument("--ced-out", type=_nonempty, metavar="PREFIX",
@@ -341,9 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1, help="PCG64 seed (default 1)")
     p.add_argument("--n-factor", type=float, default=4.0,
                    help="raw pixels per heatmap cell for error scaling (default 4)")
-    p.add_argument("--schemes", type=_parse_schemes, default="all",
-                   help="comma-separated scheme list or 'all' (default all)")
-    p.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    _add_schemes_flag(p)
+    _add_format_flag(p)
     p.add_argument("--out", type=_nonempty, metavar="FILE")
     p.set_defaults(func=_cmd_synth)
 
@@ -380,12 +391,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="canonical JSON ground truth")
     p.add_argument("--pred", type=_nonempty, required=True, metavar="FILE",
                    help="canonical JSON predictions")
-    p.add_argument("--norm-indices", type=_parse_index_pair, metavar="I,J",
-                   help="landmark pair for error normalization "
-                        "(defaults: 60,72 for 98 points; 36,45 for 68)")
-    p.add_argument("--threshold", type=float, default=0.10,
-                   help="failure/AUC threshold on normalized error (default 0.10)")
-    p.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    _add_score_flags(p)
+    _add_format_flag(p)
     p.add_argument("--out", type=_nonempty, metavar="FILE")
     p.add_argument("--ced-out", type=_nonempty, metavar="FILE", help="write the CED curve as CSV")
     p.set_defaults(func=_cmd_metrics)

@@ -86,39 +86,18 @@ _SIGMA_RANGE = (1e-150, 1e150)
 # it: about 160x the 98 x 64 x 64 of a WFLW record
 _MAX_CELLS = 1 << 26
 
-# the keys of a payload: those every scheme writes, and each scheme's own
-_PAYLOAD_KEYS = frozenset({"scheme", "n_landmarks", "heatmap_shape", "integer_cells", "clamped"})
-_SCHEME_KEYS = {"wov": frozenset({"offsets"}),
-                "wom": frozenset({"offset_x_cells", "offset_y_cells", "conflict_count"}),
-                "hih": frozenset({"decimal_shape", "decimal_cells"})}
-
 
 def _grid_shape(shape, key: str) -> tuple[int, int]:
-    """``shape`` as an int (width, height) pair, each side at least its floor."""
-    w, h = map(int, shape)
-    least = _MIN_SIDE[key]
-    if w < least or h < least:
-        raise ConfigError(f"{key.replace('_', ' ')} must be at least {least}x{least}, "
-                          f"got {shape}")
-    return w, h
+    """``shape`` as a (width, height) pair of integers, each at least its floor.
 
-
-def _reshaped(value, dtype, shape: tuple[int, ...], field: str) -> np.ndarray:
-    """``value`` as an array of ``shape``; one of another size is refused naming ``field``."""
-    arr = np.asarray(value, dtype=dtype)
-    if arr.size != math.prod(shape):
-        raise ConfigError(f"{field} has {arr.size} values, not the {math.prod(shape)} of {shape}")
-    return arr.reshape(shape)
-
-
-def _finite(values) -> bool:
-    """Whether every value is finite, as in every map an encoder renders."""
-    return bool(np.isfinite(values).all())
-
-
-def _fractions(values) -> bool:
-    """Whether every value is a sub-cell fraction in [0, 1), as encoders keep."""
-    return bool(((values >= 0.0) & (values < 1.0)).all())
+    A side is a JSON integer or a numpy one, not a bool, a float or a string:
+    the one rule of :func:`~subpix.datasets.json_int`, located at ``key``.
+    """
+    try:
+        w, h = shape
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"expected [width, height]: {exc}", field=key) from exc
+    return json_int(w, key, _MIN_SIDE[key]), json_int(h, key, _MIN_SIDE[key])
 
 
 def _check_cells(shape: tuple[int, ...], what: str = "a grid stack") -> None:
@@ -179,15 +158,63 @@ class CodecConfig:
         return replace(self, scheme=Scheme(scheme))
 
 
+# each payload key and the sample attribute it fills, for every scheme and for
+# each scheme alone: a payload's keys, a sample's attributes, a refusal's key
+_PAYLOAD_KEYS = {"scheme": "scheme", "n_landmarks": "n_landmarks",
+                 "heatmap_shape": "heatmap_shape", "integer_cells": "integer_maps",
+                 "clamped": "clamped"}
+_SCHEME_KEYS = {
+    Scheme.WOV: {"offsets": "offsets"},
+    Scheme.WOM: {"offset_x_cells": "offset_map_x", "offset_y_cells": "offset_map_y",
+                 "conflict_count": "conflict_count"},
+    Scheme.HIH: {"decimal_shape": "decimal_shape", "decimal_cells": "decimal_maps"},
+}
+_KEY_OF = {attr: key for keys in (_PAYLOAD_KEYS, *_SCHEME_KEYS.values())
+           for key, attr in keys.items()}
+
+
+def _not_of(scheme: Scheme, key: str) -> SchemaError:
+    """The refusal of payload ``key`` in a sample of ``scheme``, which has no such key."""
+    owner = next((s.value for s, keys in _SCHEME_KEYS.items() if key in keys), None)
+    return SchemaError("not a key of the payload format" if owner is None else
+                       f"belongs to scheme '{owner}', not '{scheme.value}'", field=key)
+
+
+def _array(value, attr: str, shape: tuple[int, ...]) -> np.ndarray:
+    """``value`` as the array of ``shape`` that encoders write into ``attr``,
+    refused at the payload key that holds it: map stacks of exactly ``shape``
+    and finite values, or flags, offsets and offset maps of its size, offsets
+    in [0, 1)."""
+    key = _KEY_OF[attr]
+    arr = np.asarray(value, dtype=bool if attr == "clamped" else np.float64)
+    if attr.endswith("_maps"):
+        if arr.shape != shape:
+            raise SchemaError(f"shape {arr.shape} does not match {shape}", field=key)
+        bad, rule = ~np.isfinite(arr), "be finite"
+    else:
+        if arr.size != math.prod(shape):
+            raise SchemaError(f"has {arr.size} values, not the {math.prod(shape)} of {shape}",
+                              field=key)
+        arr = arr.reshape(shape)
+        if attr == "clamped":
+            return arr
+        bad, rule = ~((arr >= 0.0) & (arr < 1.0)), "lie in [0, 1)"
+    if bad.any():
+        raise SchemaError(f"values must {rule}, got {float(arr[bad][0])!r}", field=key)
+    return arr
+
+
 @dataclass(eq=False)
 class EncodedSample:
     """The grids and side payloads one scheme produces for one sample.
 
-    ``integer_maps`` has shape (N, height, width): one cell-level response
-    grid per landmark. The remaining payloads depend on the scheme and are
-    validated against it: map values are finite and offsets lie in [0, 1),
-    the rules :meth:`from_json_dict` applies to a payload's text.
-    ``clamped`` flags each landmark the encoding step pulled onto the grid.
+    ``integer_maps`` has shape (N, height, width), N >= 1: one cell-level
+    response grid per landmark. ``clamped`` flags each landmark the encoding
+    step pulled onto the grid. Each remaining attribute belongs to the scheme
+    its comment names and is None (a conflict count 0) in every other. Map
+    values are finite and offsets lie in [0, 1).
+    The constructor is the one place these rules live, and a refusal names
+    the payload key: :meth:`from_json_dict` only parses a payload's text.
     """
 
     scheme: Scheme
@@ -204,55 +231,29 @@ class EncodedSample:
     def __post_init__(self) -> None:
         self.scheme = Scheme(self.scheme)
         self.heatmap_shape = _grid_shape(self.heatmap_shape, "heatmap_shape")
+        self.conflict_count = json_int(self.conflict_count, "conflict_count", 0)
+        for scheme, keys in _SCHEME_KEYS.items():
+            for key, attr in keys.items():
+                value = getattr(self, attr)
+                if scheme is self.scheme and value is None:
+                    raise SchemaError(f"required by scheme '{scheme.value}'", field=key)
+                # every sample holds a conflict count, 0 unless it is wom's
+                if scheme is not self.scheme and (value if attr == "conflict_count"
+                                                  else value is not None):
+                    raise _not_of(self.scheme, key)
+        w, h = self.heatmap_shape
         maps = np.asarray(self.integer_maps, dtype=np.float64)
-        if maps.ndim != 3 or maps.shape[1:] != (self.heatmap_shape[1], self.heatmap_shape[0]):
-            raise ConfigError(
-                f"integer maps shape {maps.shape} does not match grid {self.heatmap_shape}"
-            )
-        if not _finite(maps):
-            raise ConfigError("integer_maps must be finite")
-        self.integer_maps = maps
-        n = maps.shape[0]
-        self.clamped = _reshaped(self.clamped, bool, (n,), "clamped")
-        if self.scheme is Scheme.WOV:
-            if self.offsets is None:
-                raise ConfigError("wov payload requires per-landmark offsets")
-            self.offsets = _reshaped(self.offsets, np.float64, (n, 2), "offsets")
-            if not _fractions(self.offsets):
-                raise ConfigError("offsets must lie in [0, 1)")
-        elif self.offsets is not None:
-            raise ConfigError(f"offsets payload is not valid for scheme '{self.scheme.value}'")
-        if self.scheme is Scheme.WOM:
-            if self.offset_map_x is None or self.offset_map_y is None:
-                raise ConfigError("wom payload requires offset_map_x and offset_map_y")
-            shape_yx = (self.heatmap_shape[1], self.heatmap_shape[0])
-            for key in ("offset_map_x", "offset_map_y"):
-                grid = _reshaped(getattr(self, key), np.float64, shape_yx, key)
-                if not _fractions(grid):
-                    raise ConfigError(f"{key} must lie in [0, 1)")
-                setattr(self, key, grid)
-        elif self.offset_map_x is not None or self.offset_map_y is not None:
-            raise ConfigError(f"offset maps are not valid for scheme '{self.scheme.value}'")
-        try:  # the count is what the reader takes: not a bool or a float
-            json_int(self.conflict_count, "conflict_count", 0)
-        except SchemaError as exc:
-            raise ConfigError(str(exc)) from exc
-        if self.conflict_count and self.scheme is not Scheme.WOM:
-            raise ConfigError(f"conflict_count is not valid for scheme '{self.scheme.value}'")
+        self.integer_maps = _array(maps, "integer_maps", (*maps.shape[:1], h, w))
+        n = json_int(len(maps), "n_landmarks", 1)
+        self.clamped = _array(self.clamped, "clamped", (n,))
+        for attr, shape in (("offsets", (n, 2)), ("offset_map_x", (h, w)),
+                            ("offset_map_y", (h, w))):
+            if getattr(self, attr) is not None:
+                setattr(self, attr, _array(getattr(self, attr), attr, shape))
         if self.scheme is Scheme.HIH:
-            if self.decimal_maps is None or self.decimal_shape is None:
-                raise ConfigError("hih payload requires decimal maps and their shape")
             self.decimal_shape = _grid_shape(self.decimal_shape, "decimal_shape")
-            dm = np.asarray(self.decimal_maps, dtype=np.float64)
-            want = (n, self.decimal_shape[1], self.decimal_shape[0])
-            if dm.shape != want:
-                raise ConfigError(f"decimal maps shape {dm.shape} does not match {want}")
-            if not _finite(dm):
-                raise ConfigError("decimal_maps must be finite")
-            self.decimal_maps = dm
-        elif self.decimal_maps is not None or self.decimal_shape is not None:
-            raise ConfigError(f"decimal maps and their shape are not valid for scheme "
-                              f"'{self.scheme.value}'")
+            wo, ho = self.decimal_shape
+            self.decimal_maps = _array(self.decimal_maps, "decimal_maps", (n, ho, wo))
 
     @property
     def n_landmarks(self) -> int:
@@ -285,19 +286,18 @@ class EncodedSample:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> EncodedSample:
+        """The sample a parsed payload holds: this types the JSON and checks
+        what allocating the grids needs first; every value rule is the
+        constructor's."""
         try:
             scheme = Scheme(d["scheme"])
         except (KeyError, ValueError) as exc:
             raise SchemaError(f"unknown or missing scheme: {exc}", field="scheme") from exc
-        own = _PAYLOAD_KEYS | _SCHEME_KEYS.get(scheme.value, frozenset())
         for key in d:
-            if key not in own:
-                owner = next((s for s, keys in _SCHEME_KEYS.items() if key in keys), None)
-                raise SchemaError("not a key of the payload format" if owner is None else
-                                  f"belongs to scheme '{owner}', not '{scheme.value}'",
-                                  field=key)
+            if key not in _PAYLOAD_KEYS and key not in _SCHEME_KEYS.get(scheme, {}):
+                raise _not_of(scheme, key)
         n = json_int(d.get("n_landmarks"), "n_landmarks", 1)
-        w, h = _json_shape(d, "heatmap_shape")
+        w, h = _grid_shape(d.get("heatmap_shape"), "heatmap_shape")
         # the flag list bounds n by the payload's own length before any
         # (n, h, w) stack is allocated
         clamped = d.get("clamped")
@@ -309,20 +309,18 @@ class EncodedSample:
         maps = _unsparse(d.get("integer_cells"), (n, h, w), field="integer_cells")
         kwargs: dict = {}
         if scheme is Scheme.WOV:
-            offsets = json_numbers(d.get("offsets"), (n, 2))
-            if offsets is None:
+            kwargs["offsets"] = json_numbers(d.get("offsets"), (n, 2))
+            if kwargs["offsets"] is None:
                 raise SchemaError("wov requires one [x, y] pair of finite numbers per landmark",
                                   field="offsets")
-            kwargs["offsets"] = _check_fractions(offsets, field="offsets")
         if scheme is Scheme.WOM:
             for axis in "xy":
                 key = f"offset_{axis}_cells"
-                kwargs[f"offset_map_{axis}"] = _check_fractions(
-                    _unsparse(d.get(key), (h, w), field=key), field=key)
-            kwargs["conflict_count"] = json_int(d.get("conflict_count", 0), "conflict_count", 0)
+                kwargs[f"offset_map_{axis}"] = _unsparse(d.get(key), (h, w), field=key)
+            kwargs["conflict_count"] = d.get("conflict_count", 0)
         if scheme is Scheme.HIH:
-            wo, ho = _json_shape(d, "decimal_shape")
-            kwargs["decimal_shape"] = (wo, ho)
+            wo, ho = kwargs["decimal_shape"] = _grid_shape(d.get("decimal_shape"),
+                                                           "decimal_shape")
             kwargs["decimal_maps"] = _unsparse(d.get("decimal_cells"), (n, ho, wo),
                                                field="decimal_cells")
         return cls(scheme=scheme, heatmap_shape=(w, h), integer_maps=maps, clamped=clamped,
@@ -332,22 +330,6 @@ class EncodedSample:
     def from_json(cls, text: str, source: str | None = None) -> EncodedSample:
         """The payload ``text``, read from ``source`` if given, which errors in the text name."""
         return json_object(text, source, cls.from_json_dict)
-
-
-def _json_shape(d: dict, key: str) -> tuple[int, int]:
-    """A payload's (width, height) pair of integers, each no smaller than its floor."""
-    try:
-        w, h = d[key]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"expected [width, height]: {exc}", field=key) from exc
-    return json_int(w, key, _MIN_SIDE[key]), json_int(h, key, _MIN_SIDE[key])
-
-
-def _check_fractions(arr: np.ndarray, *, field: str) -> np.ndarray:
-    """``arr`` if every value is a sub-cell fraction in [0, 1), as encoders write."""
-    if not _fractions(arr):
-        raise SchemaError("offsets must lie in [0, 1)", field=field)
-    return arr
 
 
 def _sparse(arr: np.ndarray) -> list[str]:
@@ -378,8 +360,6 @@ def _unsparse(entries, shape: tuple[int, ...], *, field: str) -> np.ndarray:
             raise SchemaError(f"entry {i}: {exc}", field=field) from exc
         if not all(0 <= j < size for j, size in zip(index, shape)):
             raise SchemaError(f"entry {i} indices out of range", field=field)
-        if not _finite(v):
-            raise SchemaError(f"entry {i} value must be finite", field=field)
         out[index] = v
     return out
 

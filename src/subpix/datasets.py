@@ -295,7 +295,10 @@ def json_object(text: str, source: str | None, read):
 
 
 def json_int(value, field: str, least: int) -> int:
-    """``value`` if it is a JSON integer of at least ``least``, which true or 64.0 is not."""
+    """``value`` as an int if it is an integer of at least ``least``: a JSON
+    integer, or a numpy one a Python caller passes, which true or 64.0 is not."""
+    if isinstance(value, np.integer):
+        value = int(value)
     if type(value) is not int or value < least:
         raise SchemaError(f"must be an integer of at least {least}, got {value!r}", field=field)
     return value

@@ -28,8 +28,12 @@ class ParseError(ValueError):
         return f"{prefix}: {self.args[0]}" if prefix else self.args[0]
 
 
-class SchemaError(ParseError):
-    """A structurally valid file whose content violates the expected schema."""
+class SchemaError(ParseError, ConfigError):
+    """A value that violates the expected schema, located at its field.
+
+    A file's content raises it, and so does a payload or a config built in
+    Python; it is a :class:`ConfigError` too, which such callers catch.
+    """
 
     def __init__(self, message: str, *, field: str | None = None,
                  path: str | None = None, line: int | None = None):

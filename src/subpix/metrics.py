@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import json_int
 from .errors import ConfigError
 
 __all__ = [
@@ -67,10 +68,10 @@ class MetricsConfig:
     def __post_init__(self) -> None:
         _check_threshold(self.threshold)
         if self.norm_indices is not None:
-            i, j = (int(v) for v in self.norm_indices)
-            if i == j or i < 0 or j < 0:
-                raise ConfigError(f"norm indices must be two distinct non-negative "
-                                  f"indices, got {self.norm_indices}")
+            i, j = (json_int(v, "norm_indices", 0) for v in self.norm_indices)
+            if i == j:
+                raise ConfigError(f"norm indices must be two distinct indices, "
+                                  f"got {self.norm_indices}")
             object.__setattr__(self, "norm_indices", (i, j))
 
 

@@ -723,8 +723,19 @@ class TestBenchConfig:
         with pytest.raises(ConfigError, match="exceeds the limit"):
             BenchConfig(mc_samples=1, mc_landmarks=10 ** 20)
         assert BenchConfig(mc_samples=1, mc_landmarks=_MC_BLOCK).mc_landmarks == _MC_BLOCK
-        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
-            BenchConfig(seed=-1)
+        # counts and the seed are integers, refused in the payload reader's
+        # words rather than truncated or left to fail in the run
+        for key, least, value in [("seed", 0, -1), ("seed", 0, 1.5), ("seed", 0, True),
+                                  ("mc_samples", 1, 0), ("mc_samples", 1, True),
+                                  ("mc_samples", 1, 10.5), ("mc_landmarks", 1, 2.0),
+                                  ("mc_landmarks", 1, "4")]:
+            with pytest.raises(ConfigError) as err:
+                BenchConfig(**{key: value})
+            assert str(err.value) == (f"field '{key}': must be an integer of at least "
+                                      f"{least}, got {value!r}")
+        cfg = BenchConfig(seed=np.uint32(7), mc_samples=np.int64(10), mc_landmarks=np.int8(2))
+        assert (cfg.seed, cfg.mc_samples, cfg.mc_landmarks) == (7, 10, 2)
+        assert all(type(v) is int for v in (cfg.seed, cfg.mc_samples, cfg.mc_landmarks))
         # below 1e-150 the errors' squared deviations leave the normal floats
         for mc_n in (1e-151, 1e-310, 5e-324):
             with pytest.raises(ConfigError, match="must be finite and at least 1e-150"):

@@ -1434,7 +1434,7 @@ class TestErrorReporting:
          "argument --norm-indices: indices must be integers, got '1,x'"),
         # a range check of the run's settings, made once parsing is done
         (("synth", "--samples", "10", "--seed", "-1"),
-         "seed must be a non-negative integer, got -1"),
+         "field 'seed': must be an integer of at least 0, got -1"),
         (("synth", "--samples", "abc"), "argument --samples: expected an integer, got 'abc'"),
         (("synth", "--samples=abc"), "argument --samples: expected an integer, got 'abc'"),
         # the first of two bad flags is the one argparse stops at

@@ -180,6 +180,21 @@ class TestCodecConfig:
             cfg_for(Scheme.HIH, decimal_shape=(0, 8))
 
     @pytest.mark.parametrize("key", ["heatmap_shape", "decimal_shape"])
+    @pytest.mark.parametrize("shape", [(64.7, 64.2), (64.0, 64), ("64", "64"), (True, 8)],
+                             ids=["fractions", "integral-float", "strings", "bool"])
+    def test_grid_sides_are_integers(self, key, shape):
+        # refused in the payload reader's words, not truncated to integers
+        with pytest.raises(ConfigError, match=f"^field '{key}': must be an integer of "
+                                              f"at least [12], got {shape[0]!r}$"):
+            cfg_for(Scheme.HIH, **{key: shape})
+
+    def test_numpy_grid_sides_accepted(self):
+        c = cfg_for(Scheme.HIH, heatmap_shape=np.array([32, 16]),
+                    decimal_shape=(np.int64(4), np.uint16(2)))
+        assert c.heatmap_shape == (32, 16) and c.decimal_shape == (4, 2)
+        assert all(type(side) is int for side in (*c.heatmap_shape, *c.decimal_shape))
+
+    @pytest.mark.parametrize("key", ["heatmap_shape", "decimal_shape"])
     def test_grid_capped_at_stack_limit(self, key):
         cfg_for(Scheme.HIH, **{key: (1 << 13, 1 << 13)})
         with pytest.raises(ConfigError, match="exceeds the limit"):
@@ -721,14 +736,16 @@ class TestEncodedSampleValidation:
         return encode_points(_heatmap_points(19, n), cfg_for(Scheme.DIRECT))
 
     @pytest.mark.parametrize("scheme,payload,match", [
-        (Scheme.DIRECT, {"offsets": np.zeros((2, 2))}, "offsets payload is not valid"),
+        (Scheme.DIRECT, {"offsets": np.zeros((2, 2))},
+         "^field 'offsets': belongs to scheme 'wov', not 'direct'$"),
         (Scheme.WOV, {"offsets": np.zeros((2, 2)), "offset_map_x": np.zeros((64, 64)),
-                      "offset_map_y": np.zeros((64, 64))}, "offset maps are not valid"),
+                      "offset_map_y": np.zeros((64, 64))},
+         "^field 'offset_x_cells': belongs to scheme 'wom', not 'wov'$"),
         (Scheme.WOM, {"offset_map_x": np.zeros((64, 64)), "offset_map_y": np.zeros((64, 64)),
                       "decimal_maps": np.zeros((2, 8, 8))},
-         "decimal maps and their shape are not valid"),
+         "^field 'decimal_cells': belongs to scheme 'hih', not 'wom'$"),
         (Scheme.HIH, {"decimal_shape": (8, 8), "decimal_maps": np.zeros((2, 8, 4))},
-         r"decimal maps shape \(2, 8, 4\) does not match \(2, 8, 8\)"),
+         r"^field 'decimal_cells': shape \(2, 8, 4\) does not match \(2, 8, 8\)$"),
     ])
     def test_payload_scheme_mismatch_rejected(self, scheme, payload, match):
         enc = self._direct()
@@ -738,10 +755,11 @@ class TestEncodedSampleValidation:
                           clamped=enc.clamped, **payload)
 
     @pytest.mark.parametrize("scheme,payload,match", [
-        (Scheme.WOV, {}, "wov payload requires per-landmark offsets"),
+        (Scheme.WOV, {}, "^field 'offsets': required by scheme 'wov'$"),
         (Scheme.WOM, {"offset_map_x": np.zeros((64, 64))},
-         "wom payload requires offset_map_x and offset_map_y"),
-        (Scheme.HIH, {"decimal_shape": (8, 8)}, "hih payload requires decimal maps"),
+         "^field 'offset_y_cells': required by scheme 'wom'$"),
+        (Scheme.HIH, {"decimal_shape": (8, 8)},
+         "^field 'decimal_cells': required by scheme 'hih'$"),
     ])
     def test_missing_payload_rejected(self, scheme, payload, match):
         enc = self._direct()
@@ -755,9 +773,10 @@ class TestEncodedSampleValidation:
         (Scheme.WOM, {"conflict_count": True}, "'conflict_count': must be .* got True$"),
         (Scheme.WOM, {"conflict_count": 2.5}, "'conflict_count': must be .* got 2.5$"),
         # fields to_json would drop, so JSON would not bring them back
-        (Scheme.DIRECT, {"conflict_count": 7}, "conflict_count is not valid for scheme 'direct'"),
+        (Scheme.DIRECT, {"conflict_count": 7},
+         "^field 'conflict_count': belongs to scheme 'wom', not 'direct'$"),
         (Scheme.DIRECT, {"decimal_shape": (8, 8)},
-         "decimal maps and their shape are not valid for scheme 'direct'"),
+         "^field 'decimal_shape': belongs to scheme 'hih', not 'direct'$"),
     ])
     def test_scalar_payload_rejected(self, scheme, payload, match):
         enc = encode_points(_heatmap_points(19, 2), cfg_for(scheme))
@@ -770,13 +789,39 @@ class TestEncodedSampleValidation:
         w, h = shape
         maps = np.zeros((1, h, w))
         maps[0, 0, 0] = 1.0
-        with pytest.raises(ConfigError, match="at least 2x2"):
+        with pytest.raises(ConfigError, match="^field 'heatmap_shape': must be an integer of "
+                                              "at least 2, got 1$"):
             EncodedSample(scheme=Scheme.DIRECT, heatmap_shape=shape, integer_maps=maps,
                           clamped=[False])
 
+    def test_no_landmarks_refused(self):
+        # to_json would write "n_landmarks": 0, which no reader takes back
+        with pytest.raises(ConfigError, match="^field 'n_landmarks': must be an integer of "
+                                              "at least 1, got 0$"):
+            EncodedSample(scheme=Scheme.DIRECT, heatmap_shape=GRID,
+                          integer_maps=np.zeros((0, 64, 64)), clamped=[])
+
+    @pytest.mark.parametrize("key", ["heatmap_shape", "decimal_shape"])
+    @pytest.mark.parametrize("side", [4.9, 8.0, "8", True, None],
+                             ids=["fraction", "integral-float", "string", "bool", "none"])
+    def test_grid_side_is_an_integer(self, key, side):
+        # a side is refused, not truncated, as the payload reader refuses it
+        enc = encode_points(_heatmap_points(19, 1), cfg_for(Scheme.HIH, heatmap_shape=(8, 8)))
+        with pytest.raises(ConfigError, match=f"^field '{key}': must be an integer of "
+                                              f"at least [12], got {side!r}$"):
+            replace(enc, **{key: (side, 8)})
+
+    def test_numpy_grid_sides_accepted(self):
+        enc = encode_points(_heatmap_points(19, 1), cfg_for(Scheme.HIH))
+        back = replace(enc, heatmap_shape=np.array([64, 64]),
+                       decimal_shape=(np.uint8(8), np.int32(8)))
+        assert back.heatmap_shape == (64, 64) and back.decimal_shape == (8, 8)
+        assert back.to_json() == enc.to_json()
+
     def test_decimal_grid_below_one_cell_rejected(self):
         enc = encode_points(_heatmap_points(19, 1), cfg_for(Scheme.HIH))
-        with pytest.raises(ConfigError, match="at least 1x1"):
+        with pytest.raises(ConfigError, match="^field 'decimal_shape': must be an integer of "
+                                              "at least 1, got 0$"):
             EncodedSample(scheme=Scheme.HIH, heatmap_shape=GRID,
                           integer_maps=enc.integer_maps,
                           clamped=enc.clamped, decimal_shape=(0, 8),
@@ -794,19 +839,21 @@ class TestEncodedSampleValidation:
 
 class TestEncodedSampleSizes:
     """Flags, offsets and offset maps of the wrong size are refused naming
-    the field; any array of the right size is reshaped as before."""
+    the payload key that holds them; any array of the right size is reshaped
+    as before."""
 
     def _sample(self, scheme):
         return encode_points(_heatmap_points(43, 2), cfg_for(scheme))
 
     @pytest.mark.parametrize("scheme,field,value,message", [
-        (Scheme.DIRECT, "clamped", [True], "clamped has 1 values, not the 2 of (2,)"),
-        (Scheme.WSM, "clamped", np.zeros(3, bool), "clamped has 3 values, not the 2 of (2,)"),
-        (Scheme.WOV, "offsets", [0.5, 0.5], "offsets has 2 values, not the 4 of (2, 2)"),
+        (Scheme.DIRECT, "clamped", [True], "field 'clamped': has 1 values, not the 2 of (2,)"),
+        (Scheme.WSM, "clamped", np.zeros(3, bool),
+         "field 'clamped': has 3 values, not the 2 of (2,)"),
+        (Scheme.WOV, "offsets", [0.5, 0.5], "field 'offsets': has 2 values, not the 4 of (2, 2)"),
         (Scheme.WOM, "offset_map_x", np.zeros((8, 8)),
-         "offset_map_x has 64 values, not the 4096 of (64, 64)"),
+         "field 'offset_x_cells': has 64 values, not the 4096 of (64, 64)"),
         (Scheme.WOM, "offset_map_y", np.zeros((64, 64, 2)),
-         "offset_map_y has 8192 values, not the 4096 of (64, 64)"),
+         "field 'offset_y_cells': has 8192 values, not the 4096 of (64, 64)"),
     ])
     def test_wrong_size_refused(self, scheme, field, value, message):
         with pytest.raises(ConfigError) as err:
@@ -916,6 +963,48 @@ _BAD_VALUES = [
 ]
 
 
+# the payload key that holds each attribute _BAD_VALUES spoils
+_PAYLOAD_KEY = {"integer_maps": "integer_cells", "offsets": "offsets",
+                "offset_map_x": "offset_x_cells", "offset_map_y": "offset_y_cells",
+                "decimal_maps": "decimal_cells"}
+
+# finite map values at the ends of the doubles, and fractions at both ends of [0, 1)
+_MAP_VALUES = (st.floats(allow_nan=False, allow_infinity=False)
+               | st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308,
+                                  1.7976931348623157e308, -1.7976931348623157e308, -0.0]))
+_FRACTIONS = (st.floats(0.0, 1.0, exclude_max=True)
+              | st.sampled_from([0.0, -0.0, 5e-324, 0.5, math.nextafter(1.0, 0.0)]))
+
+
+@st.composite
+def _accepted_samples(draw):
+    """Any sample the constructor accepts: every scheme, 1 to 5 landmarks,
+    grid sides 2 to 9, decimal sides 1 to 9, and a few nonzero cells per grid."""
+    def grid(shape, values):
+        out = np.zeros(shape)
+        cells = st.tuples(*[st.integers(0, side - 1) for side in shape])
+        for index, value in draw(st.dictionaries(cells, values, max_size=6)).items():
+            out[index] = value
+        return out
+
+    scheme = draw(st.sampled_from(SCHEME_ORDER))
+    n, w, h = draw(st.integers(1, 5)), draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    kwargs: dict = {}
+    if scheme is Scheme.WOV:
+        kwargs["offsets"] = np.array(draw(st.lists(st.tuples(_FRACTIONS, _FRACTIONS),
+                                                   min_size=n, max_size=n)))
+    if scheme is Scheme.WOM:
+        kwargs.update(offset_map_x=grid((h, w), _FRACTIONS), offset_map_y=grid((h, w), _FRACTIONS),
+                      conflict_count=draw(st.integers(0, 2 ** 64)))
+    if scheme is Scheme.HIH:
+        wo, ho = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+        kwargs.update(decimal_shape=(wo, ho), decimal_maps=grid((n, ho, wo), _MAP_VALUES))
+    return EncodedSample(scheme=scheme, heatmap_shape=(w, h),
+                         integer_maps=grid((n, h, w), _MAP_VALUES),
+                         clamped=draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                         **kwargs)
+
+
 class TestConstructorMatchesReader:
     """What ``EncodedSample`` accepts is what ``from_json`` accepts: a payload
     the constructor takes comes back through JSON field for field, and a
@@ -935,13 +1024,29 @@ class TestConstructorMatchesReader:
         enc = _built(scheme)
         bad = getattr(enc, key).copy()
         bad.flat[0] = value
-        with pytest.raises(ConfigError, match=f"^{key} must "):
+        with pytest.raises(ConfigError, match=f"^field '{_PAYLOAD_KEY[key]}': values must "
+                                              f"(be finite|lie in \\[0, 1\\)), got ") as made:
             replace(enc, **{key: bad})
-        # the payload the constructor would have made, written as to_json does
+        # the payload the constructor would have made, written as to_json does:
+        # refused in the same words, but for non-finite offsets, which the
+        # reader refuses as it types them as numbers, at the same key
         setattr(enc, key, bad)
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as read:
             EncodedSample.from_json(enc.to_json())
+        assert read.value.field == made.value.field
+        if not (key == "offsets" and not math.isfinite(value)):
+            assert str(read.value) == str(made.value)
 
+    @given(enc=_accepted_samples())
+    @settings(max_examples=300, deadline=None)
+    def test_every_accepted_sample_round_trips(self, enc):
+        text = enc.to_json()
+        back = EncodedSample.from_json(text)
+        for f in fields(EncodedSample):
+            want, got = getattr(enc, f.name), getattr(back, f.name)
+            np.testing.assert_array_equal(got, want, err_msg=f.name)
+            assert type(got) is type(want) and np.asarray(got).dtype == np.asarray(want).dtype
+        assert back.to_json() == text
 
     @pytest.mark.parametrize("value", [-5, True, 2.5], ids=["negative", "bool", "float"])
     def test_bad_conflict_count_refused_by_both(self, value):

@@ -207,6 +207,15 @@ class TestNormIndices:
             MetricsConfig(norm_indices=(5, 5))
         with pytest.raises(ConfigError):
             MetricsConfig(norm_indices=(-1, 5))
+        # indices are integers, refused in the payload reader's words, not truncated
+        for pair, bad in [((60.9, 72.2), 60.9), ((True, 3), True), ((60, 72.0), 72.0),
+                          (("60", 72), "60")]:
+            with pytest.raises(ConfigError) as err:
+                MetricsConfig(norm_indices=pair)
+            assert str(err.value) == (f"field 'norm_indices': must be an integer of at least 0, "
+                                      f"got {bad!r}")
+        cfg = MetricsConfig(norm_indices=(np.int64(60), np.uint8(72)))
+        assert cfg.norm_indices == (60, 72) and all(type(i) is int for i in cfg.norm_indices)
         with pytest.raises(ConfigError):
             MetricsConfig(threshold=0.0)
         # reports name the threshold in percent: 1e307 is finite, 1e309 % is not
