@@ -49,9 +49,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import SCHEME_ORDER, CodecConfig, Scheme, ideal_roundtrip
-from .datasets import Corpus, json_int
-from .errors import ConfigError
-from .geometry import AffineTransform, bbox_crops, check_margin, heatmap_transform, landmark_crops
+from .datasets import Corpus, json_float, json_int
+from .errors import ConfigError, SchemaError
+from .geometry import AffineTransform, bbox_crops, heatmap_transform, landmark_crops
 # nothing here calls it, so perfbench's geometry.crop span reads 0
 from .geometry import crop_from_landmarks  # noqa: F401  patched by perfbench/layers.py
 from .metrics import (MetricsConfig, PerImageError, ced_auc, ced_points,
@@ -125,26 +125,33 @@ class BenchConfig:
     mc_n: float = 4.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.schemes, (tuple, list)):  # a string is no list of schemes
+            raise SchemaError(f"expected a tuple or list of schemes, got {self.schemes!r}",
+                              field="schemes")
         object.__setattr__(self, "schemes", tuple(Scheme(s) for s in self.schemes))
         if not self.schemes:
-            raise ConfigError("at least one scheme is required")
+            raise SchemaError("at least one scheme is required", field="schemes")
         if len(set(self.schemes)) != len(self.schemes):
-            raise ConfigError(f"duplicate schemes in '{','.join(s.value for s in self.schemes)}'")
-        check_margin(self.crop_margin)
+            raise SchemaError(f"duplicate schemes in "
+                              f"'{','.join(s.value for s in self.schemes)}'", field="schemes")
         if self.crop_source not in ("landmarks", "bbox"):
-            raise ConfigError(f"crop source must be 'landmarks' or 'bbox', "
-                              f"got {self.crop_source!r}")
+            raise SchemaError(f"must be 'landmarks' or 'bbox', got {self.crop_source!r}",
+                              field="crop_source")
+        if not isinstance(self.bbox_inclusive, (bool, np.bool_)):
+            raise SchemaError(f"must be true or false, got {self.bbox_inclusive!r}",
+                              field="bbox_inclusive")
+        object.__setattr__(self, "bbox_inclusive", bool(self.bbox_inclusive))
+        for key, least in (("crop_margin", 0), ("mc_n", _MIN_MC_N)):
+            object.__setattr__(self, key, json_float(getattr(self, key), key, least))
         for key, least in (("seed", 0), ("mc_samples", 1), ("mc_landmarks", 1)):
             object.__setattr__(self, key, json_int(getattr(self, key), key, least))
-        if self.mc_samples * self.mc_landmarks > _MAX_MC_POINTS:
-            raise ConfigError(f"Monte-Carlo draw of {self.mc_samples} samples x "
-                              f"{self.mc_landmarks} landmarks exceeds the limit of "
-                              f"{_MAX_MC_POINTS} landmarks")
         if self.mc_landmarks > _MC_BLOCK:
-            raise ConfigError(f"a Monte-Carlo sample may have at most {_MC_BLOCK} landmarks")
-        if not (np.isfinite(self.mc_n) and self.mc_n >= _MIN_MC_N):
-            raise ConfigError(f"Monte-Carlo scale factor must be finite and at least "
-                              f"{_MIN_MC_N:g}, got {self.mc_n}")
+            raise SchemaError(f"a Monte-Carlo sample may have at most {_MC_BLOCK} landmarks",
+                              field="mc_landmarks")
+        if self.mc_samples * self.mc_landmarks > _MAX_MC_POINTS:
+            raise SchemaError(f"Monte-Carlo draw of {self.mc_samples} samples x "
+                              f"{self.mc_landmarks} landmarks exceeds the limit of "
+                              f"{_MAX_MC_POINTS} landmarks", field="mc_samples")
 
 
 @dataclass(eq=False)
@@ -185,9 +192,7 @@ def analytic_direct_error(n: float) -> float:
     cell factor ``n`` gives the raw-space value. ``n = 0`` is allowed as a
     degenerate limit.
     """
-    if not (np.isfinite(n) and n >= 0):
-        raise ConfigError(f"scale factor must be non-negative, got {n}")
-    return n * (math.sqrt(2.0) + math.asinh(1.0)) / 6.0
+    return json_float(n, "n", 0) * (math.sqrt(2.0) + math.asinh(1.0)) / 6.0
 
 
 def _face_maps(faces: Corpus, cfg: BenchConfig) -> tuple[AffineTransform, np.ndarray, np.ndarray]:

@@ -45,9 +45,10 @@ from .bench import (SCORE_COLUMNS, BenchConfig, Column, emit_report, format_repo
                     run_ideal, run_montecarlo, score_images, score_values)
 from .codec import (SCHEME_ORDER, CodecConfig, DecimalOverflow, EncodedSample, Scheme,
                     decode as codec_decode, encode, encode_points)
-from .datasets import decode_text, load_canonical, load_dataset, read_text, write_canonical
+from .datasets import (decode_text, json_float, json_int, load_canonical, load_dataset,
+                       read_text, write_canonical)
 from .errors import ConfigError, ParseError
-from .geometry import check_margin, crop_from_landmarks
+from .geometry import crop_from_landmarks
 from .metrics import MetricsConfig, format_ced_csv, norm_distances, resolve_norm_indices
 
 __all__ = ["main", "entry"]
@@ -159,8 +160,7 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _cmd_bench_ideal(args) -> int:
-    if args.threads < 1:
-        raise ConfigError(f"thread count must be positive, got {args.threads}")
+    json_int(args.threads, "threads", 1)
     _, corpus = load_dataset(args.dataset)
     bcfg = BenchConfig(
         schemes=args.schemes,
@@ -198,7 +198,7 @@ def _cmd_encode(args) -> int:
     if bool(args.point) == bool(args.record):
         raise ConfigError("exactly one of --point or --record is required")
     cfg = _codec_config(args, Scheme(args.scheme))
-    check_margin(args.margin)
+    json_float(args.margin, "margin", 0)
     if args.point:
         enc = encode_points(np.array(args.point, dtype=np.float64), cfg)
     else:

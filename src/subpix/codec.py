@@ -43,16 +43,13 @@ cells and returns that array transposed.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-import operator
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
-from .datasets import json_int, json_numbers, json_object
+from .datasets import Choice, json_float, json_int, json_numbers, json_object, json_pair
 from .errors import ConfigError, SchemaError
 from .geometry import AffineTransform, apply_transform, heatmap_transform
 from .metrics import point_distances
@@ -87,27 +84,15 @@ _SIGMA_RANGE = (1e-150, 1e150)
 _MAX_CELLS = 1 << 26
 
 
-def _grid_shape(shape, key: str) -> tuple[int, int]:
-    """``shape`` as a (width, height) pair of integers, each at least its floor.
-
-    A side is a JSON integer or a numpy one, not a bool, a float or a string:
-    the one rule of :func:`~subpix.datasets.json_int`, located at ``key``.
-    """
-    try:
-        w, h = shape
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"expected [width, height]: {exc}", field=key) from exc
-    return json_int(w, key, _MIN_SIDE[key]), json_int(h, key, _MIN_SIDE[key])
-
-
-def _check_cells(shape: tuple[int, ...], what: str = "a grid stack") -> None:
-    """Refuse a grid (stack) of ``shape`` before it is allocated if it is too big."""
+def _check_cells(shape: tuple[int, ...], what: str = "a grid stack",
+                 field: str | None = None) -> None:
+    """Refuse a grid (stack) of ``shape``, at ``field``, before allocating it if it is too big."""
     if math.prod(shape) > _MAX_CELLS:
-        raise ConfigError(f"{what} of shape {shape} exceeds the limit of "
-                          f"{_MAX_CELLS} cells")
+        raise SchemaError(f"{what} of shape {shape} exceeds the limit of "
+                          f"{_MAX_CELLS} cells", field=field)
 
 
-class Scheme(str, Enum):
+class Scheme(Choice):
     DIRECT = "direct"
     WSM = "wsm"
     WOV = "wov"
@@ -121,7 +106,7 @@ SCHEME_ORDER: tuple[Scheme, ...] = (
 )
 
 
-class DecimalOverflow(str, Enum):
+class DecimalOverflow(Choice):
     """How the fractional quantizer treats fractions that round to 1."""
 
     CARRY = "carry"  # carry into the next integer cell (exact rounding)
@@ -143,16 +128,11 @@ class CodecConfig:
         # one grid must fit the stack limit, which also leaves a double room
         # for a cell index plus its fraction
         for key in ("heatmap_shape", "decimal_shape"):
-            shape = _grid_shape(getattr(self, key), key)
-            _check_cells(shape, f"a {key.split('_')[0]} grid")
+            shape = json_pair(getattr(self, key), key, _MIN_SIDE[key])
+            _check_cells(shape, f"a {key.split('_')[0]} grid", key)
             object.__setattr__(self, key, shape)
         for key in ("sigma_integer", "sigma_decimal"):
-            sigma = getattr(self, key)
-            if not (np.isfinite(sigma) and sigma > 0):
-                raise ConfigError(f"{key} must be positive, got {sigma}")
-            if not _SIGMA_RANGE[0] <= sigma <= _SIGMA_RANGE[1]:
-                raise ConfigError(f"{key} must lie in [{_SIGMA_RANGE[0]:g}, "
-                                  f"{_SIGMA_RANGE[1]:g}], got {sigma}")
+            object.__setattr__(self, key, json_float(getattr(self, key), key, *_SIGMA_RANGE))
 
     def for_scheme(self, scheme: Scheme) -> CodecConfig:
         return replace(self, scheme=Scheme(scheme))
@@ -230,7 +210,8 @@ class EncodedSample:
 
     def __post_init__(self) -> None:
         self.scheme = Scheme(self.scheme)
-        self.heatmap_shape = _grid_shape(self.heatmap_shape, "heatmap_shape")
+        self.heatmap_shape = json_pair(self.heatmap_shape, "heatmap_shape",
+                                       _MIN_SIDE["heatmap_shape"])
         self.conflict_count = json_int(self.conflict_count, "conflict_count", 0)
         for scheme, keys in _SCHEME_KEYS.items():
             for key, attr in keys.items():
@@ -251,7 +232,8 @@ class EncodedSample:
             if getattr(self, attr) is not None:
                 setattr(self, attr, _array(getattr(self, attr), attr, shape))
         if self.scheme is Scheme.HIH:
-            self.decimal_shape = _grid_shape(self.decimal_shape, "decimal_shape")
+            self.decimal_shape = json_pair(self.decimal_shape, "decimal_shape",
+                                           _MIN_SIDE["decimal_shape"])
             wo, ho = self.decimal_shape
             self.decimal_maps = _array(self.decimal_maps, "decimal_maps", (n, ho, wo))
 
@@ -289,15 +271,12 @@ class EncodedSample:
         """The sample a parsed payload holds: this types the JSON and checks
         what allocating the grids needs first; every value rule is the
         constructor's."""
-        try:
-            scheme = Scheme(d["scheme"])
-        except (KeyError, ValueError) as exc:
-            raise SchemaError(f"unknown or missing scheme: {exc}", field="scheme") from exc
+        scheme = Scheme(d.get("scheme"))
         for key in d:
             if key not in _PAYLOAD_KEYS and key not in _SCHEME_KEYS.get(scheme, {}):
                 raise _not_of(scheme, key)
         n = json_int(d.get("n_landmarks"), "n_landmarks", 1)
-        w, h = _grid_shape(d.get("heatmap_shape"), "heatmap_shape")
+        w, h = json_pair(d.get("heatmap_shape"), "heatmap_shape", _MIN_SIDE["heatmap_shape"])
         # the flag list bounds n by the payload's own length before any
         # (n, h, w) stack is allocated
         clamped = d.get("clamped")
@@ -319,8 +298,8 @@ class EncodedSample:
                 kwargs[f"offset_map_{axis}"] = _unsparse(d.get(key), (h, w), field=key)
             kwargs["conflict_count"] = d.get("conflict_count", 0)
         if scheme is Scheme.HIH:
-            wo, ho = kwargs["decimal_shape"] = _grid_shape(d.get("decimal_shape"),
-                                                           "decimal_shape")
+            wo, ho = kwargs["decimal_shape"] = json_pair(d.get("decimal_shape"), "decimal_shape",
+                                                         _MIN_SIDE["decimal_shape"])
             kwargs["decimal_maps"] = _unsparse(d.get("decimal_cells"), (n, ho, wo),
                                                field="decimal_cells")
         return cls(scheme=scheme, heatmap_shape=(w, h), integer_maps=maps, clamped=clamped,
@@ -343,10 +322,7 @@ def _unsparse(entries, shape: tuple[int, ...], *, field: str) -> np.ndarray:
     """The inverse of :func:`_sparse` for an array of ``shape`` (rank 2 or 3)."""
     if not isinstance(entries, list):
         raise SchemaError("expected a list of sparse cells", field=field)
-    try:
-        _check_cells(shape)
-    except ConfigError as exc:
-        raise SchemaError(str(exc), field=field) from exc
+    _check_cells(shape, field=field)
     form = ",".join(["k", "row", "col"][-len(shape):] + ["value"])
     out = np.zeros(shape, dtype=np.float64)
     for i, entry in enumerate(entries):
@@ -390,18 +366,6 @@ def _check_points(points) -> np.ndarray:
     if not np.isfinite(pts).all():
         raise ConfigError("landmark coordinates must be finite")
     return pts
-
-
-@functools.lru_cache(maxsize=None)
-def _column(x: int, y: int) -> np.ndarray:
-    """``(x, y)`` as a read-only (2, 1) float64 column, built once per pair.
-
-    ``_quantize`` combines grid sizes with (2, N) rows; building the column
-    afresh on every call costs more than the arithmetic on a few landmarks.
-    """
-    col = np.array([[x], [y]], dtype=np.float64)
-    col.flags.writeable = False
-    return col
 
 
 def _last_writer_offsets(cells: np.ndarray, offsets: np.ndarray, shape: tuple[int, int],
@@ -461,7 +425,7 @@ def _quantize(pts: np.ndarray, cfg: CodecConfig, group_size: int | None = None):
     typical published fractional-map statistics do.
     """
     w, h = cfg.heatmap_shape
-    top = _column(w - 1, h - 1)
+    top = np.array([[w - 1], [h - 1]], dtype=np.float64)
     # one axis-major copy, which the rule below overwrites with its results
     xy = pts.T.copy()
     # direct and wsm keep nothing: the nearest cell (round half up) overwrites
@@ -494,7 +458,7 @@ def _quantize(pts: np.ndarray, cfg: CodecConfig, group_size: int | None = None):
         kept, conflicts = _last_writer_offsets(cells, kept, cfg.heatmap_shape, group_size)
     elif cfg.scheme is Scheme.HIH:
         w_o, h_o = cfg.decimal_shape
-        dims_o = _column(w_o, h_o)
+        dims_o = np.array([[w_o], [h_o]], dtype=np.float64)
         steps = kept
         steps *= dims_o
         steps += 0.5
@@ -505,7 +469,7 @@ def _quantize(pts: np.ndarray, cfg: CodecConfig, group_size: int | None = None):
             cells += over
             over = cells > top
             np.copyto(cells, top, where=over)
-        np.copyto(steps, _column(w_o - 1, h_o - 1), where=over)
+        np.copyto(steps, dims_o - 1.0, where=over)
         over = over[0] | over[1]
         kept = steps / dims_o
         clamped |= over
@@ -651,14 +615,10 @@ def ideal_roundtrip(points: np.ndarray, cfg: CodecConfig,
     """
     pts = _check_points(points)
     if group_size is not None:
-        try:  # operator.index refuses floats, and a bool is no size
-            size = 0 if isinstance(group_size, bool) else operator.index(group_size)
-        except TypeError:
-            size = 0
-        if size < 1 or len(pts) % size:
-            raise ConfigError(f"group_size must be a positive integer that divides the "
-                              f"{len(pts)} points, got {group_size!r}")
-        group_size = size
+        group_size = json_int(group_size, "group_size", 1)
+        if len(pts) % group_size:
+            raise SchemaError(f"must divide the {len(pts)} points, got {group_size}",
+                              field="group_size")
     cells, kept, _, clamped, conflicts = _quantize(pts, cfg, group_size)
     # the cells are this call's own copy: the kept fractions go straight in
     if kept is not None:

@@ -25,7 +25,9 @@ should never produce a traceback without coordinates.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, fields
+from enum import Enum
 from itertools import chain
 from pathlib import Path
 
@@ -44,6 +46,9 @@ __all__ = [
     "load_wflw",
     "json_object",
     "json_int",
+    "json_float",
+    "json_pair",
+    "Choice",
     "json_numbers",
     "canonical_dict",
     "write_canonical",
@@ -302,6 +307,41 @@ def json_int(value, field: str, least: int) -> int:
     if type(value) is not int or value < least:
         raise SchemaError(f"must be an integer of at least {least}, got {value!r}", field=field)
     return value
+
+
+def json_float(value, field: str, least: float,
+               most: float = sys.float_info.max) -> float:
+    """``value`` as a float if it is a number in [least, most]: an int, a float or
+    a numpy scalar, not true, "0.1", NaN or an int past a double. A numpy scalar is
+    unboxed first, since numpy would cast a bound to a float32 to compare them."""
+    if isinstance(value, (np.integer, np.floating)):
+        value = value.item()
+    if not (isinstance(value, (int, float, np.longdouble))
+            and not isinstance(value, bool) and least <= value <= most):
+        bounds = (f"of at least {least!r}" if most == sys.float_info.max
+                  else f"in [{least!r}, {most!r}]")
+        raise SchemaError(f"must be a finite number {bounds}, got {value!r}", field=field)
+    return float(value)
+
+
+def json_pair(value, field: str, least: int) -> tuple[int, int]:
+    """``value`` as a pair of integers, each one :func:`json_int` takes."""
+    try:
+        a, b = value
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"expected a pair: {exc}", field=field) from exc
+    return json_int(a, field, least), json_int(b, field, least)
+
+
+class Choice(str, Enum):
+    """One of a few names: an unknown value is refused, naming the known ones, at
+    the field the enum is named for (``DecimalOverflow``: 'decimal_overflow')."""
+
+    @classmethod
+    def _missing_(cls, value):
+        field = "".join(f"_{c.lower()}" if c.isupper() else c for c in cls.__name__)[1:]
+        raise SchemaError(f"unknown {cls.__name__} {value!r} "
+                          f"(known: {', '.join(m.value for m in cls)})", field=field)
 
 
 def json_numbers(value, shape: tuple[int, ...]) -> np.ndarray | None:

@@ -25,12 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .datasets import json_float, json_pair
+from .errors import ConfigError, SchemaError
 
 __all__ = [
     "AffineTransform",
     "apply_transform",
-    "check_margin",
     "landmark_crops",
     "bbox_crops",
     "crop_from_landmarks",
@@ -88,12 +88,6 @@ def apply_transform(t: AffineTransform, points: np.ndarray) -> np.ndarray:
     return t.apply(np.asarray(points, dtype=np.float64)[None])[0]
 
 
-def check_margin(margin: float) -> None:
-    """The one crop-margin rule: a finite value of at least 0."""
-    if not (np.isfinite(margin) and margin >= 0):
-        raise ConfigError(f"crop margin must be finite and non-negative, got {margin}")
-
-
 def _square_crops(lo: np.ndarray, hi: np.ndarray, extra: float, usable: np.ndarray | bool,
                   margin: float) -> tuple[AffineTransform, np.ndarray]:
     """Raw -> unit-square crops of N boxes ``[lo, hi]`` (N, 2), and which are usable.
@@ -103,7 +97,7 @@ def _square_crops(lo: np.ndarray, hi: np.ndarray, extra: float, usable: np.ndarr
     the unit square. Rows outside ``usable``, or whose square has no extent
     or no finite map, get a unit placeholder map and a False flag.
     """
-    check_margin(margin)
+    margin = json_float(margin, "margin", 0)
     with np.errstate(all="ignore"):
         side = np.max(hi - lo + extra, axis=1) * (1.0 + margin)
         scale = 1.0 / side
@@ -176,7 +170,8 @@ def heatmap_transform(crop: AffineTransform,
     but also clamps where its nearest decimal step carries out of cell
     w - 1 (x >= w - 1/(2 w_o), such as 63.97 at w = 64 and w_o = 8).
     """
-    w, h = int(heatmap_shape[0]), int(heatmap_shape[1])
-    if w <= 0 or w != h:
-        raise ConfigError(f"heatmap shape must be square and positive, got {heatmap_shape}")
+    w, h = json_pair(heatmap_shape, "heatmap_shape", 1)
+    if w != h:
+        raise SchemaError(f"must be square, got {heatmap_shape}", field="heatmap_shape")
+    w = json_float(w, "heatmap_shape", 1)  # a side past a double would overflow the map
     return AffineTransform(w * crop.scale, w * crop.offset)

@@ -21,12 +21,13 @@ plotting-grid approximation is involved.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import json_int
-from .errors import ConfigError
+from .datasets import json_float, json_pair
+from .errors import ConfigError, SchemaError
 
 __all__ = [
     "DEFAULT_THRESHOLD",
@@ -45,6 +46,9 @@ __all__ = [
 ]
 
 DEFAULT_THRESHOLD = 0.10
+
+# thresholds above 0 whose percent, the unit reports name them in, is finite
+_THRESHOLDS = (5e-324, sys.float_info.max / 100)
 
 #: Outer-eye-corner index pairs by landmark count for the common face layouts.
 DEFAULT_NORM_INDICES: dict[int, tuple[int, int]] = {
@@ -66,20 +70,14 @@ class MetricsConfig:
     threshold: float = DEFAULT_THRESHOLD
 
     def __post_init__(self) -> None:
-        _check_threshold(self.threshold)
+        object.__setattr__(self, "threshold",
+                           json_float(self.threshold, "threshold", *_THRESHOLDS))
         if self.norm_indices is not None:
-            i, j = (json_int(v, "norm_indices", 0) for v in self.norm_indices)
+            i, j = json_pair(self.norm_indices, "norm_indices", 0)
             if i == j:
-                raise ConfigError(f"norm indices must be two distinct indices, "
-                                  f"got {self.norm_indices}")
+                raise SchemaError(f"must be two distinct indices, got {self.norm_indices}",
+                                  field="norm_indices")
             object.__setattr__(self, "norm_indices", (i, j))
-
-
-def _check_threshold(threshold: float) -> None:
-    # reports name the threshold in percent, so that must be finite too
-    if not (np.isfinite(100 * float(threshold)) and threshold > 0):
-        raise ConfigError(f"threshold must be positive and finite in percent, "
-                          f"got {threshold}")
 
 
 def threshold_tag(threshold: float) -> str:
@@ -162,7 +160,7 @@ def image_errors(gt: np.ndarray, pred: np.ndarray,
 
 def _check_errors(errors, threshold: float) -> np.ndarray:
     """Per-image errors as an array, after checking them and the threshold."""
-    _check_threshold(threshold)
+    json_float(threshold, "threshold", *_THRESHOLDS)
     arr = np.asarray(errors, dtype=np.float64)
     if arr.size == 0:
         raise ConfigError("need at least one per-image error")

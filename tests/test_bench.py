@@ -707,21 +707,25 @@ class TestBenchConfig:
         with pytest.raises(ConfigError):
             BenchConfig(crop_margin=-0.1)
         for margin in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ConfigError, match="crop margin must be finite"):
+            with pytest.raises(ConfigError) as err:
                 BenchConfig(crop_margin=margin)
+            assert str(err.value) == (f"field 'crop_margin': must be a finite number of "
+                                      f"at least 0, got {margin!r}")
         with pytest.raises(ConfigError):
             BenchConfig(crop_source="detector")
         with pytest.raises(ConfigError):
             BenchConfig(mc_samples=0)
-        with pytest.raises(ConfigError, match="exceeds the limit"):
+        with pytest.raises(ConfigError, match="^field 'mc_samples': .* exceeds the limit"):
             BenchConfig(mc_samples=10 ** 20)
-        with pytest.raises(ConfigError, match="exceeds the limit"):
-            BenchConfig(mc_samples=10 ** 10, mc_landmarks=10 ** 10)
-        # a sample never spans two blocks, so one may not outgrow a block
-        with pytest.raises(ConfigError, match=f"at most {_MC_BLOCK} landmarks"):
-            BenchConfig(mc_samples=1, mc_landmarks=_MC_BLOCK + 1)
-        with pytest.raises(ConfigError, match="exceeds the limit"):
-            BenchConfig(mc_samples=1, mc_landmarks=10 ** 20)
+        with pytest.raises(ConfigError, match="^field 'mc_samples': .* exceeds the limit"):
+            BenchConfig(mc_samples=10 ** 10, mc_landmarks=_MC_BLOCK)
+        # a sample never spans two blocks, so one may not outgrow a block;
+        # that is refused before the draw's size
+        for samples, landmarks in ((1, _MC_BLOCK + 1), (1, 10 ** 20), (10 ** 10, 10 ** 10)):
+            with pytest.raises(ConfigError, match=f"^field 'mc_landmarks': a Monte-Carlo "
+                                                  f"sample may have at most {_MC_BLOCK} "
+                                                  f"landmarks$"):
+                BenchConfig(mc_samples=samples, mc_landmarks=landmarks)
         assert BenchConfig(mc_samples=1, mc_landmarks=_MC_BLOCK).mc_landmarks == _MC_BLOCK
         # counts and the seed are integers, refused in the payload reader's
         # words rather than truncated or left to fail in the run
@@ -738,9 +742,36 @@ class TestBenchConfig:
         assert all(type(v) is int for v in (cfg.seed, cfg.mc_samples, cfg.mc_landmarks))
         # below 1e-150 the errors' squared deviations leave the normal floats
         for mc_n in (1e-151, 1e-310, 5e-324):
-            with pytest.raises(ConfigError, match="must be finite and at least 1e-150"):
+            with pytest.raises(ConfigError) as err:
                 BenchConfig(mc_n=mc_n)
+            assert str(err.value) == (f"field 'mc_n': must be a finite number of at least "
+                                      f"1e-150, got {mc_n!r}")
         assert BenchConfig(mc_n=1e-150).mc_n == 1e-150
+        # a flag is a bool and a number is a number: each of these was stored
+        # as given, truthy, or failed as a bare TypeError
+        for key, value, rule in [
+                ("bbox_inclusive", "no", "must be true or false"),
+                ("bbox_inclusive", 1, "must be true or false"),
+                ("crop_margin", True, "must be a finite number of at least 0"),
+                ("crop_margin", "0.25", "must be a finite number of at least 0"),
+                ("mc_n", True, "must be a finite number of at least 1e-150"),
+                ("mc_n", 10 ** 400, "must be a finite number of at least 1e-150"),
+                ("crop_source", None, "must be 'landmarks' or 'bbox'")]:
+            with pytest.raises(ConfigError) as err:
+                BenchConfig(**{key: value})
+            assert str(err.value) == f"field '{key}': {rule}, got {value!r}"
+        # a bare string is a name, not a sequence of one-letter schemes
+        for schemes in ("direct", None, 5):
+            with pytest.raises(ConfigError) as err:
+                BenchConfig(schemes=schemes)
+            assert str(err.value) == (f"field 'schemes': expected a tuple or list of "
+                                      f"schemes, got {schemes!r}")
+        with pytest.raises(ConfigError, match=r"^field 'scheme': unknown Scheme 'd' "):
+            BenchConfig(schemes=["d"])
+        cfg = BenchConfig(crop_margin=np.float32(0.5), mc_n=2, bbox_inclusive=np.bool_(False))
+        assert (cfg.crop_margin, cfg.mc_n, cfg.bbox_inclusive) == (0.5, 2.0, False)
+        assert [type(v) for v in (cfg.crop_margin, cfg.mc_n, cfg.bbox_inclusive)] == \
+            [float, float, bool]
 
     def test_scheme_strings_coerced(self):
         cfg = BenchConfig(schemes=("direct", "hih"))

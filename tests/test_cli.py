@@ -174,23 +174,30 @@ class TestSynth:
 
     def test_duplicate_schemes_named_by_value(self, capsys):
         rc, out, err = run_cli(capsys, "synth", "--samples", "10", "--schemes", "direct,direct")
-        assert (rc, out, err) == (2, "", "error: duplicate schemes in 'direct,direct'\n")
+        assert (rc, out, err) == (2, "", "error: field 'schemes': duplicate schemes in "
+                                         "'direct,direct'\n")
         assert "Scheme." not in err
 
     @pytest.mark.parametrize("flag,value", [("--samples", "1e20"), ("--samples", "1e300"),
                                             ("--landmarks", "1e20")])
     def test_oversized_draw_refused(self, capsys, flag, value):
-        # values far beyond any allocator, refused before anything is drawn
+        # values far beyond any allocator, refused before anything is drawn;
+        # a sample larger than a block is refused first
         rc, out, err = run_cli(capsys, "synth", flag, value)
         assert rc == 2 and out == ""
-        assert err.startswith("error: Monte-Carlo draw of ")
-        assert "exceeds the limit of 16777216 landmarks" in err
+        if flag == "--landmarks":
+            assert err == ("error: field 'mc_landmarks': a Monte-Carlo sample may have at "
+                           "most 8192 landmarks\n")
+        else:
+            assert err.startswith("error: field 'mc_samples': Monte-Carlo draw of ")
+            assert "exceeds the limit of 16777216 landmarks" in err
 
     def test_landmarks_past_one_block_refused(self, capsys):
         # a sample never spans two blocks, so a larger one would grow the block
         rc, out, err = run_cli(capsys, "synth", "--samples", "1", "--landmarks", "8193")
         assert (rc, out) == (2, "")
-        assert err == "error: a Monte-Carlo sample may have at most 8192 landmarks\n"
+        assert err == ("error: field 'mc_landmarks': a Monte-Carlo sample may have at most "
+                       "8192 landmarks\n")
 
     @pytest.mark.parametrize("value", ["1e-151", "1e-310", "5e-324"])
     def test_subnormal_scale_factor_refused(self, capsys, value):
@@ -198,8 +205,8 @@ class TestSynth:
         rc, out, err = run_cli(capsys, "synth", "--samples", "3", "--landmarks", "1",
                                "--n-factor", value)
         assert rc == 2 and out == ""
-        assert err == (f"error: Monte-Carlo scale factor must be finite and at least "
-                       f"1e-150, got {value}\n")
+        assert err == f"error: field 'mc_n': must be a finite number of at least 1e-150, " \
+                      f"got {value}\n"
 
     def test_json_config_keys(self, capsys):
         rc, out, _ = run_cli(capsys, "synth", "--samples", "50", "--format", "json")
@@ -313,7 +320,7 @@ class TestBenchIdeal:
                                "--dataset", f"wflw:{data_dir / 'list.txt'}",
                                "--threads", "0")
         assert rc == 2 and out == ""
-        assert err.startswith("error: thread count must be positive")
+        assert err == "error: field 'threads': must be an integer of at least 1, got 0\n"
 
     def test_json_config_keys(self, capsys, data_dir):
         rc, out, _ = run_cli(capsys, "bench-ideal",
@@ -328,7 +335,7 @@ class TestBenchIdeal:
                                "--dataset", f"json:{data_dir / 'gt68.json'}",
                                f"--margin={margin}")
         assert rc == 2 and out == ""
-        assert err == f"error: crop margin must be finite and non-negative, " \
+        assert err == f"error: field 'crop_margin': must be a finite number of at least 0, " \
                       f"got {float(margin)}\n"
 
     def test_bbox_crop_source(self, capsys, data_dir):
@@ -494,7 +501,7 @@ class TestEncodeDecode:
         rc, out, err = run_cli(capsys, "encode", "--scheme", "wov",
                                "--record", str(data_dir / "gt98.json"), f"--margin={margin}")
         assert rc == 2 and out == ""
-        assert err == f"error: crop margin must be finite and non-negative, " \
+        assert err == f"error: field 'margin': must be a finite number of at least 0, " \
                       f"got {float(margin)}\n"
 
     def test_point_bad_margin_located(self, capsys):
@@ -502,7 +509,7 @@ class TestEncodeDecode:
         rc, out, err = run_cli(capsys, "encode", "--scheme", "direct", "--point", "1,2",
                                "--margin", "nan")
         assert rc == 2 and out == ""
-        assert err == "error: crop margin must be finite and non-negative, got nan\n"
+        assert err == "error: field 'margin': must be a finite number of at least 0, got nan\n"
 
     def test_record_index_out_of_range(self, capsys, data_dir):
         rc, _, err = run_cli(capsys, "encode", "--scheme", "wov",

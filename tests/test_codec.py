@@ -194,6 +194,37 @@ class TestCodecConfig:
         assert c.heatmap_shape == (32, 16) and c.decimal_shape == (4, 2)
         assert all(type(side) is int for side in (*c.heatmap_shape, *c.decimal_shape))
 
+    @pytest.mark.parametrize("key", ["sigma_integer", "sigma_decimal"])
+    @pytest.mark.parametrize("sigma", [True, "1.5", None, 10 ** 400, [1.5]],
+                             ids=["bool", "string", "none", "huge-int", "list"])
+    def test_sigma_is_a_number(self, key, sigma):
+        # a bool was stored as True, and a string failed as a bare TypeError
+        with pytest.raises(ConfigError) as err:
+            cfg_for(Scheme.HIH, **{key: sigma})
+        assert str(err.value) == (f"field '{key}': must be a finite number in "
+                                  f"[1e-150, 1e+150], got {sigma!r}")
+
+    def test_sigma_stored_as_a_float(self):
+        c = cfg_for(Scheme.HIH, sigma_integer=2, sigma_decimal=np.float32(0.5))
+        assert (c.sigma_integer, c.sigma_decimal) == (2.0, 0.5)
+        assert all(type(s) is float for s in (c.sigma_integer, c.sigma_decimal))
+
+    @pytest.mark.parametrize("key,enum", [("scheme", Scheme),
+                                          ("decimal_overflow", DecimalOverflow)])
+    @pytest.mark.parametrize("value", ["bogus", None, 1, ["hih"]])
+    def test_unknown_choice_refused_at_its_field(self, key, enum, value):
+        with pytest.raises(ConfigError) as err:
+            CodecConfig(**{"scheme": Scheme.HIH, key: value})
+        known = ", ".join(m.value for m in enum)
+        assert str(err.value) == (f"field '{key}': unknown {enum.__name__} {value!r} "
+                                  f"(known: {known})")
+
+    @pytest.mark.parametrize("key", ["heatmap_shape", "decimal_shape"])
+    @pytest.mark.parametrize("shape", [64, None, (8, 8, 8)], ids=["scalar", "none", "triple"])
+    def test_grid_shape_is_a_pair(self, key, shape):
+        with pytest.raises(ConfigError, match=f"^field '{key}': expected a pair: "):
+            cfg_for(Scheme.HIH, **{key: shape})
+
     @pytest.mark.parametrize("key", ["heatmap_shape", "decimal_shape"])
     def test_grid_capped_at_stack_limit(self, key):
         cfg_for(Scheme.HIH, **{key: (1 << 13, 1 << 13)})
@@ -208,7 +239,8 @@ class TestCodecConfig:
         # 2 sigma^2 would underflow to 0 or overflow to inf in the render
         for sigma in (5e-324, 1e-151, 1e151, 1e308):
             for key in ("sigma_integer", "sigma_decimal"):
-                with pytest.raises(ConfigError, match=f"{key} must lie in"):
+                with pytest.raises(ConfigError, match=rf"^field '{key}': must be a finite "
+                                                      rf"number in \[1e-150, 1e\+150\], got "):
                     cfg_for(Scheme.HIH, **{key: sigma})
 
 
@@ -354,9 +386,10 @@ class TestWom:
                              ids=["zero", "negative", "not-a-divisor", "bool", "float"])
     def test_group_size_refused_unless_a_divisor_of_n(self, group_size):
         pts = np.array([[10.25, 11.75], [10.75, 11.25], [10.5, 11.5], [30.5, 2.5]])
-        with pytest.raises(ConfigError, match=r"group_size must be a positive integer "
-                                              r"that divides the 4 points"):
+        rule = "divide the 4 points" if group_size == 3 else "be an integer of at least 1"
+        with pytest.raises(ConfigError) as err:
             ideal_roundtrip(pts, cfg_for(Scheme.WOM), group_size=group_size)
+        assert str(err.value) == f"field 'group_size': must {rule}, got {group_size!r}"
 
     def test_group_size_accepts_a_numpy_integer(self):
         pts = np.array([[10.25, 11.75], [10.75, 11.25], [10.5, 11.5], [30.5, 2.5]])

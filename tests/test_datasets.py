@@ -8,18 +8,26 @@ out of float() or an index error counts as a bug.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields
+from enum import Enum
 
 import numpy as np
 import pytest
 from conftest import (MALFORMED_PTS, make_records, make_wflw_line,
                       malformed_canonical_docs, malformed_wflw_lines,
                       write_pts_file, write_pts_tree, write_wflw_file)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subpix.datasets import (ATTRIBUTE_NAMES, Corpus, canonical_dict, json_int, load_canonical,
-                             load_dataset, load_pts_dir, load_wflw, parse_pts,
-                             parse_wflw_line, subset_counts, write_canonical)
+from subpix.bench import BenchConfig, analytic_direct_error
+from subpix.codec import CodecConfig, DecimalOverflow, EncodedSample, Scheme, ideal_roundtrip
+from subpix.datasets import (ATTRIBUTE_NAMES, Corpus, canonical_dict, json_float, json_int,
+                             json_pair, load_canonical, load_dataset, load_pts_dir, load_wflw,
+                             parse_pts, parse_wflw_line, subset_counts, write_canonical)
 from subpix.errors import ConfigError, ParseError, SchemaError
+from subpix.geometry import crop_from_landmarks, heatmap_transform
+from subpix.metrics import MetricsConfig
 
 GOLDEN_PTS = "version: 1\nn_points: 3\n{\n10.5 20.5\n1.0 1.0\n300.25 4.75\n}\n"
 
@@ -222,6 +230,184 @@ class TestJsonInt:
         assert err.value.field == "n"
         assert str(err.value) == (f"field 'n': must be an integer of at least {least}, "
                                   f"got {value!r}")
+
+
+class TestJsonFloat:
+    @pytest.mark.parametrize("value", [0, 0.25, 7, 1e308, np.float32(0.5), np.int64(3),
+                                       np.longdouble(2.5)])
+    def test_number_in_range_accepted_as_a_float(self, value):
+        out = json_float(value, "x", 0)
+        assert out == value and type(out) is float
+
+    @pytest.mark.parametrize("value", [True, False, "0.5", None, [1.0], math.nan, math.inf,
+                                       -math.inf, 10 ** 400, -1, np.float64(np.nan),
+                                       np.longdouble("1e400"), np.bool_(True), 1 + 0j])
+    def test_other_values_refused(self, value):
+        with pytest.raises(SchemaError) as err:
+            json_float(value, "x", 0)
+        assert str(err.value) == f"field 'x': must be a finite number of at least 0, got " \
+                                 f"{value.item() if isinstance(value, np.number) else value!r}"
+
+    def test_bounds_are_inclusive_and_named(self):
+        assert json_float(1e-150, "x", 1e-150, 1e150) == 1e-150
+        assert json_float(1e150, "x", 1e-150, 1e150) == 1e150
+        # an int is compared with a bound exactly, not rounded to a double first
+        # (2^53 + 1 rounds to 2^53)
+        with pytest.raises(SchemaError, match=r"^field 'x': must be a finite number in "
+                                              r"\[0, 9007199254740992.0\], got 9007199254740993$"):
+            json_float(2 ** 53 + 1, "x", 0, 2.0 ** 53)
+
+
+class TestJsonPair:
+    def test_pair_of_integers_accepted(self):
+        assert json_pair([3, np.uint8(4)], "p", 1) == (3, 4)
+        assert all(type(v) is int for v in json_pair(np.array([3, 4]), "p", 1))
+
+    @pytest.mark.parametrize("value", [None, 5, (1, 2, 3), [1], "abc", {"w": 1}])
+    def test_non_pairs_refused(self, value):
+        with pytest.raises(SchemaError, match="^field 'p': expected a pair: "):
+            json_pair(value, "p", 1)
+
+    @pytest.mark.parametrize("value,bad", [((1.5, 2), 1.5), ((2, True), True), ("12", "1"),
+                                           ((0, 2), 0)])
+    def test_sides_follow_the_integer_rule(self, value, bad):
+        with pytest.raises(SchemaError) as err:
+            json_pair(value, "p", 1)
+        assert str(err.value) == f"field 'p': must be an integer of at least 1, got {bad!r}"
+
+
+class TestChoice:
+    @pytest.mark.parametrize("enum", [Scheme, DecimalOverflow])
+    @pytest.mark.parametrize("value", ["bogus", "HIH", None, 1, ["hih"], {"carry": 1}])
+    def test_unknown_value_refused_at_the_enum_field(self, enum, value):
+        field = {Scheme: "scheme", DecimalOverflow: "decimal_overflow"}[enum]
+        with pytest.raises(SchemaError) as err:
+            enum(value)
+        known = ", ".join(m.value for m in enum)
+        assert err.value.field == field
+        assert str(err.value) == f"field '{field}': unknown {enum.__name__} {value!r} " \
+                                 f"(known: {known})"
+
+    def test_members_and_values_accepted(self):
+        assert Scheme("wov") is Scheme(Scheme.WOV) is Scheme.WOV
+        assert DecimalOverflow("clamp") is DecimalOverflow.CLAMP
+
+
+def _hostile(valid):
+    """Values of every wrong kind for a setting whose valid value is ``valid``,
+    and numpy scalars of any value."""
+    return st.one_of(
+        st.sampled_from([str(valid), True, False, None, math.nan, math.inf, -math.inf,
+                         10 ** 400, [valid], (valid, valid, valid)]),
+        st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+        st.floats().map(np.float64))
+
+
+def _is_float(v):
+    return type(v) is float
+
+
+def _is_int(v):
+    return type(v) is int
+
+
+def _is_pair(v):
+    return type(v) is tuple and len(v) == 2 and all(map(_is_int, v))
+
+
+def _is_member(v):
+    return isinstance(v, Enum)
+
+
+def _returned(v):
+    return True
+
+
+_CROP = crop_from_landmarks([[0.0, 0.0], [10.0, 10.0]])
+_FOUR = np.array([[10.25, 11.75], [10.75, 11.25], [10.5, 11.5], [30.5, 2.5]])
+
+
+def _codec(key):
+    return lambda v: getattr(CodecConfig(**{"scheme": Scheme.HIH, key: v}), key)
+
+
+def _bench(key, **rest):
+    return lambda v: getattr(BenchConfig(**{**rest, key: v}), key)
+
+
+def _metrics(key):
+    return lambda v: getattr(MetricsConfig(**{key: v}), key)
+
+
+def _sample(scheme):
+    return EncodedSample(scheme=scheme, heatmap_shape=(4, 4), integer_maps=np.zeros((1, 4, 4)),
+                         clamped=[False]).scheme
+
+
+# each scalar a caller sets: how to set it, a valid value, the check of what is
+# kept, and the fields a refusal may name (an enum's own, for a bad member)
+_SETTINGS = {
+    "CodecConfig.scheme": (_codec("scheme"), "hih", _is_member, ("scheme",)),
+    "CodecConfig.heatmap_shape": (_codec("heatmap_shape"), (64, 64), _is_pair,
+                                  ("heatmap_shape",)),
+    "CodecConfig.decimal_shape": (_codec("decimal_shape"), (8, 8), _is_pair, ("decimal_shape",)),
+    "CodecConfig.sigma_integer": (_codec("sigma_integer"), 1.5, _is_float, ("sigma_integer",)),
+    "CodecConfig.sigma_decimal": (_codec("sigma_decimal"), 1.0, _is_float, ("sigma_decimal",)),
+    "CodecConfig.decimal_overflow": (_codec("decimal_overflow"), "carry", _is_member,
+                                     ("decimal_overflow",)),
+    "BenchConfig.schemes": (_bench("schemes"), ("direct", "wov"),
+                            lambda v: type(v) is tuple and all(map(_is_member, v)),
+                            ("schemes", "scheme")),
+    "BenchConfig.crop_margin": (_bench("crop_margin"), 0.25, _is_float, ("crop_margin",)),
+    "BenchConfig.crop_source": (_bench("crop_source"), "bbox", lambda v: type(v) is str,
+                                ("crop_source",)),
+    "BenchConfig.bbox_inclusive": (_bench("bbox_inclusive"), True, lambda v: type(v) is bool,
+                                   ("bbox_inclusive",)),
+    "BenchConfig.seed": (_bench("seed"), 1, _is_int, ("seed",)),
+    "BenchConfig.mc_samples": (_bench("mc_samples"), 1000, _is_int, ("mc_samples",)),
+    # one sample at a time, so that no landmark count makes too large a draw
+    "BenchConfig.mc_landmarks": (_bench("mc_landmarks", mc_samples=1), 4, _is_int,
+                                 ("mc_landmarks",)),
+    "BenchConfig.mc_n": (_bench("mc_n"), 4.0, _is_float, ("mc_n",)),
+    "MetricsConfig.norm_indices": (_metrics("norm_indices"), (60, 72),
+                                   lambda v: v is None or _is_pair(v),
+                                   ("norm_indices",)),
+    "MetricsConfig.threshold": (_metrics("threshold"), 0.1, _is_float, ("threshold",)),
+    "EncodedSample.scheme": (_sample, "direct", _is_member, ("scheme",)),
+    "ideal_roundtrip.group_size": (
+        lambda v: ideal_roundtrip(_FOUR, CodecConfig(scheme=Scheme.WOM), group_size=v)[2],
+        2, _is_int, ("group_size",)),
+    "heatmap_transform.shape": (lambda v: heatmap_transform(_CROP, v), (64, 64), _returned,
+                                ("heatmap_shape",)),
+    "analytic_direct_error.n": (analytic_direct_error, 4.0, _is_float, ("n",)),
+}
+
+
+class TestHostileScalars:
+    """Every scalar a caller sets, drawn from values of the wrong kind: each
+    is taken and kept as a Python int, float, bool or enum member, or refused
+    with a ConfigError that names its field, and never with another error."""
+
+    @pytest.mark.parametrize("name", sorted(_SETTINGS))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_taken_as_plain_or_refused_at_its_field(self, name, data):
+        setter, valid, kept, fields_named = _SETTINGS[name]
+        values = _hostile(valid)
+        if isinstance(valid, tuple):
+            values |= st.tuples(_hostile(valid[0]), _hostile(valid[1]))
+        value = data.draw(values, label=name)
+        try:
+            out = setter(value)
+        except ConfigError as exc:
+            assert any(str(exc).startswith(f"field '{f}': ") for f in fields_named), exc
+        else:
+            assert kept(out), (value, out)
+
+    @pytest.mark.parametrize("name", sorted(_SETTINGS))
+    def test_valid_value_taken(self, name):
+        setter, valid, kept, _ = _SETTINGS[name]
+        assert kept(setter(valid))
 
 
 class TestLocationSetLate:

@@ -3,10 +3,10 @@ name the package re-exports is exported by the module it comes from, no
 module imports a name it never uses, every distance and every score goes
 through its one kernel, one function round-trips and scores a heatmap map,
 all JSON input goes through its one reader, one function decides what a
-JSON integer is, no private definition is left that only tests read,
-only the console entry point ends the process itself or tunes the allocator,
-one function writes to stdout, one reports errors, and every file is
-written as UTF-8."""
+JSON integer is, configs check values only through the rules in datasets,
+no private definition is left that only tests read, only the console entry
+point ends the process itself or tunes the allocator, one function writes
+to stdout, one reports errors, and every file is written as UTF-8."""
 
 from __future__ import annotations
 
@@ -272,6 +272,54 @@ def test_json_integer_scan_sees_each_spelling():
     assert _int_type_checks(ast.parse('"""type(v) is int"""\n# type(v) is int\n'
                                       'type(v) is float\nisinstance(v, int)\n'
                                       'int(v) == 3\ntype(v) is bool')) == []
+
+
+# a finiteness test, however it is reached or imported, and a try statement
+_FINITE = re.compile(r"(^|\.)isfinite$")
+_TRY = (ast.Try, getattr(ast, "TryStar", ast.Try))  # try/except* is Python 3.11+
+
+
+def _config_checks(tree: ast.AST) -> list[str]:
+    """Each use of ``isfinite`` and each ``try`` statement in the
+    ``__post_init__`` of a class whose name ends in ``Config``."""
+    inits = [node for cls in ast.walk(tree)
+             if isinstance(cls, ast.ClassDef) and cls.name.endswith("Config")
+             for node in cls.body
+             if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"]
+    return [found for init in inits for found in _uses(init, _FINITE)
+            + [f"{node.lineno}: try" for node in ast.walk(init)
+               if isinstance(node, _TRY)]]
+
+
+@pytest.mark.parametrize("path", sorted(Path(subpix.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_config_values_checked_by_the_rules(path):
+    """What a number, a pair, a count or a choice may be is decided by the
+    rules in ``datasets`` (``json_float``, ``json_pair``, ``json_int`` and
+    ``Choice``): no config's ``__post_init__`` tests finiteness itself or
+    catches an error to word it again, a second place for a rule to drift."""
+    assert _config_checks(ast.parse(path.read_text())) == []
+
+
+def test_config_check_scan_sees_each_spelling():
+    def in_config(body: str, cls: str = "CodecConfig", method: str = "__post_init__") -> str:
+        lines = "".join(f"        {line}\n" for line in body.splitlines())
+        return f"class {cls}:\n    def {method}(self):\n{lines}"
+
+    spellings = ["np.isfinite(self.sigma)", "math.isfinite(x)", "numpy.isfinite(x).all()",
+                 "isfinite(x)", "ok = np.isfinite", "from math import isfinite",
+                 "try:\n    f()\nexcept ValueError:\n    pass",
+                 "try:\n    f()\nfinally:\n    g()",
+                 "for k in keys:\n    if not np.isfinite(getattr(self, k)):\n        raise E",
+                 "def check():\n    try:\n        f()\n    except E:\n        pass"]
+    if hasattr(ast, "TryStar"):
+        spellings.append("try:\n    f()\nexcept* TypeError:\n    pass")
+    assert [s for s in spellings if not _config_checks(ast.parse(in_config(s)))] == []
+    # another method, another class, prose and names that only contain one pass
+    assert _config_checks(ast.parse(
+        in_config("try:\n    f()\nexcept E:\n    pass", method="for_scheme")
+        + in_config("np.isfinite(x)", cls="EncodedSample")
+        + in_config('"""np.isfinite, try:"""\n# isfinite\nisfinite_x = retry = 1'))) == []
 
 
 def _private_defs(tree: ast.Module) -> list[tuple[str, ast.stmt]]:

@@ -148,9 +148,10 @@ class TestCropFromLandmarks:
 
     @pytest.mark.parametrize("margin", [-0.1, np.nan, np.inf, -np.inf])
     def test_bad_margin_rejected(self, margin):
-        with pytest.raises(ConfigError, match="crop margin must be finite and non-negative"):
+        with pytest.raises(ConfigError, match="^field 'margin': must be a finite number "
+                                              "of at least 0, got "):
             crop_from_landmarks([[0.0, 0.0], [10.0, 10.0]], margin=margin)
-        with pytest.raises(ConfigError, match="crop margin"):
+        with pytest.raises(ConfigError, match="^field 'margin': "):
             bbox_crops([(0, 0, 10, 10)], margin)
 
     def test_batch_flags_degenerate_rows(self, corpus98):
@@ -226,3 +227,23 @@ class TestFaceSampleAndHeatmapTransform:
     def test_anisotropic_heatmap_rejected(self):
         with pytest.raises(ConfigError):
             heatmap_transform(self._crop(), (64, 32))
+
+    @pytest.mark.parametrize("shape,bad", [((64.7, 64.7), 64.7), ((True, True), True),
+                                           (("64", "64"), "64"), ((0, 0), 0),
+                                           ((64, 64.0), 64.0)])
+    def test_grid_sides_are_integers(self, shape, bad):
+        # 64.7 was truncated to a 64-cell map and True to a 1-cell one
+        with pytest.raises(ConfigError) as err:
+            heatmap_transform(self._crop(), shape)
+        assert str(err.value) == (f"field 'heatmap_shape': must be an integer of at least 1, "
+                                  f"got {bad!r}")
+
+    @pytest.mark.parametrize("shape", [64, None, (64, 64, 64)])
+    def test_grid_shape_is_a_pair(self, shape):
+        with pytest.raises(ConfigError, match="^field 'heatmap_shape': expected a pair: "):
+            heatmap_transform(self._crop(), shape)
+
+    def test_numpy_grid_sides_accepted(self):
+        crop = self._crop()
+        t = heatmap_transform(crop, np.array([64, 64]))
+        assert np.array_equal(t.scale, heatmap_transform(crop, (64, 64)).scale)

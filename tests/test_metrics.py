@@ -14,6 +14,8 @@ tolerance.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,8 +220,20 @@ class TestNormIndices:
         assert cfg.norm_indices == (60, 72) and all(type(i) is int for i in cfg.norm_indices)
         with pytest.raises(ConfigError):
             MetricsConfig(threshold=0.0)
+        # true read as a 100 % threshold, and a string failed as a bare TypeError
+        for threshold in (True, "0.1", None, 10 ** 400):
+            with pytest.raises(ConfigError, match=f"^field 'threshold': .*, "
+                                                  f"got {re.escape(repr(threshold))}$"):
+                MetricsConfig(threshold=threshold)
+        for pair in ((1, 2, 3), 5, "abc"):
+            with pytest.raises(ConfigError, match="^field 'norm_indices': expected a pair: "):
+                MetricsConfig(norm_indices=pair)
+        cfg = MetricsConfig(threshold=np.float32(0.25))
+        assert cfg.threshold == 0.25 and type(cfg.threshold) is float
         # reports name the threshold in percent: 1e307 is finite, 1e309 % is not
-        with pytest.raises(ConfigError, match="finite in percent"):
+        with pytest.raises(ConfigError, match=r"^field 'threshold': must be a finite number "
+                                              r"in \[5e-324, 1.7976931348623156e\+306\], "
+                                              r"got 1e\+307$"):
             MetricsConfig(threshold=1e307)
 
 
